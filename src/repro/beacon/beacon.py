@@ -68,10 +68,21 @@ class RoundRobinBeacon(Beacon):
     defined for it anyway.
     """
 
+    def __init__(self, replica_ids: Sequence[int]) -> None:
+        super().__init__(replica_ids)
+        self._position = {rid: index for index, rid in enumerate(self._replica_ids)}
+
     def permutation(self, round: int) -> List[int]:
         """Return the rotation of the replica list starting at ``round mod n``."""
         offset = round % self.n
         return self._replica_ids[offset:] + self._replica_ids[:offset]
+
+    def rank(self, round: int, replica_id: int) -> int:
+        """Rank by arithmetic on the rotation (checked per received proposal)."""
+        position = self._position.get(replica_id)
+        if position is None:
+            raise ValueError(f"replica {replica_id} not known to the beacon")
+        return (position - round) % len(self._replica_ids)
 
 
 class SeededPermutationBeacon(Beacon):

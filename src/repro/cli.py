@@ -46,7 +46,7 @@ from repro.net.transport import available_transports
 from repro.runtime.compute import available_compute_models
 from repro.runtime.scheduler import SCHEDULERS
 from repro.protocols.base import ProtocolParams
-from repro.protocols.registry import available_protocols
+from repro.protocols.registry import available_protocols, create_replicas
 
 _FIGURES = {
     "6a": scenarios.figure_6a,
@@ -318,9 +318,36 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
+def _empty_window_reason(config) -> str:
+    """Why a run's measurement window holds no commit, in one sentence.
+
+    The first finalisation time comes from a replay that listens to the
+    commit stream (runs are seeded, so the replay is the run); only this
+    rare path pays for it, and the result format stays as it is.
+    """
+    from repro.eval.experiment import run_experiment
+
+    times: List[float] = []
+    run_experiment(config, on_simulation=lambda simulation: simulation.add_commit_listener(
+        lambda record: times.append(record.commit_time)))
+    when = ("nothing was finalised during the run" if not times
+            else f"the first finalisation came at {times[0]:.3f} s")
+    return (f"no block was finalised inside the measurement window: it is "
+            f"{max(config.duration - config.warmup, 0.0):g} s long (--duration "
+            f"{config.duration:g} minus the {config.warmup:g} s warm-up) and "
+            f"{when}; raise --duration")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    params = ProtocolParams(n=args.n, f=args.f, p=args.p, payload_size=args.payload,
-                            rank_delay=scenarios.GLOBAL_RANK_DELAY)
+    try:
+        params = ProtocolParams(n=args.n, f=args.f, p=args.p, payload_size=args.payload,
+                                rank_delay=scenarios.GLOBAL_RANK_DELAY)
+        # Building a replica runs the protocol's own parameter checks (the
+        # resilience bound) before any experiment starts.
+        create_replicas(args.protocol, params, replica_ids=(0,))
+    except ValueError as exc:
+        print(f"banyan-repro run: error: {exc}", file=sys.stderr)
+        return 2
     if args.uplink_mbps is not None and args.transport != "contended":
         print("banyan-repro run: error: --uplink-mbps applies only to "
               "--transport contended", file=sys.stderr)
@@ -350,6 +377,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     runner = _runner_kwargs(args)
     runner.pop("seeds")
     figure = scenarios.run_figure(plan, **runner)
+    for result in figure.results:
+        if not result.metrics.committed_blocks:
+            # The zero row still prints (scripts read it); stderr says why.
+            print(f"banyan-repro run: warning: {_empty_window_reason(result.config)}",
+                  file=sys.stderr)
     (row,), = (rows for rows in figure.series.values())
     print(format_table(sorted(row), [[row[key] for key in sorted(row)]]))
     return 0

@@ -21,7 +21,7 @@ paper, the implementation is expressed as the set of changes applied to
   a fast vote for the same block (``_votes_for_block``).
 * **Addition 4** — a rank-0 block that gathers ``n - p`` fast votes is
   FP-finalized; the fast votes are combined into a fast finalization and
-  broadcast (``_try_fast_finalization`` / ``_broadcast_finalization``).
+  broadcast (``_update_fast_path`` / ``_broadcast_finalization``).
 
 Quorums follow Algorithm 2: notarization and (slow) finalization use
 ``⌈(n+f+1)/2⌉`` votes; FP-finalization uses ``n - p`` fast votes.  The
@@ -36,7 +36,7 @@ from repro.beacon import Beacon
 from repro.core.fastpath import FastPathState
 from repro.crypto.keys import KeyRegistry
 from repro.protocols.base import ProtocolParams
-from repro.protocols.icc import ICCReplica
+from repro.protocols.icc import ICCReplica, _RoundState
 from repro.runtime.context import ReplicaContext
 from repro.smr.mempool import PayloadSource
 from repro.types.blocks import Block, BlockId
@@ -60,10 +60,11 @@ class BanyanReplica(ICCReplica):
     ) -> None:
         super().__init__(replica_id, params, beacon, payload_source, registry)
         params.validate_resilience(require_fast_path=True)
-        #: Per-round fast-path state (fast-vote support and unlock tracking).
+        #: Per-round fast-path state (fast-vote support and unlock tracking):
+        #: the registry behind each round state's ``fast`` handle, read by
+        #: the Byzantine-evidence helpers and the chaos invariants.
         self._fast: Dict[int, FastPathState] = {}
-        #: Whether this replica already broadcast a fast vote in a round.
-        self._fast_vote_sent: Dict[int, bool] = {}
+        self._fast_quorum = params.fast_quorum  # resolved once, like ICC's
         #: Rank-0 blocks whose proposal carried the proposer's fast vote
         #: (required by the validity rule, Algorithm 2 line 63).
         self._proposer_fast_vote_seen: set = set()
@@ -94,18 +95,14 @@ class BanyanReplica(ICCReplica):
     # Fast-path state access
     # ------------------------------------------------------------------ #
 
-    def _fast_state(self, round_k: int) -> FastPathState:
-        state = self._fast.get(round_k)
-        if state is None:
-            state = FastPathState(
-                unlock_threshold=self.params.unlock_threshold,
-                fast_quorum=self.params.fast_quorum,
-            )
-            self._fast[round_k] = state
+    def _new_round(self, round_k: int) -> _RoundState:
+        """A round's state additionally owns its :class:`FastPathState`."""
+        state = super()._new_round(round_k)
+        state.fast = self._fast[round_k] = FastPathState(
+            unlock_threshold=self.params.unlock_threshold,
+            fast_quorum=self._fast_quorum,
+        )
         return state
-
-    def _has_sent_fast_vote(self, round_k: int) -> bool:
-        return self._fast_vote_sent.get(round_k, False)
 
     # ------------------------------------------------------------------ #
     # Restriction 1: validity requires an unlocked parent
@@ -138,7 +135,7 @@ class BanyanReplica(ICCReplica):
         """Proposals and relays carry the parent's unlock proof (Addition 2)."""
         if parent is None or parent.is_genesis():
             return None
-        return self._fast_state(parent.round).build_unlock_proof(
+        return self._round(parent.round).fast.build_unlock_proof(
             parent.round, parent.id
         )
 
@@ -157,7 +154,7 @@ class BanyanReplica(ICCReplica):
     def _after_propose(self, ctx: ReplicaContext, round_k: int, block: Block) -> None:
         """A rank-0 proposer has broadcast its fast vote along with the block."""
         if block.rank == 0:
-            self._fast_vote_sent[round_k] = True
+            self._round(round_k).fast_vote_sent = True
 
     def _make_fast_vote(self, round_k: int, block_id: BlockId) -> FastVote:
         signature = None
@@ -182,19 +179,17 @@ class BanyanReplica(ICCReplica):
 
     def _handle_proposal(self, ctx: ReplicaContext, sender: int, proposal: BlockProposal) -> None:
         block = proposal.block
-        if proposal.fast_vote is not None:
-            vote = proposal.fast_vote
-            if (
-                vote.kind is VoteKind.FAST
-                and vote.block_id == block.id
-                and vote.voter == block.proposer
-            ):
-                self._proposer_fast_vote_seen.add(block.id)
+        fast_vote = proposal.fast_vote
+        if fast_vote is not None and fast_vote.kind is not VoteKind.FAST:
+            fast_vote = None
+        if (fast_vote is not None and fast_vote.block_id == block.id
+                and fast_vote.voter == block.proposer):
+            self._proposer_fast_vote_seen.add(block.id)
         if proposal.parent_unlock_proof is not None:
             self._absorb_unlock_proof(ctx, proposal.parent_unlock_proof)
         super()._handle_proposal(ctx, sender, proposal)
-        if proposal.fast_vote is not None and proposal.fast_vote.kind is VoteKind.FAST:
-            self._handle_fast_vote(ctx, proposal.fast_vote)
+        if fast_vote is not None:
+            self._handle_fast_vote(ctx, fast_vote)
 
     # ------------------------------------------------------------------ #
     # Addition 3: the first notarization vote carries a fast vote
@@ -202,8 +197,9 @@ class BanyanReplica(ICCReplica):
 
     def _votes_for_block(self, round_k: int, block: Block) -> List[Vote]:
         votes: List[Vote] = [self._make_vote(VoteKind.NOTARIZATION, round_k, block.id)]
-        if not self._has_sent_fast_vote(round_k):
-            self._fast_vote_sent[round_k] = True
+        state = self._round(round_k)
+        if not state.fast_vote_sent:
+            state.fast_vote_sent = True
             votes.append(self._make_fast_vote(round_k, block.id))
         return votes
 
@@ -212,46 +208,55 @@ class BanyanReplica(ICCReplica):
     # ------------------------------------------------------------------ #
 
     def _handle_fast_vote(self, ctx: ReplicaContext, vote: Vote) -> None:
-        state = self._fast_state(vote.round)
-        state.record_fast_vote(vote.block_id, vote.voter)
-        self._update_fast_path(ctx, vote.round)
+        round_k = vote.round
+        state = self._round(round_k)
+        fast = state.fast
+        if fast.record_fast_vote(vote.block_id, vote.voter) or fast.stale:
+            self._update_fast_path(ctx, round_k, state)
 
     def _absorb_unlock_proof(self, ctx: ReplicaContext, proof: UnlockProof) -> None:
-        state = self._fast_state(proof.round)
-        state.merge_unlock_proof(proof)
-        self._update_fast_path(ctx, proof.round)
+        round_k = proof.round
+        state = self._round(round_k)
+        fast = state.fast
+        if fast.merge_unlock_proof(proof) or fast.stale:
+            self._update_fast_path(ctx, round_k, state)
 
     def _after_block_added(self, ctx: ReplicaContext, block: Block) -> None:
-        self._fast_state(block.round).record_block(block.id, block.rank)
-        self._update_fast_path(ctx, block.round)
+        state = self._round(block.round)
+        state.fast.record_block(block.id, block.rank)
+        self._update_fast_path(ctx, block.round, state)
         super()._after_block_added(ctx, block)
 
-    def _update_fast_path(self, ctx: ReplicaContext, round_k: int) -> None:
-        """Re-evaluate unlock conditions and FP-finalization for ``round_k``."""
-        state = self._fast_state(round_k)
-        decision = state.evaluate_unlocks()
+    def _update_fast_path(self, ctx: ReplicaContext, round_k: int,
+                          state: _RoundState) -> None:
+        """React to a change in ``round_k``'s fast-path state.
+
+        Change-driven: the handlers above call this only when the event
+        added a block or new support (a duplicate vote, or an unlock proof
+        that adds nothing, changes no outcome) or an earlier change still
+        awaits evaluation (a fast finalization's votes are merged without
+        one).  Definition 7.6 is re-evaluated only if the change could
+        alter its decision, FP-finalization tried only in an unfinalized
+        round.
+        """
+        fast = state.fast
         newly_unlocked = False
-        for block_id in decision.unlocked_blocks:
-            if block_id in self.tree and not self.tree.is_unlocked(block_id):
-                self.tree.mark_unlocked(block_id)
-                newly_unlocked = True
-        self._try_fast_finalization(ctx, round_k)
+        if fast.stale:
+            tree = self.tree
+            for block_id in fast.evaluate_unlocks().unlocked_blocks:
+                if not tree.is_unlocked(block_id):
+                    tree.mark_unlocked(block_id)
+                    newly_unlocked = True
+        if round_k > self.k_max:
+            for block_id in fast.fast_finalizable_blocks():
+                if round_k > self.k_max and block_id in self.tree:
+                    self._finalize(ctx, round_k, block_id, kind="fast")
         if newly_unlocked:
             # Unlocking a round-k block can make round-(k+1) blocks valid,
             # enable our own deferred votes, and allow round advancement.
             self._try_notarization_votes(ctx, round_k)
             self._try_notarization_votes(ctx, round_k + 1)
             self._try_advance(ctx, round_k)
-
-    def _try_fast_finalization(self, ctx: ReplicaContext, round_k: int) -> None:
-        if round_k <= self.k_max:
-            # Already finalized at or past this round; nothing a fast
-            # quorum here could add (hot path: every fast vote re-checks).
-            return
-        state = self._fast_state(round_k)
-        for block_id in state.fast_finalizable_blocks():
-            if round_k > self.k_max and block_id in self.tree:
-                self._finalize(ctx, round_k, block_id, kind="fast")
 
     # ------------------------------------------------------------------ #
     # Restriction 2: round advancement needs an unlocked notarized block
@@ -261,7 +266,7 @@ class BanyanReplica(ICCReplica):
         return self.tree.notarized_and_unlocked_at_round(round_k)
 
     def _can_advance(self, round_k: int) -> bool:
-        return bool(self._advance_candidates(round_k)) and self._has_sent_fast_vote(round_k)
+        return self._round(round_k).fast_vote_sent and bool(self._advance_candidates(round_k))
 
     # ------------------------------------------------------------------ #
     # Addition 1: broadcast notarization together with an unlock proof
@@ -273,7 +278,7 @@ class BanyanReplica(ICCReplica):
             return
         state.notarization_broadcast.add(block.id)
         notarization = self._notarization_for(block)
-        unlock_proof = self._fast_state(round_k).build_unlock_proof(round_k, block.id)
+        unlock_proof = state.fast.build_unlock_proof(round_k, block.id)
         ctx.broadcast(
             CertificateMessage(
                 certificate=notarization,
@@ -291,20 +296,21 @@ class BanyanReplica(ICCReplica):
             self._absorb_unlock_proof(ctx, message.unlock_proof)
         certificate = message.certificate
         if isinstance(certificate, FastFinalization):
-            if certificate.verify(None, self.fast_quorum):
-                state = self._fast_state(certificate.round)
-                state.merge_fast_votes(certificate.block_id, certificate.voters)
-                if certificate.block_id in self.tree:
-                    self._finalize(ctx, certificate.round, certificate.block_id, kind="fast")
-                else:
-                    self._pending_finalizations[certificate.block_id] = "fast"
+            if certificate.verify(None, self._fast_quorum):
+                round_k = certificate.round
+                block_id = certificate.block_id
+                self._round(round_k).fast.merge_fast_votes(block_id, certificate.voters)
+                if block_id not in self.tree:
+                    self._pending_finalizations[block_id] = "fast"
+                elif round_k > self.k_max:
+                    self._finalize(ctx, round_k, block_id, kind="fast")
             return
         super()._handle_certificate(ctx, message)
 
     def _broadcast_finalization(self, ctx: ReplicaContext, round_k: int,
                                 block_id: BlockId, kind: str) -> None:
         if kind == "fast":
-            voters = self._fast_state(round_k).support(block_id)
+            voters = self._round(round_k).fast.support(block_id)
             if voters:
                 certificate = FastFinalization(
                     round=round_k, block_id=block_id, voters=frozenset(voters)

@@ -15,7 +15,7 @@ property-tested independently of the full protocol:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.smr.quorum import QuorumTracker
 from repro.types.blocks import BlockId
@@ -64,41 +64,69 @@ class FastPathState:
         #: Received blocks with rank != 0 (``nonLeaderBlocks(k)`` as a set).
         self._non_leader: Set[BlockId] = set()
         #: ``supp(nonLeaderBlocks(k))`` maintained incrementally as votes
-        #: and blocks arrive, so :meth:`evaluate_unlocks` — called on every
-        #: fast vote — does not rebuild the union each time.
+        #: and blocks arrive, so :meth:`evaluate_unlocks` does not rebuild
+        #: the union each time.
         self._non_leader_support: Set[int] = set()
         #: Blocks already unlocked via Condition 1.  Support only grows, so
         #: the condition is monotone and the set is sticky — re-evaluation
         #: skips these.
         self._unlocked: Set[BlockId] = set()
+        #: Whether something recorded since the last :meth:`evaluate_unlocks`
+        #: could alter its decision; callers re-evaluate only while set.
+        self.stale = False
+        #: Whether more support alone can no longer alter the decision:
+        #: Condition 2 holds, or every received block is unlocked in an
+        #: uncontested round (where Condition 2 cannot hold).
+        self._settled = True
+        #: The decision of the last evaluation, rebuilt only when it grows.
+        self._decision = UnlockDecision(frozenset(), False)
 
     # ------------------------------------------------------------------ #
     # Recording
     # ------------------------------------------------------------------ #
 
-    def record_block(self, block_id: BlockId, rank: int) -> None:
-        """Register a received round-``k`` block and its rank."""
-        if block_id not in self._block_ranks:
-            self._block_ranks[block_id] = rank
-            if rank != 0:
-                self._non_leader.add(block_id)
-                # Votes may precede the block: fold its existing support in.
-                self._non_leader_support |= self._support.voters(block_id)
+    def record_block(self, block_id: BlockId, rank: int) -> bool:
+        """Register a received round-``k`` block; returns whether it was new."""
+        if block_id in self._block_ranks:
+            return False
+        self._block_ranks[block_id] = rank
+        if rank != 0:
+            self._non_leader.add(block_id)
+            # Votes may precede the block: fold its existing support in.
+            self._non_leader_support |= self._support.voters(block_id)
+        self.stale = True
+        return True
 
-    def record_fast_vote(self, block_id: BlockId, voter: int) -> None:
-        """Register a fast vote from ``voter`` for ``block_id``."""
-        if self._support.add_vote(block_id, voter) and block_id in self._non_leader:
+    def record_fast_vote(self, block_id: BlockId, voter: int) -> bool:
+        """Register one fast vote; returns whether support changed (a
+        duplicate changes nothing)."""
+        if not self._support.add_vote(block_id, voter):
+            return False
+        if block_id in self._non_leader:
             self._non_leader_support.add(voter)
+        if not self._settled:
+            self.stale = True
+        return True
 
-    def merge_fast_votes(self, block_id: BlockId, voters: Iterable[int]) -> None:
-        """Register a certificate's fast votes for ``block_id`` in bulk."""
-        if self._support.add_voters(block_id, voters) and block_id in self._non_leader:
-            self._non_leader_support |= set(voters)
+    def merge_fast_votes(self, block_id: BlockId, voters: Collection[int]) -> bool:
+        """Register a certificate's fast votes for ``block_id`` in bulk;
+        returns whether support changed (any voter was new)."""
+        if not self._support.add_voters(block_id, voters):
+            return False
+        if block_id in self._non_leader:
+            self._non_leader_support.update(voters)
+        if not self._settled:
+            self.stale = True
+        return True
 
-    def merge_unlock_proof(self, proof: UnlockProof) -> None:
-        """Merge the voter sets carried by an unlock proof (Addition 1/2)."""
+    def merge_unlock_proof(self, proof: UnlockProof) -> bool:
+        """Merge the voter sets carried by an unlock proof (Addition 1/2);
+        returns whether support changed for any of its blocks."""
+        changed = False
         for block_id, voters in proof.votes_by_block:
-            self.merge_fast_votes(block_id, voters)
+            if self.merge_fast_votes(block_id, voters):
+                changed = True
+        return changed
 
     # ------------------------------------------------------------------ #
     # Queries (Definitions 7.1 – 7.5)
@@ -123,10 +151,6 @@ class FastPathState:
         the seam adversary analyses and the Byzantine tests use.
         """
         return self._support.equivocators()
-
-    def received_blocks(self) -> List[BlockId]:
-        """Blocks of the round that have been received (rank known)."""
-        return list(self._block_ranks)
 
     def rank_zero_blocks(self) -> List[BlockId]:
         """Received blocks of rank 0 (more than one only with a Byzantine leader)."""
@@ -159,51 +183,51 @@ class FastPathState:
         the round are unlocked, so later calls keep returning
         ``all_unlocked=True``.
 
-        Called on every fast vote and unlock-proof merge, so both
-        conditions are evaluated incrementally: Condition 1 is monotone
-        (support only grows) and skips already-unlocked blocks, and
-        ``supp(nonLeaderBlocks)`` is the maintained running union rather
-        than rebuilt per call.  In an uncontested round (one rank-0 block,
-        no non-leader blocks) a call is O(1) per pending block instead of
-        O(n) set unions.
+        Change-driven: unless something recorded since the last call could
+        alter the outcome (:attr:`stale`), this returns the cached decision,
+        which is rebuilt only when the unlocked set grew.  A real evaluation
+        is incremental: Condition 1 is monotone (support only grows) and
+        skips already-unlocked blocks, and ``supp(nonLeaderBlocks)`` is the
+        maintained running union.
         """
-        non_leader_support = self._non_leader_support
-        nls_size = len(non_leader_support)
-        threshold = self.unlock_threshold
-        unlocked = self._unlocked
-        for block_id in self._block_ranks:
-            if block_id in unlocked:
-                continue
-            if nls_size == 0:
-                combined = self._support.count(block_id)
-            else:
+        if not self.stale:
+            return self._decision
+        self.stale = False
+        block_ranks = self._block_ranks
+        contested = len(block_ranks) > 1 or bool(self._non_leader)
+        if not self._all_unlocked:
+            non_leader_support = self._non_leader_support
+            nls_size = len(non_leader_support)
+            threshold = self.unlock_threshold
+            unlocked = self._unlocked
+            for block_id in block_ranks:
+                if block_id in unlocked:
+                    continue
                 # |supp(b) ∪ NLS| without materialising the union.
-                combined = nls_size + self._support.count_outside(
-                    block_id, non_leader_support
-                )
-            if combined > threshold:
-                unlocked.add(block_id)
-        if not self._all_unlocked and (
-            len(self._block_ranks) > 1 or self._non_leader
-        ):
-            # Otherwise nonMaxBlocks(k) is empty (at most one received
-            # block, of rank 0) and Condition 2 cannot hold — the
-            # uncontested-round fast exit.
-            non_max = self.non_max_blocks()
-            if non_max and len(self.support_of(non_max)) > threshold:
-                self._all_unlocked = True
-        if self._all_unlocked:
-            return UnlockDecision(
-                unlocked_blocks=frozenset(self._block_ranks),
-                all_unlocked=True,
-            )
-        return UnlockDecision(unlocked_blocks=frozenset(unlocked), all_unlocked=False)
+                if nls_size + self._support.count_outside(
+                        block_id, non_leader_support) > threshold:
+                    unlocked.add(block_id)
+            if contested:
+                # Otherwise nonMaxBlocks(k) is empty (at most one received
+                # block, of rank 0) and Condition 2 cannot hold.
+                non_max = self.non_max_blocks()
+                if non_max and len(self.support_of(non_max)) > threshold:
+                    self._all_unlocked = True
+        current = block_ranks if self._all_unlocked else self._unlocked
+        decision = self._decision
+        if (len(current) != len(decision.unlocked_blocks)
+                or self._all_unlocked != decision.all_unlocked):
+            # Both sets only grow, so an equal size means an equal set.
+            decision = self._decision = UnlockDecision(
+                frozenset(current), self._all_unlocked)
+        self._settled = self._all_unlocked or (
+            not contested and len(self._unlocked) == len(block_ranks))
+        return decision
 
     def fast_finalizable_blocks(self) -> List[BlockId]:
         """Rank-0 blocks whose support reaches the fast quorum ``n - p``."""
-        if not self._support.fired_count():
-            # No block has reached the fast quorum yet — skip the scan
-            # (this runs on every fast vote of the round).
+        if not self._support.fired:
+            # No block has reached the fast quorum yet — skip the scan.
             return []
         return [
             block_id

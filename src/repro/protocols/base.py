@@ -112,7 +112,7 @@ class ProtocolParams:
         if self.n < bound:
             raise ValueError(
                 f"n={self.n} violates the resilience bound n >= {bound} "
-                f"(f={self.f}, p={self.p})"
+                f"(f={self.f}, p={self.p}); the nearest valid n is {bound}"
             )
 
     def proposal_delay(self, rank: int) -> float:

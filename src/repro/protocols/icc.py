@@ -24,10 +24,11 @@ buffered and re-evaluated when their prerequisites arrive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set
 
 from repro.beacon import Beacon, RoundRobinBeacon
 from repro.blocktree import BlockTree, FinalizedChain
+from repro.blocktree.tree import BlockTreeError
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import sign
 from repro.protocols.base import Protocol, ProtocolParams
@@ -40,15 +41,26 @@ from repro.types.messages import BlockProposal, CertificateMessage, Message, Vot
 from repro.types.votes import FinalizationVote, NotarizationVote, Vote, VoteKind
 
 
-@dataclass
-class _RoundState:
-    """Per-round bookkeeping for ICC.
+#: The wire-message classes ``on_message`` dispatches on, most frequent first.
+_MESSAGE_SHAPES = (VoteMessage, CertificateMessage, BlockProposal)
 
-    Vote tallies live in the replica-wide
-    :class:`repro.smr.quorum.CertificateCollector`; this state carries only
-    the round-lifecycle flags.
+
+@dataclass(slots=True)
+class _RoundState:
+    """Everything a replica keeps about one round, behind one lookup.
+
+    The per-message handlers fetch this with one ``dict.get`` and reach the
+    round's tallies as plain attributes; the trackers stay registered in
+    the replica-wide :class:`repro.smr.quorum.CertificateCollector`, the
+    front for equivocation evidence.
     """
 
+    notarization: QuorumTracker
+    finalization: QuorumTracker
+    #: Banyan only: the round's :class:`repro.core.fastpath.FastPathState`,
+    #: and whether this replica already broadcast its fast vote.
+    fast: Any = None
+    fast_vote_sent: bool = False
     t0: float = 0.0
     entered: bool = False
     proposed: bool = False
@@ -62,9 +74,9 @@ class _RoundState:
     relayed: Set[BlockId] = field(default_factory=set)
     #: Pending notarization-delay timer target times already armed.
     armed_vote_timers: Set[float] = field(default_factory=set)
-    #: Tracker fired-count already processed by ``_try_notarizations`` —
-    #: with ``notarization_deferred`` this lets the (very hot) re-check
-    #: exit in O(1) when nothing reached the quorum since the last look.
+    #: ``len(notarization.fired)`` when ``_try_notarizations`` last scanned;
+    #: it re-scans only once this moved or a reached block is deferred, so
+    #: a vote that changes neither costs the tally and one check.
     notarization_fired_seen: int = 0
     #: Whether a quorum-reached block was skipped because it has not been
     #: received yet (forces a re-scan on the next call).
@@ -98,7 +110,8 @@ class ICCReplica(Protocol):
         self.chain = FinalizedChain()
         self.current_round = 0
         self.k_max = 0
-        #: Shared vote tallies: one tracker per (round, vote kind).
+        #: Shared vote tallies: one tracker per (round, vote kind), handed
+        #: to the round's state when the round is first seen.
         self.votes = CertificateCollector()
         self._rounds: Dict[int, _RoundState] = {}
         #: Blocks waiting for their parent to arrive, keyed by parent id.
@@ -106,7 +119,7 @@ class ICCReplica(Protocol):
         #: Finalizations (block ids) waiting for the block/ancestors to arrive.
         self._pending_finalizations: Dict[BlockId, str] = {}
         #: Quorum thresholds resolved once (the properties derive them from
-        #: immutable params; tracker lookups are per-message hot paths).
+        #: immutable params; certificates are checked against them per message).
         self._notarization_quorum = self.notarization_quorum
         self._finalization_quorum = self.finalization_quorum
 
@@ -136,16 +149,6 @@ class ICCReplica(Protocol):
         """Votes needed to SP-finalize a block (``n - f`` in ICC)."""
         return self.params.icc_quorum
 
-    def _notarization_tracker(self, round_k: int) -> QuorumTracker:
-        """The round's notarization tally (created on first use)."""
-        return self.votes.tracker(round_k, VoteKind.NOTARIZATION,
-                                  self._notarization_quorum)
-
-    def _finalization_tracker(self, round_k: int) -> QuorumTracker:
-        """The round's finalization tally (created on first use)."""
-        return self.votes.tracker(round_k, VoteKind.FINALIZATION,
-                                  self._finalization_quorum)
-
     # ------------------------------------------------------------------ #
     # Protocol interface
     # ------------------------------------------------------------------ #
@@ -156,14 +159,18 @@ class ICCReplica(Protocol):
         self._enter_round(ctx, 1)
 
     def on_message(self, ctx: ReplicaContext, sender: int, message: Message) -> None:
-        """Dispatch on the message shape."""
-        if isinstance(message, BlockProposal):
-            self._handle_proposal(ctx, sender, message)
-        elif isinstance(message, VoteMessage):
+        """Dispatch on the message shape (exact class first, most frequent
+        first; ``isinstance`` only for a subclass of a wire message)."""
+        shape = message.__class__
+        if shape not in _MESSAGE_SHAPES:
+            shape = next((base for base in _MESSAGE_SHAPES if isinstance(message, base)), None)
+        if shape is VoteMessage:
             for vote in message.votes:
                 self._handle_vote(ctx, vote)
-        elif isinstance(message, CertificateMessage):
+        elif shape is CertificateMessage:
             self._handle_certificate(ctx, message)
+        elif shape is BlockProposal:
+            self._handle_proposal(ctx, sender, message)
 
     def on_messages(self, ctx: ReplicaContext, batch) -> None:
         """Batched delivery: tally same-target vote waves in one pass.
@@ -174,17 +181,14 @@ class ICCReplica(Protocol):
         :meth:`repro.smr.quorum.QuorumTracker.add_votes` pass instead of
         per-vote handler calls; anything else in the batch (proposals,
         certificates, multi-vote or fast-vote messages) takes the exact
-        scalar path in order.  Byte-identity with per-message delivery
-        holds because the scalar per-vote re-evaluations are guarded
-        no-ops except at a threshold crossing, and the batched pass stops
-        at the crossing to run the same re-evaluation there (see
-        :meth:`_tally_vote_run`).
+        scalar path in order.  :meth:`_tally_vote_run` argues the
+        byte-identity with per-message delivery.
         """
         n = len(batch)
         i = 0
         while i < n:
             sender, message = batch[i]
-            if not isinstance(message, VoteMessage):
+            if message.__class__ is not VoteMessage:
                 self.on_message(ctx, sender, message)
                 i += 1
                 continue
@@ -199,7 +203,7 @@ class ICCReplica(Protocol):
                     j = i + 1
                     while j < n:
                         nxt = batch[j][1]
-                        if not isinstance(nxt, VoteMessage) or len(nxt.votes) != 1:
+                        if nxt.__class__ is not VoteMessage or len(nxt.votes) != 1:
                             break
                         nxt = nxt.votes[0]
                         if (nxt.kind is not kind or nxt.round != round_k
@@ -219,30 +223,26 @@ class ICCReplica(Protocol):
                         voters: List[int]) -> None:
         """Tally a run of same-``(kind, round, block)`` votes at once.
 
-        Byte-identical to per-vote :meth:`_handle_vote` calls: the
-        per-vote re-evaluation (``_try_notarizations`` /
-        ``_try_slow_finalization``) only does observable work when this
-        vote crossed the quorum threshold — otherwise it exits on its
-        fired-count / ``reached`` guards, and any rescan it does rewrites
-        identical state (the tree cannot change mid-run).  So the run is
-        tallied in one tracker pass that stops exactly at the crossing,
-        the re-evaluation fires there (same sends/commits at the same
-        vote as scalar delivery), and the remainder — which can never
-        cross again — is tallied without further calls.
+        Byte-identical to per-vote :meth:`_handle_vote` calls: one tracker
+        pass that stops exactly at a quorum crossing, the scalar handler's
+        change check there (same sends/commits at the same vote as scalar
+        delivery), then the remainder — which can never cross again —
+        tallied without further checks.  One check also stands for the
+        per-vote checks of a non-crossing run: nothing it reads changes
+        mid-run, and repeating it rewrites identical state.
         """
+        state = self._round(round_k)
         if kind is VoteKind.NOTARIZATION:
-            tracker = self._notarization_tracker(round_k)
+            tracker = state.notarization
+            consumed = tracker.add_votes(block_id, voters)
+            self._try_notarizations(ctx, round_k)
         else:
-            tracker = self._finalization_tracker(round_k)
-        before = tracker.fired_count()
-        consumed = tracker.add_votes(block_id, voters)
-        if tracker.fired_count() != before:
-            if kind is VoteKind.NOTARIZATION:
-                self._try_notarizations(ctx, round_k)
-            else:
-                self._try_slow_finalization(ctx, round_k, block_id)
-            if consumed < len(voters):
-                tracker.add_votes(block_id, voters[consumed:])
+            tracker = state.finalization
+            consumed = tracker.add_votes(block_id, voters)
+            if round_k > self.k_max and block_id in tracker.fired:
+                self._finalize(ctx, round_k, block_id, kind="slow")
+        if consumed < len(voters):
+            tracker.add_votes(block_id, voters[consumed:])
 
     def on_timer(self, ctx: ReplicaContext, timer: Timer) -> None:
         """Handle proposal and notarization-delay timers."""
@@ -261,9 +261,15 @@ class ICCReplica(Protocol):
     def _round(self, round_k: int) -> _RoundState:
         state = self._rounds.get(round_k)
         if state is None:
-            state = _RoundState()
-            self._rounds[round_k] = state
+            state = self._rounds[round_k] = self._new_round(round_k)
         return state
+
+    def _new_round(self, round_k: int) -> _RoundState:
+        """Create the round's state around its two collector trackers."""
+        tracker = self.votes.tracker
+        return _RoundState(
+            notarization=tracker(round_k, VoteKind.NOTARIZATION, self._notarization_quorum),
+            finalization=tracker(round_k, VoteKind.FINALIZATION, self._finalization_quorum))
 
     def _enter_round(self, ctx: ReplicaContext, round_k: int) -> None:
         state = self._round(round_k)
@@ -340,7 +346,7 @@ class ICCReplica(Protocol):
         """Build a notarization certificate for ``block`` from received votes."""
         if block.is_genesis() or not self.tree.is_notarized(block.id):
             return None
-        voters = self._notarization_tracker(block.round).voters(block.id)
+        voters = self._round(block.round).notarization.voters(block.id)
         if not voters:
             return None
         return Notarization(round=block.round, block_id=block.id, voters=voters)
@@ -355,13 +361,10 @@ class ICCReplica(Protocol):
             return
         if block.rank != self.beacon.rank(block.round, block.proposer):
             return  # rank does not match the beacon permutation — invalid
-        self._absorb_parent_certificates(ctx, proposal)
-        self._ingest_block(ctx, block)
-
-    def _absorb_parent_certificates(self, ctx: ReplicaContext, proposal: BlockProposal) -> None:
         notarization = proposal.parent_notarization
         if notarization is not None and notarization.verify(None, self._notarization_quorum):
             self._register_notarization(ctx, notarization)
+        self._ingest_block(ctx, block)
 
     def _ingest_block(self, ctx: ReplicaContext, block: Block) -> None:
         if block.id in self.tree:
@@ -478,14 +481,26 @@ class ICCReplica(Protocol):
         raise ValueError(f"unsupported vote kind for ICC: {kind}")
 
     def _handle_vote(self, ctx: ReplicaContext, vote: Vote) -> None:
-        if vote.kind is VoteKind.NOTARIZATION:
-            self._notarization_tracker(vote.round).add_vote(vote.block_id, vote.voter)
-            self._try_notarizations(ctx, vote.round)
-        elif vote.kind is VoteKind.FINALIZATION:
-            self._finalization_tracker(vote.round).add_vote(vote.block_id, vote.voter)
-            self._try_slow_finalization(ctx, vote.round, vote.block_id)
-        elif vote.kind is VoteKind.FAST:
+        """Tally one vote; re-evaluate only what the tally changed.
+
+        Every vote is tallied, whatever its round — voter-set sizes feed
+        the certificates this replica sends.  More happens only when a
+        block newly holds the notarization quorum (or one still awaits its
+        proposal), or holds a finalization quorum in an unfinalized round.
+        """
+        kind = vote.kind
+        if kind is VoteKind.FAST:
             self._handle_fast_vote(ctx, vote)
+            return
+        round_k = vote.round
+        if kind is VoteKind.NOTARIZATION:
+            self._round(round_k).notarization.add_vote(vote.block_id, vote.voter)
+            self._try_notarizations(ctx, round_k)
+        elif kind is VoteKind.FINALIZATION:
+            tracker = self._round(round_k).finalization
+            tracker.add_vote(vote.block_id, vote.voter)
+            if round_k > self.k_max and vote.block_id in tracker.fired:
+                self._finalize(ctx, round_k, vote.block_id, kind="slow")
 
     def _handle_fast_vote(self, ctx: ReplicaContext, vote: Vote) -> None:
         """ICC has no fast path; fast votes are ignored (Banyan overrides)."""
@@ -495,13 +510,16 @@ class ICCReplica(Protocol):
     # ------------------------------------------------------------------ #
 
     def _try_notarizations(self, ctx: ReplicaContext, round_k: int) -> None:
-        tracker = self._notarization_tracker(round_k)
+        """Notarize every received block of ``round_k`` that holds a quorum.
+
+        Change-driven: a no-op unless a block reached the quorum since the
+        last scan or a reached block still awaits its proposal — the one
+        check every caller (vote, vote run, certificate, block arrival)
+        relies on.
+        """
         state = self._round(round_k)
-        # O(1) exit for the per-vote hot path: nothing new reached the
-        # quorum since the last scan, and no reached block is still waiting
-        # for its proposal to arrive.
-        if (tracker.fired_count() == state.notarization_fired_seen
-                and not state.notarization_deferred):
+        tracker = state.notarization
+        if not state.notarization_deferred and len(tracker.fired) == state.notarization_fired_seen:
             return
         deferred = False
         for block_id in tracker.reached_blocks():
@@ -512,7 +530,7 @@ class ICCReplica(Protocol):
                 continue
             self.tree.mark_notarized(block_id)
             self._on_block_notarized(ctx, round_k, block_id)
-        state.notarization_fired_seen = tracker.fired_count()
+        state.notarization_fired_seen = len(tracker.fired)
         state.notarization_deferred = deferred
 
     def _on_block_notarized(self, ctx: ReplicaContext, round_k: int, block_id: BlockId) -> None:
@@ -521,7 +539,7 @@ class ICCReplica(Protocol):
         self._try_notarization_votes(ctx, round_k + 1)
 
     def _register_notarization(self, ctx: ReplicaContext, notarization: Notarization) -> None:
-        self._notarization_tracker(notarization.round).add_voters(
+        self._round(notarization.round).notarization.add_voters(
             notarization.block_id, notarization.voters
         )
         self._try_notarizations(ctx, notarization.round)
@@ -575,11 +593,6 @@ class ICCReplica(Protocol):
     # Finalization
     # ------------------------------------------------------------------ #
 
-    def _try_slow_finalization(self, ctx: ReplicaContext, round_k: int, block_id: BlockId) -> None:
-        if not self._finalization_tracker(round_k).reached(block_id):
-            return
-        self._finalize(ctx, round_k, block_id, kind="slow")
-
     def _handle_certificate(self, ctx: ReplicaContext, message: CertificateMessage) -> None:
         certificate = message.certificate
         if certificate is None:
@@ -589,7 +602,7 @@ class ICCReplica(Protocol):
                 self._register_notarization(ctx, certificate)
         elif isinstance(certificate, Finalization):
             if certificate.verify(None, self._finalization_quorum):
-                self._finalization_tracker(certificate.round).add_voters(
+                self._round(certificate.round).finalization.add_voters(
                     certificate.block_id, certificate.voters
                 )
                 self._finalize(ctx, certificate.round, certificate.block_id, kind="slow")
@@ -604,7 +617,8 @@ class ICCReplica(Protocol):
         block = self.tree.block(block_id)
         try:
             path = self.tree.chain_to(block_id)
-        except Exception:
+        except BlockTreeError:
+            # An ancestor has not arrived; retried when blocks are added.
             self._pending_finalizations[block_id] = kind
             return
         self._pending_finalizations.pop(block_id, None)
@@ -623,7 +637,7 @@ class ICCReplica(Protocol):
 
     def _broadcast_finalization(self, ctx: ReplicaContext, round_k: int,
                                 block_id: BlockId, kind: str) -> None:
-        voters = self._finalization_tracker(round_k).voters(block_id)
+        voters = self._round(round_k).finalization.voters(block_id)
         if not voters:
             return
         finalization = Finalization(round=round_k, block_id=block_id, voters=voters)

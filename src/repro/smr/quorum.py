@@ -7,8 +7,9 @@ centralises it:
 
 * :class:`QuorumTracker` tallies votes of **one kind toward one threshold**
   (per round, in the protocols' usage): each voter counts at most once per
-  block, duplicate votes are ignored, a voter observed supporting more than
-  one block is recorded as a **conflicting-support observation**, and an
+  block, duplicate votes are ignored, a voter found supporting more than
+  one block is a **conflicting-support observation** (derived from the
+  tallies when asked for, so recording a vote pays nothing for it), and an
   optional callback fires **exactly once** per block when its tally reaches
   the threshold.  Whether conflicting support is *misbehaviour* depends on
   the vote kind's honest-voting rule: honest replicas cast at most one fast
@@ -20,7 +21,9 @@ centralises it:
 * :class:`CertificateCollector` is the per-replica front: it lazily creates
   one tracker per ``(round, kind)`` and aggregates equivocation evidence
   across rounds, so a protocol carries a single collector instead of one
-  dictionary per vote kind per round.
+  dictionary per vote kind per round.  It is a registry, not a per-message
+  accessor: ICC/Banyan fetch a round's trackers once and keep them on the
+  round's state.
 
 The engine works at any threshold — ICC's ``n - f``, Banyan's
 ``⌈(n+f+1)/2⌉`` notarization and ``n - p`` fast quorums, HotStuff's QC
@@ -55,8 +58,7 @@ class QuorumTracker:
     hashability, so unit tests can drive it with plain strings and ints.
     """
 
-    __slots__ = ("threshold", "on_threshold", "_voters", "_by_voter",
-                 "_fired", "_equivocators", "_merged_sets")
+    __slots__ = ("threshold", "on_threshold", "fired", "_voters")
 
     def __init__(self, threshold: int,
                  on_threshold: Optional[ThresholdCallback] = None) -> None:
@@ -65,17 +67,14 @@ class QuorumTracker:
         self.threshold = threshold
         self.on_threshold = on_threshold
         #: Block id → distinct voters (insertion-ordered by first vote).
+        #: The only tally: conflicting support is derived from it on demand
+        #: (:meth:`equivocators`), so a vote costs one set insertion.
         self._voters: Dict[Hashable, Set[int]] = {}
-        #: Voter → block ids it supported (equivocation detection).
-        self._by_voter: Dict[int, Set[Hashable]] = {}
-        #: Blocks whose threshold callback has fired already.
-        self._fired: Set[Hashable] = set()
-        self._equivocators: Set[int] = set()
-        #: Block id → voter sets already merged via :meth:`add_voters`.
-        #: Certificates are gossiped O(n) times each, so the same frozenset
-        #: arrives over and over; its cached hash makes the repeat check
-        #: O(1) instead of an O(n) set difference.
-        self._merged_sets: Dict[Hashable, Set[FrozenSet[int]]] = {}
+        #: Blocks that have reached the threshold (read-only outside the
+        #: tracker).  Tallies only grow, so membership equals
+        #: :meth:`reached` and the size only moves up: per-message callers
+        #: compare ``len(tracker.fired)`` to act only when it changed.
+        self.fired: Set[Hashable] = set()
 
     # ------------------------------------------------------------------ #
     # Recording
@@ -86,18 +85,11 @@ class QuorumTracker:
         voters = self._voters.get(block_id)
         if voters is None:
             voters = self._voters[block_id] = set()
-        if voter in voters:
+        elif voter in voters:
             return False
         voters.add(voter)
-        supported = self._by_voter.get(voter)
-        if supported is None:
-            self._by_voter[voter] = {block_id}
-        else:
-            supported.add(block_id)
-            if len(supported) > 1:
-                self._equivocators.add(voter)
-        if len(voters) >= self.threshold and block_id not in self._fired:
-            self._fired.add(block_id)
+        if len(voters) >= self.threshold and block_id not in self.fired:
+            self.fired.add(block_id)
             if self.on_threshold is not None:
                 self.on_threshold(block_id)
         return True
@@ -107,41 +99,28 @@ class QuorumTracker:
         how many were consumed.
 
         This is the batched-dispatch counterpart of calling
-        :meth:`add_vote` once per voter (same duplicate and equivocation
-        bookkeeping, same firing rule), with the per-vote dictionary
-        lookups hoisted out of the loop.  The pass stops **immediately
-        after a threshold crossing** — the callback has fired and the
-        crossing voter is counted, but no later voter is — so the caller
-        can run its per-vote re-evaluation at exactly the vote where the
-        scalar path would have, then feed the remainder
-        (``voters[consumed:]``) back in; a block crosses at most once, so
-        the second pass always consumes the rest.  Unlike
-        :meth:`add_voters` (which merges a certificate's voter *set*),
-        duplicates here are skipped silently and never fire.
+        :meth:`add_vote` once per voter (same duplicate suppression, same
+        firing rule).  The pass stops **immediately after a threshold
+        crossing** — the callback has fired and the crossing voter is
+        counted, but no later voter is — so the caller can run its
+        per-vote re-evaluation at exactly the vote where the scalar path
+        would have, then feed the remainder (``voters[consumed:]``) back
+        in; a block crosses at most once, so the second pass always
+        consumes the rest.
         """
         existing = self._voters.get(block_id)
         if existing is None:
             existing = self._voters[block_id] = set()
-        by_voter = self._by_voter
-        equivocators = self._equivocators
+        if block_id in self.fired:
+            existing.update(voters)
+            return len(voters)
         threshold = self.threshold
-        fired = self._fired
-        armed = block_id not in fired
         consumed = 0
         for voter in voters:
             consumed += 1
-            if voter in existing:
-                continue
             existing.add(voter)
-            supported = by_voter.get(voter)
-            if supported is None:
-                by_voter[voter] = {block_id}
-            else:
-                supported.add(block_id)
-                if len(supported) > 1:
-                    equivocators.add(voter)
-            if armed and len(existing) >= threshold:
-                fired.add(block_id)
+            if len(existing) >= threshold:
+                self.fired.add(block_id)
                 if self.on_threshold is not None:
                     self.on_threshold(block_id)
                 break
@@ -152,44 +131,26 @@ class QuorumTracker:
 
         Hot path of certificate gossip: at ``n`` replicas every certificate
         carries O(n) voters and is received n times, so the all-duplicates
-        case must not cost one Python call per voter.  A set difference
-        finds the new voters first; the per-voter walk (which preserves
+        case (nearly every call) is answered by one C-level subset test,
+        allocating nothing.  The per-voter walk (which preserves
         :meth:`add_vote`'s exact mid-merge ``on_threshold`` timing) runs
         only when this merge could fire the threshold callback.
         """
-        merged = self._merged_sets.get(block_id)
-        if merged is None:
-            merged = self._merged_sets[block_id] = set()
-        voter_set = voters if isinstance(voters, frozenset) else frozenset(voters)
-        if voter_set in merged:
-            return False
         existing = self._voters.get(block_id)
         if existing is None:
             existing = self._voters[block_id] = set()
-        new = voter_set - existing
-        if not new:
-            merged.add(voter_set)
+        if not isinstance(voters, (set, frozenset)):
+            voters = tuple(voters)  # walked more than once below
+        if existing.issuperset(voters):
             return False
-        if block_id not in self._fired and len(existing) + len(new) >= self.threshold:
+        if block_id not in self.fired and len(existing.union(voters)) >= self.threshold:
             # This merge crosses the threshold: take the per-voter path so
             # on_threshold fires at exactly the voter that reaches it (the
             # callback may inspect the tally mid-merge).
             for voter in voters:
                 self.add_vote(block_id, voter)
-            merged.add(voter_set)
-            return True
-        existing |= new
-        merged.add(voter_set)
-        by_voter = self._by_voter
-        equivocators = self._equivocators
-        for voter in new:
-            supported = by_voter.get(voter)
-            if supported is None:
-                by_voter[voter] = {block_id}
-            else:
-                supported.add(block_id)
-                if len(supported) > 1:
-                    equivocators.add(voter)
+        else:
+            existing.update(voters)
         return True
 
     # ------------------------------------------------------------------ #
@@ -220,7 +181,7 @@ class QuorumTracker:
 
     def reached(self, block_id: Hashable) -> bool:
         """Whether ``block_id``'s tally is at or above the threshold."""
-        return self.count(block_id) >= self.threshold
+        return block_id in self.fired
 
     def blocks(self) -> List[Hashable]:
         """Blocks with at least one vote, in first-vote order."""
@@ -232,13 +193,9 @@ class QuorumTracker:
                 if len(voters) >= self.threshold]
 
     def fired_count(self) -> int:
-        """Number of blocks that have reached the threshold (O(1)).
-
-        Tallies only grow, so this equals ``len(reached_blocks())`` at all
-        times — callers use it to skip a re-scan when nothing new reached
-        the threshold since their last look.
-        """
-        return len(self._fired)
+        """Number of blocks that have reached the threshold (O(1));
+        equals ``len(reached_blocks())`` at all times, see :attr:`fired`."""
+        return len(self.fired)
 
     def equivocators(self) -> FrozenSet[int]:
         """Voters observed supporting more than one distinct block.
@@ -248,11 +205,17 @@ class QuorumTracker:
         Streamlet/HotStuff notarization votes) — ICC-family notarization
         votes may honestly support several same-round blocks.
         """
-        return frozenset(self._equivocators)
+        seen: Set[int] = set()
+        culprits: Set[int] = set()
+        for voters in self._voters.values():
+            culprits.update(seen.intersection(voters))
+            seen |= voters
+        return frozenset(culprits)
 
     def evidence(self, voter: int) -> Tuple[Hashable, ...]:
         """The distinct blocks ``voter`` supported (sorted; evidence record)."""
-        return tuple(sorted(self._by_voter.get(voter, ()), key=repr))
+        return tuple(sorted((block_id for block_id, voters in self._voters.items()
+                             if voter in voters), key=repr))
 
 
 class CertificateCollector:
@@ -294,11 +257,9 @@ class CertificateCollector:
         :meth:`QuorumTracker.equivocators` for which kinds make the
         observation hard evidence of misbehaviour.
         """
-        return {
-            key: tracker.equivocators()
-            for key, tracker in self._trackers.items()
-            if tracker.equivocators()
-        }
+        evidence = {key: tracker.equivocators()
+                    for key, tracker in self._trackers.items()}
+        return {key: culprits for key, culprits in evidence.items() if culprits}
 
     def equivocators(self) -> FrozenSet[int]:
         """Voters with conflicting support in any round or kind.

@@ -12,7 +12,8 @@ of the network model used in the evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from repro.crypto.hashing import hash_hex
@@ -58,10 +59,16 @@ class Block:
         """Logical size of the block payload in bytes."""
         return self.payload_size if self.payload_size is not None else len(self.payload)
 
-    @property
+    @cached_property
     def id(self) -> BlockId:
-        """The block identifier (hash of the block contents)."""
-        return _block_id(self)
+        """The block identifier (hash of the block contents).
+
+        Memoised on the instance: the fields are frozen, and the memo sits
+        in ``__dict__`` outside ``==`` / ``hash`` / ``repr``, so
+        distinct-but-equal blocks stay equal by value and report equal ids.
+        """
+        return _content_id((self.round, self.proposer, self.rank,
+                            self.parent_id, self.payload, self.payload_size))
 
     def is_genesis(self) -> bool:
         """Return whether this is the genesis block."""
@@ -74,26 +81,17 @@ class Block:
         )
 
 
-# Block ids are pure functions of the (immutable) block contents, so they can
-# be memoised.  The cache lives outside the dataclass to keep Block frozen and
-# hashable by value.
-_BLOCK_ID_CACHE: dict = {}
+@lru_cache(maxsize=256)
+def _content_id(contents: tuple) -> BlockId:
+    """Hash of a block's field tuple, shared across equal instances.
 
-
-def _block_id(block: Block) -> BlockId:
-    key = (
-        block.round,
-        block.proposer,
-        block.rank,
-        block.parent_id,
-        block.payload,
-        block.payload_size,
-    )
-    cached = _BLOCK_ID_CACHE.get(key)
-    if cached is None:
-        cached = hash_hex(key)
-        _BLOCK_ID_CACHE[key] = cached
-    return cached
+    The simulator hands every replica the *same* ``Block``, so its memo
+    makes this a once-per-block call; the cluster decodes a fresh instance
+    per received copy, and this cache keeps those from re-hashing the
+    payload.  Bounded — the keys hold the payload bytes, and only blocks
+    still in flight need to hit.
+    """
+    return hash_hex(contents)
 
 
 _GENESIS = Block(

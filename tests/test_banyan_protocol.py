@@ -241,3 +241,36 @@ class TestBanyanByzantine:
         sim = Simulation(replicas, NetworkConfig(latency=ConstantLatency(0.05), seed=6))
         sim.run(until=20.0)
         assert_no_conflicting_rounds(sim)
+
+
+class TestChangeDrivenHandlerPath:
+    def test_work_per_delivered_message_stays_change_driven(self, monkeypatch):
+        """Timing-free guard on the per-message path (deterministic n=19
+        run): tracker lookups happen once per round, not per message, and
+        Definition 7.6 is re-evaluated only for events that can change its
+        outcome — so a regression to "re-derive everything on every
+        delivery" fails here, whatever the machine's speed."""
+        from repro.core.fastpath import FastPathState
+        from repro.smr.quorum import CertificateCollector
+
+        calls = {"tracker": 0, "evaluate_unlocks": 0}
+
+        def counted(cls, name):
+            original = getattr(cls, name)
+
+            def wrapper(self, *args, **kwargs):
+                calls[name] += 1
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counted(CertificateCollector, "tracker")
+        counted(FastPathState, "evaluate_unlocks")
+        sim = build_simulation("banyan", n=19, f=6, p=1, rank_delay=0.6,
+                               payload_size=10_000)
+        sim.run(until=6.0)
+        assert len(sim.commits_for(0)) > 20
+        delivered = sim.messages_delivered
+        assert delivered > 50_000
+        assert calls["tracker"] / delivered < 0.05
+        assert 0 < calls["evaluate_unlocks"] / delivered < 0.25

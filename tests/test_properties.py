@@ -15,6 +15,7 @@ from repro.core.fastpath import FastPathState
 from repro.crypto.hashing import canonical_encode, digest
 from repro.protocols.base import ProtocolParams
 from repro.types.blocks import Block, genesis_block
+from repro.types.certificates import UnlockProof
 
 
 # --------------------------------------------------------------------- #
@@ -220,6 +221,113 @@ def test_fp_finalized_block_is_unique(scenario):
         voted.add(voter)
         state.record_fast_vote(blocks[block_index], voter)
     assert len(state.fast_finalizable_blocks()) <= 1
+
+
+class _UnlockOracle:
+    """Definitions 7.1–7.6 evaluated from scratch over everything recorded.
+
+    No incremental state except what the definitions make sticky
+    (Condition 2); the change-driven :class:`FastPathState` must agree
+    with it after every event.
+    """
+
+    def __init__(self, unlock_threshold, fast_quorum):
+        self.threshold = unlock_threshold
+        self.fast_quorum = fast_quorum
+        self.ranks = {}    # received block -> rank, in arrival order
+        self.support = {}  # block -> voters (votes may precede the block)
+        self.all_unlocked = False
+
+    def add_block(self, block_id, rank):
+        if block_id in self.ranks:
+            return False
+        self.ranks[block_id] = rank
+        return True
+
+    def add_votes(self, block_id, voters):
+        known = self.support.setdefault(block_id, set())
+        new = set(voters) - known
+        known |= new
+        return bool(new)
+
+    def _supp(self, block_ids):
+        voters = set()
+        for block_id in block_ids:
+            voters |= self.support.get(block_id, set())
+        return voters
+
+    def evaluate(self):
+        non_leader = self._supp(b for b, rank in self.ranks.items() if rank != 0)
+        unlocked = {b for b in self.ranks
+                    if len(self._supp([b]) | non_leader) > self.threshold}
+        rank_zero = [b for b, rank in self.ranks.items() if rank == 0]
+        best = max(rank_zero, key=lambda b: (len(self._supp([b])), b), default=None)
+        non_max = [b for b in self.ranks if b != best]
+        if non_max and len(self._supp(non_max)) > self.threshold:
+            self.all_unlocked = True
+        return (set(self.ranks) if self.all_unlocked else unlocked), self.all_unlocked
+
+    def fast_finalizable(self):
+        return [b for b, rank in self.ranks.items()
+                if rank == 0 and len(self._supp([b])) >= self.fast_quorum]
+
+
+@st.composite
+def fast_path_events(draw):
+    """A random interleaving of blocks, votes, certificate merges and
+    unlock proofs over a few blocks — votes before their block, several
+    rank-0 blocks (an equivocating leader), non-leader blocks, and voters
+    supporting more than one block."""
+    f = draw(st.integers(min_value=1, max_value=3))
+    p = draw(st.integers(min_value=1, max_value=f))
+    n = max(3 * f + 2 * p - 1, 3 * f + 1)
+    ranks = draw(st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=4))
+    block = st.integers(min_value=0, max_value=len(ranks) - 1)
+    voter = st.integers(min_value=0, max_value=n - 1)
+    voters = st.frozensets(voter, max_size=n)
+    event = st.one_of(
+        st.tuples(st.just("block"), block),
+        st.tuples(st.just("vote"), block, voter),
+        st.tuples(st.just("vote"), block, voter),
+        st.tuples(st.just("merge"), block, voters),
+        st.tuples(st.just("proof"), st.lists(st.tuples(block, voters), max_size=3)),
+    )
+    return n, f, p, ranks, draw(st.lists(event, max_size=6 * n))
+
+
+@given(fast_path_events())
+def test_change_driven_fast_path_matches_from_scratch_oracle(scenario):
+    n, f, p, ranks, events = scenario
+    state = FastPathState(unlock_threshold=f + p, fast_quorum=n - p)
+    oracle = _UnlockOracle(unlock_threshold=f + p, fast_quorum=n - p)
+    name = "block-{}".format
+    for event in events:
+        if event[0] == "block":
+            changed = state.record_block(name(event[1]), ranks[event[1]])
+            expected = oracle.add_block(name(event[1]), ranks[event[1]])
+        elif event[0] == "vote":
+            changed = state.record_fast_vote(name(event[1]), event[2])
+            expected = oracle.add_votes(name(event[1]), [event[2]])
+        elif event[0] == "merge":
+            changed = state.merge_fast_votes(name(event[1]), event[2])
+            expected = oracle.add_votes(name(event[1]), event[2])
+        else:
+            entries = tuple((name(index), voters) for index, voters in event[1])
+            changed = state.merge_unlock_proof(
+                UnlockProof(round=1, block_id=name(0), votes_by_block=entries))
+            # Every entry is merged (no short-circuit on the first change).
+            expected = any([oracle.add_votes(block_id, voters)
+                            for block_id, voters in entries])
+        # "Changed" is reported exactly when the oracle's inputs changed,
+        # and an unchanged event never asks for a re-evaluation.
+        assert changed == expected
+        assert changed or not state.stale
+        decision = state.evaluate_unlocks()
+        unlocked, all_unlocked = oracle.evaluate()
+        assert set(decision.unlocked_blocks) == unlocked
+        assert decision.all_unlocked == all_unlocked
+        assert state.fast_finalizable_blocks() == oracle.fast_finalizable()
+        assert not state.stale
 
 
 # --------------------------------------------------------------------- #

@@ -182,6 +182,33 @@ class TestICCUnitRules:
         assert replica.k_max == 1
 
 
+    def test_finalize_parks_only_on_missing_ancestors(self):
+        """``_finalize`` defers a finalization whose chain has a gap
+        (``BlockTreeError``); any other failure is a bug and must surface
+        instead of silently stalling the commit."""
+        from repro.blocktree.tree import BlockTreeError
+
+        replica = ICCReplica(0, _params())
+        ctx = FakeContext(0, 4)
+        replica.on_start(ctx)
+        block = Block(round=1, proposer=1, rank=0, parent_id=genesis_block().id, payload=b"x")
+        replica.on_message(ctx, 1, _proposal(block))
+
+        def missing(block_id):
+            raise BlockTreeError("chain is missing ancestors")
+
+        def broken(block_id):
+            raise RuntimeError("bug in the tree")
+
+        replica.tree.chain_to = missing
+        replica._finalize(ctx, 1, block.id, kind="slow")
+        assert replica._pending_finalizations == {block.id: "slow"}
+        assert replica.k_max == 0 and not ctx.committed
+        replica.tree.chain_to = broken
+        with pytest.raises(RuntimeError):
+            replica._finalize(ctx, 1, block.id, kind="slow")
+
+
 class TestBanyanUnitRules:
     def test_rank0_proposal_without_proposer_fast_vote_is_invalid(self):
         replica = BanyanReplica(0, _params())

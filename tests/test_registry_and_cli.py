@@ -95,6 +95,33 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "mean_latency_ms" in out
 
+    def test_run_command_names_nearest_valid_n(self, capsys):
+        """An invalid (n, f, p) is a one-line error naming a valid n, not a
+        resilience-bound traceback."""
+        assert main(["run", "--protocol", "banyan", "--n", "16"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "n >= 19 (f=6, p=1)" in captured.err
+        assert "nearest valid n is 19" in captured.err
+        assert main(["run", "--n", "0"]) == 2
+        assert "n must be positive" in capsys.readouterr().err
+
+    def test_run_command_explains_an_empty_window(self, capsys):
+        """A window without commits says so and why next to its all-zero
+        row: here the 2 s default warm-up swallows the whole run although
+        the first block finalised long before it ended."""
+        assert main([
+            "run", "--protocol", "banyan", "--n", "4", "--f", "1", "--p", "1",
+            "--payload", "1000", "--duration", "2",
+        ]) == 0
+        captured = capsys.readouterr()
+        assert "committed_blocks" in captured.out
+        assert captured.err.count("\n") == 1
+        assert "measurement window" in captured.err
+        assert "0 s long (--duration 2 minus the 2 s warm-up)" in captured.err
+        assert "first finalisation came at 0." in captured.err
+
     def test_figure_command_quick(self, capsys):
         assert main(["figure", "6b", "--duration", "6"]) == 0
         out = capsys.readouterr().out

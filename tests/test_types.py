@@ -47,6 +47,34 @@ class TestBlock:
         b = Block(round=1, proposer=0, rank=0, parent_id="p", payload=b"x")
         assert a.id == b.id
 
+    def test_block_id_memo_keeps_value_semantics(self):
+        """The id is memoised per instance, outside ``==`` / ``hash`` /
+        ``pickle`` equality: distinct-but-equal instances agree on the id
+        whichever of them computed it first, and nothing process-wide
+        retains every payload ever hashed."""
+        import pickle
+
+        from repro.types import blocks
+
+        payload = bytes(range(256)) * 4
+        a = Block(round=3, proposer=1, rank=0, parent_id="p", payload=payload)
+        first = a.id
+        b = Block(round=3, proposer=1, rank=0, parent_id="p", payload=bytes(payload))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert b.id == first
+        fresh = Block(round=3, proposer=1, rank=0, parent_id="p", payload=payload)
+        assert fresh == a and {a, fresh} == {a}  # memo on one side only
+        assert fresh.id == first
+        copy = pickle.loads(pickle.dumps(a))
+        assert copy == a and copy.id == first
+        # The only shared state is a small bounded cache.
+        assert not hasattr(blocks, "_BLOCK_ID_CACHE")
+        for round_k in range(2 * blocks._content_id.cache_info().maxsize):
+            Block(round=round_k, proposer=0, rank=0, parent_id="p", payload=payload).id
+        info = blocks._content_id.cache_info()
+        assert info.currsize <= info.maxsize
+        assert a.id == first
+
     def test_block_id_depends_on_payload(self):
         a = Block(round=1, proposer=0, rank=0, parent_id="p", payload=b"x")
         b = Block(round=1, proposer=0, rank=0, parent_id="p", payload=b"y")
