@@ -133,10 +133,12 @@ def make_equivocating_banyan() -> Type[Protocol]:
 
 
 class _DelayingContext(ReplicaContext):
-    """Context wrapper that delays every outbound message by a fixed amount."""
+    """Context wrapper that delays every outbound message by a fixed amount
+    (one per :class:`DelayedReplica`, pointed at the runtime's context on
+    every callback)."""
 
-    def __init__(self, inner: ReplicaContext, owner: "DelayedReplica") -> None:
-        self._inner = inner
+    def __init__(self, owner: "DelayedReplica") -> None:
+        self._inner: ReplicaContext = None  # type: ignore[assignment]
         self._owner = owner
 
     @property
@@ -154,8 +156,7 @@ class _DelayingContext(ReplicaContext):
         self._owner.queue_send(self._inner, receiver, message)
 
     def broadcast(self, message: Message) -> None:
-        for receiver in self._inner.replica_ids:
-            self._owner.queue_send(self._inner, receiver, message)
+        self._owner.queue_send(self._inner, None, message)
 
     def set_timer(self, delay: float, name: str, data: Any = None) -> int:
         return self._inner.set_timer(delay, name, data)
@@ -170,10 +171,12 @@ class _DelayingContext(ReplicaContext):
 class DelayedReplica(Protocol):
     """An honest replica whose outbound messages are delayed (a straggler).
 
-    Wraps an inner honest protocol and defers every ``send``/``broadcast`` by
-    ``extra_delay`` seconds using the runtime's own timers.  Used by the
-    straggler ablation benchmark to show when the Banyan fast path stops
-    firing.
+    Wraps an inner honest protocol and defers each ``send`` — and each
+    ``broadcast``, as one unit — by ``extra_delay`` seconds behind one of the
+    runtime's own timers, whose flush hands the message to the runtime's
+    ``send`` / ``broadcast``: a late broadcast is scheduled, and disseminated
+    by the transport, exactly like a prompt one.  Used by the straggler
+    ablation benchmark to show when the Banyan fast path stops firing.
 
     An optional ``window=(start, end)`` limits the straggling to a phase: the
     delay applies only to sends initiated during the half-open interval
@@ -202,32 +205,43 @@ class DelayedReplica(Protocol):
         self.extra_delay = extra_delay
         self.window = window
         self.proposal_times = inner.proposal_times
+        self._ctx = _DelayingContext(self)
 
-    def queue_send(self, ctx: ReplicaContext, receiver: int, message: Message) -> None:
-        """Defer a send by ``extra_delay`` (immediately if the delay is 0 or
-        the send falls outside the straggler window)."""
-        if self.extra_delay <= 0:
+    def queue_send(self, ctx: ReplicaContext, receiver: Optional[int],
+                   message: Message) -> None:
+        """Defer a send — with ``receiver=None``, a whole broadcast — by
+        ``extra_delay`` (immediately if the delay is 0 or the send falls
+        outside the straggler window)."""
+        window = self.window
+        if self.extra_delay > 0 and (
+                window is None or window[0] <= ctx.now() < window[1]):
+            ctx.set_timer(self.extra_delay, self._SEND_TIMER, (receiver, message))
+        else:
+            self._flush(ctx, receiver, message)
+
+    @staticmethod
+    def _flush(ctx: ReplicaContext, receiver: Optional[int], message: Message) -> None:
+        """Hand a send (``receiver=None``: a broadcast) to the runtime."""
+        if receiver is None:
+            ctx.broadcast(message)
+        else:
             ctx.send(receiver, message)
-            return
-        if self.window is not None:
-            now = ctx.now()
-            if not (self.window[0] <= now < self.window[1]):
-                ctx.send(receiver, message)
-                return
-        ctx.set_timer(self.extra_delay, self._SEND_TIMER, (receiver, message))
+
+    def _delaying(self, ctx: ReplicaContext) -> _DelayingContext:
+        self._ctx._inner = ctx
+        return self._ctx
 
     def on_start(self, ctx: ReplicaContext) -> None:
         """Start the wrapped replica with a delaying context."""
-        self.inner.on_start(_DelayingContext(ctx, self))
+        self.inner.on_start(self._delaying(ctx))
 
     def on_message(self, ctx: ReplicaContext, sender: int, message: Message) -> None:
         """Deliver to the wrapped replica with a delaying context."""
-        self.inner.on_message(_DelayingContext(ctx, self), sender, message)
+        self.inner.on_message(self._delaying(ctx), sender, message)
 
     def on_timer(self, ctx: ReplicaContext, timer: Timer) -> None:
-        """Flush deferred sends; forward other timers to the wrapped replica."""
+        """Flush a deferred send; forward other timers to the wrapped replica."""
         if timer.name == self._SEND_TIMER:
-            receiver, message = timer.data
-            ctx.send(receiver, message)
+            self._flush(ctx, *timer.data)
             return
-        self.inner.on_timer(_DelayingContext(ctx, self), timer)
+        self.inner.on_timer(self._delaying(ctx), timer)

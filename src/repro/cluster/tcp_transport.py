@@ -103,7 +103,7 @@ class TcpTransport:
             "sent_frames": 0, "sent_bytes": 0,
             "recv_frames": 0, "recv_bytes": 0,
             "dropped_fault": 0, "dropped_backpressure": 0,
-            "reconnects": 0,
+            "reconnects": 0, "decode_errors": 0,
         }
 
     # ------------------------------------------------------------------ #
@@ -249,6 +249,7 @@ class TcpTransport:
                     self.stats["recv_frames"] += 1
                     self._dispatch(sender, message)
         except WireError as exc:
+            self.stats["decode_errors"] += 1
             logger.warning("replica %d: dropping connection after wire error: %s",
                            self.replica_id, exc)
         except (ConnectionError, OSError):

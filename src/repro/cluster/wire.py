@@ -44,7 +44,7 @@ from repro.types.certificates import (
     UnlockProof,
 )
 from repro.types.messages import BlockProposal, CertificateMessage, VoteMessage
-from repro.types.votes import Vote, VoteKind, make_vote
+from repro.types.votes import Vote, VoteKind, make_vote, voter_ids
 
 #: First byte of every frame.
 WIRE_MAGIC = 0xB7
@@ -55,6 +55,11 @@ WIRE_VERSION = 1
 #: Upper bound on a frame payload — a corrupt length prefix must not make a
 #: node allocate gigabytes.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
+
+#: Upper bound on a replica id in a certificate's voter list: voter sets
+#: decode into ``int`` bitmasks with one bit per id, and a corrupt or
+#: hostile id must not make a node allocate a gigantic integer.
+MAX_VOTER_ID = 1 << 16
 
 _FRAME_HEADER = struct.Struct(">BBI")
 
@@ -325,49 +330,61 @@ def _decode_aggregate(reader: _Reader) -> AggregateSignature:
     return AggregateSignature(shares=shares)
 
 
-def _encode_certificate(out: bytearray, certificate: Certificate) -> None:
-    _w_uvarint(out, certificate.round)
-    _w_str(out, certificate.block_id)
-    voters = sorted(certificate.voters)
+def _encode_voters(out: bytearray, mask: int) -> None:
+    """A voter bitmask as the format's sorted id list (format unchanged)."""
+    voters = voter_ids(mask)
     _w_uvarint(out, len(voters))
     for voter in voters:
         _w_ivarint(out, voter)
+
+
+def _decode_voters(reader: _Reader) -> int:
+    """A voter id list as a bitmask; ids outside ``0..MAX_VOTER_ID`` are malformed."""
+    mask = 0
+    for _ in range(reader.uvarint()):
+        voter = reader.ivarint()
+        if not 0 <= voter <= MAX_VOTER_ID:
+            raise WireError(f"voter id {voter} out of range")
+        mask |= 1 << voter
+    return mask
+
+
+def _encode_certificate(out: bytearray, certificate: Certificate) -> None:
+    _w_uvarint(out, certificate.round)
+    _w_str(out, certificate.block_id)
+    _encode_voters(out, certificate.mask)
     _encode_obj(out, certificate.aggregate)
 
 
 def _decode_certificate(reader: _Reader, cls: type) -> Certificate:
     round_k = reader.uvarint()
     block_id = reader.str_()
-    voters = frozenset(reader.ivarint() for _ in range(reader.uvarint()))
+    mask = _decode_voters(reader)
     aggregate = _decode_obj(reader)
     if aggregate is not None and not isinstance(aggregate, AggregateSignature):
         raise WireError("certificate aggregate field holds a non-aggregate object")
-    return cls(round=round_k, block_id=block_id, voters=voters,
+    return cls(round=round_k, block_id=block_id, mask=mask,
                aggregate=aggregate)
 
 
 def _encode_unlock_proof(out: bytearray, proof: UnlockProof) -> None:
     _w_uvarint(out, proof.round)
     _w_str(out, proof.block_id)
-    _w_uvarint(out, len(proof.votes_by_block))
-    for block_id, voters in proof.votes_by_block:
+    _w_uvarint(out, len(proof.masks_by_block))
+    for block_id, mask in proof.masks_by_block:
         _w_str(out, block_id)
-        ordered = sorted(voters)
-        _w_uvarint(out, len(ordered))
-        for voter in ordered:
-            _w_ivarint(out, voter)
+        _encode_voters(out, mask)
 
 
 def _decode_unlock_proof(reader: _Reader) -> UnlockProof:
     round_k = reader.uvarint()
     block_id = reader.str_()
-    entries: List[Tuple[str, frozenset]] = []
+    entries: List[Tuple[str, int]] = []
     for _ in range(reader.uvarint()):
         entry_id = reader.str_()
-        voters = frozenset(reader.ivarint() for _ in range(reader.uvarint()))
-        entries.append((entry_id, voters))
+        entries.append((entry_id, _decode_voters(reader)))
     return UnlockProof(round=round_k, block_id=block_id,
-                       votes_by_block=tuple(entries))
+                       masks_by_block=tuple(entries))
 
 
 def _encode_proposal(out: bytearray, proposal: BlockProposal) -> None:

@@ -180,16 +180,19 @@ class BanyanReplica(ICCReplica):
     def _handle_proposal(self, ctx: ReplicaContext, sender: int, proposal: BlockProposal) -> None:
         block = proposal.block
         fast_vote = proposal.fast_vote
-        if fast_vote is not None and fast_vote.kind is not VoteKind.FAST:
+        if fast_vote is not None and (fast_vote.kind is not VoteKind.FAST
+                                      or not 0 <= fast_vote.voter < self._n):
             fast_vote = None
         if (fast_vote is not None and fast_vote.block_id == block.id
                 and fast_vote.voter == block.proposer):
             self._proposer_fast_vote_seen.add(block.id)
-        if proposal.parent_unlock_proof is not None:
-            self._absorb_unlock_proof(ctx, proposal.parent_unlock_proof)
-        super()._handle_proposal(ctx, sender, proposal)
+        proof = proposal.parent_unlock_proof
+        if proof is not None:
+            self._absorb_unlock_proof(ctx, proof, self._round(proof.round))
+        # The base handler directly: no ``super()`` object per message.
+        ICCReplica._handle_proposal(self, ctx, sender, proposal)
         if fast_vote is not None:
-            self._handle_fast_vote(ctx, fast_vote)
+            self._handle_fast_vote(ctx, fast_vote, self._round(fast_vote.round))
 
     # ------------------------------------------------------------------ #
     # Addition 3: the first notarization vote carries a fast vote
@@ -207,29 +210,29 @@ class BanyanReplica(ICCReplica):
     # Fast votes, unlock conditions, FP-finalization
     # ------------------------------------------------------------------ #
 
-    def _handle_fast_vote(self, ctx: ReplicaContext, vote: Vote) -> None:
-        round_k = vote.round
-        state = self._round(round_k)
+    def _handle_fast_vote(self, ctx: ReplicaContext, vote: Vote, state: _RoundState) -> None:
         fast = state.fast
         if fast.record_fast_vote(vote.block_id, vote.voter) or fast.stale:
-            self._update_fast_path(ctx, round_k, state)
+            self._update_fast_path(ctx, state)
 
-    def _absorb_unlock_proof(self, ctx: ReplicaContext, proof: UnlockProof) -> None:
-        round_k = proof.round
-        state = self._round(round_k)
+    def _absorb_unlock_proof(self, ctx: ReplicaContext, proof: UnlockProof,
+                             state: _RoundState) -> None:
+        """Merge an unlock proof into its round's ``state`` (dropped if it
+        names a voter that is not a replica)."""
+        if proof.total_mask >> self._n:
+            return
         fast = state.fast
         if fast.merge_unlock_proof(proof) or fast.stale:
-            self._update_fast_path(ctx, round_k, state)
+            self._update_fast_path(ctx, state)
 
     def _after_block_added(self, ctx: ReplicaContext, block: Block) -> None:
         state = self._round(block.round)
         state.fast.record_block(block.id, block.rank)
-        self._update_fast_path(ctx, block.round, state)
+        self._update_fast_path(ctx, state)
         super()._after_block_added(ctx, block)
 
-    def _update_fast_path(self, ctx: ReplicaContext, round_k: int,
-                          state: _RoundState) -> None:
-        """React to a change in ``round_k``'s fast-path state.
+    def _update_fast_path(self, ctx: ReplicaContext, state: _RoundState) -> None:
+        """React to a change in the fast-path state of ``state``'s round.
 
         Change-driven: the handlers above call this only when the event
         added a block or new support (a duplicate vote, or an unlock proof
@@ -240,6 +243,7 @@ class BanyanReplica(ICCReplica):
         round.
         """
         fast = state.fast
+        round_k = state.round
         newly_unlocked = False
         if fast.stale:
             tree = self.tree
@@ -292,29 +296,41 @@ class BanyanReplica(ICCReplica):
     # ------------------------------------------------------------------ #
 
     def _handle_certificate(self, ctx: ReplicaContext, message: CertificateMessage) -> None:
-        if message.unlock_proof is not None:
-            self._absorb_unlock_proof(ctx, message.unlock_proof)
+        proof = message.unlock_proof
         certificate = message.certificate
-        if isinstance(certificate, FastFinalization):
-            if certificate.verify(None, self._fast_quorum):
-                round_k = certificate.round
-                block_id = certificate.block_id
-                self._round(round_k).fast.merge_fast_votes(block_id, certificate.voters)
-                if block_id not in self.tree:
-                    self._pending_finalizations[block_id] = "fast"
-                elif round_k > self.k_max:
-                    self._finalize(ctx, round_k, block_id, kind="fast")
+        state = self._recent  # usually this wave's round already
+        if proof is not None:
+            if state is None or state.round != proof.round:
+                state = self._round(proof.round)
+            self._absorb_unlock_proof(ctx, proof, state)
+        if certificate is not None:
+            if state is None or state.round != certificate.round:
+                state = self._round(certificate.round)
+            if (certificate.__class__ is FastFinalization
+                    or isinstance(certificate, FastFinalization)):
+                self._absorb_fast_finalization(ctx, certificate, state)
+            else:
+                self._absorb_certificate(ctx, certificate, state)
+
+    def _absorb_fast_finalization(self, ctx: ReplicaContext, certificate: FastFinalization,
+                                  state: _RoundState) -> None:
+        if certificate.mask >> self._n or not certificate.verify(None, self._fast_quorum):
             return
-        super()._handle_certificate(ctx, message)
+        round_k = state.round
+        block_id = certificate.block_id
+        state.fast.merge_fast_votes(block_id, certificate.mask)
+        if block_id not in self.tree:
+            self._pending_finalizations[block_id] = "fast"
+        elif round_k > self.k_max:
+            self._finalize(ctx, round_k, block_id, kind="fast")
 
     def _broadcast_finalization(self, ctx: ReplicaContext, round_k: int,
                                 block_id: BlockId, kind: str) -> None:
         if kind == "fast":
-            voters = self._round(round_k).fast.support(block_id)
-            if voters:
+            mask = self._round(round_k).fast.support_mask(block_id)
+            if mask:
                 certificate = FastFinalization(
-                    round=round_k, block_id=block_id, voters=frozenset(voters)
-                )
+                    round=round_k, block_id=block_id, mask=mask)
                 ctx.broadcast(
                     CertificateMessage(certificate=certificate, sender=self.replica_id)
                 )

@@ -10,16 +10,20 @@ property-tested independently of the full protocol:
 * ``nonLeaderBlocks(k)`` / ``nonMaxBlocks(k)`` (Definitions 7.4, 7.5);
 * the two unlock conditions of Definition 7.6;
 * unlock proofs (Definition 7.7) as per-block voter sets.
+
+Voter sets are ``int`` bitmasks throughout (see :mod:`repro.types.votes`);
+``support`` / ``support_of`` / ``equivocators`` return ``frozenset`` views.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
 from repro.smr.quorum import QuorumTracker
 from repro.types.blocks import BlockId
 from repro.types.certificates import UnlockProof
+from repro.types.votes import mask_voters
 
 
 @dataclass(frozen=True)
@@ -63,10 +67,10 @@ class FastPathState:
         self._all_unlocked = False
         #: Received blocks with rank != 0 (``nonLeaderBlocks(k)`` as a set).
         self._non_leader: Set[BlockId] = set()
-        #: ``supp(nonLeaderBlocks(k))`` maintained incrementally as votes
-        #: and blocks arrive, so :meth:`evaluate_unlocks` does not rebuild
-        #: the union each time.
-        self._non_leader_support: Set[int] = set()
+        #: ``supp(nonLeaderBlocks(k))`` as a voter bitmask, maintained
+        #: incrementally as votes and blocks arrive, so
+        #: :meth:`evaluate_unlocks` does not rebuild the union each time.
+        self._non_leader_support = 0
         #: Blocks already unlocked via Condition 1.  Support only grows, so
         #: the condition is monotone and the set is sticky — re-evaluation
         #: skips these.
@@ -93,7 +97,7 @@ class FastPathState:
         if rank != 0:
             self._non_leader.add(block_id)
             # Votes may precede the block: fold its existing support in.
-            self._non_leader_support |= self._support.voters(block_id)
+            self._non_leader_support |= self._support.mask(block_id)
         self.stale = True
         return True
 
@@ -103,18 +107,19 @@ class FastPathState:
         if not self._support.add_vote(block_id, voter):
             return False
         if block_id in self._non_leader:
-            self._non_leader_support.add(voter)
+            self._non_leader_support |= 1 << voter
         if not self._settled:
             self.stale = True
         return True
 
-    def merge_fast_votes(self, block_id: BlockId, voters: Collection[int]) -> bool:
-        """Register a certificate's fast votes for ``block_id`` in bulk;
-        returns whether support changed (any voter was new)."""
+    def merge_fast_votes(self, block_id: BlockId, voters: int) -> bool:
+        """Register a certificate's fast votes for ``block_id`` (a voter
+        bitmask) in bulk; returns whether support changed (any voter was
+        new)."""
         if not self._support.add_voters(block_id, voters):
             return False
         if block_id in self._non_leader:
-            self._non_leader_support.update(voters)
+            self._non_leader_support |= voters
         if not self._settled:
             self.stale = True
         return True
@@ -123,9 +128,14 @@ class FastPathState:
         """Merge the voter sets carried by an unlock proof (Addition 1/2);
         returns whether support changed for any of its blocks."""
         changed = False
-        for block_id, voters in proof.votes_by_block:
-            if self.merge_fast_votes(block_id, voters):
+        add_voters = self._support.add_voters
+        for block_id, voters in proof.masks_by_block:
+            if add_voters(block_id, voters):
                 changed = True
+                if block_id in self._non_leader:
+                    self._non_leader_support |= voters
+        if changed and not self._settled:
+            self.stale = True
         return changed
 
     # ------------------------------------------------------------------ #
@@ -136,12 +146,19 @@ class FastPathState:
         """``supp(b)``: replicas that fast-voted for ``block_id``."""
         return self._support.voters(block_id)
 
+    def support_mask(self, block_id: BlockId) -> int:
+        """``supp(b)`` as a voter bitmask (what certificates carry)."""
+        return self._support.mask(block_id)
+
     def support_of(self, block_ids: Iterable[BlockId]) -> FrozenSet[int]:
         """``supp(B)``: distinct replicas that fast-voted for any block in ``B``."""
-        voters: Set[int] = set()
+        return mask_voters(self._support_mask_of(block_ids))
+
+    def _support_mask_of(self, block_ids: Iterable[BlockId]) -> int:
+        voters = 0
         for block_id in block_ids:
-            voters |= self._support.voters(block_id)
-        return frozenset(voters)
+            voters |= self._support.mask(block_id)
+        return voters
 
     def equivocators(self) -> FrozenSet[int]:
         """Signers whose fast votes supported more than one block this round.
@@ -197,7 +214,7 @@ class FastPathState:
         contested = len(block_ranks) > 1 or bool(self._non_leader)
         if not self._all_unlocked:
             non_leader_support = self._non_leader_support
-            nls_size = len(non_leader_support)
+            nls_size = non_leader_support.bit_count()
             threshold = self.unlock_threshold
             unlocked = self._unlocked
             for block_id in block_ranks:
@@ -211,7 +228,7 @@ class FastPathState:
                 # Otherwise nonMaxBlocks(k) is empty (at most one received
                 # block, of rank 0) and Condition 2 cannot hold.
                 non_max = self.non_max_blocks()
-                if non_max and len(self.support_of(non_max)) > threshold:
+                if non_max and self._support_mask_of(non_max).bit_count() > threshold:
                     self._all_unlocked = True
         current = block_ranks if self._all_unlocked else self._unlocked
         decision = self._decision
@@ -241,8 +258,7 @@ class FastPathState:
 
     def build_unlock_proof(self, round: int, block_id: BlockId) -> UnlockProof:
         """Build an unlock proof from every fast vote seen this round."""
-        ordered: Tuple[Tuple[BlockId, FrozenSet[int]], ...] = tuple(
-            sorted((bid, self._support.voters(bid)) for bid in self._support.blocks()
-                   if self._support.count(bid))
-        )
-        return UnlockProof(round=round, block_id=block_id, votes_by_block=ordered)
+        support = self._support
+        ordered = tuple(sorted(
+            (bid, mask) for bid in support.blocks() if (mask := support.mask(bid))))
+        return UnlockProof(round=round, block_id=block_id, masks_by_block=ordered)

@@ -137,6 +137,7 @@ class HotStuffReplica(Protocol):
         :meth:`_tally_vote_run` for the byte-identity argument.
         """
         n = len(batch)
+        replicas = self.params.n
         i = 0
         while i < n:
             sender, message = batch[i]
@@ -145,7 +146,10 @@ class HotStuffReplica(Protocol):
                 i += 1
                 continue
             votes = message.votes
-            if len(votes) == 1 and votes[0].kind is VoteKind.NOTARIZATION:
+            # A vote from outside 0..n-1 never joins a run: the scalar
+            # path below drops it.
+            if (len(votes) == 1 and votes[0].kind is VoteKind.NOTARIZATION
+                    and 0 <= votes[0].voter < replicas):
                 vote = votes[0]
                 view = vote.round
                 block_id = vote.block_id
@@ -157,7 +161,8 @@ class HotStuffReplica(Protocol):
                         break
                     nxt = nxt.votes[0]
                     if (nxt.kind is not VoteKind.NOTARIZATION
-                            or nxt.round != view or nxt.block_id != block_id):
+                            or nxt.round != view or nxt.block_id != block_id
+                            or not 0 <= nxt.voter < replicas):
                         break
                     voters.append(nxt.voter)
                     j += 1
@@ -283,6 +288,8 @@ class HotStuffReplica(Protocol):
             return
         if justify.block_id != block.parent_id:
             return
+        if justify.mask >> self.params.n:
+            return  # names voters that are not replicas
         if not justify.verify(None, self.quorum) and justify.round != 0:
             return
         if block.parent_id not in self.tree:
@@ -323,7 +330,7 @@ class HotStuffReplica(Protocol):
         return self.tree.is_ancestor(self.locked_qc.block_id, block.id)
 
     def _handle_vote(self, ctx: ReplicaContext, vote: Vote) -> None:
-        if vote.kind is not VoteKind.NOTARIZATION:
+        if vote.kind is not VoteKind.NOTARIZATION or not 0 <= vote.voter < self.params.n:
             return
         self._vote_tracker(vote.round).add_vote(vote.block_id, vote.voter)
         self._try_form_qc(ctx, vote.round, vote.block_id)
@@ -337,7 +344,7 @@ class HotStuffReplica(Protocol):
         tracker = self._vote_tracker(view)
         if not tracker.reached(block_id) or block_id not in self.tree:
             return
-        qc = Notarization(round=view, block_id=block_id, voters=tracker.voters(block_id))
+        qc = Notarization(round=view, block_id=block_id, mask=tracker.mask(block_id))
         self._qc_by_block[block_id] = qc
         self._update_high_qc(ctx, qc)
         next_view = view + 1

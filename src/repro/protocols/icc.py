@@ -44,17 +44,28 @@ from repro.types.votes import FinalizationVote, NotarizationVote, Vote, VoteKind
 #: The wire-message classes ``on_message`` dispatches on, most frequent first.
 _MESSAGE_SHAPES = (VoteMessage, CertificateMessage, BlockProposal)
 
+#: The certificate classes ICC's certificate handler dispatches on.
+_CERTIFICATE_SHAPES = (Notarization, Finalization)
+
+
+def _base_shape(obj: Any, shapes: tuple) -> Optional[type]:
+    """The first of ``shapes`` that ``obj`` is an instance of, if any: the
+    exact-class dispatch's fallback for a subclass of a wire type."""
+    return next((base for base in shapes if isinstance(obj, base)), None)
+
 
 @dataclass(slots=True)
 class _RoundState:
     """Everything a replica keeps about one round, behind one lookup.
 
-    The per-message handlers fetch this with one ``dict.get`` and reach the
-    round's tallies as plain attributes; the trackers stay registered in
-    the replica-wide :class:`repro.smr.quorum.CertificateCollector`, the
-    front for equivocation evidence.
+    A message handler fetches this once (:meth:`ICCReplica._round`) and hands
+    it to every helper the message reaches, which read the round's tallies
+    as plain attributes; the trackers stay registered in the replica-wide
+    :class:`repro.smr.quorum.CertificateCollector`, the front for
+    equivocation evidence.
     """
 
+    round: int
     notarization: QuorumTracker
     finalization: QuorumTracker
     #: Banyan only: the round's :class:`repro.core.fastpath.FastPathState`,
@@ -114,6 +125,11 @@ class ICCReplica(Protocol):
         #: to the round's state when the round is first seen.
         self.votes = CertificateCollector()
         self._rounds: Dict[int, _RoundState] = {}
+        #: The state :meth:`_round` returned last.  Votes and certificates
+        #: arrive in waves about one round (and a proposal's parent
+        #: certificates share theirs), so the message handlers look here
+        #: first and call :meth:`_round` only when the round moved.
+        self._recent: Optional[_RoundState] = None
         #: Blocks waiting for their parent to arrive, keyed by parent id.
         self._orphans: Dict[BlockId, List[Block]] = {}
         #: Finalizations (block ids) waiting for the block/ancestors to arrive.
@@ -122,6 +138,10 @@ class ICCReplica(Protocol):
         #: immutable params; certificates are checked against them per message).
         self._notarization_quorum = self.notarization_quorum
         self._finalization_quorum = self.finalization_quorum
+        #: Replica ids are ``0..n-1``: a vote from outside that range, or a
+        #: certificate / proof with a voter bit at or above ``n``, is dropped
+        #: where it enters (phantom voters must not count toward a quorum).
+        self._n = params.n
 
     # ------------------------------------------------------------------ #
     # Quorums (overridden by Banyan)
@@ -163,10 +183,9 @@ class ICCReplica(Protocol):
         first; ``isinstance`` only for a subclass of a wire message)."""
         shape = message.__class__
         if shape not in _MESSAGE_SHAPES:
-            shape = next((base for base in _MESSAGE_SHAPES if isinstance(message, base)), None)
+            shape = _base_shape(message, _MESSAGE_SHAPES)
         if shape is VoteMessage:
-            for vote in message.votes:
-                self._handle_vote(ctx, vote)
+            self._handle_votes(ctx, message.votes)
         elif shape is CertificateMessage:
             self._handle_certificate(ctx, message)
         elif shape is BlockProposal:
@@ -185,6 +204,7 @@ class ICCReplica(Protocol):
         byte-identity with per-message delivery.
         """
         n = len(batch)
+        replicas = self._n
         i = 0
         while i < n:
             sender, message = batch[i]
@@ -196,7 +216,10 @@ class ICCReplica(Protocol):
             if len(votes) == 1:
                 vote = votes[0]
                 kind = vote.kind
-                if kind is VoteKind.NOTARIZATION or kind is VoteKind.FINALIZATION:
+                # A vote from outside 0..n-1 never joins a run: the scalar
+                # path below drops it.
+                if ((kind is VoteKind.NOTARIZATION or kind is VoteKind.FINALIZATION)
+                        and 0 <= vote.voter < replicas):
                     round_k = vote.round
                     block_id = vote.block_id
                     voters = [vote.voter]
@@ -207,15 +230,15 @@ class ICCReplica(Protocol):
                             break
                         nxt = nxt.votes[0]
                         if (nxt.kind is not kind or nxt.round != round_k
-                                or nxt.block_id != block_id):
+                                or nxt.block_id != block_id
+                                or not 0 <= nxt.voter < replicas):
                             break
                         voters.append(nxt.voter)
                         j += 1
                     self._tally_vote_run(ctx, kind, round_k, block_id, voters)
                     i = j
                     continue
-            for vote in votes:
-                self._handle_vote(ctx, vote)
+            self._handle_votes(ctx, votes)
             i += 1
 
     def _tally_vote_run(self, ctx: ReplicaContext, kind: "VoteKind",
@@ -235,7 +258,7 @@ class ICCReplica(Protocol):
         if kind is VoteKind.NOTARIZATION:
             tracker = state.notarization
             consumed = tracker.add_votes(block_id, voters)
-            self._try_notarizations(ctx, round_k)
+            self._try_notarizations(ctx, state)
         else:
             tracker = state.finalization
             consumed = tracker.add_votes(block_id, voters)
@@ -262,12 +285,14 @@ class ICCReplica(Protocol):
         state = self._rounds.get(round_k)
         if state is None:
             state = self._rounds[round_k] = self._new_round(round_k)
+        self._recent = state
         return state
 
     def _new_round(self, round_k: int) -> _RoundState:
         """Create the round's state around its two collector trackers."""
         tracker = self.votes.tracker
         return _RoundState(
+            round=round_k,
             notarization=tracker(round_k, VoteKind.NOTARIZATION, self._notarization_quorum),
             finalization=tracker(round_k, VoteKind.FINALIZATION, self._finalization_quorum))
 
@@ -282,7 +307,7 @@ class ICCReplica(Protocol):
             ctx.set_timer(self._proposal_delay(rank), "propose", round_k)
         # Blocks and votes for this round may have arrived before we entered.
         self._try_notarization_votes(ctx, round_k)
-        self._try_notarizations(ctx, round_k)
+        self._try_notarizations(ctx, state)
         self._try_advance(ctx, round_k)
 
     def _parent_candidates(self, round_k: int) -> List[Block]:
@@ -346,10 +371,10 @@ class ICCReplica(Protocol):
         """Build a notarization certificate for ``block`` from received votes."""
         if block.is_genesis() or not self.tree.is_notarized(block.id):
             return None
-        voters = self._round(block.round).notarization.voters(block.id)
-        if not voters:
+        mask = self._round(block.round).notarization.mask(block.id)
+        if not mask:
             return None
-        return Notarization(round=block.round, block_id=block.id, voters=voters)
+        return Notarization(round=block.round, block_id=block.id, mask=mask)
 
     # ------------------------------------------------------------------ #
     # Proposal handling
@@ -359,12 +384,20 @@ class ICCReplica(Protocol):
         block = proposal.block
         if block.round <= 0:
             return
-        if block.rank != self.beacon.rank(block.round, block.proposer):
+        # A block in the tree passed the rank check (a pure function of the
+        # block) when admitted and has nothing left to ingest: n-1 of n relays.
+        known = block.id in self.tree
+        if not known and block.rank != self.beacon.rank(block.round, block.proposer):
             return  # rank does not match the beacon permutation — invalid
         notarization = proposal.parent_notarization
-        if notarization is not None and notarization.verify(None, self._notarization_quorum):
-            self._register_notarization(ctx, notarization)
-        self._ingest_block(ctx, block)
+        if (notarization is not None and not notarization.mask >> self._n
+                and notarization.verify(None, self._notarization_quorum)):
+            state = self._recent  # Banyan just fetched it for the unlock proof
+            if state is None or state.round != notarization.round:
+                state = self._round(notarization.round)
+            self._register_notarization(ctx, notarization, state)
+        if not known:
+            self._ingest_block(ctx, block)
 
     def _ingest_block(self, ctx: ReplicaContext, block: Block) -> None:
         if block.id in self.tree:
@@ -381,7 +414,7 @@ class ICCReplica(Protocol):
     def _after_block_added(self, ctx: ReplicaContext, block: Block) -> None:
         round_k = block.round
         self._try_notarization_votes(ctx, round_k)
-        self._try_notarizations(ctx, round_k)
+        self._try_notarizations(ctx, self._round(round_k))
         self._try_pending_finalizations(ctx)
         self._try_advance(ctx, round_k)
 
@@ -480,47 +513,58 @@ class ICCReplica(Protocol):
             )
         raise ValueError(f"unsupported vote kind for ICC: {kind}")
 
-    def _handle_vote(self, ctx: ReplicaContext, vote: Vote) -> None:
-        """Tally one vote; re-evaluate only what the tally changed.
+    def _handle_votes(self, ctx: ReplicaContext, votes) -> None:
+        """Tally one message's votes; re-evaluate only what a tally changed.
 
-        Every vote is tallied, whatever its round — voter-set sizes feed
+        The round's state is fetched once (a message's votes share their
+        round) and a vote whose voter is not a replica is dropped.  Every
+        other vote is tallied, whatever its round — voter-set sizes feed
         the certificates this replica sends.  More happens only when a
         block newly holds the notarization quorum (or one still awaits its
         proposal), or holds a finalization quorum in an unfinalized round.
         """
-        kind = vote.kind
-        if kind is VoteKind.FAST:
-            self._handle_fast_vote(ctx, vote)
-            return
-        round_k = vote.round
-        if kind is VoteKind.NOTARIZATION:
-            self._round(round_k).notarization.add_vote(vote.block_id, vote.voter)
-            self._try_notarizations(ctx, round_k)
-        elif kind is VoteKind.FINALIZATION:
-            tracker = self._round(round_k).finalization
-            tracker.add_vote(vote.block_id, vote.voter)
-            if round_k > self.k_max and vote.block_id in tracker.fired:
-                self._finalize(ctx, round_k, vote.block_id, kind="slow")
+        n = self._n
+        round_k = state = None
+        for vote in votes:
+            voter = vote.voter
+            if not 0 <= voter < n:
+                continue
+            if vote.round != round_k:
+                round_k = vote.round
+                state = self._recent
+                if state is None or state.round != round_k:
+                    state = self._round(round_k)
+            kind = vote.kind
+            if kind is VoteKind.NOTARIZATION:
+                state.notarization.add_vote(vote.block_id, voter)
+                self._try_notarizations(ctx, state)
+            elif kind is VoteKind.FINALIZATION:
+                tracker = state.finalization
+                tracker.add_vote(vote.block_id, voter)
+                if round_k > self.k_max and vote.block_id in tracker.fired:
+                    self._finalize(ctx, round_k, vote.block_id, kind="slow")
+            elif kind is VoteKind.FAST:
+                self._handle_fast_vote(ctx, vote, state)
 
-    def _handle_fast_vote(self, ctx: ReplicaContext, vote: Vote) -> None:
+    def _handle_fast_vote(self, ctx: ReplicaContext, vote: Vote, state: _RoundState) -> None:
         """ICC has no fast path; fast votes are ignored (Banyan overrides)."""
 
     # ------------------------------------------------------------------ #
     # Notarization
     # ------------------------------------------------------------------ #
 
-    def _try_notarizations(self, ctx: ReplicaContext, round_k: int) -> None:
-        """Notarize every received block of ``round_k`` that holds a quorum.
+    def _try_notarizations(self, ctx: ReplicaContext, state: _RoundState) -> None:
+        """Notarize every received block of ``state``'s round holding a quorum.
 
         Change-driven: a no-op unless a block reached the quorum since the
         last scan or a reached block still awaits its proposal — the one
         check every caller (vote, vote run, certificate, block arrival)
         relies on.
         """
-        state = self._round(round_k)
         tracker = state.notarization
         if not state.notarization_deferred and len(tracker.fired) == state.notarization_fired_seen:
             return
+        round_k = state.round
         deferred = False
         for block_id in tracker.reached_blocks():
             if block_id not in self.tree:
@@ -538,11 +582,10 @@ class ICCReplica(Protocol):
         # Children of this block may now be valid to vote for.
         self._try_notarization_votes(ctx, round_k + 1)
 
-    def _register_notarization(self, ctx: ReplicaContext, notarization: Notarization) -> None:
-        self._round(notarization.round).notarization.add_voters(
-            notarization.block_id, notarization.voters
-        )
-        self._try_notarizations(ctx, notarization.round)
+    def _register_notarization(self, ctx: ReplicaContext, notarization: Notarization,
+                               state: _RoundState) -> None:
+        state.notarization.add_voters(notarization.block_id, notarization.mask)
+        self._try_notarizations(ctx, state)
 
     # ------------------------------------------------------------------ #
     # Round advancement
@@ -595,17 +638,24 @@ class ICCReplica(Protocol):
 
     def _handle_certificate(self, ctx: ReplicaContext, message: CertificateMessage) -> None:
         certificate = message.certificate
-        if certificate is None:
+        if certificate is not None:
+            self._absorb_certificate(ctx, certificate, self._round(certificate.round))
+
+    def _absorb_certificate(self, ctx: ReplicaContext, certificate: Any,
+                            state: _RoundState) -> None:
+        """Merge a received certificate into its round's ``state``."""
+        if certificate.mask >> self._n:
             return
-        if isinstance(certificate, Notarization):
+        shape = certificate.__class__
+        if shape not in _CERTIFICATE_SHAPES:
+            shape = _base_shape(certificate, _CERTIFICATE_SHAPES)
+        if shape is Notarization:
             if certificate.verify(None, self._notarization_quorum):
-                self._register_notarization(ctx, certificate)
-        elif isinstance(certificate, Finalization):
+                self._register_notarization(ctx, certificate, state)
+        elif shape is Finalization:
             if certificate.verify(None, self._finalization_quorum):
-                self._round(certificate.round).finalization.add_voters(
-                    certificate.block_id, certificate.voters
-                )
-                self._finalize(ctx, certificate.round, certificate.block_id, kind="slow")
+                state.finalization.add_voters(certificate.block_id, certificate.mask)
+                self._finalize(ctx, state.round, certificate.block_id, kind="slow")
 
     def _finalize(self, ctx: ReplicaContext, round_k: int, block_id: BlockId, kind: str) -> None:
         """Explicitly finalize ``block_id`` and output the chain up to it."""
@@ -637,10 +687,10 @@ class ICCReplica(Protocol):
 
     def _broadcast_finalization(self, ctx: ReplicaContext, round_k: int,
                                 block_id: BlockId, kind: str) -> None:
-        voters = self._round(round_k).finalization.voters(block_id)
-        if not voters:
+        mask = self._round(round_k).finalization.mask(block_id)
+        if not mask:
             return
-        finalization = Finalization(round=round_k, block_id=block_id, voters=voters)
+        finalization = Finalization(round=round_k, block_id=block_id, mask=mask)
         ctx.broadcast(CertificateMessage(certificate=finalization, sender=self.replica_id))
 
     def _try_pending_finalizations(self, ctx: ReplicaContext) -> None:

@@ -117,6 +117,7 @@ class StreamletReplica(Protocol):
         call — made here at exactly the crossing vote — has any effect.
         """
         n = len(batch)
+        replicas = self.params.n
         i = 0
         while i < n:
             sender, message = batch[i]
@@ -125,7 +126,10 @@ class StreamletReplica(Protocol):
                 i += 1
                 continue
             votes = message.votes
-            if len(votes) == 1 and votes[0].kind is VoteKind.NOTARIZATION:
+            # A vote from outside 0..n-1 never joins a run: the scalar
+            # path below drops it.
+            if (len(votes) == 1 and votes[0].kind is VoteKind.NOTARIZATION
+                    and 0 <= votes[0].voter < replicas):
                 vote = votes[0]
                 epoch = vote.round
                 block_id = vote.block_id
@@ -137,7 +141,8 @@ class StreamletReplica(Protocol):
                         break
                     nxt = nxt.votes[0]
                     if (nxt.kind is not VoteKind.NOTARIZATION
-                            or nxt.round != epoch or nxt.block_id != block_id):
+                            or nxt.round != epoch or nxt.block_id != block_id
+                            or not 0 <= nxt.voter < replicas):
                         break
                     voters.append(nxt.voter)
                     j += 1
@@ -250,7 +255,7 @@ class StreamletReplica(Protocol):
         ctx.broadcast(VoteMessage(votes=(vote,), sender=self.replica_id))
 
     def _handle_vote(self, ctx: ReplicaContext, vote: Vote) -> None:
-        if vote.kind is not VoteKind.NOTARIZATION:
+        if vote.kind is not VoteKind.NOTARIZATION or not 0 <= vote.voter < self.params.n:
             return
         self._vote_tracker(vote.round).add_vote(vote.block_id, vote.voter)
         self._try_notarize(ctx, vote.round, vote.block_id)

@@ -742,15 +742,21 @@ def build_scheduler(name: str, seq, *, replicas: int = 0,
                     jittered: bool = False):
     """Instantiate a scheduler backend by registered name.
 
-    ``"auto"`` picks the calendar queue exactly when it can win: a
+    ``"auto"`` picks the calendar queue where it was measured to win: a
     jittered latency model (so broadcasts spill as vectorized segments),
-    enough replicas that the heap gets deep, and numpy available for the
-    bulk operations; the binary heap is the reference default everywhere
-    else.  Both backends replay the same ``(time, seq)`` order, so the
-    choice never changes results.
+    numpy available for the bulk operations, and n ≥ 128; the binary heap
+    is the reference default everywhere else.  The crossover lies between
+    the measured cells (wan-matrix, numpy, heap vs calendar): the
+    broadcast flood delivers 1.00 vs 0.885 M/s at n=64 and 1.02 vs
+    1.23 M/s at n=128, the n=256 flood (``flood_wan256``) takes 11.3 vs
+    7.4 s, and a real Banyan run at n=64 (``banyan_wan64``) 2.8 vs 3.25 s.
+    (The n=96 flood is 1.03 vs 1.10 M/s, but Banyan runs at n=96 and above
+    still favour the heap: the queue pays on protocol-free floods, see
+    ROADMAP item 2.)  Both backends replay the same ``(time, seq)`` order,
+    so the choice never changes results.
     """
     if name == "auto":
-        if jittered and replicas >= 64 and _np is not None:
+        if jittered and replicas >= 128 and _np is not None:
             name = "calendar"
         else:
             name = "heap"

@@ -100,9 +100,15 @@ class NetworkConfig:
         scheduler: event-queue backend — one of
             :data:`repro.runtime.scheduler.SCHEDULERS` (``"auto"``,
             ``"heap"``, ``"calendar"``).  ``"auto"`` (the default) picks the
-            calendar queue for large jittered runs and the binary heap
-            everywhere else; both replay the identical ``(time, seq)``
-            event order, so the choice never changes results.
+            calendar queue for jittered runs of n ≥ 128 replicas with numpy
+            installed and the binary heap everywhere else — the measured
+            crossover (heap ahead at n=64 on the flood, 1.00 vs 0.885 M
+            deliveries/s, and on ``banyan_wan64``, 2.8 vs 3.25 s; calendar
+            ahead on the flood at n=128, 1.23 vs 1.02 M/s, and at n=256,
+            7.4 vs 11.3 s; see
+            :func:`repro.runtime.scheduler.build_scheduler`).  Both replay
+            the identical ``(time, seq)`` event order, so the choice never
+            changes results.
     """
 
     latency: LatencyModel = field(default_factory=lambda: ConstantLatency(0.05))

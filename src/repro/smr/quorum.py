@@ -38,7 +38,9 @@ the engine does not perturb seeded executions.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
+
+from repro.types.votes import mask_voters, voter_ids
 
 #: Callback invoked (exactly once per block) when a block reaches the
 #: tracker's threshold.
@@ -54,8 +56,10 @@ class QuorumTracker:
         on_threshold: optional callback fired exactly once per block, at the
             moment its tally first reaches the threshold.
 
-    The tracker is agnostic to what a "block" or "voter" is beyond
-    hashability, so unit tests can drive it with plain strings and ints.
+    A block's voter set is one ``int`` bitmask over the (non-negative)
+    replica ids, see :mod:`repro.types.votes`; the tracker does not know
+    ``n``, so range checks belong to whoever lets a message in.  Blocks only
+    need to be hashable: unit tests drive the tracker with plain strings.
     """
 
     __slots__ = ("threshold", "on_threshold", "fired", "_voters")
@@ -66,10 +70,10 @@ class QuorumTracker:
             raise ValueError("quorum threshold must be positive")
         self.threshold = threshold
         self.on_threshold = on_threshold
-        #: Block id → distinct voters (insertion-ordered by first vote).
+        #: Block id → voter bitmask (insertion-ordered by first vote).
         #: The only tally: conflicting support is derived from it on demand
-        #: (:meth:`equivocators`), so a vote costs one set insertion.
-        self._voters: Dict[Hashable, Set[int]] = {}
+        #: (:meth:`equivocators`), so a vote costs one ``|``.
+        self._voters: Dict[Hashable, int] = {}
         #: Blocks that have reached the threshold (read-only outside the
         #: tracker).  Tallies only grow, so membership equals
         #: :meth:`reached` and the size only moves up: per-message callers
@@ -80,18 +84,21 @@ class QuorumTracker:
     # Recording
     # ------------------------------------------------------------------ #
 
+    def _fire(self, block_id: Hashable) -> None:
+        self.fired.add(block_id)
+        if self.on_threshold is not None:
+            self.on_threshold(block_id)
+
     def add_vote(self, block_id: Hashable, voter: int) -> bool:
         """Count one vote; return whether it was new (duplicates: ``False``)."""
-        voters = self._voters.get(block_id)
-        if voters is None:
-            voters = self._voters[block_id] = set()
-        elif voter in voters:
+        voters = self._voters
+        have = voters.get(block_id, 0)
+        grown = have | 1 << voter
+        if grown == have:
             return False
-        voters.add(voter)
-        if len(voters) >= self.threshold and block_id not in self.fired:
-            self.fired.add(block_id)
-            if self.on_threshold is not None:
-                self.on_threshold(block_id)
+        voters[block_id] = grown
+        if grown.bit_count() >= self.threshold and block_id not in self.fired:
+            self._fire(block_id)
         return True
 
     def add_votes(self, block_id: Hashable, voters: Sequence[int]) -> int:
@@ -108,76 +115,74 @@ class QuorumTracker:
         in; a block crosses at most once, so the second pass always
         consumes the rest.
         """
-        existing = self._voters.get(block_id)
-        if existing is None:
-            existing = self._voters[block_id] = set()
+        have = self._voters.get(block_id, 0)
         if block_id in self.fired:
-            existing.update(voters)
+            for voter in voters:
+                have |= 1 << voter
+            self._voters[block_id] = have
             return len(voters)
         threshold = self.threshold
         consumed = 0
         for voter in voters:
             consumed += 1
-            existing.add(voter)
-            if len(existing) >= threshold:
-                self.fired.add(block_id)
-                if self.on_threshold is not None:
-                    self.on_threshold(block_id)
-                break
+            have |= 1 << voter
+            if have.bit_count() >= threshold:
+                self._voters[block_id] = have
+                self._fire(block_id)
+                return consumed
+        self._voters[block_id] = have
         return consumed
 
-    def add_voters(self, block_id: Hashable, voters: Iterable[int]) -> bool:
-        """Merge a certificate's voter set; return whether any vote was new.
+    def add_voters(self, block_id: Hashable, voters: int) -> bool:
+        """Merge a certificate's voter bitmask; return whether any was new.
 
         Hot path of certificate gossip: at ``n`` replicas every certificate
         carries O(n) voters and is received n times, so the all-duplicates
-        case (nearly every call) is answered by one C-level subset test,
+        case (nearly every call) is answered by ``voters & ~have``,
         allocating nothing.  The per-voter walk (which preserves
         :meth:`add_vote`'s exact mid-merge ``on_threshold`` timing) runs
-        only when this merge could fire the threshold callback.
+        only when this merge fires the threshold callback.
         """
-        existing = self._voters.get(block_id)
-        if existing is None:
-            existing = self._voters[block_id] = set()
-        if not isinstance(voters, (set, frozenset)):
-            voters = tuple(voters)  # walked more than once below
-        if existing.issuperset(voters):
+        have = self._voters.get(block_id)
+        if have is None:
+            have = self._voters[block_id] = 0
+        new = voters & ~have
+        if not new:
             return False
-        if block_id not in self.fired and len(existing.union(voters)) >= self.threshold:
+        if block_id not in self.fired and (have | new).bit_count() >= self.threshold:
             # This merge crosses the threshold: take the per-voter path so
             # on_threshold fires at exactly the voter that reaches it (the
             # callback may inspect the tally mid-merge).
-            for voter in voters:
+            for voter in voter_ids(new):
                 self.add_vote(block_id, voter)
         else:
-            existing.update(voters)
+            self._voters[block_id] = have | new
         return True
 
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
 
+    def mask(self, block_id: Hashable) -> int:
+        """The voter bitmask recorded for ``block_id`` (0 if none)."""
+        return self._voters.get(block_id, 0)
+
     def voters(self, block_id: Hashable) -> FrozenSet[int]:
-        """The distinct voters recorded for ``block_id``."""
-        return frozenset(self._voters.get(block_id, ()))
+        """The distinct voters recorded for ``block_id`` (a view of :meth:`mask`)."""
+        return mask_voters(self._voters.get(block_id, 0))
 
     def count(self, block_id: Hashable) -> int:
         """Number of distinct voters recorded for ``block_id``."""
-        return len(self._voters.get(block_id, ()))
+        return self._voters.get(block_id, 0).bit_count()
 
-    def count_outside(self, block_id: Hashable, excluded: Set[int]) -> int:
-        """Number of distinct voters for ``block_id`` not in ``excluded``.
+    def count_outside(self, block_id: Hashable, excluded: int) -> int:
+        """Number of distinct voters for ``block_id`` outside the mask ``excluded``.
 
         Lets callers compute ``|voters(b) ∪ excluded|`` as
-        ``len(excluded) + count_outside(b, excluded)`` without materialising
-        the union (the fast-path unlock check does this per vote).
+        ``excluded.bit_count() + count_outside(b, excluded)`` without
+        materialising the union (the fast-path unlock check does this).
         """
-        voters = self._voters.get(block_id)
-        if not voters:
-            return 0
-        if not excluded:
-            return len(voters)
-        return len(voters - excluded)
+        return (self._voters.get(block_id, 0) & ~excluded).bit_count()
 
     def reached(self, block_id: Hashable) -> bool:
         """Whether ``block_id``'s tally is at or above the threshold."""
@@ -189,8 +194,7 @@ class QuorumTracker:
 
     def reached_blocks(self) -> List[Hashable]:
         """Blocks at or above the threshold, in first-vote order."""
-        return [block_id for block_id, voters in self._voters.items()
-                if len(voters) >= self.threshold]
+        return [block_id for block_id in self._voters if block_id in self.fired]
 
     def fired_count(self) -> int:
         """Number of blocks that have reached the threshold (O(1));
@@ -205,17 +209,16 @@ class QuorumTracker:
         Streamlet/HotStuff notarization votes) — ICC-family notarization
         votes may honestly support several same-round blocks.
         """
-        seen: Set[int] = set()
-        culprits: Set[int] = set()
+        seen = culprits = 0
         for voters in self._voters.values():
-            culprits.update(seen.intersection(voters))
+            culprits |= seen & voters
             seen |= voters
-        return frozenset(culprits)
+        return mask_voters(culprits)
 
     def evidence(self, voter: int) -> Tuple[Hashable, ...]:
         """The distinct blocks ``voter`` supported (sorted; evidence record)."""
         return tuple(sorted((block_id for block_id, voters in self._voters.items()
-                             if voter in voters), key=repr))
+                             if voters >> voter & 1), key=repr))
 
 
 class CertificateCollector:

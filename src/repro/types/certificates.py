@@ -13,7 +13,9 @@ The paper aggregates vote multisets into four kinds of certificates:
 
 Certificates are value objects: the voter set is explicit so quorum sizes are
 checked by the recipient (``verify``), and the optional aggregate signature
-carries the simulated BLS multi-signature.
+carries the simulated BLS multi-signature.  Voter sets are stored as ``int``
+bitmasks (:mod:`repro.types.votes`); constructors take any iterable of ids
+and ``voters`` / ``support`` / ``total_voters`` give ``frozenset`` views.
 """
 
 from __future__ import annotations
@@ -24,32 +26,43 @@ from typing import FrozenSet, Iterable, Optional, Tuple
 from repro.crypto.aggregate import AggregateSignature
 from repro.crypto.keys import KeyRegistry
 from repro.types.blocks import BlockId
-from repro.types.votes import Vote, VoteKind
+from repro.types.votes import Vote, VoteKind, mask_voters, voter_mask
 
 
 class CertificateError(Exception):
     """Raised when a certificate is constructed from inconsistent votes."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Certificate:
     """Base certificate: a set of voters attesting something about a block.
 
-    Attributes:
+    Args:
         round: round of the certified block.
         block_id: identifier of the certified block.
-        voters: the replicas whose votes are aggregated.
+        voters: the replicas whose votes are aggregated (any iterable of ids).
         aggregate: the aggregated signature shares (may be ``None`` when the
             experiment runs with signatures disabled for speed).
+        mask: the voters as a bitmask, for builders that hold one already.
     """
 
     round: int
     block_id: BlockId
-    voters: FrozenSet[int]
-    aggregate: Optional[AggregateSignature] = None
+    #: Voter bitmask: bit ``i`` set iff replica ``i`` is among the voters.
+    mask: int
+    aggregate: Optional[AggregateSignature]
 
     #: Vote kind this certificate aggregates; overridden by subclasses.
     VOTE_KIND = VoteKind.NOTARIZATION
+
+    def __init__(self, round: int, block_id: BlockId, voters: Iterable[int] = (),
+                 aggregate: Optional[AggregateSignature] = None,
+                 *, mask: Optional[int] = None) -> None:
+        set_field = object.__setattr__
+        set_field(self, "round", round)
+        set_field(self, "block_id", block_id)
+        set_field(self, "mask", voter_mask(voters) if mask is None else mask)
+        set_field(self, "aggregate", aggregate)
 
     @classmethod
     def from_votes(cls, votes: Iterable[Vote]) -> "Certificate":
@@ -76,20 +89,27 @@ class Certificate:
         return cls(
             round=rounds.pop(),
             block_id=blocks.pop(),
-            voters=frozenset(vote.voter for vote in votes),
+            voters=(vote.voter for vote in votes),
             aggregate=aggregate,
         )
 
+    @property
+    def voters(self) -> FrozenSet[int]:
+        """The replicas whose votes are aggregated (a set view of ``mask``)."""
+        return mask_voters(self.mask)
+
     def __len__(self) -> int:
-        return len(self.voters)
+        return self.mask.bit_count()
 
     def verify(self, registry: Optional[KeyRegistry], threshold: int) -> bool:
         """Check the certificate carries at least ``threshold`` distinct voters.
 
         When a PKI ``registry`` is supplied and the certificate carries an
         aggregate signature, the signature shares are verified as well.
+        That the voters are replicas at all (``mask >> n == 0``) is the
+        receiving handler's check: a certificate does not know ``n``.
         """
-        if len(self.voters) < threshold:
+        if self.mask.bit_count() < threshold:
             return False
         if registry is not None and self.aggregate is not None:
             payload = (self.VOTE_KIND.value, self.round, self.block_id)
@@ -100,28 +120,25 @@ class Certificate:
         return True
 
 
-@dataclass(frozen=True)
 class Notarization(Certificate):
     """Proof that a quorum notarization-voted for the block."""
 
     VOTE_KIND = VoteKind.NOTARIZATION
 
 
-@dataclass(frozen=True)
 class Finalization(Certificate):
     """Proof of SP-finalization: a quorum of finalization votes."""
 
     VOTE_KIND = VoteKind.FINALIZATION
 
 
-@dataclass(frozen=True)
 class FastFinalization(Certificate):
     """Proof of FP-finalization: ``n - p`` fast votes for a rank-0 block."""
 
     VOTE_KIND = VoteKind.FAST
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class UnlockProof:
     """Proof that a block is unlocked (Definition 7.7).
 
@@ -130,16 +147,36 @@ class UnlockProof:
     Definition 7.6 unlocks every block of the round once more than ``f + p``
     fast-vote support exists outside the best rank-0 block.
 
-    Attributes:
+    Args:
         round: the round whose block(s) are unlocked.
         block_id: the block the proof is attached to (the notarized block the
             sender extends / forwards).
-        votes_by_block: fast-vote voter sets keyed by the block they support.
+        votes_by_block: fast-vote voters (any iterable of ids) keyed by the
+            block they support.
+        masks_by_block: the same as ``(block id, voter bitmask)`` pairs, for
+            builders that hold masks already.
     """
 
     round: int
     block_id: BlockId
-    votes_by_block: Tuple[Tuple[BlockId, FrozenSet[int]], ...] = field(default_factory=tuple)
+    #: Fast-vote voter bitmasks keyed by the block they support.
+    masks_by_block: Tuple[Tuple[BlockId, int], ...]
+    #: Bitmask of all distinct voters in the proof (derived at construction).
+    total_mask: int = field(compare=False, repr=False)
+
+    def __init__(self, round: int, block_id: BlockId,
+                 votes_by_block: Iterable[Tuple[BlockId, Iterable[int]]] = (),
+                 *, masks_by_block: Optional[Tuple[Tuple[BlockId, int], ...]] = None) -> None:
+        if masks_by_block is None:
+            masks_by_block = tuple((bid, voter_mask(voters)) for bid, voters in votes_by_block)
+        total = 0
+        for _, mask in masks_by_block:
+            total |= mask
+        set_field = object.__setattr__
+        set_field(self, "round", round)
+        set_field(self, "block_id", block_id)
+        set_field(self, "masks_by_block", masks_by_block)
+        set_field(self, "total_mask", total)
 
     @classmethod
     def from_fast_votes(cls, round: int, block_id: BlockId,
@@ -151,23 +188,21 @@ class UnlockProof:
                 raise CertificateError("unlock proofs aggregate fast votes only")
             if vote.round != round:
                 raise CertificateError("unlock proof votes must belong to one round")
-            by_block.setdefault(vote.block_id, set()).add(vote.voter)
-        ordered = tuple(sorted((bid, frozenset(voters)) for bid, voters in by_block.items()))
-        return cls(round=round, block_id=block_id, votes_by_block=ordered)
+            by_block[vote.block_id] = by_block.get(vote.block_id, 0) | 1 << vote.voter
+        return cls(round=round, block_id=block_id,
+                   masks_by_block=tuple(sorted(by_block.items())))
 
     def support(self, block_id: BlockId) -> FrozenSet[int]:
         """Return the fast-vote support recorded for ``block_id``."""
-        for bid, voters in self.votes_by_block:
+        for bid, mask in self.masks_by_block:
             if bid == block_id:
-                return voters
+                return mask_voters(mask)
         return frozenset()
 
     def total_voters(self) -> FrozenSet[int]:
-        """Return all distinct voters across every block in the proof."""
-        voters: set = set()
-        for _, block_voters in self.votes_by_block:
-            voters |= block_voters
-        return frozenset(voters)
+        """All distinct voters across every block in the proof (a view of
+        ``total_mask``; ``len(proof)`` takes the size without building it)."""
+        return mask_voters(self.total_mask)
 
     def __len__(self) -> int:
-        return len(self.total_voters())
+        return self.total_mask.bit_count()

@@ -15,16 +15,44 @@ Banyan uses three vote kinds (Sections 4, 6, 7 of the paper):
 
 The baseline protocols reuse the same vote objects where applicable (e.g.
 HotStuff votes are modelled as notarization votes).
+
+**Voter sets** are ``int`` bitmasks — replica ids are dense ``0..n-1``, so
+bit ``i`` stands for replica ``i``: a merge is ``|``, "adds nothing new" is
+``new & ~have == 0``, a size is ``int.bit_count()``, and none allocates a
+set.  :func:`voter_mask` / :func:`mask_voters` convert at the boundary.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import FrozenSet, Iterable, List, Optional
 
 from repro.crypto.signatures import Signature
 from repro.types.blocks import BlockId
+
+
+def voter_mask(voters: Iterable[int]) -> int:
+    """The bitmask of a collection of (non-negative) replica ids."""
+    mask = 0
+    for voter in voters:
+        mask |= 1 << voter
+    return mask
+
+
+def voter_ids(mask: int) -> List[int]:
+    """The replica ids whose bits are set in ``mask``, ascending."""
+    voters = []
+    while mask:
+        low = mask & -mask
+        voters.append(low.bit_length() - 1)
+        mask ^= low
+    return voters
+
+
+def mask_voters(mask: int) -> FrozenSet[int]:
+    """The replica ids whose bits are set in ``mask``, as a set."""
+    return frozenset(voter_ids(mask))
 
 
 class VoteKind(enum.Enum):

@@ -246,14 +246,17 @@ class TestBanyanByzantine:
 class TestChangeDrivenHandlerPath:
     def test_work_per_delivered_message_stays_change_driven(self, monkeypatch):
         """Timing-free guard on the per-message path (deterministic n=19
-        run): tracker lookups happen once per round, not per message, and
+        run): tracker lookups happen once per round, not per message,
         Definition 7.6 is re-evaluated only for events that can change its
-        outcome — so a regression to "re-derive everything on every
+        outcome, and a message's round state is fetched at most once and
+        handed down (2.5 fetches per delivery when every helper fetched
+        its own) — so a regression to "re-derive everything on every
         delivery" fails here, whatever the machine's speed."""
         from repro.core.fastpath import FastPathState
+        from repro.protocols.icc import ICCReplica
         from repro.smr.quorum import CertificateCollector
 
-        calls = {"tracker": 0, "evaluate_unlocks": 0}
+        calls = {"tracker": 0, "evaluate_unlocks": 0, "_round": 0}
 
         def counted(cls, name):
             original = getattr(cls, name)
@@ -266,6 +269,7 @@ class TestChangeDrivenHandlerPath:
 
         counted(CertificateCollector, "tracker")
         counted(FastPathState, "evaluate_unlocks")
+        counted(ICCReplica, "_round")
         sim = build_simulation("banyan", n=19, f=6, p=1, rank_delay=0.6,
                                payload_size=10_000)
         sim.run(until=6.0)
@@ -274,3 +278,4 @@ class TestChangeDrivenHandlerPath:
         assert delivered > 50_000
         assert calls["tracker"] / delivered < 0.05
         assert 0 < calls["evaluate_unlocks"] / delivered < 0.25
+        assert 0 < calls["_round"] / delivered < 1.0

@@ -9,6 +9,9 @@ Remark 5.1).
 
 from __future__ import annotations
 
+import hashlib
+from dataclasses import dataclass
+
 import pytest
 
 from repro.byzantine.behaviors import (
@@ -21,11 +24,60 @@ from repro.byzantine.behaviors import (
     make_equivocating_icc,
 )
 from repro.net.faults import FaultPlan, PartitionPlan
-from repro.net.latency import ConstantLatency
-from repro.protocols.base import ProtocolParams
+from repro.net.latency import ConstantLatency, UniformLatency
+from repro.protocols.base import Protocol, ProtocolParams
 from repro.protocols.registry import create_replicas
 from repro.runtime.simulator import NetworkConfig, Simulation
 from tests.conftest import assert_consistent_chains, assert_no_conflicting_rounds
+
+
+@dataclass(frozen=True)
+class _Tagged:
+    """A fixed-size test message naming the broadcast it belongs to."""
+
+    tag: object
+    wire_size: int = 1000
+
+
+class _TaggedBroadcaster(Protocol):
+    """Broadcasts one tagged message at each configured time and records
+    ``(tag, arrival time)`` of everything it receives."""
+
+    name = "tagged-broadcaster"
+
+    def __init__(self, replica_id, params, times=()):
+        super().__init__(replica_id, params)
+        self.times = list(times)
+        self.received = []
+        self.send_to = None
+
+    def on_start(self, ctx):
+        for at in self.times:
+            if at == 0.0:
+                ctx.broadcast(_Tagged(at))
+            else:
+                ctx.set_timer(at, "broadcast", at)
+
+    def on_message(self, ctx, sender, message):
+        self.received.append((message.tag, ctx.now()))
+
+    def on_timer(self, ctx, timer):
+        if timer.name == "send":
+            ctx.send(self.send_to, _Tagged("unicast"))
+        else:
+            ctx.broadcast(_Tagged(timer.data))
+
+
+def _tagged_broadcasters(n, times_by_replica):
+    params = ProtocolParams(n=n, f=0, p=0)
+    return {i: _TaggedBroadcaster(i, params, times_by_replica.get(i, ()))
+            for i in range(n)}
+
+
+def _timer(name):
+    from repro.runtime.context import Timer
+
+    return Timer(name=name, fire_time=0.0, data=None, timer_id=0)
 
 
 class TestSilentReplica:
@@ -218,6 +270,100 @@ class TestDelayedReplica:
         replicas = create_replicas("banyan", params)
         with pytest.raises(ValueError):
             DelayedReplica(replicas[0], extra_delay=-0.1)
+
+    # One timer and one broadcast per straggler broadcast (it used to be n
+    # timers plus n unicasts).  The four executions below were recorded
+    # with the per-receiver loop, before it was replaced: deferring the
+    # broadcast as a unit must not move a commit, a send or a delivery.
+    @pytest.mark.parametrize("transport,compute,digest,sent,delivered", [
+        ("direct", "zero", "1c9569a5dfc26580", 24852, 24565),
+        ("direct", "crypto", "de6cd8d04c90c549", 12863, 11466),
+        ("contended", "zero", "44a17d8a29237803", 23009, 22369),
+        ("contended", "crypto", "539ec8adaa8a7032", 12521, 11389),
+    ])
+    def test_straggler_runs_reproduce_the_per_receiver_executions(
+            self, transport, compute, digest, sent, delivered):
+        from repro.eval.experiment import ExperimentConfig, run_experiment
+        from repro.net.topology import worldwide_datacenters
+
+        config = ExperimentConfig(
+            "banyan", ProtocolParams(n=19, f=4, p=4, payload_size=1000),
+            topology=worldwide_datacenters(19), latency_model="wan-matrix",
+            transport=transport, compute=compute,
+            uplink_mbps=100.0 if transport == "contended" else None,
+            duration=2.5, warmup=0.0, seed=3, stragglers=4, straggler_delay=0.3)
+        captured = []
+        run_experiment(config, on_simulation=captured.append)
+        sim = captured[0]
+        commits = hashlib.sha256()
+        for replica_id, records in sorted(sim.all_commits().items()):
+            for record in records:
+                commits.update(
+                    f"{replica_id}|{record.block.id}|{record.commit_time!r}|"
+                    f"{record.finalization_kind}\n".encode())
+        assert commits.hexdigest()[:16] == digest
+        assert (sim.messages_sent, sim.messages_delivered) == (sent, delivered)
+        # No per-receiver unicast is left anywhere in the run.
+        assert sim.event_counts()["message"] == 0
+
+    def test_deferred_broadcast_is_one_timer_and_one_batch(self):
+        n = 6
+        replicas = _tagged_broadcasters(n, {0: [0.0]})
+        replicas[0] = DelayedReplica(replicas[0], extra_delay=0.3)
+        sim = Simulation(replicas, NetworkConfig(
+            latency=UniformLatency(0.01, 0.05), seed=4))
+        sim.start()
+        counts = sim.event_counts()
+        assert counts["timer"] == 1 and counts["message"] == 0 and counts["sbatch"] == 0
+        sim.run(until=1.0)
+        counts = sim.event_counts()
+        assert counts["timer"] == 1 and counts["message"] == 0
+        assert (counts["sbatch"], counts["sbatch_members"]) == (1, n)
+        arrivals = [replicas[i].received for i in range(1, n)]
+        assert all(len(got) == 1 and 0.31 <= got[0][1] <= 0.35 for got in arrivals)
+        # A unicast is still one timer and one message event of its own.
+        replicas[0].inner.send_to = 3
+        replicas[0].on_timer(sim._contexts[0], _timer("send"))
+        counts = sim.event_counts()
+        assert counts["timer"] == 2 and counts["message"] == 0
+        sim.run(until=2.0)
+        assert sim.event_counts()["message"] == 1
+        assert [tag for tag, _ in replicas[3].received] == [0.0, "unicast"]
+
+    def test_window_edges_hold_for_a_deferred_broadcast(self):
+        """``[start, end)``: a broadcast initiated at exactly ``start`` or
+        just before ``end`` is deferred (and still flushed after the window
+        closed); one at exactly ``end``, or before ``start``, is prompt."""
+        times = [0.5, 1.0, 1.75, 2.0]
+
+        def arrivals(wrap):
+            replicas = _tagged_broadcasters(3, {0: times})
+            if wrap:
+                replicas[0] = DelayedReplica(replicas[0], extra_delay=0.5,
+                                             window=(1.0, 2.0))
+            sim = Simulation(replicas, NetworkConfig(latency=ConstantLatency(0.05), seed=1))
+            sim.run(until=4.0)
+            return dict(replicas[1].received)
+
+        prompt, windowed = arrivals(False), arrivals(True)
+        lateness = {tag: windowed[tag] - prompt[tag] for tag in times}
+        assert lateness == pytest.approx({0.5: 0.0, 1.0: 0.5, 1.75: 0.5, 2.0: 0.0})
+
+    def test_relay_transport_disseminates_a_late_broadcast_through_the_overlay(self):
+        """The behaviour change: a straggler's broadcast used to reach the
+        transport as n unicasts, which bypass the relay tree every other
+        broadcast uses; flushed as a broadcast, the sender's uplink carries
+        one copy per relay, not one per receiver."""
+        n = 8
+        replicas = _tagged_broadcasters(n, {0: [0.0]})
+        replicas[0] = DelayedReplica(replicas[0], extra_delay=0.2)
+        sim = Simulation(replicas, NetworkConfig(
+            latency=ConstantLatency(0.05), transport="relay", relays=2, seed=1))
+        sim.run(until=1.0)
+        assert all(len(replicas[i].received) == 1 for i in range(1, n))
+        stats = sim.transport_stats()
+        assert stats["sender_copies"] == 2
+        assert stats["wire_copies"] == n - 1
 
 
 class TestPartitions:

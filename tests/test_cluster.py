@@ -38,6 +38,57 @@ N = 4
 # --------------------------------------------------------------------- #
 
 
+def test_malformed_frame_is_a_counted_decode_error_not_a_dead_server():
+    """A certificate naming voter id -1 has no bit in a voter bitmask: the
+    codec must reject it as malformed input (the connection is dropped and
+    counted), not let a ``ValueError`` escape the connection task."""
+    import asyncio
+
+    from repro.cluster.tcp_transport import TcpTransport
+    from repro.cluster.wire import WIRE_MAGIC, WIRE_VERSION, encode_frame
+    from repro.types.messages import VoteMessage
+    from repro.types.votes import NotarizationVote
+
+    good = encode_frame(1, VoteMessage(
+        votes=(NotarizationVote(round=1, block_id="b", voter=1),), sender=1))
+    envelope = b"\x02" + b"\x05\x01\x01b\x01\x01\x00"  # sender 1; voter id -1
+    bad = bytes([WIRE_MAGIC, WIRE_VERSION]) + len(envelope).to_bytes(4, "big") + envelope
+    received = []
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        failures = []
+        loop.set_exception_handler(lambda _, context: failures.append(context))
+        transport = TcpTransport(0, {}, lambda sender, message: received.append(sender),
+                                 clock=time.time)
+        await transport.start("127.0.0.1", 0)
+        port = transport._server.sockets[0].getsockname()[1]
+        try:
+            for payload in (good + bad + good, good):
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                writer.write(payload)
+                await writer.drain()
+                # The node closes a connection it can no longer parse; a
+                # healthy one stays open until we close it.
+                if bad in payload:
+                    assert await asyncio.wait_for(reader.read(), timeout=5) == b""
+                writer.close()
+                await writer.wait_closed()
+            for _ in range(100):
+                if len(received) == 2:
+                    break
+                await asyncio.sleep(0.01)
+        finally:
+            await transport.stop()
+        return transport.stats, failures
+
+    stats, failures = asyncio.run(scenario())
+    assert failures == []           # no task died of an unhandled exception
+    assert stats["decode_errors"] == 1
+    assert received == [1, 1]       # the frame before it, and a later connection
+    assert stats["recv_frames"] == 2
+
+
 def test_transaction_header_roundtrip():
     tx = encode_transaction(421, 7, 128)
     assert len(tx) == 128

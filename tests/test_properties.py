@@ -11,11 +11,13 @@ from repro.analysis.stats import mean, median, percentile, stddev, variance
 from repro.beacon import RoundRobinBeacon, SeededPermutationBeacon
 from repro.blocktree.chain import FinalizedChain
 from repro.blocktree.tree import BlockTree
-from repro.core.fastpath import FastPathState
+from repro.core.fastpath import FastPathState, UnlockDecision
 from repro.crypto.hashing import canonical_encode, digest
 from repro.protocols.base import ProtocolParams
 from repro.types.blocks import Block, genesis_block
+from repro.smr.quorum import QuorumTracker
 from repro.types.certificates import UnlockProof
+from repro.types.votes import mask_voters, voter_mask
 
 
 # --------------------------------------------------------------------- #
@@ -272,6 +274,269 @@ class _UnlockOracle:
                 if rank == 0 and len(self._supp([b])) >= self.fast_quorum]
 
 
+class _SetQuorumTracker:
+    """The ``dict``-of-``set`` :class:`repro.smr.quorum.QuorumTracker` the
+    bitmask one replaced, kept verbatim (minus docstrings) as the reference
+    the properties below compare against."""
+
+    def __init__(self, threshold, on_threshold=None):
+        self.threshold = threshold
+        self.on_threshold = on_threshold
+        self._voters = {}
+        self.fired = set()
+
+    def add_vote(self, block_id, voter):
+        voters = self._voters.get(block_id)
+        if voters is None:
+            voters = self._voters[block_id] = set()
+        elif voter in voters:
+            return False
+        voters.add(voter)
+        if len(voters) >= self.threshold and block_id not in self.fired:
+            self.fired.add(block_id)
+            if self.on_threshold is not None:
+                self.on_threshold(block_id)
+        return True
+
+    def add_votes(self, block_id, voters):
+        existing = self._voters.get(block_id)
+        if existing is None:
+            existing = self._voters[block_id] = set()
+        if block_id in self.fired:
+            existing.update(voters)
+            return len(voters)
+        consumed = 0
+        for voter in voters:
+            consumed += 1
+            existing.add(voter)
+            if len(existing) >= self.threshold:
+                self.fired.add(block_id)
+                if self.on_threshold is not None:
+                    self.on_threshold(block_id)
+                break
+        return consumed
+
+    def add_voters(self, block_id, voters):
+        existing = self._voters.get(block_id)
+        if existing is None:
+            existing = self._voters[block_id] = set()
+        if existing.issuperset(voters):
+            return False
+        if block_id not in self.fired and len(existing.union(voters)) >= self.threshold:
+            for voter in voters:
+                self.add_vote(block_id, voter)
+        else:
+            existing.update(voters)
+        return True
+
+    def voters(self, block_id):
+        return frozenset(self._voters.get(block_id, ()))
+
+    def count(self, block_id):
+        return len(self._voters.get(block_id, ()))
+
+    def count_outside(self, block_id, excluded):
+        return len(self._voters.get(block_id, set()) - excluded)
+
+    def reached(self, block_id):
+        return block_id in self.fired
+
+    def blocks(self):
+        return list(self._voters)
+
+    def reached_blocks(self):
+        return [block_id for block_id, voters in self._voters.items()
+                if len(voters) >= self.threshold]
+
+    def equivocators(self):
+        seen, culprits = set(), set()
+        for voters in self._voters.values():
+            culprits.update(seen.intersection(voters))
+            seen |= voters
+        return frozenset(culprits)
+
+    def evidence(self, voter):
+        return tuple(sorted((block_id for block_id, voters in self._voters.items()
+                             if voter in voters), key=repr))
+
+
+class _SetFastPathState:
+    """The set-based :class:`repro.core.fastpath.FastPathState` the bitmask
+    one replaced, kept verbatim (minus docstrings) as the reference."""
+
+    def __init__(self, unlock_threshold, fast_quorum):
+        self.unlock_threshold = unlock_threshold
+        self._support = _SetQuorumTracker(fast_quorum)
+        self._block_ranks = {}
+        self._all_unlocked = False
+        self._non_leader = set()
+        self._non_leader_support = set()
+        self._unlocked = set()
+        self.stale = False
+        self._settled = True
+        self._decision = UnlockDecision(frozenset(), False)
+
+    def record_block(self, block_id, rank):
+        if block_id in self._block_ranks:
+            return False
+        self._block_ranks[block_id] = rank
+        if rank != 0:
+            self._non_leader.add(block_id)
+            self._non_leader_support |= self._support.voters(block_id)
+        self.stale = True
+        return True
+
+    def record_fast_vote(self, block_id, voter):
+        if not self._support.add_vote(block_id, voter):
+            return False
+        if block_id in self._non_leader:
+            self._non_leader_support.add(voter)
+        if not self._settled:
+            self.stale = True
+        return True
+
+    def merge_fast_votes(self, block_id, voters):
+        if not self._support.add_voters(block_id, voters):
+            return False
+        if block_id in self._non_leader:
+            self._non_leader_support.update(voters)
+        if not self._settled:
+            self.stale = True
+        return True
+
+    def merge_unlock_proof(self, votes_by_block):
+        changed = False
+        for block_id, voters in votes_by_block:
+            if self.merge_fast_votes(block_id, voters):
+                changed = True
+        return changed
+
+    def support(self, block_id):
+        return self._support.voters(block_id)
+
+    def support_of(self, block_ids):
+        voters = set()
+        for block_id in block_ids:
+            voters |= self._support.voters(block_id)
+        return frozenset(voters)
+
+    def rank_zero_blocks(self):
+        return [bid for bid, rank in self._block_ranks.items() if rank == 0]
+
+    def max_block(self):
+        rank_zero = self.rank_zero_blocks()
+        if not rank_zero:
+            return None
+        return max(rank_zero, key=lambda bid: (self._support.count(bid), bid))
+
+    def non_max_blocks(self):
+        best = self.max_block()
+        return [bid for bid in self._block_ranks if bid != best]
+
+    def evaluate_unlocks(self):
+        if not self.stale:
+            return self._decision
+        self.stale = False
+        block_ranks = self._block_ranks
+        contested = len(block_ranks) > 1 or bool(self._non_leader)
+        if not self._all_unlocked:
+            non_leader_support = self._non_leader_support
+            for block_id in block_ranks:
+                if block_id in self._unlocked:
+                    continue
+                if len(non_leader_support) + self._support.count_outside(
+                        block_id, non_leader_support) > self.unlock_threshold:
+                    self._unlocked.add(block_id)
+            if contested:
+                non_max = self.non_max_blocks()
+                if non_max and len(self.support_of(non_max)) > self.unlock_threshold:
+                    self._all_unlocked = True
+        current = block_ranks if self._all_unlocked else self._unlocked
+        decision = self._decision
+        if (len(current) != len(decision.unlocked_blocks)
+                or self._all_unlocked != decision.all_unlocked):
+            decision = self._decision = UnlockDecision(
+                frozenset(current), self._all_unlocked)
+        self._settled = self._all_unlocked or (
+            not contested and len(self._unlocked) == len(block_ranks))
+        return decision
+
+    def fast_finalizable_blocks(self):
+        return [block_id for block_id in self.rank_zero_blocks()
+                if self._support.reached(block_id)]
+
+    def build_unlock_proof(self, round, block_id):
+        ordered = tuple(sorted(
+            (bid, self._support.voters(bid)) for bid in self._support.blocks()
+            if self._support.count(bid)))
+        return UnlockProof(round=round, block_id=block_id, votes_by_block=ordered)
+
+
+@st.composite
+def quorum_events(draw):
+    """Random single votes, ordered vote runs and certificate merges over a
+    few blocks: duplicates, voters supporting several blocks, and bulk
+    merges that cross the threshold part-way through."""
+    n = draw(st.integers(min_value=1, max_value=70))  # past one machine word
+    threshold = draw(st.integers(min_value=1, max_value=n))
+    block = st.sampled_from(["x", "y", "z"])
+    voter = st.integers(min_value=0, max_value=n - 1)
+    event = st.one_of(
+        st.tuples(st.just("vote"), block, voter),
+        st.tuples(st.just("votes"), block, st.lists(voter, max_size=n)),
+        st.tuples(st.just("merge"), block, st.frozensets(voter, max_size=n)),
+    )
+    return n, threshold, draw(st.lists(event, max_size=40)), draw(st.frozensets(voter))
+
+
+@given(quorum_events())
+def test_bitmask_quorum_tracker_matches_the_set_based_one(scenario):
+    n, threshold, events, excluded = scenario
+    fired, expected_fired = [], []
+    tracker = QuorumTracker(
+        threshold, lambda block_id: fired.append((block_id, tracker.count(block_id))))
+    reference = _SetQuorumTracker(
+        threshold, lambda block_id: expected_fired.append((block_id, reference.count(block_id))))
+    for kind, block_id, what in events:
+        if kind == "vote":
+            assert tracker.add_vote(block_id, what) == reference.add_vote(block_id, what)
+        elif kind == "votes":
+            # The crossing stop, then the remainder, as the protocols do.
+            consumed = tracker.add_votes(block_id, what)
+            assert consumed == reference.add_votes(block_id, what)
+            assert tracker.add_votes(block_id, what[consumed:]) == \
+                reference.add_votes(block_id, what[consumed:])
+        else:
+            assert tracker.add_voters(block_id, voter_mask(what)) == \
+                reference.add_voters(block_id, what)
+        # The callback fired at the same events, seeing the same tally size.
+        assert fired == expected_fired
+        assert tracker.blocks() == reference.blocks()
+        assert tracker.reached_blocks() == reference.reached_blocks()
+        assert tracker.fired == reference.fired
+        assert tracker.fired_count() == len(reference.fired)
+        assert tracker.equivocators() == reference.equivocators()
+        for known in reference.blocks():
+            assert tracker.voters(known) == reference.voters(known)
+            assert tracker.mask(known) == voter_mask(reference.voters(known))
+            assert tracker.count(known) == reference.count(known)
+            assert tracker.reached(known) == reference.reached(known)
+            assert tracker.count_outside(known, voter_mask(excluded)) == \
+                reference.count_outside(known, excluded)
+        for voter in range(n):
+            assert tracker.evidence(voter) == reference.evidence(voter)
+    assert tracker.voters("never voted for") == frozenset()
+    assert tracker.count_outside("never voted for", voter_mask(excluded)) == 0
+
+
+@given(st.frozensets(st.integers(min_value=0, max_value=300)))
+def test_voter_mask_round_trips(voters):
+    mask = voter_mask(voters)
+    assert mask_voters(mask) == voters
+    assert mask.bit_count() == len(voters)
+    assert voter_mask(sorted(voters) * 2) == mask  # any iterable, duplicates or not
+
+
 @st.composite
 def fast_path_events(draw):
     """A random interleaving of blocks, votes, certificate merges and
@@ -300,17 +565,21 @@ def test_change_driven_fast_path_matches_from_scratch_oracle(scenario):
     n, f, p, ranks, events = scenario
     state = FastPathState(unlock_threshold=f + p, fast_quorum=n - p)
     oracle = _UnlockOracle(unlock_threshold=f + p, fast_quorum=n - p)
+    reference = _SetFastPathState(unlock_threshold=f + p, fast_quorum=n - p)
     name = "block-{}".format
     for event in events:
         if event[0] == "block":
             changed = state.record_block(name(event[1]), ranks[event[1]])
             expected = oracle.add_block(name(event[1]), ranks[event[1]])
+            was = reference.record_block(name(event[1]), ranks[event[1]])
         elif event[0] == "vote":
             changed = state.record_fast_vote(name(event[1]), event[2])
             expected = oracle.add_votes(name(event[1]), [event[2]])
+            was = reference.record_fast_vote(name(event[1]), event[2])
         elif event[0] == "merge":
-            changed = state.merge_fast_votes(name(event[1]), event[2])
+            changed = state.merge_fast_votes(name(event[1]), voter_mask(event[2]))
             expected = oracle.add_votes(name(event[1]), event[2])
+            was = reference.merge_fast_votes(name(event[1]), event[2])
         else:
             entries = tuple((name(index), voters) for index, voters in event[1])
             changed = state.merge_unlock_proof(
@@ -318,10 +587,26 @@ def test_change_driven_fast_path_matches_from_scratch_oracle(scenario):
             # Every entry is merged (no short-circuit on the first change).
             expected = any([oracle.add_votes(block_id, voters)
                             for block_id, voters in entries])
+            was = reference.merge_unlock_proof(entries)
         # "Changed" is reported exactly when the oracle's inputs changed,
         # and an unchanged event never asks for a re-evaluation.
-        assert changed == expected
+        assert changed == expected == was
         assert changed or not state.stale
+        # The bitmask state answers every query as the set-based one did —
+        # including *when* it asks for a re-evaluation.
+        assert state.stale == reference.stale
+        blocks = [name(index) for index in range(len(ranks))]
+        for block_id in blocks:
+            assert state.support(block_id) == reference.support(block_id)
+            assert state.support_mask(block_id) == voter_mask(reference.support(block_id))
+        assert state.support_of(blocks[1:]) == reference.support_of(blocks[1:])
+        assert state.equivocators() == reference._support.equivocators()
+        assert state.max_block() == reference.max_block()
+        assert state.non_max_blocks() == reference.non_max_blocks()
+        proof = state.build_unlock_proof(1, name(0))
+        assert proof == reference.build_unlock_proof(1, name(0))
+        assert len(proof) == len(proof.total_voters()) == len(reference.support_of(blocks))
+        assert state.evaluate_unlocks() == reference.evaluate_unlocks()
         decision = state.evaluate_unlocks()
         unlocked, all_unlocked = oracle.evaluate()
         assert set(decision.unlocked_blocks) == unlocked

@@ -305,3 +305,120 @@ class TestBanyanUnitRules:
         assert replica.fast_quorum == 15
         icc = ICCReplica(0, params)
         assert icc.notarization_quorum == 15  # n - f
+
+
+class TestVotersOutsideTheReplicaSet:
+    """Replica ids are ``0..n-1``.  Without a PKI a certificate is judged by
+    its voter count, so one padded with ids nobody holds used to reach a
+    quorum; and the tallies are bitmasks over the ids, so a negative id
+    would raise inside the handler.  Such votes, certificates and proofs
+    are dropped where they enter."""
+
+    @staticmethod
+    def _started(cls, replica_id=0):
+        replica = cls(replica_id, _params())
+        ctx = FakeContext(replica_id, 4)
+        replica.on_start(ctx)
+        block = Block(round=1, proposer=1, rank=0, parent_id=genesis_block().id, payload=b"x")
+        replica.on_message(ctx, 1, _proposal(block))
+        return replica, ctx, block
+
+    @pytest.mark.parametrize("cls", [ICCReplica, BanyanReplica])
+    def test_notarization_padded_with_phantom_voters_does_not_notarise(self, cls):
+        replica, ctx, block = self._started(cls)
+        padded = Notarization(round=1, block_id=block.id, voters={1, 4, 5, 6})
+        assert padded.verify(None, replica.notarization_quorum)  # by count alone
+        replica.on_message(ctx, 1, CertificateMessage(certificate=padded, sender=1))
+        replica.on_message(ctx, 1, _proposal(
+            Block(round=2, proposer=2, rank=0, parent_id=block.id, payload=b"y"),
+            parent_voters={1, 4, 5, 6}))
+        assert not replica.tree.is_notarized(block.id)
+        assert replica.current_round == 1
+        assert replica._round(1).notarization.voters(block.id) == frozenset()
+        # The same certificate from real replicas does notarise.
+        genuine = Notarization(round=1, block_id=block.id, voters={1, 2, 3})
+        replica.on_message(ctx, 1, CertificateMessage(certificate=genuine, sender=1))
+        assert replica.tree.is_notarized(block.id)
+
+    @pytest.mark.parametrize("cls", [ICCReplica, BanyanReplica])
+    def test_finalization_padded_with_phantom_voters_does_not_commit(self, cls):
+        from repro.types.certificates import Finalization
+
+        replica, ctx, block = self._started(cls)
+        padded = Finalization(round=1, block_id=block.id, voters={1, 2, 64})
+        replica.on_message(ctx, 1, CertificateMessage(certificate=padded, sender=1))
+        assert not ctx.committed and replica.k_max == 0
+
+    def test_banyan_drops_phantom_fast_finalizations_and_unlock_proofs(self):
+        from repro.types.certificates import FastFinalization
+
+        replica, ctx, block = self._started(BanyanReplica)
+        padded = FastFinalization(round=1, block_id=block.id, voters={1, 2, 7})
+        proof = UnlockProof(round=1, block_id=block.id,
+                            votes_by_block=((block.id, {2, 3, 9}),))
+        replica.on_message(ctx, 1, CertificateMessage(certificate=padded, sender=1))
+        replica.on_message(ctx, 1, CertificateMessage(certificate=None, unlock_proof=proof,
+                                                      sender=1))
+        assert not ctx.committed
+        assert not replica.tree.is_unlocked(block.id)
+        assert replica._fast[1].support(block.id) == {1}  # the proposer's own
+
+    @pytest.mark.parametrize("cls", [ICCReplica, BanyanReplica])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_votes_from_outside_the_replica_set_are_dropped(self, cls, batched):
+        from repro.types.votes import FinalizationVote
+
+        replica, ctx, block = self._started(cls)
+        messages = []
+        for voter in (1, 4, -1, 2**70, 2):
+            for vote_cls in (NotarizationVote, FastVote, FinalizationVote):
+                vote = vote_cls(round=3, block_id="b", voter=voter)
+                messages.append((1, VoteMessage(votes=(vote,), sender=1)))
+        if batched:
+            replica.on_messages(ctx, messages)
+        else:
+            for sender, message in messages:
+                replica.on_message(ctx, sender, message)
+        state = replica._round(3)
+        assert state.notarization.voters("b") == {1, 2}
+        assert state.finalization.voters("b") == {1, 2}
+        if cls is BanyanReplica:
+            assert state.fast.support("b") == {1, 2}
+
+    @pytest.mark.parametrize("protocol", ["hotstuff", "streamlet"])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_baselines_drop_votes_from_outside_the_replica_set(self, protocol, batched):
+        from repro.protocols.registry import create_replicas
+
+        replica = create_replicas(protocol, _params())[0]
+        ctx = FakeContext(0, 4)
+        replica.on_start(ctx)
+        messages = [
+            (1, VoteMessage(votes=(NotarizationVote(round=1, block_id="b", voter=voter),),
+                            sender=1))
+            for voter in (1, 4, -1, 2**70, 2)
+        ]
+        if batched:
+            replica.on_messages(ctx, messages)
+        else:
+            for sender, message in messages:
+                replica.on_message(ctx, sender, message)
+        assert replica.votes.get(1, VoteKind.NOTARIZATION).voters("b") == {1, 2}
+
+    def test_hotstuff_ignores_a_proposal_justified_by_phantom_voters(self):
+        from repro.protocols.registry import create_replicas
+
+        replica = create_replicas("hotstuff", _params())[0]
+        ctx = FakeContext(0, 4)
+        replica.on_start(ctx)
+        first = Block(round=1, proposer=replica.beacon.leader(1), rank=0,
+                      parent_id=genesis_block().id, payload=b"x")
+        replica.on_message(ctx, first.proposer, BlockProposal(
+            block=first, parent_notarization=replica.high_qc))
+        second = Block(round=2, proposer=replica.beacon.leader(2), rank=0,
+                       parent_id=first.id, payload=b"y")
+        forged = Notarization(round=1, block_id=first.id, voters={1, 5, 6})
+        replica.on_message(ctx, second.proposer, BlockProposal(
+            block=second, parent_notarization=forged))
+        assert first.id in replica.tree and second.id not in replica.tree
+        assert replica.high_qc.round == 0

@@ -18,7 +18,7 @@ import pytest
 
 from repro.protocols.base import ProtocolParams
 from repro.smr.quorum import CertificateCollector, QuorumTracker
-from repro.types.votes import VoteKind
+from repro.types.votes import VoteKind, voter_mask
 
 
 class TestQuorumTracker:
@@ -46,8 +46,8 @@ class TestQuorumTracker:
     def test_merged_voter_sets_fire_once(self):
         fired = []
         tracker = QuorumTracker(3, on_threshold=fired.append)
-        tracker.add_voters("b", {0, 1, 2, 3})
-        tracker.add_voters("b", {2, 3, 4})
+        tracker.add_voters("b", voter_mask({0, 1, 2, 3}))
+        tracker.add_voters("b", voter_mask({2, 3, 4}))
         assert fired == ["b"]
         assert tracker.voters("b") == frozenset({0, 1, 2, 3, 4})
 

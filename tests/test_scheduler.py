@@ -535,6 +535,14 @@ class TestBackendSelection:
                                jittered=False).name == "heap"
         assert build_scheduler("auto", seq, replicas=8,
                                jittered=True).name == "heap"
+        # The measured crossover lies between n=64 (heap ahead on the flood
+        # and on a real Banyan run) and n=128 (calendar ahead on the flood).
+        assert build_scheduler("auto", seq, replicas=64,
+                               jittered=True).name == "heap"
+        for replicas in (128, 256):
+            assert build_scheduler("auto", seq, replicas=replicas,
+                                   jittered=True).name == \
+                ("calendar" if _np is not None else "heap")
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):

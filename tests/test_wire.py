@@ -274,6 +274,40 @@ def test_random_garbage_never_escapes_wire_error():
         # propagates and fails the test.
 
 
+def _certificate_payload(voter_bytes):
+    """A notarization for block "b" of round 1 whose one voter id is the
+    given varint bytes (tag, round, block id, voter count, voter, no
+    aggregate)."""
+    return b"\x05\x01\x01b\x01" + voter_bytes + b"\x00"
+
+
+def test_voter_list_is_the_sorted_id_list_it_always_was():
+    certificate = Notarization(round=1, block_id="b", voters={3})
+    assert encode_payload(certificate) == _certificate_payload(b"\x06")
+    assert decode_payload(_certificate_payload(b"\x06")) == certificate
+    # Sorted ids, whatever order the constructor saw them in.
+    many = encode_payload(Notarization(round=1, block_id="b", voters=[9, 0, 5]))
+    assert many == b"\x05\x01\x01b\x03" + bytes([0, 10, 18]) + b"\x00"
+
+
+@pytest.mark.parametrize("voter_bytes", [
+    b"\x01",                        # zigzag -1
+    b"\xff" * 9 + b"\x01",          # a 64-bit id: a mask of 2**61 bytes
+])
+def test_out_of_range_voter_ids_are_malformed_input(voter_bytes):
+    """Voter sets decode into bitmasks: a negative id has no bit, and a
+    huge one must not be allocated."""
+    with pytest.raises(WireError, match="voter id"):
+        decode_payload(_certificate_payload(voter_bytes))
+    proof = b"\x08\x01\x01b\x01\x01b\x01" + voter_bytes
+    with pytest.raises(WireError, match="voter id"):
+        decode_payload(proof)
+    envelope = b"\x00" + _certificate_payload(voter_bytes)  # from replica 0
+    frame = bytes([WIRE_MAGIC, WIRE_VERSION]) + len(envelope).to_bytes(4, "big") + envelope
+    with pytest.raises(WireError, match="voter id"):
+        list(FrameDecoder().feed(frame))
+
+
 def test_unbounded_varint_rejected():
     with pytest.raises(WireError):
         decode_payload(b"\x01" + b"\xff" * 200)
