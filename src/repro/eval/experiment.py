@@ -430,9 +430,14 @@ def run_experiment(config: ExperimentConfig,
     busy_by_replica = compute_stats.get("busy_s")
     if busy_by_replica:
         # Busy fractions are over the full run (the CPU is busy during the
-        # warm-up too); queue waits are totals per replica.
+        # warm-up too); queue waits are totals per replica.  A cost is
+        # booked whole when its handling starts, so the part of the last
+        # one that runs past the horizon is taken off again.
+        busy_until = simulation.compute.busy_until
         metrics.compute_busy_fractions = {
-            replica_id: busy / config.duration if config.duration > 0 else 0.0
+            replica_id: (
+                (busy - max(0.0, busy_until[replica_id] - config.duration))
+                / config.duration if config.duration > 0 else 0.0)
             for replica_id, busy in busy_by_replica.items()
         }
     waits = compute_stats.get("queue_wait_s")

@@ -4,9 +4,12 @@ The network substrate (:mod:`repro.net`) charges every byte moved; this
 module is its CPU-side counterpart.  A :class:`ComputeModel` decides how
 long a replica's (single, serial) core is busy handling each delivered
 message, and the simulator turns that into a per-replica CPU timeline: a
-delivery that arrives while the replica is still busy **queues** and is
+delivery that arrives while the replica is still busy **queues** — it waits
+in the replica's FIFO ``inbox``, kept here next to ``busy_until`` — and is
 handled when the core frees up, exactly like the sender-uplink queue of the
-contended transport but on the receive side.
+contended transport but on the receive side.  The event scheduler holds one
+``cpu`` wake per non-empty inbox, not one event per waiter (see
+:mod:`repro.runtime.dispatch`).
 
 Two models are provided:
 
@@ -33,8 +36,9 @@ built by :func:`build_compute`; custom models subclass
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.types.messages import Message
 
@@ -44,7 +48,8 @@ class ComputeModel(ABC):
 
     Subclasses implement :meth:`message_cost` — the busy time (seconds) a
     replica's serial core spends on a delivery.  The CPU-timeline state the
-    simulator drives (``busy_until``, the busy/wait counters, and the
+    simulator drives (``busy_until``, the per-replica ``inbox`` of waiting
+    deliveries, the busy/wait counters, and the :meth:`enqueue` /
     :meth:`record_wait` / :meth:`record_busy` bookkeeping) lives on this
     base class, so any custom non-trivial model passed through
     :class:`repro.runtime.simulator.NetworkConfig` works without
@@ -64,10 +69,21 @@ class ComputeModel(ABC):
         self.busy_until: Dict[int, float] = {}
         #: Replica id → total busy seconds charged.
         self.busy_s: Dict[int, float] = {}
-        #: Replica id → total seconds deliveries waited for the core.
+        #: Replica id → FIFO of ``(arrival time, seq, (sender, message))``
+        #: deliveries waiting for the busy core.  The simulator keeps one
+        #: ``cpu`` wake event scheduled per non-empty inbox.
+        self.inbox: Dict[int, Deque[Tuple[float, float, tuple]]] = (
+            defaultdict(deque))
+        #: Replica id → deepest its inbox has been.
+        self.queue_depth_max: Dict[int, int] = {}
+        #: Replica id → total seconds handled deliveries waited for the core.
         self.queue_wait_s: Dict[int, float] = {}
-        #: Deliveries that found the core busy (one count per deferral).
+        #: Deliveries that waited in an inbox before they were handled (or
+        #: dropped at a crashed core).
         self.deferred_deliveries = 0
+        #: ``cpu`` events dispatched: one per waiter, plus the hand-backs
+        #: of wakes that shared their exact instant with another event.
+        self.cpu_wakes = 0
         #: Deliveries that were charged a non-zero cost.
         self.messages_charged = 0
 
@@ -75,8 +91,11 @@ class ComputeModel(ABC):
         """Clear the CPU timelines and counters (inter-simulation state)."""
         self.busy_until.clear()
         self.busy_s.clear()
+        self.inbox.clear()
+        self.queue_depth_max.clear()
         self.queue_wait_s.clear()
         self.deferred_deliveries = 0
+        self.cpu_wakes = 0
         self.messages_charged = 0
 
     @abstractmethod
@@ -87,8 +106,24 @@ class ComputeModel(ABC):
     # Timeline bookkeeping (driven by the simulator)
     # ------------------------------------------------------------------ #
 
+    def enqueue(self, replica_id: int, arrived: float, seq: float,
+                payload: tuple) -> bool:
+        """Queue a delivery that found the core busy.
+
+        ``seq`` is a fresh event sequence number: the key the waiter
+        would hold as an event of its own.  Returns ``True`` when the
+        inbox was empty: the caller must then schedule the replica's wake
+        at ``busy_until[replica_id]`` under that same ``seq``.
+        """
+        inbox = self.inbox[replica_id]
+        inbox.append((arrived, seq, payload))
+        depth = len(inbox)
+        if depth > self.queue_depth_max.get(replica_id, 0):
+            self.queue_depth_max[replica_id] = depth
+        return depth == 1
+
     def record_wait(self, replica_id: int, waited_s: float) -> None:
-        """Record that a delivery waited ``waited_s`` for the busy core."""
+        """Record that a delivery left the inbox after ``waited_s``."""
         self.deferred_deliveries += 1
         self.queue_wait_s[replica_id] = (
             self.queue_wait_s.get(replica_id, 0.0) + waited_s
@@ -208,13 +243,17 @@ class CryptoCostCompute(ComputeModel):
         return cost * self.scale
 
     def stats(self) -> Dict[str, object]:
-        """Per-replica busy/wait totals plus the deferral counters."""
+        """Per-replica busy/wait totals, inbox gauges and the counters."""
         return {
             "compute": self.name,
             "scale": self.scale,
             "busy_s": dict(self.busy_s),
             "queue_wait_s": dict(self.queue_wait_s),
+            "queue_depth_max": dict(self.queue_depth_max),
+            "waiting": {replica_id: len(inbox)
+                        for replica_id, inbox in self.inbox.items()},
             "deferred_deliveries": self.deferred_deliveries,
+            "cpu_wakes": self.cpu_wakes,
             "messages_charged": self.messages_charged,
         }
 

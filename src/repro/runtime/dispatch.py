@@ -11,7 +11,15 @@ and the variants cannot drift apart the way hand-maintained copies would.
 Features (the variant key):
 
 * ``compute`` — a non-trivial :class:`repro.runtime.compute.ComputeModel`
-  is active: members carry the busy-core deferral and charge path.
+  is active: a delivery that finds the core busy waits in the replica's
+  FIFO inbox (no scheduler event of its own), and one ``cpu`` wake event
+  per non-empty inbox hands the head to the handler, charges it, and
+  re-arms at the new free instant — O(1) scheduler operations per
+  delivery however deep the backlog.  Only when another event shares a
+  wake's exact instant (jitter-free lock-step runs) do the residents go
+  back to the scheduler under their own keys for that instant, because
+  ``(time, seq)`` order then decides waiter by waiter who reaches the
+  core first.
 * ``crash`` — the fault plan has crash windows: deliveries and timers are
   gated on ``is_crashed``.
 * ``sweep`` — batched dispatch is enabled (the default): consecutive
@@ -23,8 +31,8 @@ Features (the variant key):
   scalar fallback used by the equivalence tests and microbench).
 
 Fusion (``on_messages``) is additionally suppressed under ``compute``:
-busy-core deferral interleaves re-queued deliveries between same-instant
-arrivals, so a fused sweep could not be byte-identical there.
+the first member of a same-instant run makes the core busy, so the rest
+of the run belongs in the inbox, not in a fused sweep.
 
 Byte-identity contract: every variant must replay the exact event order of
 the reference scalar loop — sweeps only fuse deliveries whose heap order
@@ -141,6 +149,8 @@ def _loop(sim, until, budget):
     compute = sim._compute
     message_cost = sim._compute_cost
     busy_until = compute.busy_until
+    inboxes = compute.inbox
+    enqueue = compute.enqueue
     record_wait = compute.record_wait
     record_busy = compute.record_busy
     seq = sim._seq
@@ -203,14 +213,11 @@ def _loop(sim, until, budget):
 #if COMPUTE
                 free_at = busy_until.get(target, 0.0)
                 if free_at > time_:
-                    # Busy core: this member queues on the CPU timeline
-                    # as a plain per-copy delivery (no budget charge).
-                    record_wait(target, free_at - time_)
-                    if sim._compute_listeners:
-                        sim._notify_compute("cpu-wait", target, time_,
-                                            free_at - time_, None)
-                    heappush(queue, (free_at, next(seq), "message", target,
-                                     mpayload))
+                    # Busy core: this member waits in the replica's inbox
+                    # (no budget charge); the first resident arms the wake.
+                    wseq = next(seq)
+                    if enqueue(target, time_, wseq, mpayload):
+                        heappush(queue, (free_at, wseq, "cpu", target, None))
 #if CRASH
                 elif is_crashed(target, now):
                     dropped += 1
@@ -290,15 +297,9 @@ def _loop(sim, until, budget):
 #if COMPUTE
             free_at = busy_until.get(target, 0.0)
             if free_at > time_:
-                # Busy core: the delivery queues on the replica's CPU
-                # timeline and is retried once it frees up (no budget
-                # charge; the horizon is re-checked on re-entry).
-                record_wait(target, free_at - time_)
-                if sim._compute_listeners:
-                    sim._notify_compute("cpu-wait", target, time_,
-                                        free_at - time_, None)
-                heappush(queue, (free_at, next(seq), "message", target,
-                                 payload))
+                wseq = next(seq)
+                if enqueue(target, time_, wseq, payload):
+                    heappush(queue, (free_at, wseq, "cpu", target, None))
                 continue
 #endif
 #if CRASH
@@ -371,6 +372,7 @@ def _loop(sim, until, budget):
                 if sim._compute_listeners:
                     sim._notify_compute("cpu-busy", target, now, cost,
                                         message)
+#include WAKE
 #endif
         elif kind == "mbatch":
             # A same-instant broadcast group: every member is a delivery
@@ -398,14 +400,11 @@ def _loop(sim, until, budget):
 #if COMPUTE
                 free_at = busy_until.get(target, 0.0)
                 if free_at > time_:
-                    # Busy core: defer this member; the rest of the group
-                    # is unaffected (no budget charge).
-                    record_wait(target, free_at - time_)
-                    if sim._compute_listeners:
-                        sim._notify_compute("cpu-wait", target, time_,
-                                            free_at - time_, None)
-                    heappush(queue, (free_at, next(seq), "message", target,
-                                     mpayload))
+                    # Busy core: this member waits; the rest of the group
+                    # is unaffected.
+                    wseq = next(seq)
+                    if enqueue(target, time_, wseq, mpayload):
+                        heappush(queue, (free_at, wseq, "cpu", target, None))
                     continue
 #endif
 #if CRASH
@@ -487,11 +486,13 @@ def _loop(sim, until, budget):
 # targets / senders / messages) of plain scalars — no per-event tuples, so
 # a materialized bucket is invisible to the cyclic garbage collector and
 # the fast path is four C-level list indexes per delivery.  A standard
-# 5-tuple event (timer, external, deferred message, mbatch) marks its row
-# with a negative sentinel target and parks the tuple in the message
-# column.  Events that arrive *inside* the open bucket land in the
-# scheduler's small `_inc` heap and are merged by time (residents win
-# exact-time ties — they were scheduled first).  `run_end` pre-cuts the
+# 5-tuple event (timer, external, unicast message, mbatch, cpu wake)
+# marks its row with a negative sentinel target and parks the tuple in
+# the message column.  Events that arrive *inside* the open bucket land
+# in the scheduler's small `_inc` heap and are merged by time (residents
+# win exact-time ties — they were scheduled first; compute variants break
+# a tie with a standard resident by seq, because a wake hands waiters
+# back under older seqs).  `run_end` pre-cuts the
 # walk at the `until` horizon via one bisect, so the fast path carries no
 # per-event horizon compare.
 
@@ -512,6 +513,8 @@ def _loop(sim, until, budget):
     compute = sim._compute
     message_cost = sim._compute_cost
     busy_until = compute.busy_until
+    inboxes = compute.inbox
+    enqueue = compute.enqueue
     record_wait = compute.record_wait
     record_busy = compute.record_busy
     seq = sim._seq
@@ -546,7 +549,16 @@ def _loop(sim, until, budget):
             if processed >= budget:
                 break
 #endif
+#if COMPUTE
+            if inc and not (pos < run_end and (
+                    times[pos] < inc[0][0] or times[pos] == inc[0][0]
+                    and (targs[pos] >= 0 or msgs[pos][1] < inc[0][1]))):
+                # As below, except that a wake hands waiters back under
+                # seqs older than a resident's: an exact-time tie with a
+                # standard resident goes by seq.
+#else
             if inc and not (pos < run_end and times[pos] <= inc[0][0]):
+#endif
                 # The inc heap's head (an event scheduled into the open
                 # bucket after it materialized) is due before the next
                 # resident; exact-time ties go to residents — they were
@@ -601,18 +613,15 @@ def _loop(sim, until, budget):
 #if COMPUTE
                     free_at = busy_until.get(target, 0.0)
                     if free_at > time_:
-                        # Busy core: the delivery queues on the replica's
-                        # CPU timeline and is retried once it frees up
-                        # (no budget charge).
-                        record_wait(target, free_at - time_)
-                        if sim._compute_listeners:
-                            sim._notify_compute("cpu-wait", target, time_,
-                                                free_at - time_, None)
-                        sched_push((free_at, next(seq), "message", target,
-                                    (sender, message)))
-                        if _len(inc) != inc_n:
-                            inc_n = _len(inc)
-                            inc_t = inc[0][0]
+                        # Busy core: the delivery waits in the replica's
+                        # inbox (no budget charge); the first resident
+                        # arms the wake.
+                        wseq = next(seq)
+                        if enqueue(target, time_, wseq, (sender, message)):
+                            sched_push((free_at, wseq, "cpu", target, None))
+                            if _len(inc) != inc_n:
+                                inc_n = _len(inc)
+                                inc_t = inc[0][0]
                         continue
 #endif
 #if CRASH
@@ -649,8 +658,12 @@ def _loop(sim, until, budget):
                     if times[pos] > inc_t:
                         # A handler pushed an inc event that is now due.
                         continue
+#if COMPUTE
+                    if inc and times[pos] == inc_t and msgs[pos][1] > inc[0][1]:
+                        continue
+#endif
                     # Standard 5-tuple resident (timer / mbatch / external
-                    # / deferred message) at the walk front; its horizon
+                    # / message / cpu wake) at the walk front; its horizon
                     # check is the ``run_end`` bound and its generation
                     # check ran at burst entry.
                     event = msgs[pos]
@@ -686,11 +699,9 @@ def _loop(sim, until, budget):
 #if COMPUTE
             free_at = busy_until.get(target, 0.0)
             if free_at > time_:
-                record_wait(target, free_at - time_)
-                if sim._compute_listeners:
-                    sim._notify_compute("cpu-wait", target, time_,
-                                        free_at - time_, None)
-                sched_push((free_at, next(seq), "message", target, payload))
+                wseq = next(seq)
+                if enqueue(target, time_, wseq, payload):
+                    sched_push((free_at, wseq, "cpu", target, None))
                 continue
 #endif
 #if CRASH
@@ -711,6 +722,7 @@ def _loop(sim, until, budget):
                 if sim._compute_listeners:
                     sim._notify_compute("cpu-busy", target, now, cost,
                                         message)
+#include WAKE
 #endif
         elif kind == "mbatch":
             # Same-instant broadcast group (zero-jitter latency): every
@@ -743,12 +755,9 @@ def _loop(sim, until, budget):
 #if COMPUTE
                 free_at = busy_until.get(target, 0.0)
                 if free_at > time_:
-                    record_wait(target, free_at - time_)
-                    if sim._compute_listeners:
-                        sim._notify_compute("cpu-wait", target, time_,
-                                            free_at - time_, None)
-                    sched_push((free_at, next(seq), "message", target,
-                                mpayload))
+                    wseq = next(seq)
+                    if enqueue(target, time_, wseq, mpayload):
+                        sched_push((free_at, wseq, "cpu", target, None))
                     continue
 #endif
 #if CRASH
@@ -835,6 +844,106 @@ def _loop(sim, until, budget):
 """
 
 
+# The wake handler both templates share (spliced in at ``#include WAKE``
+# with the backend's push), so heap and calendar runs book waits with the
+# same arithmetic in the same order.
+
+_WAKE_BLOCK = """\
+        elif kind == "cpu":
+            if time_ > now:
+                now = time_
+                sim.now = now
+            compute.cpu_wakes += 1
+            free_at = busy_until[target]
+            if payload is None:
+                # The wake of a replica with a non-empty inbox (the
+                # scheduler holds exactly one per such replica), keyed
+                # like the head waiter's own delivery would be.
+                inbox = inboxes[target]
+                if free_at > time_ or SHARED_INSTANT:
+                    # Another event shares this exact instant (or a tying
+                    # arrival already took the core): who runs first is
+                    # decided waiter by waiter in (time, seq) order, so
+                    # the residents go back to the scheduler under their
+                    # own keys.  Those queued before this wake was armed
+                    # were re-keyed with it, as one contiguous block.
+                    # Arrivals of this very instant stay: they already
+                    # wait for the new free instant.
+                    residents = len(inbox)
+                    rank = 0
+                    while inbox and inbox[0][0] < time_:
+                        waiter = inbox.popleft()
+                        wseq = waiter[1]
+                        PUSH_NOW((time_, wseq if wseq > seq_
+                                  else seq_ + rank / residents, "cpu",
+                                  target, waiter))
+                        rank += 1
+                    if inbox:
+                        PUSH((free_at, inbox[0][1], "cpu", target, None))
+                    continue
+                payload = inbox.popleft()
+            elif free_at > time_:
+                # A lone waiter behind a busy core: back into the inbox
+                # (inline: the depth gauge has seen this waiter already).
+                inbox = inboxes[target]
+                wseq = next(seq)
+                if not inbox:
+                    PUSH((free_at, wseq, "cpu", target, None))
+                inbox.append((payload[0], wseq, payload[2]))
+                continue
+            else:
+                inbox = None
+            arrived, _, (sender, message) = payload
+            record_wait(target, time_ - arrived)
+            if sim._compute_listeners:
+                sim._notify_compute("cpu-wait", target, arrived,
+                                    time_ - arrived, message)
+            processed += 1
+#if CRASH
+            if is_crashed(target, now):
+                # Dropped at the core: nothing is charged, so the next
+                # resident follows this same instant, ahead of anything
+                # scheduled since (the wake keeps its seq).
+                dropped += 1
+                if inbox:
+                    PUSH_NOW((time_, seq_, "cpu", target, None))
+                continue
+#endif
+            handler, ctx = deliver_one[target]
+            handler(ctx, sender, message)
+            delivered += 1
+            cost = message_cost(target, sender, message)
+            if cost > 0.0:
+                record_busy(target, now, cost)
+                if sim._compute_listeners:
+                    sim._notify_compute("cpu-busy", target, now, cost,
+                                        message)
+            if inbox:
+                # Re-arm at the new free instant; a zero-cost delivery
+                # (the self copy) leaves the core free, so the next
+                # resident follows this same instant under the same seq.
+                free_at = busy_until[target]
+                if free_at > time_:
+                    PUSH((free_at, next(seq), "cpu", target, None))
+                else:
+                    PUSH_NOW((time_, seq_, "cpu", target, None))
+"""
+
+_LOOP_TEMPLATE = _LOOP_TEMPLATE.replace(
+    "#include WAKE\n",
+    _WAKE_BLOCK.replace("PUSH_NOW(", "heappush(queue, ")
+    .replace("PUSH(", "heappush(queue, ")
+    .replace("SHARED_INSTANT", "(queue and queue[0][0] == time_)"))
+# An event at the current instant belongs to the open bucket: straight
+# into the inc heap, where ``sched.push`` would route it.
+_CALQ_TEMPLATE = _CALQ_TEMPLATE.replace(
+    "#include WAKE\n",
+    _WAKE_BLOCK.replace("PUSH_NOW(", "_heappush(inc, ")
+    .replace("PUSH(", "sched_push(")
+    .replace("SHARED_INSTANT", "(pos < cur_len and times[pos] == time_"
+                               " or inc and inc[0][0] == time_)"))
+
+
 def _render(template: str, features: Dict[str, bool]) -> str:
     """Render ``#if NAME`` / ``#else`` / ``#endif`` blocks (nested)."""
     lines = []
@@ -882,14 +991,14 @@ def select_loop(compute: bool, crash: bool, sweep: bool,
             "COMPUTE": compute,
             "CRASH": crash,
             "SWEEP": sweep,
-            # Fusing same-target deliveries under a busy-core model would
-            # reorder against deferral re-queues; compute runs stay scalar
-            # per member (they still get run-ahead and the tables).
+            # Under a busy-core model only the first delivery of a
+            # same-instant run finds the core free; compute runs stay
+            # scalar per member (they still get run-ahead and the tables).
             "FUSE": sweep and not compute,
             # Unbounded `run(until)` calls compile out every per-event
             # budget compare; `step()` and bounded runs keep them.
             "BUDGET": budget,
-            # Plain deliveries (no crash drops, no compute deferrals)
+            # Plain deliveries (no crash drops, no inbox waits)
             # consume exactly one burst row each: the calendar burst can
             # tally them per burst instead of per event.
             "TALLY": not compute and not crash,

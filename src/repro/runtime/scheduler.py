@@ -136,7 +136,11 @@ class CalendarQueue:
       the current bucket's span after it materialized (zero/short-delay
       timers and sends).  Everything in ``_inc`` was scheduled after
       everything resident in ``_cur``, so merging by bare time with
-      ``_cur`` winning exact-time ties is exact.
+      ``_cur`` winning exact-time ties is exact.  The one exception is a
+      compute run's wake handing waiters back at its own instant under
+      their older seqs: a tie between such an event and a *standard*
+      resident goes by seq (:meth:`_inc_first`; member rows keep no seq
+      and stay first).
     * ``_overflow`` — heap of standard tuples beyond the ring horizon
       (far-future timers, the tail of very spread broadcasts); migrated
       into the ring as the window advances.
@@ -345,6 +349,19 @@ class CalendarQueue:
     # Consumption (cold paths; the compiled loop inlines all of this)
     # ------------------------------------------------------------------ #
 
+    def _inc_first(self, pos: int) -> bool:
+        """Whether the ``_inc`` head precedes the resident row at ``pos``.
+
+        Residents win exact-time ties (they were scheduled first) — except
+        against a waiter the compute loop's wake hands back under its own
+        older seq: a tie with a standard resident goes by seq.
+        """
+        head = self._inc[0]
+        t = self._cur_times[pos]
+        return head[0] < t or (
+            head[0] == t and self._cur_targets[pos] == _STD
+            and head[1] < self._cur_messages[pos][1])
+
     def pop(self) -> tuple:
         """Pop the global minimum as a standard-form event tuple."""
         while True:
@@ -352,7 +369,7 @@ class CalendarQueue:
             pos = self._pos
             if pos < len(self._cur_times):
                 t = self._cur_times[pos]
-                if inc and inc[0][0] < t:
+                if inc and self._inc_first(pos):
                     self._inc_pops += 1
                     return heappop(inc)
                 self._pos = pos + 1
@@ -375,7 +392,7 @@ class CalendarQueue:
             pos = self._pos
             if pos < len(self._cur_times):
                 t = self._cur_times[pos]
-                if inc and inc[0][0] < t:
+                if inc and self._inc_first(pos):
                     return inc[0]
                 target = self._cur_targets[pos]
                 if target == _STD:

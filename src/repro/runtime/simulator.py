@@ -37,9 +37,10 @@ selected through :class:`NetworkConfig` (default:
 :class:`repro.runtime.compute.ZeroCompute`, which charges nothing and leaves
 the event loop untouched).  Under a non-trivial model each handled message
 occupies the receiving replica's serial core for the model's cost; a
-delivery that arrives while the core is busy is deferred to the core's free
-time — receive-side queueing, symmetric to the contended transport's
-sender-uplink queue.
+delivery that arrives while the core is busy waits in the replica's FIFO
+inbox, and one ``cpu`` wake event per non-empty inbox hands it to the
+handler when the core frees up — receive-side queueing, symmetric to the
+contended transport's sender-uplink queue.
 
 Besides replica-driven events, callers outside the replica set (e.g. the
 client workload in :mod:`repro.workload`) can inject work into the event
@@ -175,10 +176,11 @@ DeliveryListener = Callable[[int, int, Message, float, Optional[Delivery]], None
 
 #: Signature of compute listeners registered via
 #: :meth:`Simulation.add_compute_listener`: ``(kind, replica, time, seconds,
-#: message_or_None)`` — ``kind`` is ``"cpu-wait"`` (a delivery deferred
-#: behind the busy core; ``message`` is ``None``) or ``"cpu-busy"`` (a
-#: handled message charged ``seconds`` of core time).
-ComputeListener = Callable[[str, int, float, float, Optional[Message]], None]
+#: message)`` — ``kind`` is ``"cpu-wait"`` (emitted once per delivery that
+#: waited, when it leaves the inbox: ``time`` is its arrival, ``seconds``
+#: its whole wait) or ``"cpu-busy"`` (a handled message charged
+#: ``seconds`` of core time from ``time``).
+ComputeListener = Callable[[str, int, float, float, Message], None]
 
 
 class _SimContext(ReplicaContext):
@@ -389,17 +391,21 @@ class Simulation:
         return self._compute
 
     def compute_stats(self) -> Dict[str, object]:
-        """Compute-model counters (per-replica busy/wait time, deferrals)."""
+        """Compute-model counters: per-replica busy time, wait of handled
+        deliveries, inbox depth gauges, and the waiter / wake counts."""
         return self._compute.stats()
 
     def add_compute_listener(self, listener: ComputeListener) -> None:
-        """Register a callback invoked on every compute charge or deferral.
+        """Register a callback invoked on every compute charge and once
+        per delivery that waited for the core.
 
         The listener receives ``(kind, replica, time, seconds, message)``
-        with ``kind`` ``"cpu-busy"`` or ``"cpu-wait"`` — the seam used by
+        with ``kind`` ``"cpu-busy"`` or ``"cpu-wait"`` (see
+        :data:`ComputeListener`) — the seam used by
         :func:`repro.runtime.trace.attach_compute_trace`.  Listeners are
         only consulted under a non-trivial compute model, so they add no
-        overhead to default (zero-compute) runs.
+        overhead to default (zero-compute) runs, and attaching one does
+        not change which loop variant runs.
         """
         self._compute_listeners.append(listener)
         self._dispatch_generation += 1
@@ -591,8 +597,9 @@ class Simulation:
         event budget of one, so it cannot drift from the batched path:
         mbatch/sbatch events are unfolded one member per step (the tail or
         successor goes back under the batch's original heap key), and
-        cancelled timers / compute deferrals are skipped without consuming
-        the budget — observably identical to one iteration of ``run()``.
+        cancelled timers / deliveries joining a busy replica's inbox are
+        passed without consuming the budget — observably identical to one
+        iteration of ``run()``.
         """
         return self._run_dispatch(math.inf, 1) > 0
 
@@ -867,6 +874,6 @@ class Simulation:
                 listener(record)
 
     def _notify_compute(self, kind: str, replica_id: int, time_: float,
-                        seconds: float, message: Optional[Message]) -> None:
+                        seconds: float, message: Message) -> None:
         for listener in self._compute_listeners:
             listener(kind, replica_id, time_, seconds, message)

@@ -270,9 +270,11 @@ def attach_compute_trace(simulation, log: Optional[TraceLog] = None) -> TraceLog
     :class:`repro.runtime.simulator.Simulation`) that appends one event per
     compute action: kind ``cpu-busy`` when a handled message occupies the
     replica's core (with the charged seconds and the message type), and
-    kind ``cpu-wait`` when a delivery finds the core busy and is deferred
-    (with the waited seconds).  Under the default
-    :class:`repro.runtime.compute.ZeroCompute` model no events are emitted.
+    kind ``cpu-wait`` once per delivery that found the core busy, emitted
+    when it leaves the replica's inbox — stamped with its arrival time and
+    carrying its whole wait and the message type that waited.  Under the
+    default :class:`repro.runtime.compute.ZeroCompute` model no events are
+    emitted.
 
     Where :func:`attach_network_trace` answers "where did the message's
     *wire* time go", this answers "where did the replica's *CPU* time go" —
@@ -283,14 +285,14 @@ def attach_compute_trace(simulation, log: Optional[TraceLog] = None) -> TraceLog
 
     def on_compute(kind: str, replica_id: int, time: float, seconds: float,
                    message) -> None:
+        name = type(message).__name__
         if kind == "cpu-busy":
-            detail = f"{type(message).__name__} busy {seconds * 1e3:.3f}ms"
+            detail = f"{name} busy {seconds * 1e3:.3f}ms"
         else:
-            detail = f"delivery waited {seconds * 1e3:.3f}ms for the core"
+            detail = f"{name} waited {seconds * 1e3:.3f}ms for the core"
         trace_log.append(TraceEvent(
             time=time, replica_id=replica_id, kind=kind, detail=detail,
-            data={"seconds": seconds,
-                  "message": type(message).__name__ if message is not None else None},
+            data={"seconds": seconds, "message": name},
         ))
 
     simulation.add_compute_listener(on_compute)

@@ -3,9 +3,10 @@
 The byte-for-byte equivalence of the default :class:`ZeroCompute` with the
 pre-compute simulator is pinned by the golden digests in
 ``tests/test_transport.py``; these tests cover the crypto cost model's
-arithmetic, the simulator's CPU-timeline semantics (busy cores defer
-deliveries, run()/step() agree), the metrics/trace/serialisation surfaces,
-and the network-bound → CPU-bound crossover scenario.
+arithmetic, the simulator's CPU-timeline semantics (deliveries queue at a
+busy core, run()/step() agree), the metrics/trace/serialisation surfaces,
+and the network-bound → CPU-bound crossover scenario; the inbox + wake
+mechanics are pinned in ``tests/test_cpu_inbox.py``.
 """
 
 from __future__ import annotations
@@ -159,6 +160,9 @@ class TestSimulatorWiring:
         assert second - first == pytest.approx(cost)
         stats = simulation.compute_stats()
         assert stats["deferred_deliveries"] == 1
+        assert stats["cpu_wakes"] == 1
+        assert stats["queue_depth_max"] == {0: 1}
+        assert stats["waiting"] == {0: 0}
         assert stats["queue_wait_s"][0] == pytest.approx(cost)
         assert stats["busy_s"][0] == pytest.approx(2 * cost)
 
@@ -230,7 +234,14 @@ class TestSimulatorWiring:
         waits = log.events(kind="cpu-wait")
         assert len(busy) == 2 and len(waits) == 1
         assert busy[0].data["message"] == "VoteMessage"
+        # One event per delivery that waited, emitted when it leaves the
+        # inbox: stamped with its arrival, carrying its whole wait and
+        # the message type that waited.
+        assert waits[0].time == busy[0].time
+        assert waits[0].time + waits[0].data["seconds"] == (
+            pytest.approx(busy[1].time))
         assert waits[0].data["seconds"] == pytest.approx(busy[0].data["seconds"])
+        assert waits[0].data["message"] == "VoteMessage"
 
     def test_saturated_run_respects_the_horizon(self):
         # Under CPU saturation the delivery backlog must stay queued past
@@ -295,6 +306,15 @@ class TestComputeMetricsAndSerialization:
         row = result.row()
         assert row["busy_frac"] == round(metrics.max_busy_fraction, 3)
         assert "cpu_wait_ms" in row
+
+    def test_busy_fraction_stops_at_the_horizon(self):
+        # A cost is booked whole when its handling starts; on a saturated
+        # run the last one spills past ``duration`` and used to push the
+        # fraction above 1 (1.298 for this configuration).
+        result = run_experiment(ExperimentConfig(
+            "banyan", ProtocolParams(n=7, f=2, p=1, payload_size=1000),
+            duration=5, warmup=1, compute="crypto", compute_scale=400))
+        assert 0.99 < result.metrics.max_busy_fraction <= 1.0
 
     def test_zero_run_reports_nothing(self):
         result = run_experiment(self._config("zero"))

@@ -139,7 +139,7 @@ class TestRunVsStep:
     """Budget-1 stepping must be indistinguishable from the batched run.
 
     n=64 with jittered latency and crypto compute: broadcasts spill as
-    vectorized calendar segments, compute deferrals requeue mid-bucket,
+    vectorized calendar segments, cpu wakes re-arm mid-bucket,
     and every step re-enters the compiled loop — the hardest shape for
     the scheduler seam to keep byte-identical.
     """
@@ -433,6 +433,22 @@ class TestCalendarQueueAdversarial:
         queue.push(late)
         assert queue.pop() == resident
         assert queue.pop() == late
+
+    def test_older_seq_pushed_into_the_open_bucket_wins_the_tie(self):
+        # A compute run's wake hands a waiter back at its own instant
+        # under the seq the waiter was queued with — older than a
+        # resident scheduled since.  That tie goes by seq.
+        queue, seq = self._make()
+        older = next(seq)
+        resident = (1.0, next(seq), "timer", 0, "resident")
+        queue.push(resident)
+        queue.push((5.0, next(seq), "timer", 0, "later"))
+        assert queue.peek() == resident
+        handed_back = (1.0, older, "cpu", 0, "waiter")
+        queue.push(handed_back)
+        assert queue.peek() == handed_back
+        assert queue.pop() == handed_back
+        assert queue.pop() == resident
 
     def test_requeue_front_restores_the_head(self):
         queue, seq = self._make()
