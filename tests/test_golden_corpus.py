@@ -22,6 +22,7 @@ bug by definition.
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
@@ -198,3 +199,63 @@ class TestLegacyPreRefactorGoldens:
         assert digest == ("7ab2125db439432d731e3dab43d192fe"
                           "144fe383f697afa041d7a98be6d74a73")
         assert simulation.bytes_sent == 81_584_448
+
+
+# --------------------------------------------------------------------- #
+# Client-workload cells: commit schedule plus the full WorkloadMetrics
+# --------------------------------------------------------------------- #
+
+#: One spec per client model / arrival shape.  ``open-drops`` runs a
+#: constant 1000 tx/s into 50-entry mempools, so most submissions are shed
+#: and every drop decision depends on the mempool depth at that instant.
+WORKLOAD_CELLS = {
+    "open-poisson": dict(mode="open", arrival="poisson", rate=300.0),
+    "open-drops": dict(mode="open", arrival="constant", rate=1000.0,
+                       mempool_capacity=50, max_block_bytes=8_192),
+    "open-flash-crowd": dict(mode="open", arrival="flash-crowd", rate=60.0,
+                             burst_rate=900.0, burst_start=3.0,
+                             burst_duration=1.5, mempool_capacity=80),
+    "closed": dict(mode="closed", num_clients=24, think_time=0.1,
+                   mempool_capacity=4),
+}
+
+#: Pinned ``(commit digest, sha256 of WorkloadMetrics.to_dict())`` per
+#: cell, captured on the event-per-arrival client pool.
+WORKLOAD_GOLDENS = {
+    "closed": (
+        "ccbb6fc58a8780d5eefa05344dfc3906d8ac5f1db9113568a9cc5db03c70d33a",
+        "fd2d486ee3202d383ed82d0361f9e91c5bbe9456c3cccfda8ad0700bf97eb26c"),
+    "open-drops": (
+        "3b847d7da97576651a06bfa65b7641f6a791aee8af919289e327b954df30df18",
+        "a5c80c9b313a1386bdbe73d6004dcf53cafb15a7b300d9a440d26457a356d68f"),
+    "open-flash-crowd": (
+        "3489171bd7c41074f64a6c0c32ab3f30fa92842e1a7007419a6e015e7d674d3b",
+        "75bd941b474d0e36ee6f9d4b7420bccb39e03a2da8dd54a7024eff0c4fe4ba0a"),
+    "open-poisson": (
+        "ac536b7e141e71168c7baac6d17259ae26d7e537f4cd9093bc071b67f2a0e9b7",
+        "1cb4ac3dc4719a419bd168ca615f1686f3da89db8daeb9ac13a91e1962184c99"),
+}
+
+
+def _workload_digests(cell: str):
+    from repro.eval.experiment import ExperimentConfig, run_experiment
+    from repro.workload.spec import WorkloadSpec
+
+    config = ExperimentConfig(
+        "banyan", ProtocolParams(n=4, f=1, p=1),
+        workload=WorkloadSpec(tx_size=128, seed=11, **WORKLOAD_CELLS[cell]),
+        duration=8.0, warmup=1.0, seed=7,
+    )
+    captured = []
+    result = run_experiment(config, on_simulation=captured.append)
+    metrics = json.dumps(result.workload.to_dict(), sort_keys=True)
+    return (_commit_digest(captured[0]),
+            hashlib.sha256(metrics.encode()).hexdigest())
+
+
+@pytest.mark.parametrize("cell", sorted(WORKLOAD_CELLS))
+def test_workload_execution_is_pinned(cell):
+    assert _workload_digests(cell) == WORKLOAD_GOLDENS[cell], (
+        f"workload cell {cell} changed — commit schedule or client-side "
+        f"metrics (latencies, counts, occupancy samples) differ"
+    )
