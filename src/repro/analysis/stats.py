@@ -9,7 +9,7 @@ core library (they remain optional extras for notebook-style analysis).
 from __future__ import annotations
 
 import math
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 
 def mean(values: Sequence[float]) -> float:
@@ -30,21 +30,31 @@ def stddev(values: Sequence[float]) -> float:
     return math.sqrt(variance(values))
 
 
+def percentiles(values: Sequence[float], qs: Sequence[float]) -> List[float]:
+    """Nearest-rank percentiles for every ``q`` of ``qs`` (each in
+    ``[0, 100]``) from one sorted copy of ``values``; 0.0 each if empty.
+
+    Raises:
+        ValueError: if any ``q`` is outside ``[0, 100]``.
+    """
+    if not all(0 <= q <= 100 for q in qs):
+        raise ValueError("percentile must be in [0, 100]")
+    if not values:
+        return [0.0] * len(qs)
+    ordered = sorted(values)
+    count = len(ordered)
+    # Rank ceil(q% of count), clamped to 1..count (q = 0 is the minimum).
+    return [ordered[min(max(1, math.ceil(q / 100.0 * count)), count) - 1]
+            for q in qs]
+
+
 def percentile(values: Sequence[float], q: float) -> float:
     """Nearest-rank percentile (``q`` in ``[0, 100]``); 0.0 if empty.
 
     Raises:
         ValueError: if ``q`` is outside ``[0, 100]``.
     """
-    if not 0 <= q <= 100:
-        raise ValueError("percentile must be in [0, 100]")
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    if q == 0:
-        return ordered[0]
-    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-    return ordered[min(rank, len(ordered)) - 1]
+    return percentiles(values, (q,))[0]
 
 
 def median(values: Sequence[float]) -> float:

@@ -338,7 +338,19 @@ def _empty_window_reason(config) -> str:
             f"{when}; raise --duration")
 
 
+def _no_window_error(duration: float, warmup: float) -> Optional[str]:
+    """The error for a run whose warm-up leaves nothing to measure."""
+    if duration > warmup:
+        return None
+    return (f"--duration {duration:g} leaves no measurement window after "
+            f"the {warmup:g} s warm-up; raise --duration above {warmup:g}")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
+    error = _no_window_error(args.duration, ExperimentSpec.warmup)
+    if error is not None:
+        print(f"banyan-repro run: error: {error}", file=sys.stderr)
+        return 2
     try:
         params = ProtocolParams(n=args.n, f=args.f, p=args.p, payload_size=args.payload,
                                 rank_delay=scenarios.GLOBAL_RANK_DELAY)
@@ -430,6 +442,11 @@ def _cmd_workload(args: argparse.Namespace) -> int:
         value = getattr(args, name)
         if value is not None:
             kwargs[name] = value
+    # The workload scenarios measure from t = 0 (no warm-up).
+    error = _no_window_error(args.duration, 0.0) if args.duration is not None else None
+    if error is not None:
+        print(f"banyan-repro workload: error: {error}", file=sys.stderr)
+        return 2
     try:
         if args.name == "saturation":
             if args.base_rate is not None or args.burst_rate is not None:
@@ -475,6 +492,15 @@ def _cmd_workload(args: argparse.Namespace) -> int:
                 [float(sample.transactions) for sample in samples],
                 unit=" tx",
             ))
+    # A cell in which no client transaction committed is a failed run, not
+    # a data point: the table above still prints, the exit code says so.
+    dead = [result.label for result in figure.results
+            if result.workload is not None and result.workload.committed == 0]
+    if dead:
+        print(f"banyan-repro workload: error: no transaction committed in "
+              f"{len(dead)} run(s) ({dead[0]}); raise --duration",
+              file=sys.stderr)
+        return 1
     return 0
 
 

@@ -311,14 +311,15 @@ class ExperimentResult:
         """The client-workload columns (empty when no workload was attached)."""
         if self.workload is None:
             return {}
+        p50, p95, p99 = self.workload.latency_percentiles()
         return {
             "submitted_tx": self.workload.submitted,
             "committed_tx": self.workload.committed,
             "dropped_tx": self.workload.dropped,
             "pending_tx": self.workload.pending,
-            "tx_p50_ms": round(self.workload.p50_latency * 1000, 1),
-            "tx_p95_ms": round(self.workload.p95_latency * 1000, 1),
-            "tx_p99_ms": round(self.workload.p99_latency * 1000, 1),
+            "tx_p50_ms": round(p50 * 1000, 1),
+            "tx_p95_ms": round(p95 * 1000, 1),
+            "tx_p99_ms": round(p99 * 1000, 1),
             "goodput_tx_per_s": round(self.workload.goodput_tx_per_s, 2),
             "peak_mempool_depth": self.workload.peak_mempool_depth,
         }

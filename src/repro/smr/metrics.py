@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.stats import mean as _mean
 from repro.analysis.stats import percentile as _percentile
+from repro.analysis.stats import percentiles as _percentiles
 from repro.analysis.stats import variance as _variance
 from repro.analysis.stats import weighted_mean as _weighted_mean
 from repro.analysis.stats import weighted_percentile as _weighted_percentile
@@ -264,6 +265,18 @@ class OccupancySample:
     total_bytes: int
     per_replica: Dict[int, int] = field(default_factory=dict)
 
+    @classmethod
+    def of(cls, time: float, queues: Dict[int, object]) -> "OccupancySample":
+        """Sample ``queues`` (replica id → a pool's queue, anything with
+        ``len()`` and ``total_bytes``) at ``time``."""
+        per_replica = {rid: len(queue) for rid, queue in sorted(queues.items())}
+        return cls(
+            time=time,
+            transactions=sum(per_replica.values()),
+            total_bytes=sum(queue.total_bytes for queue in queues.values()),
+            per_replica=per_replica,
+        )
+
     def to_dict(self) -> Dict[str, object]:
         """A JSON-ready dictionary (inverse of :meth:`from_dict`)."""
         return {
@@ -331,25 +344,28 @@ class WorkloadMetrics:
             return _weighted_mean(self.latencies, self.latency_weights)
         return _mean(self.latencies)
 
-    def _latency_percentile(self, q: float) -> float:
+    def latency_percentiles(self, qs: Sequence[float] = (50, 95, 99)) -> List[float]:
+        """Submit→commit latency percentiles in seconds, one per ``q`` of
+        ``qs`` — from a single sort of the per-transaction latencies."""
         if self.latency_weights is not None:
-            return _weighted_percentile(self.latencies, self.latency_weights, q)
-        return _percentile(self.latencies, q)
+            return [_weighted_percentile(self.latencies, self.latency_weights, q)
+                    for q in qs]
+        return _percentiles(self.latencies, qs)
 
     @property
     def p50_latency(self) -> float:
         """Median submit→commit latency in seconds."""
-        return self._latency_percentile(50)
+        return self.latency_percentiles((50,))[0]
 
     @property
     def p95_latency(self) -> float:
         """95th-percentile submit→commit latency in seconds."""
-        return self._latency_percentile(95)
+        return self.latency_percentiles((95,))[0]
 
     @property
     def p99_latency(self) -> float:
         """99th-percentile submit→commit latency in seconds."""
-        return self._latency_percentile(99)
+        return self.latency_percentiles((99,))[0]
 
     @property
     def goodput_tx_per_s(self) -> float:
@@ -377,15 +393,16 @@ class WorkloadMetrics:
 
     def summary(self) -> Dict[str, float]:
         """Return the headline workload numbers as a dictionary."""
+        p50, p95, p99 = self.latency_percentiles()
         return {
             "submitted_tx": float(self.submitted),
             "committed_tx": float(self.committed),
             "dropped_tx": float(self.dropped),
             "pending_tx": float(self.pending),
             "mean_latency_s": self.mean_latency,
-            "p50_latency_s": self.p50_latency,
-            "p95_latency_s": self.p95_latency,
-            "p99_latency_s": self.p99_latency,
+            "p50_latency_s": p50,
+            "p95_latency_s": p95,
+            "p99_latency_s": p99,
             "goodput_tx_per_s": self.goodput_tx_per_s,
             "goodput_bytes_per_s": self.goodput_bytes_per_s,
             "peak_mempool_depth": float(self.peak_mempool_depth),

@@ -7,8 +7,9 @@ system so experiments can be driven by realistic, shifting demand:
 * :mod:`repro.workload.arrivals` — open-loop arrival processes (Poisson,
   constant-rate, diurnal sine, flash crowd);
 * :mod:`repro.workload.clients` — :class:`ClientPool`, the open-/closed-loop
-  client population that injects submissions into the simulator's event
-  queue and tracks each transaction from submission to commit;
+  client population that submits transactions into the replicas' mempools
+  (open-loop arrivals lazily, without an event each) and tracks every one
+  from submission to commit;
 * :mod:`repro.workload.payloads` — :class:`MempoolPayloadSource`, which
   builds proposals from the transactions pending in the proposer's mempool;
 * :mod:`repro.workload.transactions` — transaction encoding and lifecycle

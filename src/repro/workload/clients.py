@@ -4,9 +4,15 @@
 transactions to the replicated service.  It plugs into a
 :class:`repro.runtime.simulator.Simulation` through two seams:
 
-* **submission** — transaction-submission events are scheduled on the
-  simulator's event queue via :meth:`Simulation.schedule_external`, so
-  client traffic interleaves deterministically with protocol messages;
+* **submission** — open-loop arrivals are *admitted lazily*: the pool
+  keeps only the stamp of the next arrival, and every point that observes
+  a mempool or the counts (building a proposal, the occupancy probe, the
+  public accessors) first submits each arrival stamped ``<=`` the clock,
+  under its own stamp.  A mempool between two such points is unobservable,
+  so this is the run an event per arrival would produce — same rng draws,
+  stamps and drop decisions — except that an arrival tied exactly with an
+  observing event always goes first.  Closed-loop submissions are clocked
+  by commits and stay events (:meth:`Simulation.schedule_external`);
 * **completion** — a commit listener watches every replica's commit stream
   and matches committed block payloads back to the pool's transactions,
   yielding true end-to-end submit→commit latency.
@@ -32,8 +38,12 @@ of its mempool (see :meth:`ClientPool.reclaim_uncommitted`).
 
 from __future__ import annotations
 
+import math
 import random
-from typing import Dict, List, Optional, Tuple
+from array import array
+from bisect import bisect_left
+from collections import deque
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.runtime.simulator import CommitRecord, Simulation
 from repro.smr.mempool import Mempool
@@ -47,6 +57,15 @@ from repro.workload.transactions import TxRecord, encode_transaction
 #: that would drain the pool — a livelock.  The floor guarantees time
 #: advances between retries even with ``think_time = 0``.
 MIN_RETRY_DELAY = 1e-3
+
+
+class _TxMempool(Mempool):
+    """A replica's mempool plus the ids of its queued transactions, in
+    queue order — so a drained batch needs no re-parsing to be identified."""
+
+    def __init__(self, max_size: int, max_bytes: Optional[int]) -> None:
+        super().__init__(max_size=max_size, max_bytes=max_bytes)
+        self.tx_ids: Deque[int] = deque()
 
 
 class ClientPool:
@@ -94,28 +113,34 @@ class ClientPool:
         self._mempool_capacity = mempool_capacity
         self._mempool_max_bytes = mempool_max_bytes
         self._rng = random.Random(seed)
-        self._mempools: Dict[int, Mempool] = {}
+        self._mempools: Dict[int, _TxMempool] = {}
         self._simulation: Optional[Simulation] = None
-        self._stop_time: Optional[float] = None
-        self._next_tx_id = 0
-        self._next_client = 0
-        self._next_replica_index = 0
-        #: tx id → lifecycle record.
-        self._records: Dict[int, TxRecord] = {}
+        self._replica_ids: Tuple[int, ...] = ()
+        self._stop_time = 0.0
+        #: Stamp of the next open-loop arrival (``inf``: not attached, or the
+        #: closed loop); one past ``stop_time`` is never admitted.
+        self._next_arrival = math.inf
+        #: Transaction records as columns indexed by tx id (ids count up
+        #: from 0 in submission order, so the submit column is sorted; the
+        #: replica is a function of the id).
+        self._submit_times = array("d")
+        self._commit_times = array("d")  # NaN while pending
+        self._client_ids = array("I")
+        self._sizes = array("I")  # encoded bytes
+        self._dropped_ids: List[int] = []  # ascending
+        self._committed = 0
         #: block payload bytes → ids of the transactions batched into it.
         #: Entries are removed on first commit (or when reclaimed), so the
         #: map stays bounded by the number of in-flight proposals.
         self._payload_txs: Dict[bytes, Tuple[int, ...]] = {}
-        #: proposer → unresolved proposed batches as (payload, tx ids,
-        #: round); entries leave the list when committed or reclaimed.
-        self._in_flight: Dict[int, List[Tuple[bytes, Tuple[int, ...], int]]] = {}
+        #: proposer → its proposals not yet seen resolved, as (payload,
+        #: round); entries leave the list once committed or reclaimed.
+        self._in_flight: Dict[int, List[Tuple[bytes, int]]] = {}
         #: Highest block round observed committed at any replica; gates
         #: reclaiming (a proposal is only abandoned once the chain has
         #: committed past its round without including it).
         self._max_committed_round = 0
-        self._committed: set = set()
         self._occupancy: List[OccupancySample] = []
-        self.dropped = 0
 
     # ------------------------------------------------------------------ #
     # Mempools and proposal building (used by MempoolPayloadSource)
@@ -129,27 +154,51 @@ class ClientPool:
     @property
     def submitted(self) -> int:
         """Transactions submitted so far (including dropped ones)."""
-        return len(self._records)
+        self._admit()
+        return len(self._submit_times)
+
+    @property
+    def dropped(self) -> int:
+        """Submissions rejected so far by mempool backpressure."""
+        self._admit()
+        return len(self._dropped_ids)
 
     @property
     def committed(self) -> int:
         """Transactions observed committed so far (deduplicated)."""
-        return len(self._committed)
+        return self._committed
 
     def mempool(self, replica_id: int) -> Mempool:
         """Return (creating on first use) the mempool of ``replica_id``."""
+        self._admit()
+        return self._mempool(replica_id)
+
+    def _mempool(self, replica_id: int) -> _TxMempool:
         pool = self._mempools.get(replica_id)
         if pool is None:
-            pool = Mempool(max_size=self._mempool_capacity,
-                           max_bytes=self._mempool_max_bytes)
-            self._mempools[replica_id] = pool
+            pool = self._mempools[replica_id] = _TxMempool(
+                self._mempool_capacity, self._mempool_max_bytes)
         return pool
 
-    def register_payload(self, payload: bytes, tx_ids: Tuple[int, ...],
-                         proposer: int, round: int) -> None:
-        """Remember which transactions a proposal payload carries."""
-        self._payload_txs[payload] = tx_ids
-        self._in_flight.setdefault(proposer, []).append((payload, tx_ids, round))
+    def build_payload(self, proposer: int, round: int,
+                      max_bytes: int) -> Optional[Tuple[bytes, int]]:
+        """Drain the proposer's next proposal: ``(payload, logical size)``.
+
+        Due arrivals are admitted and the proposer's abandoned batches
+        re-queued first; the drained batch is remembered so its commit can
+        be matched back.  ``None`` when nothing is pending.
+        """
+        self._admit()
+        self.reclaim_uncommitted(proposer)
+        mempool = self._mempool(proposer)
+        transactions, total_bytes = mempool.drain_batch(max_bytes)
+        if not transactions:
+            return None
+        payload = b"".join(transactions)
+        next_id = mempool.tx_ids.popleft
+        self._payload_txs[payload] = tuple([next_id() for _ in transactions])
+        self._in_flight.setdefault(proposer, []).append((payload, round))
+        return payload, total_bytes
 
     def reclaim_uncommitted(self, proposer: int) -> int:
         """Re-queue the proposer's *abandoned* batches, if any.
@@ -170,28 +219,29 @@ class ClientPool:
         batches = self._in_flight.get(proposer)
         if not batches:
             return 0
-        undecided: List[Tuple[bytes, Tuple[int, ...], int]] = []
+        commit_times = self._commit_times
+        undecided: List[Tuple[bytes, int]] = []
         reclaimed: List[int] = []
-        for payload, tx_ids, round in batches:
-            stale = [tx_id for tx_id in tx_ids if tx_id not in self._committed]
-            if not stale:
-                continue  # fully committed: resolved
+        for payload, round in batches:
+            if payload not in self._payload_txs:
+                continue  # committed: resolved
             if self._max_committed_round < round:
-                undecided.append((payload, tx_ids, round))
+                undecided.append((payload, round))
                 continue
-            self._payload_txs.pop(payload, None)
-            reclaimed.extend(stale)
+            reclaimed.extend([
+                tx_id for tx_id in self._payload_txs.pop(payload)
+                if commit_times[tx_id] != commit_times[tx_id]])
         if undecided:
             self._in_flight[proposer] = undecided
         else:
             self._in_flight.pop(proposer, None)
         if not reclaimed:
             return 0
-        self.mempool(proposer).requeue(
-            encode_transaction(tx_id, self._records[tx_id].client_id,
-                               self._records[tx_id].size)
-            for tx_id in reclaimed
-        )
+        mempool = self._mempool(proposer)
+        mempool.requeue([
+            encode_transaction(tx_id, self._client_ids[tx_id], self.tx_size)
+            for tx_id in reclaimed])
+        mempool.tx_ids.extendleft(reversed(reclaimed))
         return len(reclaimed)
 
     def payload_source(self, max_block_bytes: int = 65_536):
@@ -207,26 +257,28 @@ class ClientPool:
         return MempoolPayloadSource(self, max_block_bytes=max_block_bytes)
 
     # ------------------------------------------------------------------ #
-    # Attachment and event scheduling
+    # Attachment and submission
     # ------------------------------------------------------------------ #
 
     def attach(self, simulation: Simulation, stop_time: float) -> None:
         """Wire the pool into ``simulation`` and start generating traffic.
 
         Args:
-            simulation: the simulation to inject submission events into.
+            simulation: the simulation to submit transactions into.
             stop_time: simulation time after which no further submissions or
-                occupancy samples are scheduled (commits are still tracked).
+                occupancy samples happen (commits are still tracked).
         """
         if self._simulation is not None:
             raise RuntimeError("client pool is already attached to a simulation")
         if stop_time <= 0:
             raise ValueError("stop_time must be positive")
         self._simulation = simulation
+        self._replica_ids = tuple(simulation.replica_ids)
         self._stop_time = stop_time
         simulation.add_commit_listener(self._on_commit)
         if self.is_open_loop:
-            self._schedule_next_arrival()
+            self._next_arrival = simulation.now + self.arrivals.next_interarrival(
+                simulation.now, self._rng)
         else:
             for client_id in range(self.num_clients):
                 self._schedule_client_submit(client_id, self._think_delay())
@@ -238,18 +290,23 @@ class ClientPool:
             return 0.0
         return self._rng.expovariate(1.0 / self.think_time)
 
-    def _schedule_next_arrival(self) -> None:
-        assert self._simulation is not None and self.arrivals is not None
-        delay = self.arrivals.next_interarrival(self._simulation.now, self._rng)
-        if self._simulation.now + delay > self._stop_time:
+    def _admit(self) -> None:
+        """Submit every open-loop arrival stamped at or before the clock;
+        runs first wherever a mempool or a count is read or changed."""
+        if self._simulation is None:
             return
-        self._simulation.schedule_external(delay, self._on_arrival)
-
-    def _on_arrival(self) -> None:
-        client_id = self._next_client
-        self._next_client = (self._next_client + 1) % self.num_clients
-        self._submit(client_id)
-        self._schedule_next_arrival()
+        horizon = min(self._simulation.now, self._stop_time)
+        time, times = self._next_arrival, []
+        if time > horizon:
+            return
+        next_interarrival, rng = self.arrivals.next_interarrival, self._rng
+        while time <= horizon:
+            times.append(time)
+            time += next_interarrival(time, rng)
+        self._next_arrival = time
+        first = len(self._submit_times)
+        self._submit(times, [tx_id % self.num_clients
+                             for tx_id in range(first, first + len(times))])
 
     def _schedule_client_submit(self, client_id: int, delay: float) -> None:
         assert self._simulation is not None
@@ -258,36 +315,44 @@ class ClientPool:
         self._simulation.schedule_external(delay, lambda: self._closed_loop_submit(client_id))
 
     def _closed_loop_submit(self, client_id: int) -> None:
-        accepted = self._submit(client_id)
-        if not accepted:
+        if self._submit([self._simulation.now], [client_id]):
             # The local mempool pushed back; the client retries after
             # another think period instead of deadlocking the loop.
             self._schedule_client_submit(
                 client_id, max(self._think_delay(), MIN_RETRY_DELAY)
             )
 
-    def _submit(self, client_id: int) -> bool:
-        """Submit one transaction for ``client_id``; returns acceptance."""
-        assert self._simulation is not None
-        replica_ids = self._simulation.replica_ids
-        replica_id = replica_ids[self._next_replica_index % len(replica_ids)]
-        self._next_replica_index += 1
-        tx_id = self._next_tx_id
-        self._next_tx_id += 1
-        encoded = encode_transaction(tx_id, client_id, self.tx_size)
-        record = TxRecord(
-            tx_id=tx_id,
-            client_id=client_id,
-            replica_id=replica_id,
-            size=len(encoded),
-            submit_time=self._simulation.now,
-        )
-        self._records[tx_id] = record
-        if not self.mempool(replica_id).add(encoded):
-            record.dropped = True
-            self.dropped += 1
-            return False
-        return True
+    def _submit(self, times: List[float], client_ids: List[int]) -> int:
+        """Submit one transaction per ``(time, client)`` pair, in order;
+        returns how many the mempools rejected.
+
+        Transactions are routed to the replicas round-robin by tx id, so a
+        batch splits into one independent run per replica.
+        """
+        first = len(self._submit_times)
+        encoded = [encode_transaction(tx_id, client_id, self.tx_size)
+                   for tx_id, client_id in enumerate(client_ids, first)]
+        self._submit_times.extend(times)
+        self._commit_times.extend([math.nan] * len(times))
+        self._client_ids.extend(client_ids)
+        self._sizes.extend(map(len, encoded))
+        end, stride = first + len(encoded), len(self._replica_ids)
+        dropped: List[int] = []
+        for start in range(first, min(first + stride, end)):
+            run = encoded[start - first::stride]
+            tx_ids = range(start, end, stride)
+            mempool = self._mempool(self._replica_ids[start % stride])
+            accepted = mempool.add_all(run)
+            mempool.tx_ids.extend(tx_ids[:accepted])
+            # Past the first rejection each one is tried on its own: under
+            # a byte limit a later, shorter transaction may still fit.
+            for tx, tx_id in zip(run[accepted:], tx_ids[accepted:]):
+                if mempool.add(tx):
+                    mempool.tx_ids.append(tx_id)
+                else:
+                    dropped.append(tx_id)
+        self._dropped_ids.extend(sorted(dropped))
+        return len(dropped)
 
     # ------------------------------------------------------------------ #
     # Commit tracking
@@ -302,26 +367,22 @@ class ClientPool:
         tx_ids = self._payload_txs.pop(record.block.payload, None)
         if not tx_ids:
             return
+        commit_times = self._commit_times
+        open_loop = self.is_open_loop
         for tx_id in tx_ids:
-            if tx_id in self._committed:
-                continue
-            self._committed.add(tx_id)
-            tx = self._records[tx_id]
-            tx.commit_time = record.commit_time
-            if not self.is_open_loop:
-                self._schedule_client_submit(tx.client_id, self._think_delay())
+            if commit_times[tx_id] == commit_times[tx_id]:
+                continue  # already committed through an earlier proposal
+            commit_times[tx_id] = record.commit_time
+            self._committed += 1
+            if not open_loop:
+                self._schedule_client_submit(self._client_ids[tx_id],
+                                             self._think_delay())
 
     def _sample_occupancy(self) -> None:
         assert self._simulation is not None
-        per_replica = {rid: len(pool) for rid, pool in sorted(self._mempools.items())}
+        self._admit()
         self._occupancy.append(
-            OccupancySample(
-                time=self._simulation.now,
-                transactions=sum(per_replica.values()),
-                total_bytes=sum(pool.total_bytes for pool in self._mempools.values()),
-                per_replica=per_replica,
-            )
-        )
+            OccupancySample.of(self._simulation.now, self._mempools))
         if self._simulation.now + self.sample_interval <= self._stop_time:
             self._simulation.schedule_external(self.sample_interval, self._sample_occupancy)
 
@@ -330,10 +391,24 @@ class ClientPool:
     # ------------------------------------------------------------------ #
 
     def records(self) -> List[TxRecord]:
-        """All transaction records in submission order."""
-        # tx ids are assigned from a monotonic counter into an
-        # insertion-ordered dict, so the values are already in order.
-        return list(self._records.values())
+        """All transaction records in submission order, materialised from
+        the columns on each call."""
+        self._admit()
+        dropped = set(self._dropped_ids)
+        replica_ids = self._replica_ids
+        return [
+            TxRecord(
+                tx_id=tx_id,
+                client_id=client_id,
+                replica_id=replica_ids[tx_id % len(replica_ids)],
+                size=size,
+                submit_time=submit_time,
+                commit_time=None if commit_time != commit_time else commit_time,
+                dropped=tx_id in dropped,
+            )
+            for tx_id, (client_id, size, submit_time, commit_time) in enumerate(zip(
+                self._client_ids, self._sizes, self._submit_times, self._commit_times))
+        ]
 
     def metrics(self, duration: float, warmup: float = 0.0) -> WorkloadMetrics:
         """Build the :class:`WorkloadMetrics` summary of the run so far.
@@ -347,15 +422,20 @@ class ClientPool:
                 Occupancy samples always cover the full run (the warm-up
                 transient is part of the occupancy story).
         """
-        records = [record for record in self._records.values()
-                   if record.submit_time >= warmup]
-        committed = [r for r in records if r.commit_time is not None]
+        self._admit()
+        first = bisect_left(self._submit_times, warmup)
+        commit_times = self._commit_times[first:]
+        latencies = [commit - submit for submit, commit
+                     in zip(self._submit_times[first:], commit_times)
+                     if commit == commit]
         return WorkloadMetrics(
             duration=max(duration, 1e-9),
-            submitted=len(records),
-            committed=len(committed),
-            dropped=sum(1 for r in records if r.dropped),
-            committed_tx_bytes=sum(r.size for r in committed),
-            latencies=[r.latency for r in committed],
+            submitted=len(commit_times),
+            committed=len(latencies),
+            dropped=len(self._dropped_ids) - bisect_left(self._dropped_ids, first),
+            committed_tx_bytes=sum([
+                size for size, commit in zip(self._sizes[first:], commit_times)
+                if commit == commit]),
+            latencies=latencies,
             occupancy=list(self._occupancy),
         )

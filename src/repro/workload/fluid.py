@@ -1,12 +1,12 @@
 """Fluid (aggregated-flow) client workload for million-user simulations.
 
-The exact workload model (:mod:`repro.workload.clients`) schedules one
-simulator event per transaction: at 1e6 clients and WAN rates, submission
-events alone dwarf the protocol traffic and the event loop spends its time
-bookkeeping arrivals instead of consensus.  The fluid model replaces the
-per-transaction stream with aggregated *flows*: once per tick it draws the
-number of transactions that arrived at each replica during the tick from a
-Poisson distribution matched to the arrival process's instantaneous rate,
+The exact workload model (:mod:`repro.workload.clients`) submits, encodes
+and tracks every transaction individually: at 1e6 clients and WAN rates
+that per-transaction work dwarfs the protocol traffic and the run spends
+its time bookkeeping arrivals instead of consensus.  The fluid model
+replaces the per-transaction stream with aggregated *flows*: once per tick
+it draws the number of transactions that arrived at each replica during the
+tick from a Poisson distribution matched to the process's instantaneous rate,
 and appends a single batch ``[count, submit_mid]`` to that replica's
 :class:`FlowQueue`.  One event per (replica, tick) regardless of how many
 million clients are behind it.
@@ -184,8 +184,8 @@ class FluidClientPool:
     """Aggregated-flow counterpart of :class:`~repro.workload.clients.ClientPool`.
 
     Models an arbitrarily large open-loop client population as per-replica
-    fluid flows: one injection event per (replica, tick) instead of one per
-    transaction.  Exposes the same seams the experiment harness uses —
+    fluid flows: one injection per (replica, tick) instead of one submission
+    per transaction.  Exposes the same seams the experiment harness uses —
     ``attach(simulation, stop_time)``, ``payload_source(...)``,
     ``metrics(duration, warmup)`` — so :func:`repro.eval.experiment.run_experiment`
     treats both pools identically.
@@ -382,15 +382,8 @@ class FluidClientPool:
 
     def _sample_occupancy(self) -> None:
         assert self._simulation is not None
-        per_replica = {rid: len(flow) for rid, flow in sorted(self._flows.items())}
         self._occupancy.append(
-            OccupancySample(
-                time=self._simulation.now,
-                transactions=sum(per_replica.values()),
-                total_bytes=sum(flow.total_bytes for flow in self._flows.values()),
-                per_replica=per_replica,
-            )
-        )
+            OccupancySample.of(self._simulation.now, self._flows))
         if self._simulation.now + self.sample_interval <= self._stop_time:
             self._simulation.schedule_external(self.sample_interval, self._sample_occupancy)
 

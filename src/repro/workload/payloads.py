@@ -5,10 +5,10 @@ The seed reproduction fills proposals with the paper's synthetic workload —
 (:class:`repro.smr.mempool.PayloadSource`).  When a client workload is
 attached, proposals should instead carry the transactions actually waiting
 in the proposer's mempool.  :class:`MempoolPayloadSource` does exactly that:
-it drains the proposer's mempool up to the block-size budget, concatenates
-the encoded transactions into the block payload, and registers the batch
-with the :class:`repro.workload.clients.ClientPool` so commits can be
-matched back to submissions.
+it asks the :class:`repro.workload.clients.ClientPool` to drain the
+proposer's mempool up to the block-size budget into one payload (the
+encoded transactions, concatenated), which the pool remembers so commits
+can be matched back to submissions.
 
 Protocols are untouched: they call the same ``payload_for(round, proposer)``
 duck-typed interface regardless of which source is wired in, and the
@@ -18,11 +18,9 @@ is configured.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
-from repro.smr.mempool import PayloadSource
 from repro.workload.clients import ClientPool
-from repro.workload.transactions import decode_tx_id
 
 
 class MempoolPayloadSource:
@@ -31,18 +29,13 @@ class MempoolPayloadSource:
     Args:
         pool: the client pool owning the per-replica mempools.
         max_block_bytes: byte budget per proposal (the block-size limit).
-        fallback: payload source used when the pool has produced no traffic
-            at all yet — e.g. synthetic filler for warm-up-free comparisons.
-            Defaults to empty proposals.
     """
 
-    def __init__(self, pool: ClientPool, max_block_bytes: int = 65_536,
-                 fallback: Optional[PayloadSource] = None) -> None:
+    def __init__(self, pool: ClientPool, max_block_bytes: int = 65_536) -> None:
         if max_block_bytes <= 0:
             raise ValueError("max_block_bytes must be positive")
         self.pool = pool
         self.max_block_bytes = max_block_bytes
-        self.fallback = fallback
 
     def payload_for(self, round: int, proposer: int) -> Tuple[bytes, int]:
         """Return ``(payload_bytes, logical_size)`` for a proposal.
@@ -51,20 +44,7 @@ class MempoolPayloadSource:
         block ids stay distinct) with logical size 0 — empty blocks are
         cheap to ship, which is exactly how an idle SMR system behaves.
         """
-        # If the proposer's previous proposal never committed, its
-        # transactions go back to the front of the queue first.
-        self.pool.reclaim_uncommitted(proposer)
-        transactions, total_bytes = self.pool.mempool(proposer).drain_batch(
-            self.max_block_bytes
-        )
-        if not transactions:
-            if self.fallback is not None:
-                return self.fallback.payload_for(round, proposer)
-            return f"workload:empty:r{round}:p{proposer}".encode("utf-8"), 0
-        payload = b"".join(transactions)
-        tx_ids = tuple(
-            tx_id for tx_id in (decode_tx_id(tx) for tx in transactions)
-            if tx_id is not None
-        )
-        self.pool.register_payload(payload, tx_ids, proposer, round)
-        return payload, total_bytes
+        batch = self.pool.build_payload(proposer, round, self.max_block_bytes)
+        if batch is not None:
+            return batch
+        return f"workload:empty:r{round}:p{proposer}".encode("utf-8"), 0

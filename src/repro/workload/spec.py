@@ -21,6 +21,7 @@ from repro.workload.arrivals import (
     DiurnalArrivals,
     FlashCrowdArrivals,
     PoissonArrivals,
+    _check_rate,
 )
 from repro.workload.clients import ClientPool
 from repro.workload.transactions import MAX_HEADER_BYTES
@@ -89,6 +90,15 @@ class WorkloadSpec:
             raise ValueError(
                 f"arrival must be one of {ARRIVAL_KINDS}, got {self.arrival!r}"
             )
+        _check_rate(self.rate, "rate")
+        if self.num_clients <= 0:
+            raise ValueError("num_clients must be positive")
+        if self.think_time < 0:
+            raise ValueError("think_time must be non-negative")
+        if self.mempool_capacity <= 0:
+            raise ValueError("mempool_capacity must be positive")
+        if self.sample_interval < 0:
+            raise ValueError("sample_interval must be non-negative (0 disables the probe)")
         if self.tx_size <= 0:
             raise ValueError("tx_size must be positive")
         if max(self.tx_size, MAX_HEADER_BYTES) > self.max_block_bytes:
@@ -147,26 +157,17 @@ class WorkloadSpec:
         ``attach`` / ``payload_source`` / ``metrics`` seams the experiment
         harness drives.
         """
-        if self.fluid:
-            from repro.workload.fluid import FluidClientPool
-
-            return FluidClientPool(
-                arrivals=self.build_arrivals(),
-                num_clients=self.num_clients,
-                tx_size=self.tx_size,
-                mempool_capacity=self.mempool_capacity,
-                mempool_max_bytes=self.mempool_max_bytes,
-                sample_interval=self.sample_interval,
-                seed=self.seed,
-                tick=self.fluid_tick,
-            )
-        return ClientPool(
+        common = dict(
             arrivals=self.build_arrivals(),
             num_clients=self.num_clients,
-            think_time=self.think_time,
             tx_size=self.tx_size,
             mempool_capacity=self.mempool_capacity,
             mempool_max_bytes=self.mempool_max_bytes,
             sample_interval=self.sample_interval,
             seed=self.seed,
         )
+        if self.fluid:
+            from repro.workload.fluid import FluidClientPool
+
+            return FluidClientPool(tick=self.fluid_tick, **common)
+        return ClientPool(think_time=self.think_time, **common)

@@ -7,10 +7,11 @@ recognise its own transactions on the way out, so each one is encoded with a
 small self-describing header (``tx:<tx_id>:<client_id>:``) padded to the
 configured logical size.
 
-:class:`TxRecord` is the submission-side bookkeeping the
-:class:`repro.workload.clients.ClientPool` keeps per transaction: when it
-was submitted, which replica it was routed to, and when (if ever) it was
-first observed committed.
+:class:`TxRecord` is the per-transaction view of the submission-side
+bookkeeping — when it was submitted, which replica it was routed to, and
+when (if ever) it was first observed committed.  The
+:class:`repro.workload.clients.ClientPool` stores these as columns and
+materialises records on demand.
 """
 
 from __future__ import annotations
@@ -36,10 +37,7 @@ def encode_transaction(tx_id: int, client_id: int, size: int) -> bytes:
     the header alone is returned (the transaction is then slightly larger
     than requested — ids must survive the trip through a block payload).
     """
-    header = b"%s%d:%d:" % (_HEADER_PREFIX, tx_id, client_id)
-    if len(header) >= size:
-        return header
-    return header + _PAD_BYTE * (size - len(header))
+    return (b"%s%d:%d:" % (_HEADER_PREFIX, tx_id, client_id)).ljust(size, _PAD_BYTE)
 
 
 def decode_tx_id(data: bytes) -> Optional[int]:

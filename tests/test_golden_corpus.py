@@ -13,6 +13,11 @@ grid cells do not): their digests were captured on the commit *before* the
 transport layer existed, so they also pin DirectTransport's equivalence
 with the original in-simulator pipeline.
 
+Four client-workload cells (open/poisson, open/constant into 50-entry
+mempools, open/flash-crowd, closed loop) additionally pin a hash of the
+full ``WorkloadMetrics``; they were captured on the event-per-arrival
+client pool, before open-loop arrivals became lazily admitted.
+
 Regenerating after an *intentional* semantics change: run each cell and
 paste the new digests (see ``_execution_digest``), and say so in the
 commit message — a digest edit without a deliberate semantics change is a

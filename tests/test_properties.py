@@ -7,7 +7,9 @@ import math
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.stats import mean, median, percentile, stddev, variance
+from repro.analysis.stats import (
+    mean, median, percentile, percentiles, stddev, variance,
+)
 from repro.beacon import RoundRobinBeacon, SeededPermutationBeacon
 from repro.blocktree.chain import FinalizedChain
 from repro.blocktree.tree import BlockTree
@@ -625,6 +627,22 @@ def test_percentile_bounds_and_ordering(values):
     assert percentile(values, 0) == min(values)
     assert percentile(values, 100) == max(values)
     assert median(values) <= percentile(values, 95) + 1e-9
+
+
+@given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), max_size=50),
+       st.lists(st.floats(min_value=0, max_value=100), max_size=4))
+def test_percentiles_from_one_sort_equal_one_sort_per_call(values, qs):
+    def nearest_rank(q):
+        ordered = sorted(values)
+        if not ordered:
+            return 0.0
+        if q == 0:
+            return ordered[0]
+        rank = max(1, math.ceil(q / 100.0 * len(ordered)))
+        return ordered[min(rank, len(ordered)) - 1]
+
+    assert percentiles(values, qs) == [nearest_rank(q) for q in qs]
+    assert [percentile(values, q) for q in qs] == percentiles(values, qs)
 
 
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=2, max_size=50))

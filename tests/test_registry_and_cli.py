@@ -109,18 +109,32 @@ class TestCLI:
 
     def test_run_command_explains_an_empty_window(self, capsys):
         """A window without commits says so and why next to its all-zero
-        row: here the 2 s default warm-up swallows the whole run although
-        the first block finalised long before it ended."""
+        row: here the 2 s default warm-up leaves a 1 ms window although the
+        first block finalised long before."""
         assert main([
             "run", "--protocol", "banyan", "--n", "4", "--f", "1", "--p", "1",
-            "--payload", "1000", "--duration", "2",
+            "--payload", "1000", "--duration", "2.001",
         ]) == 0
         captured = capsys.readouterr()
         assert "committed_blocks" in captured.out
         assert captured.err.count("\n") == 1
         assert "measurement window" in captured.err
-        assert "0 s long (--duration 2 minus the 2 s warm-up)" in captured.err
+        assert "0.001 s long (--duration 2.001 minus the 2 s warm-up)" in captured.err
         assert "first finalisation came at 0." in captured.err
+
+    def test_run_command_rejects_a_run_inside_the_warmup(self, capsys):
+        """No window at all is an error before anything runs, not a zero row."""
+        for duration in ("2", "0.5"):
+            assert main(["run", "--protocol", "banyan", "--n", "4", "--f", "1",
+                         "--p", "1", "--duration", duration]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1
+            assert "after the 2 s warm-up" in captured.err
+        assert main(["workload", "flash-crowd", "--duration", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no measurement window" in captured.err
 
     def test_figure_command_quick(self, capsys):
         assert main(["figure", "6b", "--duration", "6"]) == 0

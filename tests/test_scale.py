@@ -347,7 +347,7 @@ class TestCliLatencyModel:
     def test_run_accepts_the_flag(self, capsys):
         from repro.cli import main
         code = main(["run", "--protocol", "banyan", "--n", "4", "--f", "1",
-                     "--p", "1", "--duration", "2", "--payload", "1000",
+                     "--p", "1", "--duration", "3", "--payload", "1000",
                      "--latency-model", "wan-matrix"])
         assert code == 0
         assert "banyan" in capsys.readouterr().out

@@ -15,12 +15,13 @@ import pytest
 
 from repro.eval.experiment import ExperimentConfig, run_experiment
 from repro.eval.scenarios import flash_crowd, saturation_sweep
-from repro.net.faults import FaultPlan
+from repro.net.faults import CrashSchedule, FaultPlan
 from repro.net.latency import ConstantLatency
 from repro.protocols.base import Protocol, ProtocolParams
 from repro.protocols.registry import create_replicas
 from repro.runtime.simulator import NetworkConfig, Simulation
 from repro.smr.mempool import Mempool
+from repro.types.blocks import Block
 from repro.workload.arrivals import (
     ConstantRate,
     DiurnalArrivals,
@@ -61,6 +62,22 @@ class TestMempoolAccounting:
         assert accepted == 2
         assert len(pool) == 2
         assert pool.total_bytes == 2
+
+    def test_add_all_stops_where_add_would_first_refuse(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            limits = dict(max_size=rng.randint(1, 12),
+                          max_bytes=rng.choice([None, rng.randint(1, 60)]))
+            transactions = [bytes(rng.randint(1, 9)) for _ in range(rng.randint(0, 15))]
+            one_by_one, bulk = Mempool(**limits), Mempool(**limits)
+            expected = 0
+            for transaction in transactions:
+                if not one_by_one.add(transaction):
+                    break
+                expected += 1
+            assert bulk.add_all(iter(transactions)) == expected
+            assert bulk.peek(99) == one_by_one.peek(99)
+            assert bulk.total_bytes == one_by_one.total_bytes
 
     def test_clear_resets_byte_count(self):
         pool = Mempool()
@@ -315,15 +332,24 @@ class TestTimerBookkeeping:
 # --------------------------------------------------------------------- #
 
 
-def _workload_simulation(spec: WorkloadSpec, duration: float, n: int = 4,
-                         seed: int = 1):
-    params = ProtocolParams(n=n, f=1, p=1, rank_delay=0.4)
+def _attached_workload(spec: WorkloadSpec, duration: float, n: int = 4,
+                       seed: int = 1, rank_delay: float = 0.4,
+                       faults: FaultPlan = None):
+    """A banyan simulation with ``spec``'s pool attached, not yet run."""
+    params = ProtocolParams(n=n, f=1, p=1, rank_delay=rank_delay)
     pool = spec.build_pool()
     source = MempoolPayloadSource(pool, max_block_bytes=spec.max_block_bytes)
     replicas = create_replicas("banyan", params, payload_source=source)
-    network = NetworkConfig(latency=ConstantLatency(0.05), seed=seed)
+    network = NetworkConfig(latency=ConstantLatency(0.05), seed=seed,
+                            faults=faults or FaultPlan.none())
     sim = Simulation(replicas, network)
     pool.attach(sim, stop_time=duration)
+    return sim, pool
+
+
+def _workload_simulation(spec: WorkloadSpec, duration: float, n: int = 4,
+                         seed: int = 1):
+    sim, pool = _attached_workload(spec, duration, n=n, seed=seed)
     sim.run(until=duration)
     return sim, pool
 
@@ -393,37 +419,44 @@ class TestClientPool:
             pool.attach(sim, stop_time=5.0)
 
     def test_uncommitted_proposal_is_reclaimed_on_next_proposal(self):
+        # One idle replica, arrivals at 0.1, 0.2, ...; the test plays the
+        # proposer (payload_for) and the chain (ctx.commit) itself.
         spec = WorkloadSpec(mode="open", arrival="constant", rate=10.0, tx_size=64)
         pool = spec.build_pool()
         source = MempoolPayloadSource(pool, max_block_bytes=spec.max_block_bytes)
-        sim = _idle_simulation()
+        sim = _idle_simulation(n=1)
         pool.attach(sim, stop_time=5.0)
-        for _ in range(3):
-            pool._submit(0)
-        # Consolidate the round-robin-routed txs into replica 0's mempool.
-        pool.mempool(0).requeue(pool.mempool(1).take(10_000))
+        sim.start()
+        commit = sim.protocol(0).ctx.commit
 
+        def block(round, payload):
+            return Block(round=round, proposer=0, rank=0, parent_id=None,
+                         payload=payload)
+
+        sim.run(until=0.35)
         payload_a, size_a = source.payload_for(1, 0)
-        assert size_a == len(payload_a) > 0
+        assert size_a == len(payload_a) == 3 * 64
         assert len(pool.mempool(0)) == 0
         # Round 1 is still undecided: the batch may yet commit, so it is NOT
         # reclaimed and the next proposal goes out empty.
         _, size_undecided = source.payload_for(2, 0)
         assert size_undecided == 0
         # A newer proposal with fresh txs must not orphan the deferred batch.
-        pool._submit(0)
-        pool.mempool(0).requeue(pool.mempool(1).take(10_000))
-        payload_b, _ = source.payload_for(3, 0)
-        assert payload_b != payload_a
+        sim.run(until=0.45)
+        payload_b, size_b = source.payload_for(3, 0)
+        assert size_b == 64 and payload_b != payload_a
         # Once the chain commits past both rounds without either batch, both
         # are abandoned and re-proposed together, oldest first.
-        pool._max_committed_round = 3
+        commit([block(3, b"someone else's block")])
+        assert pool.committed == 0
         payload_c, _ = source.payload_for(4, 0)
         assert payload_c == payload_a + payload_b
         # Once committed, nothing is reclaimed and proposals go empty.
-        pool._committed.update(range(4))
+        commit([block(4, payload_c)])
+        assert pool.committed == 4
         _, size_d = source.payload_for(5, 0)
         assert size_d == 0
+        assert [record.commit_time for record in pool.records()] == [0.45] * 4
 
     def test_warmup_filters_early_transactions(self):
         spec = WorkloadSpec(mode="open", arrival="constant", rate=20.0,
@@ -455,6 +488,157 @@ class TestClientPool:
         # dominates); the block budget must cover the worst case too.
         with pytest.raises(ValueError):
             WorkloadSpec(tx_size=8, max_block_bytes=16)
+
+    @pytest.mark.parametrize("field, value", [
+        ("rate", 0.0), ("rate", -5.0), ("rate", float("inf")),
+        ("rate", float("nan")), ("num_clients", 0), ("think_time", -0.1),
+        ("mempool_capacity", 0), ("sample_interval", -0.5),
+    ])
+    def test_spec_rejects_bad_numbers_at_construction(self, field, value):
+        # Not later in build_arrivals() / the pool constructor — and never
+        # silently: a negative sample_interval used to switch the probe off.
+        with pytest.raises(ValueError, match=field):
+            WorkloadSpec(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            WorkloadSpec(mode="closed", **{field: value})
+
+    def test_spec_accepts_the_edge_values(self):
+        spec = WorkloadSpec(think_time=0.0, sample_interval=0.0, num_clients=1,
+                            mempool_capacity=1)
+        sim = _idle_simulation()
+        pool = spec.build_pool()
+        pool.attach(sim, stop_time=1.0)
+        sim.run(until=1.0)
+        assert sim.external_events_scheduled == 0  # probe off, no arrival events
+        assert pool.metrics(1.0).occupancy == []
+
+
+class TestLazyAdmission:
+    """Open-loop arrivals are admitted when something looks, not by events:
+    however the run is driven and whenever it is read, the pool shows every
+    arrival stamped ``<= now`` and nothing later."""
+
+    SPEC = dict(mode="open", arrival="poisson", rate=120.0, tx_size=128,
+                mempool_capacity=40, max_block_bytes=1024, seed=9)
+
+    @staticmethod
+    def _outcome(sim, pool):
+        commits = [(record.replica_id, record.block.id, record.commit_time)
+                   for replica_id in sim.replica_ids
+                   for record in sim.commits_for(replica_id)]
+        return commits, pool.metrics(6.0).to_dict(), pool.records()
+
+    def test_stepped_and_chunked_runs_equal_one_run(self):
+        sim, pool = _attached_workload(WorkloadSpec(**self.SPEC), 6.0)
+        sim.run(until=6.0)
+        whole = self._outcome(sim, pool)
+        assert whole[1]["dropped"] > 0 and whole[1]["committed"] > 0
+
+        sim, pool = _attached_workload(WorkloadSpec(**self.SPEC), 6.0)
+        for until in (0.3, 0.31, 1.7, 1.7, 4.05, 6.0):
+            sim.run(until=until)
+        assert self._outcome(sim, pool) == whole
+
+        sim, pool = _attached_workload(WorkloadSpec(**self.SPEC), 6.0)
+        while sim.now < 3.0:
+            assert sim.step()
+        sim.run(until=6.0)
+        assert self._outcome(sim, pool) == whole
+
+    def test_reading_mid_run_does_not_change_the_run(self):
+        sim, pool = _attached_workload(WorkloadSpec(**self.SPEC), 6.0)
+        sim.run(until=6.0)
+        whole = self._outcome(sim, pool)
+
+        sim, pool = _attached_workload(WorkloadSpec(**self.SPEC), 6.0)
+        for until in (0.5, 2.25, 4.0, 6.0):
+            sim.run(until=until)
+            assert pool.submitted == pool.committed + pool.dropped + sum(
+                record.commit_time is None and not record.dropped
+                for record in pool.records())
+            pool.metrics(until)
+        assert self._outcome(sim, pool) == whole
+
+    def test_counts_and_mempools_show_exactly_the_arrivals_due(self):
+        spec = WorkloadSpec(mode="open", arrival="poisson", rate=50.0, seed=3)
+        sim = _idle_simulation(n=2)
+        pool = spec.build_pool()
+        pool.attach(sim, stop_time=4.0)
+        sim.run(until=9.0)
+        stamps = [record.submit_time for record in pool.records()]
+        assert stamps == sorted(stamps) and 150 < len(stamps) < 250
+        assert stamps[-1] <= 4.0  # nothing is submitted past stop_time
+
+        sim = _idle_simulation(n=2)
+        pool = spec.build_pool()
+        pool.attach(sim, stop_time=4.0)
+        assert pool.submitted == 0
+        for until in (stamps[0], 1.0, stamps[70], 3.999, 4.0, 9.0):
+            sim.run(until=until)
+            due = sum(1 for stamp in stamps if stamp <= until)
+            assert pool.submitted == due
+            # Idle replicas never propose: everything admitted is queued,
+            # routed round-robin.
+            assert len(pool.mempool(0)) == (due + 1) // 2
+            assert len(pool.mempool(1)) == due // 2
+            assert pool.dropped == 0
+
+    def test_an_arrival_tied_with_the_probe_is_sampled(self):
+        # The ``<=`` rule: arrivals are stamped 0.5, 1.0, ... and so is the
+        # probe; each sample includes the arrival of its own instant.
+        spec = WorkloadSpec(mode="open", arrival="constant", rate=2.0,
+                            sample_interval=0.5)
+        sim = _idle_simulation(n=2)
+        pool = spec.build_pool()
+        pool.attach(sim, stop_time=3.0)
+        sim.run(until=0.4999)
+        assert pool.submitted == 0
+        sim.run(until=0.5)
+        assert pool.submitted == 1
+        sim.run(until=3.0)
+        samples = pool.metrics(3.0).occupancy
+        assert [(s.time, s.transactions) for s in samples] == [
+            (0.5, 1), (1.0, 2), (1.5, 3), (2.0, 4), (2.5, 5), (3.0, 6)]
+        # The horizon is inclusive too: the arrival stamped 3.0 is in.
+        assert pool.submitted == 6
+
+    def test_reclaim_requeues_ahead_of_pending_arrivals(self, monkeypatch):
+        # rank_delay near the network latency: the second-ranked proposer
+        # always proposes too and loses, so its batch is abandoned and
+        # re-queued at its next turn — while replica 2 is down for a while.
+        reclaimed = []
+        reclaim = ClientPool.reclaim_uncommitted
+
+        def counting_reclaim(pool, proposer):
+            count = reclaim(pool, proposer)
+            if count:
+                queue = pool.mempool(proposer).peek(count + 1)
+                reclaimed.append(count)
+                # Re-queued transactions sit in front of every arrival
+                # admitted since they were first drained.
+                ids = [decode_tx_id(tx) for tx in queue]
+                assert ids[:count] == sorted(ids[:count])
+                assert all(ids[count - 1] < later for later in ids[count:])
+            return count
+
+        monkeypatch.setattr(ClientPool, "reclaim_uncommitted", counting_reclaim)
+        faults = FaultPlan(crash_schedule=CrashSchedule(
+            crash_times={2: 1.5}, recover_times={2: 3.0}))
+        spec = WorkloadSpec(mode="open", arrival="poisson", rate=200.0,
+                            tx_size=128, max_block_bytes=2048, seed=4)
+        sim, pool = _attached_workload(spec, 6.0, rank_delay=0.06, faults=faults)
+        sim.run(until=6.0)
+        metrics = pool.metrics(6.0)
+        assert sum(reclaimed) > 20
+        assert metrics.committed > 300 and metrics.dropped == 0
+        assert len(metrics.latencies) == metrics.committed == pool.committed
+
+    def test_open_loop_schedules_no_event_per_arrival(self):
+        spec = WorkloadSpec(mode="open", arrival="poisson", rate=30.0,
+                            tx_size=128, sample_interval=0.5, seed=4)
+        sim, pool = _workload_simulation(spec, duration=10.0)
+        assert pool.submitted > 200
+        assert sim.external_events_scheduled == len(pool.metrics(10.0).occupancy) == 20
 
 
 class TestInjectionDeterminism:
@@ -561,6 +745,18 @@ class TestWorkloadCli:
         with pytest.raises(SystemExit):
             main(["workload", "saturation", "--rates", "nan"])
 
+    def test_a_run_without_committed_transactions_fails(self, capsys):
+        from repro.cli import main
+
+        # 0.2 s: transactions arrive, none can commit yet.
+        assert main(["workload", "saturation", "--rates", "10",
+                     "--duration", "0.2"]) == 1
+        captured = capsys.readouterr()
+        assert "committed_tx" in captured.out  # the table still prints
+        assert "no transaction committed" in captured.err
+        assert main(["workload", "saturation", "--rates", "10",
+                     "--duration", "4"]) == 0
+
     def test_invalid_config_is_a_friendly_error(self, capsys):
         from repro.cli import main
 
@@ -585,6 +781,15 @@ class TestExperimentIntegration:
         summary = result.workload.summary()
         assert summary["committed_tx"] > 0
         assert summary["p99_latency_s"] >= summary["p50_latency_s"]
+        # Summary and row take all three percentiles from one sort; the
+        # per-percentile properties must read the same values.
+        workload = result.workload
+        assert (summary["p50_latency_s"], summary["p95_latency_s"],
+                summary["p99_latency_s"]) == (
+            workload.p50_latency, workload.p95_latency, workload.p99_latency)
+        assert row["tx_p99_ms"] == round(workload.p99_latency * 1000, 1)
+        with pytest.raises(ValueError):
+            workload.latency_percentiles((50, 101))
 
     def test_run_experiment_without_workload_has_no_workload_metrics(self):
         params = ProtocolParams(n=4, f=1, p=1, rank_delay=0.4, payload_size=1_000)
