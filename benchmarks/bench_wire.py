@@ -130,7 +130,7 @@ def test_wire_encode_decode_throughput(benchmark) -> None:
     # Sanity floors: consensus-control shapes must stay comfortably above
     # the block rate a local cluster sustains (hundreds of blocks/s, each
     # fanning out ~n² votes), and byte-heavy proposals must move payload
-    # bytes at memcpy-like rates, not per-byte-varint rates.
+    # bytes at memcpy-like rates, not per-byte rates.
     assert by_shape["vote"]["encode_msgs_per_s"] > 2_000
     assert by_shape["vote"]["decode_msgs_per_s"] > 2_000
     assert by_shape["proposal"]["encode_mb_per_s"] > 50

@@ -10,7 +10,7 @@ chain and each appended segment extends the previous chain head.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 from repro.types.blocks import Block, BlockId, genesis_block
 
@@ -107,12 +107,3 @@ class FinalizedChain:
     def last_finalized_round(self) -> int:
         """Round of the newest finalized block (0 for a fresh chain)."""
         return self._blocks[-1].round
-
-    def find(self, block_id: BlockId) -> Optional[Block]:
-        """Return the chain block with ``block_id``, if present."""
-        if block_id not in self._ids:
-            return None
-        for block in self._blocks:
-            if block.id == block_id:
-                return block
-        return None

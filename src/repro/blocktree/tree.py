@@ -15,7 +15,7 @@ Status flags tracked per block:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Container, Dict, List, Optional, Set
 
 from repro.types.blocks import Block, BlockId, genesis_block
 
@@ -180,26 +180,46 @@ class BlockTree:
             current = parent
         return result
 
-    def chain_to(self, block_id: BlockId) -> List[Block]:
-        """Return the chain genesis → ``block_id`` (inclusive), oldest first.
+    def chain_to(self, block_id: BlockId,
+                 finalized: Container[BlockId] = ()) -> List[Block]:
+        """Return the chain ending at ``block_id`` (inclusive), oldest first.
+
+        ``finalized`` is the set of blocks the caller already holds as
+        finalized (a :class:`repro.blocktree.chain.FinalizedChain` will do):
+        the walk stops below the first of them, so only the suffix above it
+        is returned and a finalization costs its own segment, not the
+        height.  Without it the chain starts at genesis.
 
         Raises:
-            BlockTreeError: if some ancestor of the block has not arrived.
+            BlockTreeError: if the block, or an ancestor the walk needs, has
+                not arrived.
         """
-        block = self._blocks.get(block_id)
-        if block is None:
-            raise BlockTreeError(f"unknown block {block_id[:8]}")
-        path = self.ancestors(block_id, include_self=True)
-        oldest = path[-1]
-        if not oldest.is_genesis():
-            raise BlockTreeError(f"chain to {block_id[:8]} is missing ancestors")
-        return list(reversed(path))
+        path: List[Block] = []
+        current_id: Optional[BlockId] = block_id
+        while current_id is not None and current_id not in finalized:
+            block = self._blocks.get(current_id)
+            if block is None:
+                if not path:
+                    raise BlockTreeError(f"unknown block {block_id[:8]}")
+                raise BlockTreeError(f"chain to {block_id[:8]} is missing ancestors")
+            path.append(block)
+            current_id = block.parent_id
+        path.reverse()
+        return path
 
     def is_ancestor(self, ancestor_id: BlockId, descendant_id: BlockId) -> bool:
-        """Return whether ``ancestor_id`` lies on the path genesis → descendant."""
-        if ancestor_id == descendant_id:
-            return True
-        return any(b.id == ancestor_id for b in self.ancestors(descendant_id))
+        """Return whether ``ancestor_id`` lies on the path genesis → descendant.
+
+        A block's round exceeds its parent's on every chain a protocol
+        builds, so the walk stops at the candidate's round, not at genesis.
+        """
+        ancestor = self._blocks.get(ancestor_id)
+        current = self._blocks.get(descendant_id)
+        if ancestor is None:
+            return ancestor_id == descendant_id
+        while current is not None and current.round > ancestor.round:
+            current = self._blocks.get(current.parent_id)
+        return current is not None and current.id == ancestor_id
 
     # ------------------------------------------------------------------ #
     # Internal helpers

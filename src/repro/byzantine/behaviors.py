@@ -35,11 +35,12 @@ def fast_vote_equivocators(protocol: Protocol) -> FrozenSet[int]:
     of one round has produced self-incriminating evidence.  The per-round
     :class:`repro.core.fastpath.FastPathState` tallies support through the
     shared quorum engine, which records exactly this; here it is collected
-    over every round the replica has seen.
+    over every round the replica has seen (a released round leaves its
+    culprits behind in ``released_fast_equivocators``).
 
     Returns an empty set for protocols without a fast path.
     """
-    culprits: Set[int] = set()
+    culprits: Set[int] = set(getattr(protocol, "released_fast_equivocators", ()))
     for state in getattr(protocol, "_fast", {}).values():
         culprits |= state.equivocators()
     return frozenset(culprits)

@@ -210,14 +210,14 @@ class InvariantChecker:
                         f"honest replicas {wrongly} flagged as fast-vote "
                         f"equivocators",
                     )
-                for round_k, state in fast_states.items():
-                    finalizable = state.fast_finalizable_blocks()
-                    if len(finalizable) > 1:
-                        self._record(
-                            "fast-path-soundness", duration, replica,
-                            f"round {round_k} has {len(finalizable)} "
-                            f"fast-finalizable blocks",
-                        )
+                conflicts = list(getattr(protocol, "released_fast_conflicts", ()))
+                conflicts += [round_k for round_k, state in fast_states.items()
+                              if len(state.fast_finalizable_blocks()) > 1]
+                for round_k in conflicts:
+                    self._record(
+                        "fast-path-soundness", duration, replica,
+                        f"round {round_k} has several fast-finalizable blocks",
+                    )
 
             # Certified ancestry, part two: committed blocks are notarized
             # in the committer's own tree (the certificate chain exists).

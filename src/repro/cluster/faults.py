@@ -55,6 +55,13 @@ class SocketFaultInjector:
                             if fault.replica == replica_id]
         self._rng = random.Random((seed << 16) ^ (replica_id * 0x9E3779B1))
 
+    @property
+    def idle(self) -> bool:
+        """Whether the schedule holds no socket-level fault (no crash,
+        partition, loss burst or straggler): every frame would pass
+        untouched, so callers need not ask frame by frame."""
+        return all(fault.kind == "byzantine" for fault in self.schedule.faults)
+
     @classmethod
     def none(cls, replica_id: int) -> "SocketFaultInjector":
         """An injector with no faults (every frame passes untouched)."""

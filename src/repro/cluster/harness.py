@@ -46,9 +46,12 @@ from repro.runtime.simulator import CommitRecord
 from repro.smr.metrics import MetricsCollector, RunMetrics
 from repro.types.blocks import Block
 
-#: Wall-clock lead the harness gives nodes to bind sockets and connect
-#: before the coordinated protocol start.
-DEFAULT_START_DELAY_S = 1.0
+#: Wall-clock lead the harness gives nodes to import, bind sockets and
+#: connect before the coordinated protocol start.  Four interpreters on two
+#: cores need about a second; a node that boots late starts its epoch
+#: clock late, and Streamlet (epochs of one ``rank_delay``) then never sees
+#: three consecutive epochs notarized.
+DEFAULT_START_DELAY_S = 2.0
 
 #: Extra wall-clock slack allowed for a node process to exit after its
 #: protocol horizon elapsed.
@@ -449,6 +452,7 @@ def cross_validate(
     liveness_bound: float,
     errors: Iterable[Dict[str, object]] = (),
     exclude: Iterable[int] = (),
+    summaries: Optional[Dict[int, Dict[str, object]]] = None,
 ) -> List[Violation]:
     """Judge a real cluster's commit logs with the simulator's invariants.
 
@@ -460,9 +464,15 @@ def cross_validate(
     ``exclude``-d (e.g. a SIGKILLed-and-restarted process, whose fresh
     chain legitimately restarts from genesis) — must commit within the
     bound.  Loss-burst schedules are safety-only, as in the simulator.
+
+    ``summaries`` (replica id → end-of-run node summary) adds the transport's
+    own verdict: a frame a node could not decode, or one it dropped because
+    a peer's queue overflowed, is a ``transport`` violation of that node —
+    no schedule asks for either, a SIGKILLed (``exclude``-d) peer aside.
     """
     records = list(records)
-    byzantine = set(schedule.byzantine()) | set(exclude)
+    exclude = set(exclude)
+    byzantine = set(schedule.byzantine()) | exclude
     checker = InvariantChecker(range(n), byzantine=byzantine)
     for record in records:
         checker.on_commit(record)
@@ -474,6 +484,16 @@ def cross_validate(
             replica=int(entry.get("replica", -1)),
             detail=str(entry.get("detail", "protocol raised")),
         ))
+
+    # Frames queued for a killed (excluded) process have nowhere to go.
+    counters = ("decode_errors",) if exclude else ("decode_errors", "dropped_backpressure")
+    for replica, summary in sorted((summaries or {}).items()):
+        stats = summary.get("transport", {})
+        for counter in counters:
+            if stats.get(counter):
+                violations.append(Violation(
+                    invariant="transport", time=duration, replica=replica,
+                    detail=f"{counter} = {stats[counter]}"))
 
     heal_time = schedule.heal_time()
     crashed = set(schedule.crashed_replicas())
@@ -617,6 +637,7 @@ def run_local_cluster(
         violations = cross_validate(
             records, n=n, schedule=schedule, duration=duration,
             liveness_bound=liveness_bound, errors=errors, exclude=exclude,
+            summaries=summaries,
         )
     metrics = harvest_metrics(protocol, records, summaries,
                               duration=duration)

@@ -214,6 +214,8 @@ class ClusterNode:
                          if config.schedule else ChaosSchedule())
         self.injector = SocketFaultInjector(self.schedule, config.replica_id,
                                             seed=config.seed)
+        #: Whether a crash window may mute this replica (never, on an idle plan).
+        self._crashes = not self.injector.idle
         self.mempool = Mempool(max_size=100_000)
         self._source = MempoolSource(self.mempool, config.max_block_bytes,
                                      config.payload_size)
@@ -292,7 +294,7 @@ class ClusterNode:
         self._timer_handles.pop(timer.timer_id, None)
         # Timers that come due inside a crash window are lost, like the
         # simulator's.
-        if self.injector.self_crashed(self.now()):
+        if self._crashes and self.injector.self_crashed(self.now()):
             return
         self._guarded(self.protocol.on_timer, self._context, timer)
 
@@ -301,7 +303,7 @@ class ClusterNode:
     # ------------------------------------------------------------------ #
 
     def _on_message(self, sender: int, message: Any) -> None:
-        if self.injector.self_crashed(self.now()):
+        if self._crashes and self.injector.self_crashed(self.now()):
             return
         self._guarded(self.protocol.on_message, self._context, sender, message)
 

@@ -3,13 +3,16 @@
 One :class:`TcpTransport` serves one replica process.  It owns:
 
 * a listening server for inbound frames (peers and workload clients);
-* one *sender task* per peer, draining that peer's bounded outbound queue
-  over a persistent connection, reconnecting with exponential backoff when
-  the peer is down or restarting;
+* one *sender task* per peer, which on each wake-up writes whatever that
+  peer's bounded outbound queue holds as one ``write`` + one ``drain`` over
+  a persistent connection, reconnecting with exponential backoff when the
+  peer is down or restarting;
 * the socket-level fault seam: every outbound frame is judged by the
   optional :class:`repro.cluster.faults.SocketFaultInjector` (drop, or
-  delay then send), and every inbound frame is re-judged at delivery time,
-  mirroring the simulator's send-time/delivery-time fault symmetry.
+  delay then send — frame by frame, also inside a batch), and every inbound
+  frame is re-judged at delivery time, mirroring the simulator's
+  send-time/delivery-time fault symmetry.  An injector whose schedule holds
+  no socket-level fault is not consulted at all.
 
 **Backpressure.**  Each peer's outbound queue is bounded.  When a peer is
 unreachable long enough for its queue to fill, the *oldest* frame is
@@ -18,10 +21,13 @@ predecessors (a newer certificate subsumes an older vote), so freshness
 beats completeness, and a slow peer can never make a replica buffer
 unboundedly (the failure mode a naive ``writer.write`` loop has).
 
-**Framing.**  Everything on the wire is a :mod:`repro.cluster.wire` frame.
-Self-sends round-trip through ``encode_envelope``/``decode_envelope`` too,
-so every message a protocol ever receives — local or remote — went through
-the one serialization path.
+**Framing.**  Everything on the wire is a :mod:`repro.cluster.wire` frame;
+a broadcast is encoded once and every peer's queue shares the bytes.  A
+message to this replica itself is handed over as the (immutable) object on
+the next loop turn, like the simulator's loopback.  What keeps local and
+remote deliveries interchangeable is the codec's round-trip property
+(``decode(encode(m)) == m`` with the exact classes, for every encodable
+``m`` — ``tests/test_wire.py``), not a second trip through it.
 
 The transport is deliberately sans-protocol: it moves ``(sender, message)``
 envelopes and leaves meaning to the callbacks the node wires in.
@@ -31,7 +37,8 @@ from __future__ import annotations
 
 import asyncio
 import logging
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Tuple
 
 from repro.cluster.faults import SocketFaultInjector
 from repro.cluster.wire import (
@@ -39,8 +46,6 @@ from repro.cluster.wire import (
     FrameDecoder,
     Hello,
     WireError,
-    decode_envelope,
-    encode_envelope,
     encode_frame,
 )
 
@@ -90,17 +95,21 @@ class TcpTransport:
                       if peer != replica_id}
         self._on_message = on_message
         self._clock = clock
-        self._injector = injector
+        # A schedule without socket-level faults judges nothing: skip it.
+        self._injector = None if injector is None or injector.idle else injector
         self._on_client_submit = on_client_submit
         self._queue_limit = queue_limit
-        self._queues: Dict[int, asyncio.Queue] = {}
+        #: Per peer: the frames waiting for its sender task (oldest first)
+        #: and the event that wakes the task when the first one arrives.
+        self._queues: Dict[int, Deque[bytes]] = {}
+        self._wakeups: Dict[int, asyncio.Event] = {}
         self._sender_tasks: Dict[int, asyncio.Task] = {}
         self._server: Optional[asyncio.base_events.Server] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stopped = False
         #: Observability counters, harvested into the node's summary.
         self.stats: Dict[str, int] = {
-            "sent_frames": 0, "sent_bytes": 0,
+            "sent_frames": 0, "sent_bytes": 0, "sent_batches": 0,
             "recv_frames": 0, "recv_bytes": 0,
             "dropped_fault": 0, "dropped_backpressure": 0,
             "reconnects": 0, "decode_errors": 0,
@@ -116,7 +125,8 @@ class TcpTransport:
         self._server = await asyncio.start_server(self._serve_connection,
                                                   host, port)
         for peer in sorted(self.peers):
-            self._queues[peer] = asyncio.Queue(maxsize=self._queue_limit)
+            self._queues[peer] = deque()
+            self._wakeups[peer] = asyncio.Event()
             self._sender_tasks[peer] = self._loop.create_task(
                 self._sender_loop(peer)
             )
@@ -140,50 +150,66 @@ class TcpTransport:
     # ------------------------------------------------------------------ #
 
     def send(self, receiver: int, message: Any) -> None:
-        """Enqueue ``message`` for ``receiver`` (callable from callbacks).
-
-        Self-sends are delivered on the next loop iteration after a
-        round-trip through the wire encoding, so the local path exercises
-        the same serialization as the socket path.
-        """
-        if receiver == self.replica_id:
-            envelope = encode_envelope(self.replica_id, message)
-            if self._loop is not None:
-                self._loop.call_soon(self._deliver_local, envelope)
-            return
-        queue = self._queues.get(receiver)
-        if queue is None:
-            return
-        frame = encode_frame(self.replica_id, message)
-        try:
-            queue.put_nowait(frame)
-        except asyncio.QueueFull:
-            # Drop the oldest frame: the newest protocol state supersedes it.
-            try:
-                queue.get_nowait()
-                self.stats["dropped_backpressure"] += 1
-            except asyncio.QueueEmpty:  # pragma: no cover - racy corner
-                pass
-            try:
-                queue.put_nowait(frame)
-            except asyncio.QueueFull:  # pragma: no cover - racy corner
-                self.stats["dropped_backpressure"] += 1
+        """Enqueue ``message`` for ``receiver`` (callable from callbacks)."""
+        self.broadcast(message, (receiver,))
 
     def broadcast(self, message: Any, replica_ids) -> None:
-        """Send ``message`` to every replica in ``replica_ids`` (incl. self)."""
-        for receiver in replica_ids:
-            self.send(receiver, message)
+        """Send ``message`` to every replica in ``replica_ids`` (incl. self).
 
-    def _deliver_local(self, envelope: bytes) -> None:
-        sender, message = decode_envelope(envelope)
-        self._dispatch(sender, message)
+        The message is encoded once; a copy for this replica itself skips
+        the codec and is delivered on the next loop iteration.
+        """
+        frame = None
+        for receiver in replica_ids:
+            if receiver == self.replica_id:
+                if self._loop is not None:
+                    self._loop.call_soon(self._dispatch, receiver, message)
+                continue
+            queue = self._queues.get(receiver)
+            if queue is None:
+                continue
+            if frame is None:
+                frame = encode_frame(self.replica_id, message)
+            if len(queue) >= self._queue_limit:
+                # Drop the oldest frame: the newest protocol state supersedes it.
+                queue.popleft()
+                self.stats["dropped_backpressure"] += 1
+            queue.append(frame)
+            self._wakeups[receiver].set()
+
+    async def _next_batch(self, peer: int) -> List[bytes]:
+        """Wait for frames to ``peer`` and return those due now, in order.
+
+        Every frame gets its own fault verdict.  A straggler's delay is
+        served frame by frame, as if each were written alone: the delayed
+        frame closes the batch.
+        """
+        queue, wakeup = self._queues[peer], self._wakeups[peer]
+        batch: List[bytes] = []
+        while not batch:
+            while not queue:
+                wakeup.clear()
+                await wakeup.wait()
+            if self._injector is None:
+                batch = list(queue)
+                queue.clear()
+            while queue:
+                frame = queue.popleft()
+                verdict = self._injector.outbound(peer, self._clock())
+                if verdict is None:
+                    self.stats["dropped_fault"] += 1
+                    continue
+                batch.append(frame)
+                if verdict > 0:
+                    await asyncio.sleep(verdict)
+                    break
+        return batch
 
     async def _sender_loop(self, peer: int) -> None:
         """Drain one peer's queue over a persistent, self-healing connection."""
         host, port = self.peers[peer]
-        queue = self._queues[peer]
         backoff = INITIAL_BACKOFF_S
-        pending: Optional[bytes] = None
+        batch: List[bytes] = []
         writer: Optional[asyncio.StreamWriter] = None
         try:
             while not self._stopped:
@@ -199,23 +225,17 @@ class TcpTransport:
                     writer.write(encode_frame(
                         self.replica_id, Hello(sender=self.replica_id)))
                 try:
-                    if pending is None:
-                        pending = await queue.get()
-                        verdict = (self._injector.outbound(peer, self._clock())
-                                   if self._injector is not None else 0.0)
-                        if verdict is None:
-                            self.stats["dropped_fault"] += 1
-                            pending = None
-                            continue
-                        if verdict > 0:
-                            await asyncio.sleep(verdict)
-                    writer.write(pending)
+                    if not batch:
+                        batch = await self._next_batch(peer)
+                    data = b"".join(batch)
+                    writer.write(data)
                     await writer.drain()
-                    self.stats["sent_frames"] += 1
-                    self.stats["sent_bytes"] += len(pending)
-                    pending = None
+                    self.stats["sent_batches"] += 1
+                    self.stats["sent_frames"] += len(batch)
+                    self.stats["sent_bytes"] += len(data)
+                    batch = []
                 except (ConnectionError, OSError):
-                    # Keep the frame; retry it once the peer is back.
+                    # Keep the batch; retry it once the peer is back.
                     self._close_writer(writer)
                     writer = None
         except asyncio.CancelledError:

@@ -30,7 +30,7 @@ resilience requirement is ``n ≥ max(3f + 2p - 1, 3f + 1)``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.beacon import Beacon
 from repro.core.fastpath import FastPathState
@@ -64,6 +64,11 @@ class BanyanReplica(ICCReplica):
         #: the registry behind each round state's ``fast`` handle, read by
         #: the Byzantine-evidence helpers and the chaos invariants.
         self._fast: Dict[int, FastPathState] = {}
+        #: What outlives a released round's fast-path state, for the same
+        #: readers: the voters it caught fast-vote equivocating and the
+        #: rounds that held more than one fast-finalizable block.
+        self.released_fast_equivocators: Set[int] = set()
+        self.released_fast_conflicts: List[int] = []
         self._fast_quorum = params.fast_quorum  # resolved once, like ICC's
         #: Rank-0 blocks whose proposal carried the proposer's fast vote
         #: (required by the validity rule, Algorithm 2 line 63).
@@ -187,11 +192,11 @@ class BanyanReplica(ICCReplica):
                 and fast_vote.voter == block.proposer):
             self._proposer_fast_vote_seen.add(block.id)
         proof = proposal.parent_unlock_proof
-        if proof is not None:
+        if proof is not None and proof.round >= self._floor:
             self._absorb_unlock_proof(ctx, proof, self._round(proof.round))
         # The base handler directly: no ``super()`` object per message.
         ICCReplica._handle_proposal(self, ctx, sender, proposal)
-        if fast_vote is not None:
+        if fast_vote is not None and fast_vote.round >= self._floor:
             self._handle_fast_vote(ctx, fast_vote, self._round(fast_vote.round))
 
     # ------------------------------------------------------------------ #
@@ -299,11 +304,12 @@ class BanyanReplica(ICCReplica):
         proof = message.unlock_proof
         certificate = message.certificate
         state = self._recent  # usually this wave's round already
-        if proof is not None:
+        floor = self._floor
+        if proof is not None and proof.round >= floor:
             if state is None or state.round != proof.round:
                 state = self._round(proof.round)
             self._absorb_unlock_proof(ctx, proof, state)
-        if certificate is not None:
+        if certificate is not None and certificate.round >= floor:
             if state is None or state.round != certificate.round:
                 state = self._round(certificate.round)
             if (certificate.__class__ is FastFinalization
@@ -336,6 +342,14 @@ class BanyanReplica(ICCReplica):
                 )
             return
         super()._broadcast_finalization(ctx, round_k, block_id, kind)
+
+    def _release_round(self, round_k: int) -> None:
+        super()._release_round(round_k)
+        fast = self._fast.pop(round_k, None)
+        if fast is not None:
+            self.released_fast_equivocators |= fast.equivocators()
+            if len(fast.fast_finalizable_blocks()) > 1:
+                self.released_fast_conflicts.append(round_k)
 
     def _finalize(self, ctx: ReplicaContext, round_k: int, block_id: BlockId, kind: str) -> None:
         before = self.k_max

@@ -388,10 +388,9 @@ class HotStuffReplica(Protocol):
         if block.round <= self.committed_round:
             return
         try:
-            path = self.tree.chain_to(block.id)
+            segment = self.tree.chain_to(block.id, self.chain)
         except Exception:
             return
-        segment = [b for b in path if b.round > self.committed_round]
         for b in segment:
             self.tree.mark_notarized(b.id)
             self.tree.mark_finalized(b.id)

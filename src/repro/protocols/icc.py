@@ -47,6 +47,13 @@ _MESSAGE_SHAPES = (VoteMessage, CertificateMessage, BlockProposal)
 #: The certificate classes ICC's certificate handler dispatches on.
 _CERTIFICATE_SHAPES = (Notarization, Finalization)
 
+#: Rounds of state kept below ``min(k_max, current_round)``.  Nothing a
+#: replica sends reads a round below that minimum (proposals and relays
+#: cite the previous round, certificates the current or a not yet finalized
+#: one); the window is slack, so a late message for a recent round still
+#: finds its tally instead of being dropped at the door.
+ROUND_WINDOW = 8
+
 
 def _base_shape(obj: Any, shapes: tuple) -> Optional[type]:
     """The first of ``shapes`` that ``obj`` is an instance of, if any: the
@@ -125,6 +132,10 @@ class ICCReplica(Protocol):
         #: to the round's state when the round is first seen.
         self.votes = CertificateCollector()
         self._rounds: Dict[int, _RoundState] = {}
+        #: The lowest round whose state is still held: rounds below it were
+        #: released (:meth:`_release_rounds`) and a vote, certificate or
+        #: block naming one is dropped where it enters.
+        self._floor = 0
         #: The state :meth:`_round` returned last.  Votes and certificates
         #: arrive in waves about one round (and a proposal's parent
         #: certificates share theirs), so the message handlers look here
@@ -254,6 +265,8 @@ class ICCReplica(Protocol):
         per-vote checks of a non-crossing run: nothing it reads changes
         mid-run, and repeating it rewrites identical state.
         """
+        if round_k < self._floor:
+            return
         state = self._round(round_k)
         if kind is VoteKind.NOTARIZATION:
             tracker = state.notarization
@@ -382,7 +395,7 @@ class ICCReplica(Protocol):
 
     def _handle_proposal(self, ctx: ReplicaContext, sender: int, proposal: BlockProposal) -> None:
         block = proposal.block
-        if block.round <= 0:
+        if block.round <= 0 or block.round < self._floor:
             return
         # A block in the tree passed the rank check (a pure function of the
         # block) when admitted and has nothing left to ingest: n-1 of n relays.
@@ -391,6 +404,7 @@ class ICCReplica(Protocol):
             return  # rank does not match the beacon permutation — invalid
         notarization = proposal.parent_notarization
         if (notarization is not None and not notarization.mask >> self._n
+                and notarization.round >= self._floor
                 and notarization.verify(None, self._notarization_quorum)):
             state = self._recent  # Banyan just fetched it for the unlock proof
             if state is None or state.round != notarization.round:
@@ -439,8 +453,10 @@ class ICCReplica(Protocol):
         return self._round(round_k).advanced
 
     def _try_notarization_votes(self, ctx: ReplicaContext, round_k: int) -> None:
+        if round_k != self.current_round:  # before _round(): no state for a stale timer
+            return
         state = self._round(round_k)
-        if not state.entered or round_k != self.current_round or self._should_stop_voting(round_k):
+        if not state.entered or self._should_stop_voting(round_k):
             return
         valid_blocks = self._valid_blocks(round_k)
         if not valid_blocks:
@@ -518,16 +534,17 @@ class ICCReplica(Protocol):
 
         The round's state is fetched once (a message's votes share their
         round) and a vote whose voter is not a replica is dropped.  Every
-        other vote is tallied, whatever its round — voter-set sizes feed
+        other vote of a round still held is tallied — voter-set sizes feed
         the certificates this replica sends.  More happens only when a
         block newly holds the notarization quorum (or one still awaits its
         proposal), or holds a finalization quorum in an unfinalized round.
         """
         n = self._n
+        floor = self._floor
         round_k = state = None
         for vote in votes:
             voter = vote.voter
-            if not 0 <= voter < n:
+            if not 0 <= voter < n or vote.round < floor:
                 continue
             if vote.round != round_k:
                 round_k = vote.round
@@ -638,7 +655,7 @@ class ICCReplica(Protocol):
 
     def _handle_certificate(self, ctx: ReplicaContext, message: CertificateMessage) -> None:
         certificate = message.certificate
-        if certificate is not None:
+        if certificate is not None and certificate.round >= self._floor:
             self._absorb_certificate(ctx, certificate, self._round(certificate.round))
 
     def _absorb_certificate(self, ctx: ReplicaContext, certificate: Any,
@@ -666,14 +683,14 @@ class ICCReplica(Protocol):
             return
         block = self.tree.block(block_id)
         try:
-            path = self.tree.chain_to(block_id)
+            # Only the blocks above the finalized chain: O(segment) per call.
+            segment = self.tree.chain_to(block_id, self.chain)
         except BlockTreeError:
             # An ancestor has not arrived; retried when blocks are added.
             self._pending_finalizations[block_id] = kind
             return
         self._pending_finalizations.pop(block_id, None)
         self._broadcast_finalization(ctx, round_k, block_id, kind)
-        segment = [b for b in path if b.round > self.k_max]
         for b in segment:
             self.tree.mark_notarized(b.id)
             self.tree.mark_finalized(b.id)
@@ -684,6 +701,20 @@ class ICCReplica(Protocol):
         # Explicit finalization of a later round also lets us advance if the
         # slow path stalled (catch-up after asynchrony).
         self._try_advance(ctx, self.current_round)
+        self._release_rounds()
+
+    def _release_rounds(self) -> None:
+        """Drop the state of rounds :data:`ROUND_WINDOW` below both the
+        finalized height and the current round, so a replica's memory does
+        not grow with the length of the run."""
+        floor = min(self.k_max, self.current_round) - ROUND_WINDOW
+        while self._floor < floor:
+            self._release_round(self._floor)
+            self._floor += 1
+
+    def _release_round(self, round_k: int) -> None:
+        if self._rounds.pop(round_k, None) is not None:
+            self.votes.release(round_k, (VoteKind.NOTARIZATION, VoteKind.FINALIZATION))
 
     def _broadcast_finalization(self, ctx: ReplicaContext, round_k: int,
                                 block_id: BlockId, kind: str) -> None:

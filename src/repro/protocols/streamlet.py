@@ -295,10 +295,9 @@ class StreamletReplica(Protocol):
         if block.round <= self.finalized_epoch:
             return
         try:
-            path = self.tree.chain_to(block.id)
+            segment = self.tree.chain_to(block.id, self.chain)
         except Exception:
             return
-        segment = [b for b in path if b.round > self.finalized_epoch]
         for b in segment:
             self.tree.mark_notarized(b.id)
             self.tree.mark_finalized(b.id)

@@ -248,6 +248,12 @@ class CertificateCollector:
         """The tracker of ``(round, kind)`` if it exists (no creation)."""
         return self._trackers.get((round_k, kind))
 
+    def release(self, round_k: int, kinds: Sequence[Hashable]) -> None:
+        """Forget ``round_k``'s trackers of ``kinds`` (a protocol that is
+        done with a round; its equivocation evidence goes with them)."""
+        for kind in kinds:
+            self._trackers.pop((round_k, kind), None)
+
     def add_vote(self, round_k: int, kind: Hashable, block_id: Hashable,
                  voter: int, threshold: int) -> bool:
         """Record one vote into the ``(round, kind)`` tracker."""

@@ -130,6 +130,56 @@ class TestBlockTree:
         with pytest.raises(BlockTreeError):
             tree.chain_to(blocks[2].id)
 
+    def test_chain_to_returns_only_the_suffix_above_what_is_finalized(self):
+        tree = BlockTree()
+        blocks = _chain_blocks(6)
+        for block in blocks:
+            tree.add_block(block)
+        finalized = {genesis_block().id, blocks[0].id, blocks[1].id, blocks[2].id}
+        assert tree.chain_to(blocks[5].id, finalized) == blocks[3:]
+        assert tree.chain_to(blocks[2].id, finalized) == []
+        # A FinalizedChain is such a set.
+        chain = FinalizedChain()
+        chain.append_segment(blocks[:4])
+        assert tree.chain_to(blocks[5].id, chain) == blocks[4:]
+        # A fork is returned from where it leaves the finalized blocks.
+        fork = _block(5, proposer=2, rank=1, parent=blocks[1])
+        tree.add_block(fork)
+        assert tree.chain_to(fork.id, finalized) == [fork]
+
+    def test_chain_to_stops_at_the_finalized_blocks_not_at_genesis(self):
+        """The walk behind a finalization is as long as its segment: a gap
+        below the finalized height is neither visited nor an error, one
+        above it still is."""
+        blocks = _chain_blocks(6)
+        tree = BlockTree()
+        for block in blocks[2:]:              # rounds 1 and 2 never arrived
+            tree.add_block(block)
+        assert tree.chain_to(blocks[5].id, {blocks[2].id}) == blocks[3:]
+        with pytest.raises(BlockTreeError, match="missing ancestors"):
+            tree.chain_to(blocks[5].id, {blocks[0].id})
+
+    def test_is_ancestor_walks_no_further_than_the_candidates_round(self):
+        blocks = _chain_blocks(50)
+        tree = BlockTree()
+        for block in blocks:
+            tree.add_block(block)
+        lookups = []
+
+        class Counting(dict):
+            def get(self, key, default=None):
+                lookups.append(key)
+                return super().get(key, default)
+
+        tree._blocks = Counting(tree._blocks)
+        assert tree.is_ancestor(blocks[46].id, blocks[49].id)
+        assert len(lookups) <= 6               # not the 50 a walk to genesis takes
+        fork = _block(48, proposer=2, rank=1, parent=blocks[45])
+        tree.add_block(fork)
+        assert not tree.is_ancestor(blocks[46].id, fork.id)
+        assert not tree.is_ancestor("unknown", blocks[49].id)
+        assert tree.is_ancestor("unknown", "unknown")
+
     def test_is_ancestor(self):
         tree = BlockTree()
         blocks = _chain_blocks(3)
@@ -214,13 +264,12 @@ class TestFinalizedChain:
         assert not chain_a.consistent_with(chain_b)
         assert chain_a.common_prefix_length(chain_b) == 1  # genesis only
 
-    def test_find_and_contains(self):
+    def test_contains(self):
         chain = FinalizedChain()
         blocks = _chain_blocks(2)
         chain.append_segment(blocks)
         assert blocks[0].id in chain
-        assert chain.find(blocks[0].id).round == 1
-        assert chain.find("missing") is None
+        assert "missing" not in chain
 
     def test_block_at_and_iteration(self):
         chain = FinalizedChain()

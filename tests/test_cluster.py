@@ -39,9 +39,9 @@ N = 4
 
 
 def test_malformed_frame_is_a_counted_decode_error_not_a_dead_server():
-    """A certificate naming voter id -1 has no bit in a voter bitmask: the
-    codec must reject it as malformed input (the connection is dropped and
-    counted), not let a ``ValueError`` escape the connection task."""
+    """A certificate whose voter mask is longer than any replica id allows
+    is malformed input: the codec must reject it (the connection is dropped
+    and counted), not let an exception escape the connection task."""
     import asyncio
 
     from repro.cluster.tcp_transport import TcpTransport
@@ -51,7 +51,8 @@ def test_malformed_frame_is_a_counted_decode_error_not_a_dead_server():
 
     good = encode_frame(1, VoteMessage(
         votes=(NotarizationVote(round=1, block_id="b", voter=1),), sender=1))
-    envelope = b"\x02" + b"\x05\x01\x01b\x01\x01\x00"  # sender 1; voter id -1
+    # From replica 1: a notarization of block "b" claiming a 65535-byte mask.
+    envelope = bytes.fromhex("00000001" "05" "0000000000000001" "0001" "ffff") + b"b\x00"
     bad = bytes([WIRE_MAGIC, WIRE_VERSION]) + len(envelope).to_bytes(4, "big") + envelope
     received = []
 
@@ -87,6 +88,25 @@ def test_malformed_frame_is_a_counted_decode_error_not_a_dead_server():
     assert stats["decode_errors"] == 1
     assert received == [1, 1]       # the frame before it, and a later connection
     assert stats["recv_frames"] == 2
+
+
+def test_transport_counters_are_part_of_the_verdict():
+    """A node's undecodable frames and backpressure drops used to sit in its
+    summary JSON; ``cross_validate`` now turns them into violations."""
+    def verdict(stats, **options):
+        return [(v.invariant, v.replica, v.detail) for v in cross_validate(
+            [], n=N, schedule=ChaosSchedule(), duration=5.0, liveness_bound=10.0,
+            summaries={2: {"transport": stats}}, **options)]
+
+    assert verdict({"decode_errors": 0, "dropped_backpressure": 0}) == []
+    assert verdict({"decode_errors": 3, "dropped_backpressure": 7}) == [
+        ("transport", 2, "decode_errors = 3"),
+        ("transport", 2, "dropped_backpressure = 7"),
+    ]
+    # Frames queued for a SIGKILLed peer have nowhere to go: not a finding.
+    assert verdict({"decode_errors": 1, "dropped_backpressure": 7}, exclude=(3,)) == [
+        ("transport", 2, "decode_errors = 1"),
+    ]
 
 
 def test_transaction_header_roundtrip():

@@ -194,10 +194,11 @@ class TestICCUnitRules:
         block = Block(round=1, proposer=1, rank=0, parent_id=genesis_block().id, payload=b"x")
         replica.on_message(ctx, 1, _proposal(block))
 
-        def missing(block_id):
+        def missing(block_id, finalized):
+            assert finalized is replica.chain  # the walk stops at the chain
             raise BlockTreeError("chain is missing ancestors")
 
-        def broken(block_id):
+        def broken(block_id, finalized):
             raise RuntimeError("bug in the tree")
 
         replica.tree.chain_to = missing
@@ -207,6 +208,41 @@ class TestICCUnitRules:
         replica.tree.chain_to = broken
         with pytest.raises(RuntimeError):
             replica._finalize(ctx, 1, block.id, kind="slow")
+
+
+    @pytest.mark.parametrize("replica_class", [ICCReplica, BanyanReplica])
+    def test_finalize_touches_its_segment_not_the_height(self, replica_class):
+        """Finalizing on top of a 10^4-block chain looks at the handful of
+        blocks above the finalized height — the walk used to start from
+        genesis every time (O(height^2) over a run)."""
+        replica = replica_class(0, _params())
+        ctx = FakeContext(0, 4)
+        blocks, parent_id = [], genesis_block().id
+        for round_k in range(1, 10_001):
+            block = Block(round=round_k, proposer=round_k % 4, rank=0,
+                          parent_id=parent_id, payload=b"")
+            replica.tree.add_block(block)
+            blocks.append(block)
+            parent_id = block.id
+        replica._finalize(ctx, 9_990, blocks[9_989].id, kind="slow")
+        assert replica.k_max == 9_990 and len(ctx.committed) == 9_990
+
+        class Counting(dict):
+            lookups = 0
+
+            def get(self, key, default=None):
+                Counting.lookups += 1
+                return super().get(key, default)
+
+            def __getitem__(self, key):
+                Counting.lookups += 1
+                return super().__getitem__(key)
+
+        replica.tree._blocks = Counting(replica.tree._blocks)
+        replica._finalize(ctx, 10_000, blocks[-1].id, kind="slow")
+        assert [block.round for block, _ in ctx.committed[9_990:]] == list(range(9_991, 10_001))
+        assert replica.k_max == 10_000
+        assert Counting.lookups <= 4 * 10      # a few per block of the segment
 
 
 class TestBanyanUnitRules:

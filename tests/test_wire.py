@@ -10,15 +10,21 @@ block ids are content hashes, so identity extends to the id level).
 The negative half: every truncation of a valid payload and every corrupted
 frame header must raise :class:`WireError` — never ``IndexError``,
 ``struct.error``, or a silently wrong object.
+
+The format itself is pinned too: one frame per message class, byte for
+byte, so the layout cannot drift without this file changing.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.wire import (
     FRAME_HEADER_SIZE,
     MAX_FRAME_BYTES,
+    MAX_VOTER_ID,
     WIRE_MAGIC,
     WIRE_VERSION,
     ClientSubmit,
@@ -42,7 +48,7 @@ from repro.types.certificates import (
     UnlockProof,
 )
 from repro.types.messages import BlockProposal, CertificateMessage, VoteMessage
-from repro.types.votes import VoteKind, make_vote
+from repro.types.votes import FastVote, NotarizationVote, VoteKind, make_vote
 
 # --------------------------------------------------------------------- #
 # Randomized structure generators
@@ -192,6 +198,19 @@ def test_roundtrip_identity_fuzzed(generator):
         assert type(decoded) is type(obj)
 
 
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), generator=st.sampled_from(GENERATORS),
+       sender=st.integers(-(2**31) + 1, 2**31 - 1))
+def test_roundtrip_identity_hypothesis(seed, generator, sender):
+    """The same generators, driven (and shrunk) by Hypothesis: payload,
+    envelope and frame all restore the exact object."""
+    obj = generator(random.Random(seed))
+    decoded = decode_payload(encode_payload(obj))
+    assert decoded == obj and type(decoded) is type(obj)
+    assert decode_envelope(encode_envelope(sender, obj)) == (sender, obj)
+    assert list(FrameDecoder().feed(encode_frame(sender, obj))) == [(sender, obj)]
+
+
 def test_roundtrip_preserves_block_id():
     # Block ids are content hashes: identity must survive serialization at
     # the id level, or certified chains would not cross the wire.
@@ -224,9 +243,46 @@ def test_none_payload_roundtrip():
     assert decode_payload(encode_payload(None)) is None
 
 
-def test_large_varint_fields_roundtrip():
-    block = Block(round=2**200, proposer=-(2**80), rank=0, parent_id=None)
+@pytest.mark.parametrize("obj", [
+    Block(round=2**64, proposer=0, rank=0, parent_id=None),       # round: u64
+    Block(round=2**200, proposer=-(2**80), rank=0, parent_id=None),
+    Block(round=-1, proposer=0, rank=0, parent_id=None),
+    Block(round=1, proposer=2**31, rank=0, parent_id=None),       # ids: i32
+    Block(round=1, proposer=0, rank=2**32, parent_id=None),       # rank: u32
+    Block(round=1, proposer=0, rank=0, parent_id=None,
+          payload_size=2**64 - 1),                                # the absent marker
+    Block(round=1, proposer=0, rank=0, parent_id="x" * 0xFFFF),   # id: < 64 KiB
+    BlockProposal(block=Block(round=1, proposer=0, rank=0, parent_id=None),
+                  relayed_by=-(2**31)),                           # the absent marker
+    Hello(sender=0, role="r" * 0x10000),
+    Notarization(round=1, block_id="b", mask=1 << (MAX_VOTER_ID + 8)),
+    Notarization(round=1, block_id="b", mask=-1),
+    VoteMessage(votes=(make_vote(VoteKind.FAST, 1, "b", 0),) * 0x10000, sender=0),
+], ids=lambda obj: type(obj).__name__)
+def test_out_of_domain_values_are_refused_at_encode(obj):
+    """v1's varints carried any integer; a fixed-width slot has a domain,
+    and a value outside it is a ``WireError`` where it is encoded — never a
+    ``struct.error``, never a silently truncated field."""
+    with pytest.raises(WireError):
+        encode_payload(obj)
+    with pytest.raises(WireError):
+        encode_frame(0, obj)
+
+
+def test_domain_edges_roundtrip():
+    block = Block(round=2**64 - 1, proposer=-(2**31) + 1, rank=2**32 - 1,
+                  parent_id="x" * 0xFFFE, payload_size=2**64 - 2)
     assert decode_payload(encode_payload(block)) == block
+    widest = Notarization(round=0, block_id="", mask=1 << MAX_VOTER_ID)
+    assert decode_payload(encode_payload(widest)) == widest
+
+
+def test_misplaced_object_is_refused_at_encode():
+    """A field admits only its classes: what would not decode does not encode."""
+    with pytest.raises(WireError, match="does not belong"):
+        encode_payload(VoteMessage(votes=(Hello(sender=1),), sender=0))
+    with pytest.raises(WireError, match="does not belong"):
+        encode_payload(BlockProposal(block=None))
 
 
 def test_unknown_certificate_subclass_rejected():
@@ -256,61 +312,192 @@ def test_every_truncation_raises_wire_error():
                 decode_payload(payload[:cut])
 
 
+def test_every_truncated_envelope_raises_wire_error():
+    rng = random.Random(29)
+    for _ in range(40):
+        envelope = encode_envelope(rng.randrange(-4, 64), _rand_message(rng))
+        for cut in range(len(envelope)):
+            with pytest.raises(WireError):
+                decode_envelope(envelope[:cut])
+
+
 def test_trailing_garbage_raises_wire_error():
-    payload = encode_payload(Hello(sender=1))
-    with pytest.raises(WireError):
-        decode_payload(payload + b"\x00")
+    rng = random.Random(31)
+    for _ in range(100):
+        message = _rand_message(rng)
+        with pytest.raises(WireError):
+            decode_payload(encode_payload(message) + b"\x00")
+        with pytest.raises(WireError):
+            decode_envelope(encode_envelope(1, message) + rng.randbytes(3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32), flips=st.lists(
+    st.tuples(st.integers(0, 10**6), st.integers(1, 255)), min_size=1, max_size=4))
+def test_corrupted_valid_payloads_raise_only_wire_error(seed, flips):
+    """Mutations of *valid* encodings reach deeper than random bytes do."""
+    payload = bytearray(encode_payload(_rand_message(random.Random(seed))))
+    for position, mask in flips:
+        payload[position % len(payload)] ^= mask
+    try:
+        decode_payload(bytes(payload))
+    except WireError:
+        pass
 
 
 def test_random_garbage_never_escapes_wire_error():
     rng = random.Random(17)
     for _ in range(500):
         garbage = rng.randbytes(rng.randrange(0, 80))
-        try:
-            decode_payload(garbage)
-        except WireError:
-            pass
+        framed = bytes([WIRE_MAGIC, WIRE_VERSION, 0, 0, 0, len(garbage)]) + garbage
+        for decode, data in ((decode_payload, garbage), (decode_envelope, garbage),
+                             (lambda data: list(FrameDecoder().feed(data)), framed)):
+            try:
+                decode(data)
+            except WireError:
+                pass
         # Any non-WireError exception (IndexError, struct.error, …)
         # propagates and fails the test.
 
 
-def _certificate_payload(voter_bytes):
-    """A notarization for block "b" of round 1 whose one voter id is the
-    given varint bytes (tag, round, block id, voter count, voter, no
-    aggregate)."""
-    return b"\x05\x01\x01b\x01" + voter_bytes + b"\x00"
+# --------------------------------------------------------------------- #
+# The v2 layout, byte for byte
+# --------------------------------------------------------------------- #
+
+_SIGNATURE = Signature(signer=2, tag=b"T", message_digest=b"DD")
+
+#: ``(sender, message, frame hex)``: frame header ``b7 02 | length u32``,
+#: envelope ``sender i32 | tag | header slots | variable parts in field order``.
+PINNED_FRAMES = [
+    (1, Hello(sender=1),
+     "b70200000012" "00000001" "20" "00000001" "0007" + b"replica".hex()),
+    (-3, ClientSubmit(transaction=b"tx", client_id=2),
+     "b7020000000f" "fffffffd" "21" "00000002" "00000002" + b"tx".hex()),
+    (2, VoteMessage(votes=(NotarizationVote(round=5, block_id="ab", voter=2),
+                           FastVote(round=5, block_id="ab", voter=2,
+                                    signature=_SIGNATURE)), sender=2),
+     "b70200000040" "00000002" "11" "0002" "00000002"
+     # vote: tag, kind, round, id length, voter, id, signature (none)
+     "02" "00" "0000000000000005" "0002" "00000002" "6162" "00"
+     "02" "01" "0000000000000005" "0002" "00000002" "6162"
+     # signature: tag, signer, tag length, digest length, tag, digest
+     "03" "00000002" "00000001" "00000002" "54" "4444"),
+    (0, CertificateMessage(
+        certificate=Finalization(
+            round=5, block_id="ab", voters=[0, 1, 9],
+            aggregate=AggregateSignature(shares=((2, _SIGNATURE),))),
+        unlock_proof=UnlockProof(round=5, block_id="ab",
+                                 votes_by_block=(("ab", [0, 3]),)),
+        sender=0),
+     "b70200000047" "00000000" "12" "00000000"
+     # finalization: round, id length, mask length, id, mask 0b10_0000_0011
+     "06" "0000000000000005" "0002" "0002" "6162" "0203"
+     # aggregate: share count, then (signer, tagged signature) records
+     "04" "0001" "00000002" "03" "00000002" "00000001" "00000002" "54" "4444"
+     # unlock proof: round, id length, entry count, id, (id, mask) records
+     "08" "0000000000000005" "0002" "0001" "6162" "0002" "0001" "6162" "09"),
+    (3, BlockProposal(
+        block=Block(round=6, proposer=3, rank=1, parent_id="ab", payload=b"xyz",
+                    payload_size=1000),
+        parent_notarization=Notarization(round=5, block_id="ab", voters=[0, 1, 2]),
+        relayed_by=1),
+     "b70200000040" "00000003" "10" "00000001"
+     # block: round, proposer, rank, parent length, payload length, size
+     "01" "0000000000000006" "00000003" "00000001" "0002" "00000003"
+     "00000000000003e8" "6162" "78797a"
+     # notarization (no aggregate), no unlock proof, no fast vote
+     "05" "0000000000000005" "0002" "0001" "6162" "07" "00" "00" "00"),
+]
 
 
-def test_voter_list_is_the_sorted_id_list_it_always_was():
-    certificate = Notarization(round=1, block_id="b", voters={3})
-    assert encode_payload(certificate) == _certificate_payload(b"\x06")
-    assert decode_payload(_certificate_payload(b"\x06")) == certificate
-    # Sorted ids, whatever order the constructor saw them in.
+@pytest.mark.parametrize("sender, message, frame_hex", PINNED_FRAMES,
+                         ids=lambda value: type(value).__name__)
+def test_v2_frame_bytes_are_pinned(sender, message, frame_hex):
+    frame = bytes.fromhex(frame_hex)
+    assert encode_frame(sender, message) == frame
+    assert list(FrameDecoder().feed(frame)) == [(sender, message)]
+
+
+def test_absent_optionals_use_their_markers():
+    block = Block(round=1, proposer=-1, rank=0, parent_id=None)
+    assert encode_payload(block) == bytes.fromhex(
+        "01" "0000000000000001" "ffffffff" "00000000" "ffff" "00000000"
+        "ffffffffffffffff")
+    proposal = encode_payload(BlockProposal(block=block))
+    assert proposal[:5] == bytes.fromhex("10" "80000000")
+
+
+def test_voter_mask_is_one_big_endian_integer():
     many = encode_payload(Notarization(round=1, block_id="b", voters=[9, 0, 5]))
-    assert many == b"\x05\x01\x01b\x03" + bytes([0, 10, 18]) + b"\x00"
+    assert many == bytes.fromhex("05" "0000000000000001" "0001" "0002" "62" "0221" "00")
+    none = encode_payload(Notarization(round=1, block_id="b", voters=[]))
+    assert none == bytes.fromhex("05" "0000000000000001" "0001" "0000" "62" "00")
+    assert decode_payload(none).mask == 0
 
 
-@pytest.mark.parametrize("voter_bytes", [
-    b"\x01",                        # zigzag -1
-    b"\xff" * 9 + b"\x01",          # a 64-bit id: a mask of 2**61 bytes
-])
-def test_out_of_range_voter_ids_are_malformed_input(voter_bytes):
-    """Voter sets decode into bitmasks: a negative id has no bit, and a
-    huge one must not be allocated."""
-    with pytest.raises(WireError, match="voter id"):
-        decode_payload(_certificate_payload(voter_bytes))
-    proof = b"\x08\x01\x01b\x01\x01b\x01" + voter_bytes
-    with pytest.raises(WireError, match="voter id"):
+def _certificate_payload(mask_length, mask_bytes=b""):
+    """A notarization of block "b" whose mask claims ``mask_length`` bytes."""
+    return (bytes.fromhex("05" "0000000000000001" "0001")
+            + mask_length.to_bytes(2, "big") + b"b" + mask_bytes + b"\x00")
+
+
+def test_over_long_mask_is_refused_before_it_is_built():
+    """Voter sets decode into ``int`` bitmasks: a length beyond
+    ``MAX_VOTER_ID`` bits is malformed input, refused on its length alone —
+    whether or not the frame even holds that many bytes."""
+    limit = MAX_VOTER_ID // 8 + 1
+    fits = _certificate_payload(limit, b"\x01" + bytes(limit - 1))
+    assert decode_payload(fits).mask == 1 << MAX_VOTER_ID
+    for payload in (_certificate_payload(limit + 1, bytes(limit + 1)),
+                    _certificate_payload(0xFFFF)):
+        with pytest.raises(WireError, match="voter mask"):
+            decode_payload(payload)
+    proof = (bytes.fromhex("08" "0000000000000001" "0001" "0001") + b"b"
+             + bytes.fromhex("0001") + (limit + 1).to_bytes(2, "big") + b"b"
+             + bytes(limit + 1))
+    with pytest.raises(WireError, match="voter mask"):
         decode_payload(proof)
-    envelope = b"\x00" + _certificate_payload(voter_bytes)  # from replica 0
+    envelope = bytes(4) + _certificate_payload(limit + 1, bytes(limit + 1))
     frame = bytes([WIRE_MAGIC, WIRE_VERSION]) + len(envelope).to_bytes(4, "big") + envelope
-    with pytest.raises(WireError, match="voter id"):
+    with pytest.raises(WireError, match="voter mask"):
         list(FrameDecoder().feed(frame))
 
 
-def test_unbounded_varint_rejected():
-    with pytest.raises(WireError):
-        decode_payload(b"\x01" + b"\xff" * 200)
+def test_length_beyond_the_frame_is_refused_before_allocation():
+    """A 4 GiB payload length in a 40-byte frame is a truncation, not a
+    4 GiB slice."""
+    block = bytes.fromhex("01" "0000000000000001" "00000000" "00000000" "ffff"
+                          "ffffffff" "ffffffffffffffff")
+    with pytest.raises(WireError, match="truncated Block.payload"):
+        decode_payload(block)
+    votes = bytes.fromhex("11" "ffff" "00000000")  # 65535 votes, none present
+    with pytest.raises(WireError, match="truncated"):
+        decode_payload(votes)
+
+
+def test_tag_is_checked_against_its_field_before_it_is_decoded():
+    """A field's tag is judged before the object behind it is decoded, so
+    hostile nesting (a vote whose signature is a vote whose …) costs one
+    frame, not the interpreter's stack."""
+    vote = bytes.fromhex("02" "00" "0000000000000001" "0001" "00000000" "62")
+    with pytest.raises(WireError, match="unexpected wire tag 0x2"):
+        decode_payload(vote * 100_000 + b"\x00")
+    proposal_without_block = bytes.fromhex("10" "80000000" "00" "00" "00" "00")
+    with pytest.raises(WireError, match="unexpected wire tag 0x0"):
+        decode_payload(proposal_without_block)
+    with pytest.raises(WireError, match="unexpected wire tag 0x99"):
+        decode_payload(b"\x99")
+
+
+def test_unknown_vote_kind_rejected():
+    vote = bytes.fromhex("02" "03" "0000000000000001" "0001" "00000000" "62" "00")
+    with pytest.raises(WireError, match="vote kind"):
+        decode_payload(vote)
+
+
+def test_invalid_utf8_rejected():
+    with pytest.raises(WireError, match="UTF-8"):
+        decode_payload(bytes.fromhex("20" "00000001" "0002" "fffe"))
 
 
 # --------------------------------------------------------------------- #
@@ -373,6 +560,17 @@ def test_frame_decoder_partial_frame_waits():
     assert decoder.buffered_bytes == FRAME_HEADER_SIZE + 1
     assert list(decoder.feed(frame[FRAME_HEADER_SIZE + 1:])) \
         == [(3, Hello(sender=3))]
+
+
+def test_frame_decoder_keeps_what_an_abandoned_feed_did_not_yield():
+    frames = [encode_frame(index, Hello(sender=index)) for index in range(3)]
+    decoder = FrameDecoder()
+    feed = decoder.feed(b"".join(frames) + frames[0][:5])
+    assert next(feed) == (0, Hello(sender=0))
+    feed.close()                                   # the consumer walked away
+    assert list(decoder.feed(frames[0][5:])) == [
+        (1, Hello(sender=1)), (2, Hello(sender=2)), (0, Hello(sender=0))]
+    assert decoder.buffered_bytes == 0
 
 
 def test_frame_decoder_corrupt_payload():
