@@ -5,13 +5,17 @@ To hash them deterministically we define a small canonical encoding and run
 SHA-256 over it.  The encoding is intentionally simple and explicit rather
 than relying on ``pickle`` (whose output is not stable across interpreter
 versions) or ``repr``.
+
+:func:`canonical_encode` is the specification.  :func:`digest` and
+:func:`hash_hex` feed the same bytes to SHA-256 piece by piece instead of
+building them, so hashing a block reads its payload once and copies nothing.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import fields, is_dataclass
-from typing import Any
+from typing import Any, Callable
 
 _SEPARATOR = b"\x1f"
 _LIST_OPEN = b"\x02"
@@ -66,11 +70,47 @@ def canonical_encode(value: Any) -> bytes:
     raise TypeError(f"cannot canonically encode value of type {type(value)!r}")
 
 
+def _feed(value: Any, update: Callable[[bytes], None]) -> None:
+    """Pass :func:`canonical_encode` of ``value`` to ``update`` in pieces.
+
+    Bytes, sequences and dataclasses are streamed, the type checks in the
+    specification's order; scalars, sets and dicts (whose items are sorted
+    by their encodings) are small and passed as their whole encoding.
+    """
+    if isinstance(value, (bytes, bytearray)):
+        update(b"y")
+        update(value)
+    elif value is None or isinstance(value, (int, float, str)):
+        update(canonical_encode(value))
+    elif is_dataclass(value) and not isinstance(value, type):
+        update(_LIST_OPEN + b"d" + type(value).__name__.encode("utf-8"))
+        for field in fields(value):
+            update(_SEPARATOR + field.name.encode("utf-8") + _SEPARATOR)
+            _feed(getattr(value, field.name), update)
+        update(_LIST_CLOSE)
+    elif isinstance(value, (tuple, list)):
+        update(_LIST_OPEN + b"t")
+        for index, item in enumerate(value):
+            if index:
+                update(_SEPARATOR)
+            _feed(item, update)
+        update(_LIST_CLOSE)
+    else:
+        update(canonical_encode(value))
+
+
+def _sha256_of(value: Any) -> "hashlib._Hash":
+    sha = hashlib.sha256()
+    _feed(value, sha.update)
+    return sha
+
+
 def digest(value: Any) -> bytes:
     """Return the 32-byte SHA-256 digest of the canonical encoding of ``value``."""
-    return hashlib.sha256(canonical_encode(value)).digest()
+    return _sha256_of(value).digest()
 
 
 def hash_hex(value: Any) -> str:
-    """Return the hex SHA-256 digest of the canonical encoding of ``value``."""
-    return hashlib.sha256(canonical_encode(value)).hexdigest()
+    """Return the hex SHA-256 digest of the canonical encoding of ``value``,
+    streamed into the hash (a bytes payload is read in place, not copied)."""
+    return _sha256_of(value).hexdigest()

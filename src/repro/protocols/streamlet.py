@@ -93,8 +93,18 @@ class StreamletReplica(Protocol):
     # ------------------------------------------------------------------ #
 
     def on_start(self, ctx: ReplicaContext) -> None:
-        """Start the epoch clock."""
-        self._begin_epoch(ctx, 1)
+        """Join the epoch the shared clock is in and arm its end.
+
+        Epoch ``e`` spans ``[(e - 1) · d, e · d)`` of ``ctx.now()``, so a
+        replica that boots late (a cluster node, a replica recovering from a
+        crash at time 0) joins the epoch its peers are in instead of
+        restarting the count at 1.
+        """
+        epoch = math.floor(ctx.now() / self.epoch_duration) + 1
+        end = epoch * self.epoch_duration
+        if end <= ctx.now():  # ``now / d`` rounded down onto an integer
+            epoch, end = epoch + 1, end + self.epoch_duration
+        self._begin_epoch(ctx, epoch, end - ctx.now())
 
     def on_message(self, ctx: ReplicaContext, sender: int, message: Message) -> None:
         """Dispatch proposals and votes."""
@@ -168,9 +178,13 @@ class StreamletReplica(Protocol):
     # Epochs and proposing
     # ------------------------------------------------------------------ #
 
-    def _begin_epoch(self, ctx: ReplicaContext, epoch: int) -> None:
+    def _begin_epoch(self, ctx: ReplicaContext, epoch: int,
+                     remaining: Optional[float] = None) -> None:
+        """Enter ``epoch``; its end is ``remaining`` seconds away (a whole
+        epoch unless given)."""
         self.current_epoch = epoch
-        ctx.set_timer(self.epoch_duration, "epoch", epoch + 1)
+        ctx.set_timer(self.epoch_duration if remaining is None else remaining,
+                      "epoch", epoch + 1)
         if self.beacon.leader(epoch) == self.replica_id:
             self._propose(ctx, epoch)
 

@@ -4,6 +4,10 @@ An :class:`ArrivalProcess` answers one question: given the current
 simulation time, how long until the next client transaction arrives?  All
 randomness flows through the caller-supplied :class:`random.Random`, so a
 seeded generator produces the same arrival schedule on every run.
+:meth:`ArrivalProcess.arrivals_until` asks it for every stamp up to a
+horizon at once; the two fixed-rate processes answer that with a local loop
+that makes the same draws and does the same arithmetic as calling
+:meth:`~ArrivalProcess.next_interarrival` once per arrival.
 
 Four processes cover the workload shapes the evaluation needs:
 
@@ -26,6 +30,7 @@ from __future__ import annotations
 import math
 import random
 from abc import ABC, abstractmethod
+from typing import List, Tuple
 
 
 def _check_rate(value: float, what: str = "arrival rate") -> float:
@@ -46,6 +51,21 @@ class ArrivalProcess(ABC):
     def rate(self, now: float) -> float:
         """Return the instantaneous arrival rate at ``now`` (tx/s)."""
 
+    def arrivals_until(self, start: float, horizon: float,
+                       rng: random.Random) -> Tuple[List[float], float]:
+        """Every arrival stamp from ``start`` (itself an arrival) up to and
+        including ``horizon``, plus the first stamp past it.
+
+        Equal, draw for draw, to stepping :meth:`next_interarrival` from
+        ``start``; the stamps list is empty when ``start > horizon``.
+        """
+        stamps: List[float] = []
+        time = start
+        while time <= horizon:
+            stamps.append(time)
+            time += self.next_interarrival(time, rng)
+        return stamps, time
+
 
 class ConstantRate(ArrivalProcess):
     """Arrivals at exactly ``rate`` transactions per second, evenly spaced."""
@@ -59,6 +79,15 @@ class ConstantRate(ArrivalProcess):
     def rate(self, now: float) -> float:
         return self._rate
 
+    def arrivals_until(self, start: float, horizon: float,
+                       rng: random.Random) -> Tuple[List[float], float]:
+        stamps: List[float] = []
+        append, gap, time = stamps.append, 1.0 / self._rate, start
+        while time <= horizon:
+            append(time)
+            time += gap
+        return stamps, time
+
 
 class PoissonArrivals(ArrivalProcess):
     """Memoryless (exponential inter-arrival) arrivals at a fixed mean rate."""
@@ -71,6 +100,18 @@ class PoissonArrivals(ArrivalProcess):
 
     def rate(self, now: float) -> float:
         return self._rate
+
+    def arrivals_until(self, start: float, horizon: float,
+                       rng: random.Random) -> Tuple[List[float], float]:
+        # ``-log(1.0 - random()) / rate`` is ``Random.expovariate`` spelled
+        # out, so the draws and the floats are the same as one call per gap.
+        stamps: List[float] = []
+        append, draw, log, rate = stamps.append, rng.random, math.log, self._rate
+        time = start
+        while time <= horizon:
+            append(time)
+            time += -log(1.0 - draw()) / rate
+        return stamps, time
 
 
 class _ModulatedPoisson(ArrivalProcess):

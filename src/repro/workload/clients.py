@@ -17,6 +17,15 @@ transactions to the replicated service.  It plugs into a
   and matches committed block payloads back to the pool's transactions,
   yielding true end-to-end submit→commit latency.
 
+A pending transaction is only its id.  Each replica's mempool is a FIFO
+queue of ids with O(1) ``len`` / ``total_bytes`` (every encoded size is in
+the pool's ``sizes`` column); admission checks the count and byte limits
+once per run of ids routed to one replica (per transaction only where the
+id header makes sizes vary under a byte limit), and a transaction's bytes
+are formatted once, when :meth:`ClientPool.build_payload` puts it in a
+block — the same bytes
+:func:`repro.workload.transactions.encode_transaction` defines.
+
 Two client models are supported:
 
 * **open loop** — an :class:`repro.workload.arrivals.ArrivalProcess` drives
@@ -42,14 +51,13 @@ import math
 import random
 from array import array
 from bisect import bisect_left
-from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from itertools import cycle, islice
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.runtime.simulator import CommitRecord, Simulation
-from repro.smr.mempool import Mempool
 from repro.smr.metrics import OccupancySample, WorkloadMetrics
 from repro.workload.arrivals import ArrivalProcess
-from repro.workload.transactions import TxRecord, encode_transaction
+from repro.workload.transactions import MAX_HEADER_BYTES, TxRecord, encode_batch
 
 #: Minimum delay before a closed-loop client retries a rejected submission.
 #: A zero-delay retry at a full mempool would re-enqueue an event at the
@@ -58,14 +66,111 @@ from repro.workload.transactions import TxRecord, encode_transaction
 #: advances between retries even with ``think_time = 0``.
 MIN_RETRY_DELAY = 1e-3
 
+#: The commit-time column's entry for a transaction not yet committed.
+_PENDING = array("d", [math.nan])
 
-class _TxMempool(Mempool):
-    """A replica's mempool plus the ids of its queued transactions, in
-    queue order — so a drained batch needs no re-parsing to be identified."""
 
-    def __init__(self, max_size: int, max_bytes: Optional[int]) -> None:
-        super().__init__(max_size=max_size, max_bytes=max_bytes)
-        self.tx_ids: Deque[int] = deque()
+class _TxMempool:
+    """One replica's mempool: the ids of its pending transactions, FIFO.
+
+    Admission and draining follow :class:`repro.smr.mempool.Mempool`
+    (``add`` per transaction, ``drain_batch``) over the sizes the pool
+    recorded at submission, so no transaction is encoded to be queued.
+    The ids sit in a plain list: a proposal pops a whole prefix with one
+    ``del`` of a slice, which a deque cannot do.
+
+    Args:
+        max_size: maximum number of pending transactions.
+        max_bytes: optional maximum total pending bytes.
+        sizes: the pool's tx id → encoded size column.
+        uniform_size: the size every transaction has, or ``None`` when the
+            id header makes sizes vary (a ``tx_size`` below
+            :data:`~repro.workload.transactions.MAX_HEADER_BYTES`).
+        encode: tx ids → their encoded transactions (for :meth:`peek`).
+    """
+
+    def __init__(self, max_size: int, max_bytes: Optional[int], sizes: array,
+                 uniform_size: Optional[int],
+                 encode: Callable[[Sequence[int]], List[bytes]]) -> None:
+        if max_size <= 0:
+            raise ValueError("max_size must be positive")
+        if max_bytes is not None and max_bytes <= 0:
+            raise ValueError("max_bytes must be positive")
+        self.ids: List[int] = []
+        self.total_bytes = 0
+        self.capacity = max_size
+        self.max_bytes = max_bytes
+        self._sizes = sizes
+        self._uniform_size = uniform_size
+        self._encode = encode
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def add_run(self, tx_ids: range) -> Sequence[int]:
+        """Queue ``tx_ids`` in order, each one if the limits admit it at its
+        turn; returns the refused ids.
+
+        Nothing drains in between, so with equal sizes the accepted ids are
+        a prefix: one count and one byte-budget check decide the run.
+        """
+        room = self.capacity - len(self.ids)
+        if self.max_bytes is not None:
+            if self._uniform_size is None:
+                return self._add_each(tx_ids)
+            room = min(room, (self.max_bytes - self.total_bytes) // self._uniform_size)
+        accepted = tx_ids[:max(room, 0)]
+        self.ids.extend(accepted)
+        self.total_bytes += sum(self._sizes[accepted.start:accepted.stop:accepted.step])
+        return tx_ids[len(accepted):]
+
+    def _add_each(self, tx_ids: range) -> List[int]:
+        # Under a byte limit with varying sizes, a later, shorter
+        # transaction may still fit after a longer one was refused.
+        ids, sizes, capacity, max_bytes = self.ids, self._sizes, self.capacity, self.max_bytes
+        count, total = len(ids), self.total_bytes
+        refused: List[int] = []
+        for tx_id in tx_ids:
+            size = sizes[tx_id]
+            if count < capacity and total + size <= max_bytes:
+                ids.append(tx_id)
+                count += 1
+                total += size
+            else:
+                refused.append(tx_id)
+        self.total_bytes = total
+        return refused
+
+    def take(self, max_bytes: int) -> Tuple[List[int], int]:
+        """Pop the longest FIFO prefix whose sizes sum to at most
+        ``max_bytes``; returns ``(ids, total_bytes)``."""
+        ids = self.ids
+        if self._uniform_size is not None:
+            count = min(len(ids), max_bytes // self._uniform_size)
+            total = count * self._uniform_size
+        else:
+            count = total = 0
+            sizes = self._sizes
+            for tx_id in ids:
+                size = sizes[tx_id]
+                if total + size > max_bytes:
+                    break
+                total += size
+                count += 1
+        taken = ids[:count]
+        del ids[:count]
+        self.total_bytes -= total
+        return taken, total
+
+    def requeue(self, tx_ids: List[int]) -> None:
+        """Push ids back to the *front*, in order, bypassing the limits
+        (they were admitted once already)."""
+        self.ids[:0] = tx_ids
+        self.total_bytes += sum(map(self._sizes.__getitem__, tx_ids))
+
+    def peek(self, count: int = 1) -> List[bytes]:
+        """Up to ``count`` pending transactions, as bytes, left queued."""
+        return self._encode(self.ids[:count])
 
 
 class ClientPool:
@@ -112,6 +217,9 @@ class ClientPool:
         self.sample_interval = sample_interval
         self._mempool_capacity = mempool_capacity
         self._mempool_max_bytes = mempool_max_bytes
+        #: At or above the longest possible id header every transaction is
+        #: exactly ``tx_size`` bytes; below it the size depends on the ids.
+        self._uniform_size = tx_size if tx_size >= MAX_HEADER_BYTES else None
         self._rng = random.Random(seed)
         self._mempools: Dict[int, _TxMempool] = {}
         self._simulation: Optional[Simulation] = None
@@ -132,7 +240,7 @@ class ClientPool:
         #: block payload bytes → ids of the transactions batched into it.
         #: Entries are removed on first commit (or when reclaimed), so the
         #: map stays bounded by the number of in-flight proposals.
-        self._payload_txs: Dict[bytes, Tuple[int, ...]] = {}
+        self._payload_txs: Dict[bytes, List[int]] = {}
         #: proposer → its proposals not yet seen resolved, as (payload,
         #: round); entries leave the list once committed or reclaimed.
         self._in_flight: Dict[int, List[Tuple[bytes, int]]] = {}
@@ -168,8 +276,13 @@ class ClientPool:
         """Transactions observed committed so far (deduplicated)."""
         return self._committed
 
-    def mempool(self, replica_id: int) -> Mempool:
-        """Return (creating on first use) the mempool of ``replica_id``."""
+    def mempool(self, replica_id: int) -> _TxMempool:
+        """Return (creating on first use) the mempool of ``replica_id``.
+
+        It queues transaction ids; ``len``, ``total_bytes`` and ``capacity``
+        read as on :class:`repro.smr.mempool.Mempool`, and ``peek(k)``
+        returns the first ``k`` transactions' bytes, formatted on demand.
+        """
         self._admit()
         return self._mempool(replica_id)
 
@@ -177,26 +290,31 @@ class ClientPool:
         pool = self._mempools.get(replica_id)
         if pool is None:
             pool = self._mempools[replica_id] = _TxMempool(
-                self._mempool_capacity, self._mempool_max_bytes)
+                self._mempool_capacity, self._mempool_max_bytes, self._sizes,
+                self._uniform_size, self._encode)
         return pool
+
+    def _encode(self, tx_ids: Sequence[int]) -> List[bytes]:
+        """The encoded transactions of ``tx_ids``, in order."""
+        return encode_batch(tx_ids, map(self._client_ids.__getitem__, tx_ids),
+                            self.tx_size)
 
     def build_payload(self, proposer: int, round: int,
                       max_bytes: int) -> Optional[Tuple[bytes, int]]:
         """Drain the proposer's next proposal: ``(payload, logical size)``.
 
         Due arrivals are admitted and the proposer's abandoned batches
-        re-queued first; the drained batch is remembered so its commit can
-        be matched back.  ``None`` when nothing is pending.
+        re-queued first; the drained ids are formatted into the payload
+        once, and remembered so its commit can be matched back.  ``None``
+        when nothing is pending.
         """
         self._admit()
         self.reclaim_uncommitted(proposer)
-        mempool = self._mempool(proposer)
-        transactions, total_bytes = mempool.drain_batch(max_bytes)
-        if not transactions:
+        tx_ids, total_bytes = self._mempool(proposer).take(max_bytes)
+        if not tx_ids:
             return None
-        payload = b"".join(transactions)
-        next_id = mempool.tx_ids.popleft
-        self._payload_txs[payload] = tuple([next_id() for _ in transactions])
+        payload = b"".join(self._encode(tx_ids))
+        self._payload_txs[payload] = tx_ids
         self._in_flight.setdefault(proposer, []).append((payload, round))
         return payload, total_bytes
 
@@ -237,11 +355,7 @@ class ClientPool:
             self._in_flight.pop(proposer, None)
         if not reclaimed:
             return 0
-        mempool = self._mempool(proposer)
-        mempool.requeue([
-            encode_transaction(tx_id, self._client_ids[tx_id], self.tx_size)
-            for tx_id in reclaimed])
-        mempool.tx_ids.extendleft(reversed(reclaimed))
+        self._mempool(proposer).requeue(reclaimed)
         return len(reclaimed)
 
     def payload_source(self, max_block_bytes: int = 65_536):
@@ -296,17 +410,14 @@ class ClientPool:
         if self._simulation is None:
             return
         horizon = min(self._simulation.now, self._stop_time)
-        time, times = self._next_arrival, []
-        if time > horizon:
+        if self._next_arrival > horizon:
             return
-        next_interarrival, rng = self.arrivals.next_interarrival, self._rng
-        while time <= horizon:
-            times.append(time)
-            time += next_interarrival(time, rng)
-        self._next_arrival = time
-        first = len(self._submit_times)
-        self._submit(times, [tx_id % self.num_clients
-                             for tx_id in range(first, first + len(times))])
+        times, self._next_arrival = self.arrivals.arrivals_until(
+            self._next_arrival, horizon, self._rng)
+        # Open-loop client labels cycle with the tx id.
+        first = len(self._submit_times) % self.num_clients
+        self._submit(times, list(islice(cycle(range(self.num_clients)),
+                                        first, first + len(times))))
 
     def _schedule_client_submit(self, client_id: int, delay: float) -> None:
         assert self._simulation is not None
@@ -329,28 +440,19 @@ class ClientPool:
         Transactions are routed to the replicas round-robin by tx id, so a
         batch splits into one independent run per replica.
         """
-        first = len(self._submit_times)
-        encoded = [encode_transaction(tx_id, client_id, self.tx_size)
-                   for tx_id, client_id in enumerate(client_ids, first)]
-        self._submit_times.extend(times)
-        self._commit_times.extend([math.nan] * len(times))
-        self._client_ids.extend(client_ids)
-        self._sizes.extend(map(len, encoded))
-        end, stride = first + len(encoded), len(self._replica_ids)
+        first, count = len(self._submit_times), len(times)
+        self._submit_times.fromlist(times)
+        self._commit_times.extend(_PENDING * count)
+        self._client_ids.fromlist(client_ids)
+        if self._uniform_size is not None:
+            self._sizes.extend(array("I", [self._uniform_size]) * count)
+        else:
+            self._sizes.extend(map(len, self._encode(range(first, first + count))))
+        end, stride = first + count, len(self._replica_ids)
         dropped: List[int] = []
         for start in range(first, min(first + stride, end)):
-            run = encoded[start - first::stride]
-            tx_ids = range(start, end, stride)
             mempool = self._mempool(self._replica_ids[start % stride])
-            accepted = mempool.add_all(run)
-            mempool.tx_ids.extend(tx_ids[:accepted])
-            # Past the first rejection each one is tried on its own: under
-            # a byte limit a later, shorter transaction may still fit.
-            for tx, tx_id in zip(run[accepted:], tx_ids[accepted:]):
-                if mempool.add(tx):
-                    mempool.tx_ids.append(tx_id)
-                else:
-                    dropped.append(tx_id)
+            dropped.extend(mempool.add_run(range(start, end, stride)))
         self._dropped_ids.extend(sorted(dropped))
         return len(dropped)
 
@@ -367,14 +469,14 @@ class ClientPool:
         tx_ids = self._payload_txs.pop(record.block.payload, None)
         if not tx_ids:
             return
-        commit_times = self._commit_times
-        open_loop = self.is_open_loop
-        for tx_id in tx_ids:
-            if commit_times[tx_id] == commit_times[tx_id]:
-                continue  # already committed through an earlier proposal
-            commit_times[tx_id] = record.commit_time
-            self._committed += 1
-            if not open_loop:
+        commit_time, commit_times = record.commit_time, self._commit_times
+        # Still NaN, i.e. not already committed through an earlier proposal.
+        newly = [tx_id for tx_id in tx_ids if commit_times[tx_id] != commit_times[tx_id]]
+        for tx_id in newly:
+            commit_times[tx_id] = commit_time
+        self._committed += len(newly)
+        if not self.is_open_loop:
+            for tx_id in newly:
                 self._schedule_client_submit(self._client_ids[tx_id],
                                              self._think_delay())
 

@@ -5,10 +5,11 @@ The seed reproduction fills proposals with the paper's synthetic workload —
 (:class:`repro.smr.mempool.PayloadSource`).  When a client workload is
 attached, proposals should instead carry the transactions actually waiting
 in the proposer's mempool.  :class:`MempoolPayloadSource` does exactly that:
-it asks the :class:`repro.workload.clients.ClientPool` to drain the
-proposer's mempool up to the block-size budget into one payload (the
-encoded transactions, concatenated), which the pool remembers so commits
-can be matched back to submissions.
+it asks the :class:`repro.workload.clients.ClientPool` to pop as many of the
+proposer's pending transaction ids as fit the block-size budget and to
+format their bytes into one payload (the encoded transactions,
+concatenated — built once, here), which the pool remembers so commits can
+be matched back to submissions.
 
 Protocols are untouched: they call the same ``payload_for(round, proposer)``
 duck-typed interface regardless of which source is wired in, and the

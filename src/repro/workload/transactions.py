@@ -1,11 +1,13 @@
 """Client transactions: identity, wire encoding, and lifecycle tracking.
 
 A client transaction is an opaque byte string from the protocols' point of
-view — it travels through a :class:`repro.smr.mempool.Mempool`, into a block
-payload, and out of the commit stream.  The workload layer needs to
-recognise its own transactions on the way out, so each one is encoded with a
-small self-describing header (``tx:<tx_id>:<client_id>:``) padded to the
-configured logical size.
+view — it travels in a block payload and out of the commit stream.  The
+workload layer needs to recognise its own transactions on the way out, so
+each one is encoded with a small self-describing header
+(``tx:<tx_id>:<client_id>:``) padded to the configured logical size.  Inside
+the :class:`repro.workload.clients.ClientPool` a pending transaction is only
+its integer id; :func:`encode_batch` formats the bytes of a whole proposal's
+worth of ids once, when a block needs them.
 
 :class:`TxRecord` is the per-transaction view of the submission-side
 bookkeeping — when it was submitted, which replica it was routed to, and
@@ -17,9 +19,10 @@ materialises records on demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, List, Optional
 
 _HEADER_PREFIX = b"tx:"
+_HEADER = _HEADER_PREFIX + b"%d:%d:"  # % (tx_id, client_id)
 _PAD_BYTE = b"\x00"
 
 #: Upper bound on the encoded size of any transaction with a tiny logical
@@ -37,7 +40,15 @@ def encode_transaction(tx_id: int, client_id: int, size: int) -> bytes:
     the header alone is returned (the transaction is then slightly larger
     than requested — ids must survive the trip through a block payload).
     """
-    return (b"%s%d:%d:" % (_HEADER_PREFIX, tx_id, client_id)).ljust(size, _PAD_BYTE)
+    return (_HEADER % (tx_id, client_id)).ljust(size, _PAD_BYTE)
+
+
+def encode_batch(tx_ids: Iterable[int], client_ids: Iterable[int],
+                 size: int) -> List[bytes]:
+    """:func:`encode_transaction` of each ``(tx_id, client_id)`` pair, in
+    one pass over the two parallel sequences."""
+    header, pad = _HEADER, _PAD_BYTE
+    return [(header % ids).ljust(size, pad) for ids in zip(tx_ids, client_ids)]
 
 
 def decode_tx_id(data: bytes) -> Optional[int]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.net.faults import FaultPlan
+from repro.net.faults import CrashSchedule, FaultPlan
 from repro.net.latency import ConstantLatency
 from tests.conftest import assert_consistent_chains, assert_no_conflicting_rounds, build_simulation
 
@@ -91,6 +91,19 @@ class TestStreamlet:
         sim.run(until=30.0)
         assert_consistent_chains(sim)
         assert_no_conflicting_rounds(sim)
+
+    def test_a_replica_booting_late_joins_the_current_epoch(self):
+        # Crashed from t = 0, booted at 2.3 epochs: it enters epoch 3 with
+        # its peers and keeps step with them, instead of counting from 1 two
+        # epochs behind, where it would never vote for a current proposal.
+        faults = FaultPlan(crash_schedule=CrashSchedule(
+            crash_times={3: 0.0}, recover_times={3: 0.92}))
+        sim = build_simulation("streamlet", n=4, f=1, rank_delay=0.4, faults=faults)
+        sim.run(until=0.92)
+        assert sim.protocol(3).current_epoch == sim.protocol(0).current_epoch == 3
+        sim.run(until=10.0)
+        assert sim.protocol(3).current_epoch == sim.protocol(0).current_epoch
+        assert_consistent_chains(sim)
 
     def test_works_at_n19(self):
         sim = build_simulation("streamlet", n=19, f=6, payload_size=10_000)

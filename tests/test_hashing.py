@@ -2,10 +2,64 @@
 
 from __future__ import annotations
 
+import hashlib
+from dataclasses import dataclass
+from typing import Any
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto.hashing import canonical_encode, digest, hash_hex
 from repro.types.blocks import Block
+
+
+@dataclass
+class _Node:
+    """A dataclass whose fields hold arbitrary nested values."""
+
+    label: Any
+    children: Any
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+            | st.text(max_size=8) | st.binary(max_size=16))
+#: Set members and dict keys must be hashable.
+_HASHABLE = st.recursive(
+    _SCALARS, lambda inner: st.tuples(inner, inner) | st.frozensets(inner, max_size=3),
+    max_leaves=6)
+_VALUES = st.recursive(
+    _SCALARS | st.binary(max_size=16).map(bytearray),
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+        | st.sets(_HASHABLE, max_size=4) | st.frozensets(_HASHABLE, max_size=4)
+        | st.dictionaries(_HASHABLE, inner, max_size=4)
+        | st.builds(_Node, inner, inner)),
+    max_leaves=24)
+
+
+class TestStreamedHashing:
+    """``digest`` / ``hash_hex`` stream the encoding into SHA-256;
+    :func:`canonical_encode` stays the specification they must equal."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_VALUES)
+    def test_streamed_hash_equals_hash_of_the_encoding(self, value):
+        encoded = canonical_encode(value)
+        assert hash_hex(value) == hashlib.sha256(encoded).hexdigest()
+        assert digest(value) == hashlib.sha256(encoded).digest()
+
+    def test_unsupported_nested_type_still_raises(self):
+        with pytest.raises(TypeError):
+            hash_hex((1, [b"x", object()]))
+
+    def test_megabyte_payload_block_id_is_unchanged(self):
+        # Pinned from the block id before hashing streamed the payload.
+        block = Block(round=7, proposer=2, rank=1, parent_id="ab" * 32,
+                      payload=bytes(range(256)) * 4096)
+        assert len(block.payload) == 1 << 20
+        assert block.id == ("6976051051a819b0745eaa63b0aebe8f"
+                            "1ddaec59a0f3c8dce1bd5f5933a1d29e")
 
 
 class TestCanonicalEncode:

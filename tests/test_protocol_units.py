@@ -12,9 +12,11 @@ from typing import Any, List, Optional, Tuple
 
 import pytest
 
+from repro.beacon import RoundRobinBeacon
 from repro.core.banyan import BanyanReplica
 from repro.protocols.base import ProtocolParams
 from repro.protocols.icc import ICCReplica
+from repro.protocols.streamlet import StreamletReplica
 from repro.runtime.context import ReplicaContext, Timer
 from repro.types.blocks import Block, genesis_block
 from repro.types.certificates import Notarization, UnlockProof
@@ -341,6 +343,44 @@ class TestBanyanUnitRules:
         assert replica.fast_quorum == 15
         icc = ICCReplica(0, params)
         assert icc.notarization_quorum == 15  # n - f
+
+
+class TestStreamletEpochClock:
+    """Streamlet's epochs are slices of the shared clock: epoch ``e`` spans
+    ``[(e - 1) · d, e · d)``, whenever the replica happens to boot."""
+
+    def _boot(self, replica_id, now, epoch_duration=0.4):
+        replica = StreamletReplica(replica_id, _params(), epoch_duration=epoch_duration)
+        ctx = FakeContext(replica_id, 4)
+        ctx.time = now
+        replica.on_start(ctx)
+        return replica, ctx
+
+    def test_boot_at_zero_enters_epoch_one(self):
+        replica, ctx = self._boot(0, 0.0)
+        assert replica.current_epoch == 1
+        assert ctx.timers == [(0.4, "epoch", 2)]
+
+    def test_late_boot_joins_the_current_epoch(self):
+        replica, ctx = self._boot(0, 2.3 * 0.4)
+        assert replica.current_epoch == 3
+        ((fire_time, name, data),) = ctx.timers
+        assert (name, data) == ("epoch", 4)
+        assert fire_time == pytest.approx(3 * 0.4)  # the end of epoch 3
+
+    def test_late_leader_proposes_for_the_joined_epoch(self):
+        leader = RoundRobinBeacon(list(range(4))).leader(3)
+        _, ctx = self._boot(leader, 2.3 * 0.4)
+        (proposal,) = ctx.broadcast_messages(BlockProposal)
+        assert proposal.block.round == 3
+
+    def test_a_boundary_instant_never_arms_a_past_timer(self):
+        # 3 * 0.7 / 0.7 rounds to just below 3, while 3 * 0.7 == now.
+        now = 3 * 0.7
+        replica, ctx = self._boot(0, now, epoch_duration=0.7)
+        assert replica.current_epoch == 4
+        ((fire_time, _, data),) = ctx.timers
+        assert fire_time > now and data == 5
 
 
 class TestVotersOutsideTheReplicaSet:
