@@ -5,7 +5,8 @@ the same sans-io protocol object the simulator drives, served by a
 :class:`ClusterContext` whose sends go through
 :class:`repro.cluster.tcp_transport.TcpTransport`, whose timers are
 monotonic-clock ``call_later`` callbacks, and whose commits append to a
-JSONL commit log the harness harvests after the run.
+JSONL commit log the harness harvests after the run (a loop turn's lines
+are written and flushed together; an error line at once).
 
 **Clocks.**  All replicas share a *cluster epoch*: the coordinated start
 instant (``start_at``, unix time) the harness writes into every node
@@ -37,7 +38,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.beacon import RoundRobinBeacon
 from repro.chaos.schedule import ChaosSchedule
@@ -234,6 +235,8 @@ class ClusterNode:
         self._timer_handles: Dict[int, asyncio.TimerHandle] = {}
         self._next_timer_id = 1
         self._log_handle = None
+        #: Commit-log lines of this loop turn, written and flushed together.
+        self._log_lines: List[str] = []
         self._commits = 0
         self._client_submissions = 0
         self._client_rejections = 0
@@ -323,6 +326,7 @@ class ClusterNode:
             self._log_line({"type": "error", "t": round(self.now(), 6),
                             "replica": self.config.replica_id,
                             "detail": self._error})
+            self._flush_log()
 
     # ------------------------------------------------------------------ #
     # Commit log
@@ -348,8 +352,16 @@ class ClusterNode:
     def _log_line(self, record: Dict[str, object]) -> None:
         if self._log_handle is None:
             return
-        self._log_handle.write(json.dumps(record, sort_keys=True) + "\n")
-        self._log_handle.flush()
+        if not self._log_lines:
+            self._loop.call_soon(self._flush_log)
+        self._log_lines.append(json.dumps(record, sort_keys=True) + "\n")
+
+    def _flush_log(self) -> None:
+        """Write the buffered lines with one ``write`` and one ``flush``."""
+        if self._log_lines and self._log_handle is not None:
+            self._log_handle.write("".join(self._log_lines))
+            self._log_handle.flush()
+        self._log_lines.clear()
 
     # ------------------------------------------------------------------ #
     # Run loop
@@ -390,6 +402,7 @@ class ClusterNode:
             handle.cancel()
         self._timer_handles.clear()
         self._write_summary()
+        self._flush_log()
         if self._log_handle is not None:
             self._log_handle.close()
             self._log_handle = None

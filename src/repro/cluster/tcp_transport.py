@@ -1,36 +1,26 @@
 """Asyncio TCP transport: real sockets behind the protocol's send seam.
 
-One :class:`TcpTransport` serves one replica process.  It owns:
+One :class:`TcpTransport` serves one replica process on
+:class:`asyncio.Protocol` callbacks — no task wake-up per read or write.
+Each accepted connection (peer or workload client) reads into a reused
+buffer that feeds its own :class:`repro.cluster.wire.FrameDecoder`, and
+dispatches every completed frame inline; an undecodable stream closes that
+connection only.  Sends go to bounded per-peer queues, and the first send
+of a loop turn schedules **one flush** (``call_soon``) that writes each
+connected peer's queue as one ``transport.write``, then delivers the turn's
+copies to this replica itself: the (immutable) object, like the simulator's
+loopback — the codec's round-trip property (``tests/test_wire.py``) keeps
+the two interchangeable.  A peer whose socket buffer is full
+(``pause_writing``) keeps its frames queued; an unreachable one is dialled
+with exponential backoff by a connector task that exists only while it is
+down.  A full queue drops its *oldest* frame — a newer certificate subsumes
+an older vote — so a slow peer never makes a replica buffer unboundedly.
 
-* a listening server for inbound frames (peers and workload clients);
-* one *sender task* per peer, which on each wake-up writes whatever that
-  peer's bounded outbound queue holds as one ``write`` + one ``drain`` over
-  a persistent connection, reconnecting with exponential backoff when the
-  peer is down or restarting;
-* the socket-level fault seam: every outbound frame is judged by the
-  optional :class:`repro.cluster.faults.SocketFaultInjector` (drop, or
-  delay then send — frame by frame, also inside a batch), and every inbound
-  frame is re-judged at delivery time, mirroring the simulator's
-  send-time/delivery-time fault symmetry.  An injector whose schedule holds
-  no socket-level fault is not consulted at all.
-
-**Backpressure.**  Each peer's outbound queue is bounded.  When a peer is
-unreachable long enough for its queue to fill, the *oldest* frame is
-dropped to admit the newest — consensus messages supersede their
-predecessors (a newer certificate subsumes an older vote), so freshness
-beats completeness, and a slow peer can never make a replica buffer
-unboundedly (the failure mode a naive ``writer.write`` loop has).
-
-**Framing.**  Everything on the wire is a :mod:`repro.cluster.wire` frame;
-a broadcast is encoded once and every peer's queue shares the bytes.  A
-message to this replica itself is handed over as the (immutable) object on
-the next loop turn, like the simulator's loopback.  What keeps local and
-remote deliveries interchangeable is the codec's round-trip property
-(``decode(encode(m)) == m`` with the exact classes, for every encodable
-``m`` — ``tests/test_wire.py``), not a second trip through it.
-
-The transport is deliberately sans-protocol: it moves ``(sender, message)``
-envelopes and leaves meaning to the callbacks the node wires in.
+**Faults.**  The flush judges every outbound frame by the optional
+:class:`repro.cluster.faults.SocketFaultInjector` (drop, or hold the batch up
+to and including a delayed frame for its delay), and every inbound frame is
+re-judged at delivery time, mirroring the simulator.  An injector whose
+schedule holds no socket-level fault is not consulted at all.
 """
 
 from __future__ import annotations
@@ -38,16 +28,10 @@ from __future__ import annotations
 import asyncio
 import logging
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.cluster.faults import SocketFaultInjector
-from repro.cluster.wire import (
-    ClientSubmit,
-    FrameDecoder,
-    Hello,
-    WireError,
-    encode_frame,
-)
+from repro.cluster.wire import ClientSubmit, FrameDecoder, Hello, WireError, encode_frame
 
 logger = logging.getLogger(__name__)
 
@@ -59,6 +43,74 @@ MAX_BACKOFF_S = 2.0
 
 #: Default per-peer outbound queue depth.
 DEFAULT_QUEUE_LIMIT = 4096
+
+#: Most bytes one read takes from an inbound connection.
+RECV_BUFFER_BYTES = 65536
+
+
+class _Inbound(asyncio.BufferedProtocol):
+    """One accepted connection: reads land in its own reused buffer (no
+    allocation per read), and their frames are dispatched inline."""
+
+    def __init__(self, owner: "TcpTransport") -> None:
+        self.owner = owner
+        self.decoder = FrameDecoder()
+        self.buffer = memoryview(bytearray(RECV_BUFFER_BYTES))
+        self.transport: Optional[asyncio.Transport] = None
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.owner._inbound.add(self)
+
+    def connection_lost(self, exc) -> None:
+        self.owner._inbound.discard(self)
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.buffer
+
+    def buffer_updated(self, nbytes: int) -> None:
+        owner, stats = self.owner, self.owner.stats
+        stats["recv_bytes"] += nbytes
+        try:
+            for sender, message in self.decoder.feed(self.buffer[:nbytes]):
+                stats["recv_frames"] += 1
+                owner._dispatch(sender, message)
+        except WireError as exc:
+            stats["decode_errors"] += 1
+            logger.warning("replica %d: dropping connection after wire error: %s",
+                           owner.replica_id, exc)
+            self.transport.close()
+
+
+class _Outbound(asyncio.Protocol):
+    """One peer: its bounded frame queue and, while connected, its socket."""
+
+    def __init__(self, owner: "TcpTransport", peer: int) -> None:
+        self.owner = owner
+        self.peer = peer
+        self.queue: Deque[bytes] = deque()
+        self.transport: Optional[asyncio.Transport] = None
+        self.paused = False     # the socket buffer is above its high-water mark
+        self.held = False       # a straggler-delayed batch is waiting out its delay
+        self.connector: Optional[asyncio.Task] = None
+
+    def connection_made(self, transport) -> None:
+        owner = self.owner
+        self.transport, self.paused = transport, False
+        transport.write(encode_frame(owner.replica_id, Hello(sender=owner.replica_id)))
+        owner.stats["reconnects"] += 1
+        owner._schedule_flush()
+
+    def connection_lost(self, exc) -> None:
+        self.transport = None
+        self.owner._connect(self)
+
+    def pause_writing(self) -> None:
+        self.paused = True
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        self.owner._schedule_flush()
 
 
 class TcpTransport:
@@ -78,16 +130,11 @@ class TcpTransport:
         queue_limit: per-peer outbound queue depth.
     """
 
-    def __init__(
-        self,
-        replica_id: int,
-        peers: Mapping[int, Tuple[str, int]],
-        on_message: Callable[[int, Any], None],
-        clock: Callable[[], float],
-        injector: Optional[SocketFaultInjector] = None,
-        on_client_submit: Optional[Callable[[ClientSubmit], None]] = None,
-        queue_limit: int = DEFAULT_QUEUE_LIMIT,
-    ) -> None:
+    def __init__(self, replica_id: int, peers: Mapping[int, Tuple[str, int]],
+                 on_message: Callable[[int, Any], None], clock: Callable[[], float],
+                 injector: Optional[SocketFaultInjector] = None,
+                 on_client_submit: Optional[Callable[[ClientSubmit], None]] = None,
+                 queue_limit: int = DEFAULT_QUEUE_LIMIT) -> None:
         if queue_limit <= 0:
             raise ValueError("queue_limit must be positive")
         self.replica_id = replica_id
@@ -99,193 +146,144 @@ class TcpTransport:
         self._injector = None if injector is None or injector.idle else injector
         self._on_client_submit = on_client_submit
         self._queue_limit = queue_limit
-        #: Per peer: the frames waiting for its sender task (oldest first)
-        #: and the event that wakes the task when the first one arrives.
-        self._queues: Dict[int, Deque[bytes]] = {}
-        self._wakeups: Dict[int, asyncio.Event] = {}
-        self._sender_tasks: Dict[int, asyncio.Task] = {}
+        self._outbound: Dict[int, _Outbound] = {}
+        self._inbound: Set[_Inbound] = set()
+        #: This turn's messages to this replica itself, delivered by the flush.
+        self._local: List[Any] = []
+        self._flush_pending = False
         self._server: Optional[asyncio.base_events.Server] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stopped = False
+        self._stopped = True
         #: Observability counters, harvested into the node's summary.
-        self.stats: Dict[str, int] = {
-            "sent_frames": 0, "sent_bytes": 0, "sent_batches": 0,
-            "recv_frames": 0, "recv_bytes": 0,
-            "dropped_fault": 0, "dropped_backpressure": 0,
-            "reconnects": 0, "decode_errors": 0,
-        }
-
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
+        self.stats: Dict[str, int] = dict.fromkeys((
+            "sent_frames", "sent_bytes", "sent_batches", "recv_frames", "recv_bytes",
+            "dropped_fault", "dropped_backpressure", "reconnects", "decode_errors"), 0)
 
     async def start(self, host: str, port: int) -> None:
-        """Bind the listening server and launch one sender task per peer."""
+        """Bind the listening server and start dialling every peer."""
         self._loop = asyncio.get_running_loop()
-        self._server = await asyncio.start_server(self._serve_connection,
-                                                  host, port)
+        self._stopped = False
+        self._server = await self._loop.create_server(lambda: _Inbound(self), host, port)
         for peer in sorted(self.peers):
-            self._queues[peer] = deque()
-            self._wakeups[peer] = asyncio.Event()
-            self._sender_tasks[peer] = self._loop.create_task(
-                self._sender_loop(peer)
-            )
+            self._outbound[peer] = _Outbound(self, peer)
+            self._connect(self._outbound[peer])
 
     async def stop(self) -> None:
-        """Cancel sender tasks and close the server."""
+        """Close every connection and the server; nothing is delivered after."""
         self._stopped = True
-        for task in self._sender_tasks.values():
-            task.cancel()
-        if self._sender_tasks:
-            await asyncio.gather(*self._sender_tasks.values(),
-                                 return_exceptions=True)
-        self._sender_tasks.clear()
+        self._local.clear()
+        for peer in self._outbound.values():
+            if peer.connector is not None:
+                peer.connector.cancel()
+            if peer.transport is not None:
+                peer.transport.close()
+        for inbound in self._inbound:
+            inbound.transport.close()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+        await asyncio.sleep(0)  # let cancelled dials and closed sockets finish
 
-    # ------------------------------------------------------------------ #
-    # Sending
-    # ------------------------------------------------------------------ #
+    def _connect(self, peer: _Outbound) -> None:
+        if not self._stopped:
+            peer.connector = self._loop.create_task(self._dial(peer))
+
+    async def _dial(self, peer: _Outbound) -> None:
+        """Connect to ``peer``, retrying with exponential backoff."""
+        backoff = INITIAL_BACKOFF_S
+        while True:
+            try:
+                await self._loop.create_connection(lambda: peer, *self.peers[peer.peer])
+                return
+            except OSError:
+                await asyncio.sleep(backoff)
+                backoff = min(backoff * 2, MAX_BACKOFF_S)
 
     def send(self, receiver: int, message: Any) -> None:
         """Enqueue ``message`` for ``receiver`` (callable from callbacks)."""
         self.broadcast(message, (receiver,))
 
     def broadcast(self, message: Any, replica_ids) -> None:
-        """Send ``message`` to every replica in ``replica_ids`` (incl. self).
-
-        The message is encoded once; a copy for this replica itself skips
-        the codec and is delivered on the next loop iteration.
-        """
+        """Send ``message`` to every replica in ``replica_ids``, encoded once;
+        the copy for this replica itself skips the codec (see :meth:`_flush`)."""
+        if self._stopped:
+            return
         frame = None
         for receiver in replica_ids:
             if receiver == self.replica_id:
-                if self._loop is not None:
-                    self._loop.call_soon(self._dispatch, receiver, message)
+                self._local.append(message)
                 continue
-            queue = self._queues.get(receiver)
-            if queue is None:
+            peer = self._outbound.get(receiver)
+            if peer is None:
                 continue
             if frame is None:
                 frame = encode_frame(self.replica_id, message)
+            queue = peer.queue
             if len(queue) >= self._queue_limit:
                 # Drop the oldest frame: the newest protocol state supersedes it.
                 queue.popleft()
                 self.stats["dropped_backpressure"] += 1
             queue.append(frame)
-            self._wakeups[receiver].set()
+        self._schedule_flush()
 
-    async def _next_batch(self, peer: int) -> List[bytes]:
-        """Wait for frames to ``peer`` and return those due now, in order.
+    def _schedule_flush(self) -> None:
+        if not self._flush_pending:
+            self._flush_pending = True
+            self._loop.call_soon(self._flush)
 
-        Every frame gets its own fault verdict.  A straggler's delay is
-        served frame by frame, as if each were written alone: the delayed
-        frame closes the batch.
-        """
-        queue, wakeup = self._queues[peer], self._wakeups[peer]
-        batch: List[bytes] = []
-        while not batch:
-            while not queue:
-                wakeup.clear()
-                await wakeup.wait()
-            if self._injector is None:
-                batch = list(queue)
+    def _flush(self) -> None:
+        """Write each writable peer's queue as one batch, then deliver the turn's
+        self copies in order.  With an injector each frame gets its own verdict;
+        a delayed frame closes its batch, which is held back for the delay."""
+        self._flush_pending = False
+        injector = self._injector
+        for peer in self._outbound.values():
+            queue = peer.queue
+            if not queue or peer.transport is None or peer.paused or peer.held:
+                continue
+            if injector is None:
+                self._write(peer, queue)
                 queue.clear()
-            while queue:
+                continue
+            batch: List[bytes] = []
+            while queue and not peer.held:
+                verdict = injector.outbound(peer.peer, self._clock())
                 frame = queue.popleft()
-                verdict = self._injector.outbound(peer, self._clock())
                 if verdict is None:
                     self.stats["dropped_fault"] += 1
                     continue
                 batch.append(frame)
                 if verdict > 0:
-                    await asyncio.sleep(verdict)
-                    break
-        return batch
+                    peer.held = True
+                    self._loop.call_later(verdict, self._release, peer, batch)
+            if batch and not peer.held:
+                self._write(peer, batch)
+        local, self._local = self._local, []
+        for message in local:
+            self._dispatch(self.replica_id, message)
 
-    async def _sender_loop(self, peer: int) -> None:
-        """Drain one peer's queue over a persistent, self-healing connection."""
-        host, port = self.peers[peer]
-        backoff = INITIAL_BACKOFF_S
-        batch: List[bytes] = []
-        writer: Optional[asyncio.StreamWriter] = None
-        try:
-            while not self._stopped:
-                if writer is None:
-                    try:
-                        _, writer = await asyncio.open_connection(host, port)
-                    except OSError:
-                        await asyncio.sleep(backoff)
-                        backoff = min(backoff * 2, MAX_BACKOFF_S)
-                        continue
-                    backoff = INITIAL_BACKOFF_S
-                    self.stats["reconnects"] += 1
-                    writer.write(encode_frame(
-                        self.replica_id, Hello(sender=self.replica_id)))
-                try:
-                    if not batch:
-                        batch = await self._next_batch(peer)
-                    data = b"".join(batch)
-                    writer.write(data)
-                    await writer.drain()
-                    self.stats["sent_batches"] += 1
-                    self.stats["sent_frames"] += len(batch)
-                    self.stats["sent_bytes"] += len(data)
-                    batch = []
-                except (ConnectionError, OSError):
-                    # Keep the batch; retry it once the peer is back.
-                    self._close_writer(writer)
-                    writer = None
-        except asyncio.CancelledError:
-            pass
-        finally:
-            self._close_writer(writer)
+    def _release(self, peer: _Outbound, batch: List[bytes]) -> None:
+        """Send a straggler-held batch once its delay has passed."""
+        peer.held = False
+        if peer.transport is None:
+            peer.queue.extendleft(reversed(batch))  # re-judged once reconnected
+        else:
+            self._write(peer, batch)
+        self._schedule_flush()
 
-    @staticmethod
-    def _close_writer(writer: Optional[asyncio.StreamWriter]) -> None:
-        if writer is not None:
-            try:
-                writer.close()
-            except Exception:  # pragma: no cover - teardown best-effort
-                pass
-
-    # ------------------------------------------------------------------ #
-    # Receiving
-    # ------------------------------------------------------------------ #
-
-    async def _serve_connection(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        """Read frames from one inbound connection until EOF or WireError."""
-        decoder = FrameDecoder()
-        try:
-            while True:
-                data = await reader.read(65536)
-                if not data:
-                    break
-                self.stats["recv_bytes"] += len(data)
-                for sender, message in decoder.feed(data):
-                    self.stats["recv_frames"] += 1
-                    self._dispatch(sender, message)
-        except WireError as exc:
-            self.stats["decode_errors"] += 1
-            logger.warning("replica %d: dropping connection after wire error: %s",
-                           self.replica_id, exc)
-        except (ConnectionError, OSError):
-            pass
-        finally:
-            self._close_writer(writer)
+    def _write(self, peer: _Outbound, batch) -> None:
+        data = b"".join(batch)
+        peer.transport.write(data)
+        self.stats["sent_batches"] += 1
+        self.stats["sent_frames"] += len(batch)
+        self.stats["sent_bytes"] += len(data)
 
     def _dispatch(self, sender: int, message: Any) -> None:
-        if isinstance(message, Hello):
-            return
-        if isinstance(message, ClientSubmit):
-            if self._on_client_submit is not None:
+        if isinstance(message, (Hello, ClientSubmit)):
+            if isinstance(message, ClientSubmit) and self._on_client_submit is not None:
                 self._on_client_submit(message)
-            return
-        if self._injector is not None and not self._injector.inbound(
-                sender, self._clock()):
+        elif self._injector is None or self._injector.inbound(sender, self._clock()):
+            self._on_message(sender, message)
+        else:
             self.stats["dropped_fault"] += 1
-            return
-        self._on_message(sender, message)

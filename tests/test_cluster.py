@@ -135,6 +135,42 @@ def test_mempool_source_drains_and_falls_back():
     assert payload == b"cluster:r6:p0" and size == 0
 
 
+def test_commit_log_is_written_once_per_loop_turn_and_at_once_on_error(tmp_path):
+    import asyncio
+
+    from repro.cluster.node import ClusterNode
+    from repro.types.blocks import Block
+
+    log = tmp_path / "commit.log"
+    node = ClusterNode(NodeConfig(replica_id=0, protocol="banyan", n=N, f=1, p=1,
+                                  peers={0: ("127.0.0.1", 0)}, commit_log=str(log)))
+    blocks = [Block(round=r, proposer=r % N, rank=0, parent_id="g", payload=b"tx")
+              for r in (1, 2)]
+
+    def divide_by_zero():
+        return 1 / 0
+
+    async def scenario():
+        node._loop = asyncio.get_running_loop()
+        with open(log, "a", encoding="utf-8") as handle:
+            node._log_handle = handle
+            node.record_commit(blocks, "fast")
+            node.record_commit(blocks[:1], "slow")
+            assert log.read_text() == ""            # buffered within the turn
+            await asyncio.sleep(0)
+            turn = log.read_text()
+            node._guarded(divide_by_zero)            # an error is written at once
+            return turn, log.read_text()
+
+    turn, final = asyncio.run(scenario())
+    lines = [json.loads(line) for line in turn.splitlines()]
+    assert [(line["round"], line["kind"]) for line in lines] == [
+        (1, "fast"), (2, "fast"), (1, "slow")]
+    assert turn.splitlines()[0] == json.dumps(lines[0], sort_keys=True)
+    error = json.loads(final[len(turn):])
+    assert error["type"] == "error" and "ZeroDivisionError" in error["detail"]
+
+
 def test_node_config_roundtrip():
     config = NodeConfig(
         replica_id=2, protocol="banyan", n=4, f=1, p=1,

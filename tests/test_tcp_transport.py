@@ -1,9 +1,10 @@
 """The TCP transport's send path, in one process over loopback.
 
 What the cluster's speed rests on — one encode per broadcast, one write per
-wake-up — must not cost what its fault replay rests on: a verdict per
-frame, drop-oldest backpressure, in-order retry after a reconnect and
-per-frame accounting.  Each test wires two (or one) real
+peer per loop turn — must not cost what its fault replay rests on: a verdict
+per frame, drop-oldest backpressure (also against a peer that stops
+reading), in-order retry after a reconnect, per-frame accounting, and a
+stopped transport that delivers nothing.  Each test wires two (or one) real
 :class:`TcpTransport` endpoints on localhost sockets.
 """
 
@@ -17,7 +18,7 @@ from repro.chaos.schedule import ChaosSchedule, Fault
 from repro.cluster.faults import SocketFaultInjector
 from repro.cluster.harness import pick_free_ports
 from repro.cluster.tcp_transport import TcpTransport
-from repro.cluster.wire import Hello, encode_frame
+from repro.cluster.wire import ClientSubmit, FrameDecoder, Hello, encode_frame
 from repro.types.messages import VoteMessage
 from repro.types.votes import NotarizationVote
 
@@ -146,6 +147,130 @@ def test_queue_overflow_still_drops_the_oldest():
     assert pair.sender.stats["sent_frames"] == 8
 
 
+def test_a_receiver_restart_mid_stream_keeps_every_frame_in_order():
+    async def scenario():
+        async with _Pair() as pair:
+            await pair.start_receiver()
+            for index in range(100):
+                pair.sender.send(1, _message(index))
+            await _until(lambda: len(pair.received) == 100)
+            await pair.receiver.stop()
+            await asyncio.sleep(0.2)        # the sender sees its connection close
+            for index in range(100, 300):
+                pair.sender.send(1, _message(index))
+            await asyncio.sleep(0.2)        # reconnect attempts fail meanwhile
+            assert len(pair.received) == 100
+            await pair.start_receiver()     # same port
+            for index in range(300, 400):
+                pair.sender.send(1, _message(index))
+            await _until(lambda: len(pair.received) == 400)
+            return pair
+
+    pair = asyncio.run(scenario())
+    assert _rounds(pair.received) == list(range(400))
+    assert {sender for sender, _ in pair.received} == {0}
+    assert pair.sender.stats["reconnects"] == 2
+    assert pair.sender.stats["sent_frames"] == len(pair.received)
+    assert pair.receiver.stats["recv_frames"] == 400 + 2     # one Hello per connection
+    assert pair.sender.stats["dropped_backpressure"] == 0
+
+
+def test_frames_larger_than_one_read_arrive_whole():
+    # Each read reuses one receive buffer: a frame split across reads must
+    # not keep a view into it.
+    submitted = []
+    big = tcp_transport.RECV_BUFFER_BYTES * 3 + 7
+
+    async def scenario():
+        async with _Pair() as pair:
+            pair.receiver._on_client_submit = submitted.append
+            await pair.start_receiver()
+            for index in range(3):
+                pair.sender.send(1, ClientSubmit(transaction=bytes([index]) * big,
+                                                 client_id=index))
+            await _until(lambda: len(submitted) == 3)
+
+    asyncio.run(scenario())
+    assert [(submit.client_id, submit.transaction) for submit in submitted] == [
+        (index, bytes([index]) * big) for index in range(3)]
+
+
+def test_a_stopped_receiver_delivers_nothing_more():
+    async def scenario():
+        async with _Pair() as pair:
+            await pair.start_receiver()
+            pair.sender.send(1, _message(0))
+            await _until(lambda: pair.received)
+            await pair.receiver.stop()
+            for index in range(1, 20):
+                pair.sender.send(1, _message(index))
+            pair.receiver.send(1, _message(99))     # nor a copy to itself
+            await asyncio.sleep(0.3)
+            return pair
+
+    pair = asyncio.run(scenario())
+    assert _rounds(pair.received) == [0]
+
+
+class _Sink(asyncio.Protocol):
+    """A bare server-side peer that accepts and reads nothing until resumed."""
+
+    def __init__(self):
+        self.decoder = FrameDecoder()
+        self.messages = []
+        self.transport = None
+
+    def connection_made(self, transport):
+        self.transport = transport
+        transport.pause_reading()
+
+    def data_received(self, data):
+        self.messages.extend(message for _, message in self.decoder.feed(data))
+
+
+def test_a_peer_that_never_reads_costs_a_bounded_queue():
+    limit = 32
+    payload = b"x" * 65536          # the socket buffers hold a few MiB: ~100 frames
+
+    async def scenario():
+        sink = _Sink()
+        port, = pick_free_ports(1)
+        server = await asyncio.get_running_loop().create_server(lambda: sink, HOST, port)
+        sender = TcpTransport(0, {1: (HOST, port)}, lambda *_: None, clock=lambda: 1.0,
+                              queue_limit=limit)
+        await sender.start(HOST, 0)
+        peer = sender._outbound[1]
+        try:
+            await _until(lambda: peer.transport is not None)
+            high = peer.transport.get_write_buffer_limits()[1]
+            frame = len(encode_frame(0, ClientSubmit(transaction=payload)))
+            sent = 0
+            while sender.stats["dropped_backpressure"] < 4 * limit:
+                assert sent < 5000, "the socket never filled up"
+                sender.send(1, ClientSubmit(transaction=payload, client_id=sent))
+                sent += 1
+                await asyncio.sleep(0)      # one loop turn: one flush
+                assert len(peer.queue) <= limit
+                # At most one batch beyond the high-water mark sits in user space.
+                assert peer.transport.get_write_buffer_size() <= high + limit * frame
+            assert peer.paused
+            sink.transport.resume_reading()
+            await _until(lambda: len(sink.messages) == 1 + sender.stats["sent_frames"])
+            return sink, sender, sent
+        finally:
+            await sender.stop()
+            if sink.transport is not None:
+                sink.transport.close()
+            server.close()
+
+    sink, sender, sent = asyncio.run(scenario())
+    assert isinstance(sink.messages[0], Hello)
+    arrived = [message.client_id for message in sink.messages[1:]]
+    assert arrived == sorted(set(arrived))                  # in order, no repeats
+    assert arrived[-limit:] == list(range(sent - limit, sent))   # the oldest were dropped
+    assert len(arrived) + sender.stats["dropped_backpressure"] == sent
+
+
 def test_one_broadcast_encodes_once_and_hands_the_object_to_self(monkeypatch):
     encoded = []
     real_encode = tcp_transport.encode_frame
@@ -168,7 +293,7 @@ def test_one_broadcast_encodes_once_and_hands_the_object_to_self(monkeypatch):
             transport.broadcast(message, range(4))
             assert local == []                  # next loop turn, like a socket frame
             await _until(lambda: local)
-            return [list(queue) for queue in transport._queues.values()]
+            return [list(peer.queue) for peer in transport._outbound.values()]
         finally:
             await transport.stop()
 
