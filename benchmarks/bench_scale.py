@@ -1,6 +1,6 @@
 """Scale benchmark: event-loop throughput and fluid workloads up to n=256.
 
-Three measurements gate the scaling work:
+Four measurements gate the scaling work:
 
 * **Flood events/sec at n=64/128/256** — the protocol-free broadcast-heavy
   mix of :mod:`benchmarks.bench_simulator`, extended to datacenter-scale
@@ -10,17 +10,11 @@ Three measurements gate the scaling work:
   target).  Every cell runs under both event-scheduler backends (the
   reference heap and the calendar queue), so the record gates the
   calendar queue's jittered-hot-path win and its overhead elsewhere.
-  This isolates the event queue plus transport.
+  This isolates the event queue plus transport; the jittered heap rows
+  also carry ``sbatch`` run-ahead.
 * **Broadcast-delay copies/sec at n=64/256, per latency model** — a
   transport-only microbench of ``broadcast_times`` across all five
   shipped latency models, gating the row pipeline in isolation.
-* **Dispatch sweep vs forced-scalar** — every registered consensus
-  protocol plus a hub unicast-storm case, each run once with fused
-  same-target sweeps enabled and once with
-  :attr:`Simulation.force_scalar_dispatch`.  Executions are byte-identical
-  (``tests/test_dispatch_batch.py``); the pairs gate the fused loop's
-  overhead on mbatch-dominant protocol traffic and its win on the
-  sweep-dominant storm shape.
 * **Exact vs fluid at n=64** — the same Banyan workload run once with the
   per-transaction client model and once with the aggregated-flow model,
   recording wall-clock and goodput side by side.  Fluid must be cheaper to
@@ -44,10 +38,9 @@ import gc
 import os
 import random
 import time
-from dataclasses import dataclass
 from types import SimpleNamespace
 
-from benchmarks.bench_simulator import TICK, FloodProtocol
+from benchmarks.bench_simulator import FloodProtocol
 from benchmarks.conftest import emit_bench_record, paper_comparison
 
 from repro.eval.experiment import ExperimentConfig, run_experiment
@@ -62,8 +55,7 @@ from repro.net.latency import (
 )
 from repro.net.topology import worldwide_datacenters
 from repro.net.transport import DirectTransport
-from repro.protocols.base import Protocol, ProtocolParams
-from repro.protocols.registry import create_replicas
+from repro.protocols.base import ProtocolParams
 from repro.runtime.simulator import NetworkConfig, Simulation
 from repro.workload.spec import WorkloadSpec
 
@@ -204,109 +196,6 @@ def _run_broadcast_delay(n: int, model: str) -> dict:
     }
 
 
-#: Protocols covered by the dispatch microbench (sweep vs forced-scalar).
-DISPATCH_PROTOCOLS = ("banyan", "icc", "hotstuff", "streamlet")
-
-
-class _HubStormProtocol(Protocol):
-    """Hub-and-spoke unicast storm: every spoke unicasts to replica 0 on a
-    shared tick, so the hub receives one contiguous same-instant run per
-    tick — the traffic shape the fused ``on_messages`` sweep targets."""
-
-    name = "hub-storm"
-
-    def __init__(self, replica_id: int, params: ProtocolParams) -> None:
-        super().__init__(replica_id, params)
-        self.received = 0
-
-    def on_start(self, ctx) -> None:
-        if self.replica_id != 0:
-            ctx.set_timer(TICK, "tick")
-
-    def on_message(self, ctx, sender, message) -> None:
-        self.received += 1
-
-    def on_messages(self, ctx, batch) -> None:
-        # Real batch hook (same state transition as the scalar handler):
-        # one call per fused sweep is the handler-side saving the fused
-        # dispatch exists to expose.
-        self.received += len(batch)
-
-    def on_timer(self, ctx, timer) -> None:
-        ctx.send(0, _Blast())
-        ctx.set_timer(TICK, "tick")
-
-
-@dataclass(frozen=True)
-class _Blast:
-    """Fixed-size storm message."""
-
-    wire_size: int = 256
-
-
-def _dispatch_events() -> int:
-    """Fixed per-run event budget: every dispatch row measures the same
-    amount of work, so ``events_per_s`` is comparable across modes."""
-    return 25_000 if _smoke() else 150_000
-
-
-def _dispatch_cases() -> tuple:
-    """(case label, sim builder) pairs for the dispatch microbench."""
-    n = 16 if _smoke() else 32
-
-    def _protocol_sim(protocol: str) -> Simulation:
-        params = _scale_params(n)
-        replicas = create_replicas(protocol, params)
-        network = NetworkConfig(latency=ConstantLatency(0.02),
-                                faults=FaultPlan.none(), seed=0)
-        return Simulation(replicas, network)
-
-    def _storm_sim() -> Simulation:
-        storm_n = 64 if _smoke() else 128
-        params = ProtocolParams(n=storm_n, f=0, p=0)
-        replicas = {i: _HubStormProtocol(i, params) for i in range(storm_n)}
-        network = NetworkConfig(latency=ConstantLatency(0.02),
-                                faults=FaultPlan.none(), seed=0)
-        return Simulation(replicas, network)
-
-    cases = [(protocol, lambda p=protocol: _protocol_sim(p))
-             for protocol in DISPATCH_PROTOCOLS]
-    cases.append(("storm", _storm_sim))
-    return tuple(cases)
-
-
-def _run_dispatch(case: str, build, scalar: bool) -> dict:
-    """One dispatch-microbench run: fused sweeps vs the forced-scalar loop.
-
-    Executions are byte-identical between the two modes (pinned by
-    ``tests/test_dispatch_batch.py``); the rows compare their wall-clock
-    over a fixed event budget.  The consensus-protocol cases are
-    mbatch-dominant (sweeps barely fire under zero jitter), so their pairs
-    gate loop overhead; the hub unicast-storm case is sweep-dominant and
-    gates the fused-path win.
-    """
-    simulation = build()
-    simulation.force_scalar_dispatch = scalar
-    budget = _dispatch_events()
-    gc.collect()
-    start = time.perf_counter()
-    simulation.run(until=float("inf"), max_events=budget)
-    wall = time.perf_counter() - start
-    return {
-        "n": len(simulation.replica_ids),
-        "model": case,
-        "mode": "scalar" if scalar else "sweep",
-        "sim_seconds": round(simulation.now, 4),
-        # The budgeted run processes exactly ``budget`` events; traffic
-        # never dries up in any case, so the budget is the work done.
-        "events": budget,
-        "delivered": simulation.messages_delivered,
-        "sweeps": simulation.dispatch_counts()["sweeps"],
-        "wall_s": round(wall, 4),
-        "events_per_s": round(budget / wall, 1),
-    }
-
-
 def _scale_params(n: int) -> ProtocolParams:
     # f = p = (n - 1) // 5 keeps the fast path available (n >= 3f + 2p + 1)
     # at every benchmarked size.
@@ -383,10 +272,6 @@ def test_scale_throughput(benchmark) -> None:
                  for n in _flood_counts()]
         delay = [_best_of(lambda n=n, m=model: _run_broadcast_delay(n, m))
                  for model in DELAY_MODELS for n in _delay_counts()]
-        dispatch = [_best_of(lambda c=case, b=build, s=scalar:
-                             _run_dispatch(c, b, s))
-                    for case, build in _dispatch_cases()
-                    for scalar in (False, True)]
         # Exact vs fluid on one overlapping mid-size config: the exact
         # model pays one event per transaction, the fluid model one per
         # (replica, tick) — same protocol traffic, same offered load.
@@ -408,7 +293,7 @@ def test_scale_throughput(benchmark) -> None:
             num_clients=1_000_000, rate=20_000.0), reps=3 if smoke else 1)
         gate["under_60s"] = gate["wall_s"] < GATE_WALL_S
         return {"flood": flood, "broadcast_delay": delay,
-                "dispatch": dispatch, "exact_vs_fluid": compare,
+                "exact_vs_fluid": compare,
                 "gate": [gate]}
 
     series = benchmark.pedantic(_measure, rounds=1, iterations=1)
@@ -421,22 +306,10 @@ def test_scale_throughput(benchmark) -> None:
     )
     paper_comparison(series["flood"])
     paper_comparison(series["broadcast_delay"])
-    paper_comparison(series["dispatch"])
     paper_comparison(series["exact_vs_fluid"])
     paper_comparison(series["gate"])
     assert all(row["events"] > 0 for row in series["flood"])
     assert all(row["events_per_s"] > 0 for row in series["broadcast_delay"])
-    # Sweep/scalar pairs must process identical event streams, the storm
-    # case must actually fuse, and forced-scalar runs never sweep.
-    dispatch_rows = {(row["model"], row["mode"]): row
-                     for row in series["dispatch"]}
-    for case, _ in _dispatch_cases():
-        sweep_row = dispatch_rows[(case, "sweep")]
-        scalar_row = dispatch_rows[(case, "scalar")]
-        assert sweep_row["delivered"] == scalar_row["delivered"]
-        assert sweep_row["sim_seconds"] == scalar_row["sim_seconds"]
-        assert scalar_row["sweeps"] == 0
-    assert dispatch_rows[("storm", "sweep")]["sweeps"] > 0
     gate_row = series["gate"][0]
     assert gate_row["committed_tx"] > 0, "gate run committed nothing"
     if not smoke:

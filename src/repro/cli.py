@@ -31,6 +31,7 @@ stderr so stdout stays a clean table.
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import sys
 from typing import List, Optional
@@ -308,6 +309,14 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 def _cmd_figure(args: argparse.Namespace) -> int:
     factory = _FIGURES[args.name]
+    # A flag left out falls back to the figure's preset.
+    preset = inspect.signature(factory).parameters
+    error = _no_window_error(
+        preset["duration"].default if args.duration is None else args.duration,
+        preset["warmup"].default if args.warmup is None else args.warmup)
+    if error is not None:
+        print(f"banyan-repro figure: error: {error}", file=sys.stderr)
+        return 2
     kwargs = {"seed": args.seed, **_runner_kwargs(args)}
     if args.duration is not None:
         kwargs["duration"] = args.duration

@@ -171,23 +171,6 @@ class Protocol(ABC):
     def on_message(self, ctx: ReplicaContext, sender: int, message: Message) -> None:
         """Called for every delivered message."""
 
-    def on_messages(self, ctx: ReplicaContext, batch) -> None:
-        """Called with a batch of same-instant deliveries to this replica.
-
-        The simulator's batched dispatch fuses consecutive deliveries that
-        arrive at the same simulation time into one call; ``batch`` is a
-        list of ``(sender, message)`` pairs in the exact order the scalar
-        loop would have delivered them.  The default simply replays them
-        through :meth:`on_message`, so protocols only override this when a
-        batch can be handled cheaper than k scalar calls (e.g. tallying k
-        quorum votes in one pass) — and any override must leave the
-        replica in the byte-identical state the per-message replay would
-        produce, including the order of any sends it triggers.
-        """
-        on_message = self.on_message
-        for sender, message in batch:
-            on_message(ctx, sender, message)
-
     @abstractmethod
     def on_timer(self, ctx: ReplicaContext, timer: Timer) -> None:
         """Called when a previously armed timer fires."""

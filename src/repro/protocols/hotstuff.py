@@ -127,81 +127,6 @@ class HotStuffReplica(Protocol):
         elif isinstance(message, NewViewMessage):
             self._handle_new_view(ctx, message)
 
-    def on_messages(self, ctx: ReplicaContext, batch) -> None:
-        """Batched delivery: tally same-block QC-vote waves in one pass.
-
-        Runs of consecutive single-vote ``VoteMessage`` deliveries for
-        the same ``(view, block)`` are tallied through one
-        :meth:`repro.smr.quorum.QuorumTracker.add_votes` pass; everything
-        else takes the exact scalar path in order.  See
-        :meth:`_tally_vote_run` for the byte-identity argument.
-        """
-        n = len(batch)
-        replicas = self.params.n
-        i = 0
-        while i < n:
-            sender, message = batch[i]
-            if not isinstance(message, VoteMessage):
-                self.on_message(ctx, sender, message)
-                i += 1
-                continue
-            votes = message.votes
-            # A vote from outside 0..n-1 never joins a run: the scalar
-            # path below drops it.
-            if (len(votes) == 1 and votes[0].kind is VoteKind.NOTARIZATION
-                    and 0 <= votes[0].voter < replicas):
-                vote = votes[0]
-                view = vote.round
-                block_id = vote.block_id
-                voters = [vote.voter]
-                j = i + 1
-                while j < n:
-                    nxt = batch[j][1]
-                    if not isinstance(nxt, VoteMessage) or len(nxt.votes) != 1:
-                        break
-                    nxt = nxt.votes[0]
-                    if (nxt.kind is not VoteKind.NOTARIZATION
-                            or nxt.round != view or nxt.block_id != block_id
-                            or not 0 <= nxt.voter < replicas):
-                        break
-                    voters.append(nxt.voter)
-                    j += 1
-                self._tally_vote_run(ctx, view, block_id, voters)
-                i = j
-                continue
-            for vote in votes:
-                self._handle_vote(ctx, vote)
-            i += 1
-
-    def _tally_vote_run(self, ctx: ReplicaContext, view: int,
-                        block_id: BlockId, voters: List[int]) -> None:
-        """Tally a run of same-``(view, block)`` QC votes at once.
-
-        Scalar delivery calls :meth:`_try_form_qc` after every vote:
-        before the quorum that call is a guarded no-op, at the crossing
-        it forms the QC (and may propose), and after the crossing each
-        call *re-forms* the QC with the grown voter set — every effect of
-        those re-forms except the ``_qc_by_block`` rewrite is idempotent,
-        so they collapse into one call.  The batched pass therefore stops
-        at the crossing to form the QC with exactly the crossing voter
-        set (``high_qc`` keeps its as-of-crossing voters, which sizes
-        pacemaker messages), tallies the remainder, and re-forms once so
-        the final ``_qc_by_block`` entry carries the same voters the
-        scalar path would have left.
-        """
-        tracker = self._vote_tracker(view)
-        before = tracker.fired_count()
-        consumed = tracker.add_votes(block_id, voters)
-        if tracker.fired_count() != before:
-            self._try_form_qc(ctx, view, block_id)
-            if consumed < len(voters):
-                tracker.add_votes(block_id, voters[consumed:])
-                self._try_form_qc(ctx, view, block_id)
-        elif tracker.reached(block_id):
-            # Quorum was already reached before this run: scalar delivery
-            # re-formed the QC per vote; one re-form leaves the same state.
-            self._try_form_qc(ctx, view, block_id)
-
     def on_timer(self, ctx: ReplicaContext, timer: Timer) -> None:
         """View timeout: advance the pacemaker."""
         if timer.name != "view-timeout":

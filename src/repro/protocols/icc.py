@@ -202,84 +202,6 @@ class ICCReplica(Protocol):
         elif shape is BlockProposal:
             self._handle_proposal(ctx, sender, message)
 
-    def on_messages(self, ctx: ReplicaContext, batch) -> None:
-        """Batched delivery: tally same-target vote waves in one pass.
-
-        A fused sweep is dominated by runs of single-vote ``VoteMessage``
-        broadcasts from different senders supporting the same block (a
-        vote wave).  Each run is tallied through one
-        :meth:`repro.smr.quorum.QuorumTracker.add_votes` pass instead of
-        per-vote handler calls; anything else in the batch (proposals,
-        certificates, multi-vote or fast-vote messages) takes the exact
-        scalar path in order.  :meth:`_tally_vote_run` argues the
-        byte-identity with per-message delivery.
-        """
-        n = len(batch)
-        replicas = self._n
-        i = 0
-        while i < n:
-            sender, message = batch[i]
-            if message.__class__ is not VoteMessage:
-                self.on_message(ctx, sender, message)
-                i += 1
-                continue
-            votes = message.votes
-            if len(votes) == 1:
-                vote = votes[0]
-                kind = vote.kind
-                # A vote from outside 0..n-1 never joins a run: the scalar
-                # path below drops it.
-                if ((kind is VoteKind.NOTARIZATION or kind is VoteKind.FINALIZATION)
-                        and 0 <= vote.voter < replicas):
-                    round_k = vote.round
-                    block_id = vote.block_id
-                    voters = [vote.voter]
-                    j = i + 1
-                    while j < n:
-                        nxt = batch[j][1]
-                        if nxt.__class__ is not VoteMessage or len(nxt.votes) != 1:
-                            break
-                        nxt = nxt.votes[0]
-                        if (nxt.kind is not kind or nxt.round != round_k
-                                or nxt.block_id != block_id
-                                or not 0 <= nxt.voter < replicas):
-                            break
-                        voters.append(nxt.voter)
-                        j += 1
-                    self._tally_vote_run(ctx, kind, round_k, block_id, voters)
-                    i = j
-                    continue
-            self._handle_votes(ctx, votes)
-            i += 1
-
-    def _tally_vote_run(self, ctx: ReplicaContext, kind: "VoteKind",
-                        round_k: int, block_id: BlockId,
-                        voters: List[int]) -> None:
-        """Tally a run of same-``(kind, round, block)`` votes at once.
-
-        Byte-identical to per-vote :meth:`_handle_vote` calls: one tracker
-        pass that stops exactly at a quorum crossing, the scalar handler's
-        change check there (same sends/commits at the same vote as scalar
-        delivery), then the remainder — which can never cross again —
-        tallied without further checks.  One check also stands for the
-        per-vote checks of a non-crossing run: nothing it reads changes
-        mid-run, and repeating it rewrites identical state.
-        """
-        if round_k < self._floor:
-            return
-        state = self._round(round_k)
-        if kind is VoteKind.NOTARIZATION:
-            tracker = state.notarization
-            consumed = tracker.add_votes(block_id, voters)
-            self._try_notarizations(ctx, state)
-        else:
-            tracker = state.finalization
-            consumed = tracker.add_votes(block_id, voters)
-            if round_k > self.k_max and block_id in tracker.fired:
-                self._finalize(ctx, round_k, block_id, kind="slow")
-        if consumed < len(voters):
-            tracker.add_votes(block_id, voters[consumed:])
-
     def on_timer(self, ctx: ReplicaContext, timer: Timer) -> None:
         """Handle proposal and notarization-delay timers."""
         if timer.name == "propose":

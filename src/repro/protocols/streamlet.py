@@ -114,61 +114,6 @@ class StreamletReplica(Protocol):
             for vote in message.votes:
                 self._handle_vote(ctx, vote)
 
-    def on_messages(self, ctx: ReplicaContext, batch) -> None:
-        """Batched delivery: tally same-block vote waves in one pass.
-
-        Runs of consecutive single-vote ``VoteMessage`` deliveries for
-        the same ``(epoch, block)`` are tallied through one
-        :meth:`repro.smr.quorum.QuorumTracker.add_votes` pass; everything
-        else takes the exact scalar path in order.  Byte-identity: the
-        scalar per-vote :meth:`_try_notarize` is a pure no-op both before
-        the quorum (``reached`` guard) and after it (``is_notarized``
-        guard, and the tree cannot change mid-run), so only the crossing
-        call — made here at exactly the crossing vote — has any effect.
-        """
-        n = len(batch)
-        replicas = self.params.n
-        i = 0
-        while i < n:
-            sender, message = batch[i]
-            if not isinstance(message, VoteMessage):
-                self.on_message(ctx, sender, message)
-                i += 1
-                continue
-            votes = message.votes
-            # A vote from outside 0..n-1 never joins a run: the scalar
-            # path below drops it.
-            if (len(votes) == 1 and votes[0].kind is VoteKind.NOTARIZATION
-                    and 0 <= votes[0].voter < replicas):
-                vote = votes[0]
-                epoch = vote.round
-                block_id = vote.block_id
-                voters = [vote.voter]
-                j = i + 1
-                while j < n:
-                    nxt = batch[j][1]
-                    if not isinstance(nxt, VoteMessage) or len(nxt.votes) != 1:
-                        break
-                    nxt = nxt.votes[0]
-                    if (nxt.kind is not VoteKind.NOTARIZATION
-                            or nxt.round != epoch or nxt.block_id != block_id
-                            or not 0 <= nxt.voter < replicas):
-                        break
-                    voters.append(nxt.voter)
-                    j += 1
-                tracker = self._vote_tracker(epoch)
-                before = tracker.fired_count()
-                consumed = tracker.add_votes(block_id, voters)
-                if tracker.fired_count() != before:
-                    self._try_notarize(ctx, epoch, block_id)
-                    if consumed < len(voters):
-                        tracker.add_votes(block_id, voters[consumed:])
-                i = j
-                continue
-            for vote in votes:
-                self._handle_vote(ctx, vote)
-            i += 1
-
     def on_timer(self, ctx: ReplicaContext, timer: Timer) -> None:
         """Epoch boundary."""
         if timer.name == "epoch":

@@ -1,4 +1,4 @@
-"""Specialized event-loop variants and batched handler dispatch.
+"""Specialized event-loop variants and table-driven handler dispatch.
 
 The simulator's ``run()`` used to be one loop carrying every feature's
 per-event branch — compute charging, crash checks, listener hooks — so the
@@ -22,22 +22,17 @@ Features (the variant key):
   core first.
 * ``crash`` — the fault plan has crash windows: deliveries and timers are
   gated on ``is_crashed``.
-* ``sweep`` — batched dispatch is enabled (the default): consecutive
-  same-``(time, target)`` plain deliveries at the heap head are drained
-  into one :meth:`repro.protocols.base.Protocol.on_messages` call, and an
-  ``sbatch`` chain runs ahead member-to-member without a heap round trip
-  while its successor provably precedes the heap head.  Disabled via
+* ``runahead`` — ``sbatch`` run-ahead is enabled (the default): a jittered
+  broadcast's chain delivers member after member without a heap round
+  trip while its successor provably precedes the heap head.  Disabled via
   :attr:`repro.runtime.simulator.Simulation.force_scalar_dispatch` (the
-  scalar fallback used by the equivalence tests and microbench).
+  re-push-every-successor reference used by the equivalence tests).
 
-Fusion (``on_messages``) is additionally suppressed under ``compute``:
-the first member of a same-instant run makes the core busy, so the rest
-of the run belongs in the inbox, not in a fused sweep.
+Every delivery is exactly one ``on_message`` call, in ``(time, seq)``
+order; the variants differ only in how they reach the next event.
 
 Byte-identity contract: every variant must replay the exact event order of
-the reference scalar loop — sweeps only fuse deliveries whose heap order
-is provably contiguous (same time, same target, no interleaved timer /
-external / compute event), an ``sbatch`` run-ahead step is taken only when
+the reference loop — an ``sbatch`` run-ahead step is taken only when
 ``(next_time, batch_seq)`` sorts strictly before the heap head, and the
 historical horizon edge (a *cancelled* timer at the heap head lets the
 next real event dispatch without re-checking ``until``) is preserved.
@@ -57,8 +52,7 @@ renders instead: it walks the materialized current bucket by local index
 (no per-event sift), merges the bucket's small "inc" heap of late
 arrivals, and advances/materializes buckets through the scheduler's cold
 methods.  Broadcast members arrive as lean 4-tuples — there is no
-``sbatch`` kind and no fusion under this backend (the calendar queue is
-selected for jittered runs, where same-instant sweeps never form).
+``sbatch`` kind, hence no run-ahead, under this backend.
 ``select_loop`` keys its cache on the backend name as well.
 """
 
@@ -83,41 +77,23 @@ _EXTERNAL_TARGET = -1
 def build_handler_tables(protocols: Dict[int, Any], contexts: Dict[int, Any]):
     """Precompute per-target bound-method dispatch tables.
 
-    Returns ``(deliver_one, deliver_many, fire_timer)`` mapping replica id
-    to ``(bound_handler, context)`` pairs, so the loop does one subscript
-    and a tuple unpack per dispatch instead of two dict lookups plus a
+    Returns ``(deliver_one, fire_timer)`` mapping replica id to
+    ``(bound_handler, context)`` pairs, so the loop does one subscript and
+    a tuple unpack per dispatch instead of two dict lookups plus a
     bound-method allocation.  When the replica ids are exactly ``0..n-1``
     (the common case) the tables are lists — an index beats a hash probe —
     and dicts otherwise; the loop subscripts either transparently.
-    Protocols without an ``on_messages`` batch hook (duck-typed test
-    doubles) get a per-message fallback shim.
     """
     deliver_one = {}
-    deliver_many = {}
     fire_timer = {}
     for replica_id, protocol in protocols.items():
         context = contexts[replica_id]
         deliver_one[replica_id] = (protocol.on_message, context)
         fire_timer[replica_id] = (protocol.on_timer, context)
-        on_messages = getattr(protocol, "on_messages", None)
-        if on_messages is None:
-            on_messages = _fallback_on_messages(protocol.on_message)
-        deliver_many[replica_id] = (on_messages, context)
     if sorted(protocols) == list(range(len(protocols))):
         deliver_one = [deliver_one[i] for i in range(len(protocols))]
-        deliver_many = [deliver_many[i] for i in range(len(protocols))]
         fire_timer = [fire_timer[i] for i in range(len(protocols))]
-    return deliver_one, deliver_many, fire_timer
-
-
-def _fallback_on_messages(on_message: Callable) -> Callable:
-    """Per-message fallback for protocols lacking an ``on_messages`` hook."""
-
-    def deliver(ctx, batch, _on_message=on_message):
-        for sender, message in batch:
-            _on_message(ctx, sender, message)
-
-    return deliver
+    return deliver_one, fire_timer
 
 
 # --------------------------------------------------------------------- #
@@ -138,9 +114,6 @@ def _loop(sim, until, budget):
     pending_timers = sim._pending_timers
     cancelled_timers = sim._cancelled_timers
     deliver_one = sim._deliver_one
-#if FUSE
-    deliver_many = sim._deliver_many
-#endif
     fire_timer = sim._fire_timer
 #if CRASH
     is_crashed = sim.network.faults.is_crashed
@@ -160,12 +133,8 @@ def _loop(sim, until, budget):
     processed = 0
     delivered = 0
     dropped = 0
-#if SWEEP
+#if RUNAHEAD
     runahead = 0
-#endif
-#if FUSE
-    sweeps = 0
-    swept = 0
 #endif
     # ``pending`` holds an event already removed from the heap that must
     # be dispatched without re-running the top-of-loop checks: the event
@@ -255,7 +224,7 @@ def _loop(sim, until, budget):
                     break
                 time_ = times[index]
                 target = targets[index]
-#if SWEEP
+#if RUNAHEAD
 #if BUDGET
                 if processed >= budget or time_ > until:
                     payload[2] = index
@@ -309,58 +278,6 @@ def _loop(sim, until, budget):
                 continue
 #endif
             sender, message = payload
-#if FUSE
-            if queue:
-                head = queue[0]
-                if (head[0] == time_ and head[3] == target
-                        and head[2] == "message"):
-                    # Same-target sweep: drain the contiguous run of
-                    # plain deliveries at this exact (time, target) into
-                    # one on_messages call.  Contiguity is re-checked per
-                    # pop, so an interleaved timer/external/batch event
-                    # ends the sweep; the budget caps its length.
-#if BUDGET
-                    cap = budget - processed
-                    if cap > 1:
-                        batch = [payload]
-                        append = batch.append
-                        while True:
-                            append(heappop(queue)[4])
-                            if len(batch) >= cap or not queue:
-                                break
-                            head = queue[0]
-                            if (head[0] != time_ or head[3] != target
-                                    or head[2] != "message"):
-                                break
-                        handler, ctx = deliver_many[target]
-                        handler(ctx, batch)
-                        count = len(batch)
-                        delivered += count
-                        processed += count
-                        sweeps += 1
-                        swept += count
-                        continue
-#else
-                    batch = [payload]
-                    append = batch.append
-                    while True:
-                        append(heappop(queue)[4])
-                        if not queue:
-                            break
-                        head = queue[0]
-                        if (head[0] != time_ or head[3] != target
-                                or head[2] != "message"):
-                            break
-                    handler, ctx = deliver_many[target]
-                    handler(ctx, batch)
-                    count = len(batch)
-                    delivered += count
-                    processed += count
-                    sweeps += 1
-                    swept += count
-                    continue
-#endif
-#endif
             handler, ctx = deliver_one[target]
             handler(ctx, sender, message)
             delivered += 1
@@ -465,13 +382,9 @@ def _loop(sim, until, budget):
         heappush(queue, pending)
     sim._messages_delivered += delivered
     sim._messages_dropped += dropped
-#if SWEEP
+#if RUNAHEAD
     stats = sim._dispatch_counts
     stats["runahead_members"] += runahead
-#if FUSE
-    stats["sweeps"] += sweeps
-    stats["swept_messages"] += swept
-#endif
 #endif
     return processed
 """
@@ -974,37 +887,39 @@ def _render(template: str, features: Dict[str, bool]) -> str:
 _VARIANTS: Dict[Tuple[str, bool, bool, bool, bool], Callable] = {}
 
 
-def select_loop(compute: bool, crash: bool, sweep: bool,
+def _variant_source(backend: str, compute: bool, crash: bool,
+                    runahead: bool, budget: bool) -> str:
+    """The rendered source of one loop variant, before compilation."""
+    features = {
+        "COMPUTE": compute,
+        "CRASH": crash,
+        "RUNAHEAD": runahead,
+        # Unbounded `run(until)` calls compile out every per-event
+        # budget compare; `step()` and bounded runs keep them.
+        "BUDGET": budget,
+        # Plain deliveries (no crash drops, no inbox waits)
+        # consume exactly one burst row each: the calendar burst can
+        # tally them per burst instead of per event.
+        "TALLY": not compute and not crash,
+    }
+    template = _CALQ_TEMPLATE if backend == "calendar" else _LOOP_TEMPLATE
+    return _render(template, features)
+
+
+def select_loop(compute: bool, crash: bool, runahead: bool,
                 budget: bool = True, backend: str = "heap") -> Callable:
     """The compiled loop variant for one feature set (cached process-wide)."""
     if backend == "calendar":
-        # The calendar loop has no fusion fast path (members are already
-        # materialized in final order), so the sweep flag is normalized
-        # out of the key — toggling ``force_scalar_dispatch`` re-selects
-        # into the same (correct) variant.
+        # The calendar loop has no sbatch chains to run ahead on (members
+        # are already materialized in final order), so the run-ahead flag
+        # is normalized out of the key — toggling ``force_scalar_dispatch``
+        # re-selects into the same (correct) variant.
         key = (backend, compute, crash, False, budget)
     else:
-        key = (backend, compute, crash, sweep, budget)
+        key = (backend, compute, crash, runahead, budget)
     loop = _VARIANTS.get(key)
     if loop is None:
-        features = {
-            "COMPUTE": compute,
-            "CRASH": crash,
-            "SWEEP": sweep,
-            # Under a busy-core model only the first delivery of a
-            # same-instant run finds the core free; compute runs stay
-            # scalar per member (they still get run-ahead and the tables).
-            "FUSE": sweep and not compute,
-            # Unbounded `run(until)` calls compile out every per-event
-            # budget compare; `step()` and bounded runs keep them.
-            "BUDGET": budget,
-            # Plain deliveries (no crash drops, no inbox waits)
-            # consume exactly one burst row each: the calendar burst can
-            # tally them per burst instead of per event.
-            "TALLY": not compute and not crash,
-        }
-        template = _CALQ_TEMPLATE if backend == "calendar" else _LOOP_TEMPLATE
-        source = _render(template, features)
+        source = _variant_source(*key)
         namespace = {
             "_heappop": heapq.heappop,
             "_heappush": heapq.heappush,

@@ -274,7 +274,7 @@ class Simulation:
         # Per-target bound-method dispatch tables: the event loop does one
         # dict lookup + tuple unpack per dispatch instead of two dict
         # lookups and a bound-method allocation.
-        self._deliver_one, self._deliver_many, self._fire_timer = (
+        self._deliver_one, self._fire_timer = (
             build_handler_tables(self._protocols, self._contexts)
         )
         # Event-loop variant selection state: the generation is bumped by
@@ -282,11 +282,7 @@ class Simulation:
         # active loop notices and returns so ``run()`` re-selects.
         self._dispatch_generation = 0
         self._force_scalar_dispatch = False
-        self._dispatch_counts: Dict[str, int] = {
-            "sweeps": 0,
-            "swept_messages": 0,
-            "runahead_members": 0,
-        }
+        self._dispatch_counts: Dict[str, int] = {"runahead_members": 0}
         # True when replica ids are exactly ``0..n-1``: lets the sbatch
         # scheduler use argsort indices as receiver ids directly.
         self._ids_are_range = (
@@ -440,14 +436,13 @@ class Simulation:
 
     @property
     def force_scalar_dispatch(self) -> bool:
-        """When ``True`` the event loop never fuses same-target sweeps.
+        """When ``True`` the event loop never runs an sbatch chain ahead.
 
-        The scalar fallback dispatches every delivery through
-        ``on_message`` one at a time (and re-pushes every sbatch successor
-        through the heap) — the reference semantics that batched dispatch
+        The reference loop re-pushes every sbatch successor through the
+        heap instead of delivering it in place — the semantics run-ahead
         must reproduce byte-for-byte.  Flipping it mid-run takes effect at
         the next event (the loop re-selects its variant).  Used by the
-        sweep↔scalar equivalence tests and the dispatch microbench.
+        run-ahead equivalence tests.
         """
         return self._force_scalar_dispatch
 
@@ -459,12 +454,10 @@ class Simulation:
             self._dispatch_generation += 1
 
     def dispatch_counts(self) -> Dict[str, int]:
-        """Batched-dispatch loop statistics.
+        """Event-loop statistics.
 
-        ``sweeps`` / ``swept_messages`` count fused ``on_messages`` calls
-        and the deliveries they carried; ``runahead_members`` counts sbatch
-        members delivered without a heap round trip.  All zero under
-        :attr:`force_scalar_dispatch`.
+        ``runahead_members`` counts sbatch members delivered without a
+        heap round trip; zero under :attr:`force_scalar_dispatch`.
         """
         return dict(self._dispatch_counts)
 
@@ -568,7 +561,7 @@ class Simulation:
         """Shared event-loop driver behind :meth:`run` and :meth:`step`.
 
         Selects the monomorphic loop variant matching the active feature
-        set (compute model, crash faults, sweep enablement — see
+        set (compute model, crash faults, sbatch run-ahead — see
         :mod:`repro.runtime.dispatch`), runs it, and re-selects whenever a
         feature toggle bumps the dispatch generation mid-run.  Returns the
         number of budget-consuming events processed.
@@ -621,9 +614,9 @@ class Simulation:
         The hot loop itself lives in :mod:`repro.runtime.dispatch`: a
         monomorphic variant is selected at entry for the active feature
         set, per-target handler tables kill repeated dict/attr lookups,
-        and (unless :attr:`force_scalar_dispatch` is set) consecutive
-        same-``(time, target)`` deliveries are fused into single
-        :meth:`repro.protocols.base.Protocol.on_messages` sweeps.
+        and (unless :attr:`force_scalar_dispatch` is set) a jittered
+        broadcast's sbatch chain runs ahead without heap round trips.
+        Every delivery is one ``on_message`` call.
         """
         processed = self._run_dispatch(until, max_events)
         if until != math.inf and (max_events is None or processed < max_events):

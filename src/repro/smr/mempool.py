@@ -105,23 +105,6 @@ class Mempool:
         self._total_bytes += len(data)
         return True
 
-    def add_all(self, transactions: Iterable[bytes]) -> int:
-        """Add transactions in order up to the first one :meth:`add` would
-        reject; returns how many were accepted."""
-        queue, max_size, max_bytes = self._queue, self._max_size, self._max_bytes
-        total = self._total_bytes
-        accepted = 0
-        for transaction in transactions:
-            data = bytes(transaction)
-            if len(queue) >= max_size or (
-                    max_bytes is not None and total + len(data) > max_bytes):
-                break
-            queue.append(data)
-            total += len(data)
-            accepted += 1
-        self._total_bytes = total
-        return accepted
-
     def take(self, max_bytes: int) -> List[bytes]:
         """Pop transactions whose total size fits within ``max_bytes``."""
         return self.drain_batch(max_bytes)[0]

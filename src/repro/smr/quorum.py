@@ -101,38 +101,6 @@ class QuorumTracker:
             self._fire(block_id)
         return True
 
-    def add_votes(self, block_id: Hashable, voters: Sequence[int]) -> int:
-        """Tally an ordered run of individual votes for one block; return
-        how many were consumed.
-
-        This is the batched-dispatch counterpart of calling
-        :meth:`add_vote` once per voter (same duplicate suppression, same
-        firing rule).  The pass stops **immediately after a threshold
-        crossing** — the callback has fired and the crossing voter is
-        counted, but no later voter is — so the caller can run its
-        per-vote re-evaluation at exactly the vote where the scalar path
-        would have, then feed the remainder (``voters[consumed:]``) back
-        in; a block crosses at most once, so the second pass always
-        consumes the rest.
-        """
-        have = self._voters.get(block_id, 0)
-        if block_id in self.fired:
-            for voter in voters:
-                have |= 1 << voter
-            self._voters[block_id] = have
-            return len(voters)
-        threshold = self.threshold
-        consumed = 0
-        for voter in voters:
-            consumed += 1
-            have |= 1 << voter
-            if have.bit_count() >= threshold:
-                self._voters[block_id] = have
-                self._fire(block_id)
-                return consumed
-        self._voters[block_id] = have
-        return consumed
-
     def add_voters(self, block_id: Hashable, voters: int) -> bool:
         """Merge a certificate's voter bitmask; return whether any was new.
 

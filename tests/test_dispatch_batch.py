@@ -1,49 +1,31 @@
-"""Batched handler dispatch: sweep↔scalar equivalence and batch tallies.
+"""Event-loop variants: run-ahead vs the reference loop, and every variant.
 
-The batched-dispatch PR has three byte-identity seams, all pinned here:
+Every delivery is one ``on_message`` call; the loop variants differ only
+in how they reach the next event.  Pinned here:
 
-* the fused event loop (same-target same-instant delivery runs handed to
-  ``on_messages`` in one call) must produce executions byte-identical to
-  the reference scalar loop (:attr:`Simulation.force_scalar_dispatch`),
-  across protocols, compute models, and fault plans;
-* the protocol ``on_messages`` overrides (ICC/Banyan, HotStuff,
-  Streamlet) must leave a replica in exactly the state the base
-  per-message replay produces — including the order of sends, commits and
-  timer arming — for vote waves with duplicates, equivocation, quorum
-  crossings mid-batch, and interleaved non-vote messages;
-* :meth:`repro.smr.quorum.QuorumTracker.add_votes` must match a scalar
-  :meth:`add_vote` loop exactly (duplicate suppression, equivocation
-  bookkeeping, crossing-exact stop + remainder feed).
-
-Plus the boundary semantics that make sweeps safe: an interleaved timer
-ends a sweep, crashes at the arrival instant drop every member in both
-modes, and ``event_counts()`` (schedule-time) is dispatch-mode invariant
-while ``dispatch_counts()`` (dispatch-time) is what distinguishes the
-modes.
+* ``sbatch`` run-ahead (a jittered broadcast's chain delivered member
+  after member without heap round trips) must produce executions
+  byte-identical to the reference loop that re-pushes every successor
+  (:attr:`Simulation.force_scalar_dispatch`), across protocols, compute
+  models, fault plans, bounded and unbounded runs, and a mid-run toggle;
+* ``run()`` must match single-stepping at n=64 with jitter and compute;
+* every ``(backend, compute, crash, runahead, budget)`` variant renders and
+  compiles.
 """
 
 from __future__ import annotations
 
-import math
-import random
-from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+import itertools
 
 import pytest
 
-from repro.net.bandwidth import BandwidthModel
 from repro.net.faults import CrashSchedule, FaultPlan
-from repro.net.latency import ConstantLatency, GeoLatency
+from repro.net.latency import GeoLatency
 from repro.net.topology import four_global_datacenters
-from repro.protocols.base import Protocol, ProtocolParams
-from repro.protocols.registry import create_replicas, protocol_factory
-from repro.runtime.context import ReplicaContext, Timer
+from repro.protocols.base import ProtocolParams
+from repro.protocols.registry import create_replicas
+from repro.runtime import dispatch
 from repro.runtime.simulator import NetworkConfig, Simulation
-from repro.smr.quorum import QuorumTracker
-from repro.types.blocks import Block
-from repro.types.certificates import Notarization
-from repro.types.messages import BlockProposal, VoteMessage
-from repro.types.votes import FastVote, FinalizationVote, NotarizationVote
 
 PROTOCOLS = ("banyan", "icc", "hotstuff", "streamlet")
 N = 7
@@ -55,8 +37,7 @@ def _fault_plan(fault: str) -> FaultPlan:
         return FaultPlan.none()
     if fault == "crash":
         # One permanent crash plus one crash-and-recover, timed to provoke
-        # view/round timeouts (HotStuff's new-view unicast storms are the
-        # organic source of fused sweeps).
+        # view/round timeouts.
         return FaultPlan(crash_schedule=CrashSchedule(
             crash_times={1: 0.5, 2: 1.8}, recover_times={2: 3.2}))
     if fault == "loss":
@@ -64,12 +45,14 @@ def _fault_plan(fault: str) -> FaultPlan:
     raise ValueError(fault)
 
 
-def _simulation(protocol: str, compute: str, fault: str,
-                latency=None, n: int = N) -> Simulation:
-    params = ProtocolParams(n=n, f=1, p=1, rank_delay=0.2)
+def _simulation(protocol: str, compute: str, fault: str) -> Simulation:
+    # Jittered latency: broadcasts ride sbatch chains, so run-ahead fires
+    # (jitter-free latency schedules no sbatch, and both modes would run
+    # the same loop).
+    params = ProtocolParams(n=N, f=1, p=1, rank_delay=0.2)
     protocols = create_replicas(protocol, params)
     network = NetworkConfig(
-        latency=latency if latency is not None else ConstantLatency(0.03),
+        latency=GeoLatency(four_global_datacenters(N), jitter=0.05),
         faults=_fault_plan(fault), seed=11, compute=compute)
     return Simulation(protocols, network)
 
@@ -96,48 +79,43 @@ def _execution_digest(simulation: Simulation, n: int = N):
 
 
 class TestSweepScalarEquivalence:
-    """Fused dispatch vs the forced-scalar reference loop."""
+    """Run-ahead dispatch vs the forced-scalar reference loop."""
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     @pytest.mark.parametrize("compute", ["zero", "crypto"])
     @pytest.mark.parametrize("fault", ["none", "crash", "loss"])
     def test_byte_identical_executions(self, protocol, compute, fault):
-        swept = _simulation(protocol, compute, fault)
-        swept.run(until=HORIZON)
+        default = _simulation(protocol, compute, fault)
+        default.run(until=HORIZON)
 
         scalar = _simulation(protocol, compute, fault)
         scalar.force_scalar_dispatch = True
         scalar.run(until=HORIZON)
 
-        assert scalar.dispatch_counts()["sweeps"] == 0
-        assert _execution_digest(swept) == _execution_digest(scalar)
-        # The matrix must not be vacuous: at least one commit per cell.
-        assert swept.commits_for(0)
-
-    def test_new_view_storms_actually_sweep(self):
-        # The crash cell drives HotStuff through view timeouts; the
-        # same-instant new-view unicasts to the next leader are the
-        # organic fused-sweep case this PR optimises.
-        swept = _simulation("hotstuff", "zero", "crash")
-        swept.run(until=30.0)
-        counts = swept.dispatch_counts()
-        assert counts["sweeps"] > 0
-        assert counts["swept_messages"] >= 2 * counts["sweeps"]
+        # The comparison must not be vacuous: run-ahead fired on the
+        # default side only, and every cell commits.
+        assert default.dispatch_counts()["runahead_members"] > 0
+        assert scalar.dispatch_counts()["runahead_members"] == 0
+        assert _execution_digest(default) == _execution_digest(scalar)
+        assert default.commits_for(0)
 
     def test_jittered_sbatch_path_is_mode_invariant(self):
-        # Under jitter broadcasts ride the chained sbatch pipeline; forcing
-        # scalar dispatch must not perturb it (sweeps only fuse plain
-        # "message" events, never sbatch members).
-        topology = four_global_datacenters(N)
-        swept = _simulation("banyan", "zero", "none",
-                            latency=GeoLatency(topology, jitter=0.05))
-        swept.run(until=HORIZON)
-        scalar = _simulation("banyan", "zero", "none",
-                             latency=GeoLatency(topology, jitter=0.05))
-        scalar.force_scalar_dispatch = True
-        scalar.run(until=HORIZON)
-        assert swept.event_counts()["sbatch"] > 0
-        assert _execution_digest(swept) == _execution_digest(scalar)
+        # Bounded runs compile the budget checks into the loop, including
+        # run-ahead's own budget exit; chunked runs in either mode must
+        # replay the unbounded execution.
+        def chunked(scalar: bool) -> Simulation:
+            simulation = _simulation("banyan", "crypto", "none")
+            simulation.force_scalar_dispatch = scalar
+            while simulation.now < HORIZON:
+                simulation.run(until=HORIZON, max_events=97)
+            return simulation
+
+        default, scalar = chunked(False), chunked(True)
+        plain = _simulation("banyan", "crypto", "none")
+        plain.run(until=HORIZON)
+        assert default.dispatch_counts()["runahead_members"] > 0
+        assert _execution_digest(default) == _execution_digest(plain)
+        assert _execution_digest(scalar) == _execution_digest(plain)
 
     def test_mid_run_toggle_reselects_the_loop(self):
         # Flipping force_scalar_dispatch between run() calls must keep the
@@ -156,407 +134,44 @@ class TestSweepScalarEquivalence:
 
 
 # --------------------------------------------------------------------- #
-# Synthetic unicast storms: deterministic sweep shapes
+# Every loop variant
 # --------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True)
-class _Ping:
-    """Zero-size storm message tagged with its sender (zero wire size +
-    zero per-message overhead keep arrivals at exactly the propagation
-    delay, so timers can be armed for the precise arrival instant)."""
-
-    origin: int
-    tick: int
-    wire_size: int = 0
-
-
-class _StormNode(Protocol):
-    """Hub-and-spoke storm: every spoke unicasts to the hub on a shared
-    tick, so the hub receives one contiguous same-instant run per tick."""
-
-    name = "storm"
-
-    def __init__(self, replica_id: int, params: ProtocolParams,
-                 hub: int = 0, ticks: int = 5) -> None:
-        super().__init__(replica_id, params)
-        self.hub = hub
-        self.ticks = ticks
-        self.log: List[Tuple[Any, ...]] = []
-
-    def on_start(self, ctx) -> None:
-        if self.replica_id != self.hub:
-            ctx.set_timer(0.05, "tick", 1)
-
-    def on_message(self, ctx, sender, message) -> None:
-        self.log.append(("msg", ctx.now(), sender, message.origin, message.tick))
-
-    def on_timer(self, ctx, timer) -> None:
-        self.log.append(("timer", ctx.now(), timer.name, timer.data))
-        if timer.name == "tick":
-            ctx.send(self.hub, _Ping(origin=self.replica_id, tick=timer.data))
-            if timer.data < self.ticks:
-                ctx.set_timer(0.05, "tick", timer.data + 1)
-
-
-class _BoundaryNode(Protocol):
-    """Storm with a timer wedged mid-run: spokes below the hub id send
-    before the hub arms a timer for the exact arrival instant, spokes
-    above send after, so the heap holds ``msg msg timer msg msg`` at one
-    instant and the sweep must break at the timer."""
-
-    name = "storm-boundary"
-
-    def __init__(self, replica_id: int, params: ProtocolParams,
-                 hub: int = 2) -> None:
-        super().__init__(replica_id, params)
-        self.hub = hub
-        self.log: List[Tuple[Any, ...]] = []
-
-    def on_start(self, ctx) -> None:
-        if self.replica_id == self.hub:
-            ctx.set_timer(0.03, "mark")  # == the constant latency
-        else:
-            ctx.send(self.hub, _Ping(origin=self.replica_id, tick=0))
-
-    def on_message(self, ctx, sender, message) -> None:
-        self.log.append(("msg", ctx.now(), message.origin))
-
-    def on_timer(self, ctx, timer) -> None:
-        self.log.append(("timer", ctx.now(), timer.name))
-
-
-class _DuckStormHub:
-    """Duck-typed hub (not a Protocol subclass, no ``on_messages``): the
-    dispatch tables must wire in the per-message fallback shim."""
-
-    def __init__(self, replica_id: int) -> None:
-        self.replica_id = replica_id
-        self.log: List[Tuple[Any, ...]] = []
-
-    def on_start(self, ctx) -> None:
-        pass
-
-    def on_message(self, ctx, sender, message) -> None:
-        self.log.append((ctx.now(), sender, message.origin, message.tick))
-
-    def on_timer(self, ctx, timer) -> None:
-        pass
-
-
-def _storm_simulation(node_cls=_StormNode, n: int = 5, faults=None,
-                      hub_cls=None, **node_kwargs) -> Simulation:
-    params = ProtocolParams(n=n, f=0, p=0)
-    protocols = {
-        i: node_cls(i, params, **node_kwargs) for i in range(n)
-    }
-    if hub_cls is not None:
-        protocols[0] = hub_cls(0)
-    network = NetworkConfig(latency=ConstantLatency(0.03),
-                            bandwidth=BandwidthModel(per_message_overhead_s=0.0),
-                            faults=faults or FaultPlan.none(), seed=3)
-    return Simulation(protocols, network)
-
-
-class TestUnicastStormSweeps:
-    def test_storm_fuses_and_matches_scalar(self):
-        swept = _storm_simulation()
-        swept.run(until=1.0)
-        counts = swept.dispatch_counts()
-        # 4 spokes × 5 ticks, one contiguous run per tick.
-        assert counts["sweeps"] == 5
-        assert counts["swept_messages"] == 20
-
-        scalar = _storm_simulation()
-        scalar.force_scalar_dispatch = True
-        scalar.run(until=1.0)
-        assert scalar.dispatch_counts()["sweeps"] == 0
-        for replica_id in range(5):
-            assert (swept._protocols[replica_id].log
-                    == scalar._protocols[replica_id].log)
-        assert swept.event_counts() == scalar.event_counts()
-        assert swept.messages_delivered == scalar.messages_delivered
-
-    def test_timer_at_same_instant_splits_the_sweep(self):
-        swept = _storm_simulation(node_cls=_BoundaryNode, hub=2)
-        swept.run(until=1.0)
-        counts = swept.dispatch_counts()
-        # msg(0) msg(1) | timer | msg(3) msg(4): two sweeps of two.
-        assert counts["sweeps"] == 2
-        assert counts["swept_messages"] == 4
-
-        scalar = _storm_simulation(node_cls=_BoundaryNode, hub=2)
-        scalar.force_scalar_dispatch = True
-        scalar.run(until=1.0)
-        hub_log = swept._protocols[2].log
-        assert hub_log == scalar._protocols[2].log
-        # The timer fired between the two halves of the storm.
-        assert [entry[0] for entry in hub_log] == [
-            "msg", "msg", "timer", "msg", "msg"]
-
-    @pytest.mark.parametrize("crash_at,delivered", [
-        (0.08, 0),   # crashed at exactly the arrival instant: all dropped
-        (0.09, 4),   # crash strictly after: the full storm lands
-    ])
-    def test_crash_at_the_arrival_boundary(self, crash_at, delivered):
-        def build():
-            faults = FaultPlan(crash_schedule=CrashSchedule(
-                crash_times={0: crash_at}))
-            return _storm_simulation(faults=faults, ticks=1)
-
-        swept = build()
-        swept.run(until=1.0)
-        scalar = build()
-        scalar.force_scalar_dispatch = True
-        scalar.run(until=1.0)
-
-        assert len(swept._protocols[0].log) == delivered
-        assert swept._protocols[0].log == scalar._protocols[0].log
-        assert swept.messages_delivered == scalar.messages_delivered
-        assert swept.messages_dropped == scalar.messages_dropped
-
-    def test_duck_typed_hub_gets_the_fallback_shim(self):
-        swept = _storm_simulation(hub_cls=_DuckStormHub)
-        swept.run(until=1.0)
-        assert swept.dispatch_counts()["sweeps"] > 0
-
-        scalar = _storm_simulation(hub_cls=_DuckStormHub)
-        scalar.force_scalar_dispatch = True
-        scalar.run(until=1.0)
-        assert swept._protocols[0].log == scalar._protocols[0].log
-        assert len(swept._protocols[0].log) == 20
-
-    def test_event_counts_are_dispatch_mode_invariant(self):
-        swept = _storm_simulation()
-        swept.run(until=1.0)
-        scalar = _storm_simulation()
-        scalar.force_scalar_dispatch = True
-        scalar.run(until=1.0)
-        # Schedule-time counters never depend on the dispatch mode;
-        # dispatch-time counters are exactly what distinguishes it.
-        assert swept.event_counts() == scalar.event_counts()
-        assert swept.dispatch_counts()["sweeps"] > 0
-        assert scalar.dispatch_counts()["sweeps"] == 0
-
-
-# --------------------------------------------------------------------- #
-# Protocol-level batch tallies vs the base per-message replay
-# --------------------------------------------------------------------- #
-
-
-class _FakeContext(ReplicaContext):
-    """Records every replica action; time stands still at 0."""
-
-    def __init__(self, replica_id: int, n: int) -> None:
-        self._replica_id = replica_id
-        self._n = n
-        self.actions: List[Tuple[Any, ...]] = []
-
-    @property
-    def replica_id(self) -> int:
-        return self._replica_id
-
-    @property
-    def replica_ids(self):
-        return list(range(self._n))
-
-    def now(self) -> float:
-        return 0.0
-
-    def send(self, receiver, message) -> None:
-        self.actions.append(("send", receiver, repr(message)))
-
-    def broadcast(self, message) -> None:
-        self.actions.append(("broadcast", repr(message)))
-
-    def set_timer(self, delay, name, data=None) -> int:
-        self.actions.append(("timer", delay, name, repr(data)))
-        return len(self.actions)
-
-    def cancel_timer(self, timer_id) -> None:
-        self.actions.append(("cancel", timer_id))
-
-    def commit(self, blocks, finalization_kind="slow") -> None:
-        self.actions.append(
-            ("commit", [b.id for b in blocks], finalization_kind))
-
-
-def _vote_msg(vote) -> Tuple[int, VoteMessage]:
-    return vote.voter, VoteMessage(votes=(vote,), sender=vote.voter)
-
-
-def _quorum_state(replica):
-    """Observable tally state of every (round, kind) tracker."""
-    return {
-        key: (sorted((repr(b), sorted(tracker.voters(b)))
-                     for b in tracker.blocks()),
-              sorted(tracker.equivocators()),
-              tracker.fired_count())
-        for key, tracker in replica.votes._trackers.items()
-    }
-
-
-def _round_one_batch(name: str, params: ProtocolParams):
-    """A mixed round-1 delivery batch for ``name``: a valid leader
-    proposal, then a vote wave crossing the quorum mid-run with a
-    duplicate, an equivocating vote, and (for ICC-family) a trailing
-    finalization wave and a multi-vote message that must fall back to
-    the scalar path."""
-    genesis = Block(round=0, proposer=-1, rank=0, parent_id=None)
-    factory = protocol_factory(name)
-    probe = factory(0, params)
-    genesis_id = probe.tree.genesis_id
-    block = Block(round=1, proposer=1, rank=0, parent_id=genesis_id,
-                  payload=b"p", payload_size=100)
-    rival = Block(round=1, proposer=1, rank=0, parent_id=genesis_id,
-                  payload=b"q", payload_size=100)
-    if name == "hotstuff":
-        justify = Notarization(round=0, block_id=genesis_id,
-                               voters=frozenset(range(params.n)))
-        proposal = BlockProposal(block=block, parent_notarization=justify)
-    else:
-        proposal = BlockProposal(block=block)
-    batch: List[Tuple[int, Any]] = [(1, proposal)]
-    wave = [NotarizationVote(round=1, block_id=block.id, voter=v)
-            for v in (1, 2, 3, 2, 4, 5, 6, 0)]  # duplicate voter 2 mid-run
-    batch.extend(_vote_msg(v) for v in wave)
-    # An equivocating vote for a rival block ends the run in both paths.
-    batch.append(_vote_msg(
-        NotarizationVote(round=1, block_id=rival.id, voter=3)))
-    if name in ("icc", "banyan"):
-        batch.extend(_vote_msg(
-            FinalizationVote(round=1, block_id=block.id, voter=v))
-            for v in (0, 1, 2, 3, 4, 5, 6))
-        # A two-vote message (fast + notarization) takes the scalar path.
-        pair = (FastVote(round=1, block_id=block.id, voter=5),
-                NotarizationVote(round=1, block_id=block.id, voter=5))
-        batch.append((5, VoteMessage(votes=pair, sender=5)))
-    del genesis, probe
-    return block, batch
-
-
-class TestProtocolBatchTallies:
-    @pytest.mark.parametrize("name", PROTOCOLS)
-    def test_override_matches_base_replay(self, name):
-        params = ProtocolParams(n=N, f=1, p=1, rank_delay=0.2)
-        block, batch = _round_one_batch(name, params)
-        factory = protocol_factory(name)
-
-        batched = factory(0, params)
-        batched_ctx = _FakeContext(0, N)
-        batched.on_start(batched_ctx)
-        batched.on_messages(batched_ctx, batch)
-
-        scalar = factory(0, params)
-        scalar_ctx = _FakeContext(0, N)
-        scalar.on_start(scalar_ctx)
-        # The base-class default replays through on_message one by one —
-        # the reference semantics every override must reproduce.
-        Protocol.on_messages(scalar, scalar_ctx, batch)
-
-        assert batched_ctx.actions == scalar_ctx.actions
-        assert _quorum_state(batched) == _quorum_state(scalar)
-        # Non-vacuity: the wave crossed at least one quorum and the
-        # duplicate/equivocation bookkeeping is populated.
-        assert any(state[2] > 0 for state in _quorum_state(batched).values())
-        assert any(state[1] for state in _quorum_state(batched).values())
-        if name == "hotstuff":
-            # HotStuff certifies via QCs; the tree is only marked at commit.
-            assert block.id in batched._qc_by_block
-        else:
-            assert batched.tree.is_notarized(block.id)
-
-    @pytest.mark.parametrize("name", PROTOCOLS)
-    def test_vote_wave_split_across_batches(self, name):
-        # A quorum crossing on the first vote of a later batch exercises
-        # the already-fired ("armed") path of add_votes.
-        params = ProtocolParams(n=N, f=1, p=1, rank_delay=0.2)
-        block, batch = _round_one_batch(name, params)
-        factory = protocol_factory(name)
-
-        batched = factory(0, params)
-        batched_ctx = _FakeContext(0, N)
-        batched.on_start(batched_ctx)
-        for start in range(0, len(batch), 3):
-            batched.on_messages(batched_ctx, batch[start:start + 3])
-
-        scalar = factory(0, params)
-        scalar_ctx = _FakeContext(0, N)
-        scalar.on_start(scalar_ctx)
-        Protocol.on_messages(scalar, scalar_ctx, batch)
-
-        assert batched_ctx.actions == scalar_ctx.actions
-        assert _quorum_state(batched) == _quorum_state(scalar)
-
-
-class TestQuorumTrackerAddVotes:
-    def test_matches_scalar_add_vote_reference(self):
-        rng = random.Random(7)
-        blocks = ["b1", "b2"]
-        sequence = [(rng.choice(blocks), rng.randrange(10))
-                    for _ in range(200)]
-
-        fired_batch: List[Any] = []
-        batched = QuorumTracker(5, on_threshold=fired_batch.append)
-        fired_scalar: List[Any] = []
-        scalar = QuorumTracker(5, on_threshold=fired_scalar.append)
-
-        for block_id, voter in sequence:
-            scalar.add_vote(block_id, voter)
-        # Batch side: group the same sequence into per-block runs of 7 and
-        # re-feed remainders after each crossing, as the dispatch layer does.
-        i = 0
-        while i < len(sequence):
-            block_id = sequence[i][0]
-            run = []
-            while i < len(sequence) and sequence[i][0] == block_id and len(run) < 7:
-                run.append(sequence[i][1])
-                i += 1
-            while run:
-                consumed = batched.add_votes(block_id, run)
-                run = run[consumed:]
-
-        assert fired_batch == fired_scalar
-        for block_id in blocks:
-            assert batched.voters(block_id) == scalar.voters(block_id)
-        assert batched.equivocators() == scalar.equivocators()
-
-    def test_stops_exactly_at_the_crossing(self):
-        fired: List[Any] = []
-        tracker = QuorumTracker(3, on_threshold=fired.append)
-        consumed = tracker.add_votes("b", [10, 11, 12, 13, 14])
-        assert consumed == 3
-        assert fired == ["b"]
-        assert tracker.count("b") == 3
-        # The remainder never re-fires.
-        assert tracker.add_votes("b", [13, 14]) == 2
-        assert fired == ["b"]
-        assert tracker.count("b") == 5
-
-    def test_duplicates_are_skipped_and_never_fire(self):
-        fired: List[Any] = []
-        tracker = QuorumTracker(2, on_threshold=fired.append)
-        consumed = tracker.add_votes("b", [1, 1, 1, 2, 3])
-        # Crossing happens at voter 2 (the 4th element consumed).
-        assert consumed == 4
-        assert fired == ["b"]
-        assert tracker.count("b") == 2
-
-    def test_prefired_block_consumes_everything_silently(self):
-        fired: List[Any] = []
-        tracker = QuorumTracker(2, on_threshold=fired.append)
-        tracker.add_vote("b", 1)
-        tracker.add_vote("b", 2)
-        assert fired == ["b"]
-        assert tracker.add_votes("b", [3, 4, 5]) == 3
-        assert fired == ["b"]
-        assert tracker.count("b") == 5
-
-    def test_equivocation_is_recorded_across_blocks(self):
-        tracker = QuorumTracker(10)
-        assert tracker.add_votes("b1", [1, 2]) == 2
-        assert tracker.add_votes("b2", [2, 3]) == 2
-        assert tracker.equivocators() == frozenset({2})
+_AXES = ("compute", "crash", "runahead", "budget")
+VARIANT_KEYS = [
+    (backend, *flags)
+    for backend in ("heap", "calendar")
+    for flags in itertools.product((False, True), repeat=len(_AXES))
+]
+
+
+def _variant_id(key) -> str:
+    backend, *flags = key
+    on = [axis for axis, flag in zip(_AXES, flags) if flag]
+    return "-".join([backend] + (on or ["plain"]))
+
+
+@pytest.mark.parametrize("key", VARIANT_KEYS, ids=_variant_id)
+def test_every_loop_variant_renders_and_compiles(key):
+    backend, compute, crash, runahead, budget = key
+    loop = dispatch.select_loop(compute, crash, runahead, budget,
+                                backend=backend)
+    assert callable(loop)
+    assert dispatch.select_loop(compute, crash, runahead, budget,
+                                backend=backend) is loop
+
+    source = dispatch._variant_source(*key)
+    compile(source, f"<variant {key}>", "exec")
+    assert "deliver_many" not in source
+    assert "on_messages" not in source
+
+
+def test_render_rejects_an_unknown_if_name():
+    names = ("COMPUTE", "CRASH", "RUNAHEAD", "BUDGET", "TALLY")
+    with pytest.raises(KeyError):
+        dispatch._render("#if FUSE\npass\n#endif\n",
+                         dict.fromkeys(names, True))
 
 
 # --------------------------------------------------------------------- #

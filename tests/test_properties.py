@@ -300,24 +300,6 @@ class _SetQuorumTracker:
                 self.on_threshold(block_id)
         return True
 
-    def add_votes(self, block_id, voters):
-        existing = self._voters.get(block_id)
-        if existing is None:
-            existing = self._voters[block_id] = set()
-        if block_id in self.fired:
-            existing.update(voters)
-            return len(voters)
-        consumed = 0
-        for voter in voters:
-            consumed += 1
-            existing.add(voter)
-            if len(existing) >= self.threshold:
-                self.fired.add(block_id)
-                if self.on_threshold is not None:
-                    self.on_threshold(block_id)
-                break
-        return consumed
-
     def add_voters(self, block_id, voters):
         existing = self._voters.get(block_id)
         if existing is None:
@@ -476,16 +458,15 @@ class _SetFastPathState:
 
 @st.composite
 def quorum_events(draw):
-    """Random single votes, ordered vote runs and certificate merges over a
-    few blocks: duplicates, voters supporting several blocks, and bulk
-    merges that cross the threshold part-way through."""
+    """Random single votes and certificate merges over a few blocks:
+    duplicates, voters supporting several blocks, and bulk merges that
+    cross the threshold part-way through."""
     n = draw(st.integers(min_value=1, max_value=70))  # past one machine word
     threshold = draw(st.integers(min_value=1, max_value=n))
     block = st.sampled_from(["x", "y", "z"])
     voter = st.integers(min_value=0, max_value=n - 1)
     event = st.one_of(
         st.tuples(st.just("vote"), block, voter),
-        st.tuples(st.just("votes"), block, st.lists(voter, max_size=n)),
         st.tuples(st.just("merge"), block, st.frozensets(voter, max_size=n)),
     )
     return n, threshold, draw(st.lists(event, max_size=40)), draw(st.frozensets(voter))
@@ -502,12 +483,6 @@ def test_bitmask_quorum_tracker_matches_the_set_based_one(scenario):
     for kind, block_id, what in events:
         if kind == "vote":
             assert tracker.add_vote(block_id, what) == reference.add_vote(block_id, what)
-        elif kind == "votes":
-            # The crossing stop, then the remainder, as the protocols do.
-            consumed = tracker.add_votes(block_id, what)
-            assert consumed == reference.add_votes(block_id, what)
-            assert tracker.add_votes(block_id, what[consumed:]) == \
-                reference.add_votes(block_id, what[consumed:])
         else:
             assert tracker.add_voters(block_id, voter_mask(what)) == \
                 reference.add_voters(block_id, what)

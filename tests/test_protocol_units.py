@@ -440,21 +440,14 @@ class TestVotersOutsideTheReplicaSet:
         assert replica._fast[1].support(block.id) == {1}  # the proposer's own
 
     @pytest.mark.parametrize("cls", [ICCReplica, BanyanReplica])
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_votes_from_outside_the_replica_set_are_dropped(self, cls, batched):
+    def test_votes_from_outside_the_replica_set_are_dropped(self, cls):
         from repro.types.votes import FinalizationVote
 
         replica, ctx, block = self._started(cls)
-        messages = []
         for voter in (1, 4, -1, 2**70, 2):
             for vote_cls in (NotarizationVote, FastVote, FinalizationVote):
                 vote = vote_cls(round=3, block_id="b", voter=voter)
-                messages.append((1, VoteMessage(votes=(vote,), sender=1)))
-        if batched:
-            replica.on_messages(ctx, messages)
-        else:
-            for sender, message in messages:
-                replica.on_message(ctx, sender, message)
+                replica.on_message(ctx, 1, VoteMessage(votes=(vote,), sender=1))
         state = replica._round(3)
         assert state.notarization.voters("b") == {1, 2}
         assert state.finalization.voters("b") == {1, 2}
@@ -462,23 +455,15 @@ class TestVotersOutsideTheReplicaSet:
             assert state.fast.support("b") == {1, 2}
 
     @pytest.mark.parametrize("protocol", ["hotstuff", "streamlet"])
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_baselines_drop_votes_from_outside_the_replica_set(self, protocol, batched):
+    def test_baselines_drop_votes_from_outside_the_replica_set(self, protocol):
         from repro.protocols.registry import create_replicas
 
         replica = create_replicas(protocol, _params())[0]
         ctx = FakeContext(0, 4)
         replica.on_start(ctx)
-        messages = [
-            (1, VoteMessage(votes=(NotarizationVote(round=1, block_id="b", voter=voter),),
-                            sender=1))
-            for voter in (1, 4, -1, 2**70, 2)
-        ]
-        if batched:
-            replica.on_messages(ctx, messages)
-        else:
-            for sender, message in messages:
-                replica.on_message(ctx, sender, message)
+        for voter in (1, 4, -1, 2**70, 2):
+            vote = NotarizationVote(round=1, block_id="b", voter=voter)
+            replica.on_message(ctx, 1, VoteMessage(votes=(vote,), sender=1))
         assert replica.votes.get(1, VoteKind.NOTARIZATION).voters("b") == {1, 2}
 
     def test_hotstuff_ignores_a_proposal_justified_by_phantom_voters(self):

@@ -136,6 +136,18 @@ class TestCLI:
         assert captured.out == ""
         assert "no measurement window" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["figure", "6b", "--duration", "1"],                   # preset 2 s warm-up
+        ["figure", "6a", "--duration", "1", "--warmup", "2"],
+    ])
+    def test_figure_command_rejects_a_run_inside_the_warmup(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert ("--duration 1 leaves no measurement window after the 2 s warm-up"
+                in captured.err)
+
     def test_figure_command_quick(self, capsys):
         assert main(["figure", "6b", "--duration", "6"]) == 0
         out = capsys.readouterr().out

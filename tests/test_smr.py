@@ -48,7 +48,8 @@ class TestMempool:
 
     def test_take_respects_byte_budget(self):
         pool = Mempool()
-        pool.add_all([b"x" * 40, b"y" * 40, b"z" * 40])
+        for transaction in (b"x" * 40, b"y" * 40, b"z" * 40):
+            pool.add(transaction)
         taken = pool.take(90)
         assert taken == [b"x" * 40, b"y" * 40]
         assert len(pool) == 1
@@ -68,7 +69,8 @@ class TestMempool:
 
     def test_peek_does_not_remove(self):
         pool = Mempool()
-        pool.add_all([b"a", b"b"])
+        pool.add(b"a")
+        pool.add(b"b")
         assert pool.peek(2) == [b"a", b"b"]
         assert len(pool) == 2
 

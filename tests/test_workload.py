@@ -56,32 +56,10 @@ class TestMempoolAccounting:
         assert len(pool) == 1
         assert pool.total_bytes == 100
 
-    def test_add_all_short_circuits_on_full_pool(self):
-        pool = Mempool(max_size=2)
-        accepted = pool.add_all([b"a", b"b", b"c", b"d"])
-        assert accepted == 2
-        assert len(pool) == 2
-        assert pool.total_bytes == 2
-
-    def test_add_all_stops_where_add_would_first_refuse(self):
-        rng = random.Random(5)
-        for _ in range(50):
-            limits = dict(max_size=rng.randint(1, 12),
-                          max_bytes=rng.choice([None, rng.randint(1, 60)]))
-            transactions = [bytes(rng.randint(1, 9)) for _ in range(rng.randint(0, 15))]
-            one_by_one, bulk = Mempool(**limits), Mempool(**limits)
-            expected = 0
-            for transaction in transactions:
-                if not one_by_one.add(transaction):
-                    break
-                expected += 1
-            assert bulk.add_all(iter(transactions)) == expected
-            assert bulk.peek(99) == one_by_one.peek(99)
-            assert bulk.total_bytes == one_by_one.total_bytes
-
     def test_clear_resets_byte_count(self):
         pool = Mempool()
-        pool.add_all([b"a" * 10, b"b" * 20])
+        pool.add(b"a" * 10)
+        pool.add(b"b" * 20)
         pool.clear()
         assert len(pool) == 0
         assert pool.total_bytes == 0
