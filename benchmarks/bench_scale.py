@@ -1,6 +1,6 @@
-"""Scale benchmark: event-loop throughput and fluid workloads up to n=256.
+"""Scale benchmark: event-loop throughput and a million users up to n=256.
 
-Four measurements gate the scaling work:
+Three measurements gate the scaling work:
 
 * **Flood events/sec at n=64/128/256** — the protocol-free broadcast-heavy
   mix of :mod:`benchmarks.bench_simulator`, extended to datacenter-scale
@@ -15,13 +15,9 @@ Four measurements gate the scaling work:
 * **Broadcast-delay copies/sec at n=64/256, per latency model** — a
   transport-only microbench of ``broadcast_times`` across all five
   shipped latency models, gating the row pipeline in isolation.
-* **Exact vs fluid at n=64** — the same Banyan workload run once with the
-  per-transaction client model and once with the aggregated-flow model,
-  recording wall-clock and goodput side by side.  Fluid must be cheaper to
-  run while agreeing on the measured goodput (the cross-validation *bounds*
-  are pinned by ``tests/test_fluid.py``; this bench records the numbers).
-* **The n=256 gate** — a million modeled clients over the measured WAN RTT
-  matrix at n=256 must complete in under 60 s of wall-clock time.
+* **The n=256 gate** — a million open-loop clients offering 20k tx/s over
+  the measured WAN RTT matrix at n=256 must complete in under 60 s of
+  wall-clock time.
 
 One ``BENCH_bench_scale.json`` record is emitted per run;
 ``benchmarks/check_trend.py`` compares a fresh record against the committed
@@ -62,7 +58,7 @@ from repro.workload.spec import WorkloadSpec
 #: Environment toggle for the reduced CI variant.
 SMOKE_ENV = "BANYAN_SCALE_SMOKE"
 
-#: Wall-clock budget (seconds) for the n=256 million-user fluid run.
+#: Wall-clock budget (seconds) for the n=256 million-user run.
 GATE_WALL_S = 60.0
 
 
@@ -203,15 +199,15 @@ def _scale_params(n: int) -> ProtocolParams:
     return ProtocolParams(n=n, f=bound, p=bound)
 
 
-def _workload_config(n: int, fluid: bool, duration: float,
-                     num_clients: int, rate: float) -> ExperimentConfig:
+def _workload_config(n: int, duration: float, num_clients: int,
+                     rate: float) -> ExperimentConfig:
     return ExperimentConfig(
         protocol="banyan",
         params=_scale_params(n),
         workload=WorkloadSpec(
             mode="open", arrival="poisson", rate=rate,
             num_clients=num_clients, tx_size=256,
-            sample_interval=1.0, seed=0, fluid=fluid,
+            sample_interval=1.0, seed=0,
         ),
         duration=duration,
         warmup=min(1.0, duration / 4),
@@ -220,9 +216,9 @@ def _workload_config(n: int, fluid: bool, duration: float,
     )
 
 
-def _run_workload(n: int, fluid: bool, duration: float,
-                  num_clients: int, rate: float) -> dict:
-    config = _workload_config(n, fluid, duration, num_clients, rate)
+def _run_workload(n: int, duration: float, num_clients: int,
+                  rate: float) -> dict:
+    config = _workload_config(n, duration, num_clients, rate)
     gc.collect()
     start = time.perf_counter()
     result = run_experiment(config)
@@ -231,7 +227,7 @@ def _run_workload(n: int, fluid: bool, duration: float,
     events = result.messages_sent
     return {
         "n": n,
-        "mode": "fluid" if fluid else "exact",
+        "mode": "exact",
         "clients": num_clients,
         "sim_seconds": duration,
         "wall_s": round(wall, 4),
@@ -262,7 +258,7 @@ def _best_of(measure, reps: int = 3) -> dict:
 
 
 def test_scale_throughput(benchmark) -> None:
-    """Flood events/sec, exact-vs-fluid wall-clock, and the n=256 gate."""
+    """Flood events/sec, broadcast-delay copies/sec, and the n=256 gate."""
     smoke = _smoke()
 
     def _measure() -> dict:
@@ -272,29 +268,17 @@ def test_scale_throughput(benchmark) -> None:
                  for n in _flood_counts()]
         delay = [_best_of(lambda n=n, m=model: _run_broadcast_delay(n, m))
                  for model in DELAY_MODELS for n in _delay_counts()]
-        # Exact vs fluid on one overlapping mid-size config: the exact
-        # model pays one event per transaction, the fluid model one per
-        # (replica, tick) — same protocol traffic, same offered load.
-        compare_n = 16 if smoke else 64
-        compare = [
-            _best_of(lambda f=fluid: _run_workload(
-                compare_n, f, duration=2.0,
-                num_clients=2_000, rate=2_000.0))
-            for fluid in (False, True)
-        ]
         # The acceptance gate: a million modeled users at n=256 (64 in the
         # smoke variant) must complete within the wall-clock budget.
         gate_n = 64 if smoke else 256
         gate_duration = 1.0 if smoke else 0.75
-        # The full-size gate run costs ~20 s of wall a shot; it gates a
+        # The full-size gate run costs 10–20 s of wall a shot; it gates a
         # generous 60 s budget, so one sample is enough there.
         gate = _best_of(lambda: _run_workload(
-            gate_n, fluid=True, duration=gate_duration,
+            gate_n, duration=gate_duration,
             num_clients=1_000_000, rate=20_000.0), reps=3 if smoke else 1)
         gate["under_60s"] = gate["wall_s"] < GATE_WALL_S
-        return {"flood": flood, "broadcast_delay": delay,
-                "exact_vs_fluid": compare,
-                "gate": [gate]}
+        return {"flood": flood, "broadcast_delay": delay, "gate": [gate]}
 
     series = benchmark.pedantic(_measure, rounds=1, iterations=1)
     total_wall = sum(row["wall_s"] for rows in series.values() for row in rows)
@@ -306,7 +290,6 @@ def test_scale_throughput(benchmark) -> None:
     )
     paper_comparison(series["flood"])
     paper_comparison(series["broadcast_delay"])
-    paper_comparison(series["exact_vs_fluid"])
     paper_comparison(series["gate"])
     assert all(row["events"] > 0 for row in series["flood"])
     assert all(row["events_per_s"] > 0 for row in series["broadcast_delay"])
@@ -314,6 +297,6 @@ def test_scale_throughput(benchmark) -> None:
     assert gate_row["committed_tx"] > 0, "gate run committed nothing"
     if not smoke:
         assert gate_row["under_60s"], (
-            f"n=256 million-user fluid run took {gate_row['wall_s']:.1f}s "
+            f"n=256 million-user run took {gate_row['wall_s']:.1f}s "
             f"(budget {GATE_WALL_S:.0f}s)"
         )

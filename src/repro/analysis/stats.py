@@ -62,70 +62,6 @@ def median(values: Sequence[float]) -> float:
     return percentile(values, 50)
 
 
-def weighted_mean(values: Sequence[float], weights: Sequence[float]) -> float:
-    """Weight-weighted arithmetic mean; 0.0 for empty or zero-weight input.
-
-    Raises:
-        ValueError: if the sequences differ in length.
-    """
-    if len(values) != len(weights):
-        raise ValueError("values and weights must have the same length")
-    # ``math.fsum`` keeps both accumulations exactly rounded: at fluid-mode
-    # scale (1e6-count transaction weights) a naive running sum drifts by
-    # enough to move the mean of close-together latencies.
-    total = math.fsum(weights)
-    if total <= 0:
-        return 0.0
-    return math.fsum(v * w for v, w in zip(values, weights)) / total
-
-
-def weighted_percentile(values: Sequence[float], weights: Sequence[float],
-                        q: float) -> float:
-    """Nearest-rank percentile of a weighted sample; 0.0 if empty.
-
-    A value with weight ``w`` counts as ``w`` identical observations — the
-    form the fluid workload mode produces (one latency per committed flow
-    batch, weighted by its transaction count).  With unit weights this is
-    exactly :func:`percentile`.
-
-    Raises:
-        ValueError: if ``q`` is outside ``[0, 100]`` or lengths differ.
-    """
-    if not 0 <= q <= 100:
-        raise ValueError("percentile must be in [0, 100]")
-    if len(values) != len(weights):
-        raise ValueError("values and weights must have the same length")
-    pairs = sorted(
-        (v, w) for v, w in zip(values, weights) if w > 0
-    )
-    if not pairs:
-        return 0.0
-    if q == 0:
-        return pairs[0][0]
-    # Exactly-rounded total, and a Neumaier-compensated running sum for the
-    # cumulative rank: naive float accumulation of 1e6-count weights can
-    # round the running total past (or short of) ``target`` and flip the
-    # nearest-rank bucket, breaking the documented unit-weight ≡
-    # ``percentile`` equivalence.  Integer-valued weights stay exact here
-    # (every partial sum is exact below 2**53, matching ``percentile``'s
-    # integer rank arithmetic), and fractional weights get an error term
-    # no worse than one ulp of the total.
-    total = math.fsum(w for _, w in pairs)
-    target = q / 100.0 * total
-    cumulative = 0.0
-    residue = 0.0
-    for value, weight in pairs:
-        new = cumulative + weight
-        if cumulative >= weight:
-            residue += (cumulative - new) + weight
-        else:
-            residue += (weight - new) + cumulative
-        cumulative = new
-        if cumulative + residue >= target:
-            return value
-    return pairs[-1][0]
-
-
 def confidence_interval_95(values: Sequence[float]) -> Tuple[float, float]:
     """Normal-approximation 95% confidence interval of the mean.
 

@@ -386,9 +386,6 @@ def run_experiment(config: ExperimentConfig,
     pool = None
     if config.workload is not None:
         # Proposals carry real pending transactions; idle rounds stay empty.
-        # The pool is either the exact per-transaction ClientPool or the
-        # aggregated FluidClientPool (workload.fluid); both build their own
-        # matching payload source.
         pool = config.workload.build_pool()
         payload_source = pool.payload_source(
             max_block_bytes=config.workload.max_block_bytes

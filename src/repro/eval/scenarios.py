@@ -536,13 +536,12 @@ def plan_scale_sweep(replica_counts: Sequence[int] = (64, 128, 256),
                      tx_size: int = 256, protocol: str = "banyan",
                      duration: float = 2.0, warmup: float = 0.5,
                      seed: int = 0, seeds: int = 1) -> ExperimentPlan:
-    """Plan for the datacenter-scale sweep: fluid clients over the WAN matrix.
+    """Plan for the datacenter-scale sweep: open-loop clients, WAN matrix.
 
-    One cell per replica count, each running the fluid client model
-    (million-user populations collapse to one injection event per replica
-    per tick) on the worldwide topology under the measured inter-region RTT
-    matrix.  ``f = p = (n - 1) // 5`` keeps the fast path available at
-    every size (``n >= 3f + 2p + 1``).
+    One cell per replica count, each offering ``rate`` tx/s from
+    ``num_clients`` open-loop clients on the worldwide topology under the
+    measured inter-region RTT matrix.  ``f = p = (n - 1) // 5`` keeps the
+    fast path available at every size (``n >= 3f + 2p + 1``).
     """
     specs = [
         ExperimentSpec(
@@ -550,11 +549,11 @@ def plan_scale_sweep(replica_counts: Sequence[int] = (64, 128, 256),
             params=ProtocolParams(n=n, f=(n - 1) // 5, p=(n - 1) // 5,
                                   rank_delay=GLOBAL_RANK_DELAY),
             topology="worldwide", duration=duration, warmup=warmup,
-            seed=seed, label=f"{protocol} (n={n}, fluid)",
+            seed=seed, label=f"{protocol} (n={n}, {num_clients:,} clients)",
             workload=WorkloadSpec(
                 mode="open", arrival="poisson", rate=rate,
                 num_clients=num_clients, tx_size=tx_size,
-                sample_interval=1.0, seed=seed, fluid=True,
+                sample_interval=1.0, seed=seed,
             ),
             latency_model="wan-matrix",
             series=protocol, cell=f"n={n}", axis={"n": n},
@@ -563,7 +562,7 @@ def plan_scale_sweep(replica_counts: Sequence[int] = (64, 128, 256),
     ]
     return ExperimentPlan(
         name="workload-scale",
-        title=f"fluid-workload scale sweep, {protocol} on the WAN matrix",
+        title=f"open-loop workload scale sweep, {protocol} on the WAN matrix",
         specs=specs,
         columns=list(WORKLOAD_COLUMNS),
     ).with_replications(seeds)
@@ -578,10 +577,10 @@ def scale_sweep(replica_counts: Sequence[int] = (64, 128, 256),
                 progress: Optional[ProgressCallback] = None) -> FigureResult:
     """Datacenter-scale sweep: goodput and latency up to n=256 replicas.
 
-    The fluid workload keeps the event count independent of the client
-    population, so a million modeled users at n=256 costs the same number
-    of workload events as eight users — the run time is dominated by the
-    protocol's own message complexity.
+    Open-loop arrivals are admitted lazily into per-replica id queues, so
+    the workload's cost follows the offered rate, not the population: a
+    million clients at n=256 cost what eight do, and the run time is
+    dominated by the protocol's own message complexity.
     """
     return run_figure(plan_scale_sweep(replica_counts, rate, num_clients,
                                        tx_size, protocol, duration, warmup,

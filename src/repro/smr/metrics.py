@@ -32,8 +32,6 @@ from repro.analysis.stats import mean as _mean
 from repro.analysis.stats import percentile as _percentile
 from repro.analysis.stats import percentiles as _percentiles
 from repro.analysis.stats import variance as _variance
-from repro.analysis.stats import weighted_mean as _weighted_mean
-from repro.analysis.stats import weighted_percentile as _weighted_percentile
 from repro.runtime.simulator import CommitRecord
 
 
@@ -314,12 +312,7 @@ class WorkloadMetrics:
         committed: transactions observed committed (deduplicated).
         dropped: transactions rejected at submission (mempool backpressure).
         committed_tx_bytes: total bytes of committed transactions.
-        latencies: per-transaction submit→commit latencies in seconds.  In
-            the fluid workload mode each entry is instead the latency of one
-            committed flow batch, weighted by :attr:`latency_weights`.
-        latency_weights: optional per-entry transaction counts matching
-            ``latencies``.  ``None`` (the exact per-transaction mode) means
-            unit weights.
+        latencies: per-transaction submit→commit latencies in seconds.
         occupancy: mempool occupancy samples over time.
     """
 
@@ -330,7 +323,6 @@ class WorkloadMetrics:
     committed_tx_bytes: int = 0
     latencies: List[float] = field(default_factory=list)
     occupancy: List[OccupancySample] = field(default_factory=list)
-    latency_weights: Optional[List[float]] = None
 
     @property
     def pending(self) -> int:
@@ -340,16 +332,11 @@ class WorkloadMetrics:
     @property
     def mean_latency(self) -> float:
         """Mean submit→commit latency in seconds."""
-        if self.latency_weights is not None:
-            return _weighted_mean(self.latencies, self.latency_weights)
         return _mean(self.latencies)
 
     def latency_percentiles(self, qs: Sequence[float] = (50, 95, 99)) -> List[float]:
         """Submit→commit latency percentiles in seconds, one per ``q`` of
         ``qs`` — from a single sort of the per-transaction latencies."""
-        if self.latency_weights is not None:
-            return [_weighted_percentile(self.latencies, self.latency_weights, q)
-                    for q in qs]
         return _percentiles(self.latencies, qs)
 
     @property
@@ -410,12 +397,8 @@ class WorkloadMetrics:
         }
 
     def to_dict(self) -> Dict[str, object]:
-        """A lossless JSON-ready dictionary (inverse of :meth:`from_dict`).
-
-        ``latency_weights`` is emitted only when present so exact-mode
-        records keep their historical shape.
-        """
-        data: Dict[str, object] = {
+        """A lossless JSON-ready dictionary (inverse of :meth:`from_dict`)."""
+        return {
             "duration": self.duration,
             "submitted": self.submitted,
             "committed": self.committed,
@@ -424,14 +407,10 @@ class WorkloadMetrics:
             "latencies": list(self.latencies),
             "occupancy": [sample.to_dict() for sample in self.occupancy],
         }
-        if self.latency_weights is not None:
-            data["latency_weights"] = list(self.latency_weights)
-        return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "WorkloadMetrics":
         """Rebuild the metrics from :meth:`to_dict` output."""
-        weights = data.get("latency_weights")
         return cls(
             duration=float(data["duration"]),
             submitted=int(data["submitted"]),
@@ -441,9 +420,6 @@ class WorkloadMetrics:
             latencies=[float(v) for v in data.get("latencies", [])],
             occupancy=[OccupancySample.from_dict(sample)
                        for sample in data.get("occupancy", [])],
-            latency_weights=(
-                None if weights is None else [float(w) for w in weights]
-            ),
         )
 
 

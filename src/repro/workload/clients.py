@@ -51,7 +51,7 @@ import math
 import random
 from array import array
 from bisect import bisect_left
-from itertools import cycle, islice
+from itertools import chain, cycle, islice
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.runtime.simulator import CommitRecord, Simulation
@@ -359,12 +359,7 @@ class ClientPool:
         return len(reclaimed)
 
     def payload_source(self, max_block_bytes: int = 65_536):
-        """Build the payload source that drains this pool's mempools.
-
-        Mirrors :meth:`repro.workload.fluid.FluidClientPool.payload_source`
-        so the experiment harness builds either pool's source through the
-        same seam.
-        """
+        """Build the payload source that drains this pool's mempools."""
         # Imported lazily: payloads.py imports this module.
         from repro.workload.payloads import MempoolPayloadSource
 
@@ -414,10 +409,11 @@ class ClientPool:
             return
         times, self._next_arrival = self.arrivals.arrivals_until(
             self._next_arrival, horizon, self._rng)
-        # Open-loop client labels cycle with the tx id.
+        # Open-loop client labels cycle with the tx id, starting at ``first``
+        # without walking the labels before it.
         first = len(self._submit_times) % self.num_clients
-        self._submit(times, list(islice(cycle(range(self.num_clients)),
-                                        first, first + len(times))))
+        labels = chain(range(first, self.num_clients), range(first))
+        self._submit(times, list(islice(cycle(labels), len(times))))
 
     def _schedule_client_submit(self, client_id: int, delay: float) -> None:
         assert self._simulation is not None

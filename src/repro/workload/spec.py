@@ -56,12 +56,6 @@ class WorkloadSpec:
         burst_rate: flash-crowd rate during the burst window, in tx/s.
         burst_start: flash-crowd burst start time in seconds.
         burst_duration: flash-crowd burst length in seconds.
-        fluid: use the aggregated-flow client model
-            (:class:`repro.workload.fluid.FluidClientPool`) instead of
-            per-transaction simulation — one injection event per
-            (replica, tick) regardless of population size.  Open-loop only.
-        fluid_tick: injection period in seconds for the fluid model; also
-            the submit-time resolution of its latency samples.
     """
 
     mode: str = "open"
@@ -80,8 +74,6 @@ class WorkloadSpec:
     burst_rate: float = 400.0
     burst_start: float = 8.0
     burst_duration: float = 4.0
-    fluid: bool = False
-    fluid_tick: float = 0.1
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -110,27 +102,22 @@ class WorkloadSpec:
                 "max_block_bytes must be at least "
                 f"max(tx_size, {MAX_HEADER_BYTES}) to fit every transaction"
             )
-        if self.fluid and self.mode != "open":
-            raise ValueError("fluid workload requires the open-loop mode")
-        if self.fluid_tick <= 0:
-            raise ValueError("fluid_tick must be positive")
 
     def to_dict(self) -> Dict[str, object]:
-        """A JSON-ready dictionary (inverse of :meth:`from_dict`).
-
-        The fluid fields are emitted only when the fluid model is selected,
-        so pre-existing exact-mode specs keep their serialised shape (and
-        content hashes).
-        """
-        data = dataclasses.asdict(self)
-        if not self.fluid:
-            del data["fluid"]
-            del data["fluid_tick"]
-        return data
+        """A JSON-ready dictionary (inverse of :meth:`from_dict`)."""
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "WorkloadSpec":
-        """Rebuild a spec from :meth:`to_dict` output (unknown keys ignored)."""
+        """Rebuild a spec from :meth:`to_dict` output (unknown keys ignored).
+
+        Raises:
+            ValueError: if ``data`` selects the removed aggregated-flow
+                client model, rather than silently running the exact one.
+        """
+        if "fluid" in data or "fluid_tick" in data:
+            raise ValueError("the fluid client model was removed; drop the "
+                             "'fluid' / 'fluid_tick' keys to run the exact model")
         names = {field.name for field in dataclasses.fields(cls)}
         return cls(**{key: value for key, value in data.items() if key in names})
 
@@ -149,25 +136,15 @@ class WorkloadSpec:
                                   burst_start=self.burst_start,
                                   burst_duration=self.burst_duration)
 
-    def build_pool(self):
-        """Build a fresh client pool for one run of this spec.
-
-        Returns a :class:`repro.workload.fluid.FluidClientPool` when
-        :attr:`fluid` is set, else a :class:`ClientPool`.  Both expose the
-        ``attach`` / ``payload_source`` / ``metrics`` seams the experiment
-        harness drives.
-        """
-        common = dict(
+    def build_pool(self) -> ClientPool:
+        """Build a fresh client pool for one run of this spec."""
+        return ClientPool(
             arrivals=self.build_arrivals(),
             num_clients=self.num_clients,
+            think_time=self.think_time,
             tx_size=self.tx_size,
             mempool_capacity=self.mempool_capacity,
             mempool_max_bytes=self.mempool_max_bytes,
             sample_interval=self.sample_interval,
             seed=self.seed,
         )
-        if self.fluid:
-            from repro.workload.fluid import FluidClientPool
-
-            return FluidClientPool(tick=self.fluid_tick, **common)
-        return ClientPool(think_time=self.think_time, **common)

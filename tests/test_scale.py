@@ -23,7 +23,7 @@ import pytest
 
 from repro.eval.experiment import ExperimentConfig, run_experiment
 from repro.eval.plan import ExperimentSpec
-from repro.eval.scenarios import plan_scale_sweep
+from repro.eval.scenarios import plan_scale_sweep, scale_sweep
 from repro.net.faults import FaultPlan
 from repro.net.latency import (
     ConstantLatency,
@@ -45,6 +45,7 @@ from repro.protocols.base import ProtocolParams
 from repro.protocols.registry import create_replicas
 from repro.runtime.simulator import NetworkConfig, Simulation
 from repro.smr.mempool import Mempool
+from repro.workload.clients import ClientPool
 from repro.workload.spec import WorkloadSpec
 
 
@@ -138,19 +139,34 @@ class TestLatencyModelSerialization:
 
 
 class TestScaleSweepPlan:
-    def test_specs_are_fluid_wan_and_resilient(self):
+    def test_specs_are_million_user_open_loop_wan_and_resilient(self):
         plan = plan_scale_sweep(replica_counts=(64, 256))
         assert [spec.params.n for spec in plan.specs] == [64, 256]
         for spec in plan.specs:
             n, f, p = spec.params.n, spec.params.f, spec.params.p
             # The fast path needs n >= 3f + 2p + 1 at every benchmarked size.
             assert n >= 3 * f + 2 * p + 1
-            assert spec.workload.fluid
+            assert spec.workload.mode == "open"
             assert spec.workload.num_clients == 1_000_000
+            assert spec.workload.rate == 20_000.0
+            assert isinstance(spec.workload.build_pool(), ClientPool)
             assert spec.latency_model == "wan-matrix"
             # The whole plan must survive the spec/cache serialisation
             # (content equality: FaultPlan instances compare by identity).
             assert ExperimentSpec.from_dict(spec.to_dict()).to_dict() == spec.to_dict()
+
+    def test_small_sweep_commits_client_transactions(self):
+        # At n=16 the sweep's 20k tx/s keeps every leader's FIFO mempool
+        # longer than one block, so within 1 s only the oldest transactions
+        # commit: the run is measured from t=0, since a 0.25 s warm-up cut
+        # would exclude every one of them.
+        figure = scale_sweep(replica_counts=(16,), duration=1.0, warmup=0.0)
+        (result,) = figure.results
+        workload = result.workload
+        assert result.config.params.n == 16
+        assert workload.submitted > 10_000
+        assert workload.committed > 0 and workload.goodput_tx_per_s > 0
+        assert workload.p95_latency >= workload.p50_latency > 0
 
 
 class TestBatchedEventLoopDeterminism:

@@ -2,14 +2,17 @@
 
 Covers the external-event injection API of the simulator (including the
 cancelled-timer bookkeeping fix), the mempool's O(1) byte accounting and
-edge cases, arrival processes, transaction encoding, the open-/closed-loop
-client pools, and the two workload scenario presets (saturation sweep and
-flash crowd) end to end.
+edge cases, the client pool's id-queue mempools, arrival processes,
+transaction encoding, the workload metrics, the mempool payload source, the
+open-/closed-loop client pools, and the two workload scenario presets
+(saturation sweep and flash crowd) end to end.
 """
 
 from __future__ import annotations
 
+import json
 import random
+from array import array
 
 import pytest
 
@@ -21,6 +24,7 @@ from repro.protocols.base import Protocol, ProtocolParams
 from repro.protocols.registry import create_replicas
 from repro.runtime.simulator import NetworkConfig, Simulation
 from repro.smr.mempool import Mempool
+from repro.smr.metrics import OccupancySample, WorkloadMetrics
 from repro.types.blocks import Block
 from repro.workload.arrivals import (
     ConstantRate,
@@ -28,9 +32,9 @@ from repro.workload.arrivals import (
     FlashCrowdArrivals,
     PoissonArrivals,
 )
-from repro.workload.clients import ClientPool
+from repro.workload.clients import ClientPool, _TxMempool
 from repro.workload.payloads import MempoolPayloadSource
-from repro.workload.spec import WorkloadSpec
+from repro.workload.spec import ARRIVAL_KINDS, WorkloadSpec
 from repro.workload.transactions import decode_tx_id, encode_transaction
 
 
@@ -84,6 +88,72 @@ class TestMempoolAccounting:
         pool.requeue([b"first", b"second"])
         assert pool.take(1000) == [b"first", b"second", b"later"]
         assert pool.total_bytes == 0
+
+
+def _tx_mempool(capacity=100, max_bytes=None, sizes=(256,) * 40, uniform=256):
+    return _TxMempool(capacity, max_bytes, array("I", sizes), uniform,
+                      lambda tx_ids: [b"%d" % tx_id for tx_id in tx_ids])
+
+
+class TestTxMempool:
+    """The per-replica id queue a client pool admits into and drains from."""
+
+    def test_add_run_and_totals(self):
+        mempool = _tx_mempool()
+        assert list(mempool.add_run(range(0, 30))) == []
+        assert list(mempool.add_run(range(30, 40))) == []
+        assert len(mempool) == 40
+        assert mempool.total_bytes == 40 * 256
+
+    def test_capacity_refuses_the_overflow_tail(self):
+        mempool = _tx_mempool(capacity=25)
+        assert list(mempool.add_run(range(0, 20))) == []
+        # Only 5 of the next 10 fit; the rest are refused (backpressure).
+        assert list(mempool.add_run(range(20, 30))) == list(range(25, 30))
+        assert mempool.ids == list(range(25))
+        assert mempool.total_bytes == 25 * 256
+
+    def test_byte_limit_refuses_a_strided_run_at_its_turn(self):
+        # The pool routes every stride-th id to one replica.
+        mempool = _tx_mempool(max_bytes=10 * 256)
+        assert list(mempool.add_run(range(0, 40, 3))) == [30, 33, 36, 39]
+        assert mempool.ids == list(range(0, 30, 3))
+        assert mempool.total_bytes == 10 * 256
+
+    def test_take_pops_the_longest_prefix_within_the_budget(self):
+        mempool = _tx_mempool()
+        mempool.add_run(range(20))
+        assert mempool.take(12 * 256 + 128) == (list(range(12)), 12 * 256)
+        assert mempool.ids == list(range(12, 20))
+        assert mempool.take(100 * 256) == (list(range(12, 20)), 8 * 256)
+        assert len(mempool) == 0 and mempool.total_bytes == 0
+
+    def test_requeue_restores_the_front_bypassing_capacity(self):
+        mempool = _tx_mempool(capacity=10)
+        mempool.add_run(range(10))
+        taken, _ = mempool.take(6 * 256)
+        assert list(mempool.add_run(range(10, 16))) == []
+        # Reclaiming a failed proposal's transactions must not lose them to
+        # the capacity check, and they drain before newer arrivals.
+        mempool.requeue(taken)
+        assert len(mempool) == 16 and mempool.total_bytes == 16 * 256
+        assert mempool.take(16 * 256)[0] == list(range(16))
+
+    def test_varying_sizes_are_taken_by_their_own_bytes(self):
+        mempool = _tx_mempool(sizes=(8,) * 10 + (9,) + (8,) * 5, uniform=None)
+        mempool.add_run(range(16))
+        assert mempool.total_bytes == 15 * 8 + 9
+        # Ten 8-byte transactions fill 80 of 88 bytes; the 9-byte one waits.
+        assert mempool.take(88) == (list(range(10)), 80)
+        assert mempool.take(9) == ([10], 9)
+        assert mempool.total_bytes == 5 * 8
+
+    def test_peek_formats_without_dequeuing(self):
+        mempool = _tx_mempool()
+        mempool.add_run(range(3))
+        assert mempool.peek(2) == [b"0", b"1"]
+        assert mempool.peek(10) == [b"0", b"1", b"2"]
+        assert len(mempool) == 3 and mempool.total_bytes == 3 * 256
 
 
 # --------------------------------------------------------------------- #
@@ -151,6 +221,34 @@ class TestArrivals:
                 FlashCrowdArrivals(10.0, burst_rate=bad, burst_start=0,
                                    burst_duration=1)
 
+    def test_poisson_window_counts_have_poisson_moments(self):
+        # At 3 tx/s the arrivals of each 1 s window are Poisson(3): mean 3,
+        # variance 3.  20k windows put both within a few percent.
+        arrivals, rng = PoissonArrivals(3.0), random.Random(7)
+        stamps, _ = arrivals.arrivals_until(
+            arrivals.next_interarrival(0.0, rng), 19_999.0, rng)
+        counts = [0] * 20_000
+        for stamp in stamps:
+            counts[int(stamp)] += 1
+        mean = sum(counts) / len(counts)
+        assert mean == pytest.approx(3.0, abs=0.1)
+        variance = sum((count - mean) ** 2 for count in counts) / len(counts)
+        assert variance == pytest.approx(3.0, rel=0.1)
+
+    def test_batch_sampling_holds_the_scale_sweep_rate(self):
+        arrivals, rng = PoissonArrivals(20_000.0), random.Random(11)
+        stamps, after = arrivals.arrivals_until(0.0, 10.0, rng)
+        assert len(stamps) == pytest.approx(200_000, rel=0.01)
+        assert stamps == sorted(stamps) and stamps[-1] <= 10.0 < after
+
+    def test_a_start_past_the_horizon_draws_nothing(self):
+        for arrivals in (PoissonArrivals(5.0), ConstantRate(5.0),
+                         DiurnalArrivals(5.0)):
+            rng = random.Random(1)
+            state = rng.getstate()
+            assert arrivals.arrivals_until(2.0, 1.0, rng) == ([], 2.0)
+            assert rng.getstate() == state
+
 
 # --------------------------------------------------------------------- #
 # Transaction encoding
@@ -207,6 +305,56 @@ class TestSparkline:
         assert "t=0.0s .. t=2.0s" in text
         with pytest.raises(ValueError):
             render_timeseries("bad", [0.0], [1.0, 2.0])
+
+
+class TestWorkloadMetrics:
+    def test_percentiles_count_repeated_latencies(self):
+        # 99 transactions at 1 s, one at 10 s: p50 and p99 are 1 s, p100 10 s.
+        metrics = WorkloadMetrics(duration=10.0, submitted=100, committed=100,
+                                  latencies=[1.0] * 99 + [10.0])
+        assert metrics.latency_percentiles((50, 99, 100)) == [1.0, 1.0, 10.0]
+        assert metrics.mean_latency == pytest.approx((99.0 + 10.0) / 100.0)
+
+    def test_counts_and_goodput(self):
+        metrics = WorkloadMetrics(duration=4.0, submitted=10, committed=6,
+                                  dropped=1, committed_tx_bytes=6 * 256,
+                                  latencies=[0.5] * 6)
+        assert metrics.pending == 3
+        assert metrics.goodput_tx_per_s == 1.5
+        assert metrics.goodput_bytes_per_s == 384.0
+
+    def test_an_empty_run_reports_zeros(self):
+        metrics = WorkloadMetrics(duration=5.0)
+        assert metrics.latency_percentiles() == [0.0, 0.0, 0.0]
+        assert metrics.mean_latency == metrics.goodput_tx_per_s == 0.0
+        assert metrics.peak_mempool_depth == metrics.final_mempool_depth == 0
+
+    def test_occupancy_peak_and_final_depth(self):
+        samples = [OccupancySample(time=t, transactions=count, total_bytes=0)
+                   for t, count in ((0.5, 3), (1.0, 40), (1.5, 7))]
+        metrics = WorkloadMetrics(duration=2.0, occupancy=samples)
+        assert metrics.peak_mempool_depth == 40
+        assert metrics.final_mempool_depth == 7
+
+    def test_to_dict_holds_one_latency_per_transaction(self):
+        data = WorkloadMetrics(duration=1.0, committed=2, latencies=[0.1, 0.2]).to_dict()
+        assert list(data) == ["duration", "submitted", "committed", "dropped",
+                              "committed_tx_bytes", "latencies", "occupancy"]
+        assert data["latencies"] == [0.1, 0.2]
+
+    def test_json_round_trip_is_lossless(self):
+        queues = {1: Mempool(), 0: Mempool()}
+        queues[0].add(b"x" * 96)
+        queues[1].add(b"y" * 32)
+        queues[1].add(b"z" * 32)
+        metrics = WorkloadMetrics(duration=10.0, submitted=7, committed=5,
+                                  dropped=1, committed_tx_bytes=640,
+                                  latencies=[0.5, 0.7, 0.1, 0.3, 0.3],
+                                  occupancy=[OccupancySample.of(0.5, queues)])
+        rebuilt = WorkloadMetrics.from_dict(json.loads(json.dumps(metrics.to_dict())))
+        assert rebuilt == metrics
+        assert rebuilt.occupancy[0].per_replica == {0: 1, 1: 2}
+        assert rebuilt.summary() == metrics.summary()
 
 
 # --------------------------------------------------------------------- #
@@ -480,6 +628,50 @@ class TestClientPool:
         with pytest.raises(ValueError, match=field):
             WorkloadSpec(mode="closed", **{field: value})
 
+    @pytest.mark.parametrize("key, value", [("fluid", True), ("fluid_tick", 0.1)])
+    def test_spec_rejects_the_removed_fluid_model(self, key, value):
+        # An old plan or cache record must not turn silently into an exact run.
+        data = dict(WorkloadSpec().to_dict(), **{key: value})
+        with pytest.raises(ValueError, match="fluid client model was removed") as info:
+            WorkloadSpec.from_dict(data)
+        assert "\n" not in str(info.value)
+
+    def test_spec_serialised_shape_and_hash_are_stable(self):
+        # Result caches key on this form: a changed field list or default
+        # would silently re-run (or mis-serve) every cached workload cell.
+        from repro.eval.plan import canonical_hash
+        data = WorkloadSpec().to_dict()
+        assert list(data) == [
+            "mode", "arrival", "rate", "num_clients", "think_time", "tx_size",
+            "max_block_bytes", "mempool_capacity", "mempool_max_bytes",
+            "sample_interval", "seed", "period", "amplitude", "burst_rate",
+            "burst_start", "burst_duration"]
+        assert canonical_hash(data) == (
+            "47a4a02d60d080c562c1dba51a73102e3bda692050bdda42daded533d908a4b0")
+        closed = WorkloadSpec(mode="closed", num_clients=64, mempool_max_bytes=4096)
+        assert canonical_hash(closed.to_dict()) == (
+            "26f90c100074910b1a006cfeecd8c0c915625c42c4d76895a46c69c4a9612636")
+        assert WorkloadSpec.from_dict(closed.to_dict()) == closed
+
+    @pytest.mark.parametrize("arrival", ARRIVAL_KINDS)
+    def test_every_arrival_kind_round_trips_into_a_client_pool(self, arrival):
+        spec = WorkloadSpec(arrival=arrival, rate=1000.0, num_clients=1_000_000)
+        assert WorkloadSpec.from_dict(spec.to_dict()) == spec
+        pool = spec.build_pool()
+        assert isinstance(pool, ClientPool) and pool.is_open_loop
+        assert pool.num_clients == 1_000_000
+        assert pool.arrivals.rate(0.0) > 0
+
+    def test_closed_spec_builds_a_closed_loop_pool(self):
+        spec = WorkloadSpec(mode="closed", num_clients=6, think_time=0.2)
+        assert spec.build_arrivals() is None
+        pool = spec.build_pool()
+        assert not pool.is_open_loop and pool.think_time == 0.2
+
+    def test_from_dict_ignores_other_unknown_keys(self):
+        spec = WorkloadSpec(rate=75.0)
+        assert WorkloadSpec.from_dict(dict(spec.to_dict(), note="x")) == spec
+
     def test_spec_accepts_the_edge_values(self):
         spec = WorkloadSpec(think_time=0.0, sample_interval=0.0, num_clients=1,
                             mempool_capacity=1)
@@ -489,6 +681,54 @@ class TestClientPool:
         sim.run(until=1.0)
         assert sim.external_events_scheduled == 0  # probe off, no arrival events
         assert pool.metrics(1.0).occupancy == []
+
+
+class TestMempoolPayloadSource:
+    @staticmethod
+    def _source(max_block_bytes):
+        """One idle replica with ten 256-byte arrivals (t = 0.1 .. 1.0)
+        queued; the test plays the proposer and the chain."""
+        pool = WorkloadSpec(mode="open", arrival="constant", rate=10.0).build_pool()
+        sim = _idle_simulation(n=1)
+        pool.attach(sim, stop_time=5.0)
+        sim.start()
+        sim.run(until=1.05)
+        return sim, pool, MempoolPayloadSource(pool, max_block_bytes=max_block_bytes)
+
+    def test_empty_mempool_yields_a_unique_empty_payload(self):
+        source = MempoolPayloadSource(WorkloadSpec().build_pool())
+        payload, size = source.payload_for(round=1, proposer=0)
+        assert (payload, size) == (b"workload:empty:r1:p0", 0)
+        assert source.payload_for(round=2, proposer=0)[0] != payload
+
+    def test_proposal_drains_up_to_the_block_budget(self):
+        _, pool, source = self._source(4 * 256 + 100)
+        payload, size = source.payload_for(round=1, proposer=0)
+        assert size == len(payload) == 4 * 256
+        assert [decode_tx_id(payload[i:]) for i in range(0, size, 256)] == [0, 1, 2, 3]
+        assert len(pool.mempool(0)) == 6
+
+    def test_reclaim_waits_until_the_chain_passes_the_round(self):
+        sim, pool, source = self._source(10 * 256)
+        source.payload_for(round=1, proposer=0)
+        assert len(pool.mempool(0)) == 0
+        # Round 1 may still commit late: nothing is reclaimed yet.
+        assert pool.reclaim_uncommitted(proposer=0) == 0
+        sim.protocol(0).ctx.commit([Block(round=1, proposer=0, rank=0,
+                                          parent_id=None, payload=b"other")])
+        assert pool.reclaim_uncommitted(proposer=0) == 10
+        assert len(pool.mempool(0)) == 10
+        assert pool.reclaim_uncommitted(proposer=0) == 0
+
+    def test_block_budget_must_be_positive(self):
+        with pytest.raises(ValueError, match="max_block_bytes"):
+            MempoolPayloadSource(WorkloadSpec().build_pool(), max_block_bytes=0)
+
+    def test_pool_builds_its_own_payload_source(self):
+        pool = WorkloadSpec().build_pool()
+        source = pool.payload_source(4096)
+        assert isinstance(source, MempoolPayloadSource)
+        assert source.pool is pool and source.max_block_bytes == 4096
 
 
 class TestLazyAdmission:
@@ -646,6 +886,40 @@ class TestInjectionDeterminism:
             return pool.metrics(10.0).latencies
 
         assert latencies(1) != latencies(2)
+
+    def test_open_loop_population_only_labels_transactions(self):
+        # A million open-loop clients are labels on the same arrival
+        # stream: the population changes no count and no latency.
+        def run(num_clients):
+            spec = WorkloadSpec(mode="open", arrival="poisson", rate=2_000.0,
+                                num_clients=num_clients, tx_size=256, seed=0)
+            _, pool = _workload_simulation(spec, duration=4.0, seed=5)
+            return pool, pool.metrics(3.0, warmup=1.0)
+
+        small_pool, small = run(64)
+        large_pool, large = run(1_000_000)
+        assert small.committed > 1_000
+        assert (small.submitted, small.committed, small.latencies) == (
+            large.submitted, large.committed, large.latencies)
+        for pool, num_clients in ((small_pool, 64), (large_pool, 1_000_000)):
+            assert all(record.client_id == record.tx_id % num_clients
+                       for record in pool.records())
+
+    def test_client_labels_continue_across_admissions(self):
+        # About 20 arrivals per read and 7 clients: every admission starts
+        # where the last one stopped and wraps within itself.
+        spec = WorkloadSpec(mode="open", arrival="poisson", rate=400.0,
+                            num_clients=7, seed=2)
+        sim = _idle_simulation(n=2)
+        pool = spec.build_pool()
+        pool.attach(sim, stop_time=2.0)
+        for step in range(1, 41):
+            sim.run(until=step * 0.05)
+            assert pool.submitted > 0
+        records = pool.records()
+        assert len(records) > 600
+        assert [record.client_id for record in records] == [
+            record.tx_id % 7 for record in records]
 
 
 # --------------------------------------------------------------------- #
