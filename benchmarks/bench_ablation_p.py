@@ -10,7 +10,7 @@ reports latency and fast-path hit rate.
 from __future__ import annotations
 
 from benchmarks.conftest import paper_comparison, print_figure, run_once
-from repro.eval.scenarios import ablation_p_sweep
+from repro.eval.scenarios import plan_ablation_p_sweep, run_figure
 
 P_VALUES = (1, 2, 4)
 DURATION = 12.0
@@ -19,7 +19,9 @@ PAYLOAD = 400_000
 
 def test_ablation_p_sweep(benchmark):
     figure = run_once(
-        benchmark, ablation_p_sweep, p_values=P_VALUES, payload_size=PAYLOAD, duration=DURATION
+        benchmark, run_figure,
+        plan_ablation_p_sweep(p_values=P_VALUES, payload_size=PAYLOAD, duration=DURATION),
+        record_name="ablation_p_sweep",
     )
     print_figure(figure)
 

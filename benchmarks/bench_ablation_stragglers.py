@@ -10,7 +10,7 @@ a full second.
 from __future__ import annotations
 
 from benchmarks.conftest import paper_comparison, print_figure, run_once
-from repro.eval.scenarios import ablation_stragglers
+from repro.eval.scenarios import plan_ablation_stragglers, run_figure
 
 STRAGGLER_COUNTS = (0, 1, 2)
 DURATION = 15.0
@@ -18,8 +18,10 @@ DURATION = 15.0
 
 def test_ablation_stragglers(benchmark):
     figure = run_once(
-        benchmark, ablation_stragglers, straggler_counts=STRAGGLER_COUNTS,
-        extra_delay=1.0, payload_size=100_000, duration=DURATION,
+        benchmark, run_figure,
+        plan_ablation_stragglers(straggler_counts=STRAGGLER_COUNTS, extra_delay=1.0,
+                                 payload_size=100_000, duration=DURATION),
+        record_name="ablation_stragglers",
     )
     print_figure(figure)
 

@@ -10,14 +10,16 @@ HotStuff and Streamlet.
 from __future__ import annotations
 
 from benchmarks.conftest import paper_comparison, print_figure, run_once
-from repro.eval.scenarios import figure_6a
+from repro.eval.scenarios import plan_figure_6a, run_figure
 
 PAYLOAD_SIZES = (100_000, 400_000)
 DURATION = 15.0
 
 
 def test_figure_6a(benchmark):
-    figure = run_once(benchmark, figure_6a, payload_sizes=PAYLOAD_SIZES, duration=DURATION)
+    figure = run_once(benchmark, run_figure,
+                      plan_figure_6a(payload_sizes=PAYLOAD_SIZES, duration=DURATION),
+                      record_name="figure_6a")
     print_figure(figure)
 
     at_400k = 400_000

@@ -8,14 +8,16 @@ the fast path fires after the same three replies as regular notarization.
 from __future__ import annotations
 
 from benchmarks.conftest import paper_comparison, print_figure, run_once
-from repro.eval.scenarios import figure_6b
+from repro.eval.scenarios import plan_figure_6b, run_figure
 
 PAYLOAD_SIZES = (500_000, 1_000_000)
 DURATION = 15.0
 
 
 def test_figure_6b(benchmark):
-    figure = run_once(benchmark, figure_6b, payload_sizes=PAYLOAD_SIZES, duration=DURATION)
+    figure = run_once(benchmark, run_figure,
+                      plan_figure_6b(payload_sizes=PAYLOAD_SIZES, duration=DURATION),
+                      record_name="figure_6b")
     print_figure(figure)
 
     at_1mb = 1_000_000

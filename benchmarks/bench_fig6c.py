@@ -9,14 +9,16 @@ and standard deviation.
 from __future__ import annotations
 
 from benchmarks.conftest import paper_comparison, print_figure, run_once
-from repro.eval.scenarios import figure_6c
+from repro.eval.scenarios import plan_figure_6c, run_figure
 
 PAYLOAD = 1_000_000
 DURATION = 25.0
 
 
 def test_figure_6c(benchmark):
-    figure = run_once(benchmark, figure_6c, payload_size=PAYLOAD, duration=DURATION)
+    figure = run_once(benchmark, run_figure,
+                      plan_figure_6c(payload_size=PAYLOAD, duration=DURATION),
+                      record_name="figure_6c")
     print_figure(figure)
 
     banyan = next(r for r in figure.results if r.label == "banyan (p=1)").metrics

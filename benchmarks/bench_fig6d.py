@@ -9,7 +9,7 @@ intervals for both protocols, and asserts Banyan tracks ICC under crashes.
 from __future__ import annotations
 
 from benchmarks.conftest import paper_comparison, print_figure, run_once
-from repro.eval.scenarios import figure_6d
+from repro.eval.scenarios import plan_figure_6d, run_figure
 
 CRASH_COUNTS = (0, 2)
 DURATION = 40.0
@@ -18,7 +18,9 @@ PAYLOAD = 100_000
 
 def test_figure_6d(benchmark):
     figure = run_once(
-        benchmark, figure_6d, crash_counts=CRASH_COUNTS, payload_size=PAYLOAD, duration=DURATION
+        benchmark, run_figure,
+        plan_figure_6d(crash_counts=CRASH_COUNTS, payload_size=PAYLOAD, duration=DURATION),
+        record_name="figure_6d",
     )
     print_figure(figure)
 

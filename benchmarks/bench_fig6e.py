@@ -10,14 +10,16 @@ asserts exactly that ordering.
 from __future__ import annotations
 
 from benchmarks.conftest import paper_comparison, print_figure, run_once
-from repro.eval.scenarios import figure_6a, figure_6e
+from repro.eval.scenarios import plan_figure_6e, run_figure
 
 PAYLOAD = 1_000_000
 DURATION = 15.0
 
 
 def test_figure_6e(benchmark):
-    figure = run_once(benchmark, figure_6e, payload_sizes=(PAYLOAD,), duration=DURATION)
+    figure = run_once(benchmark, run_figure,
+                      plan_figure_6e(payload_sizes=(PAYLOAD,), duration=DURATION),
+                      record_name="figure_6e")
     print_figure(figure)
 
     icc = figure.mean_latency("icc", PAYLOAD)

@@ -13,15 +13,17 @@ from __future__ import annotations
 
 from benchmarks.conftest import print_figure, run_once
 from repro.analysis.report import render_timeseries
-from repro.eval.scenarios import flash_crowd, saturation_sweep
+from repro.eval.scenarios import plan_flash_crowd, plan_saturation_sweep, run_figure
 
 RATES = (15, 60, 240)
 DURATION = 25.0
 
 
 def test_saturation_sweep(benchmark):
-    figure = run_once(benchmark, saturation_sweep, rates=RATES,
-                      duration=DURATION, max_block_bytes=16_384)
+    figure = run_once(benchmark, run_figure,
+                      plan_saturation_sweep(rates=RATES, duration=DURATION,
+                                            max_block_bytes=16_384),
+                      record_name="saturation_sweep")
     print_figure(figure)
 
     (_, rows), = figure.series.items()
@@ -36,8 +38,11 @@ def test_saturation_sweep(benchmark):
 
 
 def test_flash_crowd(benchmark):
-    figure = run_once(benchmark, flash_crowd, base_rate=15.0, burst_rate=250.0,
-                      burst_start=8.0, burst_duration=4.0, duration=40.0)
+    figure = run_once(benchmark, run_figure,
+                      plan_flash_crowd(base_rate=15.0, burst_rate=250.0,
+                                       burst_start=8.0, burst_duration=4.0,
+                                       duration=40.0),
+                      record_name="flash_crowd")
     print_figure(figure)
 
     workload = figure.results[0].workload

@@ -4,12 +4,13 @@
 The evaluation layer separates *what* to run from *how* to run it:
 
 1. a **plan builder** produces the grid of experiment cells as data
-   (`ExperimentSpec` / `ExperimentPlan`) — here Figure 6b's protocol ×
-   payload sweep, fanned out over 3 independent replications per cell;
+   (an `ExperimentPlan` of `ExperimentConfig`s) — here Figure 6b's
+   protocol × payload sweep, fanned out over 3 independent replications
+   per cell;
 2. the **runner** executes the plan across worker processes; every
-   simulation is deterministic given its spec, so the results (and their
+   simulation is deterministic given its config, so the results (and their
    order) are identical to a serial run;
-3. a **result cache** keyed by each spec's content hash makes re-runs free:
+3. a **result cache** keyed by each config's content hash makes re-runs free:
    the second `run_figure` call below executes zero experiments;
 4. the replications aggregate into mean ± 95% CI rows, rendered by the
    figure report.

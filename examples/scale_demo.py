@@ -27,7 +27,7 @@ import sys
 import time
 
 from repro.eval.experiment import ExperimentConfig, run_experiment
-from repro.eval.scenarios import scale_sweep
+from repro.eval.scenarios import plan_scale_sweep, run_figure
 from repro.protocols.base import ProtocolParams
 from repro.workload.spec import WorkloadSpec
 
@@ -69,7 +69,8 @@ def main() -> None:
     # 2. The scale sweep (the benchmark's configuration).
     counts = (64, 128, 256) if full else (64,)
     print(f"\n=== scale sweep, n={counts}, 1,000,000 clients (WAN matrix) ===")
-    figure = scale_sweep(replica_counts=counts, duration=1.0, warmup=0.25)
+    figure = run_figure(plan_scale_sweep(replica_counts=counts, duration=1.0,
+                                         warmup=0.25))
     print(figure.render())
     assert all(result.workload.committed > 0 for result in figure.results)
 

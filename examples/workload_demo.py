@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from repro.analysis.report import render_timeseries
 from repro.eval.experiment import ExperimentConfig, run_experiment
-from repro.eval.scenarios import flash_crowd
+from repro.eval.scenarios import plan_flash_crowd, run_figure
 from repro.net.latency import ConstantLatency
 from repro.protocols.base import ProtocolParams
 from repro.workload.spec import WorkloadSpec
@@ -64,8 +64,9 @@ def main() -> None:
     show("closed loop, 12 clients, 300 ms think time", closed_loop.workload)
 
     # 3. Flash crowd: 15 tx/s baseline spiking to 250 tx/s for 4 seconds.
-    figure = flash_crowd(base_rate=15.0, burst_rate=250.0, burst_start=8.0,
-                         burst_duration=4.0, duration=40.0, seed=42)
+    figure = run_figure(plan_flash_crowd(base_rate=15.0, burst_rate=250.0,
+                                         burst_start=8.0, burst_duration=4.0,
+                                         duration=40.0, seed=42))
     workload = figure.results[0].workload
     show("flash crowd, 15 → 250 tx/s burst", workload)
     samples = workload.occupancy

@@ -38,7 +38,8 @@ from typing import List, Optional
 
 from repro.analysis.report import format_table, render_timeseries
 from repro.eval import scenarios
-from repro.eval.plan import ExperimentPlan, ExperimentSpec
+from repro.eval.experiment import ExperimentConfig
+from repro.eval.plan import ExperimentPlan
 from repro.eval.runner import ProgressEvent
 from repro.eval.table1 import table1_rows
 from repro.net.latency import available_latency_models
@@ -49,22 +50,21 @@ from repro.runtime.scheduler import SCHEDULERS
 from repro.protocols.base import ProtocolParams
 from repro.protocols.registry import available_protocols, create_replicas
 
-_FIGURES = {
-    "6a": scenarios.figure_6a,
-    "6b": scenarios.figure_6b,
-    "6c": scenarios.figure_6c,
-    "6d": scenarios.figure_6d,
-    "6e": scenarios.figure_6e,
-    "ablation-p": scenarios.ablation_p_sweep,
-    "ablation-stragglers": scenarios.ablation_stragglers,
-    "uplink": scenarios.figure_uplink_contention,
-    "crypto": scenarios.figure_crypto_bound,
+_WORKLOADS = {
+    "saturation": scenarios.plan_saturation_sweep,
+    "flash-crowd": scenarios.plan_flash_crowd,
 }
 
-_WORKLOADS = {
-    "saturation": scenarios.saturation_sweep,
-    "flash-crowd": scenarios.flash_crowd,
-}
+
+def _positive_int(text: str) -> int:
+    """Parse a positive integer flag value (``--jobs``, ``--seeds``)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _rate_list(text: str) -> List[float]:
@@ -80,9 +80,9 @@ def _rate_list(text: str) -> List[float]:
 
 def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
     """The sweep-runner flags shared by ``figure``, ``run``, and ``workload``."""
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=_positive_int, default=1,
                         help="parallel worker processes (default: 1, serial)")
-    parser.add_argument("--seeds", type=int, default=1,
+    parser.add_argument("--seeds", type=_positive_int, default=1,
                         help="independent replications per cell; > 1 aggregates "
                              "rows into mean ± 95%% CI columns")
     parser.add_argument("--cache-dir", default=None,
@@ -104,7 +104,8 @@ def _build_parser() -> argparse.ArgumentParser:
     table_parser.add_argument("--p", type=int, default=1, help="fast-path parameter p")
 
     figure_parser = subparsers.add_parser("figure", help="reproduce one evaluation figure")
-    figure_parser.add_argument("name", choices=sorted(_FIGURES), help="figure to reproduce")
+    figure_parser.add_argument("name", choices=sorted(scenarios.PLAN_BUILDERS),
+                               help="figure to reproduce")
     figure_parser.add_argument("--duration", type=float, default=None,
                                help="simulated duration per experiment (seconds)")
     figure_parser.add_argument("--warmup", type=float, default=None,
@@ -212,7 +213,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos_parser.add_argument("--replay", default=None, metavar="FILE",
                               help="replay a shrunk repro JSON instead of "
                                    "running a campaign")
-    chaos_parser.add_argument("--jobs", type=int, default=1,
+    chaos_parser.add_argument("--jobs", type=_positive_int, default=1,
                               help="parallel worker processes (default: 1)")
     chaos_parser.add_argument("--cache-dir", default=None,
                               help="directory of per-trial JSON results; "
@@ -287,9 +288,8 @@ def _print_progress(event: ProgressEvent) -> None:
 
 
 def _runner_kwargs(args: argparse.Namespace) -> dict:
-    """Translate the shared runner flags into scenario keyword arguments."""
+    """Translate the shared runner flags into :func:`run_figure` arguments."""
     kwargs = {
-        "seeds": args.seeds,
         "jobs": args.jobs,
         "cache_dir": args.cache_dir,
         "use_cache": not args.no_cache,
@@ -308,21 +308,21 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    factory = _FIGURES[args.name]
+    builder = scenarios.PLAN_BUILDERS[args.name]
     # A flag left out falls back to the figure's preset.
-    preset = inspect.signature(factory).parameters
+    preset = inspect.signature(builder).parameters
     error = _no_window_error(
         preset["duration"].default if args.duration is None else args.duration,
         preset["warmup"].default if args.warmup is None else args.warmup)
     if error is not None:
         print(f"banyan-repro figure: error: {error}", file=sys.stderr)
         return 2
-    kwargs = {"seed": args.seed, **_runner_kwargs(args)}
+    kwargs = {"seed": args.seed, "seeds": args.seeds}
     if args.duration is not None:
         kwargs["duration"] = args.duration
     if args.warmup is not None:
         kwargs["warmup"] = args.warmup
-    figure = factory(**kwargs)
+    figure = scenarios.run_figure(builder(**kwargs), **_runner_kwargs(args))
     print(figure.render())
     return 0
 
@@ -356,7 +356,7 @@ def _no_window_error(duration: float, warmup: float) -> Optional[str]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    error = _no_window_error(args.duration, ExperimentSpec.warmup)
+    error = _no_window_error(args.duration, ExperimentConfig.warmup)
     if error is not None:
         print(f"banyan-repro run: error: {error}", file=sys.stderr)
         return 2
@@ -381,23 +381,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("banyan-repro run: error: --compute-scale applies only to "
               "--compute crypto", file=sys.stderr)
         return 2
-    spec = ExperimentSpec(protocol=args.protocol, params=params,
-                          topology=args.topology, duration=args.duration,
-                          seed=args.seed, transport=args.transport,
-                          uplink_mbps=args.uplink_mbps,
-                          relays=args.relays if args.relays is not None else 2,
-                          compute=args.compute,
-                          compute_scale=(args.compute_scale
-                                         if args.compute_scale is not None else 1.0),
-                          latency_model=args.latency_model,
-                          scheduler=args.scheduler)
+    config = ExperimentConfig(protocol=args.protocol, params=params,
+                              topology=args.topology, duration=args.duration,
+                              seed=args.seed, transport=args.transport,
+                              uplink_mbps=args.uplink_mbps,
+                              relays=args.relays if args.relays is not None else 2,
+                              compute=args.compute,
+                              compute_scale=(args.compute_scale
+                                             if args.compute_scale is not None else 1.0),
+                              latency_model=args.latency_model,
+                              scheduler=args.scheduler)
     if args.profile or args.profile_out:
-        return _run_profiled(spec, profile_out=args.profile_out)
+        return _run_profiled(config, profile_out=args.profile_out)
     plan = ExperimentPlan(name="run", title="custom experiment",
-                          specs=[spec]).with_replications(args.seeds)
-    runner = _runner_kwargs(args)
-    runner.pop("seeds")
-    figure = scenarios.run_figure(plan, **runner)
+                          specs=[config]).with_replications(args.seeds)
+    figure = scenarios.run_figure(plan, **_runner_kwargs(args))
     for result in figure.results:
         if not result.metrics.committed_blocks:
             # The zero row still prints (scripts read it); stderr says why.
@@ -408,8 +406,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_profiled(spec: ExperimentSpec, profile_out: Optional[str] = None) -> int:
-    """Run one replication of ``spec`` under cProfile.
+def _run_profiled(config: ExperimentConfig, profile_out: Optional[str] = None) -> int:
+    """Run one replication of ``config`` under cProfile.
 
     The result row prints to stdout as usual; the profile (top 25 by
     cumulative time) and the simulator's per-event-kind counts go to
@@ -427,8 +425,7 @@ def _run_profiled(spec: ExperimentSpec, profile_out: Optional[str] = None) -> in
     captured = {}
     profiler = cProfile.Profile()
     profiler.enable()
-    result = run_experiment(spec.to_config(),
-                            on_simulation=lambda sim: captured.update(sim=sim))
+    result = run_experiment(config, on_simulation=lambda sim: captured.update(sim=sim))
     profiler.disable()
     stats = pstats.Stats(profiler, stream=sys.stderr)
     if profile_out:
@@ -445,7 +442,7 @@ def _run_profiled(spec: ExperimentSpec, profile_out: Optional[str] = None) -> in
 
 def _cmd_workload(args: argparse.Namespace) -> int:
     # None-valued flags fall through to the scenario defaults.
-    kwargs = {"seed": args.seed, **_runner_kwargs(args)}
+    kwargs = {"seed": args.seed, "seeds": args.seeds}
     for name in ("protocol", "n", "f", "p", "tx_size", "max_block_bytes",
                  "duration"):
         value = getattr(args, name)
@@ -464,7 +461,6 @@ def _cmd_workload(args: argparse.Namespace) -> int:
                 return 2
             if args.rates is not None:
                 kwargs["rates"] = args.rates
-            figure = scenarios.saturation_sweep(**kwargs)
         else:
             if args.rates is not None:
                 print("banyan-repro workload: error: --rates applies only to "
@@ -474,7 +470,8 @@ def _cmd_workload(args: argparse.Namespace) -> int:
                 kwargs["base_rate"] = args.base_rate
             if args.burst_rate is not None:
                 kwargs["burst_rate"] = args.burst_rate
-            figure = scenarios.flash_crowd(**kwargs)
+        figure = scenarios.run_figure(_WORKLOADS[args.name](**kwargs),
+                                      **_runner_kwargs(args))
     except ValueError as exc:
         # Invalid workload/protocol configurations (e.g. --tx-size above
         # --max-block-bytes) surface as friendly CLI errors.
@@ -686,7 +683,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 def _cmd_list(_: argparse.Namespace) -> int:
     print("protocols:", ", ".join(available_protocols()))
-    print("figures:  ", ", ".join(sorted(_FIGURES)))
+    print("figures:  ", ", ".join(sorted(scenarios.PLAN_BUILDERS)))
     print("workloads:", ", ".join(sorted(_WORKLOADS)))
     print("latency models:", ", ".join(available_latency_models()))
     return 0

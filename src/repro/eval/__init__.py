@@ -1,18 +1,19 @@
 """Evaluation harness: plans, the sweep runner, scenarios, Table 1.
 
 * :mod:`repro.eval.experiment` — a single experiment run: protocol +
-  topology + workload → :class:`repro.smr.metrics.RunMetrics`.
-* :mod:`repro.eval.plan` — declarative, picklable experiment descriptions
-  (:class:`ExperimentSpec` / :class:`ExperimentPlan`) with content hashing
-  and deterministic per-replication sub-seeds.
+  topology + workload → :class:`repro.smr.metrics.RunMetrics`.  Its
+  :class:`ExperimentConfig` is also one plan cell: picklable,
+  JSON-serialisable and content-hashed.
+* :mod:`repro.eval.plan` — :class:`ExperimentPlan`, an ordered list of
+  configs, with deterministic per-replication sub-seeds.
 * :mod:`repro.eval.runner` — the engine executing any plan serially or in
-  parallel, with a per-spec JSON result cache and progress callbacks.
+  parallel, with a per-cell JSON result cache and progress callbacks.
 * :mod:`repro.eval.table1` — the analytic protocol-comparison table
   (Table 1 of the paper).
-* :mod:`repro.eval.scenarios` — one plan builder + runner wrapper per
-  evaluation figure (6a–6e) plus the ablations and workload scenarios,
-  returning the series the paper plots with mean ± 95% CI columns when
-  replicated.
+* :mod:`repro.eval.scenarios` — one plan builder per evaluation figure
+  (6a–6e) plus the ablations and workload scenarios, and
+  :func:`run_figure`, which runs a plan into the series the paper plots,
+  with mean ± 95% CI columns when replicated.
 """
 
 from repro.eval.experiment import (
@@ -21,26 +22,16 @@ from repro.eval.experiment import (
     run_experiment,
     sweep_payload_sizes,
 )
-from repro.eval.plan import (
-    ExperimentPlan,
-    ExperimentSpec,
-    derive_subseed,
-    payload_sweep_plan,
-)
+from repro.eval.plan import ExperimentPlan, derive_subseed, payload_sweep_plan
 from repro.eval.runner import ProgressEvent, run_plan
 from repro.eval.scenarios import (
+    PLAN_BUILDERS,
     FigureResult,
-    ablation_p_sweep,
-    ablation_stragglers,
-    figure_6a,
-    figure_6b,
-    figure_6c,
-    figure_6d,
-    figure_6e,
     figure_from_plan,
-    flash_crowd,
+    plan_flash_crowd,
+    plan_saturation_sweep,
+    plan_scale_sweep,
     run_figure,
-    saturation_sweep,
 )
 from repro.eval.table1 import TABLE1_SPECS, ProtocolSpec, table1_rows
 
@@ -48,26 +39,20 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentPlan",
     "ExperimentResult",
-    "ExperimentSpec",
     "FigureResult",
+    "PLAN_BUILDERS",
     "ProgressEvent",
     "ProtocolSpec",
     "TABLE1_SPECS",
-    "ablation_p_sweep",
-    "ablation_stragglers",
     "derive_subseed",
-    "figure_6a",
-    "figure_6b",
-    "figure_6c",
-    "figure_6d",
-    "figure_6e",
     "figure_from_plan",
-    "flash_crowd",
     "payload_sweep_plan",
+    "plan_flash_crowd",
+    "plan_saturation_sweep",
+    "plan_scale_sweep",
     "run_experiment",
     "run_figure",
     "run_plan",
-    "saturation_sweep",
     "sweep_payload_sizes",
     "table1_rows",
 ]

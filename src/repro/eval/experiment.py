@@ -6,12 +6,17 @@ delays follow the geographic latency model plus a bandwidth term, one replica
 set runs one protocol for a fixed duration, and the metrics collector
 measures proposal finalization latency at the proposers and throughput at an
 observer replica (Section 9.2 methodology).
+
+An :class:`ExperimentConfig` is also one cell of an experiment plan
+(:mod:`repro.eval.plan`): its ``series`` / ``cell`` / ``replication`` /
+``axis`` fields place the result in a figure, and its canonical JSON form
+(:meth:`ExperimentConfig.content_hash`) keys the runner's result cache.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional
+from dataclasses import dataclass, field, fields, replace
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.byzantine.behaviors import DelayedReplica
 from repro.net.bandwidth import BandwidthModel
@@ -22,6 +27,7 @@ from repro.net.topology import (
     Topology,
     four_global_datacenters,
     placement_names,
+    topology_by_name,
     topology_from_names,
 )
 from repro.protocols.base import ProtocolParams
@@ -38,13 +44,16 @@ _DEFAULT_UPLINK_MBPS = ContendedUplinkTransport.DEFAULT_UPLINK_BYTES_PER_S / 125
 
 @dataclass
 class ExperimentConfig:
-    """Configuration of one experiment run.
+    """Configuration of one experiment run, and one cell of a plan.
 
     Attributes:
         protocol: registered protocol name (``"banyan"``, ``"icc"``, ...).
         params: protocol parameters (n, f, p, delays, payload size).
-        topology: replica placement; defaults to the 4-datacenter global
-            testbed of Section 9.3 sized to ``params.n``.
+        topology: replica placement — a :class:`Topology`, a named topology
+            (a key of :data:`repro.net.topology.TOPOLOGY_FACTORIES`) sized
+            to ``params.n``, or a tuple of AWS region names (one per
+            replica); ``None`` selects the 4-datacenter global testbed of
+            Section 9.3 sized to ``params.n``.
         duration: simulated run length in seconds (the paper uses 120 s; the
             default here is shorter because the measurements are already
             remarkably regular, exactly as the paper notes).
@@ -89,11 +98,17 @@ class ExperimentConfig:
             default: calendar queue on large jittered runs, binary heap
             otherwise), ``"heap"``, or ``"calendar"``.  Both backends
             produce byte-identical executions; this is a performance knob.
+        series: figure series the cell belongs to (defaults to the label).
+        cell: identifier of the cell within its series (e.g.
+            ``"payload=400000"``); replications of one cell share it.
+        replication: replication index within the cell.
+        axis: extra row columns describing the cell's position on the
+            figure's x-axis (e.g. ``{"crashed_replicas": 4}``).
     """
 
     protocol: str
     params: ProtocolParams
-    topology: Optional[Topology] = None
+    topology: Optional[Union[Topology, str, Tuple[str, ...]]] = None
     duration: float = 20.0
     warmup: float = 2.0
     seed: int = 0
@@ -111,26 +126,39 @@ class ExperimentConfig:
     compute: str = "zero"
     compute_scale: float = 1.0
     scheduler: str = "auto"
+    series: Optional[str] = None
+    cell: str = ""
+    replication: int = 0
+    axis: Dict[str, object] = field(default_factory=dict)
 
     def resolved_topology(self) -> Topology:
-        """The topology to use (default: 4 global datacenters)."""
-        return self.topology or four_global_datacenters(self.params.n)
+        """Build the placement (default: 4 global datacenters)."""
+        if self.topology is None:
+            return four_global_datacenters(self.params.n)
+        if isinstance(self.topology, str):
+            return topology_by_name(self.topology, self.params.n)
+        if isinstance(self.topology, tuple):
+            return topology_from_names(self.topology)
+        return self.topology
 
     def resolved_label(self) -> str:
         """The report label."""
         return self.label or self.protocol
 
+    def resolved_series(self) -> str:
+        """The figure series this cell belongs to."""
+        return self.series or self.resolved_label()
+
     def to_dict(self) -> Dict[str, object]:
         """A JSON-ready dictionary (inverse of :meth:`from_dict`).
 
-        The topology is stored as its datacenter-name placement list, so any
-        :class:`repro.net.topology.Topology` over catalogued AWS regions
-        round-trips.  A ``latency`` model override is not serialisable.
-
-        The transport fields are emitted only when they differ from the
-        defaults: a default (direct-transport) config serialises exactly as
-        it did before the transport layer existed, so content hashes and
-        cached results of unchanged configs stay valid.
+        A named topology is stored as its name, a tuple or
+        :class:`repro.net.topology.Topology` as its region-name placement
+        list.  ``observer`` and the transport, compute, latency-model and
+        scheduler fields are emitted only when they differ from the
+        defaults, so configs that do not use them serialise — and
+        content-hash — exactly as before those fields existed, keeping
+        existing result caches valid.
 
         Raises:
             ValueError: if a ``latency`` override is set, or the topology
@@ -139,23 +167,30 @@ class ExperimentConfig:
         """
         if self.latency is not None:
             raise ValueError("configs with a latency-model override are not serialisable")
+        topology = self.topology
+        if isinstance(topology, Topology):
+            topology = placement_names(topology)
+        elif isinstance(topology, tuple):
+            topology = list(topology)
         data = {
             "protocol": self.protocol,
             "params": self.params.to_dict(),
-            "topology": (
-                placement_names(self.topology)
-                if self.topology is not None else None
-            ),
+            "topology": topology,
             "duration": self.duration,
             "warmup": self.warmup,
             "seed": self.seed,
             "faults": self.faults.to_dict(),
-            "observer": self.observer,
-            "label": self.label,
             "workload": self.workload.to_dict() if self.workload is not None else None,
+            "label": self.label,
             "stragglers": self.stragglers,
             "straggler_delay": self.straggler_delay,
+            "series": self.series,
+            "cell": self.cell,
+            "replication": self.replication,
+            "axis": dict(self.axis),
         }
+        if self.observer is not None:
+            data["observer"] = self.observer
         data.update(_transport_fields(self.transport, self.uplink_mbps, self.relays))
         data.update(_compute_fields(self.compute, self.compute_scale))
         data.update(_latency_fields(self.latency_model))
@@ -164,16 +199,23 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ExperimentConfig":
-        """Rebuild a config from :meth:`to_dict` output."""
-        placement = data.get("topology")
+        """Rebuild a config from :meth:`to_dict` output.
+
+        Raises:
+            ValueError: if ``data`` carries a key no field reads, so a
+                misspelt or foreign key cannot silently run a different
+                experiment.
+        """
+        unknown = sorted(set(data) - _SERIALISED_FIELDS)
+        if unknown:
+            raise ValueError(f"unknown experiment config key(s): {', '.join(unknown)}")
+        topology = data.get("topology")
         workload = data.get("workload")
+        uplink_mbps = data.get("uplink_mbps")
         return cls(
             protocol=str(data["protocol"]),
             params=ProtocolParams.from_dict(data["params"]),
-            topology=(
-                topology_from_names(placement)
-                if placement is not None else None
-            ),
+            topology=tuple(topology) if isinstance(topology, list) else topology,
             duration=float(data["duration"]),
             warmup=float(data["warmup"]),
             seed=int(data["seed"]),
@@ -184,21 +226,71 @@ class ExperimentConfig:
             stragglers=int(data.get("stragglers", 0)),
             straggler_delay=float(data.get("straggler_delay", 1.0)),
             transport=str(data.get("transport", "direct")),
-            uplink_mbps=(
-                float(data["uplink_mbps"])
-                if data.get("uplink_mbps") is not None else None
-            ),
+            uplink_mbps=float(uplink_mbps) if uplink_mbps is not None else None,
             relays=int(data.get("relays", 2)),
             compute=str(data.get("compute", "zero")),
             compute_scale=float(data.get("compute_scale", 1.0)),
             latency_model=str(data.get("latency_model", "geo")),
             scheduler=str(data.get("scheduler", "auto")),
+            series=data.get("series"),
+            cell=str(data.get("cell", "")),
+            replication=int(data.get("replication", 0)),
+            axis=dict(data.get("axis", {})),
         )
+
+    def content_hash(self) -> str:
+        """Stable hex digest of the config's canonical JSON form.
+
+        Two configs hash equal iff they describe the same experiment
+        (including presentation metadata, so relabelling a cell re-runs it
+        rather than serving a stale row).  The runner uses this as the
+        cache key.
+        """
+        from repro.eval.plan import PLAN_FORMAT, canonical_hash
+
+        return canonical_hash({"format": PLAN_FORMAT, "spec": self.to_dict()})
+
+    def replicated(self, replications: int) -> List["ExperimentConfig"]:
+        """Fan this cell out into ``replications`` independent runs.
+
+        Replication 0 is this config verbatim; replication ``k > 0``
+        derives fresh network and workload seeds via
+        :func:`repro.eval.plan.derive_subseed`, so the replications sample
+        independent jitter and arrival randomness.
+
+        Raises:
+            ValueError: if ``replications`` is not positive.
+        """
+        from repro.eval.plan import derive_subseed
+
+        if replications < 1:
+            raise ValueError("replications must be positive")
+        configs: List[ExperimentConfig] = []
+        for k in range(replications):
+            workload = self.workload
+            if workload is not None and k > 0:
+                workload = replace(
+                    workload, seed=derive_subseed(workload.seed, k, "workload")
+                )
+            configs.append(replace(
+                self,
+                seed=derive_subseed(self.seed, k, "net"),
+                workload=workload,
+                replication=k,
+            ))
+        return configs
+
+
+#: The dictionary keys :meth:`ExperimentConfig.from_dict` reads: every field
+#: but the unserialisable ``latency`` override.
+_SERIALISED_FIELDS = frozenset(
+    config_field.name for config_field in fields(ExperimentConfig)
+) - {"latency"}
 
 
 def _transport_fields(transport: str, uplink_mbps: Optional[float],
                       relays: int) -> Dict[str, object]:
-    """The non-default transport fields of a config/spec dictionary.
+    """The non-default transport fields of a config dictionary.
 
     Default values are omitted so that serialised forms (and the content
     hashes derived from them) of pre-transport configs are unchanged; a
@@ -219,7 +311,7 @@ def _transport_fields(transport: str, uplink_mbps: Optional[float],
 
 
 def _compute_fields(compute: str, compute_scale: float) -> Dict[str, object]:
-    """The non-default compute fields of a config/spec dictionary.
+    """The non-default compute fields of a config dictionary.
 
     Mirrors :func:`_transport_fields`: default values are omitted so
     serialised forms — and the content hashes and cached results derived
@@ -235,7 +327,7 @@ def _compute_fields(compute: str, compute_scale: float) -> Dict[str, object]:
 
 
 def _scheduler_fields(scheduler: str) -> Dict[str, object]:
-    """The non-default scheduler field of a config/spec dictionary.
+    """The non-default scheduler field of a config dictionary.
 
     Mirrors :func:`_transport_fields`: the default (``"auto"``) is omitted.
     Both backends execute byte-identically, so the backend is serialised
@@ -248,7 +340,7 @@ def _scheduler_fields(scheduler: str) -> Dict[str, object]:
 
 
 def _latency_fields(latency_model: str) -> Dict[str, object]:
-    """The non-default latency field of a config/spec dictionary.
+    """The non-default latency field of a config dictionary.
 
     Mirrors :func:`_transport_fields`: the default (``"geo"``) is omitted so
     serialised forms — and content hashes of cached results — of existing
@@ -460,20 +552,18 @@ def sweep_payload_sizes(base: ExperimentConfig, payload_sizes, jobs: int = 1,
     """Run ``base`` once per payload size; returns the list of results.
 
     The sweep executes as an experiment plan, so it shares the runner's
-    parallelism (``jobs``) and per-spec result cache (``cache_dir``).
-    Configs that cannot be expressed as a spec (latency-model override,
-    non-catalogue datacenters) still sweep, serially and uncached.
+    parallelism (``jobs``) and per-cell result cache (``cache_dir``).  A
+    config with a latency-model override cannot be serialised; it still
+    sweeps, serially and uncached.
     """
-    # Imported lazily: plan/runner build on the config/result types above.
-    from repro.eval.plan import ExperimentSpec, payload_sweep_plan
-    from repro.eval.runner import run_plan
-
-    try:
-        spec = ExperimentSpec.from_config(base)
-    except ValueError:
+    if base.latency is not None:
         return [
             run_experiment(replace(base, params=replace(base.params, payload_size=size)))
             for size in payload_sizes
         ]
-    return run_plan(payload_sweep_plan(spec, payload_sizes),
+    # Imported lazily: plan/runner build on the config/result types above.
+    from repro.eval.plan import payload_sweep_plan
+    from repro.eval.runner import run_plan
+
+    return run_plan(payload_sweep_plan(base, payload_sizes),
                     jobs=jobs, cache_dir=cache_dir, use_cache=use_cache)

@@ -1,18 +1,20 @@
 """Declarative experiment plans: *what* to run, separated from *how*.
 
-An :class:`ExperimentSpec` is the picklable, JSON-serialisable description of
-one experiment cell — protocol, parameters, topology (by name or placement),
-faults, workload, seed, replication index, and the label/axis metadata that
-places the result in a figure.  An :class:`ExperimentPlan` is an ordered list
-of specs plus presentation metadata; the paper's figures become plan builders
-(:mod:`repro.eval.scenarios`) and a single engine executes any plan serially
-or in parallel with caching (:mod:`repro.eval.runner`).
+An :class:`ExperimentPlan` is an ordered list of
+:class:`repro.eval.experiment.ExperimentConfig` cells plus presentation
+metadata.  A config is picklable and JSON-serialisable as long as it names
+its topology (or gives a catalogue placement) and carries no latency-model
+override, and its ``series`` / ``cell`` / ``replication`` / ``axis`` fields
+place its result in a figure.  The paper's figures are plan builders
+(:mod:`repro.eval.scenarios`), and a single engine executes any plan
+serially or in parallel with caching (:mod:`repro.eval.runner`).
 
 Two properties make the split work:
 
-* **content hashing** — :meth:`ExperimentSpec.content_hash` is a stable
-  digest of the spec's canonical JSON form, so the runner can cache results
-  on disk and skip cells that already ran, across processes and invocations;
+* **content hashing** — :meth:`ExperimentConfig.content_hash` is a stable
+  digest (:func:`canonical_hash`) of the config's canonical JSON form, so the
+  runner can cache results on disk and skip cells that already ran, across
+  processes and invocations;
 * **sub-seed derivation** — :func:`derive_subseed` deterministically expands
   a base seed into independent per-replication, per-component seeds, so
   network jitter and workload arrivals are uncorrelated across replications
@@ -25,24 +27,9 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.eval.experiment import (
-    ExperimentConfig,
-    _compute_fields,
-    _scheduler_fields,
-    _latency_fields,
-    _transport_fields,
-)
-from repro.net.faults import FaultPlan
-from repro.net.topology import (
-    Topology,
-    placement_names,
-    topology_by_name,
-    topology_from_names,
-)
-from repro.protocols.base import ProtocolParams
-from repro.workload.spec import WorkloadSpec
+from repro.eval.experiment import ExperimentConfig
 
 #: Version tag mixed into every content hash; bump when the execution
 #: semantics change so stale cached results are not reused.
@@ -54,7 +41,7 @@ def canonical_hash(payload: Dict[str, object]) -> str:
 
     The payload is serialised with sorted keys and minimal separators, so
     two semantically equal payloads digest identically across processes and
-    platforms.  Both experiment specs and chaos trial specs key their
+    platforms.  Both experiment configs and chaos trial specs key their
     result caches on this.
     """
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -81,271 +68,12 @@ def derive_subseed(base_seed: int, replication: int, component: str) -> int:
     return int(digest[:12], 16)
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """One experiment cell of a plan, fully described by data.
-
-    Unlike :class:`repro.eval.experiment.ExperimentConfig`, a spec references
-    its topology by *name* (or by a tuple of datacenter region names), so it
-    is picklable, hashable by content, and JSON-serialisable — the properties
-    the parallel runner and the result cache need.
-
-    Attributes:
-        protocol: registered protocol name.
-        params: protocol parameters.
-        topology: named topology (a key of
-            :data:`repro.net.topology.TOPOLOGY_FACTORIES`), an explicit tuple
-            of AWS region names (one per replica), or ``None`` for the
-            default placement.
-        duration: simulated run length in seconds.
-        warmup: initial seconds excluded from the measurements.
-        seed: network seed (latency jitter, drops) of this replication.
-        faults: crash / drop / partition plan.
-        workload: optional client workload driving the run.
-        label: report label (defaults to the protocol name).
-        stragglers: honest straggler replicas with delayed outbound messages.
-        straggler_delay: extra outbound delay per straggler, in seconds.
-        transport: dissemination strategy name (``"direct"``,
-            ``"contended"``, ``"relay"``).
-        uplink_mbps: NIC capacity in Mbit/s for the contended transport.
-        relays: relay fan-out for the relay transport.
-        compute: replica compute-model name (``"zero"``, ``"crypto"``).
-        compute_scale: cost multiplier for the crypto compute model.
-        latency_model: topology-derived latency model name (``"geo"``,
-            ``"wan-matrix"``).
-        scheduler: event-scheduler backend (``"auto"``, ``"heap"``,
-            ``"calendar"``); a performance knob — executions are
-            byte-identical across backends.
-        series: figure series this cell belongs to (defaults to ``label``).
-        cell: identifier of the cell within its series (e.g.
-            ``"payload=400000"``); replications of one cell share it.
-        replication: replication index within the cell.
-        axis: extra row columns describing the cell's position on the
-            figure's x-axis (e.g. ``{"crashed_replicas": 4}``).
-    """
-
-    protocol: str
-    params: ProtocolParams
-    topology: Optional[Union[str, Tuple[str, ...]]] = None
-    duration: float = 20.0
-    warmup: float = 2.0
-    seed: int = 0
-    faults: FaultPlan = field(default_factory=FaultPlan.none)
-    workload: Optional[WorkloadSpec] = None
-    label: Optional[str] = None
-    stragglers: int = 0
-    straggler_delay: float = 1.0
-    transport: str = "direct"
-    uplink_mbps: Optional[float] = None
-    relays: int = 2
-    compute: str = "zero"
-    compute_scale: float = 1.0
-    latency_model: str = "geo"
-    scheduler: str = "auto"
-    series: Optional[str] = None
-    cell: str = ""
-    replication: int = 0
-    axis: Dict[str, object] = field(default_factory=dict)
-
-    def resolved_label(self) -> str:
-        """The report label."""
-        return self.label or self.protocol
-
-    def resolved_series(self) -> str:
-        """The figure series this cell belongs to."""
-        return self.series or self.resolved_label()
-
-    def resolved_topology(self) -> Optional[Topology]:
-        """Build the spec's topology (``None`` keeps the config default)."""
-        if self.topology is None:
-            return None
-        if isinstance(self.topology, str):
-            return topology_by_name(self.topology, self.params.n)
-        return topology_from_names(self.topology)
-
-    def to_config(self) -> ExperimentConfig:
-        """Materialise the runnable :class:`ExperimentConfig`."""
-        return ExperimentConfig(
-            protocol=self.protocol,
-            params=self.params,
-            topology=self.resolved_topology(),
-            duration=self.duration,
-            warmup=self.warmup,
-            seed=self.seed,
-            faults=self.faults,
-            label=self.label,
-            workload=self.workload,
-            stragglers=self.stragglers,
-            straggler_delay=self.straggler_delay,
-            transport=self.transport,
-            uplink_mbps=self.uplink_mbps,
-            relays=self.relays,
-            compute=self.compute,
-            compute_scale=self.compute_scale,
-            latency_model=self.latency_model,
-            scheduler=self.scheduler,
-        )
-
-    @classmethod
-    def from_config(cls, config: ExperimentConfig, **meta: object) -> "ExperimentSpec":
-        """Describe an existing config as a spec.
-
-        The config's topology is captured as its region-name placement;
-        ``meta`` forwards spec-only fields (``series``, ``cell``,
-        ``replication``, ``axis``).
-
-        Raises:
-            ValueError: if the config cannot be expressed as data — it
-                carries a latency-model override, or its topology uses
-                datacenters that are not (exactly) catalogue entries of
-                :data:`repro.net.topology.AWS_REGIONS`, so rebuilding the
-                spec elsewhere would run on a different network.
-        """
-        if config.latency is not None:
-            raise ValueError("configs with a latency-model override have no spec form")
-        topology = None
-        if config.topology is not None:
-            topology = tuple(placement_names(config.topology))
-        return cls(
-            protocol=config.protocol,
-            params=config.params,
-            topology=topology,
-            duration=config.duration,
-            warmup=config.warmup,
-            seed=config.seed,
-            faults=config.faults,
-            workload=config.workload,
-            label=config.label,
-            stragglers=config.stragglers,
-            straggler_delay=config.straggler_delay,
-            transport=config.transport,
-            uplink_mbps=config.uplink_mbps,
-            relays=config.relays,
-            compute=config.compute,
-            compute_scale=config.compute_scale,
-            latency_model=config.latency_model,
-            scheduler=config.scheduler,
-            **meta,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Serialization and hashing
-    # ------------------------------------------------------------------ #
-
-    def to_dict(self) -> Dict[str, object]:
-        """A JSON-ready dictionary (inverse of :meth:`from_dict`).
-
-        Transport fields are emitted only when non-default, so specs that
-        do not opt into a transport serialise — and therefore content-hash —
-        exactly as they did before the transport layer existed, keeping
-        existing result caches valid.
-        """
-        data = {
-            "protocol": self.protocol,
-            "params": self.params.to_dict(),
-            "topology": (
-                list(self.topology)
-                if isinstance(self.topology, tuple) else self.topology
-            ),
-            "duration": self.duration,
-            "warmup": self.warmup,
-            "seed": self.seed,
-            "faults": self.faults.to_dict(),
-            "workload": self.workload.to_dict() if self.workload is not None else None,
-            "label": self.label,
-            "stragglers": self.stragglers,
-            "straggler_delay": self.straggler_delay,
-            "series": self.series,
-            "cell": self.cell,
-            "replication": self.replication,
-            "axis": dict(self.axis),
-        }
-        data.update(_transport_fields(self.transport, self.uplink_mbps, self.relays))
-        data.update(_compute_fields(self.compute, self.compute_scale))
-        data.update(_latency_fields(self.latency_model))
-        data.update(_scheduler_fields(self.scheduler))
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ExperimentSpec":
-        """Rebuild a spec from :meth:`to_dict` output."""
-        topology = data.get("topology")
-        workload = data.get("workload")
-        return cls(
-            protocol=str(data["protocol"]),
-            params=ProtocolParams.from_dict(data["params"]),
-            topology=tuple(topology) if isinstance(topology, list) else topology,
-            duration=float(data["duration"]),
-            warmup=float(data["warmup"]),
-            seed=int(data["seed"]),
-            faults=FaultPlan.from_dict(data.get("faults", {})),
-            workload=WorkloadSpec.from_dict(workload) if workload is not None else None,
-            label=data.get("label"),
-            stragglers=int(data.get("stragglers", 0)),
-            straggler_delay=float(data.get("straggler_delay", 1.0)),
-            transport=str(data.get("transport", "direct")),
-            uplink_mbps=(
-                float(data["uplink_mbps"])
-                if data.get("uplink_mbps") is not None else None
-            ),
-            relays=int(data.get("relays", 2)),
-            compute=str(data.get("compute", "zero")),
-            compute_scale=float(data.get("compute_scale", 1.0)),
-            latency_model=str(data.get("latency_model", "geo")),
-            scheduler=str(data.get("scheduler", "auto")),
-            series=data.get("series"),
-            cell=str(data.get("cell", "")),
-            replication=int(data.get("replication", 0)),
-            axis=dict(data.get("axis", {})),
-        )
-
-    def content_hash(self) -> str:
-        """Stable hex digest of the spec's canonical JSON form.
-
-        Two specs hash equal iff they describe the same experiment (including
-        presentation metadata, so relabelling a cell re-runs it rather than
-        serving a stale row).  The runner uses this as the cache key.
-        """
-        return canonical_hash({"format": PLAN_FORMAT, "spec": self.to_dict()})
-
-    # ------------------------------------------------------------------ #
-    # Replication fan-out
-    # ------------------------------------------------------------------ #
-
-    def replicated(self, replications: int) -> List["ExperimentSpec"]:
-        """Fan this cell out into ``replications`` independent runs.
-
-        Replication 0 is this spec verbatim; replication ``k > 0`` derives
-        fresh network and workload seeds via :func:`derive_subseed`, so the
-        replications sample independent jitter and arrival randomness.
-
-        Raises:
-            ValueError: if ``replications`` is not positive.
-        """
-        if replications < 1:
-            raise ValueError("replications must be positive")
-        specs: List[ExperimentSpec] = []
-        for k in range(replications):
-            workload = self.workload
-            if workload is not None and k > 0:
-                workload = dataclasses.replace(
-                    workload, seed=derive_subseed(workload.seed, k, "workload")
-                )
-            specs.append(dataclasses.replace(
-                self,
-                seed=derive_subseed(self.seed, k, "net"),
-                workload=workload,
-                replication=k,
-            ))
-        return specs
-
-
 @dataclass
 class ExperimentPlan:
-    """An ordered collection of experiment specs plus figure metadata.
+    """An ordered collection of experiment configs plus figure metadata.
 
-    The spec order is the result order: the runner returns one
-    :class:`repro.eval.experiment.ExperimentResult` per spec, in plan order,
+    The config order is the result order: the runner returns one
+    :class:`repro.eval.experiment.ExperimentResult` per config, in plan order,
     regardless of how many worker processes executed them.
 
     Attributes:
@@ -358,7 +86,7 @@ class ExperimentPlan:
 
     name: str
     title: str
-    specs: List[ExperimentSpec] = field(default_factory=list)
+    specs: List[ExperimentConfig] = field(default_factory=list)
     columns: Optional[List[str]] = None
     replications: int = 1
 
@@ -368,12 +96,12 @@ class ExperimentPlan:
     def with_replications(self, replications: int) -> "ExperimentPlan":
         """A copy of the plan with every cell fanned out over sub-seeds.
 
-        Replications of one cell stay adjacent in the spec order, so results
+        Replications of one cell stay adjacent in the plan order, so results
         group naturally and a partially cached plan re-runs contiguous gaps.
         """
-        specs: List[ExperimentSpec] = []
-        for spec in self.specs:
-            specs.extend(spec.replicated(replications))
+        specs: List[ExperimentConfig] = []
+        for config in self.specs:
+            specs.extend(config.replicated(replications))
         return ExperimentPlan(
             name=self.name,
             title=self.title,
@@ -385,8 +113,8 @@ class ExperimentPlan:
     def cells(self) -> List[Tuple[str, str]]:
         """Distinct ``(series, cell)`` pairs in first-occurrence order."""
         seen: List[Tuple[str, str]] = []
-        for spec in self.specs:
-            key = (spec.resolved_series(), spec.cell)
+        for config in self.specs:
+            key = (config.resolved_series(), config.cell)
             if key not in seen:
                 seen.append(key)
         return seen
@@ -396,7 +124,7 @@ class ExperimentPlan:
         return {
             "name": self.name,
             "title": self.title,
-            "specs": [spec.to_dict() for spec in self.specs],
+            "specs": [config.to_dict() for config in self.specs],
             "columns": list(self.columns) if self.columns is not None else None,
             "replications": self.replications,
         }
@@ -408,13 +136,13 @@ class ExperimentPlan:
         return cls(
             name=str(data["name"]),
             title=str(data["title"]),
-            specs=[ExperimentSpec.from_dict(spec) for spec in data.get("specs", [])],
+            specs=[ExperimentConfig.from_dict(config) for config in data.get("specs", [])],
             columns=list(columns) if columns is not None else None,
             replications=int(data.get("replications", 1)),
         )
 
 
-def payload_sweep_plan(base: ExperimentSpec, payload_sizes: Sequence[int],
+def payload_sweep_plan(base: ExperimentConfig, payload_sizes: Sequence[int],
                        name: str = "payload-sweep",
                        title: str = "payload-size sweep") -> ExperimentPlan:
     """Build a plan varying ``base`` over payload sizes (one cell per size)."""

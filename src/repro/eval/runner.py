@@ -2,27 +2,28 @@
 
 ``run_plan`` is the single engine behind every figure, ablation, and sweep:
 it takes an :class:`repro.eval.plan.ExperimentPlan` (or a bare list of
-specs) and returns one :class:`repro.eval.experiment.ExperimentResult` per
-spec **in plan order**, regardless of execution order.  Three orthogonal
+configs) and returns one :class:`repro.eval.experiment.ExperimentResult` per
+config **in plan order**, regardless of execution order.  Three orthogonal
 features:
 
-* **parallelism** — ``jobs=N`` fans uncached specs out over a
+* **parallelism** — ``jobs=N`` fans uncached cells out over a
   :class:`concurrent.futures.ProcessPoolExecutor`; each simulation is
-  deterministic given its spec, so parallel results are byte-identical to
+  deterministic given its config, so parallel results are byte-identical to
   serial ones;
-* **caching** — with a ``cache_dir``, each finished spec is written to
+* **caching** — with a ``cache_dir``, each finished cell is written to
   ``<cache_dir>/<content_hash>.json`` (atomically) and re-running a plan
   skips every completed cell, making sweep invocations resumable;
 * **progress** — an optional callback receives a :class:`ProgressEvent`
-  per completed spec (cached or executed), for CLI progress lines.
+  per completed cell (cached or executed), for CLI progress lines.
 
-The engine is deliberately duck-typed over its spec/result types: a spec
+The engine is deliberately duck-typed over its cell/result types: a cell
 needs ``to_dict()`` and ``content_hash()`` (plus ``resolved_label``,
 ``cell``, ``replication`` for progress lines), and the ``execute`` /
-``decode`` hooks translate between spec dictionaries and result objects.
-The defaults run :class:`repro.eval.plan.ExperimentSpec` cells; the chaos
-engine (:mod:`repro.chaos.engine`) reuses the same parallelism, caching,
-and ordering for its fault-schedule trials by passing its own hooks.
+``decode`` hooks translate between cell dictionaries and result objects.
+The defaults run :class:`repro.eval.experiment.ExperimentConfig` cells; the
+chaos engine (:mod:`repro.chaos.engine`) reuses the same parallelism,
+caching, and ordering for its fault-schedule trials by passing its own
+hooks.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from repro.eval.experiment import ExperimentResult, run_experiment
-from repro.eval.plan import ExperimentPlan, ExperimentSpec
+from repro.eval.experiment import ExperimentConfig, ExperimentResult, run_experiment
+from repro.eval.plan import ExperimentPlan
 
 #: Signature of the progress callback accepted by :func:`run_plan`.
 ProgressCallback = Callable[["ProgressEvent"], None]
@@ -43,36 +44,31 @@ ProgressCallback = Callable[["ProgressEvent"], None]
 
 @dataclass(frozen=True)
 class ProgressEvent:
-    """One completed spec, reported to the progress callback.
+    """One completed cell, reported to the progress callback.
 
     Attributes:
-        completed: specs finished so far (cached + executed).
-        total: total specs in the plan.
-        spec: the spec that just finished.
+        completed: cells finished so far (cached + executed).
+        total: total cells in the plan.
+        spec: the cell that just finished (an :class:`ExperimentConfig`,
+            or a chaos trial spec).
         cached: whether the result came from the cache.
     """
 
     completed: int
     total: int
-    spec: ExperimentSpec
+    spec: ExperimentConfig
     cached: bool
 
 
-def execute_spec(spec: ExperimentSpec) -> ExperimentResult:
-    """Run one spec to completion (deterministic given the spec)."""
-    return run_experiment(spec.to_config())
-
-
-def _execute_serialized(spec_data: Dict[str, object]) -> Dict[str, object]:
+def _execute_serialized(config_data: Dict[str, object]) -> Dict[str, object]:
     """Worker entry point: dict in, dict out, so only JSON-ready data crosses
     the process boundary and every parallel result passes through the same
     serialisation layer the cache uses."""
-    result = execute_spec(ExperimentSpec.from_dict(spec_data))
-    return result.to_dict()
+    return run_experiment(ExperimentConfig.from_dict(config_data)).to_dict()
 
 
 def cache_path(cache_dir: str, spec) -> str:
-    """The cache file that holds (or would hold) the spec's result."""
+    """The cache file that holds (or would hold) the cell's result."""
     return os.path.join(cache_dir, f"{spec.content_hash()}.json")
 
 
@@ -104,7 +100,7 @@ def _cache_store(cache_dir: str, spec, data: Dict[str, object]) -> None:
 
 
 def run_plan(
-    plan: Union[ExperimentPlan, Sequence[ExperimentSpec]],
+    plan: Union[ExperimentPlan, Sequence[ExperimentConfig]],
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     use_cache: bool = True,
@@ -112,26 +108,26 @@ def run_plan(
     execute: Optional[Callable[[Dict[str, object]], Dict[str, object]]] = None,
     decode: Optional[Callable[[Dict[str, object]], object]] = None,
 ) -> List[ExperimentResult]:
-    """Execute every spec of ``plan`` and return results in plan order.
+    """Execute every cell of ``plan`` and return results in plan order.
 
     Args:
-        plan: an :class:`ExperimentPlan` or a plain spec sequence.
+        plan: an :class:`ExperimentPlan` or a plain config sequence.
         jobs: worker processes; 1 executes in-process (no pool).
-        cache_dir: directory of per-spec JSON result files; ``None``
+        cache_dir: directory of per-cell JSON result files; ``None``
             disables caching entirely.
         use_cache: when False, cached results are ignored (they are still
             rewritten after execution, refreshing the cache).
-        progress: optional per-spec completion callback.
+        progress: optional per-cell completion callback.
         execute: worker entry point — a picklable, module-level callable
-            taking a spec dictionary and returning a result dictionary.
-            Defaults to running the spec as an experiment.  Custom spec
+            taking a cell dictionary and returning a result dictionary.
+            Defaults to running the cell as an experiment.  Custom cell
             types (e.g. chaos trials) supply their own.
         decode: rebuilds a result object from a result dictionary (cache
             hits and worker returns both pass through it).  Defaults to
             :meth:`ExperimentResult.from_dict`.
 
     Returns:
-        One result object per spec, ordered like the plan — identical for
+        One result object per cell, ordered like the plan — identical for
         any ``jobs`` value.
     """
     specs = list(plan.specs if isinstance(plan, ExperimentPlan) else plan)

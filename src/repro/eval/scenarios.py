@@ -1,16 +1,15 @@
 """Per-figure scenario presets (Figures 6a–6e) and ablations, as plans.
 
-Each figure of the paper is described twice here:
+Each figure of the paper is a ``plan_*`` builder returning the declarative
+:class:`repro.eval.plan.ExperimentPlan` — the grid of protocol × payload ×
+fault × workload cells, optionally fanned out over ``seeds`` independent
+replications.  :func:`run_figure` executes any plan through
+:func:`repro.eval.runner.run_plan` (serially or with ``jobs`` worker
+processes, optionally cached in ``cache_dir``) and aggregates the
+replications into a :class:`FigureResult`, with mean ± 95% CI columns when
+more than one replication ran::
 
-* a ``plan_*`` builder returns the declarative
-  :class:`repro.eval.plan.ExperimentPlan` — the grid of protocol × payload ×
-  fault × workload cells, optionally fanned out over ``seeds`` independent
-  replications;
-* a ``figure_*`` wrapper executes that plan through
-  :func:`repro.eval.runner.run_plan` (serially or with ``jobs`` worker
-  processes, optionally cached in ``cache_dir``) and aggregates the
-  replications into a :class:`FigureResult`, with mean ± 95% CI columns when
-  more than one replication ran.
+    figure = run_figure(plan_figure_6a(duration=10.0, seeds=3), jobs=4)
 
 Durations default to values that keep the full suite runnable on a laptop;
 pass ``duration`` / payload sizes explicitly to run longer sweeps.
@@ -32,8 +31,8 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.report import render_series, with_ci_columns
 from repro.analysis.stats import ci95_half_width, improvement_pct, mean
-from repro.eval.experiment import ExperimentResult
-from repro.eval.plan import ExperimentPlan, ExperimentSpec
+from repro.eval.experiment import ExperimentConfig, ExperimentResult
+from repro.eval.plan import ExperimentPlan
 from repro.eval.runner import ProgressCallback, run_plan
 from repro.net.faults import FaultPlan
 from repro.protocols.base import ProtocolParams
@@ -161,7 +160,7 @@ def figure_from_plan(plan: ExperimentPlan,
     """Aggregate a plan's results (in plan order) into a :class:`FigureResult`.
 
     Replications of one ``(series, cell)`` pair collapse into a single row of
-    per-column means plus ``<col>_ci95`` half-width columns; the spec's
+    per-column means plus ``<col>_ci95`` half-width columns; each config's
     ``axis`` metadata becomes extra row columns.
     """
     if len(results) != len(plan.specs):
@@ -169,10 +168,10 @@ def figure_from_plan(plan: ExperimentPlan,
             f"plan has {len(plan.specs)} specs but {len(results)} results were given"
         )
     cells: Dict[object, List[Dict[str, object]]] = {}
-    for spec, result in zip(plan.specs, results):
+    for config, result in zip(plan.specs, results):
         row = result.row()
-        row.update(spec.axis)
-        cells.setdefault((spec.resolved_series(), spec.cell), []).append(row)
+        row.update(config.axis)
+        cells.setdefault((config.resolved_series(), config.cell), []).append(row)
     series: Dict[str, List[Dict[str, object]]] = {}
     for (series_label, _), rows in cells.items():
         series.setdefault(series_label, []).append(_aggregate_rows(rows))
@@ -271,10 +270,10 @@ def _sweep_plan(name: str, title: str, lineup: List[Dict[str, object]],
                 duration: float, warmup: float, seed: int, seeds: int,
                 faults: Optional[FaultPlan] = None) -> ExperimentPlan:
     """A plan over every (protocol, payload size) cell, fanned out over seeds."""
-    specs: List[ExperimentSpec] = []
+    specs: List[ExperimentConfig] = []
     for entry in lineup:
         for payload_size in payload_sizes:
-            specs.append(ExperimentSpec(
+            specs.append(ExperimentConfig(
                 protocol=entry["protocol"],
                 params=dataclasses.replace(entry["params"], payload_size=payload_size),
                 topology=topology,
@@ -296,67 +295,34 @@ def _sweep_plan(name: str, title: str, lineup: List[Dict[str, object]],
 def plan_figure_6a(payload_sizes: Sequence[int] = (100_000, 200_000, 400_000),
                    duration: float = 20.0, warmup: float = 2.0, seed: int = 0,
                    seeds: int = 1) -> ExperimentPlan:
-    """Plan for Figure 6a: n=19 over 4 global datacenters."""
+    """Figure 6a: throughput vs. latency, n=19 over 4 global datacenters."""
     lineup = _lineup_n19(GLOBAL_RANK_DELAY, payload_sizes[0])
     return _sweep_plan("6a", "n=19 across 4 global datacenters (5/5/5/4 split)",
                        lineup, "global4", payload_sizes, duration, warmup, seed, seeds)
 
 
-def figure_6a(payload_sizes: Sequence[int] = (100_000, 200_000, 400_000),
-              duration: float = 20.0, warmup: float = 2.0, seed: int = 0,
-              seeds: int = 1, jobs: int = 1, cache_dir: Optional[str] = None,
-              use_cache: bool = True,
-              progress: Optional[ProgressCallback] = None) -> FigureResult:
-    """Figure 6a: throughput vs. latency, n=19 over 4 global datacenters."""
-    return run_figure(plan_figure_6a(payload_sizes, duration, warmup, seed, seeds),
-                      jobs=jobs, cache_dir=cache_dir, use_cache=use_cache,
-                      progress=progress)
-
-
 def plan_figure_6b(payload_sizes: Sequence[int] = (500_000, 1_000_000, 1_500_000),
                    duration: float = 20.0, warmup: float = 2.0, seed: int = 0,
                    seeds: int = 1) -> ExperimentPlan:
-    """Plan for Figure 6b: n=4, one replica per global datacenter."""
+    """Figure 6b: throughput vs. latency, n=4, one replica per global datacenter."""
     lineup = _lineup_n4(GLOBAL_RANK_DELAY, payload_sizes[0])
     return _sweep_plan("6b", "n=4, one replica per global datacenter",
                        lineup, "global4", payload_sizes, duration, warmup, seed, seeds)
 
 
-def figure_6b(payload_sizes: Sequence[int] = (500_000, 1_000_000, 1_500_000),
-              duration: float = 20.0, warmup: float = 2.0, seed: int = 0,
-              seeds: int = 1, jobs: int = 1, cache_dir: Optional[str] = None,
-              use_cache: bool = True,
-              progress: Optional[ProgressCallback] = None) -> FigureResult:
-    """Figure 6b: throughput vs. latency, n=4, one replica per global datacenter."""
-    return run_figure(plan_figure_6b(payload_sizes, duration, warmup, seed, seeds),
-                      jobs=jobs, cache_dir=cache_dir, use_cache=use_cache,
-                      progress=progress)
-
-
 def plan_figure_6c(payload_size: int = 1_000_000, duration: float = 30.0,
                    warmup: float = 2.0, seed: int = 0, seeds: int = 1) -> ExperimentPlan:
-    """Plan for Figure 6c: Banyan vs. ICC latency distribution, n=4."""
+    """Figure 6c: latency distribution of Banyan vs. ICC, n=4, 1 MB payload."""
     lineup = [entry for entry in _lineup_n4(GLOBAL_RANK_DELAY, payload_size)
               if entry["label"] in ("banyan (p=1)", "icc")]
     return _sweep_plan("6c", "latency variance, n=4, 1 MB payload",
                        lineup, "global4", [payload_size], duration, warmup, seed, seeds)
 
 
-def figure_6c(payload_size: int = 1_000_000, duration: float = 30.0,
-              warmup: float = 2.0, seed: int = 0,
-              seeds: int = 1, jobs: int = 1, cache_dir: Optional[str] = None,
-              use_cache: bool = True,
-              progress: Optional[ProgressCallback] = None) -> FigureResult:
-    """Figure 6c: latency distribution of Banyan vs. ICC, n=4, 1 MB payload."""
-    return run_figure(plan_figure_6c(payload_size, duration, warmup, seed, seeds),
-                      jobs=jobs, cache_dir=cache_dir, use_cache=use_cache,
-                      progress=progress)
-
-
 def plan_figure_6d(crash_counts: Sequence[int] = (0, 2, 4, 6),
                    payload_size: int = 100_000, duration: float = 60.0,
                    warmup: float = 2.0, seed: int = 0, seeds: int = 1) -> ExperimentPlan:
-    """Plan for Figure 6d: crash faults, n=19 over 4 US datacenters."""
+    """Figure 6d: crash faults, n=19 over 4 US datacenters, 3 s timeout."""
     lineup = [
         ("banyan (p=1)", "banyan", ProtocolParams(n=19, f=6, p=1,
                                                   rank_delay=CRASH_EXPERIMENT_RANK_DELAY,
@@ -365,10 +331,10 @@ def plan_figure_6d(crash_counts: Sequence[int] = (0, 2, 4, 6),
                                       rank_delay=CRASH_EXPERIMENT_RANK_DELAY,
                                       payload_size=payload_size)),
     ]
-    specs: List[ExperimentSpec] = []
+    specs: List[ExperimentConfig] = []
     for label, protocol, params in lineup:
         for crashes in crash_counts:
-            specs.append(ExperimentSpec(
+            specs.append(ExperimentConfig(
                 protocol=protocol, params=params, topology="us4",
                 duration=duration, warmup=warmup, seed=seed,
                 faults=FaultPlan.with_crashed(range(crashes)), label=label,
@@ -382,36 +348,12 @@ def plan_figure_6d(crash_counts: Sequence[int] = (0, 2, 4, 6),
     return plan.with_replications(seeds)
 
 
-def figure_6d(crash_counts: Sequence[int] = (0, 2, 4, 6),
-              payload_size: int = 100_000, duration: float = 60.0,
-              warmup: float = 2.0, seed: int = 0,
-              seeds: int = 1, jobs: int = 1, cache_dir: Optional[str] = None,
-              use_cache: bool = True,
-              progress: Optional[ProgressCallback] = None) -> FigureResult:
-    """Figure 6d: crash faults, n=19 over 4 US datacenters, 3 s timeout."""
-    return run_figure(plan_figure_6d(crash_counts, payload_size, duration,
-                                     warmup, seed, seeds),
-                      jobs=jobs, cache_dir=cache_dir, use_cache=use_cache,
-                      progress=progress)
-
-
 def plan_figure_6e(payload_sizes: Sequence[int] = (1_000_000,), duration: float = 20.0,
                    warmup: float = 2.0, seed: int = 0, seeds: int = 1) -> ExperimentPlan:
-    """Plan for Figure 6e: n=19 across 19 worldwide datacenters."""
+    """Figure 6e: n=19 replicas spread across 19 worldwide datacenters."""
     lineup = _lineup_n19(GLOBAL_RANK_DELAY, payload_sizes[0])
     return _sweep_plan("6e", "n=19 across a worldwide network (19 datacenters)",
                        lineup, "worldwide", payload_sizes, duration, warmup, seed, seeds)
-
-
-def figure_6e(payload_sizes: Sequence[int] = (1_000_000,), duration: float = 20.0,
-              warmup: float = 2.0, seed: int = 0,
-              seeds: int = 1, jobs: int = 1, cache_dir: Optional[str] = None,
-              use_cache: bool = True,
-              progress: Optional[ProgressCallback] = None) -> FigureResult:
-    """Figure 6e: n=19 replicas spread across 19 worldwide datacenters."""
-    return run_figure(plan_figure_6e(payload_sizes, duration, warmup, seed, seeds),
-                      jobs=jobs, cache_dir=cache_dir, use_cache=use_cache,
-                      progress=progress)
 
 
 # --------------------------------------------------------------------- #
@@ -432,11 +374,19 @@ def plan_saturation_sweep(rates: Sequence[float] = (10, 30, 60, 120),
                           tx_size: int = 512, max_block_bytes: int = 65_536,
                           duration: float = 30.0, seed: int = 0,
                           seeds: int = 1) -> ExperimentPlan:
-    """Plan for the open-loop Poisson saturation sweep (one cell per rate)."""
+    """Open-loop Poisson saturation sweep: offered load vs. client latency.
+
+    One cell per arrival rate.  Clients submit fixed-size transactions to
+    their local replica's mempool following a Poisson process; proposals
+    drain the proposer's mempool up to the block budget.  Below saturation,
+    goodput tracks the offered rate and submit→commit latency stays near the
+    consensus floor; past saturation, mempools back up and client latency
+    grows without bound — the knee is the system's capacity.
+    """
     params = ProtocolParams(n=n, f=f, p=p, rank_delay=GLOBAL_RANK_DELAY)
     label = f"{protocol} (n={n}, poisson)"
     specs = [
-        ExperimentSpec(
+        ExperimentConfig(
             protocol=protocol, params=params, topology="global4",
             duration=duration, warmup=0.0, seed=seed, label=label,
             workload=WorkloadSpec(
@@ -456,38 +406,23 @@ def plan_saturation_sweep(rates: Sequence[float] = (10, 30, 60, 120),
     return plan.with_replications(seeds)
 
 
-def saturation_sweep(rates: Sequence[float] = (10, 30, 60, 120),
-                     protocol: str = "banyan", n: int = 4, f: int = 1, p: int = 1,
-                     tx_size: int = 512, max_block_bytes: int = 65_536,
-                     duration: float = 30.0, seed: int = 0,
-                     seeds: int = 1, jobs: int = 1, cache_dir: Optional[str] = None,
-                     use_cache: bool = True,
-                     progress: Optional[ProgressCallback] = None) -> FigureResult:
-    """Open-loop Poisson saturation sweep: offered load vs. client latency.
-
-    For each arrival rate, clients submit fixed-size transactions to their
-    local replica's mempool following a Poisson process; proposals drain the
-    proposer's mempool up to the block budget.  Below saturation, goodput
-    tracks the offered rate and submit→commit latency stays near the
-    consensus floor; past saturation, mempools back up and client latency
-    grows without bound — the knee is the system's capacity.
-    """
-    return run_figure(plan_saturation_sweep(rates, protocol, n, f, p, tx_size,
-                                            max_block_bytes, duration, seed, seeds),
-                      jobs=jobs, cache_dir=cache_dir, use_cache=use_cache,
-                      progress=progress)
-
-
 def plan_flash_crowd(base_rate: float = 15.0, burst_rate: float = 250.0,
                      burst_start: float = 8.0, burst_duration: float = 4.0,
                      protocol: str = "banyan", n: int = 4, f: int = 1, p: int = 1,
                      tx_size: int = 512, max_block_bytes: int = 65_536,
                      duration: float = 40.0, seed: int = 0,
                      seeds: int = 1) -> ExperimentPlan:
-    """Plan for the flash-crowd scenario (a single burst cell)."""
+    """Flash-crowd scenario: a demand spike fills the mempools, then drains.
+
+    A single cell.  Arrivals run at ``base_rate`` except for a burst window
+    at ``burst_rate``.  The burst exceeds the per-round block budget, so
+    mempool occupancy climbs during the spike and the backlog drains over
+    the following rounds — visible in the occupancy samples of the result's
+    :class:`repro.smr.metrics.WorkloadMetrics`.
+    """
     params = ProtocolParams(n=n, f=f, p=p, rank_delay=GLOBAL_RANK_DELAY)
     label = f"{protocol} (n={n}, flash crowd)"
-    spec = ExperimentSpec(
+    config = ExperimentConfig(
         protocol=protocol, params=params, topology="global4",
         duration=duration, warmup=0.0, seed=seed, label=label,
         workload=WorkloadSpec(
@@ -502,33 +437,10 @@ def plan_flash_crowd(base_rate: float = 15.0, burst_rate: float = 250.0,
         name="workload-flash-crowd",
         title=(f"flash crowd, {protocol} n={n}: {base_rate:g}→{burst_rate:g} tx/s "
                f"during [{burst_start:g}s, {burst_start + burst_duration:g}s)"),
-        specs=[spec],
+        specs=[config],
         columns=list(WORKLOAD_COLUMNS),
     )
     return plan.with_replications(seeds)
-
-
-def flash_crowd(base_rate: float = 15.0, burst_rate: float = 250.0,
-                burst_start: float = 8.0, burst_duration: float = 4.0,
-                protocol: str = "banyan", n: int = 4, f: int = 1, p: int = 1,
-                tx_size: int = 512, max_block_bytes: int = 65_536,
-                duration: float = 40.0, seed: int = 0,
-                seeds: int = 1, jobs: int = 1, cache_dir: Optional[str] = None,
-                use_cache: bool = True,
-                progress: Optional[ProgressCallback] = None) -> FigureResult:
-    """Flash-crowd scenario: a demand spike fills the mempools, then drains.
-
-    Arrivals run at ``base_rate`` except for a burst window at
-    ``burst_rate``.  The burst exceeds the per-round block budget, so
-    mempool occupancy climbs during the spike and the backlog drains over
-    the following rounds — visible in the occupancy samples of the result's
-    :class:`repro.smr.metrics.WorkloadMetrics`.
-    """
-    return run_figure(plan_flash_crowd(base_rate, burst_rate, burst_start,
-                                       burst_duration, protocol, n, f, p, tx_size,
-                                       max_block_bytes, duration, seed, seeds),
-                      jobs=jobs, cache_dir=cache_dir, use_cache=use_cache,
-                      progress=progress)
 
 
 def plan_scale_sweep(replica_counts: Sequence[int] = (64, 128, 256),
@@ -536,15 +448,19 @@ def plan_scale_sweep(replica_counts: Sequence[int] = (64, 128, 256),
                      tx_size: int = 256, protocol: str = "banyan",
                      duration: float = 2.0, warmup: float = 0.5,
                      seed: int = 0, seeds: int = 1) -> ExperimentPlan:
-    """Plan for the datacenter-scale sweep: open-loop clients, WAN matrix.
+    """Datacenter-scale sweep: goodput and latency up to n=256 replicas.
 
     One cell per replica count, each offering ``rate`` tx/s from
     ``num_clients`` open-loop clients on the worldwide topology under the
     measured inter-region RTT matrix.  ``f = p = (n - 1) // 5`` keeps the
-    fast path available at every size (``n >= 3f + 2p + 1``).
+    fast path available at every size (``n >= 3f + 2p + 1``).  Open-loop
+    arrivals are admitted lazily into per-replica id queues, so the
+    workload's cost follows the offered rate, not the population: a million
+    clients at n=256 cost what eight do, and the run time is dominated by
+    the protocol's own message complexity.
     """
     specs = [
-        ExperimentSpec(
+        ExperimentConfig(
             protocol=protocol,
             params=ProtocolParams(n=n, f=(n - 1) // 5, p=(n - 1) // 5,
                                   rank_delay=GLOBAL_RANK_DELAY),
@@ -566,27 +482,6 @@ def plan_scale_sweep(replica_counts: Sequence[int] = (64, 128, 256),
         specs=specs,
         columns=list(WORKLOAD_COLUMNS),
     ).with_replications(seeds)
-
-
-def scale_sweep(replica_counts: Sequence[int] = (64, 128, 256),
-                rate: float = 20_000.0, num_clients: int = 1_000_000,
-                tx_size: int = 256, protocol: str = "banyan",
-                duration: float = 2.0, warmup: float = 0.5,
-                seed: int = 0, seeds: int = 1, jobs: int = 1,
-                cache_dir: Optional[str] = None, use_cache: bool = True,
-                progress: Optional[ProgressCallback] = None) -> FigureResult:
-    """Datacenter-scale sweep: goodput and latency up to n=256 replicas.
-
-    Open-loop arrivals are admitted lazily into per-replica id queues, so
-    the workload's cost follows the offered rate, not the population: a
-    million clients at n=256 cost what eight do, and the run time is
-    dominated by the protocol's own message complexity.
-    """
-    return run_figure(plan_scale_sweep(replica_counts, rate, num_clients,
-                                       tx_size, protocol, duration, warmup,
-                                       seed, seeds),
-                      jobs=jobs, cache_dir=cache_dir, use_cache=use_cache,
-                      progress=progress)
 
 
 # --------------------------------------------------------------------- #
@@ -614,8 +509,15 @@ def plan_uplink_contention(replica_counts: Sequence[int] = (4, 7, 10, 13, 16, 19
     ``uplink_mbps`` NIC (a proposer's n−1 proposal copies drain
     sequentially).  The gap between the series is the leader fan-out cost
     the ideal model hides; it grows with n.
+
+    Under the ideal transport latency is flat in n (quorum geometry aside).
+    With a finite uplink the copies serialize: the last receiver waits
+    ``(n−2) · size / uplink`` before its copy even leaves the sender, votes
+    arrive staggered, and the fast-path advantage shrinks as n grows — the
+    leader-bottleneck effect that separates rotating-leader fast paths from
+    single-leader protocols.
     """
-    specs: List[ExperimentSpec] = []
+    specs: List[ExperimentConfig] = []
     for n in replica_counts:
         # Largest f with 3f + 2p - 1 <= n at p=1, as in the p-sweep ablation.
         f = max(1, (n - 1) // 3)
@@ -625,7 +527,7 @@ def plan_uplink_contention(replica_counts: Sequence[int] = (4, 7, 10, 13, 16, 19
             ("banyan (ideal uplink)", "direct", None),
             ("banyan (contended uplink)", "contended", uplink_mbps),
         ):
-            specs.append(ExperimentSpec(
+            specs.append(ExperimentConfig(
                 protocol="banyan", params=params, topology="global4",
                 duration=duration, warmup=warmup, seed=seed, label=label,
                 transport=transport, uplink_mbps=mbps,
@@ -639,29 +541,6 @@ def plan_uplink_contention(replica_counts: Sequence[int] = (4, 7, 10, 13, 16, 19
         columns=list(UPLINK_COLUMNS),
     )
     return plan.with_replications(seeds)
-
-
-def figure_uplink_contention(replica_counts: Sequence[int] = (4, 7, 10, 13, 16, 19),
-                             payload_size: int = 200_000, uplink_mbps: float = 50.0,
-                             duration: float = 20.0, warmup: float = 2.0,
-                             seed: int = 0, seeds: int = 1, jobs: int = 1,
-                             cache_dir: Optional[str] = None, use_cache: bool = True,
-                             progress: Optional[ProgressCallback] = None) -> FigureResult:
-    """Fast-path latency vs. n under contended vs. ideal broadcast.
-
-    Under the ideal transport a proposer's n−1 proposal copies are free to
-    depart simultaneously, so latency is flat in n (quorum geometry aside).
-    With a finite uplink the copies serialize: the last receiver waits
-    ``(n−2) · size / uplink`` before its copy even leaves the sender, votes
-    arrive staggered, and the fast-path advantage shrinks as n grows — the
-    leader-bottleneck effect that separates rotating-leader fast paths from
-    single-leader protocols.
-    """
-    return run_figure(plan_uplink_contention(replica_counts, payload_size,
-                                             uplink_mbps, duration, warmup,
-                                             seed, seeds),
-                      jobs=jobs, cache_dir=cache_dir, use_cache=use_cache,
-                      progress=progress)
 
 
 # --------------------------------------------------------------------- #
@@ -692,8 +571,17 @@ def plan_crypto_bound(replica_counts: Sequence[int] = (4, 7, 10, 13, 16, 19),
     network-bound round length stays roughly flat — the busy fraction rises
     monotonically with n and the gap between the series is the CPU cost the
     free model hides.
+
+    With free compute the only cost of scale is quorum geometry and wire
+    time, so latency and block rate are nearly flat in n.  Charging the
+    cryptographic work (share verifications per all-to-all vote, aggregate
+    verifications per certificate over ``⌈(n+f+1)/2⌉``- and ``n−p``-sized
+    signer sets) saturates the replicas' cores: deliveries queue behind the
+    busy core, and throughput flips from network-bound to CPU-bound — the
+    WAN throughput ceiling the paper's aggregate-signature discussion is
+    about.
     """
-    specs: List[ExperimentSpec] = []
+    specs: List[ExperimentConfig] = []
     for n in replica_counts:
         # Largest f with 3f + 2p - 1 <= n at p=1, as in the p-sweep ablation.
         f = max(1, (n - 1) // 3)
@@ -703,7 +591,7 @@ def plan_crypto_bound(replica_counts: Sequence[int] = (4, 7, 10, 13, 16, 19),
             ("banyan (free compute)", "zero", 1.0),
             ("banyan (crypto compute)", "crypto", compute_scale),
         ):
-            specs.append(ExperimentSpec(
+            specs.append(ExperimentConfig(
                 protocol="banyan", params=params, topology="global4",
                 duration=duration, warmup=warmup, seed=seed, label=label,
                 compute=compute, compute_scale=scale,
@@ -719,30 +607,6 @@ def plan_crypto_bound(replica_counts: Sequence[int] = (4, 7, 10, 13, 16, 19),
     return plan.with_replications(seeds)
 
 
-def figure_crypto_bound(replica_counts: Sequence[int] = (4, 7, 10, 13, 16, 19),
-                        payload_size: int = 100_000, compute_scale: float = 1.0,
-                        duration: float = 20.0, warmup: float = 2.0,
-                        seed: int = 0, seeds: int = 1, jobs: int = 1,
-                        cache_dir: Optional[str] = None, use_cache: bool = True,
-                        progress: Optional[ProgressCallback] = None) -> FigureResult:
-    """Throughput vs. n under free vs. costed replica compute.
-
-    With free compute the only cost of scale is quorum geometry and wire
-    time, so latency and block rate are nearly flat in n.  Charging the
-    cryptographic work (share verifications per all-to-all vote, aggregate
-    verifications per certificate over ``⌈(n+f+1)/2⌉``- and ``n−p``-sized
-    signer sets) makes per-round CPU grow ~n²: replicas' cores saturate,
-    deliveries queue behind the busy core, and throughput flips from
-    network-bound to CPU-bound — the WAN throughput ceiling the paper's
-    aggregate-signature discussion is about.
-    """
-    return run_figure(plan_crypto_bound(replica_counts, payload_size,
-                                        compute_scale, duration, warmup,
-                                        seed, seeds),
-                      jobs=jobs, cache_dir=cache_dir, use_cache=use_cache,
-                      progress=progress)
-
-
 # --------------------------------------------------------------------- #
 # Ablations (design-choice benches beyond the paper's figures)
 # --------------------------------------------------------------------- #
@@ -752,11 +616,15 @@ def plan_ablation_p_sweep(p_values: Sequence[int] = (1, 2, 3, 4),
                           payload_size: int = 400_000, duration: float = 20.0,
                           warmup: float = 2.0, seed: int = 0,
                           seeds: int = 1) -> ExperimentPlan:
-    """Plan sweeping the fast-path parameter ``p`` at n=19."""
-    specs: List[ExperimentSpec] = []
+    """Sweep the fast-path parameter ``p`` at n=19 (f adjusted to the bound).
+
+    For each ``p`` we pick the largest ``f`` with ``3f + 2p - 1 <= 19`` so the
+    comparison stays at 19 replicas, mirroring the paper's choice of n=19.
+    """
+    specs: List[ExperimentConfig] = []
     for p in p_values:
         f = (19 + 1 - 2 * p) // 3
-        specs.append(ExperimentSpec(
+        specs.append(ExperimentConfig(
             protocol="banyan",
             params=ProtocolParams(n=19, f=f, p=p, rank_delay=GLOBAL_RANK_DELAY,
                                   payload_size=payload_size),
@@ -769,32 +637,25 @@ def plan_ablation_p_sweep(p_values: Sequence[int] = (1, 2, 3, 4),
     return plan.with_replications(seeds)
 
 
-def ablation_p_sweep(p_values: Sequence[int] = (1, 2, 3, 4), payload_size: int = 400_000,
-                     duration: float = 20.0, warmup: float = 2.0, seed: int = 0,
-                     seeds: int = 1, jobs: int = 1, cache_dir: Optional[str] = None,
-                     use_cache: bool = True,
-                     progress: Optional[ProgressCallback] = None) -> FigureResult:
-    """Sweep the fast-path parameter ``p`` at n=19 (f adjusted to the bound).
-
-    For each ``p`` we pick the largest ``f`` with ``3f + 2p - 1 <= 19`` so the
-    comparison stays at 19 replicas, mirroring the paper's choice of n=19.
-    """
-    return run_figure(plan_ablation_p_sweep(p_values, payload_size, duration,
-                                            warmup, seed, seeds),
-                      jobs=jobs, cache_dir=cache_dir, use_cache=use_cache,
-                      progress=progress)
-
-
 def plan_ablation_stragglers(straggler_counts: Sequence[int] = (0, 1, 2),
                              extra_delay: float = 1.0, payload_size: int = 100_000,
                              duration: float = 20.0, warmup: float = 2.0,
                              seed: int = 0, seeds: int = 1) -> ExperimentPlan:
-    """Plan planting straggler replicas (one cell per straggler count)."""
+    """Fast-path hit rate as a function of the number of straggler replicas.
+
+    One cell per straggler count.  ``p = 1`` Banyan needs all but one
+    replica to respond quickly; planting stragglers (honest replicas whose
+    outbound messages are delayed) shows the fast-path hit rate degrading
+    gracefully while latency falls back to the ICC slow path — the "no
+    penalties" property of the dual mode.  The interesting regime is
+    ``p < stragglers <= n - quorum``: the slow-path quorums are still met by
+    the prompt replicas, so SP-finalization overtakes the fast path.
+    """
     n, f, p = 7, 2, 1
     params = ProtocolParams(n=n, f=f, p=p, rank_delay=GLOBAL_RANK_DELAY,
                             payload_size=payload_size)
     specs = [
-        ExperimentSpec(
+        ExperimentConfig(
             protocol="banyan", params=params, topology="global4",
             duration=duration, warmup=warmup, seed=seed, label="banyan (p=1)",
             stragglers=stragglers, straggler_delay=extra_delay,
@@ -808,30 +669,6 @@ def plan_ablation_stragglers(straggler_counts: Sequence[int] = (0, 1, 2),
         specs=specs,
     )
     return plan.with_replications(seeds)
-
-
-def ablation_stragglers(straggler_counts: Sequence[int] = (0, 1, 2),
-                        extra_delay: float = 1.0, payload_size: int = 100_000,
-                        duration: float = 20.0, warmup: float = 2.0,
-                        seed: int = 0,
-                        seeds: int = 1, jobs: int = 1, cache_dir: Optional[str] = None,
-                        use_cache: bool = True,
-                        progress: Optional[ProgressCallback] = None) -> FigureResult:
-    """Fast-path hit rate as a function of the number of straggler replicas.
-
-    ``p = 1`` Banyan needs all but one replica to respond quickly; planting
-    stragglers (honest replicas whose outbound messages are delayed) shows
-    the fast-path hit rate degrading gracefully while latency falls back to
-    the ICC slow path — the "no penalties" property of the dual mode.  The
-    interesting regime is ``p < stragglers <= n - quorum``: the slow-path
-    quorums are still met by the prompt replicas, so SP-finalization
-    overtakes the fast path.
-    """
-    return run_figure(plan_ablation_stragglers(straggler_counts, extra_delay,
-                                               payload_size, duration, warmup,
-                                               seed, seeds),
-                      jobs=jobs, cache_dir=cache_dir, use_cache=use_cache,
-                      progress=progress)
 
 
 #: Plan builders by figure name (used by the CLI's ``figure`` subcommand).

@@ -16,7 +16,6 @@ import math
 import pytest
 
 from repro.eval.experiment import ExperimentConfig, run_experiment
-from repro.eval.plan import ExperimentSpec
 from repro.eval.runner import run_plan
 from repro.eval.scenarios import figure_from_plan, plan_crypto_bound
 from repro.net.latency import ConstantLatency
@@ -336,39 +335,38 @@ class TestComputeMetricsAndSerialization:
         assert rebuilt.config.compute_scale == 2.0
 
     def test_spec_hash_unchanged_by_default_compute(self):
-        base = ExperimentSpec(protocol="banyan",
-                              params=ProtocolParams(n=4, f=1, p=1))
-        explicit = ExperimentSpec(protocol="banyan",
-                                  params=ProtocolParams(n=4, f=1, p=1),
-                                  compute="zero", compute_scale=1.0)
+        base = ExperimentConfig(protocol="banyan",
+                                params=ProtocolParams(n=4, f=1, p=1))
+        explicit = ExperimentConfig(protocol="banyan",
+                                    params=ProtocolParams(n=4, f=1, p=1),
+                                    compute="zero", compute_scale=1.0)
         assert explicit.content_hash() == base.content_hash()
         assert "compute" not in base.to_dict()
         # A scale the zero model never reads must not change the hash.
-        scaled = ExperimentSpec(protocol="banyan",
-                                params=ProtocolParams(n=4, f=1, p=1),
-                                compute_scale=7.0)
+        scaled = ExperimentConfig(protocol="banyan",
+                                  params=ProtocolParams(n=4, f=1, p=1),
+                                  compute_scale=7.0)
         assert scaled.content_hash() == base.content_hash()
 
     def test_spec_hash_distinguishes_compute_models(self):
-        base = ExperimentSpec(protocol="banyan",
-                              params=ProtocolParams(n=4, f=1, p=1))
-        crypto = ExperimentSpec(protocol="banyan",
-                                params=ProtocolParams(n=4, f=1, p=1),
-                                compute="crypto")
-        scaled = ExperimentSpec(protocol="banyan",
-                                params=ProtocolParams(n=4, f=1, p=1),
-                                compute="crypto", compute_scale=2.0)
+        base = ExperimentConfig(protocol="banyan",
+                                params=ProtocolParams(n=4, f=1, p=1))
+        crypto = ExperimentConfig(protocol="banyan",
+                                  params=ProtocolParams(n=4, f=1, p=1),
+                                  compute="crypto")
+        scaled = ExperimentConfig(protocol="banyan",
+                                  params=ProtocolParams(n=4, f=1, p=1),
+                                  compute="crypto", compute_scale=2.0)
         assert len({base.content_hash(), crypto.content_hash(),
                     scaled.content_hash()}) == 3
 
-    def test_spec_round_trip_and_to_config(self):
-        spec = ExperimentSpec(protocol="banyan",
-                              params=ProtocolParams(n=4, f=1, p=1),
-                              compute="crypto", compute_scale=3.0)
-        assert ExperimentSpec.from_dict(spec.to_dict()).to_dict() == spec.to_dict()
-        config = spec.to_config()
-        assert (config.compute, config.compute_scale) == ("crypto", 3.0)
-        assert ExperimentSpec.from_config(config).to_dict() == spec.to_dict()
+    def test_config_round_trip(self):
+        config = ExperimentConfig(protocol="banyan",
+                                  params=ProtocolParams(n=4, f=1, p=1),
+                                  compute="crypto", compute_scale=3.0)
+        rebuilt = ExperimentConfig.from_dict(config.to_dict())
+        assert rebuilt.to_dict() == config.to_dict()
+        assert (rebuilt.compute, rebuilt.compute_scale) == ("crypto", 3.0)
 
 
 class TestCryptoBoundScenario:

@@ -9,11 +9,12 @@ from repro.analysis.stats import confidence_interval_95, improvement_pct
 from repro.eval.experiment import ExperimentConfig, run_experiment, sweep_payload_sizes
 from repro.eval.scenarios import (
     GLOBAL_RANK_DELAY,
-    ablation_p_sweep,
-    ablation_stragglers,
-    figure_6b,
-    figure_6c,
-    figure_6d,
+    plan_ablation_p_sweep,
+    plan_ablation_stragglers,
+    plan_figure_6b,
+    plan_figure_6c,
+    plan_figure_6d,
+    run_figure,
 )
 from repro.eval.table1 import TABLE1_SPECS, banyan_beats_or_matches_all, table1_rows
 from repro.net.faults import FaultPlan
@@ -136,14 +137,16 @@ class TestFigureScenarios:
     """Quick versions of the figure scenarios: check the *shape* of results."""
 
     def test_figure_6b_banyan_beats_icc(self):
-        figure = figure_6b(payload_sizes=(500_000,), duration=10.0, warmup=1.0)
+        figure = run_figure(plan_figure_6b(payload_sizes=(500_000,), duration=10.0,
+                                           warmup=1.0))
         assert figure.improvement_over("icc", "banyan (p=1)", 500_000) > 5.0
         assert figure.mean_latency("hotstuff", 500_000) > figure.mean_latency("icc", 500_000)
         text = figure.render()
         assert "banyan (p=1)" in text and "Figure 6b" in text
 
     def test_figure_6c_variance_comparable(self):
-        figure = figure_6c(payload_size=500_000, duration=12.0, warmup=1.0)
+        figure = run_figure(plan_figure_6c(payload_size=500_000, duration=12.0,
+                                           warmup=1.0))
         banyan = next(r for r in figure.results if r.label == "banyan (p=1)")
         icc = next(r for r in figure.results if r.label == "icc")
         assert banyan.metrics.mean_latency < icc.metrics.mean_latency
@@ -151,7 +154,8 @@ class TestFigureScenarios:
         assert banyan.metrics.latency_stddev < icc.metrics.mean_latency
 
     def test_figure_6d_crashes_degrade_but_do_not_stop(self):
-        figure = figure_6d(crash_counts=(0, 2), payload_size=20_000, duration=24.0, warmup=1.0)
+        figure = run_figure(plan_figure_6d(crash_counts=(0, 2), payload_size=20_000,
+                                           duration=24.0, warmup=1.0))
         for label in ("banyan (p=1)", "icc"):
             rows = figure.series[label]
             assert rows[0]["committed_blocks"] > rows[1]["committed_blocks"] > 0
@@ -162,14 +166,16 @@ class TestFigureScenarios:
         assert abs(banyan_crashed - icc_crashed) <= max(2, 0.1 * icc_crashed)
 
     def test_ablation_p_sweep_runs(self):
-        figure = ablation_p_sweep(p_values=(1, 4), payload_size=50_000, duration=8.0, warmup=1.0)
+        figure = run_figure(plan_ablation_p_sweep(p_values=(1, 4), payload_size=50_000,
+                                                  duration=8.0, warmup=1.0))
         assert len(figure.results) == 2
         for rows in figure.series.values():
             assert rows[0]["committed_blocks"] > 0
 
     def test_ablation_stragglers_degrades_fast_path(self):
-        figure = ablation_stragglers(straggler_counts=(0, 2), extra_delay=1.0,
-                                     payload_size=10_000, duration=10.0, warmup=1.0)
+        figure = run_figure(plan_ablation_stragglers(
+            straggler_counts=(0, 2), extra_delay=1.0, payload_size=10_000,
+            duration=10.0, warmup=1.0))
         rows = figure.series["banyan (p=1)"]
         assert rows[0]["fast_path_ratio"] > rows[1]["fast_path_ratio"]
 

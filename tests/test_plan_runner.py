@@ -8,12 +8,7 @@ import os
 import pytest
 
 from repro.eval.experiment import ExperimentConfig, ExperimentResult, run_experiment
-from repro.eval.plan import (
-    ExperimentPlan,
-    ExperimentSpec,
-    derive_subseed,
-    payload_sweep_plan,
-)
+from repro.eval.plan import ExperimentPlan, derive_subseed, payload_sweep_plan
 from repro.eval.runner import cache_path, run_plan
 from repro.eval.scenarios import (
     GLOBAL_RANK_DELAY,
@@ -27,7 +22,7 @@ from repro.protocols.base import ProtocolParams
 from repro.workload.spec import WorkloadSpec
 
 
-def _small_spec(**overrides) -> ExperimentSpec:
+def _small_config(**overrides) -> ExperimentConfig:
     defaults = dict(
         protocol="banyan",
         params=ProtocolParams(n=4, f=1, p=1, rank_delay=GLOBAL_RANK_DELAY,
@@ -38,13 +33,13 @@ def _small_spec(**overrides) -> ExperimentSpec:
         seed=7,
     )
     defaults.update(overrides)
-    return ExperimentSpec(**defaults)
+    return ExperimentConfig(**defaults)
 
 
 def _small_plan(seeds: int = 1) -> ExperimentPlan:
     specs = [
-        _small_spec(label="banyan (p=1)", cell="payload=50000"),
-        _small_spec(protocol="icc", label="icc", cell="payload=50000"),
+        _small_config(label="banyan (p=1)", cell="payload=50000"),
+        _small_config(protocol="icc", label="icc", cell="payload=50000"),
     ]
     return ExperimentPlan(name="test", title="test plan", specs=specs
                           ).with_replications(seeds)
@@ -61,7 +56,7 @@ class TestSubSeeds:
         assert derive_subseed(0, 1, "net") != derive_subseed(1, 1, "net")
 
     def test_replicated_specs_have_distinct_seeds(self):
-        spec = _small_spec(workload=WorkloadSpec(rate=20.0, seed=7))
+        spec = _small_config(workload=WorkloadSpec(rate=20.0, seed=7))
         reps = spec.replicated(3)
         assert [r.replication for r in reps] == [0, 1, 2]
         assert reps[0].seed == 7 and reps[0].workload.seed == 7
@@ -73,12 +68,12 @@ class TestSubSeeds:
 
     def test_replications_must_be_positive(self):
         with pytest.raises(ValueError):
-            _small_spec().replicated(0)
+            _small_config().replicated(0)
 
 
-class TestSpecSerialization:
-    def test_spec_round_trip(self):
-        spec = _small_spec(
+class TestConfigSerialization:
+    def test_config_round_trip(self):
+        spec = _small_config(
             faults=FaultPlan(drop_probability=0.01,
                              partitions=PartitionPlan.single(1.0, 2.0, [0], [1, 2, 3])),
             workload=WorkloadSpec(rate=25.0, seed=3),
@@ -86,18 +81,18 @@ class TestSpecSerialization:
             cell="payload=50000",
             stragglers=1,
         )
-        restored = ExperimentSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        restored = ExperimentConfig.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert restored.to_dict() == spec.to_dict()
         assert restored.content_hash() == spec.content_hash()
 
     def test_content_hash_sensitivity(self):
-        spec = _small_spec()
-        assert spec.content_hash() == _small_spec().content_hash()
-        assert spec.content_hash() != _small_spec(seed=8).content_hash()
-        assert spec.content_hash() != _small_spec(duration=6.0).content_hash()
-        assert spec.content_hash() != _small_spec(replication=1).content_hash()
+        spec = _small_config()
+        assert spec.content_hash() == _small_config().content_hash()
+        assert spec.content_hash() != _small_config(seed=8).content_hash()
+        assert spec.content_hash() != _small_config(duration=6.0).content_hash()
+        assert spec.content_hash() != _small_config(replication=1).content_hash()
 
-    def test_from_config_round_trip(self):
+    def test_topology_object_round_trips_as_placement(self):
         config = ExperimentConfig(
             protocol="icc",
             params=ProtocolParams(n=4, f=1, rank_delay=GLOBAL_RANK_DELAY),
@@ -105,9 +100,24 @@ class TestSpecSerialization:
             duration=5.0,
             seed=3,
         )
-        spec = ExperimentSpec.from_config(config)
-        rebuilt = spec.to_config()
+        rebuilt = ExperimentConfig.from_dict(config.to_dict())
         assert rebuilt.to_dict() == config.to_dict()
+        assert rebuilt.topology == tuple(config.to_dict()["topology"])
+        assert [d.name for d in rebuilt.resolved_topology().datacenters()] == \
+               [d.name for d in config.resolved_topology().datacenters()]
+
+    def test_observer_is_written_only_when_set(self):
+        assert "observer" not in _small_config().to_dict()
+        data = _small_config(observer=2).to_dict()
+        assert data["observer"] == 2
+        assert ExperimentConfig.from_dict(data).observer == 2
+
+    def test_unknown_keys_are_rejected(self):
+        data = _small_config().to_dict()
+        data["durration"] = 9.0
+        data["foreign"] = 1
+        with pytest.raises(ValueError, match="durration, foreign"):
+            ExperimentConfig.from_dict(data)
 
     def test_plan_round_trip(self):
         plan = _small_plan(seeds=2)
@@ -117,8 +127,8 @@ class TestSpecSerialization:
                [s.content_hash() for s in plan.specs]
 
     def test_named_and_placement_topologies_resolve(self):
-        by_name = _small_spec(topology="global4").resolved_topology()
-        by_placement = _small_spec(
+        by_name = _small_config(topology="global4").resolved_topology()
+        by_placement = _small_config(
             topology=tuple(by_name.datacenter(i).name for i in by_name.replica_ids)
         ).resolved_topology()
         assert [d.name for d in by_placement.datacenters()] == \
@@ -127,18 +137,18 @@ class TestSpecSerialization:
 
 class TestResultSerialization:
     def test_experiment_result_round_trip_lossless(self):
-        result = run_experiment(_small_spec().to_config())
+        result = run_experiment(_small_config())
         restored = ExperimentResult.from_dict(json.loads(json.dumps(result.to_dict())))
         assert restored.row() == result.row()
         assert restored.to_dict() == result.to_dict()
         assert restored.metrics.latency_samples == result.metrics.latency_samples
 
     def test_workload_metrics_round_trip_lossless(self):
-        spec = _small_spec(
+        spec = _small_config(
             warmup=0.0,
             workload=WorkloadSpec(rate=30.0, seed=7, sample_interval=0.5),
         )
-        result = run_experiment(spec.to_config())
+        result = run_experiment(spec)
         assert result.workload is not None and result.workload.committed > 0
         restored = ExperimentResult.from_dict(json.loads(json.dumps(result.to_dict())))
         assert restored.workload.to_dict() == result.workload.to_dict()
@@ -155,7 +165,7 @@ class TestResultSerialization:
         with pytest.raises(ValueError):
             config.to_dict()
         with pytest.raises(ValueError):
-            ExperimentSpec.from_config(config)
+            config.content_hash()
 
     def test_non_catalogue_topology_is_rejected(self):
         from repro.net.topology import Datacenter, Topology
@@ -166,15 +176,12 @@ class TestResultSerialization:
         )
         with pytest.raises(ValueError):
             config.to_dict()
-        with pytest.raises(ValueError):
-            ExperimentSpec.from_config(config)
         # Same name as a catalogue region but different coordinates: silently
         # substituting the catalogue entry would change the network.
         imposter = Topology([Datacenter("us-east-1", 0.0, 0.0)] * 4)
         with pytest.raises(ValueError):
-            ExperimentSpec.from_config(
-                ExperimentConfig(protocol="icc", params=ProtocolParams(n=4, f=1),
-                                 topology=imposter))
+            ExperimentConfig(protocol="icc", params=ProtocolParams(n=4, f=1),
+                             topology=imposter).content_hash()
 
 
 class TestRunner:
@@ -239,7 +246,7 @@ class TestAggregation:
     def test_single_replication_rows_unchanged(self):
         plan = plan_figure_6b(payload_sizes=(500_000,), duration=5.0, warmup=1.0)
         figure = figure_from_plan(plan, run_plan(plan))
-        direct = run_experiment(plan.specs[0].to_config())
+        direct = run_experiment(plan.specs[0])
         assert figure.series["banyan (p=1)"][0] == direct.row()
         assert not any("_ci95" in key for rows in figure.series.values()
                        for row in rows for key in row)
@@ -285,7 +292,7 @@ class TestAggregation:
 
 class TestPayloadSweep:
     def test_payload_sweep_plan_cells(self):
-        base = _small_spec()
+        base = _small_config()
         plan = payload_sweep_plan(base, [10_000, 20_000])
         assert [s.params.payload_size for s in plan.specs] == [10_000, 20_000]
         assert [s.cell for s in plan.specs] == ["payload=10000", "payload=20000"]

@@ -202,6 +202,26 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "mean_latency_ms_ci95" in out
 
+    @pytest.mark.parametrize("command", [
+        ["figure", "6b"], ["run"], ["workload", "saturation"], ["chaos"],
+    ])
+    def test_jobs_must_be_positive(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + ["--jobs", "0"])
+        assert exit_info.value.code == 2
+        assert "argument --jobs: must be a positive integer, got 0" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["figure", "6b"], ["run"], ["workload", "saturation"],
+    ])
+    def test_seeds_must_be_positive(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + ["--seeds", "0"])
+        assert exit_info.value.code == 2
+        assert "argument --seeds: must be a positive integer, got 0" in \
+            capsys.readouterr().err
+
     def test_workload_command_accepts_runner_flags(self, capsys):
         assert main([
             "workload", "saturation", "--rates", "20", "--duration", "5",

@@ -4,8 +4,7 @@ Four seams of the n=256 scaling PR are pinned here:
 
 * the measured inter-region RTT matrix and the :class:`WanMatrixLatency`
   model built on it (lookup, symmetry, fallback, jitter bounds),
-* its wiring through :class:`ExperimentConfig` / :class:`ExperimentSpec`
-  serialisation — including that default-``geo`` configs keep their
+* its wiring through :class:`ExperimentConfig` serialisation — including that default-``geo`` configs keep their
   serialised shape (and hence their result-cache hashes),
 * determinism of the batched event loop: ``run()`` (which groups
   same-instant broadcast deliveries into one heap event) must produce
@@ -22,8 +21,7 @@ import random
 import pytest
 
 from repro.eval.experiment import ExperimentConfig, run_experiment
-from repro.eval.plan import ExperimentSpec
-from repro.eval.scenarios import plan_scale_sweep, scale_sweep
+from repro.eval.scenarios import plan_scale_sweep, run_figure
 from repro.net.faults import FaultPlan
 from repro.net.latency import (
     ConstantLatency,
@@ -105,7 +103,7 @@ class TestLatencyModelSerialization:
     def test_config_round_trips_wan_matrix(self):
         config = ExperimentConfig(protocol="banyan",
                                   params=ProtocolParams(n=4, f=1, p=1),
-                                  latency_model="wan-matrix")
+                                  topology="global4", latency_model="wan-matrix")
         data = config.to_dict()
         assert data["latency_model"] == "wan-matrix"
         assert ExperimentConfig.from_dict(data).latency_model == "wan-matrix"
@@ -116,18 +114,6 @@ class TestLatencyModelSerialization:
         config = ExperimentConfig(protocol="banyan",
                                   params=ProtocolParams(n=4, f=1, p=1))
         assert "latency_model" not in config.to_dict()
-
-    def test_spec_round_trips_wan_matrix(self):
-        spec = ExperimentSpec(protocol="banyan",
-                              params=ProtocolParams(n=4, f=1, p=1),
-                              topology="global4", latency_model="wan-matrix")
-        data = spec.to_dict()
-        assert data["latency_model"] == "wan-matrix"
-        rebuilt = ExperimentSpec.from_dict(data)
-        assert rebuilt.latency_model == "wan-matrix"
-        assert "latency_model" not in ExperimentSpec(
-            protocol="banyan", params=ProtocolParams(n=4, f=1, p=1),
-            topology="global4").to_dict()
 
     def test_wan_matrix_run_executes(self):
         config = ExperimentConfig(protocol="banyan",
@@ -151,16 +137,17 @@ class TestScaleSweepPlan:
             assert spec.workload.rate == 20_000.0
             assert isinstance(spec.workload.build_pool(), ClientPool)
             assert spec.latency_model == "wan-matrix"
-            # The whole plan must survive the spec/cache serialisation
+            # The whole plan must survive the cache serialisation
             # (content equality: FaultPlan instances compare by identity).
-            assert ExperimentSpec.from_dict(spec.to_dict()).to_dict() == spec.to_dict()
+            assert ExperimentConfig.from_dict(spec.to_dict()).to_dict() == spec.to_dict()
 
     def test_small_sweep_commits_client_transactions(self):
         # At n=16 the sweep's 20k tx/s keeps every leader's FIFO mempool
         # longer than one block, so within 1 s only the oldest transactions
         # commit: the run is measured from t=0, since a 0.25 s warm-up cut
         # would exclude every one of them.
-        figure = scale_sweep(replica_counts=(16,), duration=1.0, warmup=0.0)
+        figure = run_figure(plan_scale_sweep(replica_counts=(16,), duration=1.0,
+                                             warmup=0.0))
         (result,) = figure.results
         workload = result.workload
         assert result.config.params.n == 16

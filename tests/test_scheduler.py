@@ -573,15 +573,14 @@ class TestBackendSelection:
         assert NetworkConfig().scheduler == "auto"
         assert "auto" in SCHEDULERS
 
-    def test_spec_round_trips_scheduler(self):
-        from repro.eval.plan import ExperimentSpec
+    def test_config_round_trips_scheduler(self):
+        from repro.eval.experiment import ExperimentConfig
 
-        spec = ExperimentSpec(protocol="banyan",
-                              params=ProtocolParams(n=4, f=1, p=1),
-                              scheduler="calendar")
-        assert ExperimentSpec.from_dict(spec.to_dict()).scheduler == "calendar"
-        assert spec.to_config().scheduler == "calendar"
-        # Default-"auto" specs keep their serialized shape (cache hashes).
-        default = ExperimentSpec(protocol="banyan",
-                                 params=ProtocolParams(n=4, f=1, p=1))
+        config = ExperimentConfig(protocol="banyan",
+                                  params=ProtocolParams(n=4, f=1, p=1),
+                                  scheduler="calendar")
+        assert ExperimentConfig.from_dict(config.to_dict()).scheduler == "calendar"
+        # Default-"auto" configs keep their serialized shape (cache hashes).
+        default = ExperimentConfig(protocol="banyan",
+                                   params=ProtocolParams(n=4, f=1, p=1))
         assert "scheduler" not in default.to_dict()

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import pytest
 
 from repro.eval.experiment import ExperimentConfig
-from repro.eval.plan import ExperimentSpec
 from repro.eval.scenarios import plan_uplink_contention
 from repro.net.bandwidth import BandwidthModel
 from repro.net.faults import FaultPlan
@@ -51,19 +50,19 @@ def _models(n=4, latency_s=0.05, drop=0.0):
 
 class TestSpecCompatibility:
     def test_spec_content_hash_unchanged_by_transport_fields(self):
-        # The cache key of a default-transport spec must be the exact hash
+        # The cache key of a default-transport config must be the exact hash
         # the pre-transport code produced, or every existing cache entry
         # and scenario hash would silently invalidate.
-        spec = ExperimentSpec(
+        config = ExperimentConfig(
             protocol="banyan",
             params=ProtocolParams(n=4, f=1, p=1, rank_delay=0.6),
             topology="global4", duration=20.0, warmup=2.0, seed=0,
             cell="payload=0",
         )
-        assert spec.content_hash() == (
+        assert config.content_hash() == (
             "2d8570f03596f09d8b1a2df02a4ac2c6cf365e41068248ec77624df9638c255b"
         )
-        data = spec.to_dict()
+        data = config.to_dict()
         assert "transport" not in data
         assert "uplink_mbps" not in data
         assert "relays" not in data
@@ -510,27 +509,27 @@ class TestConfigSerialization:
     def test_unread_transport_knobs_do_not_change_the_hash(self):
         # A knob the selected transport never consults must not enter the
         # serialised form, or identical experiments would miss the cache.
-        contended = ExperimentSpec(protocol="banyan",
-                                   params=ProtocolParams(n=4, f=1, p=1),
-                                   transport="contended", uplink_mbps=50.0)
-        with_relays = ExperimentSpec(protocol="banyan",
+        contended = ExperimentConfig(protocol="banyan",
                                      params=ProtocolParams(n=4, f=1, p=1),
-                                     transport="contended", uplink_mbps=50.0,
-                                     relays=5)
+                                     transport="contended", uplink_mbps=50.0)
+        with_relays = ExperimentConfig(protocol="banyan",
+                                       params=ProtocolParams(n=4, f=1, p=1),
+                                       transport="contended", uplink_mbps=50.0,
+                                       relays=5)
         assert with_relays.content_hash() == contended.content_hash()
-        direct = ExperimentSpec(protocol="banyan",
-                                params=ProtocolParams(n=4, f=1, p=1))
-        direct_with_uplink = ExperimentSpec(protocol="banyan",
-                                            params=ProtocolParams(n=4, f=1, p=1),
-                                            uplink_mbps=50.0)
+        direct = ExperimentConfig(protocol="banyan",
+                                  params=ProtocolParams(n=4, f=1, p=1))
+        direct_with_uplink = ExperimentConfig(protocol="banyan",
+                                              params=ProtocolParams(n=4, f=1, p=1),
+                                              uplink_mbps=50.0)
         assert direct_with_uplink.content_hash() == direct.content_hash()
         # An explicitly-passed default uplink is the same experiment as None.
-        implicit = ExperimentSpec(protocol="banyan",
-                                  params=ProtocolParams(n=4, f=1, p=1),
-                                  transport="contended")
-        explicit = ExperimentSpec(protocol="banyan",
-                                  params=ProtocolParams(n=4, f=1, p=1),
-                                  transport="contended", uplink_mbps=1000.0)
+        implicit = ExperimentConfig(protocol="banyan",
+                                    params=ProtocolParams(n=4, f=1, p=1),
+                                    transport="contended")
+        explicit = ExperimentConfig(protocol="banyan",
+                                    params=ProtocolParams(n=4, f=1, p=1),
+                                    transport="contended", uplink_mbps=1000.0)
         assert explicit.content_hash() == implicit.content_hash()
 
     def test_default_config_omits_transport_keys(self):
@@ -541,20 +540,19 @@ class TestConfigSerialization:
         rebuilt = ExperimentConfig.from_dict(data)
         assert rebuilt.transport == "direct" and rebuilt.relays == 2
 
-    def test_spec_round_trip_and_to_config(self):
-        spec = ExperimentSpec(
+    def test_config_round_trip(self):
+        config = ExperimentConfig(
             protocol="banyan", params=ProtocolParams(n=4, f=1, p=1),
             transport="relay", relays=4,
         )
-        assert ExperimentSpec.from_dict(spec.to_dict()).to_dict() == spec.to_dict()
-        config = spec.to_config()
-        assert config.transport == "relay" and config.relays == 4
-        assert ExperimentSpec.from_config(config).to_dict() == spec.to_dict()
+        rebuilt = ExperimentConfig.from_dict(config.to_dict())
+        assert rebuilt.to_dict() == config.to_dict()
+        assert rebuilt.transport == "relay" and rebuilt.relays == 4
 
     def test_spec_hash_distinguishes_transports(self):
-        base = ExperimentSpec(protocol="banyan",
-                              params=ProtocolParams(n=4, f=1, p=1))
-        contended = ExperimentSpec(protocol="banyan",
-                                   params=ProtocolParams(n=4, f=1, p=1),
-                                   transport="contended", uplink_mbps=50.0)
+        base = ExperimentConfig(protocol="banyan",
+                                params=ProtocolParams(n=4, f=1, p=1))
+        contended = ExperimentConfig(protocol="banyan",
+                                     params=ProtocolParams(n=4, f=1, p=1),
+                                     transport="contended", uplink_mbps=50.0)
         assert base.content_hash() != contended.content_hash()

@@ -17,7 +17,7 @@ from array import array
 import pytest
 
 from repro.eval.experiment import ExperimentConfig, run_experiment
-from repro.eval.scenarios import flash_crowd, saturation_sweep
+from repro.eval.scenarios import plan_flash_crowd, plan_saturation_sweep, run_figure
 from repro.net.faults import CrashSchedule, FaultPlan
 from repro.net.latency import ConstantLatency
 from repro.protocols.base import Protocol, ProtocolParams
@@ -929,7 +929,7 @@ class TestInjectionDeterminism:
 
 class TestWorkloadScenarios:
     def test_saturation_sweep_reports_latency_percentiles_and_goodput(self):
-        figure = saturation_sweep(rates=(10, 40), duration=10.0, seed=0)
+        figure = run_figure(plan_saturation_sweep(rates=(10, 40), duration=10.0, seed=0))
         (label, rows), = figure.series.items()
         assert "banyan" in label
         assert len(rows) == 2
@@ -946,13 +946,15 @@ class TestWorkloadScenarios:
         assert "tx_p95_ms" in rendered and "goodput_tx_per_s" in rendered
 
     def test_saturation_sweep_is_deterministic(self):
-        rows_a = saturation_sweep(rates=(25,), duration=8.0, seed=3).series
-        rows_b = saturation_sweep(rates=(25,), duration=8.0, seed=3).series
+        plan = plan_saturation_sweep(rates=(25,), duration=8.0, seed=3)
+        rows_a = run_figure(plan).series
+        rows_b = run_figure(plan).series
         assert rows_a == rows_b
 
     def test_flash_crowd_fills_and_drains_the_mempools(self):
-        figure = flash_crowd(base_rate=10.0, burst_rate=200.0, burst_start=6.0,
-                             burst_duration=3.0, duration=30.0, seed=0)
+        figure = run_figure(plan_flash_crowd(base_rate=10.0, burst_rate=200.0,
+                                             burst_start=6.0, burst_duration=3.0,
+                                             duration=30.0, seed=0))
         workload = figure.results[0].workload
         assert workload is not None
         samples = workload.occupancy
@@ -968,8 +970,8 @@ class TestWorkloadScenarios:
 
     def test_flash_crowd_is_deterministic(self):
         def occupancy():
-            figure = flash_crowd(base_rate=10.0, burst_rate=150.0, duration=20.0,
-                                 seed=5)
+            figure = run_figure(plan_flash_crowd(base_rate=10.0, burst_rate=150.0,
+                                                 duration=20.0, seed=5))
             return [(s.time, s.transactions)
                     for s in figure.results[0].workload.occupancy]
 
