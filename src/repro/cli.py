@@ -56,15 +56,21 @@ _WORKLOADS = {
 }
 
 
-def _positive_int(text: str) -> int:
-    """Parse a positive integer flag value (``--jobs``, ``--seeds``)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _positive(cast, noun: str):
+    """An argparse type: ``cast(text)``, which must be finite and above 0."""
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {cast.__name__} value {text!r}")
+        if not math.isfinite(value) or value <= 0:
+            raise argparse.ArgumentTypeError(f"must be a positive {noun}, got {value:g}")
+        return value
+    return parse
+
+
+_positive_int = _positive(int, "integer")
+_positive_float = _positive(float, "number")
 
 
 def _rate_list(text: str) -> List[float]:
@@ -130,16 +136,16 @@ def _build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--transport", choices=available_transports(),
                             default="direct",
                             help="dissemination strategy (default: direct)")
-    run_parser.add_argument("--uplink-mbps", type=float, default=None,
+    run_parser.add_argument("--uplink-mbps", type=_positive_float, default=None,
                             help="per-replica NIC capacity in Mbit/s for the "
                                  "contended transport (default: 1000)")
-    run_parser.add_argument("--relays", type=int, default=None,
+    run_parser.add_argument("--relays", type=_positive_int, default=None,
                             help="relay fan-out for the relay transport (default: 2)")
     run_parser.add_argument("--compute", choices=available_compute_models(),
                             default="zero",
                             help="replica compute model (default: zero — "
                                  "message handling is free)")
-    run_parser.add_argument("--compute-scale", type=float, default=None,
+    run_parser.add_argument("--compute-scale", type=_positive_float, default=None,
                             help="cost multiplier for the crypto compute "
                                  "model (default: 1.0)")
     run_parser.add_argument("--scheduler", choices=SCHEDULERS, default="auto",
@@ -200,7 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="fault bound (default: largest sound f)")
     chaos_parser.add_argument("--p", type=int, default=1,
                               help="fast-path parameter (default: 1)")
-    chaos_parser.add_argument("--duration", type=float, default=15.0,
+    chaos_parser.add_argument("--duration", type=_positive_float, default=15.0,
                               help="simulated seconds per trial (default: 15; "
                                    "short runs still check safety but may "
                                    "leave no tail for the liveness check)")
@@ -237,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                 help="fault bound (default: largest sound f)")
     cluster_parser.add_argument("--p", type=int, default=None,
                                 help="fast-path parameter (default: max(1, f))")
-    cluster_parser.add_argument("--duration", type=float, default=10.0,
+    cluster_parser.add_argument("--duration", type=_positive_float, default=10.0,
                                 help="wall-clock seconds of protocol time "
                                      "(default: 10)")
     cluster_parser.add_argument("--rank-delay", type=float, default=0.05,
@@ -355,17 +361,23 @@ def _no_window_error(duration: float, warmup: float) -> Optional[str]:
             f"the {warmup:g} s warm-up; raise --duration above {warmup:g}")
 
 
+def _checked_params(protocol: str, **fields) -> ProtocolParams:
+    """``ProtocolParams(**fields)``; building one replica runs the protocol's
+    own checks (the resilience bound names the nearest valid ``n``)."""
+    params = ProtocolParams(**fields)
+    create_replicas(protocol, params, replica_ids=(0,))
+    return params
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     error = _no_window_error(args.duration, ExperimentConfig.warmup)
     if error is not None:
         print(f"banyan-repro run: error: {error}", file=sys.stderr)
         return 2
     try:
-        params = ProtocolParams(n=args.n, f=args.f, p=args.p, payload_size=args.payload,
-                                rank_delay=scenarios.GLOBAL_RANK_DELAY)
-        # Building a replica runs the protocol's own parameter checks (the
-        # resilience bound) before any experiment starts.
-        create_replicas(args.protocol, params, replica_ids=(0,))
+        params = _checked_params(args.protocol, n=args.n, f=args.f, p=args.p,
+                                 payload_size=args.payload,
+                                 rank_delay=scenarios.GLOBAL_RANK_DELAY)
     except ValueError as exc:
         print(f"banyan-repro run: error: {exc}", file=sys.stderr)
         return 2
@@ -579,7 +591,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
     from repro.chaos.engine import DEFAULT_PROTOCOLS, ChaosTrialSpec
     from repro.chaos.schedule import ChaosSchedule
-    from repro.cluster.harness import run_local_cluster
+    from repro.cluster.harness import fault_bounds, run_local_cluster
 
     common = dict(
         n=args.n, f=args.f, p=args.p, duration=args.duration,
@@ -639,6 +651,14 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                   f"{args.protocol!r}", file=sys.stderr)
             return 2
         protocols = (args.protocol,)
+    f, p = fault_bounds(args.n, args.f, args.p)
+    for protocol in protocols:
+        # Nothing is spawned for an unsound (n, f, p).
+        try:
+            _checked_params(protocol, n=args.n, f=f, p=p)
+        except ValueError as exc:
+            print(f"banyan-repro cluster: error: {exc}", file=sys.stderr)
+            return 2
 
     headers = ["protocol", "blocks", "fast", "slow", "mean_interval_ms",
                "mean_latency_ms", "tx_committed", "violations"]

@@ -106,6 +106,14 @@ def pick_free_ports(count: int) -> List[int]:
             sock.close()
 
 
+def fault_bounds(n: int, f: Optional[int] = None,
+                 p: Optional[int] = None) -> Tuple[int, int]:
+    """``(f, p)`` with the cluster defaults filled in: the largest sound
+    ``f`` for ``n``, and ``p = max(1, f)``."""
+    f = (n - 1) // 3 if f is None else f
+    return f, (max(1, f) if p is None else p)
+
+
 @dataclass
 class ReplicaHandle:
     """One spawned replica process and its on-disk artifacts."""
@@ -157,8 +165,7 @@ class LocalCluster:
     ) -> None:
         self.protocol = protocol
         self.n = n
-        self.f = (n - 1) // 3 if f is None else f
-        self.p = max(1, self.f) if p is None else p
+        self.f, self.p = fault_bounds(n, f, p)
         self.duration = duration
         self.log_dir = Path(log_dir)
         self.schedule = schedule or ChaosSchedule()

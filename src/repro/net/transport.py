@@ -25,6 +25,14 @@ Three strategies are provided:
   relay replicas which re-forward to the rest, trading one hop of extra
   latency for O(k) sender fan-out.
 
+Each strategy prices a broadcast one reference way — per-copy ``unicast``
+for Direct and Contended, the tree ``broadcast`` for Relay — plus at most
+one fault-free fast shape that equals it bit for bit, rng draws and
+counters included: an aligned arrival row, or Direct's numpy array.
+``broadcast_times`` is derived from the two; only Direct overrides it, for
+faults that never interleave drop draws with propagation draws (crashes,
+partitions, any fault under a jitter-free model).
+
 Transports are selected by name through
 :class:`repro.runtime.simulator.NetworkConfig` (``transport="contended"``)
 and built by :func:`build_transport`; custom strategies subclass
@@ -101,8 +109,12 @@ class Transport(ABC):
     absent (``None`` / missing from the list).  The caller (the simulator)
     does the accounting and event scheduling.
 
-    Implementations must draw from ``rng`` in a deterministic per-receiver
-    order so that a fixed seed reproduces the execution.
+    The contract: one reference pricing (the base :meth:`broadcast` loops
+    :meth:`unicast` per copy, or a subclass overrides it), at most one
+    fault-free fast shape that reproduces it exactly
+    (:meth:`broadcast_arrival_row` / :meth:`broadcast_arrival_array`), and
+    a derived :meth:`broadcast_times`.  ``rng`` is drawn in a fixed
+    per-receiver order so that a fixed seed reproduces the execution.
     """
 
     def __init__(self, latency: LatencyModel, bandwidth: BandwidthModel,
@@ -170,11 +182,14 @@ class Transport(ABC):
         """:meth:`broadcast` reduced to ``(receiver, deliver_at)`` pairs.
 
         The simulator's event loop only needs the arrival instants, not the
-        delay decomposition, so the hot path skips one :class:`Delivery`
-        allocation per copy (n of them per broadcast).  Overrides must
-        consume ``rng`` and mutate transport state (NIC queues, counters)
-        exactly as :meth:`broadcast` would — the golden corpus pins this.
+        delay decomposition: the transport's row is zipped when it has one,
+        else the pairs come from :meth:`broadcast`.  Overrides must consume
+        ``rng`` and mutate transport state (NIC queues, counters) exactly
+        as :meth:`broadcast` would — the golden corpus pins this.
         """
+        row = self.broadcast_arrival_row(sender, receivers, message, now, rng)
+        if row is not None:
+            return list(zip(receivers, row))
         return [
             (delivery.receiver, delivery.deliver_at)
             for delivery in self.broadcast(sender, receivers, message, now, rng)
@@ -190,9 +205,9 @@ class Transport(ABC):
         ``receivers`` — the simulator then groups deliveries without
         materialising ``(receiver, time)`` tuples.  ``None`` means the
         transport cannot guarantee the aligned no-drop shape here (faults
-        active, custom models); callers fall back to
-        :meth:`broadcast_times`.  Overrides must consume ``rng`` exactly as
-        :meth:`broadcast` would.
+        active, custom models) and leaves ``rng`` untouched; callers fall
+        back to :meth:`broadcast_times`.  Overrides must consume ``rng``
+        exactly as :meth:`broadcast` would.
         """
         return None
 
@@ -252,91 +267,25 @@ class DirectTransport(Transport):
         return Delivery(receiver, send_time + transfer + propagation,
                         hold, 0.0, transfer, propagation)
 
-    def broadcast(self, sender: int, receivers: Sequence[int], message: Message,
-                  now: float, rng: random.Random) -> List[Delivery]:
-        """n independent unicasts, with per-message lookups hoisted."""
-        size = getattr(message, "wire_size", 0)
-        transfer_time = self.bandwidth.transfer_time
-        delay = self.latency.delay
-        deliveries = []
-        append = deliveries.append
-        if self._trivial_faults:
-            for receiver in receivers:
-                transfer = transfer_time(sender, receiver, size)
-                propagation = delay(sender, receiver, rng)
-                append(Delivery(receiver, now + transfer + propagation,
-                                0.0, 0.0, transfer, propagation))
-            return deliveries
-        faults = self.faults
-        for receiver in receivers:
-            if faults.should_drop(sender, receiver, now, rng):
-                continue
-            send_time = now
-            hold = 0.0
-            release = faults.partition_release(sender, receiver, now)
-            if release is not None:
-                send_time = release
-                hold = release - now
-            transfer = transfer_time(sender, receiver, size)
-            propagation = delay(sender, receiver, rng)
-            append(Delivery(receiver, send_time + transfer + propagation,
-                            hold, 0.0, transfer, propagation))
-        return deliveries
-
     def broadcast_times(self, sender: int, receivers: Sequence[int],
                         message: Message, now: float,
                         rng: random.Random) -> List[Tuple[int, float]]:
-        """:meth:`broadcast` without the Delivery objects, row-batched.
-
-        The arithmetic is kept bit-identical to the scalar pipeline: every
-        arrival is ``send_time + transfer + propagation`` evaluated left to
-        right, with the transfer and propagation terms read from cached /
-        batched rows instead of per-copy calls.  The rng order is preserved
-        by case analysis — jitter-free models draw nothing; jittered models
-        draw once per (surviving) receiver in receiver order; the one
-        combination where drop draws interleave with propagation draws
-        falls back to the scalar loop.
-        """
-        size = getattr(message, "wire_size", 0)
-        if self._trivial_faults:
-            row = self.broadcast_arrival_row(sender, receivers, message, now, rng)
-            if row is not None:
-                return list(zip(receivers, row))
-            # Third-party bandwidth model: per-copy transfer calls, but the
-            # propagation side still comes from one batched row.
-            propagation_row = self.latency.delay_row(sender, receivers, rng)
-            transfer_time = self.bandwidth.transfer_time
-            return [(receiver, now + transfer_time(sender, receiver, size) + propagation)
-                    for receiver, propagation in zip(receivers, propagation_row)]
+        """Survivors first, for faults that never interleave drop draws with
+        propagation draws (crashes, partitions, any fault under a
+        jitter-free model): the per-copy loop draws propagation only for
+        survivors, so one ``delay_row`` over them takes the same draws.
+        Anything else takes the base row / per-copy pricing."""
         faults = self.faults
-        if not self._latency_jitter_free and faults.drop_draws_rng(now):
-            # Drop draws interleave with propagation draws per receiver;
-            # batching would reorder the stream, so keep the scalar loop.
-            return self._broadcast_times_scalar(sender, receivers, size, now, rng)
-        pairs: List[Tuple[int, float]] = []
-        append = pairs.append
-        transfer_time = self.bandwidth.transfer_time
-        if self._latency_jitter_free:
-            # Fault checks may draw (drop probability / bursts) but the
-            # model never does, so per-receiver order is just the drop
-            # draws — identical to the scalar loop.
-            propagation_row = self.latency.nominal_row(sender, receivers)
-            for receiver, propagation in zip(receivers, propagation_row):
-                if faults.should_drop(sender, receiver, now, rng):
-                    continue
-                send_time = now
-                release = faults.partition_release(sender, receiver, now)
-                if release is not None:
-                    send_time = release
-                append((receiver, send_time
-                        + transfer_time(sender, receiver, size) + propagation))
-            return pairs
-        # Jittered model, fault checks that never draw (crashes/partitions):
-        # the scalar loop draws propagation only for surviving receivers, so
-        # filter first, then batch the draws over the survivors in order.
+        if self._trivial_faults or (not self._latency_jitter_free
+                                    and faults.drop_draws_rng(now)):
+            return super().broadcast_times(sender, receivers, message, now, rng)
+        size = getattr(message, "wire_size", 0)
         survivors = [receiver for receiver in receivers
                      if not faults.should_drop(sender, receiver, now, rng)]
         propagation_row = self.latency.delay_row(sender, survivors, rng)
+        transfer_time = self.bandwidth.transfer_time
+        pairs: List[Tuple[int, float]] = []
+        append = pairs.append
         for receiver, propagation in zip(survivors, propagation_row):
             send_time = now
             release = faults.partition_release(sender, receiver, now)
@@ -361,10 +310,7 @@ class DirectTransport(Transport):
             return None
         size = getattr(message, "wire_size", 0)
         transfer_row = self._transfer_row(sender, receivers, size)
-        if self._latency_jitter_free:
-            propagation_row = self.latency.nominal_row(sender, receivers)
-        else:
-            propagation_row = self.latency.delay_row(sender, receivers, rng)
+        propagation_row = self.latency.delay_row(sender, receivers, rng)
         return [now + transfer + propagation
                 for transfer, propagation in zip(transfer_row, propagation_row)]
 
@@ -415,27 +361,6 @@ class DirectTransport(Transport):
         self._transfer_array_cache[key] = (tuple(receivers), arr)
         return arr
 
-    def _broadcast_times_scalar(self, sender: int, receivers: Sequence[int],
-                                size: int, now: float,
-                                rng: random.Random) -> List[Tuple[int, float]]:
-        """The original per-copy pipeline (drop and propagation draws
-        interleaved per receiver)."""
-        transfer_time = self.bandwidth.transfer_time
-        delay = self.latency.delay
-        faults = self.faults
-        pairs: List[Tuple[int, float]] = []
-        append = pairs.append
-        for receiver in receivers:
-            if faults.should_drop(sender, receiver, now, rng):
-                continue
-            send_time = now
-            release = faults.partition_release(sender, receiver, now)
-            if release is not None:
-                send_time = release
-            transfer = transfer_time(sender, receiver, size)
-            append((receiver, send_time + transfer + delay(sender, receiver, rng)))
-        return pairs
-
 
 class ContendedUplinkTransport(Transport):
     """Sender-uplink contention: outgoing bytes serialize on one NIC queue.
@@ -471,10 +396,7 @@ class ContendedUplinkTransport(Transport):
             raise ValueError("uplink capacity must be positive")
         self.uplink_bytes_per_s = float(uplink_bytes_per_s)
         self._nic_free_at: Dict[int, float] = {}
-        self._wire_bytes = 0
-        self._queued_messages = 0
-        self._queue_delay_total = 0.0
-        self._queue_delay_max = 0.0
+        self.reset()
 
     def reset(self) -> None:
         """Clear the NIC queues and counters."""
@@ -549,23 +471,21 @@ class ContendedUplinkTransport(Transport):
         return Delivery(receiver, done + propagation,
                         hold, queue, transfer, propagation)
 
-    def broadcast(self, sender: int, receivers: Sequence[int], message: Message,
-                  now: float, rng: random.Random) -> List[Delivery]:
-        """Vectorized NIC drain: one cumulative sum over the n−1 wire copies.
+    def broadcast_arrival_row(self, sender: int, receivers: Sequence[int],
+                              message: Message, now: float,
+                              rng: random.Random) -> Optional[List[float]]:
+        """The fault-free NIC drain: :meth:`unicast` per copy, hoisted.
 
-        Per-copy :meth:`unicast` re-reads and re-writes ``_nic_free_at`` and
-        the queue counters n−1 times per broadcast; here the drain is a
-        single running ``done += transfer`` accumulation (every copy of one
-        broadcast has the same wire size, so ``transfer`` is computed once)
-        with one dict store at the end.  The arithmetic is bit-identical:
-        after the first wire copy the NIC free time always exceeds ``now``,
-        so ``max(free, now)`` degenerates to the running sum.  The rng order
-        (per receiver: drop draw, then propagation draw) is unchanged.
+        Every copy of one broadcast has the same wire size, so the drain is
+        one running ``nic += transfer`` sum with one dict store at the end.
+        The arithmetic is bit-identical: after the first wire copy the NIC
+        free time always exceeds ``now``, so ``max(free, now)`` degenerates
+        to the running sum; one ``delay_row`` takes the per-copy draws.
         """
+        if not self._trivial_faults:
+            return None
         size = getattr(message, "wire_size", 0)
-        trivial = self._trivial_faults
-        faults = self.faults
-        delay = self.latency.delay
+        propagation_row = self.latency.delay_row(sender, receivers, rng)
         transfer = (self.bandwidth.per_message_overhead_s
                     + size / self.uplink_bytes_per_s)
         nic = self._nic_free_at.get(sender, 0.0)
@@ -575,149 +495,29 @@ class ContendedUplinkTransport(Transport):
         queued = 0
         queue_total = self._queue_delay_total
         queue_max = self._queue_delay_max
-        deliveries: List[Delivery] = []
-        append = deliveries.append
-        for receiver in receivers:
-            if not trivial and faults.should_drop(sender, receiver, now, rng):
-                continue
-            propagation = delay(sender, receiver, rng)
+        row: List[float] = []
+        append = row.append
+        for receiver, propagation in zip(receivers, propagation_row):
             if receiver == sender:
-                local_transfer = self.bandwidth.transfer_time(sender, receiver, size)
-                done = now + local_transfer
-                hold = 0.0
-                if not trivial:
-                    release = faults.partition_release(sender, receiver, done)
-                    if release is not None:
-                        hold = release - done
-                        done = release
-                append(Delivery(receiver, done + propagation,
-                                hold, 0.0, local_transfer, propagation))
+                append(now + self.bandwidth.transfer_time(sender, receiver, size)
+                       + propagation)
                 continue
             queue = nic - now
-            done = nic + transfer
-            nic = done
+            nic += transfer
             wire_copies += 1
             if queue > 0.0:
                 queued += 1
                 queue_total += queue
                 if queue > queue_max:
                     queue_max = queue
-            hold = 0.0
-            if not trivial:
-                release = faults.partition_release(sender, receiver, done)
-                if release is not None:
-                    hold = release - done
-                    done = release
-            append(Delivery(receiver, done + propagation,
-                            hold, queue, transfer, propagation))
+            append(nic + propagation)
         if wire_copies:
             self._nic_free_at[sender] = nic
             self._wire_bytes += wire_copies * size
             self._queued_messages += queued
             self._queue_delay_total = queue_total
             self._queue_delay_max = queue_max
-        return deliveries
-
-    def broadcast_times(self, sender: int, receivers: Sequence[int],
-                        message: Message, now: float,
-                        rng: random.Random) -> List[Tuple[int, float]]:
-        """:meth:`broadcast` without the Delivery objects (same drain math).
-
-        The propagation terms come from the latency model's batched row
-        API: one `delay_row` over the (surviving) receivers replaces the
-        per-copy `delay` calls, with the same draws in the same order.
-        Scalar per-receiver draws are kept only when drop draws would
-        interleave with jitter draws.
-        """
-        size = getattr(message, "wire_size", 0)
-        trivial = self._trivial_faults
-        faults = self.faults
-        if trivial:
-            survivors = receivers
-        elif self._latency_jitter_free or not faults.drop_draws_rng(now):
-            # The drop pass consumes any drop draws first; the scalar loop
-            # would have drawn propagation only for survivors afterwards.
-            survivors = [receiver for receiver in receivers
-                         if not faults.should_drop(sender, receiver, now, rng)]
-        else:
-            survivors = None  # interleaved draws: scalar fallback below
-        transfer = (self.bandwidth.per_message_overhead_s
-                    + size / self.uplink_bytes_per_s)
-        nic = self._nic_free_at.get(sender, 0.0)
-        if nic < now:
-            nic = now
-        wire_copies = 0
-        queued = 0
-        queue_total = self._queue_delay_total
-        queue_max = self._queue_delay_max
-        pairs: List[Tuple[int, float]] = []
-        append = pairs.append
-        if survivors is not None:
-            propagation_row = self.latency.delay_row(sender, survivors, rng)
-            for receiver, propagation in zip(survivors, propagation_row):
-                if receiver == sender:
-                    done = now + self.bandwidth.transfer_time(sender, receiver, size)
-                    if not trivial:
-                        release = faults.partition_release(sender, receiver, done)
-                        if release is not None:
-                            done = release
-                    append((receiver, done + propagation))
-                    continue
-                queue = nic - now
-                done = nic + transfer
-                nic = done
-                wire_copies += 1
-                if queue > 0.0:
-                    queued += 1
-                    queue_total += queue
-                    if queue > queue_max:
-                        queue_max = queue
-                if not trivial:
-                    release = faults.partition_release(sender, receiver, done)
-                    if release is not None:
-                        done = release
-                append((receiver, done + propagation))
-            if wire_copies:
-                self._nic_free_at[sender] = nic
-                self._wire_bytes += wire_copies * size
-                self._queued_messages += queued
-                self._queue_delay_total = queue_total
-                self._queue_delay_max = queue_max
-            return pairs
-        delay = self.latency.delay
-        for receiver in receivers:
-            if faults.should_drop(sender, receiver, now, rng):
-                continue
-            propagation = delay(sender, receiver, rng)
-            if receiver == sender:
-                done = now + self.bandwidth.transfer_time(sender, receiver, size)
-                if not trivial:
-                    release = faults.partition_release(sender, receiver, done)
-                    if release is not None:
-                        done = release
-                append((receiver, done + propagation))
-                continue
-            queue = nic - now
-            done = nic + transfer
-            nic = done
-            wire_copies += 1
-            if queue > 0.0:
-                queued += 1
-                queue_total += queue
-                if queue > queue_max:
-                    queue_max = queue
-            if not trivial:
-                release = faults.partition_release(sender, receiver, done)
-                if release is not None:
-                    done = release
-            append((receiver, done + propagation))
-        if wire_copies:
-            self._nic_free_at[sender] = nic
-            self._wire_bytes += wire_copies * size
-            self._queued_messages += queued
-            self._queue_delay_total = queue_total
-            self._queue_delay_max = queue_max
-        return pairs
+        return row
 
 
 class RelayTransport(Transport):
@@ -753,14 +553,8 @@ class RelayTransport(Transport):
         if relays < 1:
             raise ValueError("relay count must be positive")
         self.relays = relays
-        self._wire_copies = 0
-        self._wire_bytes = 0
-        self._sender_copies = 0
-        self._sender_bytes = 0
+        self.reset()
         self._direct = DirectTransport(latency, bandwidth, faults)
-        # (sender, size) -> (receivers key, relay/tail row templates,
-        # counter deltas); see _relay_template.
-        self._relay_template_cache: Dict[Tuple[int, int], tuple] = {}
 
     def reset(self) -> None:
         """Clear the wire counters."""
@@ -888,115 +682,6 @@ class RelayTransport(Transport):
             # hop was counted once when the relay's own copy was scheduled.
             self._count_wire(sender=False, size=size)
         return deliveries
-
-    def _relay_template(self, sender: int, receivers: Sequence[int],
-                        size: int) -> Optional[tuple]:
-        """The fault-free tree flattened to per-copy rows, cached.
-
-        With trivial faults the relay set, child assignment, transfer
-        times, and nominal propagation terms are all pure functions of
-        ``(sender, receivers, size)``, so the whole broadcast collapses to
-        two precomputed rows:
-
-        * ``relay_entries`` — ``(relay, transfer, nominal)`` per relay, in
-          the order the scalar path schedules them;
-        * ``tail_entries`` — ``(receiver, relay_index, src, transfer,
-          nominal)`` for the self copy (``relay_index == -1``, priced from
-          the sender) and each child (priced from its relay), in receiver
-          order.
-
-        ``None`` means no relay is available (the scalar path falls back to
-        a direct broadcast).
-        """
-        key = (sender, size)
-        entry = self._relay_template_cache.get(key)
-        if entry is not None and (entry[0] is receivers or entry[0] == receivers):
-            return entry[1]
-        relay_ids = [receiver for receiver in receivers
-                     if receiver != sender][: self.relays]
-        if not relay_ids:
-            template = None
-        else:
-            transfer_time = self.bandwidth.transfer_time
-            index = {receiver: i for i, receiver in enumerate(receivers)}
-            sender_nominal = self.latency.nominal_row(sender, receivers)
-            relay_entries = [
-                (relay, transfer_time(sender, relay, size),
-                 sender_nominal[index[relay]])
-                for relay in relay_ids
-            ]
-            relay_pos = {relay: i for i, relay in enumerate(relay_ids)}
-            relay_nominals = {
-                relay: self.latency.nominal_row(relay, receivers)
-                for relay in relay_ids
-            }
-            tail_entries = []
-            child_index = 0
-            for receiver in receivers:
-                if receiver == sender:
-                    tail_entries.append(
-                        (receiver, -1, sender,
-                         transfer_time(sender, receiver, size),
-                         sender_nominal[index[receiver]]))
-                    continue
-                if receiver in relay_pos:
-                    continue
-                relay = relay_ids[child_index % len(relay_ids)]
-                child_index += 1
-                tail_entries.append(
-                    (receiver, relay_pos[relay], relay,
-                     transfer_time(relay, receiver, size),
-                     relay_nominals[relay][index[receiver]]))
-            wire_copies = len(relay_ids) + child_index
-            template = (relay_entries, tail_entries, wire_copies, len(relay_ids))
-        self._relay_template_cache[key] = (tuple(receivers), template)
-        return template
-
-    def broadcast_times(self, sender: int, receivers: Sequence[int],
-                        message: Message, now: float,
-                        rng: random.Random) -> List[Tuple[int, float]]:
-        """:meth:`broadcast` reduced to arrival pairs, template-batched.
-
-        With trivial faults and the stock bandwidth model the tree shape is
-        invariant, so the broadcast replays the cached template: pure float
-        adds for jitter-free models, or one :meth:`LatencyModel.delay` draw
-        per copy (same sources, same order as the scalar path) otherwise.
-        Counters advance by the template's precomputed deltas.  Any faulty
-        or custom-bandwidth configuration keeps the scalar pipeline.
-        """
-        if not self._trivial_faults or not self._cacheable_bandwidth:
-            return super().broadcast_times(sender, receivers, message, now, rng)
-        size = getattr(message, "wire_size", 0)
-        template = self._relay_template(sender, receivers, size)
-        if template is None:
-            return super().broadcast_times(sender, receivers, message, now, rng)
-        relay_entries, tail_entries, wire_copies, sender_copies = template
-        pairs: List[Tuple[int, float]] = []
-        append = pairs.append
-        arrivals: List[float] = []
-        arrived = arrivals.append
-        if self._latency_jitter_free:
-            for relay, transfer, propagation in relay_entries:
-                at = now + transfer + propagation
-                arrived(at)
-                append((relay, at))
-            for receiver, relay_index, _src, transfer, propagation in tail_entries:
-                base = now if relay_index < 0 else arrivals[relay_index]
-                append((receiver, base + transfer + propagation))
-        else:
-            delay = self.latency.delay
-            for relay, transfer, _nominal in relay_entries:
-                at = now + transfer + delay(sender, relay, rng)
-                arrived(at)
-                append((relay, at))
-            for receiver, relay_index, src, transfer, _nominal in tail_entries:
-                base = now if relay_index < 0 else arrivals[relay_index]
-                append((receiver, base + transfer + delay(src, receiver, rng)))
-        self._wire_copies += wire_copies
-        self._wire_bytes += wire_copies * size
-        self._sender_copies += sender_copies
-        self._sender_bytes += sender_copies * size
-        return pairs
 
 
 #: Transport registry, keyed by the names accepted by

@@ -709,13 +709,9 @@ class Simulation:
             # members keep their per-copy push order via the stable sort.
             # Exactly one arrival-schedule builder runs per broadcast (the
             # jitter draws consume the shared rng stream): the vectorized
-            # array when available, else the scalar row, else per-pair.
+            # array when available, else the transport's pairs.
             arrival_array = self._transport.broadcast_arrival_array(
                 sender, receivers, message, self.now, self._rng)
-            row = None
-            if arrival_array is None:
-                row = self._transport.broadcast_arrival_row(
-                    sender, receivers, message, self.now, self._rng)
             if arrival_array is not None:
                 # Vectorized schedule: a stable argsort breaks exact-time
                 # ties in index order, which for the ascending full
@@ -742,12 +738,6 @@ class Simulation:
                 else:
                     ids = receivers
                     targets = [ids[i] for i in order.tolist()]
-            elif row is not None:
-                # ``receivers`` is ascending, so tuple comparison on equal
-                # times reproduces the per-copy (receiver-order) tie-break.
-                schedule = sorted(zip(row, receivers))
-                times = [deliver_at for deliver_at, _ in schedule]
-                targets = [receiver for _, receiver in schedule]
             else:
                 pairs = self._transport.broadcast_times(
                     sender, receivers, message, self.now, self._rng)
@@ -756,7 +746,8 @@ class Simulation:
                     self._messages_dropped += dropped
                 # Stable sort on the time field alone: relay pairs are not
                 # in receiver order, and exact-time ties must keep the
-                # transport's pair order (= the per-copy push order).
+                # transport's pair order (= the per-copy push order; for a
+                # zipped row, receiver order).
                 pairs.sort(key=_PAIR_TIME)
                 times = [deliver_at for _, deliver_at in pairs]
                 targets = [receiver for receiver, _ in pairs]
@@ -764,13 +755,12 @@ class Simulation:
                 counts["sbatch"] += 1
                 counts["sbatch_members"] += len(times)
                 if queue is None:
-                    # Calendar backend, scalar schedule (no numpy row /
-                    # relay pair list): push members individually under
-                    # fractional seqs ``base + i/count`` — they order as
-                    # one contiguous block at ``base`` against every
-                    # integer seq, and among themselves in schedule order,
-                    # while consuming the same single counter draw as the
-                    # sbatch event.
+                    # Calendar backend, pair schedule (no numpy array):
+                    # push members individually under fractional seqs
+                    # ``base + i/count`` — they order as one contiguous
+                    # block at ``base`` against every integer seq, and
+                    # among themselves in schedule order, while consuming
+                    # the same single counter draw as the sbatch event.
                     base = next(seq)
                     push = self._scheduler.push
                     member_count = len(times)
@@ -791,31 +781,26 @@ class Simulation:
         # event order is identical to the per-copy pipeline: same-time
         # copies were consecutive in seq order anyway, and distinct times
         # order by the heap key regardless of seq.  The group dict is a
-        # scratch buffer reused across broadcasts; the fast path consumes
-        # the transport's aligned arrival row directly (no pair tuples).
+        # scratch buffer reused across broadcasts; the fast path zips the
+        # transport's aligned arrival row lazily (no pair list).
         row = self._transport.broadcast_arrival_row(sender, receivers, message,
                                                     self.now, self._rng)
-        groups = self._group_scratch
-        get_group = groups.get
         if row is not None:
-            for receiver, deliver_at in zip(receivers, row):
-                group = get_group(deliver_at)
-                if group is None:
-                    groups[deliver_at] = [receiver]
-                else:
-                    group.append(receiver)
+            pairs = zip(receivers, row)
         else:
             pairs = self._transport.broadcast_times(sender, receivers, message,
                                                     self.now, self._rng)
             dropped = count - len(pairs)
             if dropped:
                 self._messages_dropped += dropped
-            for receiver, deliver_at in pairs:
-                group = get_group(deliver_at)
-                if group is None:
-                    groups[deliver_at] = [receiver]
-                else:
-                    group.append(receiver)
+        groups = self._group_scratch
+        get_group = groups.get
+        for receiver, deliver_at in pairs:
+            group = get_group(deliver_at)
+            if group is None:
+                groups[deliver_at] = [receiver]
+            else:
+                group.append(receiver)
         push = self._scheduler.push if queue is None else None
         for deliver_at, targets in groups.items():
             size = len(targets)

@@ -1,15 +1,16 @@
-"""Scalar ↔ batched equivalence for the row-oriented broadcast pipeline.
+"""Reference ↔ batched equivalence for the broadcast pricing paths.
 
-The batched delay-table path (``LatencyModel.nominal_row`` /
-``delay_row``, the transports' row-based ``broadcast_times`` and
-``broadcast_arrival_row``) must be *observably identical* to the per-copy
-scalar pipeline: the same ``(receiver, deliver_at)`` sequence, the same
-number and order of rng draws (pinned via ``rng.getstate()``), and the
-same transport counters.  The scalar reference here is
-``Transport.broadcast`` — the Delivery-building path, which still prices
-every copy with per-copy ``latency.delay`` / ``transfer_time`` / fault
-calls — so the sweep below (every latency model × jitter setting × fault
-plan × transport) is exactly the equivalence the golden corpus relies on.
+Every batched shape (``LatencyModel.nominal_row`` / ``delay_row``, the
+transports' ``broadcast_arrival_row`` and ``broadcast_times``) must be
+*observably identical* to the transport's reference pricing: the same
+``(receiver, deliver_at)`` sequence, the same number and order of rng
+draws (pinned via ``rng.getstate()``), and the same transport counters.
+The reference is ``transport.broadcast``: for Direct and Contended the
+base per-copy ``unicast`` loop (per-copy ``latency.delay`` /
+``transfer_time`` / fault calls), for Relay its tree.  The batched side is
+``broadcast_times``, which zips the fault-free row where the transport has
+one.  The sweep below (every latency model × jitter setting × fault plan ×
+transport) is exactly the equivalence the golden corpus relies on.
 """
 
 import random
@@ -71,9 +72,11 @@ LATENCY_CASES = {
 }
 
 #: label -> factory; plans chosen to hit every rng-consumption branch:
-#: none (trivial fast path), crashes/partition (faulty, no drop draws),
-#: drops/burst (drop draws; with a jittered model this is the scalar
-#: fallback where the draws interleave).
+#: none (the fault-free rows), crashes/partition (no drop draws: Direct's
+#: survivors branch under every latency model), drops/burst/everything
+#: (drop draws: Direct's survivors branch under the jitter-free models and
+#: for sends outside the burst window, else the per-copy reference, where
+#: drop and propagation draws interleave).
 FAULT_CASES = {
     "none": lambda: FaultPlan.none(),
     "crashes": lambda: FaultPlan(
@@ -122,13 +125,8 @@ def _run(transport_factory, latency_factory, fault_factory, batched):
     result = []
     for sender, now in SCHEDULE:
         if batched:
-            row = transport.broadcast_arrival_row(sender, receivers, message,
-                                                  now, rng)
-            if row is not None:
-                pairs = list(zip(receivers, row))
-            else:
-                pairs = transport.broadcast_times(sender, receivers, message,
-                                                  now, rng)
+            pairs = transport.broadcast_times(sender, receivers, message,
+                                              now, rng)
         else:
             pairs = [
                 (delivery.receiver, delivery.deliver_at)

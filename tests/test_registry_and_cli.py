@@ -222,6 +222,52 @@ class TestCLI:
         assert "argument --seeds: must be a positive integer, got 0" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--transport", "relay", "--relays", "0"],
+         "argument --relays: must be a positive integer, got 0"),
+        (["--transport", "contended", "--uplink-mbps", "0"],
+         "argument --uplink-mbps: must be a positive number, got 0"),
+        (["--compute", "crypto", "--compute-scale", "-1"],
+         "argument --compute-scale: must be a positive number, got -1"),
+    ])
+    def test_run_rejects_non_positive_transport_and_compute_values(
+            self, capsys, flags, message):
+        """A usage error (exit 2), not a ValueError traceback from the model."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--n", "4", "--f", "1", "--p", "0", "--duration", "3"]
+                 + flags)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert message in err
+
+    @pytest.mark.parametrize("command", [["chaos", "--trials", "2"], ["cluster"]])
+    @pytest.mark.parametrize("duration", ["0", "-1"])
+    def test_chaos_and_cluster_refuse_a_non_positive_duration(
+            self, capsys, command, duration):
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + ["--duration", duration])
+        assert exit_info.value.code == 2
+        assert (f"argument --duration: must be a positive number, got {duration}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("protocol", ["banyan", "all"])
+    def test_cluster_checks_the_resilience_bound_before_spawning(
+            self, capsys, monkeypatch, protocol):
+        import repro.cluster.harness as harness
+
+        def spawn(*args, **kwargs):  # pragma: no cover - must not be reached
+            raise AssertionError("a cluster was spawned")
+
+        monkeypatch.setattr(harness, "run_local_cluster", spawn)
+        assert main(["cluster", "--protocol", protocol, "--n", "4", "--f", "2",
+                     "--duration", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "n=4 violates the resilience bound n >= 7" in captured.err
+        assert "the nearest valid n is" in captured.err
+
     def test_workload_command_accepts_runner_flags(self, capsys):
         assert main([
             "workload", "saturation", "--rates", "20", "--duration", "5",

@@ -22,7 +22,7 @@ import pytest
 
 from repro.eval.experiment import ExperimentConfig, run_experiment
 from repro.eval.scenarios import plan_scale_sweep, run_figure
-from repro.net.faults import FaultPlan
+from repro.net.faults import CrashSchedule, FaultPlan
 from repro.net.latency import (
     ConstantLatency,
     GeoLatency,
@@ -203,14 +203,27 @@ class TestSpreadBatchDeterminism:
     and from one-event-at-a-time ``step()``.
     """
 
-    @staticmethod
-    def _simulation(compute: str = "zero") -> Simulation:
+    #: Fault plans for the per-copy reference test: none (the row / array
+    #: shapes), and a crash window plus random loss (the pairs path, with
+    #: drop draws interleaved between propagation draws).
+    FAULTS = {
+        "none": FaultPlan.none,
+        "crash-drops": lambda: FaultPlan(
+            crash_schedule=CrashSchedule(crash_times={3: 1.0},
+                                         recover_times={3: 3.0}),
+            drop_probability=0.05),
+    }
+
+    @classmethod
+    def _simulation(cls, compute: str = "zero", transport: str = "direct",
+                    faults: str = "none") -> Simulation:
         params = ProtocolParams(n=7, f=1, p=1, rank_delay=0.2)
         protocols = create_replicas("banyan", params)
         topology = four_global_datacenters(7)
         network = NetworkConfig(latency=GeoLatency(topology, jitter=0.05),
-                                faults=FaultPlan.none(), seed=11,
-                                compute=compute)
+                                faults=cls.FAULTS[faults](), seed=11,
+                                compute=compute, transport=transport,
+                                relays=3)
         return Simulation(protocols, network)
 
     @staticmethod
@@ -241,12 +254,14 @@ class TestSpreadBatchDeterminism:
         assert counts["mbatch"] > 0
         assert counts["sbatch"] == 0
 
+    @pytest.mark.parametrize("faults", sorted(FAULTS))
+    @pytest.mark.parametrize("transport", ["direct", "contended", "relay"])
     @pytest.mark.parametrize("compute", ["zero", "crypto"])
-    def test_matches_per_copy_reference(self, compute):
-        chained = self._simulation(compute)
+    def test_matches_per_copy_reference(self, compute, transport, faults):
+        chained = self._simulation(compute, transport, faults)
         chained.run(until=5.0)
 
-        reference = self._simulation(compute)
+        reference = self._simulation(compute, transport, faults)
         # A delivery listener forces the one-event-per-copy pipeline.
         reference.add_delivery_listener(lambda *args: None)
         reference.run(until=5.0)
@@ -257,6 +272,7 @@ class TestSpreadBatchDeterminism:
         assert chained.messages_delivered == reference.messages_delivered
         assert chained.messages_dropped == reference.messages_dropped
         assert chained.compute_stats() == reference.compute_stats()
+        assert chained.transport_stats() == reference.transport_stats()
 
     @pytest.mark.parametrize("compute", ["zero", "crypto"])
     def test_run_matches_single_stepping(self, compute):
