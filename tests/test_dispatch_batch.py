@@ -45,15 +45,17 @@ def _fault_plan(fault: str) -> FaultPlan:
     raise ValueError(fault)
 
 
-def _simulation(protocol: str, compute: str, fault: str) -> Simulation:
+def _simulation(protocol: str, compute: str, fault: str,
+                scheduler: str = "auto") -> Simulation:
     # Jittered latency: broadcasts ride sbatch chains, so run-ahead fires
     # (jitter-free latency schedules no sbatch, and both modes would run
-    # the same loop).
+    # the same loop).  At n=7 ``"auto"`` is the heap.
     params = ProtocolParams(n=N, f=1, p=1, rank_delay=0.2)
     protocols = create_replicas(protocol, params)
     network = NetworkConfig(
         latency=GeoLatency(four_global_datacenters(N), jitter=0.05),
-        faults=_fault_plan(fault), seed=11, compute=compute)
+        faults=_fault_plan(fault), seed=11, compute=compute,
+        scheduler=scheduler)
     return Simulation(protocols, network)
 
 
@@ -131,6 +133,42 @@ class TestSweepScalarEquivalence:
         plain = _simulation("banyan", "zero", "none")
         plain.run(until=HORIZON)
         assert _execution_digest(toggled) == _execution_digest(plain)
+
+
+# --------------------------------------------------------------------- #
+# Calendar loop vs heap loop under compute and faults
+# --------------------------------------------------------------------- #
+
+
+class TestCalendarMatchesHeap:
+    """The calendar loop replays the heap loop's execution, faults included."""
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    @pytest.mark.parametrize("compute", ["zero", "crypto"])
+    @pytest.mark.parametrize("fault", ["none", "crash", "loss"])
+    def test_byte_identical_executions(self, protocol, compute, fault):
+        heap = _simulation(protocol, compute, fault, scheduler="heap")
+        heap.run(until=HORIZON)
+        calendar = _simulation(protocol, compute, fault, scheduler="calendar")
+        calendar.run(until=HORIZON)
+
+        assert heap.scheduler_stats()["backend"] == "heap"
+        assert calendar.scheduler_stats()["backend"] == "calendar"
+        assert _execution_digest(calendar) == _execution_digest(heap)
+        assert heap.commits_for(0)
+
+    def test_chunked_calendar_run_matches_heap(self):
+        # A budget cut can land inside a calendar burst, an mbatch group
+        # or a compute wake; resuming must replay the unbounded execution.
+        calendar = _simulation("banyan", "crypto", "crash",
+                               scheduler="calendar")
+        while calendar.now < HORIZON:
+            calendar.run(until=HORIZON, max_events=97)
+        heap = _simulation("banyan", "crypto", "crash", scheduler="heap")
+        heap.run(until=HORIZON)
+        assert _execution_digest(calendar) == _execution_digest(heap)
+        assert heap.compute_stats()["cpu_wakes"] > 0
+        assert heap.messages_dropped > 0
 
 
 # --------------------------------------------------------------------- #
