@@ -1,14 +1,11 @@
-"""Specialized event-loop variants and table-driven handler dispatch.
+"""The simulator's event loops and table-driven handler dispatch.
 
-The simulator's ``run()`` used to be one loop carrying every feature's
-per-event branch — compute charging, crash checks, listener hooks — so the
-common zero-compute/no-fault path paid for all of them on every event.
-This module generates **monomorphic loop variants** from a single template
-instead: each variant is compiled (once, cached process-wide) with exactly
-the branches its feature set needs, so the hot path carries no dead code
-and the variants cannot drift apart the way hand-maintained copies would.
-
-Features (the variant key):
+Two plain functions run every simulation, one per scheduler backend
+(:mod:`repro.runtime.scheduler`): :func:`heap_loop` pops the binary heap
+(``sim._queue`` is its raw list) and :func:`calendar_loop` walks the
+calendar queue's materialized bucket.  ``Simulation._run_dispatch``
+picks one by backend.  Each loop reads three feature flags once, at
+entry, into locals:
 
 * ``compute`` — a non-trivial :class:`repro.runtime.compute.ComputeModel`
   is active: a delivery that finds the core busy waits in the replica's
@@ -19,50 +16,60 @@ Features (the variant key):
   wake's exact instant (jitter-free lock-step runs) do the residents go
   back to the scheduler under their own keys for that instant, because
   ``(time, seq)`` order then decides waiter by waiter who reaches the
-  core first.
+  core first.  The wake is one helper, :func:`_cpu_wake`, that both loops
+  call with their backend's push functions, so heap and calendar runs
+  book waits with the same arithmetic in the same order.
 * ``crash`` — the fault plan has crash windows: deliveries and timers are
   gated on ``is_crashed``.
-* ``runahead`` — ``sbatch`` run-ahead is enabled (the default): a jittered
-  broadcast's chain delivers member after member without a heap round
-  trip while its successor provably precedes the heap head.  Disabled via
+* ``runahead`` (heap only) — ``sbatch`` run-ahead is enabled (the
+  default): a jittered broadcast's chain delivers member after member
+  without a heap round trip while its successor provably precedes the
+  heap head.  Disabled via
   :attr:`repro.runtime.simulator.Simulation.force_scalar_dispatch` (the
-  re-push-every-successor reference used by the equivalence tests).
+  re-push-every-successor reference used by the equivalence tests).  The
+  calendar queue has no ``sbatch`` chains: broadcast members are already
+  materialized in final order.
+
+Layout rule: on the default path (no compute, no crash) a delivery tests
+at most one flag, the ``gated = compute or crash`` local, besides the
+exit test an ``sbatch`` member makes anyway; all compute and crash
+handling sits behind that gate, at the price of a second handler call
+site per event kind.  The calendar loop's burst, which carries almost
+every delivery of a large jittered run, tests none: compute and crash
+runs skip it and take their rows one at a time through the gated
+branches.  The reason is measured on the n=256 broadcast flood (about
+0.7 µs per delivery, calendar loop): one test per flag on every row ran
+5–7 % slower than per-feature specialised loops.
 
 Every delivery is exactly one ``on_message`` call, in ``(time, seq)``
-order; the variants differ only in how they reach the next event.
+order; the flags change only how a loop reaches the next event and
+whether it may charge or drop it.  The event budget is compared on every
+path (``run(until)`` passes :data:`UNBOUNDED`).
 
-Byte-identity contract: every variant must replay the exact event order of
-the reference loop — an ``sbatch`` run-ahead step is taken only when
+Byte-identity contract: both loops replay the exact event order of the
+heap reference — an ``sbatch`` run-ahead step is taken only when
 ``(next_time, batch_seq)`` sorts strictly before the heap head, and the
-historical horizon edge (a *cancelled* timer at the heap head lets the
-next real event dispatch without re-checking ``until``) is preserved.
+historical horizon edge (a *cancelled* timer at the head lets the next
+real event dispatch without re-checking ``until``) is preserved.
 ``tests/test_golden_corpus.py`` and ``tests/test_dispatch_batch.py`` pin
 this.
 
-The loop returns the number of budget-consuming events processed.  It
+A loop returns the number of budget-consuming events processed.  It
 exits early (after flushing its counters) when
 ``Simulation._dispatch_generation`` changes mid-run — feature toggles like
 flipping ``force_scalar_dispatch`` bump the generation, and the ``run()``
-driver re-selects the variant and resumes seamlessly.
-
-Scheduler backends: the template above assumes the binary-heap scheduler
-(``sim._queue`` is its raw list).  Under the calendar-queue backend
-(:mod:`repro.runtime.scheduler`) a second template, ``_CALQ_TEMPLATE``,
-renders instead: it walks the materialized current bucket by local index
-(no per-event sift), merges the bucket's small "inc" heap of late
-arrivals, and advances/materializes buckets through the scheduler's cold
-methods.  Broadcast members arrive as lean 4-tuples — there is no
-``sbatch`` kind, hence no run-ahead, under this backend.
-``select_loop`` keys its cache on the backend name as well.
+driver re-enters the loop, which re-reads its flags.
 """
 
 from __future__ import annotations
 
-import heapq
+import math
 from bisect import bisect_right
+from functools import partial
+from heapq import heappop, heappush, heappushpop
+from typing import Any, Dict
 
 from repro.runtime.scheduler import _STD as _STD_TARGET
-from typing import Any, Callable, Dict, Tuple
 
 #: Effectively-unbounded event budget used when ``max_events`` is ``None``
 #: (a single compare against an int is cheaper than a per-event ``None``
@@ -96,46 +103,116 @@ def build_handler_tables(protocols: Dict[int, Any], contexts: Dict[int, Any]):
     return deliver_one, fire_timer
 
 
-# --------------------------------------------------------------------- #
-# Loop template
-# --------------------------------------------------------------------- #
-#
-# Rendered per feature set by `_render` (an `#if/#else/#endif` line
-# filter) and compiled once.  The template is the single source of truth
-# for event-loop semantics; `Simulation.run()` and `Simulation.step()`
-# both execute these rendered loops.
+def _cpu_wake(sim, event, shared, push, push_now, crash):
+    """Dispatch one ``cpu`` wake event (compute runs only).
 
-_LOOP_TEMPLATE = """\
-def _loop(sim, until, budget):
+    ``shared`` tells whether another queued event holds the wake's exact
+    instant; ``push`` schedules a later wake and ``push_now`` an event at
+    this instant (the calendar loop routes the latter straight into its
+    open bucket's inc heap).  The caller has already advanced the clock.
+    Returns ``None`` when no delivery reached the core, else ``True`` for
+    a delivery handed to its handler and ``False`` for one dropped at a
+    crashed core.
+    """
+    time_, seq_, _, target, payload = event
+    model = sim._compute
+    model.cpu_wakes += 1
+    busy_until = model.busy_until
+    free_at = busy_until[target]
+    if payload is None:
+        # The wake of a replica with a non-empty inbox (the scheduler
+        # holds exactly one per such replica), keyed like the head
+        # waiter's own delivery would be.
+        inbox = model.inbox[target]
+        if free_at > time_ or shared:
+            # Another event shares this exact instant (or a tying arrival
+            # already took the core): who runs first is decided waiter by
+            # waiter in (time, seq) order, so the residents go back to the
+            # scheduler under their own keys.  Those queued before this
+            # wake was armed were re-keyed with it, as one contiguous
+            # block.  Arrivals of this very instant stay: they already
+            # wait for the new free instant.
+            residents = len(inbox)
+            rank = 0
+            while inbox and inbox[0][0] < time_:
+                waiter = inbox.popleft()
+                wseq = waiter[1]
+                push_now((time_, wseq if wseq > seq_
+                          else seq_ + rank / residents, "cpu", target,
+                          waiter))
+                rank += 1
+            if inbox:
+                push((free_at, inbox[0][1], "cpu", target, None))
+            return None
+        payload = inbox.popleft()
+    elif free_at > time_:
+        # A lone waiter behind a busy core: back into the inbox (inline:
+        # the depth gauge has seen this waiter already).
+        inbox = model.inbox[target]
+        wseq = next(sim._seq)
+        if not inbox:
+            push((free_at, wseq, "cpu", target, None))
+        inbox.append((payload[0], wseq, payload[2]))
+        return None
+    else:
+        inbox = None
+    arrived, _, (sender, message) = payload
+    now = sim.now
+    model.record_wait(target, time_ - arrived)
+    if sim._compute_listeners:
+        sim._notify_compute("cpu-wait", target, arrived, time_ - arrived,
+                            message)
+    if crash and sim.network.faults.is_crashed(target, now):
+        # Dropped at the core: nothing is charged, so the next resident
+        # follows this same instant, ahead of anything scheduled since
+        # (the wake keeps its seq).
+        if inbox:
+            push_now((time_, seq_, "cpu", target, None))
+        return False
+    handler, ctx = sim._deliver_one[target]
+    handler(ctx, sender, message)
+    cost = sim._compute_cost(target, sender, message)
+    if cost > 0.0:
+        model.record_busy(target, now, cost)
+        if sim._compute_listeners:
+            sim._notify_compute("cpu-busy", target, now, cost, message)
+    if inbox:
+        # Re-arm at the new free instant; a zero-cost delivery (the self
+        # copy) leaves the core free, so the next resident follows this
+        # same instant under the same seq.
+        free_at = busy_until[target]
+        if free_at > time_:
+            push((free_at, next(sim._seq), "cpu", target, None))
+        else:
+            push_now((time_, seq_, "cpu", target, None))
+    return True
+
+
+def heap_loop(sim, until: float, budget: int) -> int:
+    """Dispatch binary-heap events due by ``until``, at most ``budget``."""
     queue = sim._queue
-    heappop = _heappop
-    heappush = _heappush
-    heappushpop = _heappushpop
     pending_timers = sim._pending_timers
     cancelled_timers = sim._cancelled_timers
     deliver_one = sim._deliver_one
     fire_timer = sim._fire_timer
-#if CRASH
+    compute = sim._compute_cost is not None
+    crash = bool(sim.network.faults.crash_schedule.crash_times)
+    runahead = not sim._force_scalar_dispatch
+    gated = compute or crash
     is_crashed = sim.network.faults.is_crashed
-#endif
-#if COMPUTE
-    compute = sim._compute
     message_cost = sim._compute_cost
-    busy_until = compute.busy_until
-    inboxes = compute.inbox
-    enqueue = compute.enqueue
-    record_wait = compute.record_wait
-    record_busy = compute.record_busy
+    model = sim._compute
+    busy_until = model.busy_until
+    enqueue = model.enqueue
+    record_busy = model.record_busy
     seq = sim._seq
-#endif
+    push = partial(heappush, queue)
     generation = sim._dispatch_generation
     now = sim.now
     processed = 0
     delivered = 0
     dropped = 0
-#if RUNAHEAD
-    runahead = 0
-#endif
+    members = 0
     # ``pending`` holds an event already removed from the heap that must
     # be dispatched without re-running the top-of-loop checks: the event
     # after a cancelled timer (the preserved horizon edge) and the heap
@@ -147,13 +224,8 @@ def _loop(sim, until, budget):
             event = pending
             pending = None
         else:
-#if BUDGET
             if not queue or processed >= budget:
                 break
-#else
-            if not queue:
-                break
-#endif
             if queue[0][0] > until:
                 break
             if sim._dispatch_generation != generation:
@@ -179,63 +251,46 @@ def _loop(sim, until, budget):
                 if time_ > now:
                     now = time_
                     sim.now = now
-#if COMPUTE
-                free_at = busy_until.get(target, 0.0)
-                if free_at > time_:
-                    # Busy core: this member waits in the replica's inbox
-                    # (no budget charge); the first resident arms the wake.
-                    wseq = next(seq)
-                    if enqueue(target, time_, wseq, mpayload):
-                        heappush(queue, (free_at, wseq, "cpu", target, None))
-#if CRASH
-                elif is_crashed(target, now):
-                    dropped += 1
-                    processed += 1
-#endif
+                if gated:
+                    free_at = busy_until.get(target, 0.0)
+                    if compute and free_at > time_:
+                        # Busy core: this member waits in the replica's
+                        # inbox (no budget charge); the first resident arms
+                        # the wake.
+                        wseq = next(seq)
+                        if enqueue(target, time_, wseq, mpayload):
+                            heappush(queue,
+                                     (free_at, wseq, "cpu", target, None))
+                    elif crash and is_crashed(target, now):
+                        dropped += 1
+                        processed += 1
+                    else:
+                        handler, ctx = deliver_one[target]
+                        handler(ctx, sender, message)
+                        delivered += 1
+                        processed += 1
+                        if compute:
+                            cost = message_cost(target, sender, message)
+                            if cost > 0.0:
+                                record_busy(target, now, cost)
+                                if sim._compute_listeners:
+                                    sim._notify_compute(
+                                        "cpu-busy", target, now, cost,
+                                        message)
                 else:
                     handler, ctx = deliver_one[target]
                     handler(ctx, sender, message)
                     delivered += 1
                     processed += 1
-                    cost = message_cost(target, sender, message)
-                    if cost > 0.0:
-                        record_busy(target, now, cost)
-                        if sim._compute_listeners:
-                            sim._notify_compute("cpu-busy", target, now,
-                                                cost, message)
-#else
-#if CRASH
-                if is_crashed(target, now):
-                    dropped += 1
-                else:
-                    handler, ctx = deliver_one[target]
-                    handler(ctx, sender, message)
-                    delivered += 1
-                processed += 1
-#else
-                handler, ctx = deliver_one[target]
-                handler(ctx, sender, message)
-                delivered += 1
-                processed += 1
-#endif
-#endif
                 index += 1
                 if index == count:
                     break
                 time_ = times[index]
                 target = targets[index]
-#if RUNAHEAD
-#if BUDGET
-                if processed >= budget or time_ > until:
+                if not runahead or processed >= budget or time_ > until:
                     payload[2] = index
                     heappush(queue, (time_, seq_, "sbatch", target, payload))
                     break
-#else
-                if time_ > until:
-                    payload[2] = index
-                    heappush(queue, (time_, seq_, "sbatch", target, payload))
-                    break
-#endif
                 # Run-ahead decision and heap exchange in one C call:
                 # heappushpop first compares heap[0] < item — tuple order
                 # on (time, seq), never reaching the payload — and returns
@@ -247,50 +302,56 @@ def _loop(sim, until, budget):
                 successor = (time_, seq_, "sbatch", target, payload)
                 event = heappushpop(queue, successor)
                 if event is successor:
-                    runahead += 1
+                    members += 1
                     continue
                 # The successor is now heap-resident: record its resume
                 # index before anything else can pop it.
                 payload[2] = index
                 pending = event
                 break
-#else
-                payload[2] = index
-                heappush(queue, (time_, seq_, "sbatch", target, payload))
-                break
-#endif
         elif kind == "message":
             if time_ > now:
                 now = time_
                 sim.now = now
-#if COMPUTE
-            free_at = busy_until.get(target, 0.0)
-            if free_at > time_:
-                wseq = next(seq)
-                if enqueue(target, time_, wseq, payload):
-                    heappush(queue, (free_at, wseq, "cpu", target, None))
-                continue
-#endif
-#if CRASH
-            if is_crashed(target, now):
-                dropped += 1
-                processed += 1
-                continue
-#endif
             sender, message = payload
-            handler, ctx = deliver_one[target]
-            handler(ctx, sender, message)
-            delivered += 1
-            processed += 1
-#if COMPUTE
-            cost = message_cost(target, sender, message)
-            if cost > 0.0:
-                record_busy(target, now, cost)
-                if sim._compute_listeners:
-                    sim._notify_compute("cpu-busy", target, now, cost,
-                                        message)
-#include WAKE
-#endif
+            if gated:
+                free_at = busy_until.get(target, 0.0)
+                if compute and free_at > time_:
+                    wseq = next(seq)
+                    if enqueue(target, time_, wseq, payload):
+                        heappush(queue, (free_at, wseq, "cpu", target, None))
+                elif crash and is_crashed(target, now):
+                    dropped += 1
+                    processed += 1
+                else:
+                    handler, ctx = deliver_one[target]
+                    handler(ctx, sender, message)
+                    delivered += 1
+                    processed += 1
+                    if compute:
+                        cost = message_cost(target, sender, message)
+                        if cost > 0.0:
+                            record_busy(target, now, cost)
+                            if sim._compute_listeners:
+                                sim._notify_compute("cpu-busy", target,
+                                                    now, cost, message)
+            else:
+                handler, ctx = deliver_one[target]
+                handler(ctx, sender, message)
+                delivered += 1
+                processed += 1
+        elif kind == "cpu":
+            if time_ > now:
+                now = time_
+                sim.now = now
+            done = _cpu_wake(sim, event, queue and queue[0][0] == time_,
+                             push, push, crash)
+            if done is not None:
+                processed += 1
+                if done:
+                    delivered += 1
+                else:
+                    dropped += 1
         elif kind == "mbatch":
             # A same-instant broadcast group: every member is a delivery
             # at exactly ``time_``, processed back-to-back the way
@@ -306,42 +367,42 @@ def _loop(sim, until, budget):
             mcount = len(targets)
             mindex = 0
             while mindex < mcount:
-#if BUDGET
                 if processed >= budget:
                     heappush(queue, (time_, seq_, "mbatch", _EXTERNAL_TARGET,
                                      (targets[mindex:], mpayload)))
                     break
-#endif
                 target = targets[mindex]
                 mindex += 1
-#if COMPUTE
-                free_at = busy_until.get(target, 0.0)
-                if free_at > time_:
-                    # Busy core: this member waits; the rest of the group
-                    # is unaffected.
-                    wseq = next(seq)
-                    if enqueue(target, time_, wseq, mpayload):
-                        heappush(queue, (free_at, wseq, "cpu", target, None))
-                    continue
-#endif
-#if CRASH
-                if is_crashed(target, now):
-                    dropped += 1
+                if gated:
+                    free_at = busy_until.get(target, 0.0)
+                    if compute and free_at > time_:
+                        # Busy core: this member waits; the rest of the
+                        # group is unaffected.
+                        wseq = next(seq)
+                        if enqueue(target, time_, wseq, mpayload):
+                            heappush(queue,
+                                     (free_at, wseq, "cpu", target, None))
+                    elif crash and is_crashed(target, now):
+                        dropped += 1
+                        processed += 1
+                    else:
+                        handler, ctx = deliver_one[target]
+                        handler(ctx, sender, message)
+                        delivered += 1
+                        processed += 1
+                        if compute:
+                            cost = message_cost(target, sender, message)
+                            if cost > 0.0:
+                                record_busy(target, now, cost)
+                                if sim._compute_listeners:
+                                    sim._notify_compute(
+                                        "cpu-busy", target, now, cost,
+                                        message)
+                else:
+                    handler, ctx = deliver_one[target]
+                    handler(ctx, sender, message)
+                    delivered += 1
                     processed += 1
-                    continue
-#endif
-                handler, ctx = deliver_one[target]
-                handler(ctx, sender, message)
-                delivered += 1
-                processed += 1
-#if COMPUTE
-                cost = message_cost(target, sender, message)
-                if cost > 0.0:
-                    record_busy(target, now, cost)
-                    if sim._compute_listeners:
-                        sim._notify_compute("cpu-busy", target, now, cost,
-                                            message)
-#endif
         elif kind == "timer":
             timer_id = payload.timer_id
             pending_timers.discard(timer_id)
@@ -356,11 +417,9 @@ def _loop(sim, until, budget):
             if time_ > now:
                 now = time_
                 sim.now = now
-#if CRASH
-            if is_crashed(target, now):
+            if crash and is_crashed(target, now):
                 processed += 1
                 continue
-#endif
             handler, ctx = fire_timer[target]
             handler(ctx, payload)
             processed += 1
@@ -382,56 +441,44 @@ def _loop(sim, until, budget):
         heappush(queue, pending)
     sim._messages_delivered += delivered
     sim._messages_dropped += dropped
-#if RUNAHEAD
-    stats = sim._dispatch_counts
-    stats["runahead_members"] += runahead
-#endif
+    sim._dispatch_counts["runahead_members"] += members
     return processed
-"""
 
 
-# --------------------------------------------------------------------- #
-# Calendar-queue loop template
-# --------------------------------------------------------------------- #
-#
-# Walks the scheduler's materialized current bucket by a local index
-# instead of popping a heap.  The bucket is four parallel columns (times /
-# targets / senders / messages) of plain scalars — no per-event tuples, so
-# a materialized bucket is invisible to the cyclic garbage collector and
-# the fast path is four C-level list indexes per delivery.  A standard
-# 5-tuple event (timer, external, unicast message, mbatch, cpu wake)
-# marks its row with a negative sentinel target and parks the tuple in
-# the message column.  Events that arrive *inside* the open bucket land
-# in the scheduler's small `_inc` heap and are merged by time (residents
-# win exact-time ties — they were scheduled first; compute variants break
-# a tie with a standard resident by seq, because a wake hands waiters
-# back under older seqs).  `run_end` pre-cuts the
-# walk at the `until` horizon via one bisect, so the fast path carries no
+# The calendar loop walks the scheduler's materialized current bucket by
+# a local index instead of popping a heap.  The bucket is four parallel
+# columns (times / targets / senders / messages) of plain scalars — no
+# per-event tuples, so a materialized bucket is invisible to the cyclic
+# garbage collector and the fast path is four C-level list indexes per
+# delivery.  A standard 5-tuple event (timer, external, unicast message,
+# mbatch, cpu wake) marks its row with a negative sentinel target and
+# parks the tuple in the message column.  Events that arrive *inside* the
+# open bucket land in the scheduler's small `_inc` heap and are merged by
+# time (residents win exact-time ties — they were scheduled first; under
+# compute a tie with a standard resident goes by seq, because a wake
+# hands waiters back under older seqs).  `run_end` pre-cuts the walk at
+# the `until` horizon via one bisect, so the fast path carries no
 # per-event horizon compare.
 
-_CALQ_TEMPLATE = """\
-def _loop(sim, until, budget):
+def calendar_loop(sim, until: float, budget: int) -> int:
+    """Dispatch calendar-queue events due by ``until``, at most ``budget``."""
     sched = sim._scheduler
-    heappop = _heappop
     _len = len
     pending_timers = sim._pending_timers
     cancelled_timers = sim._cancelled_timers
     deliver_one = sim._deliver_one
     fire_timer = sim._fire_timer
     sched_push = sched.push
-#if CRASH
+    compute = sim._compute_cost is not None
+    crash = bool(sim.network.faults.crash_schedule.crash_times)
+    gated = compute or crash
     is_crashed = sim.network.faults.is_crashed
-#endif
-#if COMPUTE
-    compute = sim._compute
     message_cost = sim._compute_cost
-    busy_until = compute.busy_until
-    inboxes = compute.inbox
-    enqueue = compute.enqueue
-    record_wait = compute.record_wait
-    record_busy = compute.record_busy
+    model = sim._compute
+    busy_until = model.busy_until
+    enqueue = model.enqueue
+    record_busy = model.record_busy
     seq = sim._seq
-#endif
     generation = sim._dispatch_generation
     now = sim.now
     processed = 0
@@ -445,10 +492,13 @@ def _loop(sim, until, budget):
     pos = sched._pos
     cur_len = len(times)
     inc = sched._inc
+    # An event at the current instant belongs to the open bucket: straight
+    # into the inc heap, where ``sched.push`` would route it.
+    push_now = partial(heappush, inc)
     if cur_len == 0 or times[cur_len - 1] <= until:
         run_end = cur_len
     else:
-        run_end = _bisect_right(times, until, pos)
+        run_end = bisect_right(times, until, pos)
     # ``pending`` holds an event already removed from the queue that must
     # be dispatched without re-running the top-of-loop checks — the event
     # after a cancelled timer (the preserved horizon edge).
@@ -458,24 +508,17 @@ def _loop(sim, until, budget):
             event = pending
             pending = None
         else:
-#if BUDGET
             if processed >= budget:
                 break
-#endif
-#if COMPUTE
-            if inc and not (pos < run_end and (
-                    times[pos] < inc[0][0] or times[pos] == inc[0][0]
-                    and (targs[pos] >= 0 or msgs[pos][1] < inc[0][1]))):
-                # As below, except that a wake hands waiters back under
-                # seqs older than a resident's: an exact-time tie with a
-                # standard resident goes by seq.
-#else
-            if inc and not (pos < run_end and times[pos] <= inc[0][0]):
-#endif
+            if inc and not (pos < run_end and times[pos] <= inc[0][0] and (
+                    not compute or times[pos] < inc[0][0]
+                    or targs[pos] >= 0 or msgs[pos][1] < inc[0][1])):
                 # The inc heap's head (an event scheduled into the open
                 # bucket after it materialized) is due before the next
                 # resident; exact-time ties go to residents — they were
-                # scheduled first.
+                # scheduled first — except that under compute a wake
+                # hands waiters back under seqs older than a resident's,
+                # so a tie with a standard resident goes by seq.
                 event = inc[0]
                 if event[0] > until:
                     break
@@ -491,95 +534,63 @@ def _loop(sim, until, budget):
                 # precomputed ``run_end``, and the budget pre-cuts
                 # ``stop`` instead of a per-event compare.  The generation
                 # check runs once per burst: a mid-run bump (listener
-                # attach / force-scalar toggle) changes neither this
-                # variant's selection nor its in-loop behaviour, so burst
-                # granularity is observationally identical.
+                # attach / force-scalar toggle) changes no flag this loop
+                # reads, so burst granularity is observationally
+                # identical.  Compute and crash runs take no burst: each
+                # of their rows goes through the branches below, one at a
+                # time, so the burst carries no flag test.
                 if sim._dispatch_generation != generation:
                     break
                 stop = run_end
-#if BUDGET
                 rem = budget - processed
                 if stop - pos > rem:
                     stop = pos + rem
-#endif
                 if inc:
                     inc_t = inc[0][0]
                 else:
-                    inc_t = _INF
-                inc_n = _len(inc)
-#if TALLY
-                burst_base = pos
-#endif
-                while pos < stop:
-                    time_ = times[pos]
-                    if time_ > inc_t:
-                        break
-                    target = targs[pos]
-                    if target < 0:
-                        break
-                    sender = sends[pos]
-                    message = msgs[pos]
-                    pos += 1
-                    if time_ > now:
-                        now = time_
-                        sim.now = now
-#if COMPUTE
-                    free_at = busy_until.get(target, 0.0)
-                    if free_at > time_:
-                        # Busy core: the delivery waits in the replica's
-                        # inbox (no budget charge); the first resident
-                        # arms the wake.
-                        wseq = next(seq)
-                        if enqueue(target, time_, wseq, (sender, message)):
-                            sched_push((free_at, wseq, "cpu", target, None))
-                            if _len(inc) != inc_n:
-                                inc_n = _len(inc)
-                                inc_t = inc[0][0]
-                        continue
-#endif
-#if CRASH
-                    if is_crashed(target, now):
-                        dropped += 1
-                        processed += 1
-                        continue
-#endif
-                    handler, ctx = deliver_one[target]
-                    handler(ctx, sender, message)
-#if not TALLY
-                    delivered += 1
-                    processed += 1
-#endif
-#if COMPUTE
-                    cost = message_cost(target, sender, message)
-                    if cost > 0.0:
-                        record_busy(target, now, cost)
-                        if sim._compute_listeners:
-                            sim._notify_compute("cpu-busy", target, now,
-                                                cost, message)
-#endif
-                    if _len(inc) != inc_n:
-                        inc_n = _len(inc)
-                        inc_t = inc[0][0]
-#if TALLY
-                # Every row a plain-delivery burst consumes is exactly one
-                # processed delivery: tally once per burst, not per event.
-                consumed = pos - burst_base
-                delivered += consumed
-                processed += consumed
-#endif
+                    inc_t = math.inf
+                if not gated:
+                    inc_n = _len(inc)
+                    burst_base = pos
+                    while pos < stop:
+                        time_ = times[pos]
+                        if time_ > inc_t:
+                            break
+                        target = targs[pos]
+                        if target < 0:
+                            break
+                        sender = sends[pos]
+                        message = msgs[pos]
+                        pos += 1
+                        if time_ > now:
+                            now = time_
+                            sim.now = now
+                        handler, ctx = deliver_one[target]
+                        handler(ctx, sender, message)
+                        if _len(inc) != inc_n:
+                            inc_n = _len(inc)
+                            inc_t = inc[0][0]
+                    # Every row a plain burst consumes is exactly one
+                    # processed delivery: tally once per burst.
+                    consumed = pos - burst_base
+                    delivered += consumed
+                    processed += consumed
                 if pos < stop:
                     if times[pos] > inc_t:
                         # A handler pushed an inc event that is now due.
                         continue
-#if COMPUTE
-                    if inc and times[pos] == inc_t and msgs[pos][1] > inc[0][1]:
-                        continue
-#endif
-                    # Standard 5-tuple resident (timer / mbatch / external
-                    # / message / cpu wake) at the walk front; its horizon
-                    # check is the ``run_end`` bound and its generation
-                    # check ran at burst entry.
-                    event = msgs[pos]
+                    # The walk front: a standard 5-tuple resident (timer /
+                    # mbatch / external / message / cpu wake), or a
+                    # broadcast row of a compute or crash run in the form
+                    # ``sched.pop()`` gives it.  Its horizon check is the
+                    # ``run_end`` bound and its generation check ran at
+                    # burst entry.
+                    target = targs[pos]
+                    if target < 0:
+                        event = msgs[pos]
+                    else:
+                        event = (times[pos], -1, "message", target,
+                                 (sends[pos], msgs[pos]))
                     pos += 1
                 else:
                     if inc or pos < run_end:
@@ -602,41 +613,55 @@ def _loop(sim, until, budget):
                     if cur_len == 0 or times[cur_len - 1] <= until:
                         run_end = cur_len
                     else:
-                        run_end = _bisect_right(times, until)
+                        run_end = bisect_right(times, until)
                     continue
         time_, seq_, kind, target, payload = event
         if kind == "message":
             if time_ > now:
                 now = time_
                 sim.now = now
-#if COMPUTE
-            free_at = busy_until.get(target, 0.0)
-            if free_at > time_:
-                wseq = next(seq)
-                if enqueue(target, time_, wseq, payload):
-                    sched_push((free_at, wseq, "cpu", target, None))
-                continue
-#endif
-#if CRASH
-            if is_crashed(target, now):
-                dropped += 1
-                processed += 1
-                continue
-#endif
             sender, message = payload
-            handler, ctx = deliver_one[target]
-            handler(ctx, sender, message)
-            delivered += 1
-            processed += 1
-#if COMPUTE
-            cost = message_cost(target, sender, message)
-            if cost > 0.0:
-                record_busy(target, now, cost)
-                if sim._compute_listeners:
-                    sim._notify_compute("cpu-busy", target, now, cost,
-                                        message)
-#include WAKE
-#endif
+            if gated:
+                free_at = busy_until.get(target, 0.0)
+                if compute and free_at > time_:
+                    wseq = next(seq)
+                    if enqueue(target, time_, wseq, payload):
+                        sched_push((free_at, wseq, "cpu", target, None))
+                elif crash and is_crashed(target, now):
+                    dropped += 1
+                    processed += 1
+                else:
+                    handler, ctx = deliver_one[target]
+                    handler(ctx, sender, message)
+                    delivered += 1
+                    processed += 1
+                    if compute:
+                        cost = message_cost(target, sender, message)
+                        if cost > 0.0:
+                            record_busy(target, now, cost)
+                            if sim._compute_listeners:
+                                sim._notify_compute("cpu-busy", target,
+                                                    now, cost, message)
+            else:
+                handler, ctx = deliver_one[target]
+                handler(ctx, sender, message)
+                delivered += 1
+                processed += 1
+        elif kind == "cpu":
+            if time_ > now:
+                now = time_
+                sim.now = now
+            done = _cpu_wake(
+                sim, event,
+                pos < cur_len and times[pos] == time_
+                or inc and inc[0][0] == time_,
+                sched_push, push_now, crash)
+            if done is not None:
+                processed += 1
+                if done:
+                    delivered += 1
+                else:
+                    dropped += 1
         elif kind == "mbatch":
             # Same-instant broadcast group (zero-jitter latency): every
             # member is a delivery at exactly ``time_``, processed
@@ -652,7 +677,6 @@ def _loop(sim, until, budget):
             mcount = len(targets)
             mindex = 0
             while mindex < mcount:
-#if BUDGET
                 if processed >= budget:
                     times.insert(pos, time_)
                     targs.insert(pos, _STD_TARGET)
@@ -662,35 +686,35 @@ def _loop(sim, until, budget):
                                       (targets[mindex:], mpayload)))
                     cur_len += 1
                     break
-#endif
                 target = targets[mindex]
                 mindex += 1
-#if COMPUTE
-                free_at = busy_until.get(target, 0.0)
-                if free_at > time_:
-                    wseq = next(seq)
-                    if enqueue(target, time_, wseq, mpayload):
-                        sched_push((free_at, wseq, "cpu", target, None))
-                    continue
-#endif
-#if CRASH
-                if is_crashed(target, now):
-                    dropped += 1
+                if gated:
+                    free_at = busy_until.get(target, 0.0)
+                    if compute and free_at > time_:
+                        wseq = next(seq)
+                        if enqueue(target, time_, wseq, mpayload):
+                            sched_push((free_at, wseq, "cpu", target, None))
+                    elif crash and is_crashed(target, now):
+                        dropped += 1
+                        processed += 1
+                    else:
+                        handler, ctx = deliver_one[target]
+                        handler(ctx, sender, message)
+                        delivered += 1
+                        processed += 1
+                        if compute:
+                            cost = message_cost(target, sender, message)
+                            if cost > 0.0:
+                                record_busy(target, now, cost)
+                                if sim._compute_listeners:
+                                    sim._notify_compute(
+                                        "cpu-busy", target, now, cost,
+                                        message)
+                else:
+                    handler, ctx = deliver_one[target]
+                    handler(ctx, sender, message)
+                    delivered += 1
                     processed += 1
-                    continue
-#endif
-                handler, ctx = deliver_one[target]
-                handler(ctx, sender, message)
-                delivered += 1
-                processed += 1
-#if COMPUTE
-                cost = message_cost(target, sender, message)
-                if cost > 0.0:
-                    record_busy(target, now, cost)
-                    if sim._compute_listeners:
-                        sim._notify_compute("cpu-busy", target, now, cost,
-                                            message)
-#endif
         elif kind == "timer":
             timer_id = payload.timer_id
             pending_timers.discard(timer_id)
@@ -710,20 +734,17 @@ def _loop(sim, until, budget):
                     msgs = sched._cur_messages
                     pos = sched._pos
                     cur_len = len(times)
-                    inc = sched._inc
                     if cur_len == 0 or times[cur_len - 1] <= until:
                         run_end = cur_len
                     else:
-                        run_end = _bisect_right(times, until, pos)
+                        run_end = bisect_right(times, until, pos)
                 continue
             if time_ > now:
                 now = time_
                 sim.now = now
-#if CRASH
-            if is_crashed(target, now):
+            if crash and is_crashed(target, now):
                 processed += 1
                 continue
-#endif
             handler, ctx = fire_timer[target]
             handler(ctx, payload)
             processed += 1
@@ -754,182 +775,3 @@ def _loop(sim, until, budget):
     sim._messages_delivered += delivered
     sim._messages_dropped += dropped
     return processed
-"""
-
-
-# The wake handler both templates share (spliced in at ``#include WAKE``
-# with the backend's push), so heap and calendar runs book waits with the
-# same arithmetic in the same order.
-
-_WAKE_BLOCK = """\
-        elif kind == "cpu":
-            if time_ > now:
-                now = time_
-                sim.now = now
-            compute.cpu_wakes += 1
-            free_at = busy_until[target]
-            if payload is None:
-                # The wake of a replica with a non-empty inbox (the
-                # scheduler holds exactly one per such replica), keyed
-                # like the head waiter's own delivery would be.
-                inbox = inboxes[target]
-                if free_at > time_ or SHARED_INSTANT:
-                    # Another event shares this exact instant (or a tying
-                    # arrival already took the core): who runs first is
-                    # decided waiter by waiter in (time, seq) order, so
-                    # the residents go back to the scheduler under their
-                    # own keys.  Those queued before this wake was armed
-                    # were re-keyed with it, as one contiguous block.
-                    # Arrivals of this very instant stay: they already
-                    # wait for the new free instant.
-                    residents = len(inbox)
-                    rank = 0
-                    while inbox and inbox[0][0] < time_:
-                        waiter = inbox.popleft()
-                        wseq = waiter[1]
-                        PUSH_NOW((time_, wseq if wseq > seq_
-                                  else seq_ + rank / residents, "cpu",
-                                  target, waiter))
-                        rank += 1
-                    if inbox:
-                        PUSH((free_at, inbox[0][1], "cpu", target, None))
-                    continue
-                payload = inbox.popleft()
-            elif free_at > time_:
-                # A lone waiter behind a busy core: back into the inbox
-                # (inline: the depth gauge has seen this waiter already).
-                inbox = inboxes[target]
-                wseq = next(seq)
-                if not inbox:
-                    PUSH((free_at, wseq, "cpu", target, None))
-                inbox.append((payload[0], wseq, payload[2]))
-                continue
-            else:
-                inbox = None
-            arrived, _, (sender, message) = payload
-            record_wait(target, time_ - arrived)
-            if sim._compute_listeners:
-                sim._notify_compute("cpu-wait", target, arrived,
-                                    time_ - arrived, message)
-            processed += 1
-#if CRASH
-            if is_crashed(target, now):
-                # Dropped at the core: nothing is charged, so the next
-                # resident follows this same instant, ahead of anything
-                # scheduled since (the wake keeps its seq).
-                dropped += 1
-                if inbox:
-                    PUSH_NOW((time_, seq_, "cpu", target, None))
-                continue
-#endif
-            handler, ctx = deliver_one[target]
-            handler(ctx, sender, message)
-            delivered += 1
-            cost = message_cost(target, sender, message)
-            if cost > 0.0:
-                record_busy(target, now, cost)
-                if sim._compute_listeners:
-                    sim._notify_compute("cpu-busy", target, now, cost,
-                                        message)
-            if inbox:
-                # Re-arm at the new free instant; a zero-cost delivery
-                # (the self copy) leaves the core free, so the next
-                # resident follows this same instant under the same seq.
-                free_at = busy_until[target]
-                if free_at > time_:
-                    PUSH((free_at, next(seq), "cpu", target, None))
-                else:
-                    PUSH_NOW((time_, seq_, "cpu", target, None))
-"""
-
-_LOOP_TEMPLATE = _LOOP_TEMPLATE.replace(
-    "#include WAKE\n",
-    _WAKE_BLOCK.replace("PUSH_NOW(", "heappush(queue, ")
-    .replace("PUSH(", "heappush(queue, ")
-    .replace("SHARED_INSTANT", "(queue and queue[0][0] == time_)"))
-# An event at the current instant belongs to the open bucket: straight
-# into the inc heap, where ``sched.push`` would route it.
-_CALQ_TEMPLATE = _CALQ_TEMPLATE.replace(
-    "#include WAKE\n",
-    _WAKE_BLOCK.replace("PUSH_NOW(", "_heappush(inc, ")
-    .replace("PUSH(", "sched_push(")
-    .replace("SHARED_INSTANT", "(pos < cur_len and times[pos] == time_"
-                               " or inc and inc[0][0] == time_)"))
-
-
-def _render(template: str, features: Dict[str, bool]) -> str:
-    """Render ``#if NAME`` / ``#else`` / ``#endif`` blocks (nested)."""
-    lines = []
-    stack = []  # (parent_emitting, this_branch_value)
-    emitting = True
-    for line in template.splitlines():
-        stripped = line.strip()
-        if stripped.startswith("#if "):
-            condition = stripped[4:].strip()
-            negate = condition.startswith("not ")
-            name = condition[4:].strip() if negate else condition
-            value = features[name] != negate
-            stack.append((emitting, value))
-            emitting = emitting and value
-        elif stripped == "#else":
-            parent, value = stack[-1]
-            emitting = parent and not value
-        elif stripped == "#endif":
-            parent, _ = stack.pop()
-            emitting = parent
-        elif emitting:
-            lines.append(line)
-    if stack:
-        raise ValueError("unbalanced #if in loop template")
-    return "\n".join(lines) + "\n"
-
-
-_VARIANTS: Dict[Tuple[str, bool, bool, bool, bool], Callable] = {}
-
-
-def _variant_source(backend: str, compute: bool, crash: bool,
-                    runahead: bool, budget: bool) -> str:
-    """The rendered source of one loop variant, before compilation."""
-    features = {
-        "COMPUTE": compute,
-        "CRASH": crash,
-        "RUNAHEAD": runahead,
-        # Unbounded `run(until)` calls compile out every per-event
-        # budget compare; `step()` and bounded runs keep them.
-        "BUDGET": budget,
-        # Plain deliveries (no crash drops, no inbox waits)
-        # consume exactly one burst row each: the calendar burst can
-        # tally them per burst instead of per event.
-        "TALLY": not compute and not crash,
-    }
-    template = _CALQ_TEMPLATE if backend == "calendar" else _LOOP_TEMPLATE
-    return _render(template, features)
-
-
-def select_loop(compute: bool, crash: bool, runahead: bool,
-                budget: bool = True, backend: str = "heap") -> Callable:
-    """The compiled loop variant for one feature set (cached process-wide)."""
-    if backend == "calendar":
-        # The calendar loop has no sbatch chains to run ahead on (members
-        # are already materialized in final order), so the run-ahead flag
-        # is normalized out of the key — toggling ``force_scalar_dispatch``
-        # re-selects into the same (correct) variant.
-        key = (backend, compute, crash, False, budget)
-    else:
-        key = (backend, compute, crash, runahead, budget)
-    loop = _VARIANTS.get(key)
-    if loop is None:
-        source = _variant_source(*key)
-        namespace = {
-            "_heappop": heapq.heappop,
-            "_heappush": heapq.heappush,
-            "_heappushpop": heapq.heappushpop,
-            "_bisect_right": bisect_right,
-            "_EXTERNAL_TARGET": _EXTERNAL_TARGET,
-            "_STD_TARGET": _STD_TARGET,
-            "_INF": float("inf"),
-        }
-        code = compile(source, f"<dispatch-loop {key}>", "exec")
-        exec(code, namespace)
-        loop = _VARIANTS[key] = namespace["_loop"]
-    return loop

@@ -6,7 +6,7 @@ that queue behind a small seam so the dispatch loop can pick a backend:
 
 * :class:`HeapScheduler` — the original ``heapq`` binary heap, kept as the
   runtime reference implementation (``scheduler="heap"``).  Its internal
-  list is handed to the compiled loop directly, so the hot path is exactly
+  list is handed to the heap loop directly, so the hot path is exactly
   the pre-seam code.
 * :class:`CalendarQueue` — a calendar/ladder queue tuned for the
   simulator's jittered-broadcast shape (``scheduler="calendar"``): event
@@ -78,7 +78,7 @@ _STD = -2
 class HeapScheduler:
     """The reference binary-heap backend (a thin veneer over ``heapq``).
 
-    The compiled heap loop bypasses this object and works on ``heap``
+    The heap loop bypasses this object and works on ``heap``
     directly; the methods serve the cold paths (scheduling, tests) so both
     backends present one surface.
     """
@@ -346,7 +346,7 @@ class CalendarQueue:
         return max(span / 12.0, 1e-9)
 
     # ------------------------------------------------------------------ #
-    # Consumption (cold paths; the compiled loop inlines all of this)
+    # Consumption (cold paths; the calendar loop inlines all of this)
     # ------------------------------------------------------------------ #
 
     def _inc_first(self, pos: int) -> bool:

@@ -65,7 +65,8 @@ from repro.net.latency import ConstantLatency, LatencyModel
 from repro.net.transport import Delivery, Transport, build_transport
 from repro.runtime.compute import ComputeModel, build_compute
 from repro.runtime.context import ReplicaContext, Timer
-from repro.runtime.dispatch import UNBOUNDED, build_handler_tables, select_loop
+from repro.runtime.dispatch import (
+    UNBOUNDED, build_handler_tables, calendar_loop, heap_loop)
 from repro.runtime.scheduler import SCHEDULERS, build_scheduler
 from repro.types.blocks import Block
 from repro.types.messages import Message
@@ -277,9 +278,10 @@ class Simulation:
         self._deliver_one, self._fire_timer = (
             build_handler_tables(self._protocols, self._contexts)
         )
-        # Event-loop variant selection state: the generation is bumped by
-        # any feature toggle that can affect loop behavior mid-run; the
-        # active loop notices and returns so ``run()`` re-selects.
+        # Event-loop feature state: the generation is bumped by any
+        # feature toggle that can affect loop behavior mid-run; the active
+        # loop notices and returns so ``run()`` re-enters it, and the loop
+        # re-reads its flags.
         self._dispatch_generation = 0
         self._force_scalar_dispatch = False
         self._dispatch_counts: Dict[str, int] = {"runahead_members": 0}
@@ -313,7 +315,7 @@ class Simulation:
                                                    False))
         # Event-queue backend (see :mod:`repro.runtime.scheduler`).  The
         # heap backend exposes its raw list as ``self._queue`` so the
-        # compiled loop and the cold push sites keep the original zero-seam
+        # heap loop and the cold push sites keep the original zero-seam
         # code; ``None`` routes every push through the scheduler object.
         self._scheduler = build_scheduler(
             self.network.scheduler, self._seq,
@@ -401,7 +403,7 @@ class Simulation:
         :func:`repro.runtime.trace.attach_compute_trace`.  Listeners are
         only consulted under a non-trivial compute model, so they add no
         overhead to default (zero-compute) runs, and attaching one does
-        not change which loop variant runs.
+        not change which code path the event loop runs.
         """
         self._compute_listeners.append(listener)
         self._dispatch_generation += 1
@@ -441,8 +443,8 @@ class Simulation:
         The reference loop re-pushes every sbatch successor through the
         heap instead of delivering it in place — the semantics run-ahead
         must reproduce byte-for-byte.  Flipping it mid-run takes effect at
-        the next event (the loop re-selects its variant).  Used by the
-        run-ahead equivalence tests.
+        the next event (the loop returns and re-reads its flags).  Used by
+        the run-ahead equivalence tests.
         """
         return self._force_scalar_dispatch
 
@@ -560,25 +562,20 @@ class Simulation:
     def _run_dispatch(self, until: float, max_events: Optional[int]) -> int:
         """Shared event-loop driver behind :meth:`run` and :meth:`step`.
 
-        Selects the monomorphic loop variant matching the active feature
-        set (compute model, crash faults, sbatch run-ahead — see
-        :mod:`repro.runtime.dispatch`), runs it, and re-selects whenever a
-        feature toggle bumps the dispatch generation mid-run.  Returns the
-        number of budget-consuming events processed.
+        Runs the scheduler backend's event loop (see
+        :mod:`repro.runtime.dispatch`), which reads the feature flags
+        (compute model, crash faults, sbatch run-ahead) at entry, and
+        re-enters it whenever a feature toggle bumps the dispatch
+        generation mid-run.  Returns the number of budget-consuming events
+        processed.
         """
         if not self._started:
             self.start()
+        loop = calendar_loop if self._scheduler.name == "calendar" else heap_loop
         budget = UNBOUNDED if max_events is None else max_events
         total = 0
         while True:
             generation = self._dispatch_generation
-            loop = select_loop(
-                self._compute_cost is not None,
-                bool(self.network.faults.crash_schedule.crash_times),
-                not self._force_scalar_dispatch,
-                max_events is not None,
-                backend=self._scheduler.name,
-            )
             total += loop(self, until, budget - total)
             if self._dispatch_generation == generation or total >= budget:
                 return total
@@ -586,7 +583,7 @@ class Simulation:
     def step(self) -> bool:
         """Process the next event; return ``False`` if the queue is empty.
 
-        Single-stepping runs the same compiled loop as :meth:`run` with an
+        Single-stepping runs the same event loop as :meth:`run` with an
         event budget of one, so it cannot drift from the batched path:
         mbatch/sbatch events are unfolded one member per step (the tail or
         successor goes back under the batch's original heap key), and
@@ -611,9 +608,9 @@ class Simulation:
         re-checking ``until`` — preserved from the original ``step()``-based
         loop so that seeded executions stay byte-for-byte reproducible.)
 
-        The hot loop itself lives in :mod:`repro.runtime.dispatch`: a
-        monomorphic variant is selected at entry for the active feature
-        set, per-target handler tables kill repeated dict/attr lookups,
+        The hot loop itself lives in :mod:`repro.runtime.dispatch`: one
+        plain loop per scheduler backend reads the active feature flags at
+        entry, per-target handler tables kill repeated dict/attr lookups,
         and (unless :attr:`force_scalar_dispatch` is set) a jittered
         broadcast's sbatch chain runs ahead without heap round trips.
         Every delivery is one ``on_message`` call.

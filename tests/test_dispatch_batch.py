@@ -1,21 +1,20 @@
-"""Event-loop variants: run-ahead vs the reference loop, and every variant.
+"""Event loops: run-ahead vs the reference loop, calendar vs heap.
 
-Every delivery is one ``on_message`` call; the loop variants differ only
-in how they reach the next event.  Pinned here:
+Every delivery is one ``on_message`` call; the loops differ only in how
+they reach the next event.  Pinned here:
 
 * ``sbatch`` run-ahead (a jittered broadcast's chain delivered member
   after member without heap round trips) must produce executions
   byte-identical to the reference loop that re-pushes every successor
   (:attr:`Simulation.force_scalar_dispatch`), across protocols, compute
   models, fault plans, bounded and unbounded runs, and a mid-run toggle;
-* ``run()`` must match single-stepping at n=64 with jitter and compute;
-* every ``(backend, compute, crash, runahead, budget)`` variant renders and
-  compiles.
+* the calendar-queue loop must replay the heap loop's execution across
+  the same protocols, compute models and fault plans, also when a run is
+  cut into budget chunks;
+* ``run()`` must match single-stepping at n=64 with jitter and compute.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import pytest
 
@@ -24,7 +23,6 @@ from repro.net.latency import GeoLatency
 from repro.net.topology import four_global_datacenters
 from repro.protocols.base import ProtocolParams
 from repro.protocols.registry import create_replicas
-from repro.runtime import dispatch
 from repro.runtime.simulator import NetworkConfig, Simulation
 
 PROTOCOLS = ("banyan", "icc", "hotstuff", "streamlet")
@@ -102,9 +100,9 @@ class TestSweepScalarEquivalence:
         assert default.commits_for(0)
 
     def test_jittered_sbatch_path_is_mode_invariant(self):
-        # Bounded runs compile the budget checks into the loop, including
-        # run-ahead's own budget exit; chunked runs in either mode must
-        # replay the unbounded execution.
+        # Bounded runs exercise the budget exits, including run-ahead's
+        # own; chunked runs in either mode must replay the unbounded
+        # execution.
         def chunked(scalar: bool) -> Simulation:
             simulation = _simulation("banyan", "crypto", "none")
             simulation.force_scalar_dispatch = scalar
@@ -122,7 +120,8 @@ class TestSweepScalarEquivalence:
     def test_mid_run_toggle_reselects_the_loop(self):
         # Flipping force_scalar_dispatch between run() calls must keep the
         # execution byte-identical to an untoggled run: the generation
-        # bump makes the active loop return and run() re-select.
+        # bump makes the active loop return, and on re-entry it re-reads
+        # its flags.
         toggled = _simulation("banyan", "zero", "none")
         toggled.run(until=2.0)
         toggled.force_scalar_dispatch = True
@@ -169,47 +168,6 @@ class TestCalendarMatchesHeap:
         assert _execution_digest(calendar) == _execution_digest(heap)
         assert heap.compute_stats()["cpu_wakes"] > 0
         assert heap.messages_dropped > 0
-
-
-# --------------------------------------------------------------------- #
-# Every loop variant
-# --------------------------------------------------------------------- #
-
-
-_AXES = ("compute", "crash", "runahead", "budget")
-VARIANT_KEYS = [
-    (backend, *flags)
-    for backend in ("heap", "calendar")
-    for flags in itertools.product((False, True), repeat=len(_AXES))
-]
-
-
-def _variant_id(key) -> str:
-    backend, *flags = key
-    on = [axis for axis, flag in zip(_AXES, flags) if flag]
-    return "-".join([backend] + (on or ["plain"]))
-
-
-@pytest.mark.parametrize("key", VARIANT_KEYS, ids=_variant_id)
-def test_every_loop_variant_renders_and_compiles(key):
-    backend, compute, crash, runahead, budget = key
-    loop = dispatch.select_loop(compute, crash, runahead, budget,
-                                backend=backend)
-    assert callable(loop)
-    assert dispatch.select_loop(compute, crash, runahead, budget,
-                                backend=backend) is loop
-
-    source = dispatch._variant_source(*key)
-    compile(source, f"<variant {key}>", "exec")
-    assert "deliver_many" not in source
-    assert "on_messages" not in source
-
-
-def test_render_rejects_an_unknown_if_name():
-    names = ("COMPUTE", "CRASH", "RUNAHEAD", "BUDGET", "TALLY")
-    with pytest.raises(KeyError):
-        dispatch._render("#if FUSE\npass\n#endif\n",
-                         dict.fromkeys(names, True))
 
 
 # --------------------------------------------------------------------- #

@@ -140,7 +140,7 @@ class TestRunVsStep:
 
     n=64 with jittered latency and crypto compute: broadcasts spill as
     vectorized calendar segments, cpu wakes re-arm mid-bucket,
-    and every step re-enters the compiled loop — the hardest shape for
+    and every step re-enters the calendar loop — the hardest shape for
     the scheduler seam to keep byte-identical.
     """
 
