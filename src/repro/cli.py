@@ -56,21 +56,25 @@ _WORKLOADS = {
 }
 
 
-def _positive(cast, noun: str):
-    """An argparse type: ``cast(text)``, which must be finite and above 0."""
+def _finite(cast, noun: str, zero: bool = False):
+    """An argparse type: ``cast(text)``, which must be finite and above 0
+    (or at least 0 with ``zero``)."""
+    sign = "non-negative" if zero else "positive"
+
     def parse(text: str):
         try:
             value = cast(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid {cast.__name__} value {text!r}")
-        if not math.isfinite(value) or value <= 0:
-            raise argparse.ArgumentTypeError(f"must be a positive {noun}, got {value:g}")
+        if not math.isfinite(value) or value < 0 or (value == 0 and not zero):
+            raise argparse.ArgumentTypeError(f"must be a {sign} {noun}, got {value:g}")
         return value
     return parse
 
 
-_positive_int = _positive(int, "integer")
-_positive_float = _positive(float, "number")
+_positive_int = _finite(int, "integer")
+_positive_float = _finite(float, "number")
+_non_negative_float = _finite(float, "number", zero=True)
 
 
 def _rate_list(text: str) -> List[float]:
@@ -112,9 +116,9 @@ def _build_parser() -> argparse.ArgumentParser:
     figure_parser = subparsers.add_parser("figure", help="reproduce one evaluation figure")
     figure_parser.add_argument("name", choices=sorted(scenarios.PLAN_BUILDERS),
                                help="figure to reproduce")
-    figure_parser.add_argument("--duration", type=float, default=None,
+    figure_parser.add_argument("--duration", type=_positive_float, default=None,
                                help="simulated duration per experiment (seconds)")
-    figure_parser.add_argument("--warmup", type=float, default=None,
+    figure_parser.add_argument("--warmup", type=_non_negative_float, default=None,
                                help="seconds excluded from the measurements "
                                     "(default: the figure's preset)")
     figure_parser.add_argument("--seed", type=int, default=0, help="simulation seed")
@@ -126,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--f", type=int, default=6)
     run_parser.add_argument("--p", type=int, default=1)
     run_parser.add_argument("--payload", type=int, default=400_000, help="payload size in bytes")
-    run_parser.add_argument("--duration", type=float, default=20.0)
+    run_parser.add_argument("--duration", type=_positive_float, default=20.0)
     run_parser.add_argument("--topology", choices=sorted(TOPOLOGY_FACTORIES), default="global4")
     run_parser.add_argument("--latency-model", choices=available_latency_models(),
                             default="geo",
@@ -177,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                  help="transaction size in bytes")
     workload_parser.add_argument("--max-block-bytes", type=int, default=None,
                                  help="per-proposal byte budget drained from the mempool")
-    workload_parser.add_argument("--duration", type=float, default=None,
+    workload_parser.add_argument("--duration", type=_positive_float, default=None,
                                  help="simulated duration (seconds)")
     workload_parser.add_argument("--seed", type=int, default=0)
     workload_parser.add_argument("--rates", type=_rate_list, default=None,
@@ -254,13 +258,13 @@ def _build_parser() -> argparse.ArgumentParser:
     cluster_parser.add_argument("--payload", type=int, default=0,
                                 help="synthetic payload bytes per proposal when "
                                      "the mempool is empty (default: 0)")
-    cluster_parser.add_argument("--rate", type=float, default=0.0,
+    cluster_parser.add_argument("--rate", type=_non_negative_float, default=0.0,
                                 help="aggregate open-loop client rate in tx/s "
                                      "(default: 0, no workload clients)")
     cluster_parser.add_argument("--tx-size", type=int, default=128,
                                 help="workload transaction size in bytes "
                                      "(default: 128)")
-    cluster_parser.add_argument("--clients", type=int, default=2,
+    cluster_parser.add_argument("--clients", type=_positive_int, default=2,
                                 help="number of workload client tasks "
                                      "(default: 2)")
     cluster_parser.add_argument("--seed", type=int, default=0,
@@ -306,7 +310,11 @@ def _runner_kwargs(args: argparse.Namespace) -> dict:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
-    rows = table1_rows(f=args.f, p=args.p)
+    try:
+        rows = table1_rows(f=args.f, p=args.p)
+    except ValueError as exc:
+        print(f"banyan-repro table1: error: {exc}", file=sys.stderr)
+        return 2
     headers = ["protocol", "finalization_latency", "finalization_requirement",
                "creation_latency", "creation_requirement", "replicas", "rotating_leaders"]
     print(format_table(headers, [[row[h] for h in headers] for row in rows]))
@@ -460,11 +468,6 @@ def _cmd_workload(args: argparse.Namespace) -> int:
         value = getattr(args, name)
         if value is not None:
             kwargs[name] = value
-    # The workload scenarios measure from t = 0 (no warm-up).
-    error = _no_window_error(args.duration, 0.0) if args.duration is not None else None
-    if error is not None:
-        print(f"banyan-repro workload: error: {error}", file=sys.stderr)
-        return 2
     try:
         if args.name == "saturation":
             if args.base_rate is not None or args.burst_rate is not None:
@@ -653,9 +656,11 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         protocols = (args.protocol,)
     f, p = fault_bounds(args.n, args.f, args.p)
     for protocol in protocols:
-        # Nothing is spawned for an unsound (n, f, p).
+        # Nothing is spawned for an unsound (n, f, p) or delay.
         try:
-            _checked_params(protocol, n=args.n, f=f, p=p)
+            _checked_params(protocol, n=args.n, f=f, p=p,
+                            rank_delay=args.rank_delay,
+                            round_timeout=args.round_timeout)
         except ValueError as exc:
             print(f"banyan-repro cluster: error: {exc}", file=sys.stderr)
             return 2

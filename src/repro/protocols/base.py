@@ -66,8 +66,9 @@ class ProtocolParams:
             raise ValueError("f must be non-negative")
         if self.p < 0:
             raise ValueError("p must be non-negative")
-        if self.rank_delay < 0 or self.round_timeout < 0:
-            raise ValueError("delays must be non-negative")
+        if not (0 <= self.rank_delay < math.inf
+                and 0 <= self.round_timeout < math.inf):
+            raise ValueError("delays must be finite and non-negative")
 
     # ------------------------------------------------------------------ #
     # Quorum arithmetic

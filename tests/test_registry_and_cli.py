@@ -131,10 +131,14 @@ class TestCLI:
             assert captured.out == ""
             assert captured.err.count("\n") == 1
             assert "after the 2 s warm-up" in captured.err
-        assert main(["workload", "flash-crowd", "--duration", "0"]) == 2
+        # The workload scenarios measure from t = 0: any positive
+        # duration is a window, and argparse refuses the rest.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["workload", "flash-crowd", "--duration", "0"])
+        assert exit_info.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "no measurement window" in captured.err
+        assert "must be a positive number, got 0" in captured.err
 
     @pytest.mark.parametrize("argv", [
         ["figure", "6b", "--duration", "1"],                   # preset 2 s warm-up
@@ -250,6 +254,61 @@ class TestCLI:
         assert exit_info.value.code == 2
         assert (f"argument --duration: must be a positive number, got {duration}"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--n", "4", "--f", "1", "--p", "1", "--duration", "inf"],
+         "argument --duration: must be a positive number, got inf"),
+        (["figure", "6a", "--duration", "nan"],
+         "argument --duration: must be a positive number, got nan"),
+        (["figure", "6a", "--duration", "1", "--warmup", "-1"],
+         "argument --warmup: must be a non-negative number, got -1"),
+        (["figure", "6a", "--duration", "3", "--warmup", "inf"],
+         "argument --warmup: must be a non-negative number, got inf"),
+        (["workload", "saturation", "--duration", "-1"],
+         "argument --duration: must be a positive number, got -1"),
+        (["table1", "--f", "-1"], "f must be at least 1"),
+        (["table1", "--f", "2", "--p", "5"], "p must be in [1, f]"),
+    ])
+    def test_refuses_inputs_that_hang_or_raise(self, capsys, argv, message):
+        """One error line and exit 2, before anything runs: not a hang
+        (infinite duration), a stretched window (negative warm-up) or a
+        traceback."""
+        try:
+            code = main(argv)
+        except SystemExit as exit_info:
+            code = exit_info.code
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error:") == 1
+        assert message in captured.err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--rank-delay", "-1"], "delays must be finite and non-negative"),
+        (["--rank-delay", "nan"], "delays must be finite and non-negative"),
+        (["--round-timeout", "inf"], "delays must be finite and non-negative"),
+        (["--clients", "0", "--rate", "50"],
+         "argument --clients: must be a positive integer, got 0"),
+        (["--rate", "-5"], "argument --rate: must be a non-negative number, got -5"),
+        (["--rate", "nan"], "argument --rate: must be a non-negative number, got nan"),
+    ])
+    def test_cluster_checks_its_flags_before_spawning(
+            self, capsys, monkeypatch, flags, message):
+        import repro.cluster.harness as harness
+
+        def spawn(*args, **kwargs):  # pragma: no cover - must not be reached
+            raise AssertionError("a cluster was spawned")
+
+        monkeypatch.setattr(harness, "run_local_cluster", spawn)
+        try:
+            code = main(["cluster", "--n", "4", "--duration", "2"] + flags)
+        except SystemExit as exit_info:
+            code = exit_info.code
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error:") == 1
+        assert message in captured.err
 
     @pytest.mark.parametrize("protocol", ["banyan", "all"])
     def test_cluster_checks_the_resilience_bound_before_spawning(
