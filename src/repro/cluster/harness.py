@@ -45,6 +45,7 @@ from repro.cluster.wire import ClientSubmit, Hello, encode_frame
 from repro.runtime.simulator import CommitRecord
 from repro.smr.metrics import MetricsCollector, RunMetrics
 from repro.types.blocks import Block
+from repro.workload.transactions import encode_transaction, split_transactions
 
 #: Wall-clock lead the harness gives nodes to import, bind sockets and
 #: connect before the coordinated protocol start.  Four interpreters on two
@@ -56,40 +57,6 @@ DEFAULT_START_DELAY_S = 2.0
 #: Extra wall-clock slack allowed for a node process to exit after its
 #: protocol horizon elapsed.
 SHUTDOWN_GRACE_S = 20.0
-
-_TX_PREFIX = b"tx:"
-
-
-def encode_transaction(tx_id: int, client_id: int, size: int) -> bytes:
-    """A self-describing workload transaction of ``size`` bytes.
-
-    The ``tx:<id>:<client>:`` header lets :func:`split_transactions`
-    recover submissions from committed payloads for latency accounting;
-    the remainder is zero padding up to the requested size.
-    """
-    header = b"%s%d:%d:" % (_TX_PREFIX, tx_id, client_id)
-    if len(header) >= size:
-        return header
-    return header + b"\x00" * (size - len(header))
-
-
-def split_transactions(payload: bytes) -> List[Tuple[int, int]]:
-    """Recover ``(tx_id, client_id)`` pairs from a committed payload.
-
-    Payloads are concatenations of :func:`encode_transaction` outputs;
-    non-workload payloads (synthetic tags, empty blocks) yield ``[]``.
-    """
-    pairs: List[Tuple[int, int]] = []
-    for chunk in payload.split(_TX_PREFIX)[1:]:
-        parts = chunk.split(b":", 2)
-        if len(parts) < 3:
-            continue
-        try:
-            pairs.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            continue
-    return pairs
-
 
 def pick_free_ports(count: int) -> List[int]:
     """Reserve ``count`` distinct free TCP ports on localhost."""

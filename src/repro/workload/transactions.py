@@ -7,7 +7,9 @@ each one is encoded with a small self-describing header
 (``tx:<tx_id>:<client_id>:``) padded to the configured logical size.  Inside
 the :class:`repro.workload.clients.ClientPool` a pending transaction is only
 its integer id; :func:`encode_batch` formats the bytes of a whole proposal's
-worth of ids once, when a block needs them.
+worth of ids once, when a block needs them.  :func:`split_transactions` recovers
+every ``(tx_id, client_id)`` pair from a payload of concatenated
+transactions (the TCP cluster's blocks).
 
 :class:`TxRecord` is the per-transaction view of the submission-side
 bookkeeping — when it was submitted, which replica it was routed to, and
@@ -19,7 +21,7 @@ materialises records on demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 _HEADER_PREFIX = b"tx:"
 _HEADER = _HEADER_PREFIX + b"%d:%d:"  # % (tx_id, client_id)
@@ -67,6 +69,25 @@ def decode_tx_id(data: bytes) -> Optional[int]:
         return int(parts[1])
     except ValueError:
         return None
+
+
+def split_transactions(payload: bytes) -> List[Tuple[int, int]]:
+    """Recover ``(tx_id, client_id)`` pairs from a committed payload.
+
+    Payloads are concatenations of :func:`encode_transaction` outputs (the
+    TCP cluster's blocks); non-workload payloads (synthetic tags, empty
+    blocks) yield ``[]``.
+    """
+    pairs: List[Tuple[int, int]] = []
+    for chunk in payload.split(_HEADER_PREFIX)[1:]:
+        parts = chunk.split(b":", 2)
+        if len(parts) < 3:
+            continue
+        try:
+            pairs.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            continue
+    return pairs
 
 
 @dataclass

@@ -35,7 +35,9 @@ from repro.workload.arrivals import (
 from repro.workload.clients import ClientPool, _TxMempool
 from repro.workload.payloads import MempoolPayloadSource
 from repro.workload.spec import ARRIVAL_KINDS, WorkloadSpec
-from repro.workload.transactions import decode_tx_id, encode_transaction
+from repro.workload.transactions import (
+    MAX_HEADER_BYTES, decode_tx_id, encode_batch, encode_transaction,
+    split_transactions)
 
 
 # --------------------------------------------------------------------- #
@@ -270,6 +272,18 @@ class TestTransactions:
         assert decode_tx_id(b"payload:r3:p1") is None
         assert decode_tx_id(b"tx:notanumber:0:") is None
         assert decode_tx_id(b"") is None
+
+    @pytest.mark.parametrize("size", [1, 8, MAX_HEADER_BYTES, 96])
+    def test_split_recovers_a_concatenated_batch(self, size):
+        tx_ids = [0, 7, 12345, 2**40]
+        client_ids = [3, 0, 99, 1]
+        payload = b"".join(encode_batch(tx_ids, client_ids, size))
+        assert split_transactions(payload) == list(zip(tx_ids, client_ids))
+
+    def test_split_ignores_non_workload_payloads(self):
+        assert split_transactions(b"cluster:r3:p1") == []
+        assert split_transactions(b"") == []
+        assert split_transactions(b"tx:notanumber:0:") == []
 
 
 # --------------------------------------------------------------------- #
