@@ -9,6 +9,9 @@ supports.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -22,7 +25,7 @@ from repro.cluster.harness import (
     run_local_cluster,
     split_transactions,
 )
-from repro.cluster.node import MempoolSource, NodeConfig
+from repro.cluster.node import MempoolSource, NodeConfig, main
 from repro.smr.mempool import Mempool
 
 # Cluster-wide timing used by every test: fast ranks (localhost), a short
@@ -182,6 +185,94 @@ def test_node_config_roundtrip():
     )
     restored = NodeConfig.from_dict(json.loads(json.dumps(config.to_dict())))
     assert restored == config
+
+
+#: Modules a cluster process never runs: numpy, the simulator and its event
+#: queue, the WAN latency tables, the experiment layer and the chaos engine.
+SIMULATOR_MODULES = (
+    "numpy",
+    "repro.runtime.simulator",
+    "repro.runtime.scheduler",
+    "repro.net.latency",
+    "repro.eval.experiment",
+    "repro.chaos.engine",
+)
+
+#: Every public name of the top-level package and the module defining it.
+TOP_LEVEL_NAMES = {
+    "BanyanReplica": "repro.core.banyan",
+    "ExperimentConfig": "repro.eval.experiment",
+    "HotStuffReplica": "repro.protocols.hotstuff",
+    "ICCReplica": "repro.protocols.icc",
+    "NetworkConfig": "repro.runtime.simulator",
+    "Protocol": "repro.protocols.base",
+    "ProtocolParams": "repro.protocols.base",
+    "Simulation": "repro.runtime.simulator",
+    "StreamletReplica": "repro.protocols.streamlet",
+    "__version__": "repro",
+    "run_experiment": "repro.eval.experiment",
+}
+
+_IMPORT_PROBE = """
+import importlib, json, sys
+import repro, repro.cluster.node, repro.cluster.harness
+loaded = sorted(set(sys.argv[2:]) & set(sys.modules))
+defining = json.loads(sys.argv[1])
+wrong = sorted(
+    name for name in repro.__all__
+    if getattr(repro, name) is not getattr(importlib.import_module(defining[name]), name)
+    or getattr(getattr(repro, name), "__module__", defining[name]) != defining[name]
+)
+print(json.dumps({"loaded": loaded, "all": sorted(repro.__all__), "wrong": wrong}))
+"""
+
+
+def test_cluster_processes_import_neither_numpy_nor_the_simulator():
+    """A node process, the harness and a bare ``import repro`` load only
+    what they run; the top-level names still resolve, lazily, to the
+    objects their defining modules export."""
+    env = dict(os.environ)
+    src_dir = str(Path(__import__("repro").__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(TOP_LEVEL_NAMES),
+         *SIMULATOR_MODULES],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    probe = json.loads(out)
+    assert probe["loaded"] == []
+    assert probe["all"] == sorted(TOP_LEVEL_NAMES)
+    assert probe["wrong"] == []
+
+
+_VALID_CONFIG = {"replica_id": 0, "protocol": "banyan", "n": 4, "f": 1, "p": 1,
+                 "peers": {str(r): ["127.0.0.1", 9000 + r] for r in range(4)}}
+
+
+@pytest.mark.parametrize("content, expected", [
+    pytest.param(None, "cannot read", id="missing-file"),
+    pytest.param("{not json", "not JSON", id="not-json"),
+    pytest.param("[1, 2]", "not a JSON object", id="not-an-object"),
+    pytest.param('{"bad": 1}', "missing field 'replica_id'", id="missing-field"),
+    pytest.param(json.dumps({**_VALID_CONFIG, "n": "four"}), "invalid", id="n-not-int"),
+    pytest.param(json.dumps({**_VALID_CONFIG, "peers": [1]}), "invalid", id="peers-not-map"),
+    pytest.param(json.dumps({**_VALID_CONFIG, "f": -1}), "f must be non-negative",
+                 id="negative-f"),
+    pytest.param(json.dumps({**_VALID_CONFIG, "replica_id": 7}),
+                 "replica 7 is not in peers", id="self-not-in-peers"),
+    pytest.param(json.dumps({**_VALID_CONFIG, "protocol": "paxos"}),
+                 "unknown protocol 'paxos'", id="unknown-protocol"),
+])
+def test_node_refuses_a_bad_config_with_one_line(content, expected, tmp_path, capsys):
+    """``python -m repro.cluster.node`` on a config it cannot use exits 2
+    with one line on stderr, before it opens a socket."""
+    path = tmp_path / "node.json"
+    if content is not None:
+        path.write_text(content, encoding="utf-8")
+    assert main(["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("repro.cluster.node: ")
+    assert expected in err
 
 
 # --------------------------------------------------------------------- #
