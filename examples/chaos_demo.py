@@ -24,7 +24,7 @@ from __future__ import annotations
 import os
 import tempfile
 
-from repro.chaos import (
+from repro.chaos.engine import (
     ChaosTrialSpec,
     replay_repro,
     run_chaos,

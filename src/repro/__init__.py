@@ -21,28 +21,38 @@ Quickstart::
     sim = Simulation(replicas, NetworkConfig())
     sim.run(until=10.0)
     print(len(sim.commits_for(0)), "blocks committed at replica 0")
+
+The top-level names are imported from their defining modules on first use
+(PEP 562), so ``import repro`` — and with it every ``repro.cluster``
+process — loads neither the simulator nor numpy.
 """
 
-from repro.core.banyan import BanyanReplica
-from repro.eval.experiment import ExperimentConfig, run_experiment
-from repro.protocols.base import Protocol, ProtocolParams
-from repro.protocols.hotstuff import HotStuffReplica
-from repro.protocols.icc import ICCReplica
-from repro.protocols.streamlet import StreamletReplica
-from repro.runtime.simulator import NetworkConfig, Simulation
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BanyanReplica",
-    "ExperimentConfig",
-    "HotStuffReplica",
-    "ICCReplica",
-    "NetworkConfig",
-    "Protocol",
-    "ProtocolParams",
-    "Simulation",
-    "StreamletReplica",
-    "__version__",
-    "run_experiment",
-]
+#: Each lazily exported name and the module that defines it.
+_EXPORTS = {
+    "BanyanReplica": "repro.core.banyan",
+    "ExperimentConfig": "repro.eval.experiment",
+    "HotStuffReplica": "repro.protocols.hotstuff",
+    "ICCReplica": "repro.protocols.icc",
+    "NetworkConfig": "repro.runtime.simulator",
+    "Protocol": "repro.protocols.base",
+    "ProtocolParams": "repro.protocols.base",
+    "Simulation": "repro.runtime.simulator",
+    "StreamletReplica": "repro.protocols.streamlet",
+    "run_experiment": "repro.eval.experiment",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    """Import ``name`` from its defining module on first access (PEP 562)."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

@@ -11,12 +11,19 @@ honest replicas' defences in tests:
   whenever it is the leader.
 * :class:`DelayedReplica` — an honest replica whose outbound messages are
   delayed by a fixed amount (a straggler).
+
+:func:`byzantine_factory` maps a chaos schedule's byzantine behaviour to the
+factory to plant, and :func:`ensure_protocol_registered` registers the
+test-only ``-broken`` protocol variants on demand; the chaos engine and the
+cluster nodes share both.
 """
 
 from repro.byzantine.behaviors import (
     DelayedReplica,
     EquivocatingLeaderReplica,
     SilentReplica,
+    byzantine_factory,
+    ensure_protocol_registered,
     make_equivocating_banyan,
     make_equivocating_icc,
 )
@@ -25,6 +32,8 @@ __all__ = [
     "DelayedReplica",
     "EquivocatingLeaderReplica",
     "SilentReplica",
+    "byzantine_factory",
+    "ensure_protocol_registered",
     "make_equivocating_banyan",
     "make_equivocating_icc",
 ]

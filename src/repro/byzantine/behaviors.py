@@ -22,6 +22,7 @@ from typing import Any, Dict, FrozenSet, List, Optional, Set, Type
 from repro.core.banyan import BanyanReplica
 from repro.protocols.base import Protocol, ProtocolParams
 from repro.protocols.icc import ICCReplica
+from repro.protocols.registry import available_protocols
 from repro.runtime.context import ReplicaContext, Timer
 from repro.types.blocks import Block
 from repro.types.messages import Message
@@ -131,6 +132,31 @@ def make_equivocating_icc() -> Type[Protocol]:
 def make_equivocating_banyan() -> Type[Protocol]:
     """Factory for planting an equivocating Banyan leader via ``overrides``."""
     return EquivocatingBanyanReplica
+
+
+def byzantine_factory(protocol: str, behavior: str) -> Type[Protocol]:
+    """The replica factory planted for a byzantine fault of a chaos schedule.
+
+    ``"equivocate"`` on a Banyan or ICC replica (or its ``-broken`` variant)
+    plants an equivocating leader; every other behaviour plants a
+    :class:`SilentReplica`.
+    """
+    if behavior == "equivocate":
+        base = protocol[:-len("-broken")] if protocol.endswith("-broken") else protocol
+        if base == "banyan":
+            return make_equivocating_banyan()
+        if base == "icc":
+            return make_equivocating_icc()
+    return SilentReplica
+
+
+def ensure_protocol_registered(protocol: str) -> None:
+    """Register the test-only ``-broken`` variants on demand (worker
+    processes and cluster nodes too)."""
+    if protocol.endswith("-broken") and protocol not in available_protocols():
+        from repro.chaos.broken import register_broken_protocols
+
+        register_broken_protocols()
 
 
 class _DelayingContext(ReplicaContext):

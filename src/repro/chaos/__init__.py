@@ -12,19 +12,11 @@ Entry points:
 * :func:`repro.chaos.engine.run_chaos` — run a campaign (parallel, cached);
 * :func:`repro.chaos.engine.replay_repro` — re-run a shrunk repro file;
 * ``banyan-repro chaos`` — the CLI front end.
+
+This ``__init__`` exports only the schedule and invariant types; the engine
+runs the simulator, so import its names from :mod:`repro.chaos.engine`.
 """
 
-from repro.chaos.engine import (
-    ChaosReport,
-    ChaosTrialResult,
-    ChaosTrialSpec,
-    replay_repro,
-    run_chaos,
-    run_chaos_schedule,
-    run_chaos_trial,
-    shrink_schedule,
-    write_repro,
-)
 from repro.chaos.invariants import InvariantChecker, Violation
 from repro.chaos.schedule import (
     ChaosConfig,
@@ -35,18 +27,9 @@ from repro.chaos.schedule import (
 
 __all__ = [
     "ChaosConfig",
-    "ChaosReport",
     "ChaosSchedule",
-    "ChaosTrialResult",
-    "ChaosTrialSpec",
     "Fault",
     "InvariantChecker",
     "ScheduleGenerator",
     "Violation",
-    "replay_repro",
-    "run_chaos",
-    "run_chaos_schedule",
-    "run_chaos_trial",
-    "shrink_schedule",
-    "write_repro",
 ]

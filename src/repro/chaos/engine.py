@@ -27,6 +27,11 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.byzantine.behaviors import (
+    DelayedReplica,
+    byzantine_factory,
+    ensure_protocol_registered,
+)
 from repro.chaos.invariants import InvariantChecker, Violation
 from repro.chaos.schedule import (
     ChaosConfig,
@@ -34,11 +39,11 @@ from repro.chaos.schedule import (
     ScheduleGenerator,
     trial_stream_index,
 )
-from repro.eval.plan import canonical_hash, derive_subseed
 from repro.eval.runner import ProgressCallback, run_plan
+from repro.eval.seeds import canonical_hash, derive_subseed
 from repro.net.latency import ConstantLatency
 from repro.protocols.base import ProtocolParams
-from repro.protocols.registry import available_protocols, create_replicas
+from repro.protocols.registry import create_replicas
 from repro.runtime.simulator import NetworkConfig, Simulation
 from repro.runtime.trace import TraceLog, attach_commit_trace
 
@@ -223,31 +228,6 @@ class ChaosTrialResult:
 # --------------------------------------------------------------------- #
 
 
-def _byzantine_factory(protocol: str, behavior: str):
-    """The replica factory planted for a byzantine fault."""
-    from repro.byzantine.behaviors import (
-        SilentReplica,
-        make_equivocating_banyan,
-        make_equivocating_icc,
-    )
-
-    if behavior == "equivocate":
-        base = protocol[:-len("-broken")] if protocol.endswith("-broken") else protocol
-        if base == "banyan":
-            return make_equivocating_banyan()
-        if base == "icc":
-            return make_equivocating_icc()
-    return SilentReplica
-
-
-def _ensure_protocol_registered(protocol: str) -> None:
-    """Register test-only broken variants on demand (worker processes too)."""
-    if protocol.endswith("-broken") and protocol not in available_protocols():
-        from repro.chaos.broken import register_broken_protocols
-
-        register_broken_protocols()
-
-
 def run_chaos_schedule(spec: ChaosTrialSpec,
                        schedule: ChaosSchedule) -> ChaosTrialResult:
     """Run one trial under an explicit schedule and check every invariant.
@@ -258,12 +238,10 @@ def run_chaos_schedule(spec: ChaosTrialSpec,
     ``stats["commit_tail"]``, so a failing result can be serialized as a
     repro without re-simulating.
     """
-    from repro.byzantine.behaviors import DelayedReplica
-
-    _ensure_protocol_registered(spec.protocol)
+    ensure_protocol_registered(spec.protocol)
     byzantine = schedule.byzantine()
     overrides = {
-        replica: _byzantine_factory(spec.protocol, behavior)
+        replica: byzantine_factory(spec.protocol, behavior)
         for replica, behavior in byzantine.items()
     }
     replicas = create_replicas(spec.protocol, spec.params(), overrides=overrides)
@@ -498,7 +476,7 @@ def run_chaos(trials: int = 50, seed: int = 0,
     (the CLI exits non-zero, CI uploads the repro files).
     """
     for protocol in protocols:
-        _ensure_protocol_registered(protocol)
+        ensure_protocol_registered(protocol)
     specs = build_trials(trials, seed, protocols=protocols, n=n, f=f, p=p,
                          duration=duration, config=config)
     results = run_plan(

@@ -25,11 +25,14 @@ the chaos engine can count, report, shrink, and serialize them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional
 
 from repro.byzantine.behaviors import fast_vote_equivocators
-from repro.runtime.simulator import CommitRecord, Simulation
 from repro.types.blocks import genesis_block
+from repro.types.commits import CommitRecord
+
+if TYPE_CHECKING:
+    from repro.runtime.simulator import Simulation
 
 
 @dataclass(frozen=True)

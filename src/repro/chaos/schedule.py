@@ -7,7 +7,7 @@ places:
 
 * :class:`ScheduleGenerator` samples one from a seeded RNG, drawing each
   fault family from an independent stream
-  (:func:`repro.eval.plan.derive_subseed`), under constraints that keep the
+  (:func:`repro.eval.seeds.derive_subseed`), under constraints that keep the
   configuration honest-majority: at most ``f`` replicas are ever Byzantine
   or crashed, and every timed fault heals before the *fault horizon* so the
   run ends with a quiet tail in which liveness can be checked;
@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.eval.plan import derive_subseed
+from repro.eval.seeds import derive_subseed
 from repro.net.faults import (
     CrashSchedule,
     FaultPlan,
@@ -42,7 +42,7 @@ BYZANTINE_BEHAVIORS = ("equivocate", "silent")
 def trial_stream_index(trial: int) -> int:
     """The replication index chaos streams derive from, for one trial.
 
-    Offset so that index 0 (which :func:`repro.eval.plan.derive_subseed`
+    Offset so that index 0 (which :func:`repro.eval.seeds.derive_subseed`
     passes through unchanged) is never used — every chaos stream is
     properly hashed and mutually independent.
     """
@@ -283,7 +283,7 @@ class ScheduleGenerator:
     """Samples :class:`ChaosSchedule` instances from a seed.
 
     Each fault family draws from its own RNG stream derived via
-    :func:`repro.eval.plan.derive_subseed` from ``(seed, trial)``, so
+    :func:`repro.eval.seeds.derive_subseed` from ``(seed, trial)``, so
     changing e.g. the partition knobs never perturbs which replicas crash —
     schedules stay maximally stable under config tweaks, and a given
     ``(seed, trial)`` always regenerates the identical schedule.

@@ -42,9 +42,9 @@ from repro.chaos.invariants import InvariantChecker, Violation
 from repro.chaos.schedule import ChaosSchedule
 from repro.cluster.node import NodeConfig
 from repro.cluster.wire import ClientSubmit, Hello, encode_frame
-from repro.runtime.simulator import CommitRecord
 from repro.smr.metrics import MetricsCollector, RunMetrics
 from repro.types.blocks import Block
+from repro.types.commits import CommitRecord
 from repro.workload.transactions import encode_transaction, split_transactions
 
 #: Wall-clock lead the harness gives nodes to import, bind sockets and

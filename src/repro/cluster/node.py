@@ -41,12 +41,13 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.beacon import RoundRobinBeacon
+from repro.byzantine import byzantine_factory, ensure_protocol_registered
 from repro.chaos.schedule import ChaosSchedule
 from repro.cluster.faults import SocketFaultInjector
 from repro.cluster.tcp_transport import TcpTransport
 from repro.cluster.wire import ClientSubmit
 from repro.protocols.base import ProtocolParams
-from repro.protocols.registry import create_replicas
+from repro.protocols.registry import available_protocols, create_replicas
 from repro.runtime.context import ReplicaContext, Timer
 from repro.smr.mempool import Mempool
 from repro.types.blocks import Block
@@ -248,13 +249,11 @@ class ClusterNode:
 
     def _build_protocol(self):
         """Build this node's replica (honest, or a planted byzantine one)."""
-        from repro.chaos.engine import _byzantine_factory, _ensure_protocol_registered
-
-        _ensure_protocol_registered(self.config.protocol)
+        ensure_protocol_registered(self.config.protocol)
         overrides = {}
         behavior = self.schedule.byzantine().get(self.config.replica_id)
         if behavior:
-            overrides[self.config.replica_id] = _byzantine_factory(
+            overrides[self.config.replica_id] = byzantine_factory(
                 self.config.protocol, behavior)
         replicas = create_replicas(
             self.config.protocol,
@@ -435,8 +434,45 @@ class ClusterNode:
             handle.write("\n")
 
 
+def load_config(path: str) -> NodeConfig:
+    """Read and check a node's JSON configuration.
+
+    Raises:
+        ValueError: naming the problem, if the file cannot be read, is not
+            a JSON object, lacks a field, or holds an invalid one.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path} is not JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} is not a JSON object")
+    try:
+        config = NodeConfig.from_dict(data)
+        config.params()
+        if config.schedule:
+            ChaosSchedule.from_dict(config.schedule)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc}") from None
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: invalid field: {exc}") from None
+    if config.replica_id not in config.peers:
+        raise ValueError(f"{path}: replica {config.replica_id} is not in peers")
+    ensure_protocol_registered(config.protocol)
+    if config.protocol not in available_protocols():
+        raise ValueError(f"{path}: unknown protocol {config.protocol!r}")
+    return config
+
+
 def main(argv=None) -> int:
-    """Entry point of ``python -m repro.cluster.node``."""
+    """Entry point of ``python -m repro.cluster.node``.
+
+    A configuration :func:`load_config` refuses exits 2 with one line on
+    stderr, before any socket opens.
+    """
     parser = argparse.ArgumentParser(
         prog="repro.cluster.node",
         description="Run one protocol replica over real TCP sockets.",
@@ -444,8 +480,11 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True,
                         help="path of the node's JSON configuration")
     args = parser.parse_args(argv)
-    with open(args.config, "r", encoding="utf-8") as handle:
-        config = NodeConfig.from_dict(json.load(handle))
+    try:
+        config = load_config(args.config)
+    except ValueError as exc:
+        print(f"repro.cluster.node: {exc}", file=sys.stderr)
+        return 2
     node = ClusterNode(config)
     return asyncio.run(node.run())
 

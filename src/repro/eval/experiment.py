@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.byzantine.behaviors import DelayedReplica
+from repro.eval.seeds import PLAN_FORMAT, canonical_hash, derive_subseed
 from repro.net.bandwidth import BandwidthModel
 from repro.net.faults import FaultPlan
 from repro.net.transport import ContendedUplinkTransport
@@ -246,8 +247,6 @@ class ExperimentConfig:
         rather than serving a stale row).  The runner uses this as the
         cache key.
         """
-        from repro.eval.plan import PLAN_FORMAT, canonical_hash
-
         return canonical_hash({"format": PLAN_FORMAT, "spec": self.to_dict()})
 
     def replicated(self, replications: int) -> List["ExperimentConfig"]:
@@ -255,14 +254,12 @@ class ExperimentConfig:
 
         Replication 0 is this config verbatim; replication ``k > 0``
         derives fresh network and workload seeds via
-        :func:`repro.eval.plan.derive_subseed`, so the replications sample
+        :func:`repro.eval.seeds.derive_subseed`, so the replications sample
         independent jitter and arrival randomness.
 
         Raises:
             ValueError: if ``replications`` is not positive.
         """
-        from repro.eval.plan import derive_subseed
-
         if replications < 1:
             raise ValueError("replications must be positive")
         configs: List[ExperimentConfig] = []

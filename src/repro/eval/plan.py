@@ -12,60 +12,25 @@ serially or in parallel with caching (:mod:`repro.eval.runner`).
 Two properties make the split work:
 
 * **content hashing** — :meth:`ExperimentConfig.content_hash` is a stable
-  digest (:func:`canonical_hash`) of the config's canonical JSON form, so the
-  runner can cache results on disk and skip cells that already ran, across
-  processes and invocations;
-* **sub-seed derivation** — :func:`derive_subseed` deterministically expands
-  a base seed into independent per-replication, per-component seeds, so
-  network jitter and workload arrivals are uncorrelated across replications
-  while every run stays reproducible.
+  digest (:func:`repro.eval.seeds.canonical_hash`) of the config's
+  canonical JSON form, so the runner can cache results on disk and skip
+  cells that already ran, across processes and invocations;
+* **sub-seed derivation** — :func:`repro.eval.seeds.derive_subseed`
+  deterministically expands a base seed into independent per-replication,
+  per-component seeds, so network jitter and workload arrivals are
+  uncorrelated across replications while every run stays reproducible.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.eval.experiment import ExperimentConfig
-
-#: Version tag mixed into every content hash; bump when the execution
-#: semantics change so stale cached results are not reused.
-PLAN_FORMAT = 1
-
-
-def canonical_hash(payload: Dict[str, object]) -> str:
-    """Stable hex digest of a JSON-ready payload's canonical form.
-
-    The payload is serialised with sorted keys and minimal separators, so
-    two semantically equal payloads digest identically across processes and
-    platforms.  Both experiment configs and chaos trial specs key their
-    result caches on this.
-    """
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def derive_subseed(base_seed: int, replication: int, component: str) -> int:
-    """Derive an independent sub-seed for one replication of one component.
-
-    The derivation hashes ``base_seed : replication : component`` with
-    SHA-256, so distinct replications and distinct components (for example
-    ``"net"`` jitter versus ``"workload"`` arrivals) receive uncorrelated
-    seeds, while the mapping is stable across processes and platforms.
-
-    Replication 0 returns ``base_seed`` unchanged: a single-replication plan
-    reproduces exactly the run a plain :func:`repro.eval.experiment.run_experiment`
-    call with the base seed would produce.
-    """
-    if replication == 0:
-        return base_seed
-    digest = hashlib.sha256(
-        f"{base_seed}:{replication}:{component}".encode("utf-8")
-    ).hexdigest()
-    return int(digest[:12], 16)
+# The plan's hashing and seeding vocabulary, defined in a leaf module so the
+# chaos engine and the experiment config can share it without this one.
+from repro.eval.seeds import PLAN_FORMAT, canonical_hash, derive_subseed  # noqa: F401
 
 
 @dataclass

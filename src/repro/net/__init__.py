@@ -23,58 +23,6 @@ transport describes *how a send uses them* — one message per receiver, in
 what order, through which intermediaries.  Protocols never see any of this;
 they call ``ctx.send`` / ``ctx.broadcast`` and the configured transport
 decides when each copy arrives.
+
+This ``__init__`` imports nothing: import names from the submodules above.
 """
-
-from repro.net.bandwidth import BandwidthModel
-from repro.net.faults import CrashSchedule, FaultPlan, PartitionPlan
-from repro.net.latency import (
-    ConstantLatency,
-    GeoLatency,
-    LatencyModel,
-    MatrixLatency,
-    UniformLatency,
-)
-from repro.net.topology import (
-    AWS_REGIONS,
-    Datacenter,
-    Topology,
-    four_global_datacenters,
-    four_us_datacenters,
-    worldwide_datacenters,
-)
-from repro.net.transport import (
-    TRANSPORTS,
-    ContendedUplinkTransport,
-    Delivery,
-    DirectTransport,
-    RelayTransport,
-    Transport,
-    available_transports,
-    build_transport,
-)
-
-__all__ = [
-    "AWS_REGIONS",
-    "BandwidthModel",
-    "ConstantLatency",
-    "ContendedUplinkTransport",
-    "CrashSchedule",
-    "Datacenter",
-    "Delivery",
-    "DirectTransport",
-    "FaultPlan",
-    "GeoLatency",
-    "LatencyModel",
-    "MatrixLatency",
-    "PartitionPlan",
-    "RelayTransport",
-    "TRANSPORTS",
-    "Topology",
-    "Transport",
-    "UniformLatency",
-    "available_transports",
-    "build_transport",
-    "four_global_datacenters",
-    "four_us_datacenters",
-    "worldwide_datacenters",
-]

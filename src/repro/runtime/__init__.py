@@ -14,28 +14,6 @@ Protocols in this repository are *sans-io* state machines (see
 * :mod:`repro.runtime.asyncio_runtime` — a real-time asyncio runtime with an
   in-memory delayed transport; used by the asyncio example to show the same
   protocol objects running under ``asyncio``.
+
+This ``__init__`` imports nothing: import names from the submodules above.
 """
-
-from repro.runtime.compute import ComputeModel, CryptoCostCompute, CryptoCostTable, ZeroCompute
-from repro.runtime.context import ReplicaContext, Timer
-from repro.runtime.scheduler import SCHEDULERS
-from repro.runtime.simulator import (
-    BudgetExhausted,
-    CommitRecord,
-    NetworkConfig,
-    Simulation,
-)
-
-__all__ = [
-    "BudgetExhausted",
-    "CommitRecord",
-    "ComputeModel",
-    "CryptoCostCompute",
-    "CryptoCostTable",
-    "NetworkConfig",
-    "ReplicaContext",
-    "SCHEDULERS",
-    "Simulation",
-    "Timer",
-    "ZeroCompute",
-]

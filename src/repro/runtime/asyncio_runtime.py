@@ -25,8 +25,9 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.wire import decode_envelope, encode_envelope
 from repro.runtime.context import ReplicaContext, Timer
-from repro.runtime.simulator import CommitRecord, NetworkConfig
+from repro.runtime.simulator import NetworkConfig
 from repro.types.blocks import Block
+from repro.types.commits import CommitRecord
 from repro.types.messages import Message
 
 

@@ -69,6 +69,7 @@ from repro.runtime.dispatch import (
     UNBOUNDED, build_handler_tables, calendar_loop, heap_loop)
 from repro.runtime.scheduler import SCHEDULERS, build_scheduler
 from repro.types.blocks import Block
+from repro.types.commits import CommitRecord
 from repro.types.messages import Message
 
 try:  # pragma: no cover - numpy is present everywhere we benchmark
@@ -123,23 +124,6 @@ class NetworkConfig:
     compute: Union[str, ComputeModel] = "zero"
     compute_scale: float = 1.0
     scheduler: str = "auto"
-
-
-@dataclass(frozen=True)
-class CommitRecord:
-    """A block committed (finalized and output) by a replica.
-
-    Attributes:
-        replica_id: the committing replica.
-        block: the finalized block.
-        commit_time: simulation time of the commit.
-        finalization_kind: ``"fast"`` or ``"slow"``.
-    """
-
-    replica_id: int
-    block: Block
-    commit_time: float
-    finalization_kind: str
 
 
 class BudgetExhausted(RuntimeError):

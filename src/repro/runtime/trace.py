@@ -240,7 +240,7 @@ def attach_commit_trace(simulation, log: Optional[TraceLog] = None) -> TraceLog:
 
     Registers a commit listener on ``simulation`` (a
     :class:`repro.runtime.simulator.Simulation`) that appends one event per
-    :class:`repro.runtime.simulator.CommitRecord` — replica, round, and
+    :class:`repro.types.commits.CommitRecord` — replica, round, and
     finalization kind — without wrapping the protocols (unlike
     :class:`ProtocolTracer`, which records what a replica *does*, this
     records only what it *decides*).  The chaos engine uses it to embed a

@@ -32,7 +32,7 @@ from repro.analysis.stats import mean as _mean
 from repro.analysis.stats import percentile as _percentile
 from repro.analysis.stats import percentiles as _percentiles
 from repro.analysis.stats import variance as _variance
-from repro.runtime.simulator import CommitRecord
+from repro.types.commits import CommitRecord
 
 
 @dataclass(frozen=True)

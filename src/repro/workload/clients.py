@@ -52,12 +52,15 @@ import random
 from array import array
 from bisect import bisect_left
 from itertools import chain, cycle, islice
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.runtime.simulator import CommitRecord, Simulation
 from repro.smr.metrics import OccupancySample, WorkloadMetrics
+from repro.types.commits import CommitRecord
 from repro.workload.arrivals import ArrivalProcess
 from repro.workload.transactions import MAX_HEADER_BYTES, TxRecord, encode_batch
+
+if TYPE_CHECKING:
+    from repro.runtime.simulator import Simulation
 
 #: Minimum delay before a closed-loop client retries a rejected submission.
 #: A zero-delay retry at a full mempool would re-enqueue an event at the

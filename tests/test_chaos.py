@@ -21,10 +21,13 @@ import pytest
 from repro.chaos import (
     ChaosConfig,
     ChaosSchedule,
-    ChaosTrialSpec,
     Fault,
     InvariantChecker,
     ScheduleGenerator,
+)
+from repro.chaos.broken import register_broken_protocols
+from repro.chaos.engine import (
+    ChaosTrialSpec,
     replay_repro,
     run_chaos,
     run_chaos_schedule,
@@ -32,8 +35,7 @@ from repro.chaos import (
     shrink_schedule,
     write_repro,
 )
-from repro.chaos.broken import register_broken_protocols
-from repro.runtime.simulator import CommitRecord
+from repro.types.commits import CommitRecord
 from repro.types.blocks import Block, genesis_block
 
 
@@ -234,7 +236,7 @@ class TestChaosEngine:
         assert a.to_dict() == b.to_dict()
 
     def test_result_round_trips_through_json(self):
-        from repro.chaos import ChaosTrialResult
+        from repro.chaos.engine import ChaosTrialResult
 
         result = run_chaos_trial(ChaosTrialSpec(trial=2, duration=6.0))
         rebuilt = ChaosTrialResult.from_dict(

@@ -258,6 +258,8 @@ _VALID_CONFIG = {"replica_id": 0, "protocol": "banyan", "n": 4, "f": 1, "p": 1,
     pytest.param(json.dumps({**_VALID_CONFIG, "peers": [1]}), "invalid", id="peers-not-map"),
     pytest.param(json.dumps({**_VALID_CONFIG, "f": -1}), "f must be non-negative",
                  id="negative-f"),
+    pytest.param(json.dumps({**_VALID_CONFIG, "schedule": {"faults": [
+        {"kind": "crash", "replica": 1, "start": "soon"}]}}), "invalid", id="bad-schedule"),
     pytest.param(json.dumps({**_VALID_CONFIG, "replica_id": 7}),
                  "replica 7 is not in peers", id="self-not-in-peers"),
     pytest.param(json.dumps({**_VALID_CONFIG, "protocol": "paxos"}),

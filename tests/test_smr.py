@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.runtime.simulator import CommitRecord
 from repro.smr.ledger import KeyValueLedger, Transaction, decode_transactions, encode_transactions
 from repro.smr.mempool import Mempool, PayloadSource
 from repro.smr.metrics import MetricsCollector, RunMetrics
 from repro.types.blocks import Block
+from repro.types.commits import CommitRecord
 
 
 class TestPayloadSource:
