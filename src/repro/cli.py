@@ -45,8 +45,8 @@ from repro.eval.table1 import table1_rows
 from repro.net.latency import available_latency_models
 from repro.net.topology import TOPOLOGY_FACTORIES
 from repro.net.transport import available_transports
-from repro.runtime.compute import available_compute_models
-from repro.runtime.scheduler import SCHEDULERS
+from repro.runtime.compute import available_compute_models, build_compute
+from repro.runtime.scheduler import SCHEDULERS, resolve_scheduler
 from repro.protocols.base import ProtocolParams
 from repro.protocols.registry import available_protocols, create_replicas
 
@@ -154,8 +154,9 @@ def _build_parser() -> argparse.ArgumentParser:
                                  "model (default: 1.0)")
     run_parser.add_argument("--scheduler", choices=SCHEDULERS, default="auto",
                             help="event-scheduler backend (default: auto — "
-                                 "calendar queue on large jittered runs, "
-                                 "binary heap otherwise; executions are "
+                                 "calendar queue on large jittered "
+                                 "zero-compute crash-free runs, binary "
+                                 "heap otherwise; executions are "
                                  "byte-identical either way)")
     run_parser.add_argument("--profile", action="store_true",
                             help="run one replication under cProfile and dump "
@@ -400,6 +401,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.compute_scale is not None and args.compute == "zero":
         print("banyan-repro run: error: --compute-scale applies only to "
               "--compute crypto", file=sys.stderr)
+        return 2
+    try:
+        resolve_scheduler(args.scheduler,
+                          compute=not build_compute(args.compute).trivial)
+    except ValueError as exc:
+        print(f"banyan-repro run: error: {exc}", file=sys.stderr)
         return 2
     config = ExperimentConfig(protocol=args.protocol, params=params,
                               topology=args.topology, duration=args.duration,

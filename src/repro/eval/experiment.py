@@ -96,9 +96,10 @@ class ExperimentConfig:
             (``2.0`` models cores half as fast).
         scheduler: event-scheduler backend for the simulator, one of
             :data:`repro.runtime.scheduler.SCHEDULERS` — ``"auto"`` (the
-            default: calendar queue on large jittered runs, binary heap
-            otherwise), ``"heap"``, or ``"calendar"``.  Both backends
-            produce byte-identical executions; this is a performance knob.
+            default), ``"heap"``, or ``"calendar"``;
+            :func:`repro.runtime.scheduler.build_scheduler` states which
+            runs each serves.  Both backends produce byte-identical
+            executions; this is a performance knob.
         series: figure series the cell belongs to (defaults to the label).
         cell: identifier of the cell within its series (e.g.
             ``"payload=400000"``); replications of one cell share it.

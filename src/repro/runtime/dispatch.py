@@ -4,8 +4,10 @@ Two plain functions run every simulation, one per scheduler backend
 (:mod:`repro.runtime.scheduler`): :func:`heap_loop` pops the binary heap
 (``sim._queue`` is its raw list) and :func:`calendar_loop` walks the
 calendar queue's materialized bucket.  ``Simulation._run_dispatch``
-picks one by backend.  Each loop reads three feature flags once, at
-entry, into locals:
+picks one by backend.  The heap loop reads three feature flags once, at
+entry, into locals; the calendar loop reads none, because the calendar
+queue serves only zero-compute, crash-free runs
+(:func:`repro.runtime.scheduler.build_scheduler`):
 
 * ``compute`` — a non-trivial :class:`repro.runtime.compute.ComputeModel`
   is active: a delivery that finds the core busy waits in the replica's
@@ -16,34 +18,27 @@ entry, into locals:
   wake's exact instant (jitter-free lock-step runs) do the residents go
   back to the scheduler under their own keys for that instant, because
   ``(time, seq)`` order then decides waiter by waiter who reaches the
-  core first.  The wake is one helper, :func:`_cpu_wake`, that both loops
-  call with their backend's push functions, so heap and calendar runs
-  book waits with the same arithmetic in the same order.
+  core first.
 * ``crash`` — the fault plan has crash windows: deliveries and timers are
   gated on ``is_crashed``.
-* ``runahead`` (heap only) — ``sbatch`` run-ahead is enabled (the
-  default): a jittered broadcast's chain delivers member after member
-  without a heap round trip while its successor provably precedes the
-  heap head.  Disabled via
+* ``runahead`` — ``sbatch`` run-ahead is enabled (the default): a
+  jittered broadcast's chain delivers member after member without a heap
+  round trip while its successor provably precedes the heap head.
+  Disabled via
   :attr:`repro.runtime.simulator.Simulation.force_scalar_dispatch` (the
   re-push-every-successor reference used by the equivalence tests).  The
   calendar queue has no ``sbatch`` chains: broadcast members are already
   materialized in final order.
 
-Layout rule: on the default path (no compute, no crash) a delivery tests
-at most one flag, the ``gated = compute or crash`` local, besides the
-exit test an ``sbatch`` member makes anyway; all compute and crash
-handling sits behind that gate, at the price of a second handler call
-site per event kind.  The calendar loop's burst, which carries almost
-every delivery of a large jittered run, tests none: compute and crash
-runs skip it and take their rows one at a time through the gated
-branches.  The reason is measured on the n=256 broadcast flood (about
-0.7 µs per delivery, calendar loop): one test per flag on every row ran
-5–7 % slower than per-feature specialised loops.
+Layout rule: on the heap loop's default path (no compute, no crash) a
+delivery tests at most one flag, the ``gated = compute or crash`` local,
+besides the exit test an ``sbatch`` member makes anyway; all compute and
+crash handling sits behind that gate, at the price of a second handler
+call site per event kind.
 
 Every delivery is exactly one ``on_message`` call, in ``(time, seq)``
-order; the flags change only how a loop reaches the next event and
-whether it may charge or drop it.  The event budget is compared on every
+order; the flags change only how the heap loop reaches the next event
+and whether it may charge or drop it.  The event budget is compared on every
 path (``run(until)`` passes :data:`UNBOUNDED`).
 
 Byte-identity contract: both loops replay the exact event order of the
@@ -103,13 +98,12 @@ def build_handler_tables(protocols: Dict[int, Any], contexts: Dict[int, Any]):
     return deliver_one, fire_timer
 
 
-def _cpu_wake(sim, event, shared, push, push_now, crash):
-    """Dispatch one ``cpu`` wake event (compute runs only).
+def _cpu_wake(sim, event, shared, push, crash):
+    """Dispatch one ``cpu`` wake event (compute runs, heap loop).
 
     ``shared`` tells whether another queued event holds the wake's exact
-    instant; ``push`` schedules a later wake and ``push_now`` an event at
-    this instant (the calendar loop routes the latter straight into its
-    open bucket's inc heap).  The caller has already advanced the clock.
+    instant; ``push`` schedules an event.  The caller has already advanced
+    the clock.
     Returns ``None`` when no delivery reached the core, else ``True`` for
     a delivery handed to its handler and ``False`` for one dropped at a
     crashed core.
@@ -137,9 +131,8 @@ def _cpu_wake(sim, event, shared, push, push_now, crash):
             while inbox and inbox[0][0] < time_:
                 waiter = inbox.popleft()
                 wseq = waiter[1]
-                push_now((time_, wseq if wseq > seq_
-                          else seq_ + rank / residents, "cpu", target,
-                          waiter))
+                push((time_, wseq if wseq > seq_
+                      else seq_ + rank / residents, "cpu", target, waiter))
                 rank += 1
             if inbox:
                 push((free_at, inbox[0][1], "cpu", target, None))
@@ -167,7 +160,7 @@ def _cpu_wake(sim, event, shared, push, push_now, crash):
         # follows this same instant, ahead of anything scheduled since
         # (the wake keeps its seq).
         if inbox:
-            push_now((time_, seq_, "cpu", target, None))
+            push((time_, seq_, "cpu", target, None))
         return False
     handler, ctx = sim._deliver_one[target]
     handler(ctx, sender, message)
@@ -184,7 +177,7 @@ def _cpu_wake(sim, event, shared, push, push_now, crash):
         if free_at > time_:
             push((free_at, next(sim._seq), "cpu", target, None))
         else:
-            push_now((time_, seq_, "cpu", target, None))
+            push((time_, seq_, "cpu", target, None))
     return True
 
 
@@ -345,7 +338,7 @@ def heap_loop(sim, until: float, budget: int) -> int:
                 now = time_
                 sim.now = now
             done = _cpu_wake(sim, event, queue and queue[0][0] == time_,
-                             push, push, crash)
+                             push, crash)
             if done is not None:
                 processed += 1
                 if done:
@@ -451,14 +444,12 @@ def heap_loop(sim, until: float, budget: int) -> int:
 # per-event tuples, so a materialized bucket is invisible to the cyclic
 # garbage collector and the fast path is four C-level list indexes per
 # delivery.  A standard 5-tuple event (timer, external, unicast message,
-# mbatch, cpu wake) marks its row with a negative sentinel target and
-# parks the tuple in the message column.  Events that arrive *inside* the
-# open bucket land in the scheduler's small `_inc` heap and are merged by
-# time (residents win exact-time ties — they were scheduled first; under
-# compute a tie with a standard resident goes by seq, because a wake
-# hands waiters back under older seqs).  `run_end` pre-cuts the walk at
-# the `until` horizon via one bisect, so the fast path carries no
-# per-event horizon compare.
+# mbatch) marks its row with a negative sentinel target and parks the
+# tuple in the message column.  Events that arrive *inside* the open
+# bucket land in the scheduler's small `_inc` heap and are merged by time
+# (residents win exact-time ties — they were scheduled first).  `run_end`
+# pre-cuts the walk at the `until` horizon via one bisect, so the fast
+# path carries no per-event horizon compare.
 
 def calendar_loop(sim, until: float, budget: int) -> int:
     """Dispatch calendar-queue events due by ``until``, at most ``budget``."""
@@ -468,22 +459,10 @@ def calendar_loop(sim, until: float, budget: int) -> int:
     cancelled_timers = sim._cancelled_timers
     deliver_one = sim._deliver_one
     fire_timer = sim._fire_timer
-    sched_push = sched.push
-    compute = sim._compute_cost is not None
-    crash = bool(sim.network.faults.crash_schedule.crash_times)
-    gated = compute or crash
-    is_crashed = sim.network.faults.is_crashed
-    message_cost = sim._compute_cost
-    model = sim._compute
-    busy_until = model.busy_until
-    enqueue = model.enqueue
-    record_busy = model.record_busy
-    seq = sim._seq
     generation = sim._dispatch_generation
     now = sim.now
     processed = 0
     delivered = 0
-    dropped = 0
     inc_pops = 0
     times = sched._cur_times
     targs = sched._cur_targets
@@ -492,9 +471,6 @@ def calendar_loop(sim, until: float, budget: int) -> int:
     pos = sched._pos
     cur_len = len(times)
     inc = sched._inc
-    # An event at the current instant belongs to the open bucket: straight
-    # into the inc heap, where ``sched.push`` would route it.
-    push_now = partial(heappush, inc)
     if cur_len == 0 or times[cur_len - 1] <= until:
         run_end = cur_len
     else:
@@ -510,15 +486,11 @@ def calendar_loop(sim, until: float, budget: int) -> int:
         else:
             if processed >= budget:
                 break
-            if inc and not (pos < run_end and times[pos] <= inc[0][0] and (
-                    not compute or times[pos] < inc[0][0]
-                    or targs[pos] >= 0 or msgs[pos][1] < inc[0][1])):
+            if inc and not (pos < run_end and times[pos] <= inc[0][0]):
                 # The inc heap's head (an event scheduled into the open
                 # bucket after it materialized) is due before the next
                 # resident; exact-time ties go to residents — they were
-                # scheduled first — except that under compute a wake
-                # hands waiters back under seqs older than a resident's,
-                # so a tie with a standard resident goes by seq.
+                # scheduled first.
                 event = inc[0]
                 if event[0] > until:
                     break
@@ -530,15 +502,13 @@ def calendar_loop(sim, until: float, budget: int) -> int:
                 # Burst: walk consecutive bucket rows with no per-event
                 # queue bookkeeping.  The inc boundary is a cached float
                 # (refreshed only when a handler grew the heap — pops
-                # never happen mid-burst), the ``until`` horizon is the
-                # precomputed ``run_end``, and the budget pre-cuts
+                # never happen mid-burst), the ``until`` horizon is
+                # ``run_end``, cut once per bucket, and the budget pre-cuts
                 # ``stop`` instead of a per-event compare.  The generation
                 # check runs once per burst: a mid-run bump (listener
-                # attach / force-scalar toggle) changes no flag this loop
+                # attach / force-scalar toggle) changes nothing this loop
                 # reads, so burst granularity is observationally
-                # identical.  Compute and crash runs take no burst: each
-                # of their rows goes through the branches below, one at a
-                # time, so the burst carries no flag test.
+                # identical.
                 if sim._dispatch_generation != generation:
                     break
                 stop = run_end
@@ -549,48 +519,40 @@ def calendar_loop(sim, until: float, budget: int) -> int:
                     inc_t = inc[0][0]
                 else:
                     inc_t = math.inf
-                if not gated:
-                    inc_n = _len(inc)
-                    burst_base = pos
-                    while pos < stop:
-                        time_ = times[pos]
-                        if time_ > inc_t:
-                            break
-                        target = targs[pos]
-                        if target < 0:
-                            break
-                        sender = sends[pos]
-                        message = msgs[pos]
-                        pos += 1
-                        if time_ > now:
-                            now = time_
-                            sim.now = now
-                        handler, ctx = deliver_one[target]
-                        handler(ctx, sender, message)
-                        if _len(inc) != inc_n:
-                            inc_n = _len(inc)
-                            inc_t = inc[0][0]
-                    # Every row a plain burst consumes is exactly one
-                    # processed delivery: tally once per burst.
-                    consumed = pos - burst_base
-                    delivered += consumed
-                    processed += consumed
+                inc_n = _len(inc)
+                burst_base = pos
+                while pos < stop:
+                    time_ = times[pos]
+                    if time_ > inc_t:
+                        break
+                    target = targs[pos]
+                    if target < 0:
+                        break
+                    sender = sends[pos]
+                    message = msgs[pos]
+                    pos += 1
+                    if time_ > now:
+                        now = time_
+                        sim.now = now
+                    handler, ctx = deliver_one[target]
+                    handler(ctx, sender, message)
+                    if _len(inc) != inc_n:
+                        inc_n = _len(inc)
+                        inc_t = inc[0][0]
+                # Every row a burst consumes is exactly one processed
+                # delivery: tally once per burst.
+                consumed = pos - burst_base
+                delivered += consumed
+                processed += consumed
                 if pos < stop:
                     if times[pos] > inc_t:
                         # A handler pushed an inc event that is now due.
                         continue
                     # The walk front: a standard 5-tuple resident (timer /
-                    # mbatch / external / message / cpu wake), or a
-                    # broadcast row of a compute or crash run in the form
-                    # ``sched.pop()`` gives it.  Its horizon check is the
-                    # ``run_end`` bound and its generation check ran at
-                    # burst entry.
-                    target = targs[pos]
-                    if target < 0:
-                        event = msgs[pos]
-                    else:
-                        event = (times[pos], -1, "message", target,
-                                 (sends[pos], msgs[pos]))
+                    # mbatch / external / message).  Its horizon check is
+                    # the ``run_end`` bound and its generation check ran
+                    # at burst entry.
+                    event = msgs[pos]
                     pos += 1
                 else:
                     if inc or pos < run_end:
@@ -621,54 +583,17 @@ def calendar_loop(sim, until: float, budget: int) -> int:
                 now = time_
                 sim.now = now
             sender, message = payload
-            if gated:
-                free_at = busy_until.get(target, 0.0)
-                if compute and free_at > time_:
-                    wseq = next(seq)
-                    if enqueue(target, time_, wseq, payload):
-                        sched_push((free_at, wseq, "cpu", target, None))
-                elif crash and is_crashed(target, now):
-                    dropped += 1
-                    processed += 1
-                else:
-                    handler, ctx = deliver_one[target]
-                    handler(ctx, sender, message)
-                    delivered += 1
-                    processed += 1
-                    if compute:
-                        cost = message_cost(target, sender, message)
-                        if cost > 0.0:
-                            record_busy(target, now, cost)
-                            if sim._compute_listeners:
-                                sim._notify_compute("cpu-busy", target,
-                                                    now, cost, message)
-            else:
-                handler, ctx = deliver_one[target]
-                handler(ctx, sender, message)
-                delivered += 1
-                processed += 1
-        elif kind == "cpu":
-            if time_ > now:
-                now = time_
-                sim.now = now
-            done = _cpu_wake(
-                sim, event,
-                pos < cur_len and times[pos] == time_
-                or inc and inc[0][0] == time_,
-                sched_push, push_now, crash)
-            if done is not None:
-                processed += 1
-                if done:
-                    delivered += 1
-                else:
-                    dropped += 1
+            handler, ctx = deliver_one[target]
+            handler(ctx, sender, message)
+            delivered += 1
+            processed += 1
         elif kind == "mbatch":
             # Same-instant broadcast group (zero-jitter latency): every
             # member is a delivery at exactly ``time_``, processed
             # back-to-back.  An exhausted budget reinserts the tail at
             # the walk front — the tail's original ``(time, seq)`` key
             # precedes everything still queued, so a front insert keeps
-            # the total order (same argument as ``requeue_front``).
+            # the total order.
             targets, mpayload = payload
             sender, message = mpayload
             if time_ > now:
@@ -688,33 +613,10 @@ def calendar_loop(sim, until: float, budget: int) -> int:
                     break
                 target = targets[mindex]
                 mindex += 1
-                if gated:
-                    free_at = busy_until.get(target, 0.0)
-                    if compute and free_at > time_:
-                        wseq = next(seq)
-                        if enqueue(target, time_, wseq, mpayload):
-                            sched_push((free_at, wseq, "cpu", target, None))
-                    elif crash and is_crashed(target, now):
-                        dropped += 1
-                        processed += 1
-                    else:
-                        handler, ctx = deliver_one[target]
-                        handler(ctx, sender, message)
-                        delivered += 1
-                        processed += 1
-                        if compute:
-                            cost = message_cost(target, sender, message)
-                            if cost > 0.0:
-                                record_busy(target, now, cost)
-                                if sim._compute_listeners:
-                                    sim._notify_compute(
-                                        "cpu-busy", target, now, cost,
-                                        message)
-                else:
-                    handler, ctx = deliver_one[target]
-                    handler(ctx, sender, message)
-                    delivered += 1
-                    processed += 1
+                handler, ctx = deliver_one[target]
+                handler(ctx, sender, message)
+                delivered += 1
+                processed += 1
         elif kind == "timer":
             timer_id = payload.timer_id
             pending_timers.discard(timer_id)
@@ -742,9 +644,6 @@ def calendar_loop(sim, until: float, budget: int) -> int:
             if time_ > now:
                 now = time_
                 sim.now = now
-            if crash and is_crashed(target, now):
-                processed += 1
-                continue
             handler, ctx = fire_timer[target]
             handler(ctx, payload)
             processed += 1
@@ -753,11 +652,9 @@ def calendar_loop(sim, until: float, budget: int) -> int:
                 now = time_
                 sim.now = now
             # External callbacks (workload probes, chaos hooks) may read
-            # the simulation's counters: flush the local tallies first.
+            # the simulation's counters: flush the local tally first.
             sim._messages_delivered += delivered
-            sim._messages_dropped += dropped
             delivered = 0
-            dropped = 0
             payload()
             processed += 1
         else:
@@ -773,5 +670,4 @@ def calendar_loop(sim, until: float, budget: int) -> int:
     sched._pos = pos
     sched._inc_pops += inc_pops
     sim._messages_delivered += delivered
-    sim._messages_dropped += dropped
     return processed

@@ -9,7 +9,8 @@ that queue behind a small seam so the dispatch loop can pick a backend:
   list is handed to the heap loop directly, so the hot path is exactly
   the pre-seam code.
 * :class:`CalendarQueue` — a calendar/ladder queue tuned for the
-  simulator's jittered-broadcast shape (``scheduler="calendar"``): event
+  simulator's jittered-broadcast shape (``scheduler="calendar"``; only
+  zero-compute, crash-free runs, see :func:`build_scheduler`): event
   times are near-monotone and densely clustered, and almost every event
   is one member of an in-flight broadcast.  Broadcasts are *spilled* as
   vectorized segments (one numpy slice per bucket) instead of one chained
@@ -25,8 +26,9 @@ exact-time ties between a broadcast's members and any other event break
 by the broadcast's schedule position, identically in both backends.
 Members of one broadcast tie in schedule order (the transport's sorted
 order), which the stable materialization sort preserves.  Members that
-must be represented as standalone tuples (far-future overflow, the
-no-numpy fallback) carry fractional sequence numbers ``base + i/count``:
+must be represented as standalone tuples (far-future overflow, the head
+landing inside the open bucket) carry fractional sequence numbers
+``base + i/count``:
 they compare numerically against every integer sequence number, never
 collide with one, and order the broadcast's members among themselves in
 schedule order without consuming extra counter draws.
@@ -136,11 +138,7 @@ class CalendarQueue:
       the current bucket's span after it materialized (zero/short-delay
       timers and sends).  Everything in ``_inc`` was scheduled after
       everything resident in ``_cur``, so merging by bare time with
-      ``_cur`` winning exact-time ties is exact.  The one exception is a
-      compute run's wake handing waiters back at its own instant under
-      their older seqs: a tie between such an event and a *standard*
-      resident goes by seq (:meth:`_inc_first`; member rows keep no seq
-      and stay first).
+      ``_cur`` winning exact-time ties is exact.
     * ``_overflow`` — heap of standard tuples beyond the ring horizon
       (far-future timers, the tail of very spread broadcasts); migrated
       into the ring as the window advances.
@@ -234,7 +232,6 @@ class CalendarQueue:
         ``times`` must be an ascending float64 numpy array and ``targets``
         the aligned receiver-id array; exactly one sequence number is
         consumed (mirroring the heap backend's single ``sbatch`` push).
-        Callers without numpy use :meth:`push` per member instead.
         """
         base = next(self._seq)
         if not self._adopted:
@@ -352,15 +349,9 @@ class CalendarQueue:
     def _inc_first(self, pos: int) -> bool:
         """Whether the ``_inc`` head precedes the resident row at ``pos``.
 
-        Residents win exact-time ties (they were scheduled first) — except
-        against a waiter the compute loop's wake hands back under its own
-        older seq: a tie with a standard resident goes by seq.
+        Residents win exact-time ties: they were scheduled first.
         """
-        head = self._inc[0]
-        t = self._cur_times[pos]
-        return head[0] < t or (
-            head[0] == t and self._cur_targets[pos] == _STD
-            and head[1] < self._cur_messages[pos][1])
+        return self._inc[0][0] < self._cur_times[pos]
 
     def pop(self) -> tuple:
         """Pop the global minimum as a standard-form event tuple."""
@@ -404,19 +395,6 @@ class CalendarQueue:
             if not (self._ring_count or self._overflow):
                 return None
             self._advance()
-
-    def requeue_front(self, event: tuple) -> None:
-        """Reinsert an event that must be the very next pop.
-
-        Only valid for an event just popped but not dispatched (budget
-        exhaustion, loop exit edges): by pop order it precedes everything
-        still queued, so a front insert preserves the total order.
-        """
-        pos = self._pos
-        self._cur_times.insert(pos, event[0])
-        self._cur_targets.insert(pos, _STD)
-        self._cur_senders.insert(pos, 0)
-        self._cur_messages.insert(pos, event)
 
     def _advance(self) -> None:
         """Materialize the next non-empty bucket into ``_cur``.
@@ -755,33 +733,56 @@ class CalendarQueue:
         return 0.0 if best is math.inf else best
 
 
+def resolve_scheduler(name: str, *, replicas: int = 0,
+                      jittered: bool = False, compute: bool = False,
+                      crash: bool = False) -> str:
+    """The backend (``"heap"`` / ``"calendar"``) :func:`build_scheduler`
+    picks for a run; a one-line :class:`ValueError` for an unknown name or
+    an explicit ``"calendar"`` on a run it does not serve."""
+    if name not in SCHEDULERS:
+        raise ValueError("unknown scheduler %r (expected one of %s)"
+                         % (name, ", ".join(SCHEDULERS)))
+    cause = ("a non-zero compute model" if compute
+             else "crash windows in its fault plan" if crash
+             else "no numpy installed" if _np is None else None)
+    if name == "auto":
+        return ("calendar" if cause is None and jittered and replicas >= 128
+                else "heap")
+    if name == "calendar" and cause is not None:
+        raise ValueError(
+            "scheduler 'calendar' serves only zero-compute, crash-free runs "
+            "with numpy; this run has %s (use 'heap' or 'auto')" % cause)
+    return name
+
+
 def build_scheduler(name: str, seq, *, replicas: int = 0,
-                    jittered: bool = False):
+                    jittered: bool = False, compute: bool = False,
+                    crash: bool = False):
     """Instantiate a scheduler backend by registered name.
 
-    ``"auto"`` picks the calendar queue where it was measured to win: a
-    jittered latency model (so broadcasts spill as vectorized segments),
-    numpy available for the bulk operations, and n ≥ 128; the binary heap
-    is the reference default everywhere else.  The crossover lies between
-    the measured cells (wan-matrix, numpy, heap vs calendar): the
-    broadcast flood delivers 1.00 vs 0.885 M/s at n=64 and 1.02 vs
-    1.23 M/s at n=128, the n=256 flood (``flood_wan256``) takes 11.3 vs
-    7.4 s, and a real Banyan run at n=64 (``banyan_wan64``) 2.8 vs 3.25 s.
-    (The n=96 flood is 1.03 vs 1.10 M/s, but Banyan runs at n=96 and above
-    still favour the heap: the queue pays on protocol-free floods, see
-    ROADMAP item 2.)  Both backends replay the same ``(time, seq)`` order,
-    so the choice never changes results.
+    The calendar queue serves only zero-compute, crash-free runs with
+    numpy: its loop reads no compute or crash flag, so an explicit
+    ``"calendar"`` for any other run raises :class:`ValueError`.
+    ``"auto"`` picks it only where it was measured to win: a jittered
+    latency model (broadcasts spill as vectorized segments), n ≥ 128, numpy,
+    zero compute and no crash windows; the binary heap is the reference
+    default everywhere else.  Measured on 2 cores, CPython 3.11.7, seed 1,
+    wan-matrix latency, heap vs calendar:
+
+    * the broadcast flood delivers 1.00 vs 0.885 M/s at n=64 and 1.02 vs
+      1.23 M/s at n=128; the n=256 flood (``flood_wan256``, 8 sim-s) takes
+      16.9 / 19.1 / 18.8 vs 11.3 / 10.2 / 12.3 s;
+    * a real Banyan run at n=64 (``banyan_wan64``) takes 2.8 vs 3.25 s, and
+      Banyan at n=96 and above still favours the heap (ROADMAP item 2);
+    * Banyan at n=128, 2.5 sim-s, crypto compute: 0.58 / 0.60 / 0.70 vs
+      0.67 / 0.74 / 0.68 s; with two crash windows: 6.64 / 5.64 / 5.57 vs
+      6.97 / 7.00 / 6.68 s (the calendar then still carried its compute
+      and crash branches).
+
+    Both backends replay the same ``(time, seq)`` order, so the choice
+    never changes results.
     """
-    if name == "auto":
-        if jittered and replicas >= 128 and _np is not None:
-            name = "calendar"
-        else:
-            name = "heap"
-    if name == "heap":
-        return HeapScheduler()
-    if name == "calendar":
+    if resolve_scheduler(name, replicas=replicas, jittered=jittered,
+                         compute=compute, crash=crash) == "calendar":
         return CalendarQueue(seq)
-    raise ValueError(
-        "unknown scheduler %r (expected one of %s)"
-        % (name, ", ".join(SCHEDULERS))
-    )
+    return HeapScheduler()

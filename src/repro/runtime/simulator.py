@@ -103,15 +103,11 @@ class NetworkConfig:
         scheduler: event-queue backend — one of
             :data:`repro.runtime.scheduler.SCHEDULERS` (``"auto"``,
             ``"heap"``, ``"calendar"``).  ``"auto"`` (the default) picks the
-            calendar queue for jittered runs of n ≥ 128 replicas with numpy
-            installed and the binary heap everywhere else — the measured
-            crossover (heap ahead at n=64 on the flood, 1.00 vs 0.885 M
-            deliveries/s, and on ``banyan_wan64``, 2.8 vs 3.25 s; calendar
-            ahead on the flood at n=128, 1.23 vs 1.02 M/s, and at n=256,
-            7.4 vs 11.3 s; see
-            :func:`repro.runtime.scheduler.build_scheduler`).  Both replay
-            the identical ``(time, seq)`` event order, so the choice never
-            changes results.
+            calendar queue only where it was measured to win, and an
+            explicit ``"calendar"`` is refused for runs it does not serve;
+            :func:`repro.runtime.scheduler.build_scheduler` states the rule
+            and its measurements.  Both replay the identical ``(time,
+            seq)`` event order, so the choice never changes results.
     """
 
     latency: LatencyModel = field(default_factory=lambda: ConstantLatency(0.05))
@@ -305,6 +301,8 @@ class Simulation:
             self.network.scheduler, self._seq,
             replicas=len(self.replica_ids),
             jittered=self._spread_broadcasts,
+            compute=not self._compute.trivial,
+            crash=bool(self.network.faults.crash_schedule.crash_times),
         )
         self._queue: Optional[List[tuple]] = getattr(
             self._scheduler, "heap", None)
@@ -547,8 +545,8 @@ class Simulation:
         """Shared event-loop driver behind :meth:`run` and :meth:`step`.
 
         Runs the scheduler backend's event loop (see
-        :mod:`repro.runtime.dispatch`), which reads the feature flags
-        (compute model, crash faults, sbatch run-ahead) at entry, and
+        :mod:`repro.runtime.dispatch`; the heap loop reads the compute
+        model, crash faults and sbatch run-ahead flags at entry), and
         re-enters it whenever a feature toggle bumps the dispatch
         generation mid-run.  Returns the number of budget-consuming events
         processed.
@@ -593,8 +591,8 @@ class Simulation:
         loop so that seeded executions stay byte-for-byte reproducible.)
 
         The hot loop itself lives in :mod:`repro.runtime.dispatch`: one
-        plain loop per scheduler backend reads the active feature flags at
-        entry, per-target handler tables kill repeated dict/attr lookups,
+        plain loop per scheduler backend (the heap loop reads its feature
+        flags at entry), per-target handler tables kill repeated dict/attr lookups,
         and (unless :attr:`force_scalar_dispatch` is set) a jittered
         broadcast's sbatch chain runs ahead without heap round trips.
         Every delivery is one ``on_message`` call.
@@ -736,18 +734,11 @@ class Simulation:
                 counts["sbatch"] += 1
                 counts["sbatch_members"] += len(times)
                 if queue is None:
-                    # Calendar backend, pair schedule (no numpy array):
-                    # push members individually under fractional seqs
-                    # ``base + i/count`` — they order as one contiguous
-                    # block at ``base`` against every integer seq, and
-                    # among themselves in schedule order, while consuming
-                    # the same single counter draw as the sbatch event.
-                    base = next(seq)
-                    push = self._scheduler.push
-                    member_count = len(times)
-                    for i in range(member_count):
-                        push((times[i], base + i / member_count if i else base,
-                              "message", targets[i], payload))
+                    # Calendar backend, pair schedule: spill it like the
+                    # vectorized one (float64 keeps every time's bits).
+                    self._scheduler.spill(
+                        _np.array(times), _np.array(targets, _np.int64),
+                        sender, message, payload)
                     return
                 # Flat payload (one unpack per dispatch): ``index`` must
                 # stay at slot 2 (the loop's resume-point writes).

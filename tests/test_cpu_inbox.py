@@ -4,8 +4,9 @@ A delivery that finds the receiving core busy waits in the replica's FIFO
 inbox; the scheduler holds one ``cpu`` wake per non-empty inbox instead of
 one event per waiter re-pushed every time the core frees.  Pinned here:
 
-* a grid of compute-charged cells — latency × scheduler × faults ×
-  transport × driver — whose fingerprints (commit schedule, delivery
+* a grid of compute-charged cells — latency × faults × transport ×
+  driver, on the heap scheduler (the calendar queue refuses compute
+  runs) — whose fingerprints (commit schedule, delivery
   counts, per-replica busy seconds, and the order in which charged
   deliveries reached the cores) were captured on the re-push
   implementation this design replaced, and must stay byte-identical,
@@ -31,7 +32,11 @@ from repro.protocols.registry import create_replicas
 from repro.runtime.compute import ComputeModel
 from repro.runtime.simulator import NetworkConfig, Simulation
 
-from test_scheduler import BACKENDS, _jittered_simulation
+from test_scheduler import _jittered_simulation
+
+#: Compute-charged runs take the heap only: the calendar queue refuses
+#: them (``repro.runtime.scheduler.build_scheduler``).
+BACKENDS = ("heap",)
 
 # --------------------------------------------------------------------- #
 # Pinned grid

@@ -9,8 +9,9 @@ they reach the next event.  Pinned here:
   (:attr:`Simulation.force_scalar_dispatch`), across protocols, compute
   models, fault plans, bounded and unbounded runs, and a mid-run toggle;
 * the calendar-queue loop must replay the heap loop's execution across
-  the same protocols, compute models and fault plans, also when a run is
-  cut into budget chunks;
+  the same protocols, without compute and with or without message loss
+  (the runs the calendar queue serves), also when a run is cut into
+  budget chunks;
 * ``run()`` must match single-stepping at n=64 with jitter and compute.
 """
 
@@ -24,6 +25,8 @@ from repro.net.topology import four_global_datacenters
 from repro.protocols.base import ProtocolParams
 from repro.protocols.registry import create_replicas
 from repro.runtime.simulator import NetworkConfig, Simulation
+
+from test_scheduler import needs_numpy
 
 PROTOCOLS = ("banyan", "icc", "hotstuff", "streamlet")
 N = 7
@@ -135,16 +138,17 @@ class TestSweepScalarEquivalence:
 
 
 # --------------------------------------------------------------------- #
-# Calendar loop vs heap loop under compute and faults
+# Calendar loop vs heap loop, with and without message loss
 # --------------------------------------------------------------------- #
 
 
+@needs_numpy
 class TestCalendarMatchesHeap:
-    """The calendar loop replays the heap loop's execution, faults included."""
+    """The calendar loop replays the heap loop's execution, loss included."""
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
-    @pytest.mark.parametrize("compute", ["zero", "crypto"])
-    @pytest.mark.parametrize("fault", ["none", "crash", "loss"])
+    @pytest.mark.parametrize("compute", ["zero"])
+    @pytest.mark.parametrize("fault", ["none", "loss"])
     def test_byte_identical_executions(self, protocol, compute, fault):
         heap = _simulation(protocol, compute, fault, scheduler="heap")
         heap.run(until=HORIZON)
@@ -157,16 +161,15 @@ class TestCalendarMatchesHeap:
         assert heap.commits_for(0)
 
     def test_chunked_calendar_run_matches_heap(self):
-        # A budget cut can land inside a calendar burst, an mbatch group
-        # or a compute wake; resuming must replay the unbounded execution.
-        calendar = _simulation("banyan", "crypto", "crash",
+        # A budget cut can land inside a calendar burst or at the walk
+        # front; resuming must replay the unbounded execution.
+        calendar = _simulation("banyan", "zero", "loss",
                                scheduler="calendar")
         while calendar.now < HORIZON:
             calendar.run(until=HORIZON, max_events=97)
-        heap = _simulation("banyan", "crypto", "crash", scheduler="heap")
+        heap = _simulation("banyan", "zero", "loss", scheduler="heap")
         heap.run(until=HORIZON)
         assert _execution_digest(calendar) == _execution_digest(heap)
-        assert heap.compute_stats()["cpu_wakes"] > 0
         assert heap.messages_dropped > 0
 
 

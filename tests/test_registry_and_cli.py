@@ -107,6 +107,25 @@ class TestCLI:
         assert main(["run", "--n", "0"]) == 2
         assert "n must be positive" in capsys.readouterr().err
 
+    def test_run_command_refuses_the_calendar_for_a_compute_run(
+            self, capsys, monkeypatch):
+        """The scheduler module's refusal is one stderr line and exit 2,
+        before any run starts — not a traceback from inside the runner."""
+        from repro.eval import scenarios
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run must not start")
+
+        monkeypatch.setattr(scenarios, "run_figure", no_run)
+        assert main(["run", "--protocol", "banyan", "--n", "4", "--f", "1",
+                     "--p", "1", "--scheduler", "calendar",
+                     "--compute", "crypto"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("banyan-repro run: error: ")
+        assert "non-zero compute model" in captured.err
+
     def test_run_command_explains_an_empty_window(self, capsys):
         """A window without commits says so and why next to its all-zero
         row: here the 2 s default warm-up leaves a 1 ms window although the

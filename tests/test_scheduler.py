@@ -4,11 +4,12 @@ The calendar queue (``scheduler="calendar"``) must replay the exact
 ``(time, seq)`` total order of the reference binary heap — the backend is
 a pure performance choice, never a semantics one.  Pinned here:
 
-* every golden-corpus cell digests identically under the calendar backend
-  (the pinned digests in ``test_golden_corpus`` were captured on the heap),
+* every zero-compute golden-corpus cell digests identically under the
+  calendar backend (the pinned digests in ``test_golden_corpus`` were
+  captured on the heap),
 * ``run()`` and one-event-at-a-time ``step()`` produce byte-identical
-  executions under both backends (n=64, jittered latency, crypto compute —
-  the exact shape the calendar queue is tuned for),
+  executions under both backends (n=64, jittered latency — the shape the
+  calendar queue is tuned for),
 * an event budget that cuts a run mid-broadcast (mid sbatch chain) resumes
   without perturbing the execution,
 * adversarial timestamp distributions (all-same-instant, exponential
@@ -16,8 +17,12 @@ a pure performance choice, never a semantics one.  Pinned here:
   from the :class:`CalendarQueue`, across width adaptation and rebuilds,
 * ``run_until_idle`` raises :class:`BudgetExhausted` on a wedged run
   instead of silently returning mid-execution,
-* cancelled-timer bookkeeping drains to empty across crash/recovery chaos,
-  and ``event_counts()`` is backend-invariant (no sbatch double-count).
+* cancelled-timer bookkeeping drains to empty across crash/recovery chaos
+  (heap) and message loss (calendar), and ``event_counts()`` is
+  backend-invariant (no sbatch double-count),
+* the calendar queue takes only the runs it serves: ``"auto"`` routes
+  compute and crash runs to the heap, and an explicit ``"calendar"``
+  refuses them.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from repro.protocols.registry import create_replicas
 from repro.runtime.scheduler import (
     _FAR_TIME,
     CalendarQueue,
+    _np,
     HeapScheduler,
     SCHEDULERS,
     build_scheduler,
@@ -43,19 +49,17 @@ from repro.runtime.scheduler import (
 from repro.runtime.simulator import BudgetExhausted, NetworkConfig, Simulation
 
 from test_golden_corpus import (
-    COMPUTES,
     GOLDEN_DIGESTS,
     PROTOCOLS,
     TRANSPORTS,
     _execution_digest,
 )
 
-try:
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy is part of the baked toolchain
-    _np = None
+#: ``build_scheduler`` refuses the calendar queue without numpy.
+needs_numpy = pytest.mark.skipif(_np is None,
+                                 reason="the calendar queue needs numpy")
 
-BACKENDS = ("heap", "calendar")
+BACKENDS = ("heap", pytest.param("calendar", marks=needs_numpy))
 
 
 # --------------------------------------------------------------------- #
@@ -63,14 +67,16 @@ BACKENDS = ("heap", "calendar")
 # --------------------------------------------------------------------- #
 
 
+@needs_numpy
 class TestGoldenCorpusBackendInvariance:
-    """All 24 corpus cells must digest identically under the calendar queue.
+    """The 12 zero-compute corpus cells (the calendar queue refuses the
+    crypto ones) must digest identically under the calendar queue.
 
     The pinned digests were captured on the heap backend, so matching them
     *is* the heap↔calendar byte-identity check — one corpus run, not two.
     """
 
-    @pytest.mark.parametrize("compute", COMPUTES)
+    @pytest.mark.parametrize("compute", ["zero"])
     @pytest.mark.parametrize("transport", TRANSPORTS)
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_calendar_matches_pinned_heap_digest(self, protocol, transport,
@@ -138,20 +144,21 @@ def _drive_by_steps(simulation: Simulation, until: float) -> None:
 class TestRunVsStep:
     """Budget-1 stepping must be indistinguishable from the batched run.
 
-    n=64 with jittered latency and crypto compute: broadcasts spill as
-    vectorized calendar segments, cpu wakes re-arm mid-bucket,
-    and every step re-enters the calendar loop — the hardest shape for
-    the scheduler seam to keep byte-identical.
+    n=64 with jittered latency: broadcasts spill as vectorized calendar
+    segments and every step re-enters the calendar loop — the hardest
+    shape for the scheduler seam to keep byte-identical.  (The heap's
+    compute-charged stepping is pinned in ``test_dispatch_batch`` and
+    ``test_cpu_inbox``.)
     """
 
     HORIZON = 1.2
 
     @pytest.mark.parametrize("scheduler", BACKENDS)
     def test_step_matches_run(self, scheduler):
-        batched = _jittered_simulation(64, "crypto", scheduler)
+        batched = _jittered_simulation(64, "zero", scheduler)
         batched.run(until=self.HORIZON)
 
-        stepped = _jittered_simulation(64, "crypto", scheduler)
+        stepped = _jittered_simulation(64, "zero", scheduler)
         _drive_by_steps(stepped, self.HORIZON)
 
         fingerprint = _execution_fingerprint(batched)
@@ -160,10 +167,11 @@ class TestRunVsStep:
         # The cell genuinely exercised the spill pipeline.
         assert fingerprint["events"]["sbatch"] > 0
 
+    @needs_numpy
     def test_backends_agree(self):
-        heap = _jittered_simulation(64, "crypto", "heap")
+        heap = _jittered_simulation(64, "zero", "heap")
         heap.run(until=self.HORIZON)
-        calendar = _jittered_simulation(64, "crypto", "calendar")
+        calendar = _jittered_simulation(64, "zero", "calendar")
         calendar.run(until=self.HORIZON)
         assert _execution_fingerprint(heap) == _execution_fingerprint(calendar)
 
@@ -296,15 +304,20 @@ class _TimerChurn(Protocol):
             self._arm(ctx)
 
 
-def _churn_simulation(scheduler: str) -> Simulation:
+#: Crash/recovery chaos: one permanent crash, one crash-and-recover —
+#: timers armed before a crash still pop (and must still clean up).
+_CRASHES = FaultPlan(crash_schedule=CrashSchedule(
+    crash_times={1: 0.25, 2: 0.55}, recover_times={2: 0.95}))
+
+#: The calendar queue serves only crash-free runs: its chaos is loss.
+_LOSS = FaultPlan(drop_probability=0.05)
+
+
+def _churn_simulation(scheduler: str, faults: FaultPlan) -> Simulation:
     n = 8
     params = ProtocolParams(n=n, f=2, p=1)
     protocols = {i: _TimerChurn(i, params) for i in range(n)}
     topology = four_global_datacenters(n)
-    # Crash/recovery chaos: one permanent crash, one crash-and-recover —
-    # timers armed before a crash still pop (and must still clean up).
-    faults = FaultPlan(crash_schedule=CrashSchedule(
-        crash_times={1: 0.25, 2: 0.55}, recover_times={2: 0.95}))
     network = NetworkConfig(latency=GeoLatency(topology, jitter=0.05),
                             faults=faults, seed=5, scheduler=scheduler)
     return Simulation(protocols, network)
@@ -313,7 +326,8 @@ def _churn_simulation(scheduler: str) -> Simulation:
 class TestTimerBookkeepingAcrossChaos:
     @pytest.mark.parametrize("scheduler", BACKENDS)
     def test_cancelled_set_drains_to_empty(self, scheduler):
-        sim = _churn_simulation(scheduler)
+        sim = _churn_simulation(
+            scheduler, _CRASHES if scheduler == "heap" else _LOSS)
         sim.run_until_idle(max_events=1_000_000)
         assert sim._cancelled_timers == set()
         assert sim._pending_timers == set()
@@ -321,10 +335,11 @@ class TestTimerBookkeepingAcrossChaos:
         assert sim.protocol(0).rounds == _TimerChurn.ROUNDS
         assert all(p.fired for i, p in sim._protocols.items() if i not in (1, 2))
 
+    @needs_numpy
     def test_event_counts_are_backend_invariant(self):
-        heap = _churn_simulation("heap")
+        heap = _churn_simulation("heap", _LOSS)
         heap.run_until_idle(max_events=1_000_000)
-        calendar = _churn_simulation("calendar")
+        calendar = _churn_simulation("calendar", _LOSS)
         calendar.run_until_idle(max_events=1_000_000)
         heap_counts = heap.event_counts()
         assert heap_counts == calendar.event_counts()
@@ -434,32 +449,6 @@ class TestCalendarQueueAdversarial:
         assert queue.pop() == resident
         assert queue.pop() == late
 
-    def test_older_seq_pushed_into_the_open_bucket_wins_the_tie(self):
-        # A compute run's wake hands a waiter back at its own instant
-        # under the seq the waiter was queued with — older than a
-        # resident scheduled since.  That tie goes by seq.
-        queue, seq = self._make()
-        older = next(seq)
-        resident = (1.0, next(seq), "timer", 0, "resident")
-        queue.push(resident)
-        queue.push((5.0, next(seq), "timer", 0, "later"))
-        assert queue.peek() == resident
-        handed_back = (1.0, older, "cpu", 0, "waiter")
-        queue.push(handed_back)
-        assert queue.peek() == handed_back
-        assert queue.pop() == handed_back
-        assert queue.pop() == resident
-
-    def test_requeue_front_restores_the_head(self):
-        queue, seq = self._make()
-        events = [(float(i), next(seq), "timer", 0, None) for i in range(5)]
-        for event in events:
-            queue.push(event)
-        head = queue.pop()
-        queue.requeue_front(head)
-        assert queue.peek() == head
-        assert _drain(queue) == events
-
     def test_pop_empty_raises(self):
         queue, _ = self._make()
         with pytest.raises(IndexError):
@@ -467,7 +456,7 @@ class TestCalendarQueueAdversarial:
         assert queue.peek() is None
 
 
-@pytest.mark.skipif(_np is None, reason="spill path requires numpy")
+@needs_numpy
 class TestCalendarQueueSpill:
     """Vectorized broadcast spill vs the heap's chained-sbatch order.
 
@@ -543,7 +532,6 @@ class TestBackendSelection:
     def test_auto_picks_calendar_only_for_large_jittered_runs(self):
         seq = itertools.count()
         assert build_scheduler("heap", seq).name == "heap"
-        assert build_scheduler("calendar", seq).name == "calendar"
         assert build_scheduler("auto", seq, replicas=256,
                                jittered=True).name == \
             ("calendar" if _np is not None else "heap")
@@ -559,6 +547,16 @@ class TestBackendSelection:
             assert build_scheduler("auto", seq, replicas=replicas,
                                    jittered=True).name == \
                 ("calendar" if _np is not None else "heap")
+        # Compute and crash runs lose on the calendar: always the heap.
+        assert build_scheduler("auto", seq, replicas=128, jittered=True,
+                               compute=True).name == "heap"
+        assert build_scheduler("auto", seq, replicas=128, jittered=True,
+                               crash=True).name == "heap"
+
+    @needs_numpy
+    def test_calendar_builds_without_keywords(self):
+        assert build_scheduler("calendar", itertools.count()).name == \
+            "calendar"
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
@@ -568,6 +566,30 @@ class TestBackendSelection:
                 {0: _TimerChurn(0, ProtocolParams(n=1, f=0, p=0))},
                 NetworkConfig(scheduler="splay-tree"),
             )
+
+    @pytest.mark.parametrize("case", ["compute", "crash", "no-numpy"])
+    def test_calendar_refuses_runs_it_does_not_serve(self, case,
+                                                     monkeypatch):
+        import repro.runtime.scheduler as scheduler
+
+        cause = {"compute": "non-zero compute model",
+                 "crash": "crash windows", "no-numpy": "no numpy"}[case]
+        if case == "no-numpy":
+            monkeypatch.setattr(scheduler, "_np", None)
+        with pytest.raises(ValueError, match=cause) as excinfo:
+            scheduler.build_scheduler("calendar", itertools.count(),
+                                      compute=case == "compute",
+                                      crash=case == "crash")
+        assert "\n" not in str(excinfo.value)
+        if case != "no-numpy":
+            # The simulator passes both observables in.
+            network = NetworkConfig(
+                scheduler="calendar",
+                compute="crypto" if case == "compute" else "zero",
+                faults=_CRASHES if case == "crash" else FaultPlan.none())
+            with pytest.raises(ValueError, match=cause):
+                Simulation({i: _TimerChurn(i, ProtocolParams(n=8, f=2, p=1))
+                            for i in range(8)}, network)
 
     def test_network_config_default_is_auto(self):
         assert NetworkConfig().scheduler == "auto"
