@@ -12,6 +12,9 @@ a pure performance choice, never a semantics one.  Pinned here:
   calendar queue is tuned for),
 * an event budget that cuts a run mid-broadcast (mid sbatch chain) resumes
   without perturbing the execution,
+* a grid of the runs the calendar queue serves — latency model × loss
+  burst / partition × transport × run / step / chunked driver — replays
+  the heap's execution cell by cell,
 * adversarial timestamp distributions (all-same-instant, exponential
   spread, far-future/infinite timers) pop in reference heap order straight
   from the :class:`CalendarQueue`, across width adaptation and rebuilds,
@@ -27,14 +30,15 @@ a pure performance choice, never a semantics one.  Pinned here:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 
 import pytest
 
-from repro.net.faults import CrashSchedule, FaultPlan
-from repro.net.latency import ConstantLatency, GeoLatency
+from repro.net.faults import CrashSchedule, FaultPlan, LossBurst, PartitionPlan
+from repro.net.latency import ConstantLatency, GeoLatency, WanMatrixLatency
 from repro.net.topology import four_global_datacenters
 from repro.protocols.base import Protocol, ProtocolParams
 from repro.protocols.registry import create_replicas
@@ -201,6 +205,83 @@ class TestBudgetResume:
         assert _execution_fingerprint(uncut) == \
             _execution_fingerprint(chunked)
         assert _execution_fingerprint(uncut)["commits"]
+
+
+# --------------------------------------------------------------------- #
+# Calendar grid: the runs the calendar queue serves
+# --------------------------------------------------------------------- #
+
+GRID_LATENCIES = ("constant", "geo-jitter", "wan-matrix")
+GRID_FAULTS = ("none", "loss-burst", "partition")
+GRID_DRIVERS = ("run", "step", "chunked")
+GRID_HORIZON = 2.487
+
+
+def _grid_simulation(latency: str, faults: str, transport: str,
+                     scheduler: str) -> Simulation:
+    n = 7
+    params = ProtocolParams(n=n, f=2, p=1, rank_delay=0.2,
+                            payload_size=1_000)
+    topology = four_global_datacenters(n)
+    latency_model = {
+        "constant": lambda: ConstantLatency(0.05),
+        "geo-jitter": lambda: GeoLatency(topology, jitter=0.05),
+        "wan-matrix": lambda: WanMatrixLatency(topology),
+    }[latency]()
+    # A loss storm and a cut-off pair, each spanning a few rounds.
+    plan = {
+        "none": FaultPlan.none,
+        "loss-burst": lambda: FaultPlan(
+            loss_bursts=(LossBurst(start=0.4, end=1.0, probability=0.5),)),
+        "partition": lambda: FaultPlan(partitions=PartitionPlan.single(
+            0.4, 1.2, [0, 1], [2, 3, 4, 5, 6])),
+    }[faults]()
+    network = NetworkConfig(
+        latency=latency_model, faults=plan, seed=5, transport=transport,
+        uplink_bytes_per_s=2_000_000.0 if transport == "contended" else None,
+        scheduler=scheduler)
+    return Simulation(create_replicas("banyan", params), network)
+
+
+@functools.lru_cache(maxsize=None)
+def _heap_grid_fingerprint(latency: str, faults: str, transport: str):
+    heap = _grid_simulation(latency, faults, transport, "heap")
+    heap.run(until=GRID_HORIZON)
+    return repr(_execution_fingerprint(heap))
+
+
+@needs_numpy
+class TestCalendarGrid:
+    """Zero-compute, crash-free cells — the runs the calendar queue serves.
+
+    Latency model × fault plan × transport × driver: jitter-free latency
+    takes the calendar's ``mbatch`` branch, jittered latency its spilled
+    broadcasts, and the contended and relay transports reshape the
+    arrival times; stepping and 7-event chunks re-enter the loop at every
+    cut.  Each cell must replay the heap's ``run()`` byte for byte.
+    """
+
+    @pytest.mark.parametrize("driver", GRID_DRIVERS)
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    @pytest.mark.parametrize("faults", GRID_FAULTS)
+    @pytest.mark.parametrize("latency", GRID_LATENCIES)
+    def test_calendar_matches_heap(self, latency, faults, transport, driver):
+        calendar = _grid_simulation(latency, faults, transport, "calendar")
+        if driver == "run":
+            calendar.run(until=GRID_HORIZON)
+        elif driver == "step":
+            _drive_by_steps(calendar, GRID_HORIZON)
+        else:
+            while calendar.now < GRID_HORIZON:
+                calendar.run(until=GRID_HORIZON, max_events=7)
+        fingerprint = _execution_fingerprint(calendar)
+        assert repr(fingerprint) == \
+            _heap_grid_fingerprint(latency, faults, transport)
+        assert fingerprint["commits"], "vacuous cell: nothing committed"
+        if faults != "none":
+            # The fault genuinely reshaped the execution.
+            assert _heap_grid_fingerprint(latency, faults, transport) != \
+                _heap_grid_fingerprint(latency, "none", transport)
 
 
 # --------------------------------------------------------------------- #
