@@ -21,10 +21,7 @@ from abc import ABC, abstractmethod
 from itertools import repeat as _repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
-try:  # Optional accelerator: the scalar rows below are the reference.
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is an optional speedup
-    _np = None
+import numpy as _np
 
 from repro.net.topology import Topology, region_rtt_ms
 
@@ -395,13 +392,11 @@ class _TopologyLatency(LatencyModel):
         """The sender's dense row as a cached numpy float64 array, or ``None``.
 
         Only served for the full ascending replica-id set (the broadcast
-        shape) — ``None`` for subsets, custom orders, or when numpy is
-        unavailable.  ``asarray`` on a float list preserves bits, so the
-        array is element-for-element identical to :meth:`nominal_row`.
-        Callers must treat it as immutable — it is shared across calls.
+        shape) — ``None`` for subsets or custom orders.  ``asarray`` on a
+        float list preserves bits, so the array is element-for-element
+        identical to :meth:`nominal_row`.  Callers must treat it as
+        immutable — it is shared across calls.
         """
-        if _np is None:
-            return None
         arr = self._row_arrays.get(sender)
         if arr is not None:
             full = self._full_ids

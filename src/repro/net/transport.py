@@ -29,7 +29,8 @@ Each strategy prices a broadcast one reference way — per-copy ``unicast``
 for Direct and Contended, the tree ``broadcast`` for Relay — plus at most
 one fault-free fast shape that equals it bit for bit, rng draws and
 counters included: an aligned arrival row, or Direct's numpy array.
-``broadcast_times`` is derived from the two; only Direct overrides it, for
+``broadcast_times`` is derived from the two, as aligned ``(times,
+targets)``; only Direct overrides it, for
 faults that never interleave drop draws with propagation draws (crashes,
 partitions, any fault under a jitter-free model).
 
@@ -45,10 +46,7 @@ import random
 from abc import ABC, abstractmethod
 from typing import Dict, List, Optional, Sequence, Tuple
 
-try:  # Optional accelerator: the scalar paths below are the reference.
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is an optional speedup
-    _np = None
+import numpy as _np
 
 from repro.net.bandwidth import BandwidthModel
 from repro.net.faults import FaultPlan
@@ -113,7 +111,9 @@ class Transport(ABC):
     :meth:`unicast` per copy, or a subclass overrides it), at most one
     fault-free fast shape that reproduces it exactly
     (:meth:`broadcast_arrival_row` / :meth:`broadcast_arrival_array`), and
-    a derived :meth:`broadcast_times`.  ``rng`` is drawn in a fixed
+    a derived :meth:`broadcast_times`; the simulator schedules broadcasts
+    from :meth:`broadcast` (tracing), :meth:`broadcast_arrival_array` and
+    :meth:`broadcast_times` only.  ``rng`` is drawn in a fixed
     per-receiver order so that a fixed seed reproduces the execution.
     """
 
@@ -177,23 +177,22 @@ class Transport(ABC):
         return deliveries
 
     def broadcast_times(self, sender: int, receivers: Sequence[int],
-                        message: Message, now: float,
-                        rng: random.Random) -> List[Tuple[int, float]]:
-        """:meth:`broadcast` reduced to ``(receiver, deliver_at)`` pairs.
+                        message: Message, now: float, rng: random.Random
+                        ) -> Tuple[Sequence[float], Sequence[int]]:
+        """:meth:`broadcast` reduced to aligned ``(times, targets)``.
 
-        The simulator's event loop only needs the arrival instants, not the
-        delay decomposition: the transport's row is zipped when it has one,
-        else the pairs come from :meth:`broadcast`.  Overrides must consume
-        ``rng`` and mutate transport state (NIC queues, counters) exactly
-        as :meth:`broadcast` would — the golden corpus pins this.
+        Per-copy order, drops removed: the fault-free row with
+        ``receivers`` when the transport has one, else both read off
+        :meth:`broadcast`.  Overrides must consume ``rng`` and mutate
+        transport state (NIC queues, counters) exactly as
+        :meth:`broadcast` would — the golden corpus pins this.
         """
         row = self.broadcast_arrival_row(sender, receivers, message, now, rng)
         if row is not None:
-            return list(zip(receivers, row))
-        return [
-            (delivery.receiver, delivery.deliver_at)
-            for delivery in self.broadcast(sender, receivers, message, now, rng)
-        ]
+            return row, receivers
+        deliveries = self.broadcast(sender, receivers, message, now, rng)
+        return ([delivery.deliver_at for delivery in deliveries],
+                [delivery.receiver for delivery in deliveries])
 
     def broadcast_arrival_row(self, sender: int, receivers: Sequence[int],
                               message: Message, now: float,
@@ -205,9 +204,9 @@ class Transport(ABC):
         ``receivers`` — the simulator then groups deliveries without
         materialising ``(receiver, time)`` tuples.  ``None`` means the
         transport cannot guarantee the aligned no-drop shape here (faults
-        active, custom models) and leaves ``rng`` untouched; callers fall
-        back to :meth:`broadcast_times`.  Overrides must consume ``rng``
-        exactly as :meth:`broadcast` would.
+        active, custom models) and leaves ``rng`` untouched; the base
+        :meth:`broadcast_times` then falls back to :meth:`broadcast`.
+        Overrides must consume ``rng`` exactly as :meth:`broadcast` would.
         """
         return None
 
@@ -219,9 +218,10 @@ class Transport(ABC):
         Same aligned no-drop contract and the same arithmetic bit-for-bit
         (numpy elementwise float64 add/multiply are IEEE-exactly-rounded,
         identical to the scalar ops), but built with whole-row vector ops.
-        ``None`` whenever numpy is unavailable or the configuration cannot
-        take the row path; implementations must decide *before* consuming
-        any rng draws so the fallback sees an untouched stream.
+        ``None`` whenever the configuration cannot take the array path;
+        implementations must decide *before* consuming any rng draws so
+        the simulator's :meth:`broadcast_times` fallback sees an untouched
+        stream.
         """
         return None
 
@@ -268,8 +268,8 @@ class DirectTransport(Transport):
                         hold, 0.0, transfer, propagation)
 
     def broadcast_times(self, sender: int, receivers: Sequence[int],
-                        message: Message, now: float,
-                        rng: random.Random) -> List[Tuple[int, float]]:
+                        message: Message, now: float, rng: random.Random
+                        ) -> Tuple[Sequence[float], Sequence[int]]:
         """Survivors first, for faults that never interleave drop draws with
         propagation draws (crashes, partitions, any fault under a
         jitter-free model): the per-copy loop draws propagation only for
@@ -284,16 +284,16 @@ class DirectTransport(Transport):
                      if not faults.should_drop(sender, receiver, now, rng)]
         propagation_row = self.latency.delay_row(sender, survivors, rng)
         transfer_time = self.bandwidth.transfer_time
-        pairs: List[Tuple[int, float]] = []
-        append = pairs.append
+        times: List[float] = []
+        append = times.append
         for receiver, propagation in zip(survivors, propagation_row):
             send_time = now
             release = faults.partition_release(sender, receiver, now)
             if release is not None:
                 send_time = release
-            append((receiver, send_time
-                    + transfer_time(sender, receiver, size) + propagation))
-        return pairs
+            append(send_time + transfer_time(sender, receiver, size)
+                   + propagation)
+        return times, survivors
 
     def broadcast_arrival_row(self, sender: int, receivers: Sequence[int],
                               message: Message, now: float,
@@ -325,10 +325,9 @@ class DirectTransport(Transport):
         ``rng.random()`` at a time in receiver order, so the stream matches
         the scalar path exactly.  All gates — including the latency model's
         — are checked before any draw, so returning ``None`` leaves the rng
-        untouched for the row fallback.
+        untouched for the :meth:`broadcast_times` fallback.
         """
-        if (_np is None or not self._trivial_faults
-                or not self._cacheable_bandwidth):
+        if not self._trivial_faults or not self._cacheable_bandwidth:
             return None
         latency = self.latency
         if self._latency_jitter_free:

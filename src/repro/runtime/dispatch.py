@@ -2,7 +2,7 @@
 
 Two plain functions run every simulation, one per scheduler backend
 (:mod:`repro.runtime.scheduler`): :func:`heap_loop` pops the binary heap
-(``sim._queue`` is its raw list) and :func:`calendar_loop` walks the
+(``sim._scheduler.heap`` is its raw list) and :func:`calendar_loop` walks the
 calendar queue's materialized bucket.  ``Simulation._run_dispatch``
 picks one by backend.  The heap loop reads three feature flags once, at
 entry, into locals; the calendar loop reads none, because the calendar
@@ -49,18 +49,17 @@ real event dispatch without re-checking ``until``) is preserved.
 ``tests/test_golden_corpus.py`` and ``tests/test_dispatch_batch.py`` pin
 this.
 
-A loop returns the number of budget-consuming events processed.  It
-exits early (after flushing its counters) when
-``Simulation._dispatch_generation`` changes mid-run — feature toggles like
-flipping ``force_scalar_dispatch`` bump the generation, and the ``run()``
-driver re-enters the loop, which re-reads its flags.
+A loop returns the number of budget-consuming events processed.
+Listeners are read live (``sim._compute_listeners`` here, the delivery
+listeners in the simulator's send paths), so attaching one mid-run needs
+no re-entry; a ``force_scalar_dispatch`` flip takes effect at the next
+``run()`` / ``step()``.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from functools import partial
 from heapq import heappop, heappush, heappushpop
 from typing import Any, Dict
 
@@ -183,7 +182,7 @@ def _cpu_wake(sim, event, shared, push, crash):
 
 def heap_loop(sim, until: float, budget: int) -> int:
     """Dispatch binary-heap events due by ``until``, at most ``budget``."""
-    queue = sim._queue
+    queue = sim._scheduler.heap
     pending_timers = sim._pending_timers
     cancelled_timers = sim._cancelled_timers
     deliver_one = sim._deliver_one
@@ -199,8 +198,7 @@ def heap_loop(sim, until: float, budget: int) -> int:
     enqueue = model.enqueue
     record_busy = model.record_busy
     seq = sim._seq
-    push = partial(heappush, queue)
-    generation = sim._dispatch_generation
+    push = sim._push
     now = sim.now
     processed = 0
     delivered = 0
@@ -220,8 +218,6 @@ def heap_loop(sim, until: float, budget: int) -> int:
             if not queue or processed >= budget:
                 break
             if queue[0][0] > until:
-                break
-            if sim._dispatch_generation != generation:
                 break
             event = heappop(queue)
         time_, seq_, kind, target, payload = event
@@ -459,7 +455,6 @@ def calendar_loop(sim, until: float, budget: int) -> int:
     cancelled_timers = sim._cancelled_timers
     deliver_one = sim._deliver_one
     fire_timer = sim._fire_timer
-    generation = sim._dispatch_generation
     now = sim.now
     processed = 0
     delivered = 0
@@ -494,8 +489,6 @@ def calendar_loop(sim, until: float, budget: int) -> int:
                 event = inc[0]
                 if event[0] > until:
                     break
-                if sim._dispatch_generation != generation:
-                    break
                 heappop(inc)
                 inc_pops += 1
             else:
@@ -504,13 +497,7 @@ def calendar_loop(sim, until: float, budget: int) -> int:
                 # (refreshed only when a handler grew the heap — pops
                 # never happen mid-burst), the ``until`` horizon is
                 # ``run_end``, cut once per bucket, and the budget pre-cuts
-                # ``stop`` instead of a per-event compare.  The generation
-                # check runs once per burst: a mid-run bump (listener
-                # attach / force-scalar toggle) changes nothing this loop
-                # reads, so burst granularity is observationally
-                # identical.
-                if sim._dispatch_generation != generation:
-                    break
+                # ``stop`` instead of a per-event compare.
                 stop = run_end
                 rem = budget - processed
                 if stop - pos > rem:
@@ -550,8 +537,7 @@ def calendar_loop(sim, until: float, budget: int) -> int:
                         continue
                     # The walk front: a standard 5-tuple resident (timer /
                     # mbatch / external / message).  Its horizon check is
-                    # the ``run_end`` bound and its generation check ran
-                    # at burst entry.
+                    # the ``run_end`` bound.
                     event = msgs[pos]
                     pos += 1
                 else:

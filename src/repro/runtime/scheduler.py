@@ -43,12 +43,10 @@ from __future__ import annotations
 
 import math
 from heapq import heappop, heappush
+from functools import partial
 from typing import Any, List, Optional, Tuple
 
-try:  # pragma: no cover - numpy is present everywhere we benchmark
-    import numpy as _np
-except Exception:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 #: Registered scheduler backend names (``"auto"`` resolves per simulation).
 SCHEDULERS = ("auto", "heap", "calendar")
@@ -81,22 +79,33 @@ class HeapScheduler:
     """The reference binary-heap backend (a thin veneer over ``heapq``).
 
     The heap loop bypasses this object and works on ``heap``
-    directly; the methods serve the cold paths (scheduling, tests) so both
-    backends present one surface.
+    directly; the methods serve scheduling and the tests so both backends
+    present one surface (``push`` is ``heappush`` bound to the heap).
     """
 
-    __slots__ = ("heap",)
+    __slots__ = ("heap", "push", "_seq")
 
     name = "heap"
 
-    def __init__(self) -> None:
+    def __init__(self, seq) -> None:
         self.heap: List[tuple] = []
+        self.push = partial(heappush, self.heap)
+        self._seq = seq
 
     def __len__(self) -> int:
         return len(self.heap)
 
-    def push(self, event: tuple) -> None:
-        heappush(self.heap, event)
+    def spill(self, times, targets, sender: int, message: Any,
+              payload: Tuple[int, Any]) -> None:
+        """One broadcast's sorted schedule (as :meth:`CalendarQueue.spill`
+        takes it) as ONE chained ``sbatch`` entry under one sequence
+        number; ``index`` (payload slot 2) is the heap loop's resume point.
+        """
+        times = times.tolist()
+        targets = targets.tolist()
+        heappush(self.heap, (times[0], next(self._seq), "sbatch", targets[0],
+                             [times, targets, 0, sender, message, len(times),
+                              payload]))
 
     def pop(self) -> tuple:
         return heappop(self.heap)
@@ -743,15 +752,14 @@ def resolve_scheduler(name: str, *, replicas: int = 0,
         raise ValueError("unknown scheduler %r (expected one of %s)"
                          % (name, ", ".join(SCHEDULERS)))
     cause = ("a non-zero compute model" if compute
-             else "crash windows in its fault plan" if crash
-             else "no numpy installed" if _np is None else None)
+             else "crash windows in its fault plan" if crash else None)
     if name == "auto":
         return ("calendar" if cause is None and jittered and replicas >= 128
                 else "heap")
     if name == "calendar" and cause is not None:
         raise ValueError(
-            "scheduler 'calendar' serves only zero-compute, crash-free runs "
-            "with numpy; this run has %s (use 'heap' or 'auto')" % cause)
+            "scheduler 'calendar' serves only zero-compute, crash-free runs; "
+            "this run has %s (use 'heap' or 'auto')" % cause)
     return name
 
 
@@ -760,14 +768,13 @@ def build_scheduler(name: str, seq, *, replicas: int = 0,
                     crash: bool = False):
     """Instantiate a scheduler backend by registered name.
 
-    The calendar queue serves only zero-compute, crash-free runs with
-    numpy: its loop reads no compute or crash flag, so an explicit
-    ``"calendar"`` for any other run raises :class:`ValueError`.
-    ``"auto"`` picks it only where it was measured to win: a jittered
-    latency model (broadcasts spill as vectorized segments), n ≥ 128, numpy,
-    zero compute and no crash windows; the binary heap is the reference
-    default everywhere else.  Measured on 2 cores, CPython 3.11.7, seed 1,
-    wan-matrix latency, heap vs calendar:
+    The calendar queue serves only zero-compute, crash-free runs: its loop
+    reads no compute or crash flag, so an explicit ``"calendar"`` for any
+    other run raises :class:`ValueError`.  ``"auto"`` picks it only where
+    it was measured to win: a jittered latency model (broadcasts spill as
+    vectorized segments), n ≥ 128, zero compute and no crash windows; the
+    binary heap is the reference default everywhere else.  Measured on 2
+    cores, CPython 3.11.7, seed 1, wan-matrix latency, heap vs calendar:
 
     * the broadcast flood delivers 1.00 vs 0.885 M/s at n=64 and 1.02 vs
       1.23 M/s at n=128; the n=256 flood (``flood_wan256``, 8 sim-s) takes
@@ -785,4 +792,4 @@ def build_scheduler(name: str, seq, *, replicas: int = 0,
     if resolve_scheduler(name, replicas=replicas, jittered=jittered,
                          compute=compute, crash=crash) == "calendar":
         return CalendarQueue(seq)
-    return HeapScheduler()
+    return HeapScheduler(seq)

@@ -51,13 +51,13 @@ deliveries and timers via the same ``(time, sequence)`` ordering.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
-import operator
 import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
+
+import numpy as _np
 
 from repro.net.bandwidth import BandwidthModel
 from repro.net.faults import FaultPlan
@@ -71,11 +71,6 @@ from repro.runtime.scheduler import SCHEDULERS, build_scheduler
 from repro.types.blocks import Block
 from repro.types.commits import CommitRecord
 from repro.types.messages import Message
-
-try:  # pragma: no cover - numpy is present everywhere we benchmark
-    import numpy as _np
-except Exception:  # pragma: no cover
-    _np = None
 
 
 @dataclass
@@ -145,10 +140,6 @@ class BudgetExhausted(RuntimeError):
 
 #: Event target used for injected external events (not a replica id).
 _EXTERNAL_TARGET = -1
-
-#: Sort key extracting ``deliver_at`` from a ``(receiver, deliver_at)``
-#: transport pair (C-level, for the sbatch schedule's stable time sort).
-_PAIR_TIME = operator.itemgetter(1)
 
 #: Signature of delivery listeners registered via
 #: :meth:`Simulation.add_delivery_listener`: ``(sender, receiver, message,
@@ -258,18 +249,8 @@ class Simulation:
         self._deliver_one, self._fire_timer = (
             build_handler_tables(self._protocols, self._contexts)
         )
-        # Event-loop feature state: the generation is bumped by any
-        # feature toggle that can affect loop behavior mid-run; the active
-        # loop notices and returns so ``run()`` re-enters it, and the loop
-        # re-reads its flags.
-        self._dispatch_generation = 0
         self._force_scalar_dispatch = False
         self._dispatch_counts: Dict[str, int] = {"runahead_members": 0}
-        # True when replica ids are exactly ``0..n-1``: lets the sbatch
-        # scheduler use argsort indices as receiver ids directly.
-        self._ids_are_range = (
-            self._replica_id_tuple == tuple(range(len(self._replica_id_tuple)))
-        )
         self._commits: Dict[int, List[CommitRecord]] = {r: [] for r in self.replica_ids}
         self._commit_listeners: List[Callable[[CommitRecord], None]] = []
         self._delivery_listeners: List[DeliveryListener] = []
@@ -293,10 +274,9 @@ class Simulation:
         latency_model = getattr(self._transport, "latency", self.network.latency)
         self._spread_broadcasts = not bool(getattr(latency_model, "jitter_free",
                                                    False))
-        # Event-queue backend (see :mod:`repro.runtime.scheduler`).  The
-        # heap backend exposes its raw list as ``self._queue`` so the
-        # heap loop and the cold push sites keep the original zero-seam
-        # code; ``None`` routes every push through the scheduler object.
+        # Event-queue backend (see :mod:`repro.runtime.scheduler`); every
+        # event enters it through ``_push`` or, for a jittered broadcast,
+        # its ``spill``.
         self._scheduler = build_scheduler(
             self.network.scheduler, self._seq,
             replicas=len(self.replica_ids),
@@ -304,15 +284,9 @@ class Simulation:
             compute=not self._compute.trivial,
             crash=bool(self.network.faults.crash_schedule.crash_times),
         )
-        self._queue: Optional[List[tuple]] = getattr(
-            self._scheduler, "heap", None)
-        # Receiver ids as an int64 array for the calendar spill (only
-        # needed when ids are not literally ``0..n-1``, where argsort
-        # indices double as receiver ids).
-        self._receiver_array = (
-            _np.asarray(self.replica_ids, dtype=_np.int64)
-            if _np is not None and not self._ids_are_range else None
-        )
+        self._push = self._scheduler.push
+        # Receiver ids as an int64 array, aligned with a full arrival array.
+        self._receiver_array = _np.asarray(self.replica_ids, dtype=_np.int64)
         # Scheduled-event tallies by heap-event kind (``mbatch_members`` /
         # ``sbatch_members`` count the deliveries folded into the batch
         # events), surfaced by :meth:`event_counts` and the CLI
@@ -388,7 +362,6 @@ class Simulation:
         not change which code path the event loop runs.
         """
         self._compute_listeners.append(listener)
-        self._dispatch_generation += 1
 
     def protocol(self, replica_id: int) -> Any:
         """Return the protocol instance of ``replica_id``."""
@@ -416,7 +389,6 @@ class Simulation:
         overhead; attach them only when tracing.
         """
         self._delivery_listeners.append(listener)
-        self._dispatch_generation += 1
 
     @property
     def force_scalar_dispatch(self) -> bool:
@@ -424,18 +396,15 @@ class Simulation:
 
         The reference loop re-pushes every sbatch successor through the
         heap instead of delivering it in place — the semantics run-ahead
-        must reproduce byte-for-byte.  Flipping it mid-run takes effect at
-        the next event (the loop returns and re-reads its flags).  Used by
+        must reproduce byte-for-byte.  The loop reads it at entry, so a
+        flip takes effect at the next :meth:`run` / :meth:`step`.  Used by
         the run-ahead equivalence tests.
         """
         return self._force_scalar_dispatch
 
     @force_scalar_dispatch.setter
     def force_scalar_dispatch(self, value: bool) -> None:
-        value = bool(value)
-        if value != self._force_scalar_dispatch:
-            self._force_scalar_dispatch = value
-            self._dispatch_generation += 1
+        self._force_scalar_dispatch = bool(value)
 
     def dispatch_counts(self) -> Dict[str, int]:
         """Event-loop statistics.
@@ -497,12 +466,8 @@ class Simulation:
             raise TypeError("external event callback must be callable")
         self._external_scheduled += 1
         self._event_kind_counts["external"] += 1
-        event = (self.now + delay, next(self._seq), "external",
-                 _EXTERNAL_TARGET, callback)
-        if self._queue is not None:
-            heapq.heappush(self._queue, event)
-        else:
-            self._scheduler.push(event)
+        self._push((self.now + delay, next(self._seq), "external",
+                    _EXTERNAL_TARGET, callback))
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -535,32 +500,21 @@ class Simulation:
             if not self.network.faults.is_crashed(replica_id, self.now):
                 self._protocols[replica_id].on_start(self._contexts[replica_id])
 
-        event = (at_time, next(self._seq), "external", _EXTERNAL_TARGET, boot)
-        if self._queue is not None:
-            heapq.heappush(self._queue, event)
-        else:
-            self._scheduler.push(event)
+        self._push((at_time, next(self._seq), "external", _EXTERNAL_TARGET,
+                    boot))
 
     def _run_dispatch(self, until: float, max_events: Optional[int]) -> int:
         """Shared event-loop driver behind :meth:`run` and :meth:`step`.
 
         Runs the scheduler backend's event loop (see
         :mod:`repro.runtime.dispatch`; the heap loop reads the compute
-        model, crash faults and sbatch run-ahead flags at entry), and
-        re-enters it whenever a feature toggle bumps the dispatch
-        generation mid-run.  Returns the number of budget-consuming events
-        processed.
+        model, crash faults and sbatch run-ahead flags at entry).  Returns
+        the number of budget-consuming events processed.
         """
         if not self._started:
             self.start()
         loop = calendar_loop if self._scheduler.name == "calendar" else heap_loop
-        budget = UNBOUNDED if max_events is None else max_events
-        total = 0
-        while True:
-            generation = self._dispatch_generation
-            total += loop(self, until, budget - total)
-            if self._dispatch_generation == generation or total >= budget:
-                return total
+        return loop(self, until, UNBOUNDED if max_events is None else max_events)
 
     def step(self) -> bool:
         """Process the next event; return ``False`` if the queue is empty.
@@ -632,22 +586,18 @@ class Simulation:
             self._messages_dropped += 1
             return
         self._event_kind_counts["message"] += 1
-        event = (delivery.deliver_at, next(self._seq), "message", receiver,
-                 (sender, message))
-        if self._queue is not None:
-            heapq.heappush(self._queue, event)
-        else:
-            self._scheduler.push(event)
+        self._push((delivery.deliver_at, next(self._seq), "message", receiver,
+                    (sender, message)))
 
     def _broadcast_message(self, sender: int, message: Message) -> None:
         receivers = self._replica_id_tuple
         count = len(receivers)
         self._messages_sent += count
         self._bytes_sent += getattr(message, "wire_size", 0) * count
-        queue = self._queue
         seq = self._seq
-        heappush = heapq.heappush
+        push = self._push
         payload = (sender, message)
+        counts = self._event_kind_counts
         if self._delivery_listeners:
             # Tracing path: listeners need the full per-copy delay
             # decomposition, so keep the one-event-per-copy pipeline.
@@ -656,138 +606,84 @@ class Simulation:
             dropped = count - len(deliveries)
             if dropped:
                 self._messages_dropped += dropped
-            self._event_kind_counts["message"] += len(deliveries)
-            if queue is not None:
-                for delivery in deliveries:
-                    heappush(queue, (delivery.deliver_at, next(seq), "message",
-                                     delivery.receiver, payload))
-            else:
-                push = self._scheduler.push
-                for delivery in deliveries:
-                    push((delivery.deliver_at, next(seq), "message",
-                          delivery.receiver, payload))
+            counts["message"] += len(deliveries)
+            for delivery in deliveries:
+                push((delivery.deliver_at, next(seq), "message",
+                      delivery.receiver, payload))
             delivered = {delivery.receiver: delivery for delivery in deliveries}
             for receiver in receivers:
                 delivery = delivered.get(receiver)
                 for listener in self._delivery_listeners:
                     listener(sender, receiver, message, self.now, delivery)
             return
-        counts = self._event_kind_counts
         if self._spread_broadcasts:
             # Jittered latency: arrival instants are almost surely pairwise
-            # distinct, so the whole broadcast becomes ONE chained "sbatch"
-            # heap event holding the time-sorted schedule — each pop
-            # delivers one member and re-pushes the successor under the
-            # batch's original seq.  The heap holds one entry per in-flight
-            # broadcast instead of n, shrinking every sift, and scheduling
-            # costs one C sort + one push instead of n pushes.  Ordering is
-            # identical to the per-copy pipeline: the n per-copy seqs of a
-            # broadcast form one contiguous block, so any other event's seq
-            # is either below the whole block (it wins exact-time ties both
-            # ways) or above it (it loses them both ways), and same-time
-            # members keep their per-copy push order via the stable sort.
-            # Exactly one arrival-schedule builder runs per broadcast (the
-            # jitter draws consume the shared rng stream): the vectorized
-            # array when available, else the transport's pairs.
-            arrival_array = self._transport.broadcast_arrival_array(
+            # distinct, so the whole broadcast goes to the scheduler as ONE
+            # time-sorted schedule under one seq draw (the heap chains it
+            # through a single resident "sbatch" entry, the calendar queue
+            # spills it into per-bucket segments).  Ordering is identical
+            # to the per-copy pipeline: the n per-copy seqs of a broadcast
+            # form one contiguous block, so any other event's seq is either
+            # below the whole block (it wins exact-time ties both ways) or
+            # above it (it loses them both ways), and same-time members
+            # keep their per-copy push order via the stable sort.  Exactly
+            # one arrival builder runs per broadcast (the jitter draws
+            # consume the shared rng stream): the vectorized array when the
+            # transport has one, else its ``broadcast_times``.
+            arrivals = self._transport.broadcast_arrival_array(
                 sender, receivers, message, self.now, self._rng)
-            if arrival_array is not None:
-                # Vectorized schedule: a stable argsort breaks exact-time
-                # ties in index order, which for the ascending full
-                # receiver set IS receiver order — identical to
-                # ``sorted(zip(row, receivers))`` — and ``tolist()``
-                # preserves float bits.
-                order = arrival_array.argsort(kind="stable")
-                if queue is None:
-                    # Calendar backend: hand the sorted schedule over as
-                    # aligned numpy arrays — the queue spills it into
-                    # per-bucket segments (one seq draw, same tie-break as
-                    # the sbatch event below; see scheduler.spill).
-                    counts["sbatch"] += 1
-                    counts["sbatch_members"] += len(order)
-                    self._scheduler.spill(
-                        arrival_array.take(order),
-                        order if self._ids_are_range
-                        else self._receiver_array.take(order),
-                        sender, message, payload)
-                    return
-                times = arrival_array[order].tolist()
-                if self._ids_are_range:
-                    targets = order.tolist()
-                else:
-                    ids = receivers
-                    targets = [ids[i] for i in order.tolist()]
-            else:
-                pairs = self._transport.broadcast_times(
+            if arrivals is None:
+                times, targets = self._transport.broadcast_times(
                     sender, receivers, message, self.now, self._rng)
-                dropped = count - len(pairs)
+                dropped = count - len(times)
                 if dropped:
                     self._messages_dropped += dropped
-                # Stable sort on the time field alone: relay pairs are not
-                # in receiver order, and exact-time ties must keep the
-                # transport's pair order (= the per-copy push order; for a
-                # zipped row, receiver order).
-                pairs.sort(key=_PAIR_TIME)
-                times = [deliver_at for _, deliver_at in pairs]
-                targets = [receiver for receiver, _ in pairs]
-            if times:
-                counts["sbatch"] += 1
-                counts["sbatch_members"] += len(times)
-                if queue is None:
-                    # Calendar backend, pair schedule: spill it like the
-                    # vectorized one (float64 keeps every time's bits).
-                    self._scheduler.spill(
-                        _np.array(times), _np.array(targets, _np.int64),
-                        sender, message, payload)
+                if not times:
                     return
-                # Flat payload (one unpack per dispatch): ``index`` must
-                # stay at slot 2 (the loop's resume-point writes).
-                heappush(queue, (times[0], next(seq), "sbatch", targets[0],
-                                 [times, targets, 0, sender, message,
-                                  len(times), payload]))
+                arrivals = _np.asarray(times, dtype=_np.float64)
+                ids = _np.asarray(targets, dtype=_np.int64)
+            else:
+                ids = self._receiver_array
+            # A stable argsort keeps exact-time ties in per-copy order (the
+            # order of a stable sort on the time field), and float64 keeps
+            # every time's bits.
+            order = arrivals.argsort(kind="stable")
+            counts["sbatch"] += 1
+            counts["sbatch_members"] += len(order)
+            self._scheduler.spill(arrivals.take(order), ids.take(order),
+                                  sender, message, payload)
             return
-        # Group copies arriving at the same instant into one heap event
+        # Group copies arriving at the same instant into one event
         # ("mbatch"): under a zero-jitter latency model an n-way broadcast
-        # costs one heap push/pop instead of n.  Groups are keyed by the
-        # exact arrival float and formed in receiver order, so relative
+        # costs one scheduler push/pop instead of n.  Groups are keyed by
+        # the exact arrival float and formed in per-copy order, so relative
         # event order is identical to the per-copy pipeline: same-time
         # copies were consecutive in seq order anyway, and distinct times
-        # order by the heap key regardless of seq.  The group dict is a
-        # scratch buffer reused across broadcasts; the fast path zips the
-        # transport's aligned arrival row lazily (no pair list).
-        row = self._transport.broadcast_arrival_row(sender, receivers, message,
-                                                    self.now, self._rng)
-        if row is not None:
-            pairs = zip(receivers, row)
-        else:
-            pairs = self._transport.broadcast_times(sender, receivers, message,
-                                                    self.now, self._rng)
-            dropped = count - len(pairs)
-            if dropped:
-                self._messages_dropped += dropped
+        # order by the queue key regardless of seq.  The group dict is a
+        # scratch buffer reused across broadcasts.
+        times, targets = self._transport.broadcast_times(
+            sender, receivers, message, self.now, self._rng)
+        dropped = count - len(times)
+        if dropped:
+            self._messages_dropped += dropped
         groups = self._group_scratch
         get_group = groups.get
-        for receiver, deliver_at in pairs:
+        for receiver, deliver_at in zip(targets, times):
             group = get_group(deliver_at)
             if group is None:
                 groups[deliver_at] = [receiver]
             else:
                 group.append(receiver)
-        push = self._scheduler.push if queue is None else None
-        for deliver_at, targets in groups.items():
-            size = len(targets)
+        for deliver_at, members in groups.items():
+            size = len(members)
             if size == 1:
                 counts["message"] += 1
-                event = (deliver_at, next(seq), "message", targets[0], payload)
+                push((deliver_at, next(seq), "message", members[0], payload))
             else:
                 counts["mbatch"] += 1
                 counts["mbatch_members"] += size
-                event = (deliver_at, next(seq), "mbatch", _EXTERNAL_TARGET,
-                         (targets, payload))
-            if push is None:
-                heappush(queue, event)
-            else:
-                push(event)
+                push((deliver_at, next(seq), "mbatch", _EXTERNAL_TARGET,
+                      (members, payload)))
         groups.clear()
 
     def _arm_timer(self, replica_id: int, delay: float, name: str, data: Any) -> int:
@@ -797,11 +693,8 @@ class Simulation:
         timer = Timer(name=name, fire_time=self.now + delay, data=data, timer_id=timer_id)
         self._pending_timers.add(timer_id)
         self._event_kind_counts["timer"] += 1
-        event = (timer.fire_time, next(self._seq), "timer", replica_id, timer)
-        if self._queue is not None:
-            heapq.heappush(self._queue, event)
-        else:
-            self._scheduler.push(event)
+        self._push((timer.fire_time, next(self._seq), "timer", replica_id,
+                    timer))
         return timer_id
 
     def _cancel_timer(self, timer_id: int) -> None:

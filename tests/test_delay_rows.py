@@ -1,16 +1,18 @@
 """Reference ↔ batched equivalence for the broadcast pricing paths.
 
 Every batched shape (``LatencyModel.nominal_row`` / ``delay_row``, the
-transports' ``broadcast_arrival_row`` and ``broadcast_times``) must be
-*observably identical* to the transport's reference pricing: the same
-``(receiver, deliver_at)`` sequence, the same number and order of rng
-draws (pinned via ``rng.getstate()``), and the same transport counters.
-The reference is ``transport.broadcast``: for Direct and Contended the
-base per-copy ``unicast`` loop (per-copy ``latency.delay`` /
-``transfer_time`` / fault calls), for Relay its tree.  The batched side is
-``broadcast_times``, which zips the fault-free row where the transport has
-one.  The sweep below (every latency model × jitter setting × fault plan ×
-transport) is exactly the equivalence the golden corpus relies on.
+transports' ``broadcast_arrival_row``, ``broadcast_times`` and Direct's
+``broadcast_arrival_array``) must be *observably identical* to the
+transport's reference pricing: the same ``(receiver, deliver_at)``
+sequence, the same number and order of rng draws (pinned via
+``rng.getstate()``), and the same transport counters.  The reference is
+``transport.broadcast``: for Direct and Contended the base per-copy
+``unicast`` loop (per-copy ``latency.delay`` / ``transfer_time`` / fault
+calls), for Relay its tree.  The batched side is ``broadcast_times``,
+which returns the fault-free row where the transport has one, and the
+numpy arrival array.  The sweeps below (every latency model × jitter
+setting × fault plan, × transport for ``broadcast_times``) are exactly the
+equivalence the golden corpus relies on.
 """
 
 import random
@@ -125,8 +127,10 @@ def _run(transport_factory, latency_factory, fault_factory, batched):
     result = []
     for sender, now in SCHEDULE:
         if batched:
-            pairs = transport.broadcast_times(sender, receivers, message,
-                                              now, rng)
+            times, targets = transport.broadcast_times(sender, receivers,
+                                                       message, now, rng)
+            assert len(times) == len(targets)
+            pairs = list(zip(targets, times))
         else:
             pairs = [
                 (delivery.receiver, delivery.deliver_at)
@@ -155,6 +159,44 @@ def test_batched_equals_scalar(transport_name, latency_name, fault_name):
     assert batched_state == scalar_state
     # Transport counters (NIC queue, wire/sender copies) advance alike.
     assert batched_stats == scalar_stats
+
+
+@pytest.mark.parametrize("fault_name", sorted(FAULT_CASES))
+@pytest.mark.parametrize("latency_name", sorted(LATENCY_CASES))
+def test_direct_arrival_array_equals_reference(latency_name, fault_name):
+    """Direct's numpy arrival array, where it is served, equals the
+    reference ``broadcast`` bit for bit, draw for draw; where it is refused
+    (``None``) it draws nothing."""
+    def build():
+        return DirectTransport(LATENCY_CASES[latency_name](),
+                               BandwidthModel(topology=TOPOLOGY),
+                               FAULT_CASES[fault_name]())
+
+    array_side, reference_side = build(), build()
+    array_rng, reference_rng = random.Random(1234), random.Random(1234)
+    receivers = tuple(range(N))
+    message = _Msg()
+    served = 0
+    for sender, now in SCHEDULE:
+        deliveries = reference_side.broadcast(sender, receivers, message,
+                                              now, reference_rng)
+        before = array_rng.getstate()
+        arrivals = array_side.broadcast_arrival_array(
+            sender, receivers, message, now, array_rng)
+        if arrivals is None:
+            assert array_rng.getstate() == before
+            # Keep both sides in step: the refused send takes the reference.
+            array_side.broadcast(sender, receivers, message, now, array_rng)
+        else:
+            served += 1
+            assert [d.receiver for d in deliveries] == list(receivers)
+            assert [t.hex() for t in arrivals.tolist()] == \
+                [d.deliver_at.hex() for d in deliveries]
+        assert array_rng.getstate() == reference_rng.getstate()
+    # Served exactly for fault-free sends on the models with numpy rows.
+    has_arrays = hasattr(array_side.latency, "delay_row_array")
+    assert served == (len(SCHEDULE) if has_arrays and fault_name == "none"
+                      else 0)
 
 
 @pytest.mark.parametrize("latency_name", sorted(LATENCY_CASES))

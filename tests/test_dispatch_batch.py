@@ -26,8 +26,6 @@ from repro.protocols.base import ProtocolParams
 from repro.protocols.registry import create_replicas
 from repro.runtime.simulator import NetworkConfig, Simulation
 
-from test_scheduler import needs_numpy
-
 PROTOCOLS = ("banyan", "icc", "hotstuff", "streamlet")
 N = 7
 HORIZON = 6.0
@@ -122,9 +120,8 @@ class TestSweepScalarEquivalence:
 
     def test_mid_run_toggle_reselects_the_loop(self):
         # Flipping force_scalar_dispatch between run() calls must keep the
-        # execution byte-identical to an untoggled run: the generation
-        # bump makes the active loop return, and on re-entry it re-reads
-        # its flags.
+        # execution byte-identical to an untoggled run: each run() enters
+        # the loop afresh, which reads the flag at entry.
         toggled = _simulation("banyan", "zero", "none")
         toggled.run(until=2.0)
         toggled.force_scalar_dispatch = True
@@ -142,7 +139,6 @@ class TestSweepScalarEquivalence:
 # --------------------------------------------------------------------- #
 
 
-@needs_numpy
 class TestCalendarMatchesHeap:
     """The calendar loop replays the heap loop's execution, loss included."""
 

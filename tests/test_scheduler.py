@@ -35,6 +35,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.net.faults import CrashSchedule, FaultPlan, LossBurst, PartitionPlan
@@ -45,7 +46,6 @@ from repro.protocols.registry import create_replicas
 from repro.runtime.scheduler import (
     _FAR_TIME,
     CalendarQueue,
-    _np,
     HeapScheduler,
     SCHEDULERS,
     build_scheduler,
@@ -59,11 +59,7 @@ from test_golden_corpus import (
     _execution_digest,
 )
 
-#: ``build_scheduler`` refuses the calendar queue without numpy.
-needs_numpy = pytest.mark.skipif(_np is None,
-                                 reason="the calendar queue needs numpy")
-
-BACKENDS = ("heap", pytest.param("calendar", marks=needs_numpy))
+BACKENDS = ("heap", "calendar")
 
 
 # --------------------------------------------------------------------- #
@@ -71,7 +67,6 @@ BACKENDS = ("heap", pytest.param("calendar", marks=needs_numpy))
 # --------------------------------------------------------------------- #
 
 
-@needs_numpy
 class TestGoldenCorpusBackendInvariance:
     """The 12 zero-compute corpus cells (the calendar queue refuses the
     crypto ones) must digest identically under the calendar queue.
@@ -171,7 +166,6 @@ class TestRunVsStep:
         # The cell genuinely exercised the spill pipeline.
         assert fingerprint["events"]["sbatch"] > 0
 
-    @needs_numpy
     def test_backends_agree(self):
         heap = _jittered_simulation(64, "zero", "heap")
         heap.run(until=self.HORIZON)
@@ -250,7 +244,6 @@ def _heap_grid_fingerprint(latency: str, faults: str, transport: str):
     return repr(_execution_fingerprint(heap))
 
 
-@needs_numpy
 class TestCalendarGrid:
     """Zero-compute, crash-free cells — the runs the calendar queue serves.
 
@@ -416,7 +409,6 @@ class TestTimerBookkeepingAcrossChaos:
         assert sim.protocol(0).rounds == _TimerChurn.ROUNDS
         assert all(p.fired for i, p in sim._protocols.items() if i not in (1, 2))
 
-    @needs_numpy
     def test_event_counts_are_backend_invariant(self):
         heap = _churn_simulation("heap", _LOSS)
         heap.run_until_idle(max_events=1_000_000)
@@ -454,7 +446,7 @@ def _drain(queue) -> list:
 
 
 def _reference_drain(events) -> list:
-    reference = HeapScheduler()
+    reference = HeapScheduler(itertools.count())
     for event in events:
         reference.push(event)
     out = []
@@ -537,7 +529,6 @@ class TestCalendarQueueAdversarial:
         assert queue.peek() is None
 
 
-@needs_numpy
 class TestCalendarQueueSpill:
     """Vectorized broadcast spill vs the heap's chained-sbatch order.
 
@@ -569,8 +560,8 @@ class TestCalendarQueueSpill:
 
         expected = []
         payload_a = (3, "msg-a")
-        times_a = _np.sort(_np.array([1.0 + rng.random() for _ in range(64)]))
-        targets_a = _np.arange(64, dtype=_np.int64)
+        times_a = np.sort(np.array([1.0 + rng.random() for _ in range(64)]))
+        targets_a = np.arange(64, dtype=np.int64)
         queue.spill(times_a, targets_a, 3, "msg-a", payload_a)
         expected += self._spill_reference(times_a, targets_a, 0, payload_a)
 
@@ -581,8 +572,8 @@ class TestCalendarQueueSpill:
 
         # Second broadcast overlapping the first (its own single seq draw).
         payload_b = (5, "msg-b")
-        times_b = _np.sort(_np.array([1.2 + rng.random() for _ in range(64)]))
-        targets_b = _np.arange(64, dtype=_np.int64)
+        times_b = np.sort(np.array([1.2 + rng.random() for _ in range(64)]))
+        targets_b = np.arange(64, dtype=np.int64)
         queue.spill(times_b, targets_b, 5, "msg-b", payload_b)
         expected += self._spill_reference(times_b, targets_b, 2, payload_b)
 
@@ -594,8 +585,8 @@ class TestCalendarQueueSpill:
     def test_far_future_tail_spills_to_overflow(self):
         seq = itertools.count()
         queue = CalendarQueue(seq)
-        times = _np.array([1.0, 2.0, _FAR_TIME + 1.0, math.inf])
-        targets = _np.arange(4, dtype=_np.int64)
+        times = np.array([1.0, 2.0, _FAR_TIME + 1.0, math.inf])
+        targets = np.arange(4, dtype=np.int64)
         payload = (0, "msg")
         queue.spill(times, targets, 0, "msg", payload)
         expected = self._spill_reference(times, targets, 0, payload)
@@ -614,8 +605,7 @@ class TestBackendSelection:
         seq = itertools.count()
         assert build_scheduler("heap", seq).name == "heap"
         assert build_scheduler("auto", seq, replicas=256,
-                               jittered=True).name == \
-            ("calendar" if _np is not None else "heap")
+                               jittered=True).name == "calendar"
         assert build_scheduler("auto", seq, replicas=256,
                                jittered=False).name == "heap"
         assert build_scheduler("auto", seq, replicas=8,
@@ -626,15 +616,13 @@ class TestBackendSelection:
                                jittered=True).name == "heap"
         for replicas in (128, 256):
             assert build_scheduler("auto", seq, replicas=replicas,
-                                   jittered=True).name == \
-                ("calendar" if _np is not None else "heap")
+                                   jittered=True).name == "calendar"
         # Compute and crash runs lose on the calendar: always the heap.
         assert build_scheduler("auto", seq, replicas=128, jittered=True,
                                compute=True).name == "heap"
         assert build_scheduler("auto", seq, replicas=128, jittered=True,
                                crash=True).name == "heap"
 
-    @needs_numpy
     def test_calendar_builds_without_keywords(self):
         assert build_scheduler("calendar", itertools.count()).name == \
             "calendar"
@@ -648,29 +636,22 @@ class TestBackendSelection:
                 NetworkConfig(scheduler="splay-tree"),
             )
 
-    @pytest.mark.parametrize("case", ["compute", "crash", "no-numpy"])
-    def test_calendar_refuses_runs_it_does_not_serve(self, case,
-                                                     monkeypatch):
-        import repro.runtime.scheduler as scheduler
-
+    @pytest.mark.parametrize("case", ["compute", "crash"])
+    def test_calendar_refuses_runs_it_does_not_serve(self, case):
         cause = {"compute": "non-zero compute model",
-                 "crash": "crash windows", "no-numpy": "no numpy"}[case]
-        if case == "no-numpy":
-            monkeypatch.setattr(scheduler, "_np", None)
+                 "crash": "crash windows"}[case]
         with pytest.raises(ValueError, match=cause) as excinfo:
-            scheduler.build_scheduler("calendar", itertools.count(),
-                                      compute=case == "compute",
-                                      crash=case == "crash")
+            build_scheduler("calendar", itertools.count(),
+                            compute=case == "compute", crash=case == "crash")
         assert "\n" not in str(excinfo.value)
-        if case != "no-numpy":
-            # The simulator passes both observables in.
-            network = NetworkConfig(
-                scheduler="calendar",
-                compute="crypto" if case == "compute" else "zero",
-                faults=_CRASHES if case == "crash" else FaultPlan.none())
-            with pytest.raises(ValueError, match=cause):
-                Simulation({i: _TimerChurn(i, ProtocolParams(n=8, f=2, p=1))
-                            for i in range(8)}, network)
+        # The simulator passes both observables in.
+        network = NetworkConfig(
+            scheduler="calendar",
+            compute="crypto" if case == "compute" else "zero",
+            faults=_CRASHES if case == "crash" else FaultPlan.none())
+        with pytest.raises(ValueError, match=cause):
+            Simulation({i: _TimerChurn(i, ProtocolParams(n=8, f=2, p=1))
+                        for i in range(8)}, network)
 
     def test_network_config_default_is_auto(self):
         assert NetworkConfig().scheduler == "auto"
