@@ -9,6 +9,9 @@ versions) or ``repr``.
 :func:`canonical_encode` is the specification.  :func:`digest` and
 :func:`hash_hex` feed the same bytes to SHA-256 piece by piece instead of
 building them, so hashing a block reads its payload once and copies nothing.
+A payload that renders its bytes on demand (a type defining ``__bytes__``,
+such as :class:`repro.workload.transactions.TxBatch`) is encoded exactly as
+those bytes, so it hashes as the payload it stands for.
 """
 
 from __future__ import annotations
@@ -29,7 +32,9 @@ def canonical_encode(value: Any) -> bytes:
     Supported value types are the ones protocol objects are built from:
     ``None``, ``bool``, ``int``, ``float``, ``str``, ``bytes``, tuples,
     lists, frozensets/sets (sorted by their encoding), dicts (sorted by
-    encoded key), and dataclasses (encoded as their field name/value pairs).
+    encoded key), dataclasses (encoded as their field name/value pairs), and
+    any other value whose type defines ``__bytes__`` (encoded as
+    ``bytes(value)``, the same as that ``bytes`` object).
 
     Raises:
         TypeError: if the value contains an unsupported type.
@@ -67,6 +72,8 @@ def canonical_encode(value: Any) -> bytes:
             for key, val in value.items()
         )
         return _LIST_OPEN + b"m" + _SEPARATOR.join(encoded_items) + _LIST_CLOSE
+    if hasattr(type(value), "__bytes__"):
+        return b"y" + bytes(value)
     raise TypeError(f"cannot canonically encode value of type {type(value)!r}")
 
 
@@ -75,7 +82,8 @@ def _feed(value: Any, update: Callable[[bytes], None]) -> None:
 
     Bytes, sequences and dataclasses are streamed, the type checks in the
     specification's order; scalars, sets and dicts (whose items are sorted
-    by their encodings) are small and passed as their whole encoding.
+    by their encodings) are small and passed as their whole encoding, and a
+    value rendering ``__bytes__`` passes its bytes, which are dropped after.
     """
     if isinstance(value, (bytes, bytearray)):
         update(b"y")
@@ -95,6 +103,9 @@ def _feed(value: Any, update: Callable[[bytes], None]) -> None:
                 update(_SEPARATOR)
             _feed(item, update)
         update(_LIST_CLOSE)
+    elif hasattr(type(value), "__bytes__"):
+        update(b"y")
+        update(bytes(value))
     else:
         update(canonical_encode(value))
 

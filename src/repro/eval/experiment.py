@@ -15,6 +15,7 @@ An :class:`ExperimentConfig` is also one cell of an experiment plan
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -132,6 +133,21 @@ class ExperimentConfig:
     cell: str = ""
     replication: int = 0
     axis: Dict[str, object] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.check_window()
+
+    def check_window(self) -> None:
+        """Raise a one-line ``ValueError`` unless the run has a measurement
+        window: ``duration`` finite and > 0, ``warmup`` finite and >= 0,
+        and ``warmup < duration``."""
+        if not (math.isfinite(self.duration) and self.duration > 0):
+            raise ValueError(f"duration must be finite and > 0, got {self.duration!r}")
+        if not (math.isfinite(self.warmup) and self.warmup >= 0):
+            raise ValueError(f"warmup must be finite and >= 0, got {self.warmup!r}")
+        if self.warmup >= self.duration:
+            raise ValueError(f"warmup {self.warmup:g} s leaves no measurement window "
+                             f"in a {self.duration:g} s run")
 
     def resolved_topology(self) -> Topology:
         """Build the placement (default: 4 global datacenters)."""
@@ -452,7 +468,12 @@ def run_experiment(config: ExperimentConfig,
             :class:`Simulation` just before ``run`` — the seam used by the
             CLI's ``--profile`` flag (and tests) to attach listeners or
             harvest post-run state such as :meth:`Simulation.event_counts`.
+
+    Raises:
+        ValueError: if the config leaves no measurement window (checked
+            again here: a config may be mutated after it was built).
     """
+    config.check_window()
     topology = config.resolved_topology()
     if topology.n != config.params.n:
         raise ValueError(

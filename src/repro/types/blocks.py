@@ -6,15 +6,18 @@ payload, and the proposer's signature.  We additionally carry the proposer's
 rank in the round (derived from the beacon permutation) because several
 protocol rules — the fast path in particular — treat rank-0 blocks specially.
 
-Payloads are opaque byte strings; their size drives the bandwidth component
-of the network model used in the evaluation.
+Payloads are opaque byte strings, or values that render one on demand
+(``bytes(payload)``, e.g. a client workload's
+:class:`repro.workload.transactions.TxBatch`), which hash exactly as the bytes
+they render; their size drives the bandwidth component of the network model
+used in the evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Optional
+from typing import Optional, SupportsBytes, Union
 
 from repro.crypto.hashing import hash_hex
 
@@ -39,7 +42,10 @@ class Block:
             (0 = leader).  The genesis block has rank 0 by convention.
         parent_id: block id of the parent this block extends (``None`` only
             for genesis).
-        payload: opaque transaction payload bytes.
+        payload: opaque transaction payload bytes, or an object rendering
+            them through ``bytes(payload)`` (the simulator's client batches:
+            the block id is the same either way, and no block holds the
+            batch's rendered bytes).
         payload_size: logical payload size in bytes used by the bandwidth
             model.  For synthetic workloads the actual ``payload`` bytes may
             be a short placeholder while ``payload_size`` carries the size the
@@ -51,7 +57,7 @@ class Block:
     proposer: int
     rank: int
     parent_id: Optional[BlockId]
-    payload: bytes = b""
+    payload: Union[bytes, SupportsBytes] = b""
     payload_size: Optional[int] = None
 
     @property
@@ -88,8 +94,9 @@ def _content_id(contents: tuple) -> BlockId:
     The simulator hands every replica the *same* ``Block``, so its memo
     makes this a once-per-block call; the cluster decodes a fresh instance
     per received copy, and this cache keeps those from re-hashing the
-    payload.  Bounded — the keys hold the payload bytes, and only blocks
-    still in flight need to hit.
+    payload.  Bounded — the keys hold the payload (the cluster's bytes; in
+    a simulated client workload a batch of ids, not its rendered bytes),
+    and only blocks still in flight need to hit.
     """
     return hash_hex(contents)
 

@@ -21,10 +21,13 @@ A pending transaction is only its id.  Each replica's mempool is a FIFO
 queue of ids with O(1) ``len`` / ``total_bytes`` (every encoded size is in
 the pool's ``sizes`` column); admission checks the count and byte limits
 once per run of ids routed to one replica (per transaction only where the
-id header makes sizes vary under a byte limit), and a transaction's bytes
-are formatted once, when :meth:`ClientPool.build_payload` puts it in a
-block — the same bytes
-:func:`repro.workload.transactions.encode_transaction` defines.
+id header makes sizes vary under a byte limit).  A block's payload is a
+:class:`repro.workload.transactions.TxBatch` of the ids
+:meth:`ClientPool.build_payload` drained: it renders the bytes
+:func:`repro.workload.transactions.encode_transaction` defines only when
+asked, which in a simulation is once, while the proposer's block id is
+hashed.  No block, chain or pool structure holds a payload's bytes, and a
+commit is matched back to its transactions by the batch itself.
 
 Two client models are supported:
 
@@ -52,12 +55,12 @@ import random
 from array import array
 from bisect import bisect_left
 from itertools import chain, cycle, islice
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.smr.metrics import OccupancySample, WorkloadMetrics
 from repro.types.commits import CommitRecord
 from repro.workload.arrivals import ArrivalProcess
-from repro.workload.transactions import MAX_HEADER_BYTES, TxRecord, encode_batch
+from repro.workload.transactions import MAX_HEADER_BYTES, TxBatch, TxRecord, encode_batch
 
 if TYPE_CHECKING:
     from repro.runtime.simulator import Simulation
@@ -240,13 +243,18 @@ class ClientPool:
         self._sizes = array("I")  # encoded bytes
         self._dropped_ids: List[int] = []  # ascending
         self._committed = 0
-        #: block payload bytes → ids of the transactions batched into it.
-        #: Entries are removed on first commit (or when reclaimed), so the
-        #: map stays bounded by the number of in-flight proposals.
-        self._payload_txs: Dict[bytes, List[int]] = {}
-        #: proposer → its proposals not yet seen resolved, as (payload,
-        #: round); entries leave the list once committed or reclaimed.
-        self._in_flight: Dict[int, List[Tuple[bytes, int]]] = {}
+        #: Payload batches built here and not yet resolved.  A batch leaves
+        #: on its first commit (or when reclaimed), so the set stays bounded
+        #: by the number of in-flight proposals.  Membership is by identity,
+        #: which resolves exactly what keying by payload bytes would: two
+        #: batches render equal bytes only if one re-proposes the ids of an
+        #: abandoned one, and a batch is abandoned only after some block at
+        #: or past its round committed without it — the chain has decided
+        #: that round, so the abandoned block can never commit.
+        self._payload_txs: Set[TxBatch] = set()
+        #: proposer → its proposals not yet seen resolved, as (batch, round);
+        #: entries leave the list once committed or reclaimed.
+        self._in_flight: Dict[int, List[Tuple[TxBatch, int]]] = {}
         #: Highest block round observed committed at any replica; gates
         #: reclaiming (a proposal is only abandoned once the chain has
         #: committed past its round without including it).
@@ -303,23 +311,24 @@ class ClientPool:
                             self.tx_size)
 
     def build_payload(self, proposer: int, round: int,
-                      max_bytes: int) -> Optional[Tuple[bytes, int]]:
-        """Drain the proposer's next proposal: ``(payload, logical size)``.
+                      max_bytes: int) -> Optional[Tuple[TxBatch, int]]:
+        """Drain the proposer's next proposal: ``(batch, logical size)``.
 
         Due arrivals are admitted and the proposer's abandoned batches
-        re-queued first; the drained ids are formatted into the payload
-        once, and remembered so its commit can be matched back.  ``None``
-        when nothing is pending.
+        re-queued first; the drained ids become the payload batch, which is
+        remembered so its commit can be matched back.  ``None`` when nothing
+        is pending.
         """
         self._admit()
         self.reclaim_uncommitted(proposer)
         tx_ids, total_bytes = self._mempool(proposer).take(max_bytes)
         if not tx_ids:
             return None
-        payload = b"".join(self._encode(tx_ids))
-        self._payload_txs[payload] = tx_ids
-        self._in_flight.setdefault(proposer, []).append((payload, round))
-        return payload, total_bytes
+        batch = TxBatch(tx_ids, map(self._client_ids.__getitem__, tx_ids),
+                        self.tx_size, total_bytes)
+        self._payload_txs.add(batch)
+        self._in_flight.setdefault(proposer, []).append((batch, round))
+        return batch, total_bytes
 
     def reclaim_uncommitted(self, proposer: int) -> int:
         """Re-queue the proposer's *abandoned* batches, if any.
@@ -341,16 +350,17 @@ class ClientPool:
         if not batches:
             return 0
         commit_times = self._commit_times
-        undecided: List[Tuple[bytes, int]] = []
+        undecided: List[Tuple[TxBatch, int]] = []
         reclaimed: List[int] = []
-        for payload, round in batches:
-            if payload not in self._payload_txs:
+        for batch, round in batches:
+            if batch not in self._payload_txs:
                 continue  # committed: resolved
             if self._max_committed_round < round:
-                undecided.append((payload, round))
+                undecided.append((batch, round))
                 continue
+            self._payload_txs.remove(batch)
             reclaimed.extend([
-                tx_id for tx_id in self._payload_txs.pop(payload)
+                tx_id for tx_id in batch.tx_ids
                 if commit_times[tx_id] != commit_times[tx_id]])
         if undecided:
             self._in_flight[proposer] = undecided
@@ -463,14 +473,17 @@ class ClientPool:
         if record.block.round > self._max_committed_round:
             self._max_committed_round = record.block.round
         # Every replica commits every block; the first one resolves the
-        # payload and the entry is dropped so the map stays bounded by the
+        # batch, which then leaves the set, so the set stays bounded by the
         # number of in-flight proposals rather than growing with the chain.
-        tx_ids = self._payload_txs.pop(record.block.payload, None)
-        if not tx_ids:
+        # Payloads built elsewhere (the empty-mempool tags) resolve nothing.
+        batch = record.block.payload
+        if batch not in self._payload_txs:
             return
+        self._payload_txs.remove(batch)
         commit_time, commit_times = record.commit_time, self._commit_times
         # Still NaN, i.e. not already committed through an earlier proposal.
-        newly = [tx_id for tx_id in tx_ids if commit_times[tx_id] != commit_times[tx_id]]
+        newly = [tx_id for tx_id in batch.tx_ids
+                 if commit_times[tx_id] != commit_times[tx_id]]
         for tx_id in newly:
             commit_times[tx_id] = commit_time
         self._committed += len(newly)

@@ -6,10 +6,10 @@ The seed reproduction fills proposals with the paper's synthetic workload —
 attached, proposals should instead carry the transactions actually waiting
 in the proposer's mempool.  :class:`MempoolPayloadSource` does exactly that:
 it asks the :class:`repro.workload.clients.ClientPool` to pop as many of the
-proposer's pending transaction ids as fit the block-size budget and to
-format their bytes into one payload (the encoded transactions,
-concatenated — built once, here), which the pool remembers so commits can
-be matched back to submissions.
+proposer's pending transaction ids as fit the block-size budget into one
+payload, a :class:`repro.workload.transactions.TxBatch` that renders the
+encoded transactions, concatenated, only when hashed; the pool remembers
+the batch so commits can be matched back to submissions.
 
 Protocols are untouched: they call the same ``payload_for(round, proposer)``
 duck-typed interface regardless of which source is wired in, and the
@@ -19,9 +19,10 @@ is configured.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Tuple, Union
 
 from repro.workload.clients import ClientPool
+from repro.workload.transactions import TxBatch
 
 
 class MempoolPayloadSource:
@@ -38,8 +39,8 @@ class MempoolPayloadSource:
         self.pool = pool
         self.max_block_bytes = max_block_bytes
 
-    def payload_for(self, round: int, proposer: int) -> Tuple[bytes, int]:
-        """Return ``(payload_bytes, logical_size)`` for a proposal.
+    def payload_for(self, round: int, proposer: int) -> Tuple[Union[TxBatch, bytes], int]:
+        """Return ``(payload, logical_size)`` for a proposal.
 
         An empty mempool yields an empty proposal carrying a unique tag (so
         block ids stay distinct) with logical size 0 — empty blocks are

@@ -6,10 +6,12 @@ workload layer needs to recognise its own transactions on the way out, so
 each one is encoded with a small self-describing header
 (``tx:<tx_id>:<client_id>:``) padded to the configured logical size.  Inside
 the :class:`repro.workload.clients.ClientPool` a pending transaction is only
-its integer id; :func:`encode_batch` formats the bytes of a whole proposal's
-worth of ids once, when a block needs them.  :func:`split_transactions` recovers
-every ``(tx_id, client_id)`` pair from a payload of concatenated
-transactions (the TCP cluster's blocks).
+its integer id, and a proposal's payload is a :class:`TxBatch` of ids that
+renders the concatenated transactions (:func:`encode_batch`, joined) only
+when ``bytes()`` asks for them — in the simulator, once, while the block id
+is hashed.  :func:`split_transactions` recovers every ``(tx_id, client_id)``
+pair from a payload of concatenated transactions (the TCP cluster's blocks,
+or a rendered batch).
 
 :class:`TxRecord` is the per-transaction view of the submission-side
 bookkeeping — when it was submitted, which replica it was routed to, and
@@ -20,6 +22,7 @@ materialises records on demand.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
@@ -51,6 +54,43 @@ def encode_batch(tx_ids: Iterable[int], client_ids: Iterable[int],
     one pass over the two parallel sequences."""
     header, pad = _HEADER, _PAD_BYTE
     return [(header % ids).ljust(size, pad) for ids in zip(tx_ids, client_ids)]
+
+
+class TxBatch:
+    """A block payload of client transactions, held as their ids.
+
+    ``bytes(batch)`` renders exactly the payload the transactions'
+    encodings concatenate to, ``b"".join(encode_batch(tx_ids, client_ids,
+    tx_size))``, and ``len(batch)`` is its length; nothing keeps the
+    rendered bytes.  :func:`repro.crypto.hashing.canonical_encode` encodes a
+    batch as those bytes, so a block carrying a batch has the id it would
+    have carrying the bytes.
+
+    Equality and hashing are by identity (the ``object`` defaults): a batch
+    is one proposal's payload, and comparing contents would render them.
+
+    Args:
+        tx_ids: the transaction ids, in payload order.
+        client_ids: each transaction's client id, aligned with ``tx_ids``.
+        tx_size: the logical size each transaction is padded to.
+        nbytes: the rendered length, if the caller knows it (the pool sums
+            its size column); computed by rendering once when omitted.
+    """
+
+    __slots__ = ("tx_ids", "client_ids", "tx_size", "nbytes")
+
+    def __init__(self, tx_ids: Iterable[int], client_ids: Iterable[int],
+                 tx_size: int, nbytes: Optional[int] = None) -> None:
+        self.tx_ids = array("q", tx_ids)
+        self.client_ids = array("I", client_ids)
+        self.tx_size = tx_size
+        self.nbytes = len(bytes(self)) if nbytes is None else nbytes
+
+    def __bytes__(self) -> bytes:
+        return b"".join(encode_batch(self.tx_ids, self.client_ids, self.tx_size))
+
+    def __len__(self) -> int:
+        return self.nbytes
 
 
 def decode_tx_id(data: bytes) -> Optional[int]:

@@ -92,6 +92,22 @@ class TestExperimentRunner:
         with pytest.raises(ValueError):
             run_experiment(config)
 
+    @pytest.mark.parametrize("duration, warmup, message", [
+        (1.0, 5.0, "no measurement window"),
+        (-1.0, 0.0, "duration must be finite and > 0"),
+        (float("inf"), 2.0, "duration must be finite and > 0"),
+    ])
+    def test_config_without_a_measurement_window_is_refused(self, duration, warmup,
+                                                            message):
+        params = ProtocolParams(n=4, f=1, p=1)
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig("banyan", params, duration=duration, warmup=warmup)
+        # A config mutated after it was built is checked again at the run.
+        config = ExperimentConfig("banyan", params, duration=6.0, warmup=1.0)
+        config.duration, config.warmup = duration, warmup
+        with pytest.raises(ValueError, match=message):
+            run_experiment(config)
+
     def test_observer_defaults_to_non_crashed_replica(self):
         config = ExperimentConfig(
             protocol="icc",

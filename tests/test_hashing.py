@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.crypto.hashing import canonical_encode, digest, hash_hex
 from repro.types.blocks import Block
+from repro.workload.transactions import TxBatch, encode_batch
 
 
 @dataclass
@@ -60,6 +61,38 @@ class TestStreamedHashing:
         assert len(block.payload) == 1 << 20
         assert block.id == ("6976051051a819b0745eaa63b0aebe8f"
                             "1ddaec59a0f3c8dce1bd5f5933a1d29e")
+
+
+#: Ids crossing decimal digit boundaries, up to the largest client id.
+_TX_IDS = [9, 10, 99, 100, 999, 1000, 2**32 - 1, 2**40]
+_CLIENT_IDS = [9, 10, 99, 100, 2**32 - 1, 0, 1, 2**32 - 2]
+
+
+class TestBatchPayloads:
+    """A :class:`TxBatch` payload hashes exactly as the bytes it renders:
+    the 256 B uniform path and the 8 B path, where the id header makes
+    sizes vary."""
+
+    @pytest.mark.parametrize("tx_size", [256, 8])
+    def test_batch_encodes_and_hashes_as_its_bytes(self, tx_size):
+        batch = TxBatch(_TX_IDS, _CLIENT_IDS, tx_size)
+        rendered = b"".join(encode_batch(_TX_IDS, _CLIENT_IDS, tx_size))
+        assert bytes(batch) == rendered
+        assert canonical_encode(batch) == canonical_encode(rendered)
+        assert hash_hex(("p", batch, 3)) == hash_hex(("p", rendered, 3))
+        assert digest(batch) == digest(rendered)
+
+    @pytest.mark.parametrize("tx_size", [256, 8])
+    def test_block_id_is_the_id_of_the_rendered_payload(self, tx_size):
+        batch = TxBatch(_TX_IDS, _CLIENT_IDS, tx_size)
+
+        def block(payload):
+            return Block(round=4, proposer=1, rank=0, parent_id="cd" * 32,
+                         payload=payload, payload_size=len(payload))
+
+        assert block(batch).id == block(bytes(batch)).id
+        assert canonical_encode(block(batch)) == canonical_encode(block(bytes(batch)))
+        assert hash_hex(block(batch)) == hash_hex(block(bytes(batch)))
 
 
 class TestCanonicalEncode:

@@ -10,6 +10,7 @@ open-/closed-loop client pools, and the two workload scenario presets
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 from array import array
@@ -25,7 +26,7 @@ from repro.protocols.registry import create_replicas
 from repro.runtime.simulator import NetworkConfig, Simulation
 from repro.smr.mempool import Mempool
 from repro.smr.metrics import OccupancySample, WorkloadMetrics
-from repro.types.blocks import Block
+from repro.types.blocks import Block, _content_id
 from repro.workload.arrivals import (
     ConstantRate,
     DiurnalArrivals,
@@ -36,7 +37,7 @@ from repro.workload.clients import ClientPool, _TxMempool
 from repro.workload.payloads import MempoolPayloadSource
 from repro.workload.spec import ARRIVAL_KINDS, WorkloadSpec
 from repro.workload.transactions import (
-    MAX_HEADER_BYTES, decode_tx_id, encode_batch, encode_transaction,
+    MAX_HEADER_BYTES, TxBatch, decode_tx_id, encode_batch, encode_transaction,
     split_transactions)
 
 
@@ -280,6 +281,24 @@ class TestTransactions:
         payload = b"".join(encode_batch(tx_ids, client_ids, size))
         assert split_transactions(payload) == list(zip(tx_ids, client_ids))
 
+    @pytest.mark.parametrize("size", [8, 256])
+    def test_batch_renders_its_transactions(self, size):
+        # Ids crossing digit boundaries, up to the largest client id.
+        tx_ids = [9, 10, 99, 100, 2**32 - 1, 2**40]
+        client_ids = [99, 100, 9, 10, 2**32 - 1, 0]
+        rendered = b"".join(encode_batch(tx_ids, client_ids, size))
+        batch = TxBatch(tx_ids, client_ids, size)
+        assert bytes(batch) == rendered
+        assert len(batch) == len(rendered)
+        assert len(TxBatch(tx_ids, client_ids, size, nbytes=len(rendered))) == len(rendered)
+        assert split_transactions(bytes(batch)) == list(zip(tx_ids, client_ids))
+
+    def test_batches_compare_by_identity(self):
+        batch, twin = TxBatch([1, 2], [0, 1], 64), TxBatch([1, 2], [0, 1], 64)
+        assert bytes(batch) == bytes(twin)
+        assert batch != twin and batch == batch
+        assert len({batch, twin}) == 2
+
     def test_split_ignores_non_workload_payloads(self):
         assert split_transactions(b"cluster:r3:p1") == []
         assert split_transactions(b"") == []
@@ -487,6 +506,13 @@ def _attached_workload(spec: WorkloadSpec, duration: float, n: int = 4,
     return sim, pool
 
 
+def _cached_block_contents():
+    """The field tuples keyed in :func:`_content_id`'s ``lru_cache``."""
+    cache = next(ref for ref in gc.get_referents(_content_id)
+                 if isinstance(ref, dict) and "cache_parameters" not in ref)
+    return [key[0] if len(key) == 1 else key for key in cache]
+
+
 def _workload_simulation(spec: WorkloadSpec, duration: float, n: int = 4,
                          seed: int = 1):
     sim, pool = _attached_workload(spec, duration, n=n, seed=seed)
@@ -508,7 +534,7 @@ class TestClientPool:
         assert metrics.goodput_tx_per_s > 10
         # Committed block payloads decode back into workload transactions.
         tx_blocks = [record for record in sim.commits_for(0)
-                     if decode_tx_id(record.block.payload) is not None]
+                     if decode_tx_id(bytes(record.block.payload)) is not None]
         assert tx_blocks, "no committed block carried client transactions"
 
     def test_closed_loop_keeps_population_in_flight(self):
@@ -584,13 +610,13 @@ class TestClientPool:
         # A newer proposal with fresh txs must not orphan the deferred batch.
         sim.run(until=0.45)
         payload_b, size_b = source.payload_for(3, 0)
-        assert size_b == 64 and payload_b != payload_a
+        assert size_b == 64 and bytes(payload_b) != bytes(payload_a)
         # Once the chain commits past both rounds without either batch, both
         # are abandoned and re-proposed together, oldest first.
         commit([block(3, b"someone else's block")])
         assert pool.committed == 0
         payload_c, _ = source.payload_for(4, 0)
-        assert payload_c == payload_a + payload_b
+        assert bytes(payload_c) == bytes(payload_a) + bytes(payload_b)
         # Once committed, nothing is reclaimed and proposals go empty.
         commit([block(4, payload_c)])
         assert pool.committed == 4
@@ -609,6 +635,35 @@ class TestClientPool:
         assert len(trimmed.latencies) == trimmed.committed
         # Occupancy keeps the full timeline regardless of warm-up.
         assert trimmed.occupancy == full.occupancy
+
+    def test_committed_blocks_hold_batches_not_bytes(self):
+        # The pool's payloads are id batches; no block, and no key of the
+        # block-id cache, keeps a rendered payload.
+        _content_id.cache_clear()
+        spec = WorkloadSpec(mode="open", arrival="poisson", rate=5_000.0,
+                            max_block_bytes=1_000_000, seed=4)
+        sim, pool = _attached_workload(spec, duration=3.0)
+        first_commit = {}
+        sim.add_commit_listener(
+            lambda record: first_commit.setdefault(record.block.id, record.commit_time))
+        sim.run(until=3.0)
+        records = pool.records()
+        resolved = set()
+        for record in sim.commits_for(0):
+            payload = record.block.payload
+            if not isinstance(payload, TxBatch):
+                assert split_transactions(payload) == []
+                continue
+            pairs = split_transactions(bytes(payload))
+            assert pairs == list(zip(payload.tx_ids, payload.client_ids))
+            for tx_id, client_id in pairs:
+                assert records[tx_id].client_id == client_id
+                assert records[tx_id].commit_time == first_commit[record.block.id]
+            resolved.update(tx_id for tx_id, _ in pairs)
+        assert len(resolved) > 5_000
+        assert resolved == {tx.tx_id for tx in records if tx.commit_time is not None}
+        assert not [item for key in _cached_block_contents() for item in key
+                    if isinstance(item, (bytes, bytearray)) and len(item) > 1024]
 
     def test_payload_map_is_pruned_after_commit(self):
         spec = WorkloadSpec(mode="open", arrival="constant", rate=20.0,
@@ -719,7 +774,7 @@ class TestMempoolPayloadSource:
         _, pool, source = self._source(4 * 256 + 100)
         payload, size = source.payload_for(round=1, proposer=0)
         assert size == len(payload) == 4 * 256
-        assert [decode_tx_id(payload[i:]) for i in range(0, size, 256)] == [0, 1, 2, 3]
+        assert [decode_tx_id(bytes(payload)[i:]) for i in range(0, size, 256)] == [0, 1, 2, 3]
         assert len(pool.mempool(0)) == 6
 
     def test_reclaim_waits_until_the_chain_passes_the_round(self):

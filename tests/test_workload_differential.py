@@ -21,7 +21,8 @@ The mempools queue transaction ids and format bytes only into a block.
 encoded at submission and queued as bytes in a
 :class:`repro.smr.mempool.Mempool` — and the last grid holds the two equal
 under byte limits, drops, header-dominated sizes, reclaims and the closed
-loop.
+loop.  Commits are matched by the payload batch either way; the reference
+checks that its batch renders exactly the bytes its mempool drained.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from repro.workload.arrivals import (
 )
 from repro.workload.clients import ClientPool
 from repro.workload.spec import WorkloadSpec
-from repro.workload.transactions import encode_transaction
+from repro.workload.transactions import TxBatch, encode_transaction
 
 
 class EventPerArrivalPool(ClientPool):
@@ -129,10 +130,13 @@ class BytesPathPool(ClientPool):
         transactions, total_bytes = mempool.drain_batch(max_bytes)
         if not transactions:
             return None
-        payload = b"".join(transactions)
-        self._payload_txs[payload] = [mempool.tx_ids.popleft() for _ in transactions]
-        self._in_flight.setdefault(proposer, []).append((payload, round))
-        return payload, total_bytes
+        tx_ids = [mempool.tx_ids.popleft() for _ in transactions]
+        batch = TxBatch(tx_ids, map(self._client_ids.__getitem__, tx_ids),
+                        self.tx_size, total_bytes)
+        assert bytes(batch) == b"".join(transactions)
+        self._payload_txs.add(batch)
+        self._in_flight.setdefault(proposer, []).append((batch, round))
+        return batch, total_bytes
 
 
 class _Spec(WorkloadSpec):
@@ -359,7 +363,10 @@ def test_every_block_budget_drains_what_the_bytes_path_drains(tx_size):
             pool = pool_class(arrivals=None, num_clients=11, tx_size=tx_size)
             pool._replica_ids = (0,)
             pool._submit([0.0] * 13, [tx_id % 11 for tx_id in range(13)])
-            drained[pool_class] = (pool.build_payload(0, 1, budget),
+            built = pool.build_payload(0, 1, budget)
+            if built is not None:
+                built = (bytes(built[0]), built[1])
+            drained[pool_class] = (built,
                                    pool.mempool(0).peek(99), pool.mempool(0).total_bytes)
         assert drained[ClientPool] == drained[BytesPathPool], budget
 
