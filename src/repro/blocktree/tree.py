@@ -145,10 +145,6 @@ class BlockTree:
             if self.is_notarized(b.id) and self.is_unlocked(b.id)
         ]
 
-    def finalized_at_round(self, round: int) -> List[Block]:
-        """Return the finalized blocks known at ``round`` (0 or 1 if safe)."""
-        return [b for b in self.blocks_at_round(round) if self.is_finalized(b.id)]
-
     # ------------------------------------------------------------------ #
     # Ancestry
     # ------------------------------------------------------------------ #

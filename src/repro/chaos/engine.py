@@ -43,7 +43,7 @@ from repro.eval.runner import ProgressCallback, run_plan
 from repro.eval.seeds import canonical_hash, derive_subseed
 from repro.net.latency import ConstantLatency
 from repro.protocols.base import ProtocolParams
-from repro.protocols.registry import create_replicas
+from repro.protocols.registry import check_protocol, create_replicas
 from repro.runtime.simulator import NetworkConfig, Simulation
 from repro.runtime.trace import TraceLog, attach_commit_trace
 
@@ -479,6 +479,9 @@ def run_chaos(trials: int = 50, seed: int = 0,
         ensure_protocol_registered(protocol)
     specs = build_trials(trials, seed, protocols=protocols, n=n, f=f, p=p,
                          duration=duration, config=config)
+    # An unknown protocol or an unsound (n, f, p) is refused before any trial.
+    for spec in specs[:len(protocols)]:
+        check_protocol(spec.protocol, spec.params())
     results = run_plan(
         specs, jobs=jobs, cache_dir=cache_dir, use_cache=use_cache,
         progress=progress,

@@ -45,10 +45,10 @@ from repro.eval.table1 import table1_rows
 from repro.net.latency import available_latency_models
 from repro.net.topology import TOPOLOGY_FACTORIES
 from repro.net.transport import available_transports
-from repro.runtime.compute import available_compute_models, build_compute
-from repro.runtime.scheduler import SCHEDULERS, resolve_scheduler
+from repro.runtime.compute import available_compute_models
+from repro.runtime.scheduler import SCHEDULERS
 from repro.protocols.base import ProtocolParams
-from repro.protocols.registry import available_protocols, create_replicas
+from repro.protocols.registry import available_protocols
 
 _WORKLOADS = {
     "saturation": scenarios.plan_saturation_sweep,
@@ -58,7 +58,8 @@ _WORKLOADS = {
 
 def _finite(cast, noun: str, zero: bool = False):
     """An argparse type: ``cast(text)``, which must be finite and above 0
-    (or at least 0 with ``zero``)."""
+    (or at least 0 with ``zero``).  Kept beside the configs' own checks:
+    its usage error names the flag, which a config cannot see."""
     sign = "non-negative" if zero else "positive"
 
     def parse(text: str):
@@ -262,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cluster_parser.add_argument("--rate", type=_non_negative_float, default=0.0,
                                 help="aggregate open-loop client rate in tx/s "
                                      "(default: 0, no workload clients)")
-    cluster_parser.add_argument("--tx-size", type=int, default=128,
+    cluster_parser.add_argument("--tx-size", type=_positive_int, default=128,
                                 help="workload transaction size in bytes "
                                      "(default: 128)")
     cluster_parser.add_argument("--clients", type=_positive_int, default=2,
@@ -311,11 +312,7 @@ def _runner_kwargs(args: argparse.Namespace) -> dict:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
-    try:
-        rows = table1_rows(f=args.f, p=args.p)
-    except ValueError as exc:
-        print(f"banyan-repro table1: error: {exc}", file=sys.stderr)
-        return 2
+    rows = table1_rows(f=args.f, p=args.p)
     headers = ["protocol", "finalization_latency", "finalization_requirement",
                "creation_latency", "creation_requirement", "replicas", "rotating_leaders"]
     print(format_table(headers, [[row[h] for h in headers] for row in rows]))
@@ -363,19 +360,14 @@ def _empty_window_reason(config) -> str:
 
 
 def _no_window_error(duration: float, warmup: float) -> Optional[str]:
-    """The error for a run whose warm-up leaves nothing to measure."""
+    """The error for a run whose warm-up leaves nothing to measure.
+
+    Kept next to the config's own window check: this one names the flag
+    (and a figure's preset warm-up), which a config cannot see."""
     if duration > warmup:
         return None
     return (f"--duration {duration:g} leaves no measurement window after "
             f"the {warmup:g} s warm-up; raise --duration above {warmup:g}")
-
-
-def _checked_params(protocol: str, **fields) -> ProtocolParams:
-    """``ProtocolParams(**fields)``; building one replica runs the protocol's
-    own checks (the resilience bound names the nearest valid ``n``)."""
-    params = ProtocolParams(**fields)
-    create_replicas(protocol, params, replica_ids=(0,))
-    return params
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -383,13 +375,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if error is not None:
         print(f"banyan-repro run: error: {error}", file=sys.stderr)
         return 2
-    try:
-        params = _checked_params(args.protocol, n=args.n, f=args.f, p=args.p,
-                                 payload_size=args.payload,
-                                 rank_delay=scenarios.GLOBAL_RANK_DELAY)
-    except ValueError as exc:
-        print(f"banyan-repro run: error: {exc}", file=sys.stderr)
-        return 2
+    # Flag combinations: a config cannot see which flags were given.
     if args.uplink_mbps is not None and args.transport != "contended":
         print("banyan-repro run: error: --uplink-mbps applies only to "
               "--transport contended", file=sys.stderr)
@@ -402,12 +388,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("banyan-repro run: error: --compute-scale applies only to "
               "--compute crypto", file=sys.stderr)
         return 2
-    try:
-        resolve_scheduler(args.scheduler,
-                          compute=not build_compute(args.compute).trivial)
-    except ValueError as exc:
-        print(f"banyan-repro run: error: {exc}", file=sys.stderr)
-        return 2
+    params = ProtocolParams(n=args.n, f=args.f, p=args.p, payload_size=args.payload,
+                            rank_delay=scenarios.GLOBAL_RANK_DELAY)
     config = ExperimentConfig(protocol=args.protocol, params=params,
                               topology=args.topology, duration=args.duration,
                               seed=args.seed, transport=args.transport,
@@ -475,30 +457,24 @@ def _cmd_workload(args: argparse.Namespace) -> int:
         value = getattr(args, name)
         if value is not None:
             kwargs[name] = value
-    try:
-        if args.name == "saturation":
-            if args.base_rate is not None or args.burst_rate is not None:
-                print("banyan-repro workload: error: --base-rate/--burst-rate "
-                      "apply only to flash-crowd", file=sys.stderr)
-                return 2
-            if args.rates is not None:
-                kwargs["rates"] = args.rates
-        else:
-            if args.rates is not None:
-                print("banyan-repro workload: error: --rates applies only to "
-                      "saturation", file=sys.stderr)
-                return 2
-            if args.base_rate is not None:
-                kwargs["base_rate"] = args.base_rate
-            if args.burst_rate is not None:
-                kwargs["burst_rate"] = args.burst_rate
-        figure = scenarios.run_figure(_WORKLOADS[args.name](**kwargs),
-                                      **_runner_kwargs(args))
-    except ValueError as exc:
-        # Invalid workload/protocol configurations (e.g. --tx-size above
-        # --max-block-bytes) surface as friendly CLI errors.
-        print(f"banyan-repro workload: error: {exc}", file=sys.stderr)
-        return 2
+    if args.name == "saturation":
+        if args.base_rate is not None or args.burst_rate is not None:
+            print("banyan-repro workload: error: --base-rate/--burst-rate "
+                  "apply only to flash-crowd", file=sys.stderr)
+            return 2
+        if args.rates is not None:
+            kwargs["rates"] = args.rates
+    else:
+        if args.rates is not None:
+            print("banyan-repro workload: error: --rates applies only to "
+                  "saturation", file=sys.stderr)
+            return 2
+        if args.base_rate is not None:
+            kwargs["base_rate"] = args.base_rate
+        if args.burst_rate is not None:
+            kwargs["burst_rate"] = args.burst_rate
+    figure = scenarios.run_figure(_WORKLOADS[args.name](**kwargs),
+                                  **_runner_kwargs(args))
     print(figure.render())
     # The story behind the table is in the occupancy curves: show them
     # inline, labelled with the offered rate that produced each one.  With
@@ -538,6 +514,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.chaos import engine as chaos_engine
 
     if args.replay is not None:
+        # Kept: "cannot replay" names the file, which a config error does not.
         try:
             result = chaos_engine.replay_repro(args.replay)
         except (OSError, ValueError, KeyError) as exc:
@@ -562,17 +539,13 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     else:
         protocols = (args.protocol,)
     progress = _print_progress if (args.jobs > 1 or args.cache_dir) else None
-    try:
-        report = chaos_engine.run_chaos(
-            trials=args.trials, seed=args.seed, protocols=protocols,
-            n=args.n, f=args.f, p=args.p, duration=args.duration,
-            jobs=args.jobs, cache_dir=args.cache_dir,
-            use_cache=not args.no_cache, shrink=args.shrink,
-            repro_dir=args.repro_dir, progress=progress,
-        )
-    except (KeyError, ValueError) as exc:
-        print(f"banyan-repro chaos: error: {exc}", file=sys.stderr)
-        return 2
+    report = chaos_engine.run_chaos(
+        trials=args.trials, seed=args.seed, protocols=protocols,
+        n=args.n, f=args.f, p=args.p, duration=args.duration,
+        jobs=args.jobs, cache_dir=args.cache_dir,
+        use_cache=not args.no_cache, shrink=args.shrink,
+        repro_dir=args.repro_dir, progress=progress,
+    )
     rows = report.summary_rows()
     headers = ["protocol", "trials", "failures", "faults_injected",
                "liveness_checked", "honest_commits"]
@@ -601,7 +574,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
     from repro.chaos.engine import DEFAULT_PROTOCOLS, ChaosTrialSpec
     from repro.chaos.schedule import ChaosSchedule
-    from repro.cluster.harness import fault_bounds, run_local_cluster
+    from repro.cluster.harness import fault_bounds, local_peers, run_local_cluster
+    from repro.cluster.node import NodeConfig
 
     common = dict(
         n=args.n, f=args.f, p=args.p, duration=args.duration,
@@ -612,6 +586,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     )
 
     if args.replay is not None:
+        # Kept, as for chaos: "cannot replay" names the file.
         try:
             with open(args.replay, "r", encoding="utf-8") as handle:
                 data = json.load(handle)
@@ -653,24 +628,14 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         print("no violations on the real cluster")
         return 0
 
-    if args.protocol == "all":
-        protocols = DEFAULT_PROTOCOLS
-    else:
-        if args.protocol not in available_protocols():
-            print(f"banyan-repro cluster: error: unknown protocol "
-                  f"{args.protocol!r}", file=sys.stderr)
-            return 2
-        protocols = (args.protocol,)
+    protocols = DEFAULT_PROTOCOLS if args.protocol == "all" else (args.protocol,)
     f, p = fault_bounds(args.n, args.f, args.p)
+    peers = local_peers(args.n, args.base_port)
     for protocol in protocols:
-        # Nothing is spawned for an unsound (n, f, p) or delay.
-        try:
-            _checked_params(protocol, n=args.n, f=f, p=p,
-                            rank_delay=args.rank_delay,
-                            round_timeout=args.round_timeout)
-        except ValueError as exc:
-            print(f"banyan-repro cluster: error: {exc}", file=sys.stderr)
-            return 2
+        # Nothing is spawned unless every protocol's node config is valid.
+        NodeConfig(replica_id=0, protocol=protocol, n=args.n, f=f, p=p, peers=peers,
+                   rank_delay=args.rank_delay, round_timeout=args.round_timeout,
+                   payload_size=args.payload)
 
     headers = ["protocol", "blocks", "fast", "slow", "mean_interval_ms",
                "mean_latency_ms", "tx_committed", "violations"]
@@ -734,7 +699,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         "cluster": _cmd_cluster,
         "list": _cmd_list,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ValueError as exc:
+        # Configs check themselves at construction; a refused input is one
+        # line and exit 2, whichever command built it.
+        print(f"banyan-repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -73,6 +73,13 @@ def pick_free_ports(count: int) -> List[int]:
             sock.close()
 
 
+def local_peers(n: int, base_port: Optional[int] = None) -> Dict[int, Tuple[str, int]]:
+    """Replica id → localhost address: ports ``base_port + id``, or free
+    ports the OS picks when ``base_port`` is ``None``."""
+    ports = pick_free_ports(n) if base_port is None else [base_port + rid for rid in range(n)]
+    return {rid: ("127.0.0.1", ports[rid]) for rid in range(n)}
+
+
 def fault_bounds(n: int, f: Optional[int] = None,
                  p: Optional[int] = None) -> Tuple[int, int]:
     """``(f, p)`` with the cluster defaults filled in: the largest sound
@@ -138,14 +145,8 @@ class LocalCluster:
         self.schedule = schedule or ChaosSchedule()
         self.start_delay = start_delay
         self.start_at: float = 0.0
-        self.log_dir.mkdir(parents=True, exist_ok=True)
-        if base_port is None:
-            ports = pick_free_ports(n)
-        else:
-            ports = [base_port + rid for rid in range(n)]
-        self.peers: Dict[int, Tuple[str, int]] = {
-            rid: ("127.0.0.1", ports[rid]) for rid in range(n)
-        }
+        self.peers = local_peers(n, base_port)
+        # Every NodeConfig checks itself here, before anything is spawned.
         self.replicas: Dict[int, ReplicaHandle] = {}
         for rid in range(n):
             commit_log = self.log_dir / f"replica-{rid}.commits.jsonl"
@@ -171,6 +172,7 @@ class LocalCluster:
                 config_path=self.log_dir / f"replica-{rid}.config.json",
                 commit_log=commit_log, summary_path=summary, stdio_path=stdio,
             )
+        self.log_dir.mkdir(parents=True, exist_ok=True)
 
     # ------------------------------------------------------------------ #
     # Process control
@@ -395,7 +397,12 @@ def run_workload(peers: Dict[int, Tuple[str, int]], *, rate: float,
 
     ``rate`` is the aggregate transactions/second, split evenly over
     ``clients`` independent Poisson processes.
+
+    Raises:
+        ValueError: if ``tx_size`` is not positive.
     """
+    if tx_size <= 0:
+        raise ValueError(f"tx_size must be positive, got {tx_size}")
     submitted: Dict[int, float] = {}
     ordered = [peers[rid] for rid in sorted(peers)]
     per_client = max(rate / max(1, clients), 1e-9)

@@ -47,7 +47,7 @@ from repro.cluster.faults import SocketFaultInjector
 from repro.cluster.tcp_transport import TcpTransport
 from repro.cluster.wire import ClientSubmit
 from repro.protocols.base import ProtocolParams
-from repro.protocols.registry import available_protocols, create_replicas
+from repro.protocols.registry import check_protocol, create_replicas
 from repro.runtime.context import ReplicaContext, Timer
 from repro.smr.mempool import Mempool
 from repro.types.blocks import Block
@@ -96,6 +96,21 @@ class NodeConfig:
     schedule: Optional[Dict[str, object]] = None
     max_block_bytes: int = 65_536
     sign_messages: bool = False
+
+    def __post_init__(self) -> None:
+        """Raise a one-line ``ValueError`` unless the node can run: valid
+        protocol parameters for a registered protocol, this replica among
+        ``peers``, every port one ``bind()`` accepts, and a decodable
+        schedule."""
+        ensure_protocol_registered(self.protocol)
+        check_protocol(self.protocol, self.params())
+        if self.replica_id not in self.peers:
+            raise ValueError(f"replica {self.replica_id} is not in peers")
+        for rid, (_, port) in sorted(self.peers.items()):
+            if not 0 <= port <= 65535:
+                raise ValueError(f"port {port} of replica {rid} is outside 0-65535")
+        if self.schedule:
+            ChaosSchedule.from_dict(self.schedule)
 
     def params(self) -> ProtocolParams:
         """The protocol parameters of this node."""
@@ -451,20 +466,12 @@ def load_config(path: str) -> NodeConfig:
     if not isinstance(data, dict):
         raise ValueError(f"{path} is not a JSON object")
     try:
-        config = NodeConfig.from_dict(data)
-        config.params()
-        if config.schedule:
-            ChaosSchedule.from_dict(config.schedule)
+        # NodeConfig checks itself; only the file's shape is judged here.
+        return NodeConfig.from_dict(data)
     except KeyError as exc:
         raise ValueError(f"{path}: missing field {exc}") from None
     except (AttributeError, IndexError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: invalid field: {exc}") from None
-    if config.replica_id not in config.peers:
-        raise ValueError(f"{path}: replica {config.replica_id} is not in peers")
-    ensure_protocol_registered(config.protocol)
-    if config.protocol not in available_protocols():
-        raise ValueError(f"{path}: unknown protocol {config.protocol!r}")
-    return config
 
 
 def main(argv=None) -> int:

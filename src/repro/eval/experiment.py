@@ -33,7 +33,9 @@ from repro.net.topology import (
     topology_from_names,
 )
 from repro.protocols.base import ProtocolParams
-from repro.protocols.registry import create_replicas
+from repro.protocols.registry import check_protocol, create_replicas
+from repro.runtime.compute import build_compute
+from repro.runtime.scheduler import resolve_scheduler
 from repro.runtime.simulator import NetworkConfig, Simulation
 from repro.smr.metrics import MetricsCollector, RunMetrics, WorkloadMetrics
 from repro.smr.mempool import PayloadSource
@@ -135,12 +137,14 @@ class ExperimentConfig:
     axis: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.check_window()
+        self.check()
 
-    def check_window(self) -> None:
-        """Raise a one-line ``ValueError`` unless the run has a measurement
-        window: ``duration`` finite and > 0, ``warmup`` finite and >= 0,
-        and ``warmup < duration``."""
+    def check(self) -> None:
+        """Raise a one-line ``ValueError`` unless the config can run: a
+        measurement window (``duration`` finite and > 0, ``warmup`` finite
+        and >= 0, ``warmup < duration``), a registered protocol that
+        accepts ``params``, and a scheduler that serves the compute model
+        and crash windows."""
         if not (math.isfinite(self.duration) and self.duration > 0):
             raise ValueError(f"duration must be finite and > 0, got {self.duration!r}")
         if not (math.isfinite(self.warmup) and self.warmup >= 0):
@@ -148,6 +152,10 @@ class ExperimentConfig:
         if self.warmup >= self.duration:
             raise ValueError(f"warmup {self.warmup:g} s leaves no measurement window "
                              f"in a {self.duration:g} s run")
+        check_protocol(self.protocol, self.params)
+        resolve_scheduler(self.scheduler,
+                          compute=not build_compute(self.compute).trivial,
+                          crash=bool(self.faults.crash_schedule.crash_times))
 
     def resolved_topology(self) -> Topology:
         """Build the placement (default: 4 global datacenters)."""
@@ -470,10 +478,10 @@ def run_experiment(config: ExperimentConfig,
             harvest post-run state such as :meth:`Simulation.event_counts`.
 
     Raises:
-        ValueError: if the config leaves no measurement window (checked
-            again here: a config may be mutated after it was built).
+        ValueError: if the config cannot run (checked again here: a config
+            may be mutated after it was built).
     """
-    config.check_window()
+    config.check()
     topology = config.resolved_topology()
     if topology.n != config.params.n:
         raise ValueError(

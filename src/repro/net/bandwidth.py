@@ -92,7 +92,3 @@ class BandwidthModel:
                for receiver in receivers]
         self._row_template_cache[key] = (tuple(receivers), row)
         return row
-
-    def expected_transfer_time(self, size_bytes: int) -> float:
-        """Return the WAN transfer time (used for timeout derivation)."""
-        return self._overhead + size_bytes / self._wan

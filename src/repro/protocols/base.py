@@ -69,6 +69,8 @@ class ProtocolParams:
         if not (0 <= self.rank_delay < math.inf
                 and 0 <= self.round_timeout < math.inf):
             raise ValueError("delays must be finite and non-negative")
+        if self.payload_size < 0:
+            raise ValueError("payload size must be non-negative")
 
     # ------------------------------------------------------------------ #
     # Quorum arithmetic
@@ -103,11 +105,12 @@ class ProtocolParams:
         """Check the replica-count bound of the paper's model section.
 
         Raises:
-            ValueError: if ``n < max(3f + 2p - 1, 3f + 1)`` (Banyan) or
-                ``n < 3f + 1`` (baselines).
+            ValueError: if ``n < max(3f + 2p - 1, 3f + 1, p + 1)`` (Banyan;
+                ``p + 1`` keeps the fast quorum ``n - p`` non-empty, which
+                binds only at ``f = 0, p = 1``) or ``n < 3f + 1`` (baselines).
         """
         if require_fast_path:
-            bound = max(3 * self.f + 2 * self.p - 1, 3 * self.f + 1)
+            bound = max(3 * self.f + 2 * self.p - 1, 3 * self.f + 1, self.p + 1)
         else:
             bound = 3 * self.f + 1
         if self.n < bound:

@@ -71,6 +71,9 @@ class HotStuffReplica(Protocol):
     ) -> None:
         super().__init__(replica_id, params, registry)
         params.validate_resilience(require_fast_path=False)
+        if params.round_timeout <= 0:
+            # A zero view timeout re-arms at the same instant forever.
+            raise ValueError("view timeout (round_timeout) must be positive")
         self.beacon = beacon or RoundRobinBeacon(list(range(params.n)))
         self.payload_source = payload_source or PayloadSource(params.payload_size)
         self.tree = BlockTree()

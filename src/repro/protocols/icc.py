@@ -116,6 +116,10 @@ class ICCReplica(Protocol):
     ) -> None:
         super().__init__(replica_id, params, registry)
         params.validate_resilience(require_fast_path=False)
+        if params.rank_delay <= 0:
+            # With 2Δ = 0 every replica votes for every rank's block at
+            # once, so none casts a finalization vote: nothing commits.
+            raise ValueError("rank delay must be positive")
         self.beacon = beacon or RoundRobinBeacon(list(range(params.n)))
         self.payload_source = payload_source or PayloadSource(params.payload_size)
         #: Adaptive 2Δ estimator (Remark 4.2); ``None`` when delays are fixed.

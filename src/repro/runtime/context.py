@@ -80,6 +80,3 @@ class ReplicaContext(ABC):
                 ``"slow"`` otherwise.  Implicitly finalized ancestors inherit
                 the kind of the explicit finalization that committed them.
         """
-
-    def log(self, message: str) -> None:  # pragma: no cover - optional hook
-        """Optional debug logging hook; the default implementation discards."""

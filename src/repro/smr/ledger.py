@@ -76,13 +76,7 @@ class KeyValueLedger:
 
     def __init__(self) -> None:
         self._state: Dict[str, str] = {}
-        self._applied_payloads = 0
         self._applied_transactions = 0
-
-    @property
-    def applied_payloads(self) -> int:
-        """Number of payloads applied so far."""
-        return self._applied_payloads
 
     @property
     def applied_transactions(self) -> int:
@@ -94,7 +88,6 @@ class KeyValueLedger:
         transactions = decode_transactions(payload)
         for transaction in transactions:
             self._apply(transaction)
-        self._applied_payloads += 1
         self._applied_transactions += len(transactions)
         return len(transactions)
 

@@ -171,11 +171,6 @@ class RunMetrics:
         return max(self.compute_busy_fractions.values(), default=0.0)
 
     @property
-    def mean_busy_fraction(self) -> float:
-        """Mean per-replica CPU busy fraction (0 under zero compute)."""
-        return _mean(list(self.compute_busy_fractions.values()))
-
-    @property
     def total_compute_queue_wait_s(self) -> float:
         """Total seconds deliveries waited for busy cores, across replicas."""
         return sum(self.compute_queue_wait_s.values())

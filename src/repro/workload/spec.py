@@ -12,6 +12,7 @@ protocol and runtime layers unaware of how traffic is generated.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -85,12 +86,15 @@ class WorkloadSpec:
         _check_rate(self.rate, "rate")
         if self.num_clients <= 0:
             raise ValueError("num_clients must be positive")
-        if self.think_time < 0:
-            raise ValueError("think_time must be non-negative")
+        if not (math.isfinite(self.think_time) and self.think_time >= 0):
+            raise ValueError("think_time must be finite and non-negative")
         if self.mempool_capacity <= 0:
             raise ValueError("mempool_capacity must be positive")
-        if self.sample_interval < 0:
-            raise ValueError("sample_interval must be non-negative (0 disables the probe)")
+        if self.mempool_max_bytes is not None and self.mempool_max_bytes <= 0:
+            raise ValueError("mempool_max_bytes must be positive when set")
+        if not (math.isfinite(self.sample_interval) and self.sample_interval >= 0):
+            raise ValueError("sample_interval must be finite and non-negative "
+                             "(0 disables the probe)")
         if self.tx_size <= 0:
             raise ValueError("tx_size must be positive")
         if max(self.tx_size, MAX_HEADER_BYTES) > self.max_block_bytes:

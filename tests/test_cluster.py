@@ -264,6 +264,11 @@ _VALID_CONFIG = {"replica_id": 0, "protocol": "banyan", "n": 4, "f": 1, "p": 1,
                  "replica 7 is not in peers", id="self-not-in-peers"),
     pytest.param(json.dumps({**_VALID_CONFIG, "protocol": "paxos"}),
                  "unknown protocol 'paxos'", id="unknown-protocol"),
+    pytest.param(json.dumps({**_VALID_CONFIG, "f": 2}),
+                 "n=4 violates the resilience bound n >= 7", id="unsound-f"),
+    pytest.param(json.dumps({**_VALID_CONFIG, "peers": {
+        str(r): ["127.0.0.1", 70000 + r] for r in range(4)}}),
+                 "port 70000 of replica 0 is outside 0-65535", id="port-out-of-range"),
 ])
 def test_node_refuses_a_bad_config_with_one_line(content, expected, tmp_path, capsys):
     """``python -m repro.cluster.node`` on a config it cannot use exits 2

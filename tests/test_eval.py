@@ -108,6 +108,28 @@ class TestExperimentRunner:
         with pytest.raises(ValueError, match=message):
             run_experiment(config)
 
+    @pytest.mark.parametrize("fields, message", [
+        (dict(params=ProtocolParams(n=4, f=2, p=1)),
+         "n=4 violates the resilience bound n >= 7"),
+        (dict(compute="crypto", scheduler="calendar"),
+         "scheduler 'calendar' serves only zero-compute"),
+        (dict(protocol="nope"), "unknown protocol 'nope'"),
+        (dict(params=ProtocolParams(n=4, f=1, p=1, rank_delay=0.0)),
+         "rank delay must be positive"),
+    ])
+    def test_config_that_cannot_run_is_refused(self, fields, message):
+        """Refused at construction, so a bad plan cell fails before any
+        other cell runs, and again at the run if set afterwards."""
+        base = dict(protocol="banyan", params=ProtocolParams(n=4, f=1, p=1),
+                    duration=6.0, warmup=1.0)
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**{**base, **fields})
+        config = ExperimentConfig(**base)
+        for name, value in fields.items():
+            setattr(config, name, value)
+        with pytest.raises(ValueError, match=message):
+            run_experiment(config)
+
     def test_observer_defaults_to_non_crashed_replica(self):
         config = ExperimentConfig(
             protocol="icc",

@@ -631,3 +631,91 @@ def test_variance_non_negative_and_stddev_consistent(values):
 def test_mean_shift_invariance(values, shift):
     shifted = [v + shift for v in values]
     assert math.isclose(mean(shifted), mean(values) + shift, rel_tol=1e-9, abs_tol=1e-6)
+
+
+# --------------------------------------------------------------------- #
+# Experiment configs
+# --------------------------------------------------------------------- #
+
+#: Values no config may accept, per field (``workload.`` fields go to the
+#: WorkloadSpec); a generated config breaks at most one field.
+_BAD_VALUES = {
+    "protocol": ["nope"], "n": [0, -1], "f": [-1], "p": [-1],
+    "rank_delay": [-1.0, math.nan, math.inf], "round_timeout": [-1.0, math.nan],
+    "payload_size": [-1], "duration": [0.0, -1.0, math.inf, math.nan],
+    "warmup": [-0.5, math.nan, 5.0], "scheduler": ["bogus"],
+    "workload.rate": [0.0, math.nan], "workload.num_clients": [0],
+    "workload.think_time": [-1.0, math.nan, math.inf], "workload.tx_size": [0],
+    "workload.mempool_max_bytes": [0, -1],
+    "workload.sample_interval": [-1.0, math.nan],
+}
+
+_workloads = st.none() | st.fixed_dictionaries({
+    "mode": st.sampled_from(["open", "closed"]),
+    "rate": st.sampled_from([20.0, 80.0]),
+    "num_clients": st.sampled_from([1, 4]),
+    "think_time": st.sampled_from([0.0, 0.2]),
+    "tx_size": st.sampled_from([8, 256]),
+    "mempool_max_bytes": st.sampled_from([None, 4096]),
+    "sample_interval": st.sampled_from([0.0, 0.5]),
+})
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    fields=st.fixed_dictionaries({
+        "protocol": st.sampled_from(["banyan", "icc", "hotstuff", "streamlet"]),
+        "n": st.integers(min_value=1, max_value=7),
+        "f": st.integers(min_value=0, max_value=2),
+        "p": st.integers(min_value=0, max_value=2),
+        "rank_delay": st.sampled_from([0.1, 0.4]),
+        "round_timeout": st.sampled_from([0.5, 3.0]),
+        "payload_size": st.sampled_from([0, 1000]),
+        "duration": st.sampled_from([1.5, 3.0]),
+        "warmup": st.sampled_from([0.0, 1.0]),
+        "scheduler": st.sampled_from(["auto", "heap", "calendar"]),
+        "compute": st.sampled_from(["zero", "crypto"]),
+        "crash": st.booleans(),
+        "workload": _workloads,
+    }),
+    broken=st.none() | st.sampled_from(
+        [(name, value) for name, values in _BAD_VALUES.items() for value in values]),
+)
+def test_every_config_is_refused_at_construction_or_runs(fields, broken):
+    """A config raises ValueError while it is built (always, when a field
+    holds a value no config may accept), or its run completes with a
+    measurement window of ``duration - warmup`` > 0 s: no traceback, hang
+    or empty window from inside the run."""
+    from repro.eval.experiment import ExperimentConfig, run_experiment
+    from repro.net.faults import FaultPlan
+    from repro.workload.spec import WorkloadSpec
+
+    fields = dict(fields)
+    if broken is not None:
+        name, value = broken
+        if name.startswith("workload."):
+            fields["workload"] = dict(fields["workload"] or {})
+            fields["workload"][name[len("workload."):]] = value
+        else:
+            fields[name] = value
+    try:
+        params = ProtocolParams(n=fields["n"], f=fields["f"], p=fields["p"],
+                                rank_delay=fields["rank_delay"],
+                                round_timeout=fields["round_timeout"],
+                                payload_size=fields["payload_size"])
+        workload = fields["workload"]
+        config = ExperimentConfig(
+            fields["protocol"], params, duration=fields["duration"],
+            warmup=fields["warmup"], scheduler=fields["scheduler"],
+            compute=fields["compute"],
+            faults=(FaultPlan.with_crashed([fields["n"] - 1]) if fields["crash"]
+                    else FaultPlan.none()),
+            workload=None if workload is None else WorkloadSpec(**workload))
+    except ValueError:
+        return
+    assert broken is None, f"{broken[0]}={broken[1]!r} was accepted"
+    result = run_experiment(config)
+    assert result.metrics.duration == config.duration - config.warmup > 0
+    if workload is not None:
+        assert 0 <= result.workload.committed <= result.workload.submitted

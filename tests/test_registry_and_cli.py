@@ -310,6 +310,10 @@ class TestCLI:
          "argument --clients: must be a positive integer, got 0"),
         (["--rate", "-5"], "argument --rate: must be a non-negative number, got -5"),
         (["--rate", "nan"], "argument --rate: must be a non-negative number, got nan"),
+        (["--payload", "-1"], "payload size must be non-negative"),
+        (["--base-port", "70000"], "port 70000 of replica 0 is outside 0-65535"),
+        (["--tx-size", "-1", "--rate", "10"],
+         "argument --tx-size: must be a positive integer, got -1"),
     ])
     def test_cluster_checks_its_flags_before_spawning(
             self, capsys, monkeypatch, flags, message):

@@ -688,6 +688,9 @@ class TestClientPool:
         ("rate", 0.0), ("rate", -5.0), ("rate", float("inf")),
         ("rate", float("nan")), ("num_clients", 0), ("think_time", -0.1),
         ("mempool_capacity", 0), ("sample_interval", -0.5),
+        # Each of these used to fail mid-run or pass silently.
+        ("think_time", float("nan")), ("think_time", float("inf")),
+        ("sample_interval", float("nan")), ("mempool_max_bytes", -1),
     ])
     def test_spec_rejects_bad_numbers_at_construction(self, field, value):
         # Not later in build_arrivals() / the pool constructor — and never
