@@ -17,7 +17,7 @@ most once per round, so any flagged signer has provably misbehaved).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Type
+from typing import Any, Dict, FrozenSet, List, Optional, Type
 
 from repro.core.banyan import BanyanReplica
 from repro.protocols.base import Protocol, ProtocolParams
@@ -35,16 +35,14 @@ def fast_vote_equivocators(protocol: Protocol) -> FrozenSet[int]:
     (Addition 3), so a signer whose fast votes support two different blocks
     of one round has produced self-incriminating evidence.  The per-round
     :class:`repro.core.fastpath.FastPathState` tallies support through the
-    shared quorum engine, which records exactly this; here it is collected
-    over every round the replica has seen (a released round leaves its
-    culprits behind in ``released_fast_equivocators``).
+    shared quorum engine, which records exactly this; Banyan's
+    ``fast_path_verdicts`` collects it over every round the replica has
+    seen, released rounds included.
 
     Returns an empty set for protocols without a fast path.
     """
-    culprits: Set[int] = set(getattr(protocol, "released_fast_equivocators", ()))
-    for state in getattr(protocol, "_fast", {}).values():
-        culprits |= state.equivocators()
-    return frozenset(culprits)
+    verdicts = getattr(protocol, "fast_path_verdicts", None)
+    return verdicts()[0] if verdicts is not None else frozenset()
 
 
 class SilentReplica(Protocol):

@@ -12,8 +12,8 @@ judges the execution online, then once more post-run:
   every committed block is notarized in the committer's block tree;
 * **fast-path soundness** — no round ever has two fast-finalizable blocks
   at any honest replica, fast-finalized rounds never conflict, and
-  fast-vote equivocation evidence (:func:`repro.byzantine.behaviors.
-  fast_vote_equivocators`) only ever names planted Byzantine replicas;
+  fast-vote equivocation evidence (Banyan's ``fast_path_verdicts``) only
+  ever names planted Byzantine replicas;
 * **bounded liveness** — once the last fault heals, every honest replica
   that never crashed commits again within the configured bound (checked
   only when the run leaves enough quiet tail after the heal).
@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional
 
-from repro.byzantine.behaviors import fast_vote_equivocators
 from repro.types.blocks import genesis_block
 from repro.types.commits import CommitRecord
 
@@ -203,9 +202,9 @@ class InvariantChecker:
             # Fast-path soundness at the state level: a round must never
             # accumulate two fast-finalizable blocks, and equivocation
             # evidence must only ever name planted byzantine replicas.
-            fast_states = getattr(protocol, "_fast", None)
-            if fast_states:
-                flagged = fast_vote_equivocators(protocol)
+            verdicts = getattr(protocol, "fast_path_verdicts", None)
+            if verdicts is not None:
+                flagged, conflicts = verdicts()
                 if not flagged <= self.byzantine:
                     wrongly = sorted(flagged - self.byzantine)
                     self._record(
@@ -213,9 +212,6 @@ class InvariantChecker:
                         f"honest replicas {wrongly} flagged as fast-vote "
                         f"equivocators",
                     )
-                conflicts = list(getattr(protocol, "released_fast_conflicts", ()))
-                conflicts += [round_k for round_k, state in fast_states.items()
-                              if len(state.fast_finalizable_blocks()) > 1]
                 for round_k in conflicts:
                     self._record(
                         "fast-path-soundness", duration, replica,

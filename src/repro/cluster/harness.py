@@ -390,6 +390,11 @@ async def _client_task(client_id: int, peers: Sequence[Tuple[str, int]],
                 pass
 
 
+def _check_tx_size(tx_size: int) -> None:
+    if tx_size <= 0:
+        raise ValueError(f"tx_size must be positive, got {tx_size}")
+
+
 def run_workload(peers: Dict[int, Tuple[str, int]], *, rate: float,
                  tx_size: int, start_at: float, duration: float,
                  clients: int = 2, seed: int = 0) -> Dict[int, float]:
@@ -401,8 +406,7 @@ def run_workload(peers: Dict[int, Tuple[str, int]], *, rate: float,
     Raises:
         ValueError: if ``tx_size`` is not positive.
     """
-    if tx_size <= 0:
-        raise ValueError(f"tx_size must be positive, got {tx_size}")
+    _check_tx_size(tx_size)
     submitted: Dict[int, float] = {}
     ordered = [peers[rid] for rid in sorted(peers)]
     per_client = max(rate / max(1, clients), 1e-9)
@@ -587,7 +591,13 @@ def run_local_cluster(
     the horizon, then harvests commit logs into metrics, matches workload
     latencies, and (when ``check_invariants``) cross-validates the real
     committed sequences against the simulator's invariant checker.
+
+    Raises:
+        ValueError: if ``rate > 0`` and ``tx_size`` is not positive,
+            before any node is spawned.
     """
+    if rate > 0:
+        _check_tx_size(tx_size)
     schedule = schedule or ChaosSchedule()
     if log_dir is None:
         log_dir = Path(tempfile.mkdtemp(prefix=f"banyan-cluster-{protocol}-"))

@@ -30,7 +30,7 @@ resilience requirement is ``n ≥ max(3f + 2p - 1, 3f + 1)``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import FrozenSet, List, Optional, Set, Tuple
 
 from repro.beacon import Beacon
 from repro.core.fastpath import FastPathState
@@ -60,19 +60,13 @@ class BanyanReplica(ICCReplica):
     ) -> None:
         super().__init__(replica_id, params, beacon, payload_source, registry)
         params.validate_resilience(require_fast_path=True)
-        #: Per-round fast-path state (fast-vote support and unlock tracking):
-        #: the registry behind each round state's ``fast`` handle, read by
-        #: the Byzantine-evidence helpers and the chaos invariants.
-        self._fast: Dict[int, FastPathState] = {}
-        #: What outlives a released round's fast-path state, for the same
-        #: readers: the voters it caught fast-vote equivocating and the
-        #: rounds that held more than one fast-finalizable block.
+        #: What outlives a released round's fast-path state, for
+        #: :meth:`fast_path_verdicts`: the voters it caught fast-vote
+        #: equivocating and the rounds that held more than one
+        #: fast-finalizable block.
         self.released_fast_equivocators: Set[int] = set()
         self.released_fast_conflicts: List[int] = []
         self._fast_quorum = params.fast_quorum  # resolved once, like ICC's
-        #: Rank-0 blocks whose proposal carried the proposer's fast vote
-        #: (required by the validity rule, Algorithm 2 line 63).
-        self._proposer_fast_vote_seen: set = set()
         #: Count of FP- vs SP-finalized blocks (observability).
         self.fast_finalized_count = 0
         self.slow_finalized_count = 0
@@ -103,7 +97,7 @@ class BanyanReplica(ICCReplica):
     def _new_round(self, round_k: int) -> _RoundState:
         """A round's state additionally owns its :class:`FastPathState`."""
         state = super()._new_round(round_k)
-        state.fast = self._fast[round_k] = FastPathState(
+        state.fast = FastPathState(
             unlock_threshold=self.params.unlock_threshold,
             fast_quorum=self._fast_quorum,
         )
@@ -124,9 +118,12 @@ class BanyanReplica(ICCReplica):
         parent_id = block.parent_id
         if parent_id is not None and not self.tree.is_unlocked(parent_id):
             return False
-        if block.rank == 0 and block.id not in self._proposer_fast_vote_seen:
-            return False
-        return True
+        return block.rank != 0 or self._carried_proposer_fast_vote(block)
+
+    def _carried_proposer_fast_vote(self, block: Block) -> bool:
+        """Whether ``block``'s proposal arrived with its proposer's fast vote."""
+        state = self._rounds.get(block.round)
+        return state is not None and block.id in state.proposer_fast_votes
 
     def _parent_candidates(self, round_k: int) -> List[Block]:
         """Proposals may only extend notarized and unlocked blocks."""
@@ -152,7 +149,7 @@ class BanyanReplica(ICCReplica):
 
     def _relay_fast_vote(self, round_k: int, block: Block) -> Optional[FastVote]:
         """Preserve the proposer's fast vote so a relayed block stays valid."""
-        if block.rank == 0 and block.id in self._proposer_fast_vote_seen:
+        if block.rank == 0 and self._carried_proposer_fast_vote(block):
             return FastVote(round=round_k, block_id=block.id, voter=block.proposer)
         return None
 
@@ -189,8 +186,8 @@ class BanyanReplica(ICCReplica):
                                       or not 0 <= fast_vote.voter < self._n):
             fast_vote = None
         if (fast_vote is not None and fast_vote.block_id == block.id
-                and fast_vote.voter == block.proposer):
-            self._proposer_fast_vote_seen.add(block.id)
+                and fast_vote.voter == block.proposer and block.round >= self._floor):
+            self._round(block.round).proposer_fast_votes.add(block.id)
         proof = proposal.parent_unlock_proof
         if proof is not None and proof.round >= self._floor:
             self._absorb_unlock_proof(ctx, proof, self._round(proof.round))
@@ -343,13 +340,22 @@ class BanyanReplica(ICCReplica):
             return
         super()._broadcast_finalization(ctx, round_k, block_id, kind)
 
-    def _release_round(self, round_k: int) -> None:
-        super()._release_round(round_k)
-        fast = self._fast.pop(round_k, None)
-        if fast is not None:
-            self.released_fast_equivocators |= fast.equivocators()
-            if len(fast.fast_finalizable_blocks()) > 1:
-                self.released_fast_conflicts.append(round_k)
+    def _release_round(self, round_k: int) -> Optional[_RoundState]:
+        state = super()._release_round(round_k)
+        if state is not None:
+            _judge(state, self.released_fast_equivocators, self.released_fast_conflicts)
+        return state
+
+    def fast_path_verdicts(self) -> Tuple[FrozenSet[int], List[int]]:
+        """The fast path's verdicts over every round seen, held or released:
+        the voters caught fast-vote equivocating, and the rounds holding
+        more than one fast-finalizable block (released rounds first).
+        """
+        culprits = set(self.released_fast_equivocators)
+        conflicts = list(self.released_fast_conflicts)
+        for state in self._rounds.values():
+            _judge(state, culprits, conflicts)
+        return frozenset(culprits), conflicts
 
     def _finalize(self, ctx: ReplicaContext, round_k: int, block_id: BlockId, kind: str) -> None:
         before = self.k_max
@@ -359,3 +365,12 @@ class BanyanReplica(ICCReplica):
                 self.fast_finalized_count += 1
             else:
                 self.slow_finalized_count += 1
+
+
+def _judge(state: _RoundState, culprits: Set[int], conflicts: List[int]) -> None:
+    """Add ``state``'s fast-vote equivocators to ``culprits``, and its round
+    to ``conflicts`` if it holds more than one fast-finalizable block."""
+    fast = state.fast
+    culprits |= fast.equivocators()
+    if len(fast.fast_finalizable_blocks()) > 1:
+        conflicts.append(state.round)

@@ -34,7 +34,7 @@ from repro.crypto.signatures import sign
 from repro.protocols.base import Protocol, ProtocolParams
 from repro.runtime.context import ReplicaContext, Timer
 from repro.smr.mempool import PayloadSource
-from repro.smr.quorum import CertificateCollector, QuorumTracker
+from repro.smr.quorum import QuorumTracker
 from repro.types.blocks import Block, BlockId
 from repro.types.certificates import Finalization, Notarization, UnlockProof
 from repro.types.messages import BlockProposal, CertificateMessage, Message, VoteMessage
@@ -67,18 +67,20 @@ class _RoundState:
 
     A message handler fetches this once (:meth:`ICCReplica._round`) and hands
     it to every helper the message reaches, which read the round's tallies
-    as plain attributes; the trackers stay registered in the replica-wide
-    :class:`repro.smr.quorum.CertificateCollector`, the front for
-    equivocation evidence.
+    as plain attributes.  It is the round's only owner: releasing the round
+    (:meth:`ICCReplica._release_round`) drops all of it at once.
     """
 
     round: int
     notarization: QuorumTracker
     finalization: QuorumTracker
     #: Banyan only: the round's :class:`repro.core.fastpath.FastPathState`,
-    #: and whether this replica already broadcast its fast vote.
+    #: whether this replica already broadcast its fast vote, and the rank-0
+    #: blocks whose proposal carried the proposer's fast vote (required by
+    #: the validity rule, Algorithm 2 line 63).
     fast: Any = None
     fast_vote_sent: bool = False
+    proposer_fast_votes: Set[BlockId] = field(default_factory=set)
     t0: float = 0.0
     entered: bool = False
     proposed: bool = False
@@ -132,9 +134,6 @@ class ICCReplica(Protocol):
         self.chain = FinalizedChain()
         self.current_round = 0
         self.k_max = 0
-        #: Shared vote tallies: one tracker per (round, vote kind), handed
-        #: to the round's state when the round is first seen.
-        self.votes = CertificateCollector()
         self._rounds: Dict[int, _RoundState] = {}
         #: The lowest round whose state is still held: rounds below it were
         #: released (:meth:`_release_rounds`) and a vote, certificate or
@@ -228,12 +227,11 @@ class ICCReplica(Protocol):
         return state
 
     def _new_round(self, round_k: int) -> _RoundState:
-        """Create the round's state around its two collector trackers."""
-        tracker = self.votes.tracker
+        """Create the round's state around its two vote tallies."""
         return _RoundState(
             round=round_k,
-            notarization=tracker(round_k, VoteKind.NOTARIZATION, self._notarization_quorum),
-            finalization=tracker(round_k, VoteKind.FINALIZATION, self._finalization_quorum))
+            notarization=QuorumTracker(self._notarization_quorum),
+            finalization=QuorumTracker(self._finalization_quorum))
 
     def _enter_round(self, ctx: ReplicaContext, round_k: int) -> None:
         state = self._round(round_k)
@@ -638,9 +636,9 @@ class ICCReplica(Protocol):
             self._release_round(self._floor)
             self._floor += 1
 
-    def _release_round(self, round_k: int) -> None:
-        if self._rounds.pop(round_k, None) is not None:
-            self.votes.release(round_k, (VoteKind.NOTARIZATION, VoteKind.FINALIZATION))
+    def _release_round(self, round_k: int) -> Optional[_RoundState]:
+        """Drop ``round_k``'s state; return it (``None`` if never held)."""
+        return self._rounds.pop(round_k, None)
 
     def _broadcast_finalization(self, ctx: ReplicaContext, round_k: int,
                                 block_id: BlockId, kind: str) -> None:

@@ -12,8 +12,8 @@ them in an SMR deployment:
 * :mod:`repro.smr.metrics` — latency / throughput / block-interval
   collection matching the paper's measurement methodology (Section 9.2).
 * :mod:`repro.smr.quorum` — the shared quorum/certificate engine: vote
-  tallies with duplicate suppression, equivocation evidence, and
-  threshold firing, used by every protocol implementation.
+  tallies with duplicate suppression, equivocation evidence, and the set
+  of blocks at threshold, used by every protocol implementation.
 """
 
 from repro.smr.ledger import KeyValueLedger, Transaction, decode_transactions, encode_transactions

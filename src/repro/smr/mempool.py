@@ -3,11 +3,12 @@
 The paper's evaluation controls load by varying the size of the payload, "a
 bit vector randomly generated by the leader" (Section 9.2).
 :class:`PayloadSource` reproduces that workload: each proposal gets a payload
-of a configured logical size.  To keep the simulator memory-light, the actual
-bytes stored in a block are a short tag while the logical size (which drives
-the bandwidth model) is carried in ``Block.payload_size``; callers that need
-real bytes (the asyncio example, the key-value ledger) can request
-materialised payloads.
+of a configured logical size.  To keep the simulator memory-light, the bytes
+stored in a block are a short tag while the logical size (which drives the
+bandwidth model) is carried in ``Block.payload_size``.  Runs that order real
+transactions wire in their own source instead: client workloads use
+:class:`repro.workload.payloads.MempoolPayloadSource`, and the key-value
+example drains a :class:`Mempool` through a subclass.
 
 :class:`Mempool` is a small FIFO transaction pool used by the examples to
 feed client transactions into proposals.
@@ -15,7 +16,6 @@ feed client transactions into proposals.
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from typing import Deque, Iterable, List, Optional, Tuple
 
@@ -24,18 +24,13 @@ class PayloadSource:
     """Produces per-proposal payloads of a configured logical size.
 
     Args:
-        payload_size: logical payload size in bytes attached to each block.
-        materialize: if ``True``, generate actual random bytes of that size
-            (useful for end-to-end examples); otherwise store a small tag.
-        seed: RNG seed for materialised payloads.
+        payload_size: logical payload size in bytes attached to each block;
+            callers pass :attr:`repro.protocols.base.ProtocolParams.payload_size`,
+            which ``ProtocolParams`` range-checks.
     """
 
-    def __init__(self, payload_size: int = 0, materialize: bool = False, seed: int = 0) -> None:
-        if payload_size < 0:
-            raise ValueError("payload size must be non-negative")
+    def __init__(self, payload_size: int = 0) -> None:
         self.payload_size = payload_size
-        self.materialize = materialize
-        self._rng = random.Random(seed)
 
     def payload_for(self, round: int, proposer: int) -> Tuple[bytes, int]:
         """Return ``(payload_bytes, logical_size)`` for a proposal.
@@ -43,16 +38,7 @@ class PayloadSource:
         The bytes are unique per (round, proposer) so two different proposals
         never hash to the same block id.
         """
-        if self.materialize and self.payload_size > 0:
-            return self._rng.randbytes(self.payload_size), self.payload_size
-        tag = f"payload:r{round}:p{proposer}".encode("utf-8")
-        return tag, self.payload_size
-
-    def with_size(self, payload_size: int) -> "PayloadSource":
-        """Return a copy of this source configured for ``payload_size``."""
-        return PayloadSource(
-            payload_size=payload_size, materialize=self.materialize, seed=self._rng.randint(0, 2**31)
-        )
+        return f"payload:r{round}:p{proposer}".encode("utf-8"), self.payload_size
 
 
 class Mempool:

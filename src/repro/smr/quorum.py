@@ -1,29 +1,27 @@
-"""The shared quorum/certificate engine: vote tallies with threshold firing.
+"""The shared quorum/certificate engine: vote tallies toward a threshold.
 
 Every protocol in this repository turns votes into certificates the same
-way — collect votes per block, suppress duplicates, fire once when a
-threshold is met — yet each used to hand-roll the bookkeeping.  This module
+way — collect votes per block, suppress duplicates, note when a threshold
+is met — yet each used to hand-roll the bookkeeping.  This module
 centralises it:
 
 * :class:`QuorumTracker` tallies votes of **one kind toward one threshold**
   (per round, in the protocols' usage): each voter counts at most once per
-  block, duplicate votes are ignored, a voter found supporting more than
-  one block is a **conflicting-support observation** (derived from the
-  tallies when asked for, so recording a vote pays nothing for it), and an
-  optional callback fires **exactly once** per block when its tally reaches
-  the threshold.  Whether conflicting support is *misbehaviour* depends on
-  the vote kind's honest-voting rule: honest replicas cast at most one fast
-  or finalization vote per round, so those observations are hard evidence,
+  block, duplicate votes are ignored, a block that reaches the threshold
+  joins the tracker's ``fired`` set, and a voter found supporting more
+  than one block is a **conflicting-support observation** (derived from the
+  tallies when asked for, so recording a vote pays nothing for it).
+  Whether conflicting support is *misbehaviour* depends on the vote kind's
+  honest-voting rule: honest replicas cast at most one fast or
+  finalization vote per round, so those observations are hard evidence,
   while ICC-family notarization votes may honestly support several blocks
   of one round (the set ``N``) — interpret the evidence per kind (see
   :func:`repro.byzantine.behaviors.fast_vote_equivocators` for a sound
   use).
-* :class:`CertificateCollector` is the per-replica front: it lazily creates
-  one tracker per ``(round, kind)`` and aggregates equivocation evidence
-  across rounds, so a protocol carries a single collector instead of one
-  dictionary per vote kind per round.  It is a registry, not a per-message
-  accessor: ICC/Banyan fetch a round's trackers once and keep them on the
-  round's state.
+* :class:`CertificateCollector` lazily creates one tracker per
+  ``(round, kind)``, for protocols that key their tallies by view or epoch
+  (HotStuff, Streamlet).  ICC and Banyan build their two trackers per
+  round directly and keep them on the round's state.
 
 The engine works at any threshold — ICC's ``n - f``, Banyan's
 ``⌈(n+f+1)/2⌉`` notarization and ``n - p`` fast quorums, HotStuff's QC
@@ -38,13 +36,9 @@ the engine does not perturb seeded executions.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Set, Tuple
 
-from repro.types.votes import mask_voters, voter_ids
-
-#: Callback invoked (exactly once per block) when a block reaches the
-#: tracker's threshold.
-ThresholdCallback = Callable[[Hashable], None]
+from repro.types.votes import mask_voters
 
 
 class QuorumTracker:
@@ -53,8 +47,6 @@ class QuorumTracker:
     Args:
         threshold: number of distinct voters at which a block's tally is
             *reached*; must be positive.
-        on_threshold: optional callback fired exactly once per block, at the
-            moment its tally first reaches the threshold.
 
     A block's voter set is one ``int`` bitmask over the (non-negative)
     replica ids, see :mod:`repro.types.votes`; the tracker does not know
@@ -62,14 +54,12 @@ class QuorumTracker:
     need to be hashable: unit tests drive the tracker with plain strings.
     """
 
-    __slots__ = ("threshold", "on_threshold", "fired", "_voters")
+    __slots__ = ("threshold", "fired", "_voters")
 
-    def __init__(self, threshold: int,
-                 on_threshold: Optional[ThresholdCallback] = None) -> None:
+    def __init__(self, threshold: int) -> None:
         if threshold < 1:
             raise ValueError("quorum threshold must be positive")
         self.threshold = threshold
-        self.on_threshold = on_threshold
         #: Block id → voter bitmask (insertion-ordered by first vote).
         #: The only tally: conflicting support is derived from it on demand
         #: (:meth:`equivocators`), so a vote costs one ``|``.
@@ -84,11 +74,6 @@ class QuorumTracker:
     # Recording
     # ------------------------------------------------------------------ #
 
-    def _fire(self, block_id: Hashable) -> None:
-        self.fired.add(block_id)
-        if self.on_threshold is not None:
-            self.on_threshold(block_id)
-
     def add_vote(self, block_id: Hashable, voter: int) -> bool:
         """Count one vote; return whether it was new (duplicates: ``False``)."""
         voters = self._voters
@@ -97,8 +82,8 @@ class QuorumTracker:
         if grown == have:
             return False
         voters[block_id] = grown
-        if grown.bit_count() >= self.threshold and block_id not in self.fired:
-            self._fire(block_id)
+        if grown.bit_count() >= self.threshold:
+            self.fired.add(block_id)
         return True
 
     def add_voters(self, block_id: Hashable, voters: int) -> bool:
@@ -106,25 +91,16 @@ class QuorumTracker:
 
         Hot path of certificate gossip: at ``n`` replicas every certificate
         carries O(n) voters and is received n times, so the all-duplicates
-        case (nearly every call) is answered by ``voters & ~have``,
-        allocating nothing.  The per-voter walk (which preserves
-        :meth:`add_vote`'s exact mid-merge ``on_threshold`` timing) runs
-        only when this merge fires the threshold callback.
+        case (nearly every call) costs one ``|`` and one compare.  A block
+        first named here still takes its place in first-vote order.
         """
-        have = self._voters.get(block_id)
-        if have is None:
-            have = self._voters[block_id] = 0
-        new = voters & ~have
-        if not new:
+        have = self._voters.setdefault(block_id, 0)
+        grown = have | voters
+        if grown == have:
             return False
-        if block_id not in self.fired and (have | new).bit_count() >= self.threshold:
-            # This merge crosses the threshold: take the per-voter path so
-            # on_threshold fires at exactly the voter that reaches it (the
-            # callback may inspect the tally mid-merge).
-            for voter in voter_ids(new):
-                self.add_vote(block_id, voter)
-        else:
-            self._voters[block_id] = have | new
+        self._voters[block_id] = grown
+        if grown.bit_count() >= self.threshold:
+            self.fired.add(block_id)
         return True
 
     # ------------------------------------------------------------------ #
@@ -190,12 +166,10 @@ class QuorumTracker:
 
 
 class CertificateCollector:
-    """Per-replica vote bookkeeping across rounds and vote kinds.
+    """Per-replica vote trackers keyed by ``(round, kind)``.
 
-    One :class:`QuorumTracker` is created lazily per ``(round, kind)``; the
-    threshold is fixed on first access (protocol quorums are static for a
-    run).  The collector is what a protocol holds instead of per-round
-    dictionaries-of-sets.
+    One :class:`QuorumTracker` is created lazily per key; the threshold is
+    fixed on first access (protocol quorums are static for a run).
     """
 
     __slots__ = ("_trackers",)
@@ -203,49 +177,10 @@ class CertificateCollector:
     def __init__(self) -> None:
         self._trackers: Dict[Tuple[int, Hashable], QuorumTracker] = {}
 
-    def tracker(self, round_k: int, kind: Hashable, threshold: int,
-                on_threshold: Optional[ThresholdCallback] = None) -> QuorumTracker:
+    def tracker(self, round_k: int, kind: Hashable, threshold: int) -> QuorumTracker:
         """The tracker of ``(round, kind)``, created on first use."""
         key = (round_k, kind)
         tracker = self._trackers.get(key)
         if tracker is None:
-            tracker = self._trackers[key] = QuorumTracker(threshold, on_threshold)
+            tracker = self._trackers[key] = QuorumTracker(threshold)
         return tracker
-
-    def get(self, round_k: int, kind: Hashable) -> Optional[QuorumTracker]:
-        """The tracker of ``(round, kind)`` if it exists (no creation)."""
-        return self._trackers.get((round_k, kind))
-
-    def release(self, round_k: int, kinds: Sequence[Hashable]) -> None:
-        """Forget ``round_k``'s trackers of ``kinds`` (a protocol that is
-        done with a round; its equivocation evidence goes with them)."""
-        for kind in kinds:
-            self._trackers.pop((round_k, kind), None)
-
-    def add_vote(self, round_k: int, kind: Hashable, block_id: Hashable,
-                 voter: int, threshold: int) -> bool:
-        """Record one vote into the ``(round, kind)`` tracker."""
-        return self.tracker(round_k, kind, threshold).add_vote(block_id, voter)
-
-    def equivocation_evidence(self) -> Dict[Tuple[int, Hashable], FrozenSet[int]]:
-        """Conflicting-support observations per ``(round, kind)``.
-
-        Empty entries are omitted.  Interpret per vote kind — see
-        :meth:`QuorumTracker.equivocators` for which kinds make the
-        observation hard evidence of misbehaviour.
-        """
-        evidence = {key: tracker.equivocators()
-                    for key, tracker in self._trackers.items()}
-        return {key: culprits for key, culprits in evidence.items() if culprits}
-
-    def equivocators(self) -> FrozenSet[int]:
-        """Voters with conflicting support in any round or kind.
-
-        A raw union across kinds: filter by kind (via
-        :meth:`equivocation_evidence`) before treating membership as proof
-        of misbehaviour, since some kinds allow honest multi-block support.
-        """
-        culprits: Set[int] = set()
-        for tracker in self._trackers.values():
-            culprits |= tracker.equivocators()
-        return frozenset(culprits)

@@ -98,10 +98,6 @@ class _TxMempool:
     def __init__(self, max_size: int, max_bytes: Optional[int], sizes: array,
                  uniform_size: Optional[int],
                  encode: Callable[[Sequence[int]], List[bytes]]) -> None:
-        if max_size <= 0:
-            raise ValueError("max_size must be positive")
-        if max_bytes is not None and max_bytes <= 0:
-            raise ValueError("max_bytes must be positive")
         self.ids: List[int] = []
         self.total_bytes = 0
         self.capacity = max_size
@@ -179,6 +175,32 @@ class _TxMempool:
         return self._encode(self.ids[:count])
 
 
+def check_pool_settings(num_clients: int, think_time: float, tx_size: int,
+                        mempool_capacity: int, mempool_max_bytes: Optional[int],
+                        sample_interval: float) -> None:
+    """Refuse client-pool settings that would fail mid-run or silently.
+
+    The one copy of these rules: :class:`ClientPool` and
+    :class:`repro.workload.spec.WorkloadSpec` both call it.
+
+    Raises:
+        ValueError: naming the first setting out of range.
+    """
+    if num_clients <= 0:
+        raise ValueError("num_clients must be positive")
+    if not (math.isfinite(think_time) and think_time >= 0):
+        raise ValueError("think_time must be finite and non-negative")
+    if mempool_capacity <= 0:
+        raise ValueError("mempool_capacity must be positive")
+    if mempool_max_bytes is not None and mempool_max_bytes <= 0:
+        raise ValueError("mempool_max_bytes must be positive when set")
+    if not (math.isfinite(sample_interval) and sample_interval >= 0):
+        raise ValueError("sample_interval must be finite and non-negative "
+                         "(0 disables the probe)")
+    if tx_size <= 0:
+        raise ValueError("tx_size must be positive")
+
+
 class ClientPool:
     """A population of clients submitting transactions to the replica set.
 
@@ -197,6 +219,9 @@ class ClientPool:
         sample_interval: period of the mempool occupancy probe in seconds
             (``0`` disables sampling).
         seed: RNG seed for arrivals, think times, and client labelling.
+
+    Raises:
+        ValueError: from :func:`check_pool_settings`.
     """
 
     def __init__(
@@ -210,12 +235,8 @@ class ClientPool:
         sample_interval: float = 0.5,
         seed: int = 0,
     ) -> None:
-        if num_clients <= 0:
-            raise ValueError("num_clients must be positive")
-        if tx_size <= 0:
-            raise ValueError("tx_size must be positive")
-        if think_time < 0:
-            raise ValueError("think_time must be non-negative")
+        check_pool_settings(num_clients, think_time, tx_size, mempool_capacity,
+                            mempool_max_bytes, sample_interval)
         self.arrivals = arrivals
         self.num_clients = num_clients
         self.think_time = think_time

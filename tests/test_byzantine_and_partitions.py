@@ -191,9 +191,9 @@ class TestBanyanFastPathUnderAdversaries:
             # No round led by the equivocator ever reaches the n - p fast
             # quorum on either of its two blocks: the split fast votes make
             # FP-finalization impossible, at every honest replica.
-            for round_k, state in protocol._fast.items():
+            for round_k, state in protocol._rounds.items():
                 if protocol.beacon.leader(round_k) == 1:
-                    assert state.fast_finalizable_blocks() == []
+                    assert state.fast.fast_finalizable_blocks() == []
             # The quorum engine catches the leader's conflicting fast votes.
             assert fast_vote_equivocators(protocol) == frozenset({1})
 

@@ -112,6 +112,13 @@ def test_transport_counters_are_part_of_the_verdict():
     ]
 
 
+def test_cluster_refuses_a_bad_tx_size_before_spawning(tmp_path):
+    with pytest.raises(ValueError, match="tx_size must be positive, got 0"):
+        run_local_cluster("banyan", N, duration=1.0, rate=10.0, tx_size=0,
+                          log_dir=tmp_path)
+    assert not list(tmp_path.glob("replica-*.stdio.log"))
+
+
 def test_transaction_header_roundtrip():
     tx = encode_transaction(421, 7, 128)
     assert len(tx) == 128

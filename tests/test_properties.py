@@ -278,12 +278,12 @@ class _UnlockOracle:
 
 class _SetQuorumTracker:
     """The ``dict``-of-``set`` :class:`repro.smr.quorum.QuorumTracker` the
-    bitmask one replaced, kept verbatim (minus docstrings) as the reference
-    the properties below compare against."""
+    bitmask one replaced, kept verbatim (minus docstrings and the retired
+    threshold callback) as the reference the properties below compare
+    against."""
 
-    def __init__(self, threshold, on_threshold=None):
+    def __init__(self, threshold):
         self.threshold = threshold
-        self.on_threshold = on_threshold
         self._voters = {}
         self.fired = set()
 
@@ -296,8 +296,6 @@ class _SetQuorumTracker:
         voters.add(voter)
         if len(voters) >= self.threshold and block_id not in self.fired:
             self.fired.add(block_id)
-            if self.on_threshold is not None:
-                self.on_threshold(block_id)
         return True
 
     def add_voters(self, block_id, voters):
@@ -475,19 +473,14 @@ def quorum_events(draw):
 @given(quorum_events())
 def test_bitmask_quorum_tracker_matches_the_set_based_one(scenario):
     n, threshold, events, excluded = scenario
-    fired, expected_fired = [], []
-    tracker = QuorumTracker(
-        threshold, lambda block_id: fired.append((block_id, tracker.count(block_id))))
-    reference = _SetQuorumTracker(
-        threshold, lambda block_id: expected_fired.append((block_id, reference.count(block_id))))
+    tracker = QuorumTracker(threshold)
+    reference = _SetQuorumTracker(threshold)
     for kind, block_id, what in events:
         if kind == "vote":
             assert tracker.add_vote(block_id, what) == reference.add_vote(block_id, what)
         else:
             assert tracker.add_voters(block_id, voter_mask(what)) == \
                 reference.add_voters(block_id, what)
-        # The callback fired at the same events, seeing the same tally size.
-        assert fired == expected_fired
         assert tracker.blocks() == reference.blocks()
         assert tracker.reached_blocks() == reference.reached_blocks()
         assert tracker.fired == reference.fired

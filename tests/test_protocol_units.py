@@ -437,7 +437,7 @@ class TestVotersOutsideTheReplicaSet:
                                                       sender=1))
         assert not ctx.committed
         assert not replica.tree.is_unlocked(block.id)
-        assert replica._fast[1].support(block.id) == {1}  # the proposer's own
+        assert replica._round(1).fast.support(block.id) == {1}  # the proposer's own
 
     @pytest.mark.parametrize("cls", [ICCReplica, BanyanReplica])
     def test_votes_from_outside_the_replica_set_are_dropped(self, cls):
@@ -464,7 +464,7 @@ class TestVotersOutsideTheReplicaSet:
         for voter in (1, 4, -1, 2**70, 2):
             vote = NotarizationVote(round=1, block_id="b", voter=voter)
             replica.on_message(ctx, 1, VoteMessage(votes=(vote,), sender=1))
-        assert replica.votes.get(1, VoteKind.NOTARIZATION).voters("b") == {1, 2}
+        assert replica._vote_tracker(1).voters("b") == {1, 2}
 
     def test_hotstuff_ignores_a_proposal_justified_by_phantom_voters(self):
         from repro.protocols.registry import create_replicas

@@ -1,12 +1,13 @@
 """Property-style tests for the shared quorum/certificate engine.
 
 The engine (:mod:`repro.smr.quorum`) is the one place vote tallies,
-duplicate suppression, equivocation evidence, and threshold firing live;
-these tests pin its contract independently of any protocol: the threshold
-callback fires exactly once per block, duplicates never count, an
-equivocating signer counts at most once per block (while being recorded as
-evidence), and the behaviour holds at every quorum the protocols use —
-``n - f``, ``⌈(n+f+1)/2⌉``, and ``n - p``.
+duplicate suppression, equivocation evidence, and the ``fired`` set of
+blocks at threshold live; these tests pin its contract independently of
+any protocol: a block joins ``fired`` exactly when its tally reaches the
+threshold, duplicates never count, an equivocating signer counts at most
+once per block (while being recorded as evidence), and the behaviour holds
+at every quorum the protocols use — ``n - f``, ``⌈(n+f+1)/2⌉``, and
+``n - p``.
 """
 
 from __future__ import annotations
@@ -23,32 +24,35 @@ from repro.types.votes import VoteKind, voter_mask
 
 class TestQuorumTracker:
     def test_threshold_fires_exactly_once(self):
-        fired = []
-        tracker = QuorumTracker(3, on_threshold=fired.append)
-        for voter in range(3):
+        tracker = QuorumTracker(3)
+        for voter in range(2):
             tracker.add_vote("b1", voter)
-        assert fired == ["b1"]
-        # Votes beyond the threshold never re-fire.
+        assert tracker.fired == set() and not tracker.reached("b1")
+        tracker.add_vote("b1", 2)
+        assert tracker.fired == {"b1"}
+        # Votes beyond the threshold leave it fired, once.
         tracker.add_vote("b1", 3)
         tracker.add_vote("b1", 4)
-        assert fired == ["b1"]
+        assert tracker.fired == {"b1"} and tracker.fired_count() == 1
         assert tracker.reached("b1")
 
     def test_fires_once_per_block_independently(self):
-        fired = []
-        tracker = QuorumTracker(2, on_threshold=fired.append)
+        tracker = QuorumTracker(2)
         tracker.add_vote("a", 0)
         tracker.add_vote("b", 0)
         tracker.add_vote("b", 1)
+        assert tracker.fired == {"b"}
         tracker.add_vote("a", 1)
-        assert fired == ["b", "a"]
+        assert tracker.fired == {"a", "b"}
+        # First-vote order, not firing order.
+        assert tracker.reached_blocks() == ["a", "b"]
 
     def test_merged_voter_sets_fire_once(self):
-        fired = []
-        tracker = QuorumTracker(3, on_threshold=fired.append)
-        tracker.add_voters("b", voter_mask({0, 1, 2, 3}))
-        tracker.add_voters("b", voter_mask({2, 3, 4}))
-        assert fired == ["b"]
+        tracker = QuorumTracker(3)
+        assert tracker.add_voters("b", voter_mask({0, 1, 2, 3}))
+        assert tracker.add_voters("b", voter_mask({2, 3, 4}))
+        assert not tracker.add_voters("b", voter_mask({0, 4}))
+        assert tracker.fired == {"b"}
         assert tracker.voters("b") == frozenset({0, 1, 2, 3, 4})
 
     def test_duplicate_votes_ignored(self):
@@ -96,19 +100,18 @@ class TestQuorumTracker:
         for threshold in (params.icc_quorum, params.banyan_quorum,
                           params.fast_quorum):
             assert threshold == math.ceil(threshold)
-            fired = []
-            tracker = QuorumTracker(threshold, on_threshold=fired.append)
+            tracker = QuorumTracker(threshold)
             for voter in range(threshold - 1):
                 tracker.add_vote("b", voter)
-            assert fired == [] and not tracker.reached("b")
+            assert tracker.fired == set() and not tracker.reached("b")
             tracker.add_vote("b", threshold - 1)
-            assert fired == ["b"] and tracker.reached("b")
+            assert tracker.fired == {"b"} and tracker.reached("b")
 
     def test_random_vote_streams_property(self):
         """Random streams with duplicates and equivocators keep the invariants:
 
         * a block's count equals its distinct voters;
-        * the callback fires iff the threshold is met, exactly once;
+        * a block is in ``fired`` iff its threshold is met;
         * the equivocator set is exactly the voters seen on >1 block.
         """
         rng = random.Random(1234)
@@ -116,8 +119,7 @@ class TestQuorumTracker:
             n = rng.randint(4, 25)
             threshold = rng.randint(1, n)
             blocks = ["x", "y", "z"][: rng.randint(1, 3)]
-            fired = []
-            tracker = QuorumTracker(threshold, on_threshold=fired.append)
+            tracker = QuorumTracker(threshold)
             seen = {}
             for _ in range(rng.randint(1, 6 * n)):
                 voter = rng.randrange(n)
@@ -127,7 +129,7 @@ class TestQuorumTracker:
             for block, voters in seen.items():
                 assert tracker.count(block) == len(voters)
                 assert tracker.reached(block) == (len(voters) >= threshold)
-                assert fired.count(block) == (1 if len(voters) >= threshold else 0)
+                assert (block in tracker.fired) == (len(voters) >= threshold)
             by_voter = {}
             for block, voters in seen.items():
                 for voter in voters:
@@ -145,25 +147,3 @@ class TestCertificateCollector:
         assert notar is not final
         assert collector.tracker(1, VoteKind.NOTARIZATION, 3) is notar
         assert collector.tracker(2, VoteKind.NOTARIZATION, 3) is not notar
-
-    def test_get_does_not_create(self):
-        collector = CertificateCollector()
-        assert collector.get(1, VoteKind.NOTARIZATION) is None
-        collector.tracker(1, VoteKind.NOTARIZATION, 2)
-        assert collector.get(1, VoteKind.NOTARIZATION) is not None
-
-    def test_add_vote_shorthand(self):
-        collector = CertificateCollector()
-        assert collector.add_vote(3, VoteKind.FAST, "b", 0, threshold=2) is True
-        assert collector.add_vote(3, VoteKind.FAST, "b", 0, threshold=2) is False
-        assert collector.tracker(3, VoteKind.FAST, 2).count("b") == 1
-
-    def test_equivocation_evidence_aggregated(self):
-        collector = CertificateCollector()
-        collector.add_vote(1, VoteKind.FAST, "a", 9, threshold=5)
-        collector.add_vote(1, VoteKind.FAST, "b", 9, threshold=5)
-        collector.add_vote(2, VoteKind.NOTARIZATION, "c", 4, threshold=5)
-        assert collector.equivocation_evidence() == {
-            (1, VoteKind.FAST): frozenset({9}),
-        }
-        assert collector.equivocators() == frozenset({9})

@@ -23,21 +23,6 @@ class TestPayloadSource:
         assert source.payload_for(1, 0)[0] != source.payload_for(1, 1)[0]
         assert source.payload_for(1, 0)[0] != source.payload_for(2, 0)[0]
 
-    def test_materialized_payload_has_real_bytes(self):
-        source = PayloadSource(payload_size=128, materialize=True, seed=1)
-        payload, size = source.payload_for(1, 0)
-        assert len(payload) == 128 and size == 128
-
-    def test_with_size_returns_new_source(self):
-        source = PayloadSource(payload_size=10)
-        bigger = source.with_size(20)
-        assert bigger.payload_size == 20
-        assert source.payload_size == 10
-
-    def test_negative_size_rejected(self):
-        with pytest.raises(ValueError):
-            PayloadSource(payload_size=-1)
-
 
 class TestMempool:
     def test_fifo_order(self):

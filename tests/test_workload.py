@@ -521,6 +521,24 @@ def _workload_simulation(spec: WorkloadSpec, duration: float, n: int = 4,
 
 
 class TestClientPool:
+    @pytest.mark.parametrize("settings", [
+        dict(think_time=float("nan"), sample_interval=float("nan")),
+        dict(think_time=float("inf")),
+        dict(sample_interval=-1.0),
+        dict(mempool_capacity=0),
+        dict(mempool_max_bytes=0),
+        dict(num_clients=0),
+        dict(tx_size=0),
+    ])
+    def test_pool_refuses_what_the_spec_refuses(self, settings):
+        """A pool built directly is held to the spec's rules, with the
+        spec's words, instead of failing mid-run."""
+        with pytest.raises(ValueError) as refused_by_spec:
+            WorkloadSpec(**settings)
+        with pytest.raises(ValueError) as refused_by_pool:
+            ClientPool(**settings)
+        assert str(refused_by_pool.value) == str(refused_by_spec.value)
+
     def test_open_loop_commits_transactions_with_positive_latency(self):
         spec = WorkloadSpec(mode="open", arrival="constant", rate=20.0,
                             tx_size=128, seed=5)

@@ -374,9 +374,8 @@ def test_every_block_budget_drains_what_the_bytes_path_drains(tx_size):
 def test_mempool_limits_are_validated():
     for limits in (dict(mempool_capacity=0), dict(mempool_capacity=-1),
                    dict(mempool_max_bytes=0), dict(mempool_max_bytes=-5)):
-        pool = ClientPool(**limits)
-        with pytest.raises(ValueError, match="max_size|max_bytes"):
-            pool.mempool(0)
+        with pytest.raises(ValueError, match="mempool_capacity|mempool_max_bytes"):
+            ClientPool(**limits)
 
 
 #: ``(tx_size, mempool_max_bytes)``: equal sizes, equal sizes shed by bytes,
