@@ -1,6 +1,6 @@
 """Ablation: the fast-path parameter p at n=19.
 
-DESIGN.md calls out the choice of p as the central design knob: p=1 costs
+The fast-path parameter p is Banyan's central design knob: p=1 costs
 nothing extra in replicas (n >= 3f + 1 unchanged) but requires all-but-one
 replicas to respond for the fast path; larger p trades Byzantine resilience
 (smaller f at fixed n) for a more robust fast path.  This bench sweeps p and

@@ -17,6 +17,7 @@ most once per round, so any flagged signer has provably misbehaved).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, FrozenSet, List, Optional, Type
 
 from repro.core.banyan import BanyanReplica
@@ -157,42 +158,6 @@ def ensure_protocol_registered(protocol: str) -> None:
         register_broken_protocols()
 
 
-class _DelayingContext(ReplicaContext):
-    """Context wrapper that delays every outbound message by a fixed amount
-    (one per :class:`DelayedReplica`, pointed at the runtime's context on
-    every callback)."""
-
-    def __init__(self, owner: "DelayedReplica") -> None:
-        self._inner: ReplicaContext = None  # type: ignore[assignment]
-        self._owner = owner
-
-    @property
-    def replica_id(self) -> int:
-        return self._inner.replica_id
-
-    @property
-    def replica_ids(self) -> list:
-        return self._inner.replica_ids
-
-    def now(self) -> float:
-        return self._inner.now()
-
-    def send(self, receiver: int, message: Message) -> None:
-        self._owner.queue_send(self._inner, receiver, message)
-
-    def broadcast(self, message: Message) -> None:
-        self._owner.queue_send(self._inner, None, message)
-
-    def set_timer(self, delay: float, name: str, data: Any = None) -> int:
-        return self._inner.set_timer(delay, name, data)
-
-    def cancel_timer(self, timer_id: int) -> None:
-        self._inner.cancel_timer(timer_id)
-
-    def commit(self, blocks, finalization_kind: str = "slow") -> None:
-        self._inner.commit(blocks, finalization_kind=finalization_kind)
-
-
 class DelayedReplica(Protocol):
     """An honest replica whose outbound messages are delayed (a straggler).
 
@@ -230,7 +195,8 @@ class DelayedReplica(Protocol):
         self.extra_delay = extra_delay
         self.window = window
         self.proposal_times = inner.proposal_times
-        self._ctx = _DelayingContext(self)
+        self._outer: Optional[ReplicaContext] = None
+        self._ctx: Optional[ReplicaContext] = None
 
     def queue_send(self, ctx: ReplicaContext, receiver: Optional[int],
                    message: Message) -> None:
@@ -252,8 +218,16 @@ class DelayedReplica(Protocol):
         else:
             ctx.send(receiver, message)
 
-    def _delaying(self, ctx: ReplicaContext) -> _DelayingContext:
-        self._ctx._inner = ctx
+    def _delaying(self, ctx: ReplicaContext) -> ReplicaContext:
+        """The context over ``ctx`` whose sends go through :meth:`queue_send`,
+        built once per runtime context."""
+        if ctx is not self._outer:
+            queue_send = partial(self.queue_send, ctx)
+            self._outer = ctx
+            self._ctx = ReplicaContext(
+                ctx.replica_id, ctx.replica_ids, now=ctx.now, send=queue_send,
+                broadcast=partial(queue_send, None), set_timer=ctx.set_timer,
+                cancel_timer=ctx.cancel_timer, commit=ctx.commit)
         return self._ctx
 
     def on_start(self, ctx: ReplicaContext) -> None:

@@ -32,7 +32,8 @@ from repro.byzantine.behaviors import (
     byzantine_factory,
     ensure_protocol_registered,
 )
-from repro.chaos.invariants import InvariantChecker, Violation
+from repro.chaos.invariants import (
+    InvariantChecker, Violation, liveness_bound, liveness_checkable)
 from repro.chaos.schedule import (
     ChaosConfig,
     ChaosSchedule,
@@ -102,14 +103,9 @@ class ChaosTrialSpec:
                               payload_size=self.payload_size)
 
     def liveness_bound(self) -> float:
-        """Seconds a healed network gets to produce a commit everywhere.
-
-        One recovery timeout (the in-flight round may have a crashed or
-        partitioned-away leader), a full leader rotation of rank delays
-        (twice, for the notarization echo), and a two-second cushion for
-        propagation and certificate exchange.
-        """
-        return self.round_timeout + 2 * self.n * self.rank_delay + 2.0
+        """Seconds a healed network gets to produce a commit everywhere
+        (:func:`repro.chaos.invariants.liveness_bound`)."""
+        return liveness_bound(self.n, self.rank_delay, self.round_timeout)
 
     def fault_horizon(self) -> float:
         """Last instant at which a timed fault may still be active."""
@@ -269,16 +265,7 @@ def run_chaos_schedule(spec: ChaosTrialSpec,
         error = exc
 
     heal_time = schedule.heal_time()
-    crashed = set(schedule.crashed_replicas())
-    never_crashed = [r for r in checker.honest if r not in crashed]
-    # Bounded liveness is a *model* guarantee: after GST, channels deliver
-    # eventually (partitions delay, crashes silence).  A loss burst destroys
-    # messages forever — outside the model, where none of the protocols
-    # retransmit — so schedules containing one are checked for safety only.
-    lossy = any(fault.kind == "loss" for fault in schedule.faults)
-    liveness_checkable = (
-        not lossy and heal_time + spec.liveness_bound() <= spec.duration
-    )
+    bound = spec.liveness_bound()
     violations = list(checker.violations)
     if error is not None:
         violations.append(Violation(
@@ -287,9 +274,9 @@ def run_chaos_schedule(spec: ChaosTrialSpec,
         ))
     else:
         violations = checker.finalize(
-            simulation, heal_time=heal_time,
-            liveness_bound=spec.liveness_bound(), duration=spec.duration,
-            never_crashed=never_crashed if liveness_checkable else (),
+            simulation, heal_time=heal_time, liveness_bound=bound,
+            duration=spec.duration,
+            never_crashed=checker.liveness_eligible(schedule, bound, spec.duration),
         )
     stats = {
         "honest_commits": sum(
@@ -299,7 +286,7 @@ def run_chaos_schedule(spec: ChaosTrialSpec,
         "messages_dropped": simulation.messages_dropped,
         "heal_time": heal_time,
         "fault_count": len(schedule),
-        "liveness_checked": liveness_checkable,
+        "liveness_checked": liveness_checkable(schedule, bound, spec.duration),
         "commit_tail": trace.render().splitlines()[-20:],
     }
     return ChaosTrialResult(spec=spec, schedule=schedule,

@@ -27,10 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional
 
+from repro.protocols.base import innermost
 from repro.types.blocks import genesis_block
 from repro.types.commits import CommitRecord
 
 if TYPE_CHECKING:
+    from repro.chaos.schedule import ChaosSchedule
     from repro.runtime.simulator import Simulation
 
 
@@ -64,6 +66,32 @@ class Violation:
         """Rebuild a violation from :meth:`to_dict` output."""
         return cls(invariant=str(data["invariant"]), time=float(data["time"]),
                    replica=int(data["replica"]), detail=str(data["detail"]))
+
+
+def liveness_bound(n: int, rank_delay: float, round_timeout: float) -> float:
+    """Seconds a healed network gets to produce a commit everywhere.
+
+    One recovery timeout (the in-flight round may have a crashed or
+    partitioned-away leader), a full leader rotation of rank delays (twice,
+    for the notarization echo), and a two-second cushion for propagation
+    and certificate exchange.
+    """
+    return round_timeout + 2 * n * rank_delay + 2.0
+
+
+def liveness_checkable(schedule: "ChaosSchedule", liveness_bound: float,
+                       duration: float) -> bool:
+    """Whether a run of ``duration`` under ``schedule`` is judged on bounded
+    liveness: its quiet tail must reach the deadline, and it must hold no
+    loss burst.
+
+    Bounded liveness is a *model* guarantee: after GST, channels deliver
+    eventually (partitions delay, crashes silence).  A loss burst destroys
+    messages forever — outside the model, where none of the protocols
+    retransmit — so schedules containing one are checked for safety only.
+    """
+    lossy = any(fault.kind == "loss" for fault in schedule.faults)
+    return not lossy and schedule.heal_time() + liveness_bound <= duration
 
 
 class InvariantChecker:
@@ -192,12 +220,9 @@ class InvariantChecker:
         eligible -= self.byzantine
 
         for replica in self.honest:
-            protocol = simulation.protocol(replica)
-            # Wrapper replicas (stragglers' DelayedReplica, tracers) hold
-            # the real state on .inner — unwrap, or the state-level checks
-            # below would silently probe the wrapper and find nothing.
-            while hasattr(protocol, "inner"):
-                protocol = protocol.inner
+            # Unwrap, or the state-level checks below would silently probe
+            # a wrapper (straggler, tracer) and find nothing.
+            protocol = innermost(simulation.protocol(replica))
 
             # Fast-path soundness at the state level: a round must never
             # accumulate two fast-finalizable blocks, and equivocation
@@ -231,15 +256,32 @@ class InvariantChecker:
                         )
                         break
 
-        # Bounded liveness: a quiet tail must produce fresh commits.
-        deadline = heal_time + liveness_bound
-        if deadline <= duration:
-            for replica in sorted(eligible):
-                last = self._last_commit_time.get(replica)
-                if last is None or last <= heal_time:
-                    self._record(
-                        "liveness", duration, replica,
-                        f"no commit after the last fault healed at "
-                        f"{heal_time:g}s (bound {liveness_bound:g}s)",
-                    )
+        self.check_liveness(heal_time, liveness_bound, duration, eligible)
         return self.violations
+
+    def liveness_eligible(self, schedule: "ChaosSchedule", liveness_bound: float,
+                          duration: float) -> List[int]:
+        """The replicas bounded liveness is asserted on under ``schedule``:
+        honest ones that never crashed (a recovered replica may legitimately
+        be stuck waiting for ancestors it missed), or none when the schedule
+        is not :func:`liveness_checkable`."""
+        if not liveness_checkable(schedule, liveness_bound, duration):
+            return []
+        crashed = set(schedule.crashed_replicas())
+        return [r for r in self.honest if r not in crashed]
+
+    def check_liveness(self, heal_time: float, liveness_bound: float,
+                       duration: float, eligible: Iterable[int]) -> None:
+        """Bounded liveness: if the run's quiet tail reaches
+        ``heal_time + liveness_bound``, every ``eligible`` replica must have
+        committed after ``heal_time``."""
+        if heal_time + liveness_bound > duration:
+            return
+        for replica in sorted(eligible):
+            last = self._last_commit_time.get(replica)
+            if last is None or last <= heal_time:
+                self._record(
+                    "liveness", duration, replica,
+                    f"no commit after the last fault healed at "
+                    f"{heal_time:g}s (bound {liveness_bound:g}s)",
+                )

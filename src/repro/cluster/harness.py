@@ -38,7 +38,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.chaos.invariants import InvariantChecker, Violation
+from repro.chaos.invariants import (
+    InvariantChecker, Violation, liveness_bound as default_liveness_bound)
 from repro.chaos.schedule import ChaosSchedule
 from repro.cluster.node import NodeConfig
 from repro.cluster.wire import ClientSubmit, Hello, encode_frame
@@ -444,23 +445,26 @@ def cross_validate(
     The online checks (agreement, round-agreement, certified ancestry,
     fast-path soundness) replay the merged commit stream through
     :class:`InvariantChecker` exactly as the chaos engine wires it into a
-    simulation.  The liveness rule mirrors the engine: once every timed
-    fault healed, each eligible replica — honest, never crash-faulted, not
-    ``exclude``-d (e.g. a SIGKILLed-and-restarted process, whose fresh
-    chain legitimately restarts from genesis) — must commit within the
-    bound.  Loss-burst schedules are safety-only, as in the simulator.
+    simulation, and the checker judges bounded liveness by the engine's
+    own rule: once every timed fault healed, each eligible replica —
+    honest, never crash-faulted, not ``exclude``-d (e.g. a
+    SIGKILLed-and-restarted process, whose fresh chain legitimately
+    restarts from genesis) — must commit within the bound.  Loss-burst
+    schedules are safety-only, as in the simulator.
 
     ``summaries`` (replica id → end-of-run node summary) adds the transport's
     own verdict: a frame a node could not decode, or one it dropped because
     a peer's queue overflowed, is a ``transport`` violation of that node —
     no schedule asks for either, a SIGKILLed (``exclude``-d) peer aside.
     """
-    records = list(records)
     exclude = set(exclude)
     byzantine = set(schedule.byzantine()) | exclude
     checker = InvariantChecker(range(n), byzantine=byzantine)
     for record in records:
         checker.on_commit(record)
+    checker.check_liveness(
+        schedule.heal_time(), liveness_bound, duration,
+        checker.liveness_eligible(schedule, liveness_bound, duration))
     violations = list(checker.violations)
     for entry in errors:
         violations.append(Violation(
@@ -480,27 +484,6 @@ def cross_validate(
                     invariant="transport", time=duration, replica=replica,
                     detail=f"{counter} = {stats[counter]}"))
 
-    heal_time = schedule.heal_time()
-    crashed = set(schedule.crashed_replicas())
-    lossy = any(fault.kind == "loss" for fault in schedule.faults)
-    liveness_checkable = not lossy and heal_time + liveness_bound <= duration
-    if liveness_checkable:
-        last_commit: Dict[int, float] = {}
-        for record in records:
-            last_commit[record.replica_id] = max(
-                last_commit.get(record.replica_id, 0.0), record.commit_time)
-        for replica in checker.honest:
-            if replica in crashed:
-                continue
-            last = last_commit.get(replica)
-            if last is None or last <= heal_time:
-                violations.append(Violation(
-                    invariant="liveness",
-                    time=duration,
-                    replica=replica,
-                    detail=(f"no commit after faults healed at {heal_time:g}s "
-                            f"(bound {liveness_bound:g}s)"),
-                ))
     return violations
 
 
@@ -602,7 +585,7 @@ def run_local_cluster(
     if log_dir is None:
         log_dir = Path(tempfile.mkdtemp(prefix=f"banyan-cluster-{protocol}-"))
     if liveness_bound is None:
-        liveness_bound = round_timeout + 2 * n * rank_delay + 2.0
+        liveness_bound = default_liveness_bound(n, rank_delay, round_timeout)
     cluster = LocalCluster(
         protocol, n, duration=duration, log_dir=log_dir, f=f, p=p,
         rank_delay=rank_delay, round_timeout=round_timeout,

@@ -2,10 +2,10 @@
 
 ``python -m repro.cluster.node --config node.json`` runs a single replica:
 the same sans-io protocol object the simulator drives, served by a
-:class:`ClusterContext` whose sends go through
-:class:`repro.cluster.tcp_transport.TcpTransport`, whose timers are
-monotonic-clock ``call_later`` callbacks, and whose commits append to a
-JSONL commit log the harness harvests after the run (a loop turn's lines
+:class:`repro.runtime.context.ReplicaContext` filled from the node: sends go
+through :class:`repro.cluster.tcp_transport.TcpTransport`, timers are
+monotonic-clock ``call_later`` callbacks, and commits append to a JSONL
+commit log the harness harvests after the run (a loop turn's lines
 are written and flushed together; an error line at once).
 
 **Clocks.**  All replicas share a *cluster epoch*: the coordinated start
@@ -38,6 +38,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.beacon import RoundRobinBeacon
@@ -46,7 +47,7 @@ from repro.chaos.schedule import ChaosSchedule
 from repro.cluster.faults import SocketFaultInjector
 from repro.cluster.tcp_transport import TcpTransport
 from repro.cluster.wire import ClientSubmit
-from repro.protocols.base import ProtocolParams
+from repro.protocols.base import ProtocolParams, innermost
 from repro.protocols.registry import check_protocol, create_replicas
 from repro.runtime.context import ReplicaContext, Timer
 from repro.smr.mempool import Mempool
@@ -76,7 +77,8 @@ class NodeConfig:
         schedule: optional chaos schedule to replay at the socket layer
             (:meth:`repro.chaos.schedule.ChaosSchedule.to_dict` form).
         max_block_bytes: per-proposal byte budget drained from the mempool.
-        sign_messages: attach and verify (simulated) signatures.
+        sign_messages: attach (simulated) signature shares to votes,
+            never verified (README, Design notes, "Substitutions").
     """
 
     replica_id: int
@@ -188,40 +190,6 @@ class MempoolSource:
         return tag, self.payload_size
 
 
-class ClusterContext(ReplicaContext):
-    """The :class:`ReplicaContext` seam served by a live TCP node."""
-
-    def __init__(self, node: "ClusterNode") -> None:
-        self._node = node
-        self._replica_ids = tuple(range(node.config.n))
-
-    @property
-    def replica_id(self) -> int:
-        return self._node.config.replica_id
-
-    @property
-    def replica_ids(self) -> Tuple[int, ...]:
-        return self._replica_ids
-
-    def now(self) -> float:
-        return self._node.now()
-
-    def send(self, receiver: int, message: Any) -> None:
-        self._node.transport.send(receiver, message)
-
-    def broadcast(self, message: Any) -> None:
-        self._node.transport.broadcast(message, self._replica_ids)
-
-    def set_timer(self, delay: float, name: str, data: Any = None) -> int:
-        return self._node.arm_timer(delay, name, data)
-
-    def cancel_timer(self, timer_id: int) -> None:
-        self._node.cancel_timer(timer_id)
-
-    def commit(self, blocks, finalization_kind: str = "slow") -> None:
-        self._node.record_commit(blocks, finalization_kind)
-
-
 class ClusterNode:
     """One replica process: protocol + transport + timers + commit log."""
 
@@ -245,7 +213,12 @@ class ClusterNode:
             injector=self.injector,
             on_client_submit=self._on_client_submit,
         )
-        self._context = ClusterContext(self)
+        ids = tuple(range(config.n))
+        self._context = ReplicaContext(
+            config.replica_id, ids, now=self.now, send=self.transport.send,
+            broadcast=partial(self.transport.broadcast, replica_ids=ids),
+            set_timer=self.arm_timer, cancel_timer=self.cancel_timer,
+            commit=self.record_commit)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._epoch_monotonic: float = 0.0
         self._timer_handles: Dict[int, asyncio.TimerHandle] = {}
@@ -291,7 +264,7 @@ class ClusterNode:
             return 0.0
         return self._loop.time() - self._epoch_monotonic
 
-    def arm_timer(self, delay: float, name: str, data: Any) -> int:
+    def arm_timer(self, delay: float, name: str, data: Any = None) -> int:
         if self._loop is None:
             raise RuntimeError("node not started")
         timer_id = self._next_timer_id
@@ -346,7 +319,7 @@ class ClusterNode:
     # Commit log
     # ------------------------------------------------------------------ #
 
-    def record_commit(self, blocks, finalization_kind: str) -> None:
+    def record_commit(self, blocks, finalization_kind: str = "slow") -> None:
         now = round(self.now(), 6)
         for block in blocks:
             self._commits += 1
@@ -428,9 +401,7 @@ class ClusterNode:
     def _write_summary(self) -> None:
         if not self.config.summary_path:
             return
-        protocol = self.protocol
-        while hasattr(protocol, "inner"):
-            protocol = protocol.inner
+        protocol = innermost(self.protocol)
         summary = {
             "replica_id": self.config.replica_id,
             "protocol": self.config.protocol,

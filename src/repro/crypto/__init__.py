@@ -19,7 +19,8 @@ stand-ins for those primitives:
   per registry and :func:`repro.crypto.aggregate.verify_many` batches
   repeated certificate checks.
 
-The substitution is documented in DESIGN.md: the protocol only needs
+The substitution, and what the protocols leave unchecked, is documented in
+the README (Design notes, "Substitutions"): the protocol only needs
 unforgeable, attributable votes and the ability to combine them; the exact
 pairing-based construction is irrelevant to the reproduced behaviour.
 """

@@ -1,7 +1,8 @@
 """Network substrate: latency, topologies, bandwidth, faults — and transport.
 
 The paper's evaluation runs on AWS WAN deployments; this package replaces the
-testbed with a parametric network model (see DESIGN.md, substitutions):
+testbed with a parametric network model (README, Design notes,
+"Substitutions"):
 
 * :mod:`repro.net.latency` — per-link one-way delay models (constant,
   uniform, explicit matrix, geographic great-circle).

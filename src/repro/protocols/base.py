@@ -38,8 +38,9 @@ class ProtocolParams:
         round_timeout: view/epoch timeout used by HotStuff and Streamlet, and
             as the crash-fault recovery timeout, in seconds.
         payload_size: logical payload size of proposed blocks, in bytes.
-        sign_messages: attach and verify (simulated) signatures.  Disabled by
-            default in benchmarks because it only adds constant CPU cost.
+        sign_messages: attach (simulated) signature shares to votes.  No
+            handler verifies them (README, Design notes, "Substitutions");
+            the ``crypto`` compute model charges signature cost instead.
         relay_proposals: forward proposals that extend the tip of the chain
             (the Bamboo improvement described in Section 9.1).
         adaptive_delays: adaptively adjust the per-rank delay from observed
@@ -178,3 +179,16 @@ class Protocol(ABC):
     @abstractmethod
     def on_timer(self, ctx: ReplicaContext, timer: Timer) -> None:
         """Called when a previously armed timer fires."""
+
+
+def innermost(protocol):
+    """The protocol under any wrapper replicas.
+
+    Wrappers (a straggler's :class:`repro.byzantine.DelayedReplica`, a
+    :class:`repro.runtime.trace.ProtocolTracer`) hold the replica whose
+    state they decorate on ``.inner``; state-level probes must read that
+    one, not the wrapper.
+    """
+    while hasattr(protocol, "inner"):
+        protocol = protocol.inner
+    return protocol

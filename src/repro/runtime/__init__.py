@@ -4,7 +4,7 @@ Protocols in this repository are *sans-io* state machines (see
 :mod:`repro.protocols.base`): they only interact with the world through a
 :class:`repro.runtime.context.ReplicaContext`.  This package provides:
 
-* :mod:`repro.runtime.context` — the context interface and timer type;
+* :mod:`repro.runtime.context` — the context record and timer type;
 * :mod:`repro.runtime.simulator` — a deterministic discrete-event simulator
   driving any set of protocol replicas over the network substrate; used by
   all tests and benchmarks;

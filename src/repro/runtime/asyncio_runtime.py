@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import asyncio
 import random
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.cluster.wire import decode_envelope, encode_envelope
 from repro.runtime.context import ReplicaContext, Timer
@@ -29,44 +30,6 @@ from repro.runtime.simulator import NetworkConfig
 from repro.types.blocks import Block
 from repro.types.commits import CommitRecord
 from repro.types.messages import Message
-
-
-class _AsyncioContext(ReplicaContext):
-    """Per-replica context backed by the asyncio runtime."""
-
-    def __init__(self, runtime: "AsyncioRuntime", replica_id: int) -> None:
-        self._runtime = runtime
-        self._replica_id = replica_id
-        # Cached once: protocols read this on every hot-path handler, and
-        # rebuilding a list per call is avoidable allocation churn.
-        self._replica_ids: Tuple[int, ...] = tuple(runtime.replica_ids)
-
-    @property
-    def replica_id(self) -> int:
-        return self._replica_id
-
-    @property
-    def replica_ids(self) -> Tuple[int, ...]:
-        return self._replica_ids
-
-    def now(self) -> float:
-        return self._runtime.model_time()
-
-    def send(self, receiver: int, message: Message) -> None:
-        self._runtime._route(self._replica_id, receiver, message)
-
-    def broadcast(self, message: Message) -> None:
-        for receiver in self._replica_ids:
-            self._runtime._route(self._replica_id, receiver, message)
-
-    def set_timer(self, delay: float, name: str, data: Any = None) -> int:
-        return self._runtime._arm_timer(self._replica_id, delay, name, data)
-
-    def cancel_timer(self, timer_id: int) -> None:
-        self._runtime._cancel_timer(timer_id)
-
-    def commit(self, blocks, finalization_kind: str = "slow") -> None:
-        self._runtime._record_commit(self._replica_id, blocks, finalization_kind)
 
 
 class AsyncioRuntime:
@@ -94,7 +57,17 @@ class AsyncioRuntime:
         self.network = network or NetworkConfig()
         self.time_scale = time_scale
         self._rng = random.Random(self.network.seed)
-        self._contexts = {r: _AsyncioContext(self, r) for r in self.replica_ids}
+        ids = tuple(self.replica_ids)
+        self._contexts = {
+            r: ReplicaContext(
+                r, ids, now=self.model_time,
+                send=partial(self._route, r),
+                broadcast=partial(self._route_all, r),
+                set_timer=partial(self._arm_timer, r),
+                cancel_timer=self._cancel_timer,
+                commit=partial(self._record_commit, r))
+            for r in ids
+        }
         self._commits: Dict[int, List[CommitRecord]] = {r: [] for r in self.replica_ids}
         self._commit_listeners: List[Callable[[CommitRecord], None]] = []
         self._timer_handles: Dict[int, asyncio.TimerHandle] = {}
@@ -157,13 +130,18 @@ class AsyncioRuntime:
             delay * self.time_scale, self._deliver, receiver, envelope
         )
 
+    def _route_all(self, sender: int, message: Message) -> None:
+        for receiver in self.replica_ids:
+            self._route(sender, receiver, message)
+
     def _deliver(self, receiver: int, envelope: bytes) -> None:
         if self.network.faults.is_crashed(receiver, self.model_time()):
             return
         sender, message = decode_envelope(envelope)
         self._protocols[receiver].on_message(self._contexts[receiver], sender, message)
 
-    def _arm_timer(self, replica_id: int, delay: float, name: str, data: Any) -> int:
+    def _arm_timer(self, replica_id: int, delay: float, name: str,
+                   data: Any = None) -> int:
         if self._loop is None:
             raise RuntimeError("runtime not started")
         timer_id = self._next_timer_id
@@ -188,14 +166,15 @@ class AsyncioRuntime:
             return
         self._protocols[replica_id].on_timer(self._contexts[replica_id], timer)
 
-    def _record_commit(self, replica_id: int, blocks, kind: str) -> None:
+    def _record_commit(self, replica_id: int, blocks,
+                       finalization_kind: str = "slow") -> None:
         now = self.model_time()
         for block in blocks:
             record = CommitRecord(
                 replica_id=replica_id,
                 block=block,
                 commit_time=now,
-                finalization_kind=kind,
+                finalization_kind=finalization_kind,
             )
             self._commits[replica_id].append(record)
             for listener in self._commit_listeners:

@@ -2,16 +2,15 @@
 
 A protocol state machine never touches sockets, clocks, or queues directly.
 It receives a :class:`ReplicaContext` and uses it to read the time, send and
-broadcast messages, arm timers, and report committed blocks.  Both execution
-backends (discrete-event simulation and asyncio) implement this interface, so
-protocol code is identical under either.
+broadcast messages, arm timers, and report committed blocks.  Every runtime
+(discrete-event simulation, asyncio, a cluster node) fills the same record
+with its own callables, so protocol code is identical under each.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Tuple
 
 from repro.types.messages import Message
 
@@ -33,50 +32,44 @@ class Timer:
     timer_id: int = field(default=-1, compare=False)
 
 
-class ReplicaContext(ABC):
-    """Interface through which a protocol interacts with its environment."""
+class ReplicaContext:
+    """Everything a protocol may do to its environment, as one record.
 
-    @property
-    @abstractmethod
-    def replica_id(self) -> int:
-        """The id of the replica this context belongs to."""
+    A runtime builds one per replica from its own callables, and a wrapper
+    (tracer, straggler) builds one whose callables wrap another context's.
+    The contracts every runtime keeps:
 
-    @property
-    @abstractmethod
-    def replica_ids(self) -> Sequence[int]:
-        """All replica ids in the system (sorted).
+    * ``replica_id`` — the id of the replica the context belongs to;
+      ``replica_ids`` — every replica id in the system, sorted, as an
+      immutable sequence shared across contexts (never mutate it).
+    * ``now()`` — the current time in seconds.
+    * ``send(receiver, message)`` — send ``message`` to one replica;
+      ``broadcast(message)`` — send it to every replica, this one included.
+    * ``set_timer(delay, name, data=None)`` — arm a timer firing ``delay``
+      seconds from now; returns its id.  ``cancel_timer(timer_id)`` cancels
+      it, and is a no-op for a timer that already fired.
+    * ``commit(blocks, finalization_kind="slow")`` — report newly finalized
+      blocks, oldest first.  ``finalization_kind`` is ``"fast"`` if the
+      newest block was FP-finalized, ``"slow"`` otherwise; implicitly
+      finalized ancestors inherit the kind of the explicit finalization
+      that committed them.
+    """
 
-        Implementations may return an immutable sequence (the simulator
-        hands out a cached tuple); callers must not mutate it.
-        """
+    __slots__ = ("replica_id", "replica_ids", "now", "send", "broadcast",
+                 "set_timer", "cancel_timer", "commit")
 
-    @abstractmethod
-    def now(self) -> float:
-        """Return the current time in seconds."""
-
-    @abstractmethod
-    def send(self, receiver: int, message: Message) -> None:
-        """Send ``message`` to a single replica."""
-
-    @abstractmethod
-    def broadcast(self, message: Message) -> None:
-        """Send ``message`` to every replica, including this one."""
-
-    @abstractmethod
-    def set_timer(self, delay: float, name: str, data: Any = None) -> int:
-        """Arm a timer firing ``delay`` seconds from now; returns its id."""
-
-    @abstractmethod
-    def cancel_timer(self, timer_id: int) -> None:
-        """Cancel a previously armed timer (no-op if already fired)."""
-
-    @abstractmethod
-    def commit(self, blocks, finalization_kind: str = "slow") -> None:
-        """Report newly finalized blocks, oldest first.
-
-        Args:
-            blocks: the finalized blocks being output, in chain order.
-            finalization_kind: ``"fast"`` if the newest block was FP-finalized,
-                ``"slow"`` otherwise.  Implicitly finalized ancestors inherit
-                the kind of the explicit finalization that committed them.
-        """
+    def __init__(self, replica_id: int, replica_ids: Tuple[int, ...], *,
+                 now: Callable[[], float],
+                 send: Callable[[int, Message], None],
+                 broadcast: Callable[[Message], None],
+                 set_timer: Callable[..., int],
+                 cancel_timer: Callable[[int], None],
+                 commit: Callable[..., None]) -> None:
+        self.replica_id = replica_id
+        self.replica_ids = replica_ids
+        self.now = now
+        self.send = send
+        self.broadcast = broadcast
+        self.set_timer = set_timer
+        self.cancel_timer = cancel_timer
+        self.commit = commit

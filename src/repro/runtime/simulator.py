@@ -55,6 +55,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as _np
@@ -155,45 +156,6 @@ DeliveryListener = Callable[[int, int, Message, float, Optional[Delivery]], None
 ComputeListener = Callable[[str, int, float, float, Message], None]
 
 
-class _SimContext(ReplicaContext):
-    """Per-replica context implementation backed by the simulator."""
-
-    __slots__ = ("_simulation", "_replica_id", "_replica_ids")
-
-    def __init__(self, simulation: "Simulation", replica_id: int) -> None:
-        self._simulation = simulation
-        self._replica_id = replica_id
-        # Cached immutable view: ``broadcast`` runs once per protocol send
-        # and must not rebuild the id list every time.
-        self._replica_ids: Tuple[int, ...] = simulation._replica_id_tuple
-
-    @property
-    def replica_id(self) -> int:
-        return self._replica_id
-
-    @property
-    def replica_ids(self) -> Tuple[int, ...]:
-        return self._replica_ids
-
-    def now(self) -> float:
-        return self._simulation.now
-
-    def send(self, receiver: int, message: Message) -> None:
-        self._simulation._enqueue_message(self._replica_id, receiver, message)
-
-    def broadcast(self, message: Message) -> None:
-        self._simulation._broadcast_message(self._replica_id, message)
-
-    def set_timer(self, delay: float, name: str, data: Any = None) -> int:
-        return self._simulation._arm_timer(self._replica_id, delay, name, data)
-
-    def cancel_timer(self, timer_id: int) -> None:
-        self._simulation._cancel_timer(timer_id)
-
-    def commit(self, blocks, finalization_kind: str = "slow") -> None:
-        self._simulation._record_commit(self._replica_id, blocks, finalization_kind)
-
-
 class Simulation:
     """Discrete-event simulation of a set of protocol replicas.
 
@@ -240,8 +202,16 @@ class Simulation:
         self._cancelled_timers: set = set()
         self._pending_timers: set = set()
         self._external_scheduled = 0
-        self._contexts: Dict[int, _SimContext] = {
-            replica_id: _SimContext(self, replica_id) for replica_id in self.replica_ids
+        ids = self._replica_id_tuple
+        self._contexts: Dict[int, ReplicaContext] = {
+            replica_id: ReplicaContext(
+                replica_id, ids, now=self._clock,
+                send=partial(self._enqueue_message, replica_id),
+                broadcast=partial(self._broadcast_message, replica_id),
+                set_timer=partial(self._arm_timer, replica_id),
+                cancel_timer=self._cancel_timer,
+                commit=partial(self._record_commit, replica_id))
+            for replica_id in ids
         }
         # Per-target bound-method dispatch tables: the event loop does one
         # dict lookup + tuple unpack per dispatch instead of two dict
@@ -686,7 +656,11 @@ class Simulation:
                       (members, payload)))
         groups.clear()
 
-    def _arm_timer(self, replica_id: int, delay: float, name: str, data: Any) -> int:
+    def _clock(self) -> float:
+        return self.now
+
+    def _arm_timer(self, replica_id: int, delay: float, name: str,
+                   data: Any = None) -> int:
         if delay < 0:
             raise ValueError("timer delay must be non-negative")
         timer_id = next(self._timer_ids)
@@ -704,13 +678,14 @@ class Simulation:
             self._pending_timers.discard(timer_id)
             self._cancelled_timers.add(timer_id)
 
-    def _record_commit(self, replica_id: int, blocks: Iterable[Block], kind: str) -> None:
+    def _record_commit(self, replica_id: int, blocks: Iterable[Block],
+                       finalization_kind: str = "slow") -> None:
         for block in blocks:
             record = CommitRecord(
                 replica_id=replica_id,
                 block=block,
                 commit_time=self.now,
-                finalization_kind=kind,
+                finalization_kind=finalization_kind,
             )
             self._commits[replica_id].append(record)
             for listener in self._commit_listeners:

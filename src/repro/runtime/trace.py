@@ -94,52 +94,38 @@ class TraceLog:
         return "\n".join(lines)
 
 
-class _TracingContext(ReplicaContext):
-    """Context wrapper recording every action the protocol takes."""
+def _tracing_context(inner: ReplicaContext, log: TraceLog,
+                     replica_id: int) -> ReplicaContext:
+    """A context that records on ``log`` every action replica
+    ``replica_id`` takes through ``inner``, then performs it."""
+    now = inner.now
 
-    def __init__(self, inner: ReplicaContext, log: TraceLog, replica_id: int) -> None:
-        self._inner = inner
-        self._log = log
-        self._replica_id = replica_id
+    def record(kind: str, detail: str, data: Optional[Dict[str, Any]] = None) -> None:
+        log.append(TraceEvent(time=now(), replica_id=replica_id, kind=kind,
+                              detail=detail, data=data))
 
-    @property
-    def replica_id(self) -> int:
-        return self._inner.replica_id
+    def send(receiver: int, message: Message) -> None:
+        record("send", f"{type(message).__name__} -> r{receiver}")
+        inner.send(receiver, message)
 
-    @property
-    def replica_ids(self) -> list:
-        return self._inner.replica_ids
+    def broadcast(message: Message) -> None:
+        record("broadcast", type(message).__name__)
+        inner.broadcast(message)
 
-    def now(self) -> float:
-        return self._inner.now()
+    def set_timer(delay: float, name: str, data: Any = None) -> int:
+        record("arm-timer", f"{name} in {delay:.3f}s")
+        return inner.set_timer(delay, name, data)
 
-    def _record(self, kind: str, detail: str, data: Optional[Dict[str, Any]] = None) -> None:
-        self._log.append(
-            TraceEvent(time=self._inner.now(), replica_id=self._replica_id, kind=kind,
-                       detail=detail, data=data)
-        )
-
-    def send(self, receiver: int, message: Message) -> None:
-        self._record("send", f"{type(message).__name__} -> r{receiver}")
-        self._inner.send(receiver, message)
-
-    def broadcast(self, message: Message) -> None:
-        self._record("broadcast", type(message).__name__)
-        self._inner.broadcast(message)
-
-    def set_timer(self, delay: float, name: str, data: Any = None) -> int:
-        self._record("arm-timer", f"{name} in {delay:.3f}s")
-        return self._inner.set_timer(delay, name, data)
-
-    def cancel_timer(self, timer_id: int) -> None:
-        self._inner.cancel_timer(timer_id)
-
-    def commit(self, blocks, finalization_kind: str = "slow") -> None:
+    def commit(blocks, finalization_kind: str = "slow") -> None:
         blocks = list(blocks)
         rounds = [block.round for block in blocks]
-        self._record("commit", f"{len(blocks)} block(s) rounds {rounds} ({finalization_kind})",
-                     data={"rounds": rounds, "kind": finalization_kind})
-        self._inner.commit(blocks, finalization_kind=finalization_kind)
+        record("commit", f"{len(blocks)} block(s) rounds {rounds} ({finalization_kind})",
+               data={"rounds": rounds, "kind": finalization_kind})
+        inner.commit(blocks, finalization_kind=finalization_kind)
+
+    return ReplicaContext(inner.replica_id, inner.replica_ids, now=now, send=send,
+                          broadcast=broadcast, set_timer=set_timer,
+                          cancel_timer=inner.cancel_timer, commit=commit)
 
 
 class ProtocolTracer(Protocol):
@@ -153,6 +139,15 @@ class ProtocolTracer(Protocol):
         self.log = log if log is not None else TraceLog()
         self.proposal_times = inner.proposal_times
         self.name = f"traced-{inner.name}"
+        self._outer: Optional[ReplicaContext] = None
+        self._ctx: Optional[ReplicaContext] = None
+
+    def _tracing(self, ctx: ReplicaContext) -> ReplicaContext:
+        """The recording context over ``ctx``, built once per runtime context."""
+        if ctx is not self._outer:
+            self._outer = ctx
+            self._ctx = _tracing_context(ctx, self.log, self.replica_id)
+        return self._ctx
 
     def _record(self, ctx: ReplicaContext, kind: str, detail: str) -> None:
         self.log.append(
@@ -162,17 +157,17 @@ class ProtocolTracer(Protocol):
     def on_start(self, ctx: ReplicaContext) -> None:
         """Record the start event and forward it."""
         self._record(ctx, "start", self.inner.name)
-        self.inner.on_start(_TracingContext(ctx, self.log, self.replica_id))
+        self.inner.on_start(self._tracing(ctx))
 
     def on_message(self, ctx: ReplicaContext, sender: int, message: Message) -> None:
         """Record the delivery and forward it."""
         self._record(ctx, "recv", f"{type(message).__name__} <- r{sender}")
-        self.inner.on_message(_TracingContext(ctx, self.log, self.replica_id), sender, message)
+        self.inner.on_message(self._tracing(ctx), sender, message)
 
     def on_timer(self, ctx: ReplicaContext, timer: Timer) -> None:
         """Record the timer firing and forward it."""
         self._record(ctx, "timer", timer.name)
-        self.inner.on_timer(_TracingContext(ctx, self.log, self.replica_id), timer)
+        self.inner.on_timer(self._tracing(ctx), timer)
 
 
 def trace_replicas(replicas: Dict[int, Protocol],

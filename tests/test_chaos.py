@@ -214,6 +214,68 @@ class TestInvariantChecker:
             assert rebuilt == violation
 
 
+class TestLivenessJudges:
+    """The chaos engine and the real cluster's ``cross_validate`` judge
+    bounded liveness by one rule: fed one commit stream under one schedule,
+    they return the same liveness verdict."""
+
+    @staticmethod
+    def _liveness(violations):
+        return sorted((v.replica, v.detail) for v in violations
+                      if v.invariant == "liveness")
+
+    @pytest.mark.parametrize("faults", [
+        # A recovering crash: clean.
+        (Fault(kind="crash", replica=3, start=1.0, end=2.0),),
+        # Two permanent crashes with f=1: the quorum is gone from t=0.
+        (Fault(kind="crash", replica=2, start=0.0),
+         Fault(kind="crash", replica=3, start=0.0)),
+        # The same under a loss burst: judged on safety only.
+        (Fault(kind="crash", replica=2, start=0.0),
+         Fault(kind="crash", replica=3, start=0.0),
+         Fault(kind="loss", start=1.0, end=2.0, probability=0.5)),
+    ], ids=["recovering-crash", "quorum-loss", "lossy-quorum-loss"])
+    def test_engine_and_cluster_judges_agree(self, faults, monkeypatch):
+        from repro.chaos import engine
+        from repro.cluster.harness import cross_validate
+
+        runs = []
+
+        class Recorded(engine.Simulation):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                runs.append(self)
+
+        monkeypatch.setattr(engine, "Simulation", Recorded)
+        spec = ChaosTrialSpec(protocol="banyan", duration=10.0)
+        schedule = ChaosSchedule(faults=faults)
+        result = run_chaos_schedule(spec, schedule)
+        (simulation,) = runs
+        records = sorted(
+            (record for commits in simulation.all_commits().values()
+             for record in commits),
+            key=lambda record: (record.commit_time, record.replica_id))
+        verdict = cross_validate(records, n=spec.n, schedule=schedule,
+                                 duration=spec.duration,
+                                 liveness_bound=spec.liveness_bound())
+        assert self._liveness(verdict) == self._liveness(result.violations)
+        quorum_lost = len(faults) == 2
+        assert bool(self._liveness(verdict)) == quorum_lost
+
+    def test_cross_validate_liveness_respects_max_violations(self):
+        """A commit-less run of many replicas: both judges stop at the
+        checker's violation cap instead of one line per replica."""
+        from repro.cluster.harness import cross_validate
+
+        n = 40
+        checker = InvariantChecker(range(n))
+        checker.check_liveness(0.0, 1.0, 5.0, checker.honest)
+        verdict = cross_validate([], n=n, schedule=ChaosSchedule(),
+                                 duration=5.0, liveness_bound=1.0)
+        assert len(verdict) == len(checker.violations) == checker.max_violations
+        assert verdict == checker.violations
+
+
 # --------------------------------------------------------------------- #
 # Engine: honest protocols pass, the broken one fails and shrinks
 # --------------------------------------------------------------------- #

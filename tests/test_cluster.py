@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.chaos.invariants import liveness_bound
 from repro.chaos.schedule import ChaosSchedule, Fault
 from repro.cluster.harness import (
     LocalCluster,
@@ -359,7 +360,7 @@ def test_cluster_survives_sigkill_and_restart(tmp_path):
         assert later, f"replica {rid} stopped committing after the kill"
     violations = cross_validate(
         records, n=N, schedule=ChaosSchedule(), duration=duration,
-        liveness_bound=ROUND_TIMEOUT + 2 * N * RANK_DELAY + 2.0,
+        liveness_bound=liveness_bound(N, RANK_DELAY, ROUND_TIMEOUT),
         errors=errors, exclude=(3,),
     )
     assert violations == [], violations

@@ -24,45 +24,30 @@ from repro.types.messages import BlockProposal, CertificateMessage, VoteMessage
 from repro.types.votes import FastVote, NotarizationVote, VoteKind
 
 
-class FakeContext(ReplicaContext):
-    """Records every action; time is advanced manually by the test."""
+class FakeContext:
+    """A plain :class:`ReplicaContext` (:attr:`context`) built from recording
+    callables, plus what they recorded; time is advanced manually by the
+    test."""
 
     def __init__(self, replica_id: int, n: int) -> None:
-        self._replica_id = replica_id
-        self._n = n
         self.time = 0.0
         self.sent: List[Tuple[int, Any]] = []
         self.broadcasts: List[Any] = []
         self.timers: List[Tuple[float, str, Any]] = []
         self.committed: List[Tuple[Block, str]] = []
 
-    @property
-    def replica_id(self) -> int:
-        return self._replica_id
+        def set_timer(delay: float, name: str, data: Any = None) -> int:
+            self.timers.append((self.time + delay, name, data))
+            return len(self.timers)
 
-    @property
-    def replica_ids(self) -> list:
-        return list(range(self._n))
+        def commit(blocks, finalization_kind: str = "slow") -> None:
+            self.committed.extend((block, finalization_kind) for block in blocks)
 
-    def now(self) -> float:
-        return self.time
-
-    def send(self, receiver: int, message) -> None:
-        self.sent.append((receiver, message))
-
-    def broadcast(self, message) -> None:
-        self.broadcasts.append(message)
-
-    def set_timer(self, delay: float, name: str, data: Any = None) -> int:
-        self.timers.append((self.time + delay, name, data))
-        return len(self.timers)
-
-    def cancel_timer(self, timer_id: int) -> None:
-        pass
-
-    def commit(self, blocks, finalization_kind: str = "slow") -> None:
-        for block in blocks:
-            self.committed.append((block, finalization_kind))
+        self.context = ReplicaContext(
+            replica_id, tuple(range(n)), now=lambda: self.time,
+            send=lambda receiver, message: self.sent.append((receiver, message)),
+            broadcast=self.broadcasts.append, set_timer=set_timer,
+            cancel_timer=lambda timer_id: None, commit=commit)
 
     # Test helpers -------------------------------------------------------
 
@@ -107,13 +92,13 @@ class TestICCUnitRules:
         ctx = FakeContext(0, 4)
         # Round 1's round-robin leader is replica 1, so replica 0 only arms a
         # proposal timer; replica 1 proposes immediately.
-        replica.on_start(ctx)
+        replica.on_start(ctx.context)
         assert not ctx.broadcast_messages(BlockProposal)
         assert any(name == "propose" for _, name, _ in ctx.timers)
 
         leader = ICCReplica(1, _params())
         leader_ctx = FakeContext(1, 4)
-        leader.on_start(leader_ctx)
+        leader.on_start(leader_ctx.context)
         proposals = leader_ctx.broadcast_messages(BlockProposal)
         assert len(proposals) == 1
         assert proposals[0].block.round == 1
@@ -122,44 +107,44 @@ class TestICCUnitRules:
     def test_notarization_vote_for_valid_leader_block(self):
         replica = ICCReplica(0, _params())
         ctx = FakeContext(0, 4)
-        replica.on_start(ctx)
+        replica.on_start(ctx.context)
         block = Block(round=1, proposer=1, rank=0, parent_id=genesis_block().id, payload=b"x")
-        replica.on_message(ctx, 1, _proposal(block))
+        replica.on_message(ctx.context, 1, _proposal(block))
         votes = ctx.broadcast_votes(VoteKind.NOTARIZATION)
         assert [v.block_id for v in votes] == [block.id]
 
     def test_block_with_wrong_rank_is_ignored(self):
         replica = ICCReplica(0, _params())
         ctx = FakeContext(0, 4)
-        replica.on_start(ctx)
+        replica.on_start(ctx.context)
         # Proposer 2 has rank 1 in round 1 (round-robin), not rank 0.
         block = Block(round=1, proposer=2, rank=0, parent_id=genesis_block().id, payload=b"x")
-        replica.on_message(ctx, 2, _proposal(block))
+        replica.on_message(ctx.context, 2, _proposal(block))
         assert block.id not in replica.tree
         assert not ctx.broadcast_votes()
 
     def test_higher_rank_block_waits_for_notarization_delay(self):
         replica = ICCReplica(0, _params())
         ctx = FakeContext(0, 4)
-        replica.on_start(ctx)
+        replica.on_start(ctx.context)
         block = Block(round=1, proposer=2, rank=1, parent_id=genesis_block().id, payload=b"x")
-        replica.on_message(ctx, 2, _proposal(block))
+        replica.on_message(ctx.context, 2, _proposal(block))
         # Rank-1 blocks may only be voted after Δ_notary(1) = 0.4 s.
         assert not ctx.broadcast_votes(VoteKind.NOTARIZATION)
         assert any(name == "notarize" for _, name, _ in ctx.timers)
         ctx.time = 0.5
-        replica.on_timer(ctx, Timer(name="notarize", fire_time=0.4, data=1))
+        replica.on_timer(ctx.context, Timer(name="notarize", fire_time=0.4, data=1))
         assert [v.block_id for v in ctx.broadcast_votes(VoteKind.NOTARIZATION)] == [block.id]
 
     def test_round_advances_after_notarization_quorum(self):
         replica = ICCReplica(0, _params())
         ctx = FakeContext(0, 4)
-        replica.on_start(ctx)
+        replica.on_start(ctx.context)
         block = Block(round=1, proposer=1, rank=0, parent_id=genesis_block().id, payload=b"x")
-        replica.on_message(ctx, 1, _proposal(block))
+        replica.on_message(ctx.context, 1, _proposal(block))
         for voter in (1, 2, 3):
             vote = NotarizationVote(round=1, block_id=block.id, voter=voter)
-            replica.on_message(ctx, voter, VoteMessage(votes=(vote,), sender=voter))
+            replica.on_message(ctx.context, voter, VoteMessage(votes=(vote,), sender=voter))
         assert replica.tree.is_notarized(block.id)
         assert replica.current_round == 2
         # Having voted only for this block, the replica also finalization-votes.
@@ -168,18 +153,18 @@ class TestICCUnitRules:
     def test_finalization_quorum_commits_the_chain(self):
         replica = ICCReplica(0, _params())
         ctx = FakeContext(0, 4)
-        replica.on_start(ctx)
+        replica.on_start(ctx.context)
         block = Block(round=1, proposer=1, rank=0, parent_id=genesis_block().id, payload=b"x")
-        replica.on_message(ctx, 1, _proposal(block))
+        replica.on_message(ctx.context, 1, _proposal(block))
         for voter in (1, 2, 3):
             notarization = NotarizationVote(round=1, block_id=block.id, voter=voter)
             finalization_vote = replica._make_vote(VoteKind.FINALIZATION, 1, block.id)
-            replica.on_message(ctx, voter, VoteMessage(votes=(notarization,), sender=voter))
+            replica.on_message(ctx.context, voter, VoteMessage(votes=(notarization,), sender=voter))
         from repro.types.votes import FinalizationVote
 
         for voter in (1, 2, 3):
             vote = FinalizationVote(round=1, block_id=block.id, voter=voter)
-            replica.on_message(ctx, voter, VoteMessage(votes=(vote,), sender=voter))
+            replica.on_message(ctx.context, voter, VoteMessage(votes=(vote,), sender=voter))
         assert [b.round for b, _ in ctx.committed] == [1]
         assert replica.k_max == 1
 
@@ -192,9 +177,9 @@ class TestICCUnitRules:
 
         replica = ICCReplica(0, _params())
         ctx = FakeContext(0, 4)
-        replica.on_start(ctx)
+        replica.on_start(ctx.context)
         block = Block(round=1, proposer=1, rank=0, parent_id=genesis_block().id, payload=b"x")
-        replica.on_message(ctx, 1, _proposal(block))
+        replica.on_message(ctx.context, 1, _proposal(block))
 
         def missing(block_id, finalized):
             assert finalized is replica.chain  # the walk stops at the chain
@@ -204,12 +189,12 @@ class TestICCUnitRules:
             raise RuntimeError("bug in the tree")
 
         replica.tree.chain_to = missing
-        replica._finalize(ctx, 1, block.id, kind="slow")
+        replica._finalize(ctx.context, 1, block.id, kind="slow")
         assert replica._pending_finalizations == {block.id: "slow"}
         assert replica.k_max == 0 and not ctx.committed
         replica.tree.chain_to = broken
         with pytest.raises(RuntimeError):
-            replica._finalize(ctx, 1, block.id, kind="slow")
+            replica._finalize(ctx.context, 1, block.id, kind="slow")
 
 
     @pytest.mark.parametrize("replica_class", [ICCReplica, BanyanReplica])
@@ -226,7 +211,7 @@ class TestICCUnitRules:
             replica.tree.add_block(block)
             blocks.append(block)
             parent_id = block.id
-        replica._finalize(ctx, 9_990, blocks[9_989].id, kind="slow")
+        replica._finalize(ctx.context, 9_990, blocks[9_989].id, kind="slow")
         assert replica.k_max == 9_990 and len(ctx.committed) == 9_990
 
         class Counting(dict):
@@ -241,7 +226,7 @@ class TestICCUnitRules:
                 return super().__getitem__(key)
 
         replica.tree._blocks = Counting(replica.tree._blocks)
-        replica._finalize(ctx, 10_000, blocks[-1].id, kind="slow")
+        replica._finalize(ctx.context, 10_000, blocks[-1].id, kind="slow")
         assert [block.round for block, _ in ctx.committed[9_990:]] == list(range(9_991, 10_001))
         assert replica.k_max == 10_000
         assert Counting.lookups <= 4 * 10      # a few per block of the segment
@@ -251,18 +236,18 @@ class TestBanyanUnitRules:
     def test_rank0_proposal_without_proposer_fast_vote_is_invalid(self):
         replica = BanyanReplica(0, _params())
         ctx = FakeContext(0, 4)
-        replica.on_start(ctx)
+        replica.on_start(ctx.context)
         block = Block(round=1, proposer=1, rank=0, parent_id=genesis_block().id, payload=b"x")
-        replica.on_message(ctx, 1, _proposal(block, proposer_fast_vote=False))
+        replica.on_message(ctx.context, 1, _proposal(block, proposer_fast_vote=False))
         # The block is stored but not voted for (validity rule, Alg. 2 line 63).
         assert not ctx.broadcast_votes()
 
     def test_first_vote_carries_a_fast_vote(self):
         replica = BanyanReplica(0, _params())
         ctx = FakeContext(0, 4)
-        replica.on_start(ctx)
+        replica.on_start(ctx.context)
         block = Block(round=1, proposer=1, rank=0, parent_id=genesis_block().id, payload=b"x")
-        replica.on_message(ctx, 1, _proposal(block))
+        replica.on_message(ctx.context, 1, _proposal(block))
         assert [v.block_id for v in ctx.broadcast_votes(VoteKind.NOTARIZATION)] == [block.id]
         assert [v.block_id for v in ctx.broadcast_votes(VoteKind.FAST)] == [block.id]
 
@@ -270,7 +255,7 @@ class TestBanyanUnitRules:
         params = _params()
         leader = BanyanReplica(1, params)
         ctx = FakeContext(1, 4)
-        leader.on_start(ctx)
+        leader.on_start(ctx.context)
         proposals = ctx.broadcast_messages(BlockProposal)
         assert len(proposals) == 1
         proposal = proposals[0]
@@ -285,34 +270,34 @@ class TestBanyanUnitRules:
         (Restriction 2); the unlock arrives via fast votes."""
         replica = BanyanReplica(0, _params())
         ctx = FakeContext(0, 4)
-        replica.on_start(ctx)
+        replica.on_start(ctx.context)
         block = Block(round=1, proposer=1, rank=0, parent_id=genesis_block().id, payload=b"x")
         # Deliver the block without its proposer fast vote: invalid for voting,
         # so our replica never fast-votes it either.
-        replica.on_message(ctx, 1, _proposal(block, proposer_fast_vote=False))
+        replica.on_message(ctx.context, 1, _proposal(block, proposer_fast_vote=False))
         for voter in (1, 2, 3):
             vote = NotarizationVote(round=1, block_id=block.id, voter=voter)
-            replica.on_message(ctx, voter, VoteMessage(votes=(vote,), sender=voter))
+            replica.on_message(ctx.context, voter, VoteMessage(votes=(vote,), sender=voter))
         assert replica.tree.is_notarized(block.id)
         assert replica.current_round == 1  # still stuck: no unlock, no own fast vote
         # Now the proposer's fast vote and two more fast votes arrive: the
         # block unlocks (support > f + p = 2) and the replica can advance.
-        replica.on_message(ctx, 1, _proposal(block, proposer_fast_vote=True))
+        replica.on_message(ctx.context, 1, _proposal(block, proposer_fast_vote=True))
         for voter in (2, 3):
             fast = FastVote(round=1, block_id=block.id, voter=voter)
-            replica.on_message(ctx, voter, VoteMessage(votes=(fast,), sender=voter))
+            replica.on_message(ctx.context, voter, VoteMessage(votes=(fast,), sender=voter))
         assert replica.tree.is_unlocked(block.id)
         assert replica.current_round == 2
 
     def test_fast_quorum_fp_finalizes_rank0_block(self):
         replica = BanyanReplica(0, _params())
         ctx = FakeContext(0, 4)
-        replica.on_start(ctx)
+        replica.on_start(ctx.context)
         block = Block(round=1, proposer=1, rank=0, parent_id=genesis_block().id, payload=b"x")
-        replica.on_message(ctx, 1, _proposal(block))
+        replica.on_message(ctx.context, 1, _proposal(block))
         for voter in (2, 3):
             fast = FastVote(round=1, block_id=block.id, voter=voter)
-            replica.on_message(ctx, voter, VoteMessage(votes=(fast,), sender=voter))
+            replica.on_message(ctx.context, voter, VoteMessage(votes=(fast,), sender=voter))
         # proposer (1) + replicas 2, 3 = 3 = n - p fast votes → FP-finalized.
         assert [(b.round, kind) for b, kind in ctx.committed] == [(1, "fast")]
         assert replica.fast_finalized_count == 1
@@ -326,13 +311,13 @@ class TestBanyanUnitRules:
     def test_non_leader_blocks_never_fp_finalize(self):
         replica = BanyanReplica(0, _params())
         ctx = FakeContext(0, 4)
-        replica.on_start(ctx)
+        replica.on_start(ctx.context)
         ctx.time = 1.0  # past the notarization delay for rank-1 blocks
         block = Block(round=1, proposer=2, rank=1, parent_id=genesis_block().id, payload=b"x")
-        replica.on_message(ctx, 2, _proposal(block, proposer_fast_vote=False))
+        replica.on_message(ctx.context, 2, _proposal(block, proposer_fast_vote=False))
         for voter in (1, 2, 3):
             fast = FastVote(round=1, block_id=block.id, voter=voter)
-            replica.on_message(ctx, voter, VoteMessage(votes=(fast,), sender=voter))
+            replica.on_message(ctx.context, voter, VoteMessage(votes=(fast,), sender=voter))
         # Even with n - p fast votes a rank-1 block is never FP-finalized.
         assert all(kind != "fast" for _, kind in ctx.committed)
 
@@ -353,7 +338,7 @@ class TestStreamletEpochClock:
         replica = StreamletReplica(replica_id, _params(), epoch_duration=epoch_duration)
         ctx = FakeContext(replica_id, 4)
         ctx.time = now
-        replica.on_start(ctx)
+        replica.on_start(ctx.context)
         return replica, ctx
 
     def test_boot_at_zero_enters_epoch_one(self):
@@ -394,9 +379,9 @@ class TestVotersOutsideTheReplicaSet:
     def _started(cls, replica_id=0):
         replica = cls(replica_id, _params())
         ctx = FakeContext(replica_id, 4)
-        replica.on_start(ctx)
+        replica.on_start(ctx.context)
         block = Block(round=1, proposer=1, rank=0, parent_id=genesis_block().id, payload=b"x")
-        replica.on_message(ctx, 1, _proposal(block))
+        replica.on_message(ctx.context, 1, _proposal(block))
         return replica, ctx, block
 
     @pytest.mark.parametrize("cls", [ICCReplica, BanyanReplica])
@@ -404,8 +389,8 @@ class TestVotersOutsideTheReplicaSet:
         replica, ctx, block = self._started(cls)
         padded = Notarization(round=1, block_id=block.id, voters={1, 4, 5, 6})
         assert padded.verify(None, replica.notarization_quorum)  # by count alone
-        replica.on_message(ctx, 1, CertificateMessage(certificate=padded, sender=1))
-        replica.on_message(ctx, 1, _proposal(
+        replica.on_message(ctx.context, 1, CertificateMessage(certificate=padded, sender=1))
+        replica.on_message(ctx.context, 1, _proposal(
             Block(round=2, proposer=2, rank=0, parent_id=block.id, payload=b"y"),
             parent_voters={1, 4, 5, 6}))
         assert not replica.tree.is_notarized(block.id)
@@ -413,7 +398,7 @@ class TestVotersOutsideTheReplicaSet:
         assert replica._round(1).notarization.voters(block.id) == frozenset()
         # The same certificate from real replicas does notarise.
         genuine = Notarization(round=1, block_id=block.id, voters={1, 2, 3})
-        replica.on_message(ctx, 1, CertificateMessage(certificate=genuine, sender=1))
+        replica.on_message(ctx.context, 1, CertificateMessage(certificate=genuine, sender=1))
         assert replica.tree.is_notarized(block.id)
 
     @pytest.mark.parametrize("cls", [ICCReplica, BanyanReplica])
@@ -422,7 +407,7 @@ class TestVotersOutsideTheReplicaSet:
 
         replica, ctx, block = self._started(cls)
         padded = Finalization(round=1, block_id=block.id, voters={1, 2, 64})
-        replica.on_message(ctx, 1, CertificateMessage(certificate=padded, sender=1))
+        replica.on_message(ctx.context, 1, CertificateMessage(certificate=padded, sender=1))
         assert not ctx.committed and replica.k_max == 0
 
     def test_banyan_drops_phantom_fast_finalizations_and_unlock_proofs(self):
@@ -432,8 +417,8 @@ class TestVotersOutsideTheReplicaSet:
         padded = FastFinalization(round=1, block_id=block.id, voters={1, 2, 7})
         proof = UnlockProof(round=1, block_id=block.id,
                             votes_by_block=((block.id, {2, 3, 9}),))
-        replica.on_message(ctx, 1, CertificateMessage(certificate=padded, sender=1))
-        replica.on_message(ctx, 1, CertificateMessage(certificate=None, unlock_proof=proof,
+        replica.on_message(ctx.context, 1, CertificateMessage(certificate=padded, sender=1))
+        replica.on_message(ctx.context, 1, CertificateMessage(certificate=None, unlock_proof=proof,
                                                       sender=1))
         assert not ctx.committed
         assert not replica.tree.is_unlocked(block.id)
@@ -447,7 +432,7 @@ class TestVotersOutsideTheReplicaSet:
         for voter in (1, 4, -1, 2**70, 2):
             for vote_cls in (NotarizationVote, FastVote, FinalizationVote):
                 vote = vote_cls(round=3, block_id="b", voter=voter)
-                replica.on_message(ctx, 1, VoteMessage(votes=(vote,), sender=1))
+                replica.on_message(ctx.context, 1, VoteMessage(votes=(vote,), sender=1))
         state = replica._round(3)
         assert state.notarization.voters("b") == {1, 2}
         assert state.finalization.voters("b") == {1, 2}
@@ -460,10 +445,10 @@ class TestVotersOutsideTheReplicaSet:
 
         replica = create_replicas(protocol, _params())[0]
         ctx = FakeContext(0, 4)
-        replica.on_start(ctx)
+        replica.on_start(ctx.context)
         for voter in (1, 4, -1, 2**70, 2):
             vote = NotarizationVote(round=1, block_id="b", voter=voter)
-            replica.on_message(ctx, 1, VoteMessage(votes=(vote,), sender=1))
+            replica.on_message(ctx.context, 1, VoteMessage(votes=(vote,), sender=1))
         assert replica._vote_tracker(1).voters("b") == {1, 2}
 
     def test_hotstuff_ignores_a_proposal_justified_by_phantom_voters(self):
@@ -471,15 +456,15 @@ class TestVotersOutsideTheReplicaSet:
 
         replica = create_replicas("hotstuff", _params())[0]
         ctx = FakeContext(0, 4)
-        replica.on_start(ctx)
+        replica.on_start(ctx.context)
         first = Block(round=1, proposer=replica.beacon.leader(1), rank=0,
                       parent_id=genesis_block().id, payload=b"x")
-        replica.on_message(ctx, first.proposer, BlockProposal(
+        replica.on_message(ctx.context, first.proposer, BlockProposal(
             block=first, parent_notarization=replica.high_qc))
         second = Block(round=2, proposer=replica.beacon.leader(2), rank=0,
                        parent_id=first.id, payload=b"y")
         forged = Notarization(round=1, block_id=first.id, voters={1, 5, 6})
-        replica.on_message(ctx, second.proposer, BlockProposal(
+        replica.on_message(ctx.context, second.proposer, BlockProposal(
             block=second, parent_notarization=forged))
         assert first.id in replica.tree and second.id not in replica.tree
         assert replica.high_qc.round == 0

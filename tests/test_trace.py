@@ -41,6 +41,30 @@ class TestTracing:
 
         assert committed(traced=False) == committed(traced=True)
 
+    @pytest.mark.parametrize("tracer_outside", [True, False],
+                             ids=["trace-over-delay", "delay-over-trace"])
+    def test_composed_wrappers_do_not_change_behaviour(self, tracer_outside):
+        """A tracer and a straggler's delaying wrapper stacked on one
+        replica: every replica commits what the untraced set commits."""
+        from repro.byzantine import DelayedReplica
+
+        def committed(traced: bool):
+            params = ProtocolParams(n=4, f=1, p=1, rank_delay=0.4, payload_size=1_000)
+            replicas = create_replicas("banyan", params)
+            if traced and not tracer_outside:
+                replicas[3] = ProtocolTracer(replicas[3])
+            replicas[3] = DelayedReplica(replicas[3], extra_delay=0.3)
+            if traced and tracer_outside:
+                replicas = trace_replicas(replicas)
+            sim = Simulation(replicas, NetworkConfig(latency=ConstantLatency(0.05), seed=3))
+            sim.run(until=6.0)
+            return [(r.replica_id, r.block.id, r.commit_time, r.finalization_kind)
+                    for commits in sim.all_commits().values() for r in commits]
+
+        plain = committed(traced=False)
+        assert plain
+        assert committed(traced=True) == plain
+
     def test_filtering_by_replica_and_kind(self):
         sim, log = _traced_simulation()
         sim.run(until=3.0)
