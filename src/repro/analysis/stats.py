@@ -37,11 +37,20 @@ def percentiles(values: Sequence[float], qs: Sequence[float]) -> List[float]:
     Raises:
         ValueError: if any ``q`` is outside ``[0, 100]``.
     """
+    return sorted_percentiles(sorted(values), qs)
+
+
+def sorted_percentiles(ordered: Sequence[float], qs: Sequence[float]) -> List[float]:
+    """:func:`percentiles` of values already in ascending order, read in
+    place.
+
+    Raises:
+        ValueError: if any ``q`` is outside ``[0, 100]``.
+    """
     if not all(0 <= q <= 100 for q in qs):
         raise ValueError("percentile must be in [0, 100]")
-    if not values:
+    if not ordered:
         return [0.0] * len(qs)
-    ordered = sorted(values)
     count = len(ordered)
     # Rank ceil(q% of count), clamped to 1..count (q = 0 is the minimum).
     return [ordered[min(max(1, math.ceil(q / 100.0 * count)), count) - 1]

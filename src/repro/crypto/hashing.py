@@ -11,7 +11,9 @@ versions) or ``repr``.
 building them, so hashing a block reads its payload once and copies nothing.
 A payload that renders its bytes on demand (a type defining ``__bytes__``,
 such as :class:`repro.workload.transactions.TxBatch`) is encoded exactly as
-those bytes, so it hashes as the payload it stands for.
+those bytes, so it hashes as the payload it stands for; one that also
+offers ``view()`` is hashed from that buffer in place, without the copy
+``bytes()`` makes.
 """
 
 from __future__ import annotations
@@ -83,7 +85,8 @@ def _feed(value: Any, update: Callable[[bytes], None]) -> None:
     Bytes, sequences and dataclasses are streamed, the type checks in the
     specification's order; scalars, sets and dicts (whose items are sorted
     by their encodings) are small and passed as their whole encoding, and a
-    value rendering ``__bytes__`` passes its bytes, which are dropped after.
+    value rendering ``__bytes__`` passes its ``view()`` — a buffer read in
+    place and not kept — if it has one, else its bytes.
     """
     if isinstance(value, (bytes, bytearray)):
         update(b"y")
@@ -104,8 +107,9 @@ def _feed(value: Any, update: Callable[[bytes], None]) -> None:
             _feed(item, update)
         update(_LIST_CLOSE)
     elif hasattr(type(value), "__bytes__"):
+        view = getattr(value, "view", None)
         update(b"y")
-        update(bytes(value))
+        update(bytes(value) if view is None else view())
     else:
         update(canonical_encode(value))
 

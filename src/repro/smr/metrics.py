@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.stats import mean as _mean
 from repro.analysis.stats import percentile as _percentile
-from repro.analysis.stats import percentiles as _percentiles
+from repro.analysis.stats import sorted_percentiles as _sorted_percentiles
 from repro.analysis.stats import variance as _variance
 from repro.types.commits import CommitRecord
 
@@ -331,8 +331,19 @@ class WorkloadMetrics:
 
     def latency_percentiles(self, qs: Sequence[float] = (50, 95, 99)) -> List[float]:
         """Submit→commit latency percentiles in seconds, one per ``q`` of
-        ``qs`` — from a single sort of the per-transaction latencies."""
-        return _percentiles(self.latencies, qs)
+        ``qs``.
+
+        The per-transaction latencies are sorted once, and this call, the
+        ``p50`` / ``p95`` / ``p99`` properties and :meth:`summary` share
+        that ordering; it is sorted again only when ``latencies`` is
+        replaced or changes length (edit it in place and the ordering is
+        stale).
+        """
+        cached = getattr(self, "_ordered", None)
+        if (cached is None or cached[0] is not self.latencies
+                or len(cached[1]) != len(self.latencies)):
+            cached = self._ordered = (self.latencies, sorted(self.latencies))
+        return _sorted_percentiles(cached[1], qs)
 
     @property
     def p50_latency(self) -> float:

@@ -29,6 +29,15 @@ asked, which in a simulation is once, while the proposer's block id is
 hashed.  No block, chain or pool structure holds a payload's bytes, and a
 commit is matched back to its transactions by the batch itself.
 
+From a proposal's drain to the run's report, the per-transaction work is
+array work over numpy views of the columns: one gather fetches a batch's
+client ids, one NaN mask finds its still-pending ids (for a commit or a
+reclaim) and one masked store stamps their commit times, and
+:meth:`ClientPool.metrics` builds latencies and committed bytes with
+masks.  The views end with each call, since an ``array`` that exports a
+buffer refuses to grow, and numpy is imported inside those calls, so the
+TCP cluster (which imports this package) starts without it.
+
 Two client models are supported:
 
 * **open loop** — an :class:`repro.workload.arrivals.ArrivalProcess` drives
@@ -345,8 +354,12 @@ class ClientPool:
         tx_ids, total_bytes = self._mempool(proposer).take(max_bytes)
         if not tx_ids:
             return None
-        batch = TxBatch(tx_ids, map(self._client_ids.__getitem__, tx_ids),
-                        self.tx_size, total_bytes)
+        import numpy as np
+
+        ids = array("q", tx_ids)
+        # One gather from the client column (the view ends with the call).
+        clients = np.frombuffer(self._client_ids, "I")[np.frombuffer(ids, "q")]
+        batch = TxBatch(ids, array("I", clients.tobytes()), self.tx_size, total_bytes)
         self._payload_txs.add(batch)
         self._in_flight.setdefault(proposer, []).append((batch, round))
         return batch, total_bytes
@@ -370,7 +383,6 @@ class ClientPool:
         batches = self._in_flight.get(proposer)
         if not batches:
             return 0
-        commit_times = self._commit_times
         undecided: List[Tuple[TxBatch, int]] = []
         reclaimed: List[int] = []
         for batch, round in batches:
@@ -380,9 +392,7 @@ class ClientPool:
                 undecided.append((batch, round))
                 continue
             self._payload_txs.remove(batch)
-            reclaimed.extend([
-                tx_id for tx_id in batch.tx_ids
-                if commit_times[tx_id] != commit_times[tx_id]])
+            reclaimed.extend(self._still_pending(batch))
         if undecided:
             self._in_flight[proposer] = undecided
         else:
@@ -501,17 +511,31 @@ class ClientPool:
         if batch not in self._payload_txs:
             return
         self._payload_txs.remove(batch)
-        commit_time, commit_times = record.commit_time, self._commit_times
-        # Still NaN, i.e. not already committed through an earlier proposal.
-        newly = [tx_id for tx_id in batch.tx_ids
-                 if commit_times[tx_id] != commit_times[tx_id]]
-        for tx_id in newly:
-            commit_times[tx_id] = commit_time
+        # Not already committed through an earlier proposal.
+        newly = self._still_pending(batch, record.commit_time)
         self._committed += len(newly)
         if not self.is_open_loop:
             for tx_id in newly:
                 self._schedule_client_submit(self._client_ids[tx_id],
                                              self._think_delay())
+
+    def _still_pending(self, batch: TxBatch,
+                       commit_time: Optional[float] = None) -> List[int]:
+        """The ids of ``batch`` whose commit time is still NaN, in batch
+        order; given ``commit_time``, they are stamped with it.
+
+        One NaN mask and one masked store over numpy views of the columns.
+        The views end with the call: an ``array`` exporting a buffer
+        refuses to grow.
+        """
+        import numpy as np
+
+        commit_times = np.frombuffer(self._commit_times, "d")
+        ids = np.frombuffer(batch.tx_ids, "q")
+        pending = ids[np.isnan(commit_times[ids])]
+        if commit_time is not None:
+            commit_times[pending] = commit_time
+        return pending.tolist()
 
     def _sample_occupancy(self) -> None:
         assert self._simulation is not None
@@ -557,20 +581,22 @@ class ClientPool:
                 Occupancy samples always cover the full run (the warm-up
                 transient is part of the occupancy story).
         """
+        import numpy as np
+
         self._admit()
         first = bisect_left(self._submit_times, warmup)
-        commit_times = self._commit_times[first:]
-        latencies = [commit - submit for submit, commit
-                     in zip(self._submit_times[first:], commit_times)
-                     if commit == commit]
+        # Masked numpy views of the columns, ending with the call.
+        commit_times = np.frombuffer(self._commit_times, "d")[first:]
+        committed = ~np.isnan(commit_times)
+        latencies = (commit_times[committed]
+                     - np.frombuffer(self._submit_times, "d")[first:][committed]).tolist()
         return WorkloadMetrics(
             duration=max(duration, 1e-9),
             submitted=len(commit_times),
             committed=len(latencies),
             dropped=len(self._dropped_ids) - bisect_left(self._dropped_ids, first),
-            committed_tx_bytes=sum([
-                size for size, commit in zip(self._sizes[first:], commit_times)
-                if commit == commit]),
+            committed_tx_bytes=int(
+                np.frombuffer(self._sizes, "I")[first:][committed].sum()),
             latencies=latencies,
             occupancy=list(self._occupancy),
         )

@@ -8,8 +8,9 @@ in the proposer's mempool.  :class:`MempoolPayloadSource` does exactly that:
 it asks the :class:`repro.workload.clients.ClientPool` to pop as many of the
 proposer's pending transaction ids as fit the block-size budget into one
 payload, a :class:`repro.workload.transactions.TxBatch` that renders the
-encoded transactions, concatenated, only when hashed; the pool remembers
-the batch so commits can be matched back to submissions.
+encoded transactions, concatenated, only when hashed — fixed-size rows with
+a numpy digit kernel into a row buffer the hash reads in place; the pool
+remembers the batch so commits can be matched back to submissions.
 
 Protocols are untouched: they call the same ``payload_for(round, proposer)``
 duck-typed interface regardless of which source is wired in, and the

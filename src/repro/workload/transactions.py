@@ -8,10 +8,16 @@ each one is encoded with a small self-describing header
 the :class:`repro.workload.clients.ClientPool` a pending transaction is only
 its integer id, and a proposal's payload is a :class:`TxBatch` of ids that
 renders the concatenated transactions (:func:`encode_batch`, joined) only
-when ``bytes()`` asks for them — in the simulator, once, while the block id
-is hashed.  :func:`split_transactions` recovers every ``(tx_id, client_id)``
-pair from a payload of concatenated transactions (the TCP cluster's blocks,
-or a rendered batch).
+when asked — in the simulator, once, while the block id is hashed.  A batch
+of fixed-size rows (``tx_size`` at least :data:`MAX_HEADER_BYTES`, ids
+non-negative) renders with numpy, a column of digits at a time, into one
+row buffer reused from block to block, and the hash reads that buffer in
+place; :func:`encode_batch` stays the specification and renders every other
+batch.  numpy is imported on first render, so the TCP cluster, which
+imports this module for :func:`encode_transaction`, starts without it.
+:func:`split_transactions` recovers every ``(tx_id, client_id)`` pair from
+a payload of concatenated transactions (the TCP cluster's blocks, or a
+rendered batch).
 
 :class:`TxRecord` is the per-transaction view of the submission-side
 bookkeeping — when it was submitted, which replica it was routed to, and
@@ -56,14 +62,115 @@ def encode_batch(tx_ids: Iterable[int], client_ids: Iterable[int],
     return [(header % ids).ljust(size, pad) for ids in zip(tx_ids, client_ids)]
 
 
+#: ``10**1 … 10**18``: a non-negative id below ``2**63`` has one decimal
+#: digit more than the number of these it reaches.
+_POWERS_OF_TEN = [10 ** k for k in range(1, 19)]
+
+
+def _digit_groups(values):
+    """``(digits, rows)`` for each decimal length among ``values`` (a numpy
+    array, all non-negative): ``rows`` selects the values of that many
+    digits — a slice of all of them when they share one length, as they
+    nearly always do within a block."""
+    import numpy as np
+
+    shortest, longest = len(str(values.min())), len(str(values.max()))
+    if shortest == longest:
+        return [(shortest, slice(None))]
+    lengths = np.searchsorted(_POWERS_OF_TEN, values, "right") + 1
+    groups = [(digits, np.flatnonzero(lengths == digits))
+              for digits in range(shortest, longest + 1)]
+    return [(digits, rows) for digits, rows in groups if len(rows)]
+
+
+def _write_field(out, rows, column, digits, values):
+    """Write ``values`` (``digits`` decimal digits each) and a ``:`` into
+    ``out[rows]``, the digits from ``column`` on, one column at a time
+    (a division by the scalar 10 per column; 32-bit when it fits)."""
+    import numpy as np
+
+    quotient = values.astype(np.uint32 if digits <= 9 else np.uint64)
+    for place in range(column + digits - 1, column - 1, -1):
+        tens = quotient // 10
+        out[rows, place] = quotient - tens * 10 + 48  # + ord("0")
+        quotient = tens
+    out[rows, column + digits] = 58  # ord(":")
+
+
+class _RowBuffer:
+    """The rows fixed-size batches render into, reused from block to block.
+
+    One ``(capacity, tx_size)`` ``uint8`` matrix, allocated for the largest
+    batch seen (a fresh megabyte per block costs as much in page faults as
+    the rendering itself).  Every row starts ``tx:`` and nothing past column
+    ``dirty`` — the end of the widest header ever written — is ever
+    written, so the padding stays zero.  A render builds the headers in a
+    small contiguous matrix and copies it over columns ``3:dirty`` of its
+    rows in one pass.  The buffer holds one rendered batch at a time: a view
+    of it is valid until the next render.  A batch cannot own it, since
+    batches are pickled with the commits that carry them.
+    """
+
+    __slots__ = ("rows", "dirty")
+
+    def __init__(self) -> None:
+        self.rows = None
+        self.dirty = len(_HEADER_PREFIX)
+
+    def render(self, tx_ids: array, client_ids: array, tx_size: int):
+        """The encodings of the ``tx_size``-byte rows, concatenated, as a
+        memoryview of the buffer; ``None`` if an id is negative."""
+        import numpy as np
+
+        ids = np.frombuffer(tx_ids, tx_ids.typecode)
+        if ids.min() < 0:
+            return None
+        clients = np.frombuffer(client_ids, client_ids.typecode)
+        count, start = len(ids), len(_HEADER_PREFIX)
+        rows = self.rows
+        if rows is None or rows.shape[1] != tx_size or len(rows) < count:
+            grown = 2 * len(rows) if rows is not None and rows.shape[1] == tx_size else 0
+            rows = self.rows = np.zeros((max(count, grown), tx_size), np.uint8)
+            rows[:, :start] = np.frombuffer(_HEADER_PREFIX, np.uint8)
+            self.dirty = start
+        # Each distinct client's field ("<digits>:", zero-padded to the
+        # widest) is rendered once into a table and gathered per row; small
+        # labels index the table directly.
+        top = int(clients.max())
+        if top < 2 * count:
+            labels, which = np.arange(top + 1), clients
+        else:
+            labels, which = np.unique(clients, return_inverse=True)
+        table = np.zeros((len(labels), 10 + 1), np.uint8)  # a uint32 has <= 10 digits
+        width = 0
+        for digits, members in _digit_groups(labels):
+            _write_field(table, members, 0, digits, labels[members])
+            width = max(width, digits + 1)
+        fields = table[which.reshape(-1), :width]
+        groups = _digit_groups(ids)
+        end = start + groups[-1][0] + 1 + width
+        head = np.zeros((count, max(end, self.dirty) - start), np.uint8)
+        for digits, members in groups:
+            _write_field(head, members, 0, digits, ids[members])
+            head[members, digits + 1:digits + 1 + width] = fields[members]
+        rows[:count, start:start + head.shape[1]] = head
+        self.dirty = max(self.dirty, end)
+        return memoryview(rows[:count].reshape(-1))
+
+
+_ROWS = _RowBuffer()
+
+
 class TxBatch:
     """A block payload of client transactions, held as their ids.
 
-    ``bytes(batch)`` renders exactly the payload the transactions'
-    encodings concatenate to, ``b"".join(encode_batch(tx_ids, client_ids,
-    tx_size))``, and ``len(batch)`` is its length; nothing keeps the
-    rendered bytes.  :func:`repro.crypto.hashing.canonical_encode` encodes a
-    batch as those bytes, so a block carrying a batch has the id it would
+    The payload is exactly what the transactions' encodings concatenate to,
+    ``b"".join(encode_batch(tx_ids, client_ids, tx_size))``: ``bytes(batch)``
+    renders it and returns a copy, :meth:`view` renders it into the shared
+    row buffer, and ``len(batch)`` is its length; nothing keeps the rendered
+    bytes.  :func:`repro.crypto.hashing.canonical_encode` encodes a batch as
+    those bytes (and :func:`repro.crypto.hashing.hash_hex` reads
+    :meth:`view` in place), so a block carrying a batch has the id it would
     have carrying the bytes.
 
     Equality and hashing are by identity (the ``object`` defaults): a batch
@@ -84,10 +191,24 @@ class TxBatch:
         self.tx_ids = array("q", tx_ids)
         self.client_ids = array("I", client_ids)
         self.tx_size = tx_size
-        self.nbytes = len(bytes(self)) if nbytes is None else nbytes
+        self.nbytes = len(self.view()) if nbytes is None else nbytes
+
+    def view(self):
+        """The rendered payload as a bytes-like object.
+
+        Rows of a fixed size (``tx_size`` at least
+        :data:`MAX_HEADER_BYTES`, every id non-negative) come back as a
+        memoryview of the shared row buffer, valid only until the next
+        batch renders; anything else is :func:`encode_batch`, joined.
+        """
+        if self.tx_size >= MAX_HEADER_BYTES and self.tx_ids:
+            rendered = _ROWS.render(self.tx_ids, self.client_ids, self.tx_size)
+            if rendered is not None:
+                return rendered
+        return b"".join(encode_batch(self.tx_ids, self.client_ids, self.tx_size))
 
     def __bytes__(self) -> bytes:
-        return b"".join(encode_batch(self.tx_ids, self.client_ids, self.tx_size))
+        return bytes(self.view())
 
     def __len__(self) -> int:
         return self.nbytes

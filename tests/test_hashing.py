@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.crypto.hashing import canonical_encode, digest, hash_hex
 from repro.types.blocks import Block
-from repro.workload.transactions import TxBatch, encode_batch
+from repro.workload.transactions import MAX_HEADER_BYTES, TxBatch, encode_batch
 
 
 @dataclass
@@ -68,6 +68,14 @@ _TX_IDS = [9, 10, 99, 100, 999, 1000, 2**32 - 1, 2**40]
 _CLIENT_IDS = [9, 10, 99, 100, 2**32 - 1, 0, 1, 2**32 - 2]
 
 
+def _ids_below(bound):
+    """Ids in ``[0, bound)`` of every decimal length: a length first, then
+    an id of that length."""
+    longest = len(str(bound - 1))
+    return st.integers(1, longest).flatmap(lambda digits: st.integers(
+        10 ** (digits - 1) if digits > 1 else 0, min(10 ** digits, bound) - 1))
+
+
 class TestBatchPayloads:
     """A :class:`TxBatch` payload hashes exactly as the bytes it renders:
     the 256 B uniform path and the 8 B path, where the id header makes
@@ -81,6 +89,37 @@ class TestBatchPayloads:
         assert canonical_encode(batch) == canonical_encode(rendered)
         assert hash_hex(("p", batch, 3)) == hash_hex(("p", rendered, 3))
         assert digest(batch) == digest(rendered)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(_ids_below(2**63), _ids_below(2**32)), max_size=300),
+           tx_size=st.sampled_from([MAX_HEADER_BYTES - 1, MAX_HEADER_BYTES, 256, 1000]))
+    def test_batch_renders_and_hashes_as_the_joined_encodings(self, rows, tx_size):
+        tx_ids = [tx_id for tx_id, _ in rows]
+        client_ids = [client_id for _, client_id in rows]
+        rendered = b"".join(encode_batch(tx_ids, client_ids, tx_size))
+        batch = TxBatch(tx_ids, client_ids, tx_size)
+        assert bytes(batch) == rendered
+        assert len(batch) == len(rendered)
+        assert hash_hex(("p", batch, 3)) == hashlib.sha256(
+            canonical_encode(("p", rendered, 3))).hexdigest()
+
+    def test_the_shared_row_buffer_leaks_no_rows(self):
+        # Long ids, then short ids over more rows, then the long ids again:
+        # every render must clear what the previous one wrote, and a copy
+        # taken earlier must not change.
+        wide_ids, wide_clients = [2**63 - 1 - k for k in range(50)], [2**32 - 1] * 50
+        wide = TxBatch(wide_ids, wide_clients, 256)
+        narrow = TxBatch(range(80), [7] * 80, 256)
+        first = bytes(wide)
+        assert first == b"".join(encode_batch(wide_ids, wide_clients, 256))
+        assert bytes(narrow) == b"".join(encode_batch(range(80), [7] * 80, 256))
+        assert bytes(wide) == first
+        assert hash_hex(narrow) == hash_hex(bytes(narrow))
+
+    def test_negative_ids_render_through_the_specification(self):
+        batch = TxBatch([-(2**63), 5], [0, 1], MAX_HEADER_BYTES)
+        assert bytes(batch) == b"".join(encode_batch([-(2**63), 5], [0, 1],
+                                                     MAX_HEADER_BYTES))
 
     @pytest.mark.parametrize("tx_size", [256, 8])
     def test_block_id_is_the_id_of_the_rendered_payload(self, tx_size):

@@ -389,6 +389,33 @@ class TestWorkloadMetrics:
         assert rebuilt.occupancy[0].per_replica == {0: 1, 1: 2}
         assert rebuilt.summary() == metrics.summary()
 
+    def test_percentiles_share_one_sort(self, monkeypatch):
+        from repro.analysis.stats import percentiles
+        from repro.smr import metrics as metrics_module
+
+        sorts = []
+
+        def counting_sorted(values):
+            sorts.append(len(values))
+            return sorted(values)
+
+        monkeypatch.setattr(metrics_module, "sorted", counting_sorted, raising=False)
+        latencies = [0.3, 0.1, 0.9, 0.2, 0.5]
+        metrics = WorkloadMetrics(duration=1.0, committed=5, latencies=latencies)
+        assert [metrics.p50_latency, metrics.p95_latency, metrics.p99_latency] == (
+            percentiles(latencies, (50, 95, 99)))
+        assert metrics.summary()["p99_latency_s"] == metrics.p99_latency
+        assert sorts == [5]
+        # A replaced or grown list is sorted again; to_dict keeps the order.
+        metrics.latencies = [4.0, 2.0]
+        assert metrics.p50_latency == 2.0
+        metrics.latencies.append(1.0)
+        assert metrics.p50_latency == 2.0 and metrics.latency_percentiles((0,)) == [1.0]
+        assert sorts == [5, 2, 3]
+        rebuilt = WorkloadMetrics.from_dict(json.loads(json.dumps(metrics.to_dict())))
+        assert rebuilt == metrics and rebuilt.latencies == [4.0, 2.0, 1.0]
+        assert rebuilt.summary() == metrics.summary()
+
 
 # --------------------------------------------------------------------- #
 # Simulator: external-event injection and timer bookkeeping
@@ -653,6 +680,24 @@ class TestClientPool:
         assert len(trimmed.latencies) == trimmed.committed
         # Occupancy keeps the full timeline regardless of warm-up.
         assert trimmed.occupancy == full.occupancy
+
+    def test_metrics_match_a_per_transaction_reference(self):
+        # A warm-up cut, drops (30-entry mempools under 600 tx/s) and
+        # transactions still pending when the run ends.
+        spec = WorkloadSpec(mode="open", arrival="poisson", rate=600.0,
+                            mempool_capacity=30, tx_size=128, seed=3)
+        _, pool = _workload_simulation(spec, duration=6.0)
+        warmup = 1.5
+        metrics = pool.metrics(4.5, warmup=warmup)
+        kept = [record for record in pool.records() if record.submit_time >= warmup]
+        committed = [record for record in kept if record.commit_time is not None]
+        assert metrics.submitted == len(kept)
+        assert metrics.dropped == sum(record.dropped for record in kept) > 0
+        assert metrics.committed == len(committed)
+        assert metrics.pending > 0
+        assert metrics.latencies == [record.commit_time - record.submit_time
+                                     for record in committed]
+        assert metrics.committed_tx_bytes == sum(record.size for record in committed)
 
     def test_committed_blocks_hold_batches_not_bytes(self):
         # The pool's payloads are id batches; no block, and no key of the
