@@ -80,7 +80,14 @@ def _flood_duration(n: int) -> float:
 
 #: Latency models the flood runs under: the zero-jitter constant model
 #: (the event-queue-bound extreme) and the jittered measured-RTT matrix
-#: (the delay-computation-bound extreme the row batching targets).
+#: (the delay-computation-bound extreme the row batching targets).  The
+#: ``const`` rows are why the simulator keeps its ``mbatch`` same-instant
+#: groups: scheduling jitter-free broadcasts through the ``sbatch`` spill
+#: instead passed the golden corpus, the dispatch and scheduler
+#: equivalence tests and the cache-key pins unchanged, but made the
+#: smoke-size ``const`` flood (0.5 sim-s) 1.5–2.8x slower — median of 5,
+#: two alternating rounds on 2 cores: n=64 heap 0.016–0.022 → 0.034 s,
+#: n=16 calendar 0.0023–0.0033 → 0.0061–0.0065 s.
 FLOOD_MODELS = ("const", "wan-matrix")
 
 #: Event-scheduler backends every flood cell runs under.  Executions are

@@ -24,7 +24,7 @@ from repro.core.banyan import BanyanReplica
 from repro.protocols.base import Protocol, ProtocolParams
 from repro.protocols.icc import ICCReplica
 from repro.protocols.registry import available_protocols
-from repro.runtime.context import ReplicaContext, Timer
+from repro.runtime.context import ReplicaContext, Timer, check_delay
 from repro.types.blocks import Block
 from repro.types.messages import Message
 
@@ -187,8 +187,7 @@ class DelayedReplica(Protocol):
         window: Optional[tuple] = None,
     ) -> None:
         super().__init__(inner.replica_id, inner.params, inner.registry)
-        if extra_delay < 0:
-            raise ValueError("extra delay must be non-negative")
+        check_delay(extra_delay, "straggler delay")
         if window is not None and window[1] <= window[0]:
             raise ValueError("straggler window must have positive length")
         self.inner = inner

@@ -49,7 +49,7 @@ from repro.cluster.tcp_transport import TcpTransport
 from repro.cluster.wire import ClientSubmit
 from repro.protocols.base import ProtocolParams, innermost
 from repro.protocols.registry import check_protocol, create_replicas
-from repro.runtime.context import ReplicaContext, Timer
+from repro.runtime.context import ReplicaContext, Timer, check_delay
 from repro.smr.mempool import Mempool
 from repro.types.blocks import Block
 
@@ -267,11 +267,12 @@ class ClusterNode:
     def arm_timer(self, delay: float, name: str, data: Any = None) -> int:
         if self._loop is None:
             raise RuntimeError("node not started")
+        check_delay(delay, "timer delay")
         timer_id = self._next_timer_id
         self._next_timer_id += 1
         timer = Timer(name=name, fire_time=self.now() + delay, data=data,
                       timer_id=timer_id)
-        handle = self._loop.call_later(max(0.0, delay), self._fire_timer, timer)
+        handle = self._loop.call_later(delay, self._fire_timer, timer)
         self._timer_handles[timer_id] = handle
         return timer_id
 

@@ -35,6 +35,7 @@ from repro.net.topology import (
 from repro.protocols.base import ProtocolParams
 from repro.protocols.registry import check_protocol, create_replicas
 from repro.runtime.compute import build_compute
+from repro.runtime.context import check_delay
 from repro.runtime.scheduler import resolve_scheduler
 from repro.runtime.simulator import NetworkConfig, Simulation
 from repro.smr.metrics import MetricsCollector, RunMetrics, WorkloadMetrics
@@ -143,8 +144,9 @@ class ExperimentConfig:
         """Raise a one-line ``ValueError`` unless the config can run: a
         measurement window (``duration`` finite and > 0, ``warmup`` finite
         and >= 0, ``warmup < duration``), a registered protocol that
-        accepts ``params``, and a scheduler that serves the compute model
-        and crash windows."""
+        accepts ``params``, ``stragglers`` in ``[0, n]`` with a finite,
+        non-negative ``straggler_delay``, and a scheduler that serves the
+        compute model and crash windows."""
         if not (math.isfinite(self.duration) and self.duration > 0):
             raise ValueError(f"duration must be finite and > 0, got {self.duration!r}")
         if not (math.isfinite(self.warmup) and self.warmup >= 0):
@@ -153,6 +155,10 @@ class ExperimentConfig:
             raise ValueError(f"warmup {self.warmup:g} s leaves no measurement window "
                              f"in a {self.duration:g} s run")
         check_protocol(self.protocol, self.params)
+        if not 0 <= self.stragglers <= self.params.n:
+            raise ValueError(f"stragglers must be in [0, n={self.params.n}], "
+                             f"got {self.stragglers!r}")
+        check_delay(self.straggler_delay, "straggler delay")
         resolve_scheduler(self.scheduler,
                           compute=not build_compute(self.compute).trivial,
                           crash=bool(self.faults.crash_schedule.crash_times))

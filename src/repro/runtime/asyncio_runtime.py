@@ -25,7 +25,7 @@ from functools import partial
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.cluster.wire import decode_envelope, encode_envelope
-from repro.runtime.context import ReplicaContext, Timer
+from repro.runtime.context import ReplicaContext, Timer, check_delay
 from repro.runtime.simulator import NetworkConfig
 from repro.types.blocks import Block
 from repro.types.commits import CommitRecord
@@ -144,6 +144,7 @@ class AsyncioRuntime:
                    data: Any = None) -> int:
         if self._loop is None:
             raise RuntimeError("runtime not started")
+        check_delay(delay, "timer delay")
         timer_id = self._next_timer_id
         self._next_timer_id += 1
         timer = Timer(

@@ -9,6 +9,7 @@ with its own callables, so protocol code is identical under each.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Tuple
 
@@ -32,6 +33,17 @@ class Timer:
     timer_id: int = field(default=-1, compare=False)
 
 
+def check_delay(delay: float, what: str) -> None:
+    """Raise a one-line ``ValueError`` unless ``delay`` is finite and >= 0.
+
+    The one rule for every delay a run schedules: timers in each runtime,
+    the simulator's external events and a straggler's extra delay.  NaN
+    fails it too (every comparison with NaN is false).
+    """
+    if not (math.isfinite(delay) and delay >= 0):
+        raise ValueError(f"{what} must be finite and non-negative, got {delay!r}")
+
+
 class ReplicaContext:
     """Everything a protocol may do to its environment, as one record.
 
@@ -46,7 +58,8 @@ class ReplicaContext:
     * ``send(receiver, message)`` — send ``message`` to one replica;
       ``broadcast(message)`` — send it to every replica, this one included.
     * ``set_timer(delay, name, data=None)`` — arm a timer firing ``delay``
-      seconds from now; returns its id.  ``cancel_timer(timer_id)`` cancels
+      seconds from now (refused by :func:`check_delay` unless finite and
+      non-negative); returns its id.  ``cancel_timer(timer_id)`` cancels
       it, and is a no-op for a timer that already fired.
     * ``commit(blocks, finalization_kind="slow")`` — report newly finalized
       blocks, oldest first.  ``finalization_kind`` is ``"fast"`` if the

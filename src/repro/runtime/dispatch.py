@@ -4,7 +4,7 @@ Two plain functions run every simulation, one per scheduler backend
 (:mod:`repro.runtime.scheduler`): :func:`heap_loop` pops the binary heap
 (``sim._scheduler.heap`` is its raw list) and :func:`calendar_loop` walks the
 calendar queue's materialized bucket.  ``Simulation._run_dispatch``
-picks one by backend.  The heap loop reads three feature flags once, at
+picks one by backend.  The heap loop reads two feature flags once, at
 entry, into locals; the calendar loop reads none, because the calendar
 queue serves only zero-compute, crash-free runs
 (:func:`repro.runtime.scheduler.build_scheduler`):
@@ -21,39 +21,33 @@ queue serves only zero-compute, crash-free runs
   core first.
 * ``crash`` — the fault plan has crash windows: deliveries and timers are
   gated on ``is_crashed``.
-* ``runahead`` — ``sbatch`` run-ahead is enabled (the default): a
-  jittered broadcast's chain delivers member after member without a heap
-  round trip while its successor provably precedes the heap head.
-  Disabled via
-  :attr:`repro.runtime.simulator.Simulation.force_scalar_dispatch` (the
-  re-push-every-successor reference used by the equivalence tests).  The
-  calendar queue has no ``sbatch`` chains: broadcast members are already
-  materialized in final order.
 
 Layout rule: on the heap loop's default path (no compute, no crash) a
 delivery tests at most one flag, the ``gated = compute or crash`` local,
-besides the exit test an ``sbatch`` member makes anyway; all compute and
-crash handling sits behind that gate, at the price of a second handler
-call site per event kind.
+and calls its handler inline.  Behind that gate every arrival — an
+``sbatch`` or ``mbatch`` member, a ``message`` event, an inbox head
+leaving through its ``cpu`` wake — goes through one function,
+:func:`admit`, which makes it wait, drops it, or delivers and charges it.
 
 Every delivery is exactly one ``on_message`` call, in ``(time, seq)``
-order; the flags change only how the heap loop reaches the next event
-and whether it may charge or drop it.  The event budget is compared on every
-path (``run(until)`` passes :data:`UNBOUNDED`).
+order; the flags change only whether the heap loop may queue, charge or
+drop it.  The event budget is compared on every path (``run(until)``
+passes :data:`UNBOUNDED`).
 
-Byte-identity contract: both loops replay the exact event order of the
-heap reference — an ``sbatch`` run-ahead step is taken only when
-``(next_time, batch_seq)`` sorts strictly before the heap head, and the
-historical horizon edge (a *cancelled* timer at the head lets the next
-real event dispatch without re-checking ``until``) is preserved.
-``tests/test_golden_corpus.py`` and ``tests/test_dispatch_batch.py`` pin
-this.
+Byte-identity contract: both loops replay the exact event order of a
+simulation that schedules one event per broadcast copy (the per-copy
+reference in ``tests/conftest.py``) — a jittered broadcast's ``sbatch``
+chain runs ahead, member after member without a heap round trip, only
+while ``(next_time, batch_seq)`` sorts strictly before the heap head,
+and the historical horizon edge (a *cancelled* timer at the head lets
+the next real event dispatch without re-checking ``until``) is
+preserved.  ``tests/test_golden_corpus.py``, ``tests/test_scale.py`` and
+``tests/test_dispatch_batch.py`` pin this.
 
 A loop returns the number of budget-consuming events processed.
 Listeners are read live (``sim._compute_listeners`` here, the delivery
 listeners in the simulator's send paths), so attaching one mid-run needs
-no re-entry; a ``force_scalar_dispatch`` flip takes effect at the next
-``run()`` / ``step()``.
+no re-entry.
 """
 
 from __future__ import annotations
@@ -97,15 +91,47 @@ def build_handler_tables(protocols: Dict[int, Any], contexts: Dict[int, Any]):
     return deliver_one, fire_timer
 
 
+def admit(sim, time_, target, payload, crash):
+    """Hand one gated arrival (compute or crash run, heap loop) to its core.
+
+    ``payload`` is the ``(sender, message)`` pair arriving at ``target`` at
+    ``time_``; the caller has already advanced the clock.  A busy core
+    queues the arrival in the replica's inbox (the first resident arms the
+    one ``cpu`` wake), a crashed receiver drops it, and otherwise the
+    handler runs and the core is charged.  Returns ``None`` for a delivery
+    that waits, ``False`` for one dropped and ``True`` for one delivered.
+    """
+    model = sim._compute
+    message_cost = sim._compute_cost
+    if message_cost is not None:
+        free_at = model.busy_until.get(target, 0.0)
+        if free_at > time_:
+            wseq = next(sim._seq)
+            if model.enqueue(target, time_, wseq, payload):
+                sim._push((free_at, wseq, "cpu", target, None))
+            return None
+    now = sim.now
+    if crash and sim.network.faults.is_crashed(target, now):
+        return False
+    sender, message = payload
+    handler, ctx = sim._deliver_one[target]
+    handler(ctx, sender, message)
+    if message_cost is not None:
+        cost = message_cost(target, sender, message)
+        if cost > 0.0:
+            model.record_busy(target, now, cost)
+            if sim._compute_listeners:
+                sim._notify_compute("cpu-busy", target, now, cost, message)
+    return True
+
+
 def _cpu_wake(sim, event, shared, push, crash):
     """Dispatch one ``cpu`` wake event (compute runs, heap loop).
 
     ``shared`` tells whether another queued event holds the wake's exact
     instant; ``push`` schedules an event.  The caller has already advanced
-    the clock.
-    Returns ``None`` when no delivery reached the core, else ``True`` for
-    a delivery handed to its handler and ``False`` for one dropped at a
-    crashed core.
+    the clock.  Returns ``None`` when no delivery reached the core, else
+    what :func:`admit` returned for the one that did.
     """
     time_, seq_, _, target, payload = event
     model = sim._compute
@@ -148,36 +174,24 @@ def _cpu_wake(sim, event, shared, push, crash):
         return None
     else:
         inbox = None
-    arrived, _, (sender, message) = payload
-    now = sim.now
+    arrived, _, mpayload = payload
     model.record_wait(target, time_ - arrived)
     if sim._compute_listeners:
         sim._notify_compute("cpu-wait", target, arrived, time_ - arrived,
-                            message)
-    if crash and sim.network.faults.is_crashed(target, now):
-        # Dropped at the core: nothing is charged, so the next resident
-        # follows this same instant, ahead of anything scheduled since
-        # (the wake keeps its seq).
-        if inbox:
-            push((time_, seq_, "cpu", target, None))
-        return False
-    handler, ctx = sim._deliver_one[target]
-    handler(ctx, sender, message)
-    cost = sim._compute_cost(target, sender, message)
-    if cost > 0.0:
-        model.record_busy(target, now, cost)
-        if sim._compute_listeners:
-            sim._notify_compute("cpu-busy", target, now, cost, message)
+                            mpayload[1])
+    # The core is free at ``time_``, so this never waits.
+    done = admit(sim, time_, target, mpayload, crash)
     if inbox:
-        # Re-arm at the new free instant; a zero-cost delivery (the self
-        # copy) leaves the core free, so the next resident follows this
-        # same instant under the same seq.
+        # Re-arm at the new free instant; a drop or a zero-cost delivery
+        # (the self copy) leaves the core free, so the next resident
+        # follows this same instant under the same seq, ahead of anything
+        # scheduled since.
         free_at = busy_until[target]
         if free_at > time_:
             push((free_at, next(sim._seq), "cpu", target, None))
         else:
             push((time_, seq_, "cpu", target, None))
-    return True
+    return done
 
 
 def heap_loop(sim, until: float, budget: int) -> int:
@@ -187,17 +201,9 @@ def heap_loop(sim, until: float, budget: int) -> int:
     cancelled_timers = sim._cancelled_timers
     deliver_one = sim._deliver_one
     fire_timer = sim._fire_timer
-    compute = sim._compute_cost is not None
     crash = bool(sim.network.faults.crash_schedule.crash_times)
-    runahead = not sim._force_scalar_dispatch
-    gated = compute or crash
+    gated = sim._compute_cost is not None or crash
     is_crashed = sim.network.faults.is_crashed
-    message_cost = sim._compute_cost
-    model = sim._compute
-    busy_until = model.busy_until
-    enqueue = model.enqueue
-    record_busy = model.record_busy
-    seq = sim._seq
     push = sim._push
     now = sim.now
     processed = 0
@@ -241,31 +247,11 @@ def heap_loop(sim, until: float, budget: int) -> int:
                     now = time_
                     sim.now = now
                 if gated:
-                    free_at = busy_until.get(target, 0.0)
-                    if compute and free_at > time_:
-                        # Busy core: this member waits in the replica's
-                        # inbox (no budget charge); the first resident arms
-                        # the wake.
-                        wseq = next(seq)
-                        if enqueue(target, time_, wseq, mpayload):
-                            heappush(queue,
-                                     (free_at, wseq, "cpu", target, None))
-                    elif crash and is_crashed(target, now):
-                        dropped += 1
+                    done = admit(sim, time_, target, mpayload, crash)
+                    if done is not None:
                         processed += 1
-                    else:
-                        handler, ctx = deliver_one[target]
-                        handler(ctx, sender, message)
-                        delivered += 1
-                        processed += 1
-                        if compute:
-                            cost = message_cost(target, sender, message)
-                            if cost > 0.0:
-                                record_busy(target, now, cost)
-                                if sim._compute_listeners:
-                                    sim._notify_compute(
-                                        "cpu-busy", target, now, cost,
-                                        message)
+                        delivered += done
+                        dropped += not done
                 else:
                     handler, ctx = deliver_one[target]
                     handler(ctx, sender, message)
@@ -276,7 +262,7 @@ def heap_loop(sim, until: float, budget: int) -> int:
                     break
                 time_ = times[index]
                 target = targets[index]
-                if not runahead or processed >= budget or time_ > until:
+                if processed >= budget or time_ > until:
                     payload[2] = index
                     heappush(queue, (time_, seq_, "sbatch", target, payload))
                     break
@@ -302,29 +288,14 @@ def heap_loop(sim, until: float, budget: int) -> int:
             if time_ > now:
                 now = time_
                 sim.now = now
-            sender, message = payload
             if gated:
-                free_at = busy_until.get(target, 0.0)
-                if compute and free_at > time_:
-                    wseq = next(seq)
-                    if enqueue(target, time_, wseq, payload):
-                        heappush(queue, (free_at, wseq, "cpu", target, None))
-                elif crash and is_crashed(target, now):
-                    dropped += 1
+                done = admit(sim, time_, target, payload, crash)
+                if done is not None:
                     processed += 1
-                else:
-                    handler, ctx = deliver_one[target]
-                    handler(ctx, sender, message)
-                    delivered += 1
-                    processed += 1
-                    if compute:
-                        cost = message_cost(target, sender, message)
-                        if cost > 0.0:
-                            record_busy(target, now, cost)
-                            if sim._compute_listeners:
-                                sim._notify_compute("cpu-busy", target,
-                                                    now, cost, message)
+                    delivered += done
+                    dropped += not done
             else:
+                sender, message = payload
                 handler, ctx = deliver_one[target]
                 handler(ctx, sender, message)
                 delivered += 1
@@ -337,17 +308,17 @@ def heap_loop(sim, until: float, budget: int) -> int:
                              push, crash)
             if done is not None:
                 processed += 1
-                if done:
-                    delivered += 1
-                else:
-                    dropped += 1
+                delivered += done
+                dropped += not done
         elif kind == "mbatch":
             # A same-instant broadcast group: every member is a delivery
             # at exactly ``time_``, processed back-to-back the way
             # consecutive per-copy pops would have been (nothing pushed
-            # during processing can sort before a remaining member).
-            # Each member counts against the budget; an exhausted budget
-            # re-queues the tail under the batch's original heap key.
+            # during processing can sort before a remaining member; a
+            # member that finds its core busy waits, the rest of the
+            # group is unaffected).  Each member counts against the
+            # budget; an exhausted budget re-queues the tail under the
+            # batch's original heap key.
             targets, mpayload = payload
             sender, message = mpayload
             if time_ > now:
@@ -363,30 +334,11 @@ def heap_loop(sim, until: float, budget: int) -> int:
                 target = targets[mindex]
                 mindex += 1
                 if gated:
-                    free_at = busy_until.get(target, 0.0)
-                    if compute and free_at > time_:
-                        # Busy core: this member waits; the rest of the
-                        # group is unaffected.
-                        wseq = next(seq)
-                        if enqueue(target, time_, wseq, mpayload):
-                            heappush(queue,
-                                     (free_at, wseq, "cpu", target, None))
-                    elif crash and is_crashed(target, now):
-                        dropped += 1
+                    done = admit(sim, time_, target, mpayload, crash)
+                    if done is not None:
                         processed += 1
-                    else:
-                        handler, ctx = deliver_one[target]
-                        handler(ctx, sender, message)
-                        delivered += 1
-                        processed += 1
-                        if compute:
-                            cost = message_cost(target, sender, message)
-                            if cost > 0.0:
-                                record_busy(target, now, cost)
-                                if sim._compute_listeners:
-                                    sim._notify_compute(
-                                        "cpu-busy", target, now, cost,
-                                        message)
+                        delivered += done
+                        dropped += not done
                 else:
                     handler, ctx = deliver_one[target]
                     handler(ctx, sender, message)

@@ -65,7 +65,7 @@ from repro.net.faults import FaultPlan
 from repro.net.latency import ConstantLatency, LatencyModel
 from repro.net.transport import Delivery, Transport, build_transport
 from repro.runtime.compute import ComputeModel, build_compute
-from repro.runtime.context import ReplicaContext, Timer
+from repro.runtime.context import ReplicaContext, Timer, check_delay
 from repro.runtime.dispatch import (
     UNBOUNDED, build_handler_tables, calendar_loop, heap_loop)
 from repro.runtime.scheduler import SCHEDULERS, build_scheduler
@@ -219,7 +219,6 @@ class Simulation:
         self._deliver_one, self._fire_timer = (
             build_handler_tables(self._protocols, self._contexts)
         )
-        self._force_scalar_dispatch = False
         self._dispatch_counts: Dict[str, int] = {"runahead_members": 0}
         self._commits: Dict[int, List[CommitRecord]] = {r: [] for r in self.replica_ids}
         self._commit_listeners: List[Callable[[CommitRecord], None]] = []
@@ -356,31 +355,19 @@ class Simulation:
         delivery)`` with ``delivery=None`` for dropped copies — the seam
         used by :func:`repro.runtime.trace.attach_network_trace` to record
         queueing and propagation delay separately.  Listeners add per-send
-        overhead; attach them only when tracing.
+        overhead, but observing changes only the pricing call (a broadcast
+        is priced by the transport's reference ``broadcast``, which
+        ``tests/test_delay_rows.py`` pins bit-identical to the unobserved
+        pricing): the copies are scheduled and dispatched exactly as in an
+        unobserved run.
         """
         self._delivery_listeners.append(listener)
-
-    @property
-    def force_scalar_dispatch(self) -> bool:
-        """When ``True`` the event loop never runs an sbatch chain ahead.
-
-        The reference loop re-pushes every sbatch successor through the
-        heap instead of delivering it in place — the semantics run-ahead
-        must reproduce byte-for-byte.  The loop reads it at entry, so a
-        flip takes effect at the next :meth:`run` / :meth:`step`.  Used by
-        the run-ahead equivalence tests.
-        """
-        return self._force_scalar_dispatch
-
-    @force_scalar_dispatch.setter
-    def force_scalar_dispatch(self, value: bool) -> None:
-        self._force_scalar_dispatch = bool(value)
 
     def dispatch_counts(self) -> Dict[str, int]:
         """Event-loop statistics.
 
         ``runahead_members`` counts sbatch members delivered without a
-        heap round trip; zero under :attr:`force_scalar_dispatch`.
+        heap round trip.
         """
         return dict(self._dispatch_counts)
 
@@ -430,8 +417,7 @@ class Simulation:
             delay: non-negative offset from the current simulation time.
             callback: zero-argument callable invoked at the scheduled time.
         """
-        if not math.isfinite(delay) or delay < 0:
-            raise ValueError("external event delay must be finite and non-negative")
+        check_delay(delay, "external event delay")
         if not callable(callback):
             raise TypeError("external event callback must be callable")
         self._external_scheduled += 1
@@ -478,7 +464,7 @@ class Simulation:
 
         Runs the scheduler backend's event loop (see
         :mod:`repro.runtime.dispatch`; the heap loop reads the compute
-        model, crash faults and sbatch run-ahead flags at entry).  Returns
+        model and crash faults flags at entry).  Returns
         the number of budget-consuming events processed.
         """
         if not self._started:
@@ -495,7 +481,8 @@ class Simulation:
         successor goes back under the batch's original heap key), and
         cancelled timers / deliveries joining a busy replica's inbox are
         passed without consuming the budget — observably identical to one
-        iteration of ``run()``.
+        iteration of ``run()``.  Attached listeners do not change the
+        events it steps through (see :meth:`add_delivery_listener`).
         """
         return self._run_dispatch(math.inf, 1) > 0
 
@@ -517,9 +504,10 @@ class Simulation:
         The hot loop itself lives in :mod:`repro.runtime.dispatch`: one
         plain loop per scheduler backend (the heap loop reads its feature
         flags at entry), per-target handler tables kill repeated dict/attr lookups,
-        and (unless :attr:`force_scalar_dispatch` is set) a jittered
-        broadcast's sbatch chain runs ahead without heap round trips.
-        Every delivery is one ``on_message`` call.
+        and a jittered broadcast's sbatch chain runs ahead without heap
+        round trips.  Every delivery is one ``on_message`` call, and
+        attached listeners leave the schedule unchanged (see
+        :meth:`add_delivery_listener`).
         """
         processed = self._run_dispatch(until, max_events)
         if until != math.inf and (max_events is None or processed < max_events):
@@ -564,28 +552,38 @@ class Simulation:
         count = len(receivers)
         self._messages_sent += count
         self._bytes_sent += getattr(message, "wire_size", 0) * count
-        seq = self._seq
-        push = self._push
-        payload = (sender, message)
-        counts = self._event_kind_counts
+        transport = self._transport
+        arrivals = None
         if self._delivery_listeners:
-            # Tracing path: listeners need the full per-copy delay
-            # decomposition, so keep the one-event-per-copy pipeline.
-            deliveries = self._transport.broadcast(sender, receivers, message,
-                                                   self.now, self._rng)
-            dropped = count - len(deliveries)
-            if dropped:
-                self._messages_dropped += dropped
-            counts["message"] += len(deliveries)
-            for delivery in deliveries:
-                push((delivery.deliver_at, next(seq), "message",
-                      delivery.receiver, payload))
+            # Observed: listeners need each copy's delay decomposition, so
+            # price through the reference ``broadcast``; it takes the same
+            # rng draws and returns the same times in the same order as
+            # the calls below (``tests/test_delay_rows.py``), so the copies
+            # are scheduled exactly as in an unobserved run.
+            deliveries = transport.broadcast(sender, receivers, message,
+                                             self.now, self._rng)
             delivered = {delivery.receiver: delivery for delivery in deliveries}
             for receiver in receivers:
                 delivery = delivered.get(receiver)
                 for listener in self._delivery_listeners:
                     listener(sender, receiver, message, self.now, delivery)
-            return
+            times = [delivery.deliver_at for delivery in deliveries]
+            targets = [delivery.receiver for delivery in deliveries]
+        else:
+            # Exactly one arrival builder runs per broadcast (the jitter
+            # draws consume the shared rng stream): the vectorized array
+            # when the run is jittered and the transport has one, else
+            # ``broadcast_times``.
+            if self._spread_broadcasts:
+                arrivals = transport.broadcast_arrival_array(
+                    sender, receivers, message, self.now, self._rng)
+            if arrivals is None:
+                times, targets = transport.broadcast_times(
+                    sender, receivers, message, self.now, self._rng)
+        if arrivals is None:
+            self._messages_dropped += count - len(times)
+        payload = (sender, message)
+        counts = self._event_kind_counts
         if self._spread_broadcasts:
             # Jittered latency: arrival instants are almost surely pairwise
             # distinct, so the whole broadcast goes to the scheduler as ONE
@@ -596,18 +594,8 @@ class Simulation:
             # form one contiguous block, so any other event's seq is either
             # below the whole block (it wins exact-time ties both ways) or
             # above it (it loses them both ways), and same-time members
-            # keep their per-copy push order via the stable sort.  Exactly
-            # one arrival builder runs per broadcast (the jitter draws
-            # consume the shared rng stream): the vectorized array when the
-            # transport has one, else its ``broadcast_times``.
-            arrivals = self._transport.broadcast_arrival_array(
-                sender, receivers, message, self.now, self._rng)
+            # keep their per-copy push order via the stable sort.
             if arrivals is None:
-                times, targets = self._transport.broadcast_times(
-                    sender, receivers, message, self.now, self._rng)
-                dropped = count - len(times)
-                if dropped:
-                    self._messages_dropped += dropped
                 if not times:
                     return
                 arrivals = _np.asarray(times, dtype=_np.float64)
@@ -631,11 +619,8 @@ class Simulation:
         # copies were consecutive in seq order anyway, and distinct times
         # order by the queue key regardless of seq.  The group dict is a
         # scratch buffer reused across broadcasts.
-        times, targets = self._transport.broadcast_times(
-            sender, receivers, message, self.now, self._rng)
-        dropped = count - len(times)
-        if dropped:
-            self._messages_dropped += dropped
+        seq = self._seq
+        push = self._push
         groups = self._group_scratch
         get_group = groups.get
         for receiver, deliver_at in zip(targets, times):
@@ -661,8 +646,7 @@ class Simulation:
 
     def _arm_timer(self, replica_id: int, delay: float, name: str,
                    data: Any = None) -> int:
-        if delay < 0:
-            raise ValueError("timer delay must be non-negative")
+        check_delay(delay, "timer delay")
         timer_id = next(self._timer_ids)
         timer = Timer(name=name, fire_time=self.now + delay, data=data, timer_id=timer_id)
         self._pending_timers.add(timer_id)

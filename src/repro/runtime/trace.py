@@ -186,7 +186,11 @@ def attach_network_trace(simulation, log: Optional[TraceLog] = None) -> TraceLog
     each pipeline stage — partition hold, sender-uplink queueing, wire
     transfer, and propagation — recorded *separately* in ``data``, so
     contention effects are distinguishable from distance.  Dropped copies
-    appear as ``net-drop`` events.
+    appear as ``net-drop`` events.  Attaching it changes only the pricing
+    call (a broadcast is priced by the transport's reference
+    ``broadcast``, which ``tests/test_delay_rows.py`` pins bit-identical
+    to the untraced pricing): the run schedules and delivers exactly what
+    it would untraced.
 
     The protocol-level tracers above answer "what did the replica do"; this
     answers "where did the message's time go".  Combine both on one shared

@@ -40,6 +40,28 @@ def build_simulation(
     return Simulation(replicas, network)
 
 
+class PerCopySimulation(Simulation):
+    """The reference schedule: one ``message`` event per broadcast copy.
+
+    Every broadcast is priced by the transport's reference ``broadcast``
+    and each surviving copy is pushed as its own event under its own seq,
+    so no ``sbatch`` chain, run-ahead or ``mbatch`` group is ever formed.
+    :class:`Simulation` must replay this execution byte for byte.
+    """
+
+    def _broadcast_message(self, sender, message) -> None:
+        receivers = self._replica_id_tuple
+        self._messages_sent += len(receivers)
+        self._bytes_sent += getattr(message, "wire_size", 0) * len(receivers)
+        deliveries = self._transport.broadcast(sender, receivers, message,
+                                               self.now, self._rng)
+        self._messages_dropped += len(receivers) - len(deliveries)
+        self._event_kind_counts["message"] += len(deliveries)
+        for delivery in deliveries:
+            self._push((delivery.deliver_at, next(self._seq), "message",
+                        delivery.receiver, (sender, message)))
+
+
 def committed_ids(simulation: Simulation, replica_id: int) -> List[str]:
     """Block ids committed by ``replica_id`` in commit order."""
     return [record.block.id for record in simulation.commits_for(replica_id)]

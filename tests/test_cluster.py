@@ -182,6 +182,24 @@ def test_commit_log_is_written_once_per_loop_turn_and_at_once_on_error(tmp_path)
     assert error["type"] == "error" and "ZeroDivisionError" in error["detail"]
 
 
+@pytest.mark.parametrize("delay", [float("nan"), float("inf"), -1.0])
+def test_node_refuses_a_timer_delay_the_simulator_refuses(delay):
+    import asyncio
+
+    from repro.cluster.node import ClusterNode
+
+    node = ClusterNode(NodeConfig(replica_id=0, protocol="banyan", n=N, f=1, p=1,
+                                  peers={0: ("127.0.0.1", 0)}))
+
+    async def scenario():
+        node._loop = asyncio.get_running_loop()
+        with pytest.raises(ValueError, match="timer delay must be finite"):
+            node.arm_timer(delay, "bad")
+        assert not node._timer_handles
+
+    asyncio.run(scenario())
+
+
 def test_node_config_roundtrip():
     config = NodeConfig(
         replica_id=2, protocol="banyan", n=4, f=1, p=1,

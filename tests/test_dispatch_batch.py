@@ -1,13 +1,13 @@
-"""Event loops: run-ahead vs the reference loop, calendar vs heap.
+"""Event loops: run-ahead vs the per-copy reference, calendar vs heap.
 
 Every delivery is one ``on_message`` call; the loops differ only in how
 they reach the next event.  Pinned here:
 
 * ``sbatch`` run-ahead (a jittered broadcast's chain delivered member
   after member without heap round trips) must produce executions
-  byte-identical to the reference loop that re-pushes every successor
-  (:attr:`Simulation.force_scalar_dispatch`), across protocols, compute
-  models, fault plans, bounded and unbounded runs, and a mid-run toggle;
+  byte-identical to the reference that schedules one ``message`` event
+  per copy (:class:`PerCopySimulation`), across protocols, compute
+  models, fault plans, and bounded and unbounded runs;
 * the calendar-queue loop must replay the heap loop's execution across
   the same protocols, without compute and with or without message loss
   (the runs the calendar queue serves), also when a run is cut into
@@ -25,6 +25,7 @@ from repro.net.topology import four_global_datacenters
 from repro.protocols.base import ProtocolParams
 from repro.protocols.registry import create_replicas
 from repro.runtime.simulator import NetworkConfig, Simulation
+from tests.conftest import PerCopySimulation
 
 PROTOCOLS = ("banyan", "icc", "hotstuff", "streamlet")
 N = 7
@@ -45,17 +46,17 @@ def _fault_plan(fault: str) -> FaultPlan:
 
 
 def _simulation(protocol: str, compute: str, fault: str,
-                scheduler: str = "auto") -> Simulation:
+                scheduler: str = "auto", simulation=Simulation) -> Simulation:
     # Jittered latency: broadcasts ride sbatch chains, so run-ahead fires
-    # (jitter-free latency schedules no sbatch, and both modes would run
-    # the same loop).  At n=7 ``"auto"`` is the heap.
+    # (jitter-free latency schedules no sbatch).  At n=7 ``"auto"`` is the
+    # heap.
     params = ProtocolParams(n=N, f=1, p=1, rank_delay=0.2)
     protocols = create_replicas(protocol, params)
     network = NetworkConfig(
         latency=GeoLatency(four_global_datacenters(N), jitter=0.05),
         faults=_fault_plan(fault), seed=11, compute=compute,
         scheduler=scheduler)
-    return Simulation(protocols, network)
+    return simulation(protocols, network)
 
 
 def _commit_digest(simulation: Simulation, n: int = N):
@@ -67,20 +68,24 @@ def _commit_digest(simulation: Simulation, n: int = N):
     ]
 
 
-def _execution_digest(simulation: Simulation, n: int = N):
-    return {
+def _execution_digest(simulation: Simulation, n: int = N, events=True):
+    digest = {
         "commits": _commit_digest(simulation, n),
         "sent": simulation.messages_sent,
         "delivered": simulation.messages_delivered,
         "dropped": simulation.messages_dropped,
         "compute": simulation.compute_stats(),
         "now": simulation.now,
-        "events": simulation.event_counts(),
     }
+    if events:
+        # Event tallies differ by construction from the per-copy
+        # reference, which schedules no batch events.
+        digest["events"] = simulation.event_counts()
+    return digest
 
 
 class TestSweepScalarEquivalence:
-    """Run-ahead dispatch vs the forced-scalar reference loop."""
+    """Run-ahead dispatch vs the per-copy reference."""
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     @pytest.mark.parametrize("compute", ["zero", "crypto"])
@@ -89,49 +94,36 @@ class TestSweepScalarEquivalence:
         default = _simulation(protocol, compute, fault)
         default.run(until=HORIZON)
 
-        scalar = _simulation(protocol, compute, fault)
-        scalar.force_scalar_dispatch = True
-        scalar.run(until=HORIZON)
+        reference = _simulation(protocol, compute, fault,
+                                simulation=PerCopySimulation)
+        reference.run(until=HORIZON)
 
         # The comparison must not be vacuous: run-ahead fired on the
         # default side only, and every cell commits.
         assert default.dispatch_counts()["runahead_members"] > 0
-        assert scalar.dispatch_counts()["runahead_members"] == 0
-        assert _execution_digest(default) == _execution_digest(scalar)
+        assert reference.dispatch_counts()["runahead_members"] == 0
+        assert (_execution_digest(default, events=False)
+                == _execution_digest(reference, events=False))
         assert default.commits_for(0)
 
-    def test_jittered_sbatch_path_is_mode_invariant(self):
+    def test_chunked_sbatch_run_matches_the_reference(self):
         # Bounded runs exercise the budget exits, including run-ahead's
-        # own; chunked runs in either mode must replay the unbounded
+        # own; chunked runs on either side must replay the unbounded
         # execution.
-        def chunked(scalar: bool) -> Simulation:
-            simulation = _simulation("banyan", "crypto", "none")
-            simulation.force_scalar_dispatch = scalar
+        def chunked(simulation) -> Simulation:
+            simulation = _simulation("banyan", "crypto", "none",
+                                     simulation=simulation)
             while simulation.now < HORIZON:
                 simulation.run(until=HORIZON, max_events=97)
             return simulation
 
-        default, scalar = chunked(False), chunked(True)
+        default, reference = chunked(Simulation), chunked(PerCopySimulation)
         plain = _simulation("banyan", "crypto", "none")
         plain.run(until=HORIZON)
         assert default.dispatch_counts()["runahead_members"] > 0
         assert _execution_digest(default) == _execution_digest(plain)
-        assert _execution_digest(scalar) == _execution_digest(plain)
-
-    def test_mid_run_toggle_reselects_the_loop(self):
-        # Flipping force_scalar_dispatch between run() calls must keep the
-        # execution byte-identical to an untoggled run: each run() enters
-        # the loop afresh, which reads the flag at entry.
-        toggled = _simulation("banyan", "zero", "none")
-        toggled.run(until=2.0)
-        toggled.force_scalar_dispatch = True
-        toggled.run(until=4.0)
-        toggled.force_scalar_dispatch = False
-        toggled.run(until=HORIZON)
-
-        plain = _simulation("banyan", "zero", "none")
-        plain.run(until=HORIZON)
-        assert _execution_digest(toggled) == _execution_digest(plain)
+        assert (_execution_digest(reference, events=False)
+                == _execution_digest(plain, events=False))
 
 
 # --------------------------------------------------------------------- #

@@ -116,6 +116,16 @@ class TestExperimentRunner:
         (dict(protocol="nope"), "unknown protocol 'nope'"),
         (dict(params=ProtocolParams(n=4, f=1, p=1, rank_delay=0.0)),
          "rank delay must be positive"),
+        # Straggler settings that ran as if there were no straggler, were
+        # refused only mid-run, or crashed with a KeyError.
+        (dict(stragglers=1, straggler_delay=float("nan")),
+         "straggler delay must be finite and non-negative"),
+        (dict(stragglers=1, straggler_delay=float("inf")),
+         "straggler delay must be finite and non-negative"),
+        (dict(straggler_delay=-1.0),
+         "straggler delay must be finite and non-negative"),
+        (dict(stragglers=-2), r"stragglers must be in \[0, n=4\]"),
+        (dict(stragglers=9), r"stragglers must be in \[0, n=4\]"),
     ])
     def test_config_that_cannot_run_is_refused(self, fields, message):
         """Refused at construction, so a bad plan cell fails before any

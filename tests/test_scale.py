@@ -42,9 +42,11 @@ from repro.net.topology import (
 from repro.protocols.base import ProtocolParams
 from repro.protocols.registry import create_replicas
 from repro.runtime.simulator import NetworkConfig, Simulation
+from repro.runtime.trace import attach_compute_trace, attach_network_trace
 from repro.smr.mempool import Mempool
 from repro.workload.clients import ClientPool
 from repro.workload.spec import WorkloadSpec
+from tests.conftest import PerCopySimulation
 
 
 class TestRegionRttMatrix:
@@ -199,8 +201,9 @@ class TestSpreadBatchDeterminism:
     Under a jittered latency model arrival instants are pairwise distinct,
     so ``run()`` schedules each broadcast as one chained event instead of n
     per-copy pushes — the execution must nevertheless be indistinguishable
-    from the per-copy pipeline (still reachable via a delivery listener)
-    and from one-event-at-a-time ``step()``.
+    from the per-copy pipeline (:class:`PerCopySimulation`) and from
+    one-event-at-a-time ``step()``, and attaching tracers must not change
+    it at all.
     """
 
     #: Fault plans for the per-copy reference test: none (the row / array
@@ -214,17 +217,25 @@ class TestSpreadBatchDeterminism:
             drop_probability=0.05),
     }
 
+    #: Latency models for the observation test: jittered (``sbatch``
+    #: chains) and jitter-free (``mbatch`` groups, same-instant ties).
+    LATENCIES = {
+        "geo-jitter": lambda: GeoLatency(four_global_datacenters(7),
+                                         jitter=0.05),
+        "const": lambda: ConstantLatency(0.05),
+    }
+
     @classmethod
     def _simulation(cls, compute: str = "zero", transport: str = "direct",
-                    faults: str = "none") -> Simulation:
+                    faults: str = "none", latency: str = "geo-jitter",
+                    simulation=Simulation) -> Simulation:
         params = ProtocolParams(n=7, f=1, p=1, rank_delay=0.2)
         protocols = create_replicas("banyan", params)
-        topology = four_global_datacenters(7)
-        network = NetworkConfig(latency=GeoLatency(topology, jitter=0.05),
+        network = NetworkConfig(latency=cls.LATENCIES[latency](),
                                 faults=cls.FAULTS[faults](), seed=11,
                                 compute=compute, transport=transport,
                                 relays=3)
-        return Simulation(protocols, network)
+        return simulation(protocols, network)
 
     @staticmethod
     def _commit_digest(simulation: Simulation):
@@ -261,10 +272,10 @@ class TestSpreadBatchDeterminism:
         chained = self._simulation(compute, transport, faults)
         chained.run(until=5.0)
 
-        reference = self._simulation(compute, transport, faults)
-        # A delivery listener forces the one-event-per-copy pipeline.
-        reference.add_delivery_listener(lambda *args: None)
+        reference = self._simulation(compute, transport, faults,
+                                     simulation=PerCopySimulation)
         reference.run(until=5.0)
+        assert chained.event_counts()["sbatch"] > 0
         assert reference.event_counts()["sbatch"] == 0
 
         assert self._commit_digest(chained) == self._commit_digest(reference)
@@ -273,6 +284,32 @@ class TestSpreadBatchDeterminism:
         assert chained.messages_dropped == reference.messages_dropped
         assert chained.compute_stats() == reference.compute_stats()
         assert chained.transport_stats() == reference.transport_stats()
+
+    @pytest.mark.parametrize("faults", sorted(FAULTS))
+    @pytest.mark.parametrize("transport", ["direct", "contended", "relay"])
+    @pytest.mark.parametrize("latency", sorted(LATENCIES))
+    @pytest.mark.parametrize("compute", ["zero", "crypto"])
+    def test_observing_leaves_the_run_unchanged(self, compute, latency,
+                                                transport, faults):
+        # 4 s covers the crash window, the recovery and its aftermath.
+        plain = self._simulation(compute, transport, faults, latency)
+        plain.run(until=4.0)
+
+        traced = self._simulation(compute, transport, faults, latency)
+        network_log = attach_network_trace(traced)
+        compute_log = attach_compute_trace(traced)
+        traced.run(until=4.0)
+        assert len(network_log) > 0
+        assert (len(compute_log) > 0) == (compute != "zero")
+
+        assert self._commit_digest(traced) == self._commit_digest(plain)
+        assert traced.messages_sent == plain.messages_sent
+        assert traced.messages_delivered == plain.messages_delivered
+        assert traced.messages_dropped == plain.messages_dropped
+        assert traced.event_counts() == plain.event_counts()
+        assert traced.compute_stats() == plain.compute_stats()
+        assert traced.transport_stats() == plain.transport_stats()
+        assert plain.commits_for(0)
 
     @pytest.mark.parametrize("compute", ["zero", "crypto"])
     def test_run_matches_single_stepping(self, compute):
@@ -304,8 +341,7 @@ class TestSpreadBatchDeterminism:
         drive(chained)
         assert chained.event_counts()["sbatch"] > 0
 
-        reference = self._simulation()
-        reference.add_delivery_listener(lambda *args: None)
+        reference = self._simulation(simulation=PerCopySimulation)
         drive(reference)
 
         assert self._commit_digest(chained) == self._commit_digest(reference)

@@ -225,3 +225,31 @@ class TestTimers:
         sim = Simulation({0: BadTimer(0, params)}, NetworkConfig())
         with pytest.raises(ValueError):
             sim.start()
+
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
+    def test_timer_delay_must_be_finite_and_non_negative(self, scheduler,
+                                                         delay):
+        # Armed among finite timers, a NaN delay neither fired somewhere
+        # in between (heap) nor broke the bucket mapping (calendar): it is
+        # refused when armed, by both event queues.
+        params = ProtocolParams(n=1, f=0, p=0)
+
+        class MixedTimers(Protocol):
+            name = "mixed"
+
+            def on_start(self, ctx):
+                ctx.set_timer(2.5, "early")
+                ctx.set_timer(delay, "bad")
+                ctx.set_timer(3.0, "late")
+
+            def on_message(self, ctx, sender, message):
+                pass
+
+            def on_timer(self, ctx, timer):
+                pass
+
+        sim = Simulation({0: MixedTimers(0, params)},
+                         NetworkConfig(scheduler=scheduler))
+        with pytest.raises(ValueError, match="timer delay must be finite"):
+            sim.run(until=4.0)
