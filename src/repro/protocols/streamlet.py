@@ -100,11 +100,12 @@ class StreamletReplica(Protocol):
         crash at time 0) joins the epoch its peers are in instead of
         restarting the count at 1.
         """
-        epoch = math.floor(ctx.now() / self.epoch_duration) + 1
+        now = ctx.now()  # read once: a cluster node's clock moves between reads
+        epoch = math.floor(now / self.epoch_duration) + 1
         end = epoch * self.epoch_duration
-        if end <= ctx.now():  # ``now / d`` rounded down onto an integer
+        if end <= now:  # ``now / d`` rounded down onto an integer
             epoch, end = epoch + 1, end + self.epoch_duration
-        self._begin_epoch(ctx, epoch, end - ctx.now())
+        self._begin_epoch(ctx, epoch, end - now)
 
     def on_message(self, ctx: ReplicaContext, sender: int, message: Message) -> None:
         """Dispatch proposals and votes."""

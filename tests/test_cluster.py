@@ -200,6 +200,47 @@ def test_node_refuses_a_timer_delay_the_simulator_refuses(delay):
     asyncio.run(scenario())
 
 
+def test_streamlet_boots_on_a_node_just_before_an_epoch_boundary():
+    """A node's clock moves between reads; booting 1.5 µs before an epoch
+    ends, with the clock 1 µs later on every read, must still arm the end
+    of the current epoch with a non-negative delay."""
+    import asyncio
+
+    from repro.cluster.node import ClusterNode
+    from repro.protocols.base import innermost
+
+    node = ClusterNode(NodeConfig(replica_id=0, protocol="streamlet", n=N, f=1, p=1,
+                                  peers={0: ("127.0.0.1", 0)}))
+    streamlet = innermost(node.protocol)
+    if streamlet.beacon.leader(1) == 0:  # a leader would broadcast to no peers
+        node = ClusterNode(NodeConfig(replica_id=1, protocol="streamlet", n=N, f=1,
+                                      p=1, peers={1: ("127.0.0.1", 0)}))
+        streamlet = innermost(node.protocol)
+    boundary = streamlet.epoch_duration
+
+    class SteppingClock:
+        def __init__(self, loop):
+            self.loop, self.reads = loop, 0
+
+        def time(self):
+            self.reads += 1
+            return boundary - 1.5e-6 + 1e-6 * (self.reads - 1)
+
+        def call_later(self, delay, callback, *args):
+            return self.loop.call_later(delay, callback, *args)
+
+    async def scenario():
+        node._loop = SteppingClock(asyncio.get_running_loop())
+        node._boot()
+        assert node._error is None
+        assert streamlet.current_epoch == 1
+        assert len(node._timer_handles) == 1
+        for handle in node._timer_handles.values():
+            handle.cancel()
+
+    asyncio.run(scenario())
+
+
 def test_node_config_roundtrip():
     config = NodeConfig(
         replica_id=2, protocol="banyan", n=4, f=1, p=1,
