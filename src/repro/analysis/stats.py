@@ -42,16 +42,17 @@ def percentiles(values: Sequence[float], qs: Sequence[float]) -> List[float]:
 
 def sorted_percentiles(ordered: Sequence[float], qs: Sequence[float]) -> List[float]:
     """:func:`percentiles` of values already in ascending order, read in
-    place.
+    place: a list or a one-dimensional numpy array (emptiness is tested
+    with ``len``, which both answer).
 
     Raises:
         ValueError: if any ``q`` is outside ``[0, 100]``.
     """
     if not all(0 <= q <= 100 for q in qs):
         raise ValueError("percentile must be in [0, 100]")
-    if not ordered:
-        return [0.0] * len(qs)
     count = len(ordered)
+    if not count:
+        return [0.0] * len(qs)
     # Rank ceil(q% of count), clamped to 1..count (q = 0 is the minimum).
     return [ordered[min(max(1, math.ceil(q / 100.0 * count)), count) - 1]
             for q in qs]

@@ -38,6 +38,7 @@ recovery instant is delivered.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -64,7 +65,20 @@ class CrashSchedule:
     recover_times: Dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # NaN fails both checks (every comparison with NaN is false), which
+        # is_crashed would otherwise misread.
+        for replica_id, crash_time in self.crash_times.items():
+            if not (math.isfinite(crash_time) and crash_time >= 0):
+                raise ValueError(
+                    f"crash time of replica {replica_id} must be finite and "
+                    f"non-negative, got {crash_time!r}"
+                )
         for replica_id, recover_time in self.recover_times.items():
+            if not math.isfinite(recover_time):
+                raise ValueError(
+                    f"recovery time of replica {replica_id} must be finite, "
+                    f"got {recover_time!r}"
+                )
             crash_time = self.crash_times.get(replica_id)
             if crash_time is None:
                 raise ValueError(

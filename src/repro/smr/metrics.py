@@ -25,6 +25,7 @@ end-to-end submit→commit latency percentiles per transaction, goodput
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -307,7 +308,10 @@ class WorkloadMetrics:
         committed: transactions observed committed (deduplicated).
         dropped: transactions rejected at submission (mempool backpressure).
         committed_tx_bytes: total bytes of committed transactions.
-        latencies: per-transaction submit→commit latencies in seconds.
+        latencies: per-transaction submit→commit latencies in seconds, one
+            ``array('d')`` column (8 bytes a transaction, no Python float
+            each).  Any sequence of floats given to the constructor or
+            assigned later is coerced to that column.
         occupancy: mempool occupancy samples over time.
     """
 
@@ -316,8 +320,14 @@ class WorkloadMetrics:
     committed: int = 0
     dropped: int = 0
     committed_tx_bytes: int = 0
-    latencies: List[float] = field(default_factory=list)
+    latencies: array = field(default_factory=lambda: array("d"))
     occupancy: List[OccupancySample] = field(default_factory=list)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if name == "latencies" and not (
+                isinstance(value, array) and value.typecode == "d"):
+            value = array("d", value)
+        super().__setattr__(name, value)
 
     @property
     def pending(self) -> int:
@@ -333,17 +343,21 @@ class WorkloadMetrics:
         """Submit→commit latency percentiles in seconds, one per ``q`` of
         ``qs``.
 
-        The per-transaction latencies are sorted once, and this call, the
+        The latency column is sorted once, by a stable numpy sort into a
+        float64 array (the order ``sorted`` gives), and this call, the
         ``p50`` / ``p95`` / ``p99`` properties and :meth:`summary` share
         that ordering; it is sorted again only when ``latencies`` is
         replaced or changes length (edit it in place and the ordering is
-        stale).
+        stale).  The picks are returned as Python floats.
         """
+        import numpy as np
+
         cached = getattr(self, "_ordered", None)
         if (cached is None or cached[0] is not self.latencies
                 or len(cached[1]) != len(self.latencies)):
-            cached = self._ordered = (self.latencies, sorted(self.latencies))
-        return _sorted_percentiles(cached[1], qs)
+            ordered = np.sort(np.frombuffer(self.latencies, "d"), kind="stable")
+            cached = self._ordered = (self.latencies, ordered)
+        return [float(value) for value in _sorted_percentiles(cached[1], qs)]
 
     @property
     def p50_latency(self) -> float:
@@ -423,7 +437,7 @@ class WorkloadMetrics:
             committed=int(data["committed"]),
             dropped=int(data["dropped"]),
             committed_tx_bytes=int(data["committed_tx_bytes"]),
-            latencies=[float(v) for v in data.get("latencies", [])],
+            latencies=array("d", data.get("latencies", ())),
             occupancy=[OccupancySample.from_dict(sample)
                        for sample in data.get("occupancy", [])],
         )

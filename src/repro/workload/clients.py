@@ -33,8 +33,8 @@ From a proposal's drain to the run's report, the per-transaction work is
 array work over numpy views of the columns: one gather fetches a batch's
 client ids, one NaN mask finds its still-pending ids (for a commit or a
 reclaim) and one masked store stamps their commit times, and
-:meth:`ClientPool.metrics` builds latencies and committed bytes with
-masks.  The views end with each call, since an ``array`` that exports a
+:meth:`ClientPool.metrics` builds the latency column and committed bytes
+with masks.  The views end with each call, since an ``array`` that exports a
 buffer refuses to grow, and numpy is imported inside those calls, so the
 TCP cluster (which imports this package) starts without it.
 
@@ -551,26 +551,29 @@ class ClientPool:
 
     def records(self) -> List[TxRecord]:
         """All transaction records in submission order, materialised from
-        the columns on each call."""
+        the columns on each call: one ``TxRecord._make`` per transaction
+        over one ``zip`` of them."""
         self._admit()
-        dropped = set(self._dropped_ids)
-        replica_ids = self._replica_ids
-        return [
-            TxRecord(
-                tx_id=tx_id,
-                client_id=client_id,
-                replica_id=replica_ids[tx_id % len(replica_ids)],
-                size=size,
-                submit_time=submit_time,
-                commit_time=None if commit_time != commit_time else commit_time,
-                dropped=tx_id in dropped,
-            )
-            for tx_id, (client_id, size, submit_time, commit_time) in enumerate(zip(
-                self._client_ids, self._sizes, self._submit_times, self._commit_times))
-        ]
+        count = len(self._submit_times)
+        commit_times = [None if time != time else time  # NaN: pending
+                        for time in self._commit_times]
+        dropped = [False] * count
+        for tx_id in self._dropped_ids:
+            dropped[tx_id] = True
+        # Round-robin routing: transaction i went to replica i mod n.
+        return list(map(TxRecord._make, zip(
+            range(count), self._client_ids, cycle(self._replica_ids),
+            self._sizes, self._submit_times, commit_times, dropped)))
 
     def metrics(self, duration: float, warmup: float = 0.0) -> WorkloadMetrics:
         """Build the :class:`WorkloadMetrics` summary of the run so far.
+
+        The latencies leave as one ``array('d')`` column, in submission
+        order: the committed commit times are copied into it and the
+        committed submit times taken off in place, each through one
+        masked copy, so at most one transient column lives beside the
+        result (a boolean mask picks without an index array, where
+        ``np.compress`` would add one).
 
         Args:
             duration: measured duration in seconds (excluding warm-up), the
@@ -588,8 +591,10 @@ class ClientPool:
         # Masked numpy views of the columns, ending with the call.
         commit_times = np.frombuffer(self._commit_times, "d")[first:]
         committed = ~np.isnan(commit_times)
-        latencies = (commit_times[committed]
-                     - np.frombuffer(self._submit_times, "d")[first:][committed]).tolist()
+        latencies = array("d", (0.0,)) * int(np.count_nonzero(committed))
+        column = np.frombuffer(latencies, "d")
+        column[:] = commit_times[committed]
+        column -= np.frombuffer(self._submit_times, "d")[first:][committed]
         return WorkloadMetrics(
             duration=max(duration, 1e-9),
             submitted=len(commit_times),

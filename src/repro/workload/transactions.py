@@ -29,8 +29,7 @@ materialises records on demand.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 _HEADER_PREFIX = b"tx:"
 _HEADER = _HEADER_PREFIX + b"%d:%d:"  # % (tx_id, client_id)
@@ -251,9 +250,10 @@ def split_transactions(payload: bytes) -> List[Tuple[int, int]]:
     return pairs
 
 
-@dataclass
-class TxRecord:
-    """Lifecycle record of one submitted transaction.
+class TxRecord(NamedTuple):
+    """Lifecycle record of one submitted transaction (a named tuple, so
+    :meth:`repro.workload.clients.ClientPool.records` builds each with one
+    ``_make`` over its columns).
 
     Attributes:
         tx_id: globally unique transaction id (assigned by the pool).

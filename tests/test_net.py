@@ -274,6 +274,22 @@ class TestHalfOpenBoundaries:
         with pytest.raises(ValueError):
             CrashSchedule(recover_times={1: 5.0})
 
+    @pytest.mark.parametrize("crash_time", (float("nan"), float("inf"), -1.0))
+    def test_a_crash_time_must_be_finite_and_non_negative(self, crash_time):
+        # NaN used to be accepted and then read as a crash at 0.
+        with pytest.raises(ValueError, match=(
+                r"^crash time of replica 3 must be finite and non-negative, "
+                rf"got {crash_time!r}$")):
+            CrashSchedule(crash_times={3: crash_time})
+
+    @pytest.mark.parametrize("recover_time", (float("nan"), float("inf")))
+    def test_a_recovery_time_must_be_finite(self, recover_time):
+        # NaN used to be accepted and then erased the crash altogether.
+        with pytest.raises(ValueError, match=(
+                r"^recovery time of replica 3 must be finite, "
+                rf"got {recover_time!r}$")):
+            CrashSchedule(crash_times={3: 1.0}, recover_times={3: recover_time})
+
     def test_recovered_replica_counts_as_correct(self):
         plan = FaultPlan(crash_schedule=CrashSchedule(
             crash_times={0: 1.0, 1: 1.0}, recover_times={0: 2.0}))

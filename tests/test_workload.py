@@ -16,6 +16,8 @@ import random
 from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.eval.experiment import ExperimentConfig, run_experiment
 from repro.eval.scenarios import plan_flash_crowd, plan_saturation_sweep, run_figure
@@ -390,31 +392,85 @@ class TestWorkloadMetrics:
         assert rebuilt.summary() == metrics.summary()
 
     def test_percentiles_share_one_sort(self, monkeypatch):
+        import numpy as np
+
         from repro.analysis.stats import percentiles
-        from repro.smr import metrics as metrics_module
 
         sorts = []
+        numpy_sort = np.sort
 
-        def counting_sorted(values):
+        def counting_sort(values, *args, **kwargs):
             sorts.append(len(values))
-            return sorted(values)
+            return numpy_sort(values, *args, **kwargs)
 
-        monkeypatch.setattr(metrics_module, "sorted", counting_sorted, raising=False)
+        monkeypatch.setattr(np, "sort", counting_sort)
         latencies = [0.3, 0.1, 0.9, 0.2, 0.5]
         metrics = WorkloadMetrics(duration=1.0, committed=5, latencies=latencies)
         assert [metrics.p50_latency, metrics.p95_latency, metrics.p99_latency] == (
             percentiles(latencies, (50, 95, 99)))
         assert metrics.summary()["p99_latency_s"] == metrics.p99_latency
         assert sorts == [5]
-        # A replaced or grown list is sorted again; to_dict keeps the order.
+        # A replaced or grown column is sorted again; to_dict keeps the order.
         metrics.latencies = [4.0, 2.0]
         assert metrics.p50_latency == 2.0
         metrics.latencies.append(1.0)
         assert metrics.p50_latency == 2.0 and metrics.latency_percentiles((0,)) == [1.0]
         assert sorts == [5, 2, 3]
         rebuilt = WorkloadMetrics.from_dict(json.loads(json.dumps(metrics.to_dict())))
-        assert rebuilt == metrics and rebuilt.latencies == [4.0, 2.0, 1.0]
+        assert rebuilt == metrics and list(rebuilt.latencies) == [4.0, 2.0, 1.0]
         assert rebuilt.summary() == metrics.summary()
+        assert sorts == [5, 2, 3, 3]
+
+    def test_latencies_are_one_float64_column(self):
+        for latencies in ([0.5, 0.25], (0.5, 0.25), array("d", [0.5, 0.25])):
+            metrics = WorkloadMetrics(duration=1.0, latencies=latencies)
+            assert isinstance(metrics.latencies, array)
+            assert metrics.latencies.typecode == "d"
+            assert list(metrics.latencies) == [0.5, 0.25]
+        column = array("d", [0.1])
+        assert WorkloadMetrics(duration=1.0, latencies=column).latencies is column
+        assert WorkloadMetrics(duration=1.0).latencies == array("d")
+        rebuilt = WorkloadMetrics.from_dict({
+            "duration": 1.0, "submitted": 2, "committed": 2, "dropped": 0,
+            "committed_tx_bytes": 0, "latencies": [1, 0.5]})
+        assert rebuilt.latencies == array("d", [1.0, 0.5])
+        assert all(type(value) is float for value in rebuilt.summary().values())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.lists(st.floats(min_value=-1e6, max_value=1e6), max_size=2000),
+        # Many repeated values, the common case of a quantised clock.
+        st.lists(st.sampled_from((0.0, -0.0, 0.1, 0.25, 1.5)), max_size=2000),
+    ))
+    def test_a_column_reads_as_the_list_it_holds(self, values):
+        """Built from a column or a list, the metrics report what the list
+        reports through :mod:`repro.analysis.stats`, to the bit, and
+        serialise the latencies exactly as that list."""
+        from repro.analysis.stats import mean, percentiles
+
+        qs = (0, 1, 50, 95, 99, 100)
+        built = [WorkloadMetrics(duration=2.0, committed=len(values),
+                                 latencies=latencies)
+                 for latencies in (array("d", values), list(values))]
+        expected = [percentiles(values, qs), percentiles(values, (50, 95, 99))]
+        for metrics in built:
+            picks = metrics.latency_percentiles(qs)
+            assert all(type(value) is float for value in picks)
+            assert list(map(repr, picks)) == list(map(repr, expected[0]))
+            assert list(map(repr, (metrics.p50_latency, metrics.p95_latency,
+                                   metrics.p99_latency))) == (
+                list(map(repr, expected[1])))
+            assert repr(metrics.mean_latency) == repr(mean(values))
+            summary = metrics.summary()
+            assert [repr(summary[key]) for key in (
+                "mean_latency_s", "p50_latency_s", "p95_latency_s",
+                "p99_latency_s")] == [repr(mean(values))] + list(map(repr, expected[1]))
+            document = json.dumps(metrics.to_dict())
+            assert document == json.dumps(dict(metrics.to_dict(), latencies=values))
+            assert WorkloadMetrics.from_dict(json.loads(document)) == metrics
+        assert built[0] == built[1]
+        assert json.dumps(built[0].to_dict()) == json.dumps(built[1].to_dict())
+        assert repr(built[0].summary()) == repr(built[1].summary())
 
 
 # --------------------------------------------------------------------- #
@@ -695,9 +751,31 @@ class TestClientPool:
         assert metrics.dropped == sum(record.dropped for record in kept) > 0
         assert metrics.committed == len(committed)
         assert metrics.pending > 0
-        assert metrics.latencies == [record.commit_time - record.submit_time
-                                     for record in committed]
+        assert list(metrics.latencies) == [record.commit_time - record.submit_time
+                                           for record in committed]
         assert metrics.committed_tx_bytes == sum(record.size for record in committed)
+
+    def test_metrics_allocate_one_column_beyond_the_result(self):
+        # The latencies leave as one array('d'): at most the result plus
+        # one transient 8-byte column, never a Python float per
+        # transaction (32 B each with its list slot).
+        import tracemalloc
+
+        spec = WorkloadSpec(mode="open", arrival="poisson", rate=6_000.0,
+                            tx_size=64, max_block_bytes=100_000, seed=2)
+        _, pool = _workload_simulation(spec, duration=3.0)
+        pool.metrics(3.0)  # numpy imported, the columns admitted
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            metrics = pool.metrics(3.0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert metrics.committed > 10_000
+        assert isinstance(metrics.latencies, array)
+        assert metrics.latencies.typecode == "d"
+        assert peak <= 3 * 8 * metrics.committed + 64 * 1024
 
     def test_committed_blocks_hold_batches_not_bytes(self):
         # The pool's payloads are id batches; no block, and no key of the
