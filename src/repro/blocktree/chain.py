@@ -3,9 +3,14 @@
 Once a block is explicitly finalized (via the slow or the fast path), it and
 all of its not-yet-finalized ancestors are appended to the finalized chain
 (Algorithm 2 line 59: "output payloads of the last ``k - kMax`` blocks in the
-chain ending at ``b``").  The chain is append-only and checks the consistency
-properties the safety proof relies on: heights strictly increase along the
-chain and each appended segment extends the previous chain head.
+chain ending at ``b``").  The chain checks the consistency properties the
+safety proof relies on: heights strictly increase along the chain and each
+appended segment extends the previous chain head.
+
+The chain is the replica's view of its output, not the output itself: the
+output is the commit stream, and a replica that never revisits a round
+releases the blocks below it (:meth:`FinalizedChain.release_below`), keeping
+the head that every later segment must extend.
 """
 
 from __future__ import annotations
@@ -20,7 +25,11 @@ class ChainConsistencyError(Exception):
 
 
 class FinalizedChain:
-    """Append-only ordered list of finalized blocks, starting at genesis."""
+    """Ordered list of the finalized blocks still held, oldest first.
+
+    It starts at genesis; :meth:`release_below` drops a prefix.  Positions,
+    lengths and the prefix comparisons refer to the blocks held.
+    """
 
     def __init__(self) -> None:
         self._blocks: List[Block] = [genesis_block()]
@@ -46,18 +55,19 @@ class FinalizedChain:
         return self._blocks[-1].round
 
     def blocks(self) -> List[Block]:
-        """Return a copy of the chain, genesis first."""
+        """Return a copy of the held chain, oldest first."""
         return list(self._blocks)
 
     def block_at(self, index: int) -> Block:
-        """Return the block at chain position ``index`` (0 = genesis)."""
+        """Return the block at held position ``index`` (0 = the oldest held,
+        genesis until a release)."""
         return self._blocks[index]
 
     def append_segment(self, segment: Iterable[Block]) -> List[Block]:
         """Append a finalized segment (oldest first) extending the head.
 
-        Blocks already in the chain are skipped, so callers may pass the full
-        path from genesis.  Returns the blocks actually appended.
+        Blocks already held are skipped, so callers may pass a path that
+        overlaps the held chain.  Returns the blocks actually appended.
 
         Raises:
             ChainConsistencyError: if the segment does not extend the current
@@ -81,6 +91,15 @@ class FinalizedChain:
             self._ids.add(block.id)
             appended.append(block)
         return appended
+
+    def release_below(self, round: int) -> None:
+        """Drop the blocks of rounds below ``round``, always keeping the head."""
+        blocks = self._blocks
+        count = 0
+        while count < len(blocks) - 1 and blocks[count].round < round:
+            self._ids.discard(blocks[count].id)
+            count += 1
+        del blocks[:count]
 
     def prefix_of(self, other: "FinalizedChain") -> bool:
         """Return whether this chain is a prefix of ``other`` (or equal)."""

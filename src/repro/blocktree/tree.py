@@ -11,6 +11,11 @@ Status flags tracked per block:
 * ``notarized`` — a notarization certificate is known;
 * ``unlocked`` — the block satisfies Definition 7.6 (safe to extend);
 * ``finalized`` — explicitly or implicitly finalized.
+
+A replica that never revisits a round releases its blocks
+(:meth:`BlockTree.release_round`), so the tree holds a window of rounds, not
+the chain.  A released finalized block leaves only its id in the notarized
+and finalized sets, so status queries about the committed output stay true.
 """
 
 from __future__ import annotations
@@ -100,6 +105,18 @@ class BlockTree:
 
     def __len__(self) -> int:
         return len(self._blocks)
+
+    def release_round(self, round: int) -> None:
+        """Forget the blocks of ``round``: each block, its round index entry,
+        its children entry and its unlocked flag.  A finalized block keeps
+        its id in the notarized and finalized sets (one string per committed
+        block, not the block); any other block leaves no trace."""
+        for block_id in self._by_round.pop(round, ()):
+            del self._blocks[block_id]
+            self._children.pop(block_id, None)
+            self._unlocked.discard(block_id)
+            if block_id not in self._finalized:
+                self._notarized.discard(block_id)
 
     # ------------------------------------------------------------------ #
     # Status flags

@@ -403,10 +403,15 @@ class ClusterNode:
         if not self.config.summary_path:
             return
         protocol = innermost(self.protocol)
+        tree = getattr(protocol, "tree", None)
         summary = {
             "replica_id": self.config.replica_id,
             "protocol": self.config.protocol,
             "commits": self._commits,
+            # What the replica still holds at the end: flat in run length
+            # where rounds are released (ICC, Banyan).
+            "held_blocks": None if tree is None else len(tree),
+            "held_rounds": getattr(protocol, "held_rounds", None),
             "client_submissions": self._client_submissions,
             "client_rejections": self._client_rejections,
             "proposal_times": {

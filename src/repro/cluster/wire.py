@@ -50,9 +50,14 @@ trailing or corrupted input raises :class:`WireError` — never
 ``IndexError`` / ``struct.error`` — so a node can drop a bad peer instead
 of crashing.  A value outside its slot's domain (a round of ``2**64``, an
 id string of 64 KiB) is a :class:`WireError` at *encode*.  Decoded
-dataclasses are restored field by field, as :mod:`pickle` does, and the
-id strings of one decoder are interned (votes, certificates and proofs of
-a round all name the same few blocks).
+dataclasses are restored field by field, as :mod:`pickle` does (no
+constructor runs; derived attributes such as
+:attr:`repro.types.certificates.UnlockProof.total_mask` are computed on
+first use).  The id strings of one decoder are interned: votes,
+certificates and proofs of a round all name the same few blocks, so a
+repeated id is one dictionary hit and one shared ``str``.  The table is
+bounded by ``_INTERN_LIMIT`` (cleared when full), because a replica never
+looks back more than its round window: a long run does not grow it.
 
 The format is deliberately independent of :mod:`pickle` (unsafe across
 trust boundaries, unstable across interpreters) and of
@@ -110,8 +115,11 @@ FRAME_HEADER_SIZE = _FRAME_HEADER.size
 #: The header values that stand for an absent optional field.
 _NO_STR, _NO_I32, _NO_U64 = 0xFFFF, -(1 << 31), (1 << 64) - 1
 
-#: Decoders forget their interned id strings beyond this many.
-_INTERN_LIMIT = 4096
+#: Interned id strings one decoder holds before it forgets them all.  One
+#: connection names about one new block id per round and nothing older than
+#: the receiver's round window (``repro.protocols.icc.ROUND_WINDOW``), so
+#: this covers many windows while keeping a table small.
+_INTERN_LIMIT = 256
 
 
 class WireError(Exception):
@@ -348,7 +356,6 @@ def _compile(tag: Optional[int], cls: type, fields: tuple) -> Tuple[Callable, Ca
     packed = ", ".join(([str(tag)] if tag is not None else []) + [slot for _, slot in slots])
     state = ", ".join(f"{name!r}: {name}" for name, _ in fields)
     built = ("(" + ", ".join(name for name, _ in fields) + ")" if cls is tuple
-             else f"cls(**{{{state}}})" if cls is UnlockProof  # derives its total mask
              else f"restore({'VOTE_CLASSES[kind]' if cls is Vote else 'cls'}, {{{state}}})")
     source = (
         f"def encode(obj, out):\n{ready}    out.append(pack({packed}))\n{follow}\n"

@@ -51,7 +51,9 @@ _CERTIFICATE_SHAPES = (Notarization, Finalization)
 #: replica sends reads a round below that minimum (proposals and relays
 #: cite the previous round, certificates the current or a not yet finalized
 #: one); the window is slack, so a late message for a recent round still
-#: finds its tally instead of being dropped at the door.
+#: finds its tally instead of being dropped at the door.  The block tree
+#: and the finalized chain keep one round more (the parent round of the
+#: lowest proposal admitted).
 ROUND_WINDOW = 8
 
 
@@ -637,8 +639,23 @@ class ICCReplica(Protocol):
             self._floor += 1
 
     def _release_round(self, round_k: int) -> Optional[_RoundState]:
-        """Drop ``round_k``'s state; return it (``None`` if never held)."""
+        """Drop ``round_k``'s state, the blocks of round ``round_k - 1`` and
+        the finalized chain below ``round_k``; return the state (``None`` if
+        never held).
+
+        Once ``round_k`` is released the lowest proposal admitted is of
+        round ``round_k + 1``, so the tree keeps the parent round of that
+        proposal, and the chain keeps its head for the next segment to
+        extend.  Committed blocks have already left through ``ctx.commit``.
+        """
+        self.tree.release_round(round_k - 1)
+        self.chain.release_below(round_k)
         return self._rounds.pop(round_k, None)
+
+    @property
+    def held_rounds(self) -> int:
+        """Rounds whose state this replica still holds."""
+        return len(self._rounds)
 
     def _broadcast_finalization(self, ctx: ReplicaContext, round_k: int,
                                 block_id: BlockId, kind: str) -> None:

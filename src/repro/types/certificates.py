@@ -20,7 +20,8 @@ and ``voters`` / ``support`` / ``total_voters`` give ``frozenset`` views.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import FrozenSet, Iterable, Optional, Tuple
 
 from repro.crypto.aggregate import AggregateSignature
@@ -161,22 +162,29 @@ class UnlockProof:
     block_id: BlockId
     #: Fast-vote voter bitmasks keyed by the block they support.
     masks_by_block: Tuple[Tuple[BlockId, int], ...]
-    #: Bitmask of all distinct voters in the proof (derived at construction).
-    total_mask: int = field(compare=False, repr=False)
 
     def __init__(self, round: int, block_id: BlockId,
                  votes_by_block: Iterable[Tuple[BlockId, Iterable[int]]] = (),
                  *, masks_by_block: Optional[Tuple[Tuple[BlockId, int], ...]] = None) -> None:
         if masks_by_block is None:
             masks_by_block = tuple((bid, voter_mask(voters)) for bid, voters in votes_by_block)
-        total = 0
-        for _, mask in masks_by_block:
-            total |= mask
         set_field = object.__setattr__
         set_field(self, "round", round)
         set_field(self, "block_id", block_id)
         set_field(self, "masks_by_block", masks_by_block)
-        set_field(self, "total_mask", total)
+
+    @cached_property
+    def total_mask(self) -> int:
+        """Bitmask of all distinct voters in the proof.
+
+        Derived on first use and memoised in ``__dict__``, outside ``==`` /
+        ``hash`` / ``repr``, so a proof restored field by field (the wire
+        codec) needs no constructor call.
+        """
+        total = 0
+        for _, mask in self.masks_by_block:
+            total |= mask
+        return total
 
     @classmethod
     def from_fast_votes(cls, round: int, block_id: BlockId,

@@ -204,6 +204,25 @@ class TestBlockTree:
             tree.add_block(block)
         assert len(tree) == 4  # genesis + 3
 
+    def test_released_round_keeps_only_finalized_ids(self):
+        tree = BlockTree()
+        kept, dropped = _block(1, parent=genesis_block()), _block(1, 1, 1, genesis_block())
+        child = _block(2, parent=kept)
+        for block in (kept, dropped, child):
+            tree.add_block(block)
+            tree.mark_notarized(block.id)
+            tree.mark_unlocked(block.id)
+        tree.mark_finalized(kept.id)
+        tree.release_round(1)
+        assert kept.id not in tree and dropped.id not in tree
+        assert tree.blocks_at_round(1) == [] and tree.children(kept.id) == []
+        assert tree.is_notarized(kept.id) and tree.is_finalized(kept.id)
+        assert not tree.is_unlocked(kept.id)
+        assert not tree.is_notarized(dropped.id) and not tree.is_unlocked(dropped.id)
+        # The next round still stands; its walk stops at the released parent.
+        assert child.id in tree and tree.parent(child.id) is None
+        assert tree.chain_to(child.id, {kept.id}) == [child]
+
 
 class TestFinalizedChain:
     def test_starts_with_genesis(self):
@@ -270,6 +289,18 @@ class TestFinalizedChain:
         chain.append_segment(blocks)
         assert blocks[0].id in chain
         assert "missing" not in chain
+
+    def test_release_below_keeps_the_head(self):
+        chain = FinalizedChain()
+        blocks = _chain_blocks(4)
+        chain.append_segment(blocks)
+        chain.release_below(3)
+        assert [b.round for b in chain] == [3, 4]
+        assert blocks[1].id not in chain and blocks[2].id in chain
+        chain.release_below(10)
+        assert [b.round for b in chain] == [4] and chain.head.id == blocks[-1].id
+        successor = _block(5, parent=blocks[-1])
+        assert chain.append_segment([successor]) == [successor]
 
     def test_block_at_and_iteration(self):
         chain = FinalizedChain()

@@ -400,10 +400,14 @@ class TestChaosEngine:
         commits = simulation.commits_for(0)
         assert commits
         # Tamper with the wrapped replica's inner tree: un-notarize one of
-        # its committed blocks.  The checker must see through the wrapper
+        # its committed blocks, one whose round was released (the tree
+        # keeps only its id).  The checker must see through the wrapper
         # and flag it.
         inner = simulation.protocol(0).inner
-        inner.tree._notarized.discard(commits[0].block.id)
+        planted = commits[0].block
+        assert planted.round < inner._floor and planted.id not in inner.tree
+        assert inner.tree.is_notarized(planted.id)
+        inner.tree._notarized.discard(planted.id)
         violations = checker.finalize(simulation, heal_time=0.0,
                                       liveness_bound=5.0, duration=8.0)
         assert any(v.invariant == "notarized-commit" and v.replica == 0

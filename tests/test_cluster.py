@@ -27,6 +27,7 @@ from repro.cluster.harness import (
     split_transactions,
 )
 from repro.cluster.node import MempoolSource, NodeConfig, main
+from repro.protocols.icc import ROUND_WINDOW
 from repro.smr.mempool import Mempool
 
 # Cluster-wide timing used by every test: fast ranks (localhost), a short
@@ -372,6 +373,11 @@ def test_cluster_commits_within_deadline(protocol, tmp_path):
     # Every replica committed (liveness at each node, not just the observer).
     committed_by = {record.replica_id for record in result.records}
     assert committed_by == set(range(N))
+    if protocol in ("banyan", "icc"):
+        # Blocks leave with their round: a node holds a window, not its chain.
+        for summary in result.summaries.values():
+            assert summary["held_blocks"] <= ROUND_WINDOW + 8
+            assert summary["held_rounds"] <= ROUND_WINDOW + 8
 
 
 def test_cluster_workload_latency(tmp_path):

@@ -3,8 +3,8 @@
 ICC / Banyan keep one ``_RoundState`` per round, which owns the round's two
 vote tallies and (Banyan) its ``FastPathState`` and proposer fast votes.
 It is dropped ``ROUND_WINDOW`` rounds below ``min(k_max, current_round)`` —
-below anything a replica still sends about — so per-round memory is flat in
-the length of a run.  The contract pinned here: the state is bounded, a
+below anything a replica still sends about — together with the blocks of
+the round below it, so per-round memory is flat in the length of a run.  The contract pinned here: the state is bounded, a
 message naming a released round is dropped at the door, and releasing
 changes nothing an observer can see (the reference is the same replica
 with the release step switched off).
@@ -86,8 +86,12 @@ def test_round_state_is_bounded_after_500_rounds(protocol):
         sizes = _container_sizes(state)
         assert sizes.pop("proposal_times") > 0
         assert max(sizes.values()) <= HELD, sizes
-        # The finalized chain itself is the run's output and stays.
-        assert len(state.chain) == state.k_max + 1
+        # Blocks leave with their round: the tree and the chain hold a
+        # window, genesis included while it is in it ...
+        assert len(state.tree) <= HELD + 1
+        assert len(state.chain) <= HELD + 1
+        # ... and the output still streamed every finalized block.
+        assert len(sim.commits_for(replica)) == state.k_max
 
 
 def _stale_messages(round_k, block_id):
@@ -110,6 +114,12 @@ def _stale_messages(round_k, block_id):
     return [votes, *certificates, proposal]
 
 
+def _committed_id(sim, replica, round_k):
+    """The id of the block ``replica`` committed at ``round_k``."""
+    return next(record.block.id for record in sim.commits_for(replica)
+                if record.block.round == round_k)
+
+
 @pytest.mark.parametrize("protocol", ["banyan", "icc"])
 def test_messages_naming_a_released_round_allocate_and_send_nothing(protocol):
     sim = _simulation(protocol, ConstantLatency(0.005))
@@ -117,7 +127,7 @@ def test_messages_naming_a_released_round_allocate_and_send_nothing(protocol):
     replica = sim.protocol(0)
     assert replica._floor > 10
     released = replica._floor - 1
-    block_id = replica.chain.block_at(released).id
+    block_id = _committed_id(sim, 0, released)
     ctx = FakeContext(0, N)
 
     def held():
@@ -133,7 +143,7 @@ def test_messages_naming_a_released_round_allocate_and_send_nothing(protocol):
     assert ctx.committed == []
     # The same messages about a round still held do reach its tallies.
     live = replica._floor
-    live_id = replica.chain.block_at(live).id
+    live_id = _committed_id(sim, 0, live)
     tally = replica._rounds[live].notarization
     replica.on_message(ctx, 1, VoteMessage(
         votes=(make_vote(VoteKind.NOTARIZATION, live, live_id + "'", 1),), sender=1))

@@ -578,3 +578,32 @@ def test_frame_decoder_corrupt_payload():
     frame[-1] = 0xFE  # smash the last payload byte (role string)
     with pytest.raises(WireError):
         list(FrameDecoder().feed(bytes(frame)))
+
+
+def test_frame_decoder_id_table_stays_within_its_limit():
+    """A long stream names far more distinct ids than the decoder keeps:
+    the interned table never outgrows its limit, and interning never
+    changes what is decoded."""
+    from repro.cluster.wire import _INTERN_LIMIT
+
+    ids = [f"{index:064x}" for index in range(3 * _INTERN_LIMIT + 7)]
+    messages = []
+    for index, block_id in enumerate(ids):
+        # Each round's messages name its block and the one before it.
+        previous = ids[index - 1]
+        messages.append((1, VoteMessage(votes=(
+            make_vote(VoteKind.NOTARIZATION, index, block_id, 1),
+            make_vote(VoteKind.FAST, index, block_id, 1)), sender=1)))
+        messages.append((2, CertificateMessage(
+            certificate=Notarization(round=index, block_id=block_id, voters=(0, 2, 3)),
+            unlock_proof=UnlockProof(round=index, block_id=block_id,
+                                     votes_by_block=((block_id, (0, 2)), (previous, (3,)))),
+            sender=2)))
+    decoder = FrameDecoder()
+    for sender, message in messages:
+        decoded = list(decoder.feed(encode_frame(sender, message)))
+        assert decoded == [(sender, message)]
+        assert len(decoder._ids) <= _INTERN_LIMIT
+        proof = getattr(decoded[0][1], "unlock_proof", None)
+        if proof is not None:
+            assert proof.total_mask == message.unlock_proof.total_mask == 0b1101
