@@ -4,12 +4,16 @@ Every message a real cluster moves crosses :mod:`repro.cluster.wire` twice
 (encode at the sender, decode at the receiver), and the in-memory asyncio
 runtime round-trips through it too — so serialization throughput bounds
 the whole non-simulated execution mode.  This bench measures messages/s
-and MB/s for the three protocol message shapes at representative sizes:
+and MB/s for the three protocol message shapes, built as a Banyan replica
+builds them (:mod:`repro.core.banyan`):
 
-* **vote** — a quorum-sized :class:`VoteMessage` (the chattiest shape);
-* **certificate** — a :class:`CertificateMessage` carrying a notarization
-  with a quorum aggregate (the widest certified object);
-* **proposal** — a :class:`BlockProposal` with a 100 kB payload (the
+* **vote** — one replica's :class:`VoteMessage`: its notarization vote and
+  its fast vote for the round's first block (Addition 3), the chattiest
+  shape, broadcast by every replica for every block;
+* **certificate** — a :class:`CertificateMessage` carrying a quorum
+  notarization and the block's unlock proof (Addition 1);
+* **proposal** — a rank-0 :class:`BlockProposal` with a 100 kB payload, the
+  parent's notarization and unlock proof and the proposer's fast vote (the
   byte-heavy shape, dominated by memcpy).
 
 Each run emits one ``BENCH_bench_wire.json`` record so the serialization
@@ -24,17 +28,17 @@ from types import SimpleNamespace
 from benchmarks.conftest import emit_bench_record, paper_comparison
 
 from repro.cluster.wire import decode_envelope, encode_envelope
-from repro.crypto.aggregate import AggregateSignature
-from repro.crypto.signatures import Signature
 from repro.types.blocks import Block
-from repro.types.certificates import Notarization
+from repro.types.certificates import Notarization, UnlockProof
 from repro.types.messages import BlockProposal, CertificateMessage, VoteMessage
 from repro.types.votes import VoteKind, make_vote
 
-#: Replica count and quorum of the benchmarked messages (the paper's n=19
-#: with Banyan's ``⌈(n+f+1)/2⌉`` = 13 quorum).
+#: Replica count, quorum and fast quorum of the benchmarked messages (the
+#: paper's n=19 with Banyan's ``⌈(n+f+1)/2⌉`` = 13 quorum and, at p=1,
+#: ``n - p`` = 18 fast votes).
 N_REPLICAS = 19
 QUORUM = 13
+FAST_QUORUM = 18
 
 #: Proposal payload bytes (the paper's subnet workload scale).
 PROPOSAL_PAYLOAD = 100_000
@@ -45,39 +49,36 @@ ITERATIONS = 2_000
 _BLOCK_ID = "a3f1" * 16
 
 
-def _signature(signer: int) -> Signature:
-    return Signature(signer=signer, tag=b"t" * 32, message_digest=b"d" * 32)
+def _unlock_proof(round_k: int) -> UnlockProof:
+    return UnlockProof(round=round_k, block_id=_BLOCK_ID,
+                       votes_by_block=((_BLOCK_ID, range(FAST_QUORUM)),))
 
 
 def _vote_message() -> VoteMessage:
     return VoteMessage(
-        votes=tuple(
-            make_vote(VoteKind.NOTARIZATION, 12, _BLOCK_ID, voter,
-                      _signature(voter))
-            for voter in range(QUORUM)
-        ),
+        votes=(make_vote(VoteKind.NOTARIZATION, 12, _BLOCK_ID, 3),
+               make_vote(VoteKind.FAST, 12, _BLOCK_ID, 3)),
         sender=3,
     )
 
 
 def _certificate_message() -> CertificateMessage:
-    aggregate = AggregateSignature(shares=tuple(
-        (signer, _signature(signer)) for signer in range(QUORUM)
-    ))
     return CertificateMessage(
-        certificate=Notarization(round=12, block_id=_BLOCK_ID,
-                                 voters=frozenset(range(QUORUM)),
-                                 aggregate=aggregate),
+        certificate=Notarization(round=12, block_id=_BLOCK_ID, voters=range(QUORUM)),
+        unlock_proof=_unlock_proof(12),
         sender=3,
     )
 
 
 def _proposal_message() -> BlockProposal:
+    block = Block(round=12, proposer=3, rank=0, parent_id=_BLOCK_ID,
+                  payload=b"\xab" * PROPOSAL_PAYLOAD)
     return BlockProposal(
-        block=Block(round=12, proposer=3, rank=0, parent_id=_BLOCK_ID,
-                    payload=b"\xab" * PROPOSAL_PAYLOAD),
+        block=block,
         parent_notarization=Notarization(round=11, block_id=_BLOCK_ID,
-                                         voters=frozenset(range(QUORUM))),
+                                         voters=range(QUORUM)),
+        parent_unlock_proof=_unlock_proof(11),
+        fast_vote=make_vote(VoteKind.FAST, 12, block.id, 3),
     )
 
 

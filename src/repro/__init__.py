@@ -4,8 +4,9 @@ This package reproduces the system described in "Banyan: Fast Rotating
 Leader BFT" (Vonlanthen, Sliwinski, Albarello, Wattenhofer; MIDDLEWARE 2024):
 the Banyan protocol itself (:mod:`repro.core`), the ICC / HotStuff /
 Streamlet baselines (:mod:`repro.protocols`), and every substrate needed to
-run and evaluate them — simulated cryptography (:mod:`repro.crypto`), leader
-rotation (:mod:`repro.beacon`), a WAN network model (:mod:`repro.net`), a
+run and evaluate them — content hashing (:mod:`repro.crypto`; signature cost
+is charged by the ``crypto`` compute model of :mod:`repro.runtime.compute`),
+leader rotation (:mod:`repro.beacon`), a WAN network model (:mod:`repro.net`), a
 deterministic discrete-event runtime plus an asyncio runtime
 (:mod:`repro.runtime`), the SMR harness (:mod:`repro.smr`), and the
 evaluation scenarios reproducing every table and figure of the paper

@@ -186,7 +186,7 @@ class DelayedReplica(Protocol):
         extra_delay: float,
         window: Optional[tuple] = None,
     ) -> None:
-        super().__init__(inner.replica_id, inner.params, inner.registry)
+        super().__init__(inner.replica_id, inner.params)
         check_delay(extra_delay, "straggler delay")
         if window is not None and window[1] <= window[0]:
             raise ValueError("straggler window must have positive length")

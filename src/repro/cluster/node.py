@@ -77,8 +77,6 @@ class NodeConfig:
         schedule: optional chaos schedule to replay at the socket layer
             (:meth:`repro.chaos.schedule.ChaosSchedule.to_dict` form).
         max_block_bytes: per-proposal byte budget drained from the mempool.
-        sign_messages: attach (simulated) signature shares to votes,
-            never verified (README, Design notes, "Substitutions").
     """
 
     replica_id: int
@@ -97,7 +95,6 @@ class NodeConfig:
     summary_path: str = ""
     schedule: Optional[Dict[str, object]] = None
     max_block_bytes: int = 65_536
-    sign_messages: bool = False
 
     def __post_init__(self) -> None:
         """Raise a one-line ``ValueError`` unless the node can run: valid
@@ -119,7 +116,7 @@ class NodeConfig:
         return ProtocolParams(
             n=self.n, f=self.f, p=self.p, rank_delay=self.rank_delay,
             round_timeout=self.round_timeout, payload_size=self.payload_size,
-            sign_messages=self.sign_messages, seed=self.seed,
+            seed=self.seed,
         )
 
     def to_dict(self) -> Dict[str, object]:
@@ -139,7 +136,6 @@ class NodeConfig:
             "summary_path": self.summary_path,
             "schedule": self.schedule,
             "max_block_bytes": self.max_block_bytes,
-            "sign_messages": self.sign_messages,
         }
 
     @classmethod
@@ -161,7 +157,6 @@ class NodeConfig:
             summary_path=str(data.get("summary_path", "")),
             schedule=data.get("schedule"),
             max_block_bytes=int(data.get("max_block_bytes", 65_536)),
-            sign_messages=bool(data.get("sign_messages", False)),
         )
 
 

@@ -1,15 +1,18 @@
-"""Versioned, length-prefixed binary wire format for cluster traffic (v2).
+"""Versioned, length-prefixed binary wire format for cluster traffic (v3).
 
 The simulator passes message *objects* between replicas; a real cluster
 passes *bytes*.  This module defines the byte encoding, with lossless
 encode/decode for every type a protocol may put on the wire —
 :class:`repro.types.blocks.Block`, every vote subclass, every certificate
-(notarization / finalization / fast finalization / unlock proof),
-signatures and aggregates, and the three top-level message shapes
+(notarization / finalization / fast finalization / unlock proof), and
+the three top-level message shapes
 (:class:`repro.types.messages.BlockProposal`,
 :class:`repro.types.messages.VoteMessage`,
 :class:`repro.types.messages.CertificateMessage`) — plus the two
-cluster-control shapes (:class:`Hello`, :class:`ClientSubmit`).
+cluster-control shapes (:class:`Hello`, :class:`ClientSubmit`).  Votes
+and certificates carry no signatures (README, Design notes,
+"Substitutions"): a vote is its kind, round, block id and voter, and a
+certificate its round, block id and voter mask.
 
 **Framing.**  A frame is ``magic u8 | version u8 | length u32 | envelope``
 and an envelope is ``sender i32 | object``.  :class:`FrameDecoder`
@@ -70,8 +73,6 @@ import struct
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.crypto.aggregate import AggregateSignature
-from repro.crypto.signatures import Signature
 from repro.types.blocks import Block
 from repro.types.certificates import (
     Certificate,
@@ -93,7 +94,7 @@ from repro.types.votes import (
 WIRE_MAGIC = 0xB7
 
 #: Format version; bump on any incompatible encoding change.
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 
 #: Upper bound on a frame payload — a corrupt length prefix must not make a
 #: node allocate gigabytes.
@@ -162,11 +163,9 @@ _VOTE_CLASSES = {VoteKind.NOTARIZATION: NotarizationVote, VoteKind.FAST: FastVot
                  VoteKind.FINALIZATION: FinalizationVote}
 
 _OPTIONAL = type(None)
-_CERTIFICATE_FIELDS = (("round", "Q"), ("block_id", "str"), ("mask", "mask"),
-                       ("aggregate", (AggregateSignature, _OPTIONAL)))
+_CERTIFICATE_FIELDS = (("round", "Q"), ("block_id", "str"), ("mask", "mask"))
 
 #: Records: the untagged pairs that sequence fields hold.
-_SHARE = (None, tuple, (("signer", "i"), ("share", (Signature,))))
 _SUPPORT = (None, tuple, (("block_id", "str"), ("mask", "mask")))
 
 #: ``(tag, class, fields)`` per encodable class; a field is ``(name, kind)``
@@ -187,11 +186,7 @@ _TABLE = (
     (0x01, Block, (
         ("round", "Q"), ("proposer", "i"), ("rank", "I"), ("parent_id", "?str"),
         ("payload", "bytes"), ("payload_size", "?Q"))),
-    (0x02, Vote, (
-        ("kind", "kind"), ("round", "Q"), ("block_id", "str"), ("voter", "i"),
-        ("signature", (Signature, _OPTIONAL)))),
-    (0x03, Signature, (("signer", "i"), ("tag", "bytes"), ("message_digest", "bytes"))),
-    (0x04, AggregateSignature, (("shares", [_SHARE]),)),
+    (0x02, Vote, (("kind", "kind"), ("round", "Q"), ("block_id", "str"), ("voter", "i"))),
     (0x05, Notarization, _CERTIFICATE_FIELDS),
     (0x06, Finalization, _CERTIFICATE_FIELDS),
     (0x07, FastFinalization, _CERTIFICATE_FIELDS),

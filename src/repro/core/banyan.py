@@ -34,7 +34,6 @@ from typing import FrozenSet, List, Optional, Set, Tuple
 
 from repro.beacon import Beacon
 from repro.core.fastpath import FastPathState
-from repro.crypto.keys import KeyRegistry
 from repro.protocols.base import ProtocolParams
 from repro.protocols.icc import ICCReplica, _RoundState
 from repro.runtime.context import ReplicaContext
@@ -56,9 +55,8 @@ class BanyanReplica(ICCReplica):
         params: ProtocolParams,
         beacon: Optional[Beacon] = None,
         payload_source: Optional[PayloadSource] = None,
-        registry: Optional[KeyRegistry] = None,
     ) -> None:
-        super().__init__(replica_id, params, beacon, payload_source, registry)
+        super().__init__(replica_id, params, beacon, payload_source)
         params.validate_resilience(require_fast_path=True)
         #: What outlives a released round's fast-path state, for
         #: :meth:`fast_path_verdicts`: the voters it caught fast-vote
@@ -159,16 +157,7 @@ class BanyanReplica(ICCReplica):
             self._round(round_k).fast_vote_sent = True
 
     def _make_fast_vote(self, round_k: int, block_id: BlockId) -> FastVote:
-        signature = None
-        if self.params.sign_messages and self.registry is not None:
-            from repro.crypto.signatures import sign
-
-            signature = sign(
-                (VoteKind.FAST.value, round_k, block_id), self.replica_id, self.registry
-            )
-        return FastVote(
-            round=round_k, block_id=block_id, voter=self.replica_id, signature=signature
-        )
+        return FastVote(round=round_k, block_id=block_id, voter=self.replica_id)
 
     def _make_vote(self, kind: VoteKind, round_k: int, block_id: BlockId) -> Vote:
         if kind is VoteKind.FAST:
@@ -317,7 +306,7 @@ class BanyanReplica(ICCReplica):
 
     def _absorb_fast_finalization(self, ctx: ReplicaContext, certificate: FastFinalization,
                                   state: _RoundState) -> None:
-        if certificate.mask >> self._n or not certificate.verify(None, self._fast_quorum):
+        if certificate.mask >> self._n or not certificate.verify(self._fast_quorum):
             return
         round_k = state.round
         block_id = certificate.block_id

@@ -1,46 +1,20 @@
-"""Simulated cryptographic substrate.
+"""Hashing substrate.
 
 The Banyan protocol relies on a public-key infrastructure, secure digital
 signatures, collision-resistant hashing, and BLS multi-signature aggregation
-(Section 3 of the paper).  This package provides functional, deterministic
-stand-ins for those primitives:
+(Section 3 of the paper).  Of these, only hashing is computed here:
 
 * :mod:`repro.crypto.hashing` — collision-resistant hashing of protocol
-  objects (SHA-256 over a canonical encoding).
-* :mod:`repro.crypto.keys` — key pairs and a :class:`KeyRegistry` acting as
-  the PKI.
-* :mod:`repro.crypto.signatures` — per-replica signatures (HMAC-SHA256 over
-  the message digest keyed by the private key) and verification against the
-  registry.
-* :mod:`repro.crypto.aggregate` — aggregate ("BLS-like") multi-signatures:
-  a container of individual signature shares that verifies each share and
-  tracks the signer set, mirroring how the paper combines notarization /
-  fast / finalization votes into certificates.  Verification is memoized
-  per registry and :func:`repro.crypto.aggregate.verify_many` batches
-  repeated certificate checks.
+  objects (SHA-256 over a canonical encoding); block ids are its digests.
 
-The substitution, and what the protocols leave unchecked, is documented in
-the README (Design notes, "Substitutions"): the protocol only needs
-unforgeable, attributable votes and the ability to combine them; the exact
-pairing-based construction is irrelevant to the reproduced behaviour.
+Votes and certificates carry no signatures: a vote names its voter and a
+certificate its voters' bitmask, and the protocols need nothing more than
+attributable votes that combine into certificates.  The *cost* of signing
+and of verifying shares and aggregates is charged by the ``crypto`` compute
+model (:mod:`repro.runtime.compute`).  The README documents the
+substitution (Design notes, "Substitutions").
 """
 
-from repro.crypto.aggregate import AggregateSignature, AggregationError, verify_many
 from repro.crypto.hashing import digest, hash_hex
-from repro.crypto.keys import KeyPair, KeyRegistry, generate_keypair
-from repro.crypto.signatures import Signature, SignatureError, sign, verify
 
-__all__ = [
-    "AggregateSignature",
-    "AggregationError",
-    "KeyPair",
-    "KeyRegistry",
-    "Signature",
-    "SignatureError",
-    "digest",
-    "generate_keypair",
-    "hash_hex",
-    "sign",
-    "verify",
-    "verify_many",
-]
+__all__ = ["digest", "hash_hex"]

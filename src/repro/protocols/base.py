@@ -14,9 +14,8 @@ import dataclasses
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.crypto.keys import KeyRegistry
 from repro.runtime.context import ReplicaContext, Timer
 from repro.types.blocks import BlockId
 from repro.types.messages import Message
@@ -38,9 +37,6 @@ class ProtocolParams:
         round_timeout: view/epoch timeout used by HotStuff and Streamlet, and
             as the crash-fault recovery timeout, in seconds.
         payload_size: logical payload size of proposed blocks, in bytes.
-        sign_messages: attach (simulated) signature shares to votes.  No
-            handler verifies them (README, Design notes, "Substitutions");
-            the ``crypto`` compute model charges signature cost instead.
         relay_proposals: forward proposals that extend the tip of the chain
             (the Bamboo improvement described in Section 9.1).
         adaptive_delays: adaptively adjust the per-rank delay from observed
@@ -55,7 +51,6 @@ class ProtocolParams:
     rank_delay: float = 0.4
     round_timeout: float = 3.0
     payload_size: int = 0
-    sign_messages: bool = False
     relay_proposals: bool = True
     adaptive_delays: bool = False
     seed: int = 0
@@ -133,8 +128,15 @@ class ProtocolParams:
     # ------------------------------------------------------------------ #
 
     def to_dict(self) -> Dict[str, object]:
-        """A JSON-ready dictionary (inverse of :meth:`from_dict`)."""
-        return dataclasses.asdict(self)
+        """A JSON-ready dictionary (inverse of :meth:`from_dict`).
+
+        Votes carry no signatures (README, Design notes, "Substitutions";
+        the ``crypto`` compute model charges their cost), but the retired
+        signing key is still written, always false, so that stored
+        experiment and result-cache keys stay valid.  Signing never changed
+        an execution, so :meth:`from_dict` may drop an old ``true``.
+        """
+        return {**dataclasses.asdict(self), "sign_messages": False}
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ProtocolParams":
@@ -160,11 +162,9 @@ class Protocol(ABC):
     #: Human-readable protocol name; overridden by subclasses.
     name = "abstract"
 
-    def __init__(self, replica_id: int, params: ProtocolParams,
-                 registry: Optional[KeyRegistry] = None) -> None:
+    def __init__(self, replica_id: int, params: ProtocolParams) -> None:
         self.replica_id = replica_id
         self.params = params
-        self.registry = registry
         #: Block id → time this replica proposed the block (for latency metrics).
         self.proposal_times: Dict[BlockId, float] = {}
 

@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Set
 
 from repro.beacon import Beacon, RoundRobinBeacon
 from repro.blocktree import BlockTree, FinalizedChain
-from repro.crypto.keys import KeyRegistry
 from repro.protocols.base import Protocol, ProtocolParams
 from repro.runtime.context import ReplicaContext, Timer
 from repro.smr.mempool import PayloadSource
@@ -67,9 +66,8 @@ class HotStuffReplica(Protocol):
         params: ProtocolParams,
         beacon: Optional[Beacon] = None,
         payload_source: Optional[PayloadSource] = None,
-        registry: Optional[KeyRegistry] = None,
     ) -> None:
-        super().__init__(replica_id, params, registry)
+        super().__init__(replica_id, params)
         params.validate_resilience(require_fast_path=False)
         if params.round_timeout <= 0:
             # A zero view timeout re-arms at the same instant forever.
@@ -218,7 +216,7 @@ class HotStuffReplica(Protocol):
             return
         if justify.mask >> self.params.n:
             return  # names voters that are not replicas
-        if not justify.verify(None, self.quorum) and justify.round != 0:
+        if not justify.verify(self.quorum) and justify.round != 0:
             return
         if block.parent_id not in self.tree:
             # Without the parent we cannot evaluate safety.  Leaders always

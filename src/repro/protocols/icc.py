@@ -29,8 +29,6 @@ from typing import Any, Dict, List, Optional, Set
 from repro.beacon import Beacon, RoundRobinBeacon
 from repro.blocktree import BlockTree, FinalizedChain
 from repro.blocktree.tree import BlockTreeError
-from repro.crypto.keys import KeyRegistry
-from repro.crypto.signatures import sign
 from repro.protocols.base import Protocol, ProtocolParams
 from repro.runtime.context import ReplicaContext, Timer
 from repro.smr.mempool import PayloadSource
@@ -116,9 +114,8 @@ class ICCReplica(Protocol):
         params: ProtocolParams,
         beacon: Optional[Beacon] = None,
         payload_source: Optional[PayloadSource] = None,
-        registry: Optional[KeyRegistry] = None,
     ) -> None:
-        super().__init__(replica_id, params, registry)
+        super().__init__(replica_id, params)
         params.validate_resilience(require_fast_path=False)
         if params.rank_delay <= 0:
             # With 2Δ = 0 every replica votes for every rank's block at
@@ -331,7 +328,7 @@ class ICCReplica(Protocol):
         notarization = proposal.parent_notarization
         if (notarization is not None and not notarization.mask >> self._n
                 and notarization.round >= self._floor
-                and notarization.verify(None, self._notarization_quorum)):
+                and notarization.verify(self._notarization_quorum)):
             state = self._recent  # Banyan just fetched it for the unlock proof
             if state is None or state.round != notarization.round:
                 state = self._round(notarization.round)
@@ -442,17 +439,10 @@ class ICCReplica(Protocol):
         return [self._make_vote(VoteKind.NOTARIZATION, round_k, block.id)]
 
     def _make_vote(self, kind: VoteKind, round_k: int, block_id: BlockId) -> Vote:
-        signature = None
-        if self.params.sign_messages and self.registry is not None:
-            signature = sign((kind.value, round_k, block_id), self.replica_id, self.registry)
         if kind is VoteKind.NOTARIZATION:
-            return NotarizationVote(
-                round=round_k, block_id=block_id, voter=self.replica_id, signature=signature
-            )
+            return NotarizationVote(round=round_k, block_id=block_id, voter=self.replica_id)
         if kind is VoteKind.FINALIZATION:
-            return FinalizationVote(
-                round=round_k, block_id=block_id, voter=self.replica_id, signature=signature
-            )
+            return FinalizationVote(round=round_k, block_id=block_id, voter=self.replica_id)
         raise ValueError(f"unsupported vote kind for ICC: {kind}")
 
     def _handle_votes(self, ctx: ReplicaContext, votes) -> None:
@@ -593,10 +583,10 @@ class ICCReplica(Protocol):
         if shape not in _CERTIFICATE_SHAPES:
             shape = _base_shape(certificate, _CERTIFICATE_SHAPES)
         if shape is Notarization:
-            if certificate.verify(None, self._notarization_quorum):
+            if certificate.verify(self._notarization_quorum):
                 self._register_notarization(ctx, certificate, state)
         elif shape is Finalization:
-            if certificate.verify(None, self._finalization_quorum):
+            if certificate.verify(self._finalization_quorum):
                 state.finalization.add_voters(certificate.block_id, certificate.mask)
                 self._finalize(ctx, state.round, certificate.block_id, kind="slow")
 

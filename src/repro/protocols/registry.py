@@ -3,7 +3,7 @@
 The evaluation harness, benchmarks, and CLI select protocols by name
 (``"banyan"``, ``"icc"``, ``"hotstuff"``, ``"streamlet"``).  This module maps
 names to factories and builds the ``{replica_id: Protocol}`` dictionary the
-runtime expects, wiring in a shared beacon, key registry, and payload source.
+runtime expects, wiring in a shared beacon and payload source.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.beacon import Beacon, RoundRobinBeacon
-from repro.crypto.keys import KeyRegistry
 from repro.protocols.base import Protocol, ProtocolParams
 from repro.protocols.hotstuff import HotStuffReplica
 from repro.protocols.icc import ICCReplica
@@ -90,7 +89,6 @@ def create_replicas(
     params: ProtocolParams,
     beacon: Optional[Beacon] = None,
     payload_source: Optional[PayloadSource] = None,
-    registry: Optional[KeyRegistry] = None,
     replica_ids: Optional[Iterable[int]] = None,
     overrides: Optional[Dict[int, ProtocolFactory]] = None,
 ) -> Dict[int, Protocol]:
@@ -103,7 +101,6 @@ def create_replicas(
             ``0..n-1``).
         payload_source: workload payload source (defaults to the parameter's
             payload size).
-        registry: PKI; created automatically when ``params.sign_messages``.
         replica_ids: ids to instantiate (defaults to ``0..n-1``).
         overrides: per-replica factory overrides, used to plant Byzantine or
             otherwise misbehaving replicas.
@@ -114,8 +111,6 @@ def create_replicas(
     ids = list(replica_ids) if replica_ids is not None else list(range(params.n))
     beacon = beacon or RoundRobinBeacon(ids)
     payload_source = payload_source or PayloadSource(params.payload_size)
-    if registry is None and params.sign_messages:
-        registry = KeyRegistry.for_replicas(params.n)
     factory = protocol_factory(name)
     overrides = overrides or {}
     replicas: Dict[int, Protocol] = {}
@@ -126,6 +121,5 @@ def create_replicas(
             params=params,
             beacon=beacon,
             payload_source=payload_source,
-            registry=registry,
         )
     return replicas

@@ -27,7 +27,6 @@ from typing import Dict, List, Optional, Set
 
 from repro.beacon import Beacon, RoundRobinBeacon
 from repro.blocktree import BlockTree, FinalizedChain
-from repro.crypto.keys import KeyRegistry
 from repro.protocols.base import Protocol, ProtocolParams
 from repro.runtime.context import ReplicaContext, Timer
 from repro.smr.mempool import PayloadSource
@@ -48,10 +47,9 @@ class StreamletReplica(Protocol):
         params: ProtocolParams,
         beacon: Optional[Beacon] = None,
         payload_source: Optional[PayloadSource] = None,
-        registry: Optional[KeyRegistry] = None,
         epoch_duration: Optional[float] = None,
     ) -> None:
-        super().__init__(replica_id, params, registry)
+        super().__init__(replica_id, params)
         params.validate_resilience(require_fast_path=False)
         self.beacon = beacon or RoundRobinBeacon(list(range(params.n)))
         self.payload_source = payload_source or PayloadSource(params.payload_size)

@@ -134,7 +134,7 @@ class ProtocolTracer(Protocol):
     name = "traced"
 
     def __init__(self, inner: Protocol, log: Optional[TraceLog] = None) -> None:
-        super().__init__(inner.replica_id, inner.params, inner.registry)
+        super().__init__(inner.replica_id, inner.params)
         self.inner = inner
         self.log = log if log is not None else TraceLog()
         self.proposal_times = inner.proposal_times

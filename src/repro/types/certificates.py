@@ -12,8 +12,9 @@ The paper aggregates vote multisets into four kinds of certificates:
   block is *unlocked* according to Definition 7.6, i.e. safe to extend.
 
 Certificates are value objects: the voter set is explicit so quorum sizes are
-checked by the recipient (``verify``), and the optional aggregate signature
-carries the simulated BLS multi-signature.  Voter sets are stored as ``int``
+checked by the recipient (``verify``).  They carry no signature: the cost of
+aggregating and verifying the BLS multi-signature is charged by the ``crypto``
+compute model (:mod:`repro.runtime.compute`).  Voter sets are stored as ``int``
 bitmasks (:mod:`repro.types.votes`); constructors take any iterable of ids
 and ``voters`` / ``support`` / ``total_voters`` give ``frozenset`` views.
 """
@@ -24,8 +25,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import FrozenSet, Iterable, Optional, Tuple
 
-from repro.crypto.aggregate import AggregateSignature
-from repro.crypto.keys import KeyRegistry
 from repro.types.blocks import BlockId
 from repro.types.votes import Vote, VoteKind, mask_voters, voter_mask
 
@@ -42,8 +41,6 @@ class Certificate:
         round: round of the certified block.
         block_id: identifier of the certified block.
         voters: the replicas whose votes are aggregated (any iterable of ids).
-        aggregate: the aggregated signature shares (may be ``None`` when the
-            experiment runs with signatures disabled for speed).
         mask: the voters as a bitmask, for builders that hold one already.
     """
 
@@ -51,19 +48,16 @@ class Certificate:
     block_id: BlockId
     #: Voter bitmask: bit ``i`` set iff replica ``i`` is among the voters.
     mask: int
-    aggregate: Optional[AggregateSignature]
 
     #: Vote kind this certificate aggregates; overridden by subclasses.
     VOTE_KIND = VoteKind.NOTARIZATION
 
     def __init__(self, round: int, block_id: BlockId, voters: Iterable[int] = (),
-                 aggregate: Optional[AggregateSignature] = None,
                  *, mask: Optional[int] = None) -> None:
         set_field = object.__setattr__
         set_field(self, "round", round)
         set_field(self, "block_id", block_id)
         set_field(self, "mask", voter_mask(voters) if mask is None else mask)
-        set_field(self, "aggregate", aggregate)
 
     @classmethod
     def from_votes(cls, votes: Iterable[Vote]) -> "Certificate":
@@ -85,13 +79,10 @@ class Certificate:
             )
         if len(rounds) != 1 or len(blocks) != 1:
             raise CertificateError("votes refer to different blocks or rounds")
-        signatures = [vote.signature for vote in votes if vote.signature is not None]
-        aggregate = AggregateSignature.from_shares(signatures) if signatures else None
         return cls(
             round=rounds.pop(),
             block_id=blocks.pop(),
             voters=(vote.voter for vote in votes),
-            aggregate=aggregate,
         )
 
     @property
@@ -102,23 +93,13 @@ class Certificate:
     def __len__(self) -> int:
         return self.mask.bit_count()
 
-    def verify(self, registry: Optional[KeyRegistry], threshold: int) -> bool:
+    def verify(self, threshold: int) -> bool:
         """Check the certificate carries at least ``threshold`` distinct voters.
 
-        When a PKI ``registry`` is supplied and the certificate carries an
-        aggregate signature, the signature shares are verified as well.
         That the voters are replicas at all (``mask >> n == 0``) is the
         receiving handler's check: a certificate does not know ``n``.
         """
-        if self.mask.bit_count() < threshold:
-            return False
-        if registry is not None and self.aggregate is not None:
-            payload = (self.VOTE_KIND.value, self.round, self.block_id)
-            if not self.aggregate.verify(payload, registry):
-                return False
-            if not self.aggregate.signers() >= self.voters:
-                return False
-        return True
+        return self.mask.bit_count() >= threshold
 
 
 class Notarization(Certificate):

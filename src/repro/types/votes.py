@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional
+from typing import FrozenSet, Iterable, List
 
-from repro.crypto.signatures import Signature
 from repro.types.blocks import BlockId
 
 
@@ -72,20 +71,12 @@ class Vote:
         round: round number the voted block belongs to.
         block_id: identifier of the voted block.
         voter: replica id casting the vote.
-        signature: the voter's signature share over
-            ``(kind, round, block_id)``; optional so that unit tests and
-            analytic code can construct votes without a PKI.
     """
 
     kind: VoteKind
     round: int
     block_id: BlockId
     voter: int
-    signature: Optional[Signature] = None
-
-    def signed_payload(self) -> tuple:
-        """Return the tuple that the vote's signature covers."""
-        return (self.kind.value, self.round, self.block_id)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -109,13 +100,12 @@ class FinalizationVote(Vote):
     kind: VoteKind = VoteKind.FINALIZATION
 
 
-def make_vote(kind: VoteKind, round: int, block_id: BlockId, voter: int,
-              signature: Optional[Signature] = None) -> Vote:
+def make_vote(kind: VoteKind, round: int, block_id: BlockId, voter: int) -> Vote:
     """Construct the concrete vote subclass for ``kind``."""
     if kind is VoteKind.NOTARIZATION:
-        return NotarizationVote(round=round, block_id=block_id, voter=voter, signature=signature)
+        return NotarizationVote(round=round, block_id=block_id, voter=voter)
     if kind is VoteKind.FAST:
-        return FastVote(round=round, block_id=block_id, voter=voter, signature=signature)
+        return FastVote(round=round, block_id=block_id, voter=voter)
     if kind is VoteKind.FINALIZATION:
-        return FinalizationVote(round=round, block_id=block_id, voter=voter, signature=signature)
+        return FinalizationVote(round=round, block_id=block_id, voter=voter)
     raise ValueError(f"unknown vote kind: {kind!r}")

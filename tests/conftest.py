@@ -24,12 +24,10 @@ def build_simulation(
     faults: Optional[FaultPlan] = None,
     seed: int = 1,
     overrides: Optional[Dict[int, object]] = None,
-    sign_messages: bool = False,
 ) -> Simulation:
     """Build a ready-to-run simulation of ``n`` replicas of ``protocol``."""
     params = ProtocolParams(
         n=n, f=f, p=p, rank_delay=rank_delay, payload_size=payload_size,
-        sign_messages=sign_messages,
     )
     replicas = create_replicas(protocol, params, overrides=overrides)
     network = NetworkConfig(

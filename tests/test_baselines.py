@@ -3,10 +3,18 @@ cross-protocol comparisons of the latency ordering the paper reports."""
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.net.faults import CrashSchedule, FaultPlan
 from repro.net.latency import ConstantLatency
+from repro.protocols.base import ProtocolParams
+from repro.protocols.hotstuff import HotStuffReplica, NewViewMessage
+from repro.protocols.registry import create_replicas
+from repro.runtime.simulator import NetworkConfig, Simulation
+from repro.types.certificates import FastFinalization, Finalization, Notarization
+from repro.types.messages import BlockProposal, CertificateMessage
 from tests.conftest import assert_consistent_chains, assert_no_conflicting_rounds, build_simulation
 
 
@@ -146,3 +154,65 @@ class TestCrossProtocolOrdering:
             sim.run(until=10.0)
             counts[name] = len(sim.commits_for(0))
         assert abs(counts["banyan"] - counts["icc"]) <= 2
+
+
+class TestDeliveredCertificates:
+    """Certificates carry no signatures, so a receiver judges one by its
+    voter set: every certificate an honest replica is handed names only
+    replicas and meets the quorum of its kind.  Two crashes (more than
+    ``p``) keep Banyan off its fast path, so its slow-path finalizations
+    are checked too."""
+
+    @staticmethod
+    def _certificates(message):
+        if isinstance(message, BlockProposal):
+            return [message.parent_notarization]
+        if isinstance(message, CertificateMessage):
+            return [message.certificate]
+        if isinstance(message, NewViewMessage):
+            return [message.high_qc]
+        return []
+
+    @staticmethod
+    def _quorums(replica):
+        if isinstance(replica, HotStuffReplica):
+            return {Notarization: replica.quorum}
+        quorums = {Notarization: replica.notarization_quorum,
+                   Finalization: replica.finalization_quorum}
+        if hasattr(replica, "fast_quorum"):
+            quorums[FastFinalization] = replica.fast_quorum
+        return quorums
+
+    @pytest.mark.parametrize("protocol, crashed, kinds", [
+        ("banyan", (), {Notarization, FastFinalization}),
+        ("banyan", (5, 6), {Notarization, Finalization}),
+        ("icc", (), {Notarization, Finalization}),
+        ("hotstuff", (), {Notarization}),
+    ], ids=["banyan", "banyan-slowpath", "icc", "hotstuff"])
+    def test_every_delivered_certificate_meets_its_quorum(self, protocol, crashed, kinds):
+        params = ProtocolParams(n=7, f=2, p=1, rank_delay=0.4, payload_size=1_000)
+        replicas = create_replicas(protocol, params)
+        seen = Counter()
+
+        def witnessed(replica):
+            quorums, deliver = self._quorums(replica), replica.on_message
+
+            def on_message(ctx, sender, message):
+                for cert in self._certificates(message):
+                    if cert is not None:
+                        assert cert.mask >> params.n == 0, cert
+                        assert cert.verify(quorums[type(cert)]), cert
+                        seen[type(cert)] += 1
+                deliver(ctx, sender, message)
+            return on_message
+
+        for replica in replicas.values():
+            replica.on_message = witnessed(replica)
+        faults = FaultPlan(crash_schedule=CrashSchedule(
+            crash_times={replica_id: 0.0 for replica_id in crashed}))
+        sim = Simulation(replicas, NetworkConfig(latency=ConstantLatency(0.05),
+                                                 faults=faults, seed=1))
+        sim.run(until=5.0)
+        assert_consistent_chains(sim)
+        assert len(sim.commits_for(0)) > 3
+        assert set(seen) == kinds, seen

@@ -18,7 +18,8 @@ import os
 import pytest
 
 from repro.eval import scenarios
-from repro.eval.experiment import ExperimentResult
+from repro.eval.experiment import ExperimentConfig, ExperimentResult
+from repro.protocols.base import ProtocolParams
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -52,3 +53,28 @@ def test_stored_result_decodes_to_the_same_row():
     entry = _load("result_cache_entry.json")
     result = ExperimentResult.from_dict(entry["result"])
     assert result.row() == entry["row"]
+
+
+def test_retired_signing_key_loads_as_the_unsigned_config():
+    """Votes carry no signatures, and signing never changed an execution:
+    parameters stored with ``"sign_messages": true`` load as the unsigned
+    ones, and the stored cell keeps the unsigned content hash."""
+    stored = _load("result_cache_entry.json")["result"]["config"]
+    signed = dict(stored, params=dict(stored["params"], sign_messages=True))
+    params = ProtocolParams.from_dict(signed["params"])
+    assert params.to_dict() == stored["params"]
+    assert ExperimentConfig.from_dict(signed).content_hash() == \
+        ExperimentConfig.from_dict(stored).content_hash()
+
+
+@pytest.mark.parametrize("signed", [True, False])
+def test_retired_signing_key_is_written_false_and_read_as_nothing(signed):
+    """``to_dict`` keeps writing ``"sign_messages": false`` so stored cache
+    keys stay valid; ``from_dict`` ignores the key whatever its value, and
+    the parameters no longer take it."""
+    unsigned = ProtocolParams(n=7, f=2, p=1)
+    data = dict(unsigned.to_dict(), sign_messages=signed)
+    assert ProtocolParams.from_dict(data) == unsigned
+    assert unsigned.to_dict()["sign_messages"] is False
+    with pytest.raises(TypeError):
+        ProtocolParams(n=7, f=2, p=1, sign_messages=signed)

@@ -255,6 +255,17 @@ def test_node_config_roundtrip():
     assert restored == config
 
 
+@pytest.mark.parametrize("signed", [True, False])
+def test_node_config_written_with_the_retired_signing_key_loads(signed):
+    """A node config saved with ``"sign_messages"`` loads as the same node:
+    votes are unsigned either way."""
+    config = NodeConfig(replica_id=0, protocol="icc", n=N, f=1, p=1,
+                        peers={0: ("127.0.0.1", 9000)})
+    saved = dict(config.to_dict(), sign_messages=signed)
+    assert "sign_messages" not in config.to_dict()
+    assert NodeConfig.from_dict(json.loads(json.dumps(saved))) == config
+
+
 #: Modules a cluster process never runs: numpy, the simulator and its event
 #: queue, the WAN latency tables, the experiment layer and the chaos engine.
 SIMULATOR_MODULES = (

@@ -103,11 +103,3 @@ class TestICCCrashFaults:
         sim.run(until=15.0)
         assert_consistent_chains(sim)
         assert_no_conflicting_rounds(sim)
-
-
-class TestICCWithSignatures:
-    def test_signed_run_still_commits(self):
-        sim = build_simulation("icc", n=4, f=1, sign_messages=True)
-        sim.run(until=5.0)
-        assert_consistent_chains(sim)
-        assert len(sim.commits_for(0)) > 3

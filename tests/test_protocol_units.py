@@ -388,7 +388,7 @@ class TestVotersOutsideTheReplicaSet:
     def test_notarization_padded_with_phantom_voters_does_not_notarise(self, cls):
         replica, ctx, block = self._started(cls)
         padded = Notarization(round=1, block_id=block.id, voters={1, 4, 5, 6})
-        assert padded.verify(None, replica.notarization_quorum)  # by count alone
+        assert padded.verify(replica.notarization_quorum)  # by count alone
         replica.on_message(ctx.context, 1, CertificateMessage(certificate=padded, sender=1))
         replica.on_message(ctx.context, 1, _proposal(
             Block(round=2, proposer=2, rank=0, parent_id=block.id, payload=b"y"),

@@ -61,12 +61,16 @@ class TestRegistry:
         assert replicas[2].name == "lazy"
         assert replicas[1].name == "icc"
 
-    def test_sign_messages_creates_registry(self):
-        params = ProtocolParams(n=4, f=1, sign_messages=True)
-        replicas = create_replicas("icc", params)
-        assert all(r.registry is not None for r in replicas.values())
-        registries = {id(r.registry) for r in replicas.values()}
-        assert len(registries) == 1
+    @pytest.mark.parametrize("name", ["banyan", "icc", "hotstuff", "streamlet"])
+    def test_replicas_take_no_key_registry(self, name):
+        """Votes are unsigned, so no replica is handed a PKI."""
+        params = ProtocolParams(n=4, f=1, p=1)
+        factory = protocol_factory(name)
+        assert factory(replica_id=0, params=params).replica_id == 0
+        with pytest.raises(TypeError):
+            factory(replica_id=0, params=params, registry=None)
+        with pytest.raises(TypeError):
+            create_replicas(name, params, registry=None)
 
     def test_register_additional_protocol(self):
         from repro.protocols.icc import ICCReplica

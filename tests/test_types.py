@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
+
 import pytest
 
-from repro.crypto.keys import KeyRegistry
-from repro.crypto.signatures import sign
+from repro.cluster.wire import encode_payload
+from repro.protocols.base import ProtocolParams
+
 from repro.types.blocks import Block, genesis_block
 from repro.types.certificates import (
     CertificateError,
@@ -116,15 +120,26 @@ class TestVotes:
             assert isinstance(vote, cls)
             assert vote.round == 3 and vote.block_id == "block" and vote.voter == 2
 
-    def test_signed_payload_excludes_voter(self):
-        vote = NotarizationVote(round=5, block_id="b", voter=1)
-        assert vote.signed_payload() == ("notarization", 5, "b")
-
     def test_votes_are_hashable_and_comparable(self):
         a = FastVote(round=1, block_id="b", voter=0)
         b = FastVote(round=1, block_id="b", voter=0)
         assert a == b
         assert len({a, b}) == 1
+
+
+    @pytest.mark.parametrize("kind", list(VoteKind), ids=lambda kind: kind.value)
+    def test_vote_holds_only_kind_round_block_and_voter(self, kind):
+        """A vote is attributed by its ``voter`` field; it carries no
+        signature share for anyone to check."""
+        vote = make_vote(kind, 3, "block", 2)
+        assert [field.name for field in dataclasses.fields(vote)] == \
+            ["kind", "round", "block_id", "voter"]
+        assert vote.kind is kind
+
+    @pytest.mark.parametrize("kind", list(VoteKind), ids=lambda kind: kind.value)
+    def test_make_vote_takes_no_signature_argument(self, kind):
+        with pytest.raises(TypeError):
+            make_vote(kind, 3, "block", 2, None)
 
 
 class TestCertificates:
@@ -152,33 +167,67 @@ class TestCertificates:
 
     def test_verify_threshold_by_voter_count(self):
         cert = Notarization(round=1, block_id="b", voters=frozenset({0, 1, 2}))
-        assert cert.verify(None, threshold=3)
-        assert not cert.verify(None, threshold=4)
-
-    def test_verify_with_registry_checks_shares(self):
-        registry = KeyRegistry.for_replicas(4)
-        payload = (VoteKind.FINALIZATION.value, 1, "b")
-        votes = [
-            FinalizationVote(round=1, block_id="b", voter=v, signature=sign(payload, v, registry))
-            for v in range(3)
-        ]
-        cert = Finalization.from_votes(votes)
-        assert cert.verify(registry, threshold=3)
-
-    def test_verify_with_registry_rejects_wrong_payload_signature(self):
-        registry = KeyRegistry.for_replicas(4)
-        votes = [
-            FinalizationVote(round=1, block_id="b", voter=v,
-                             signature=sign("unrelated", v, registry))
-            for v in range(3)
-        ]
-        cert = Finalization.from_votes(votes)
-        assert not cert.verify(registry, threshold=3)
+        assert cert.verify(threshold=3)
+        assert not cert.verify(threshold=4)
 
     def test_fast_finalization_uses_fast_votes(self):
         votes = [FastVote(round=2, block_id="b", voter=v) for v in range(3)]
         cert = FastFinalization.from_votes(votes)
         assert cert.voters == {0, 1, 2}
+
+
+#: Every certificate kind, with the vote kind it aggregates.
+CERTIFICATE_KINDS = [
+    (Notarization, NotarizationVote),
+    (Finalization, FinalizationVote),
+    (FastFinalization, FastVote),
+]
+
+
+class TestCertificateQuorum:
+    """A certificate is its voter set: ``verify(threshold)`` counts distinct
+    voters, whatever the order or repetition of the votes it was built from."""
+
+    @pytest.mark.parametrize("cls, vote_cls", CERTIFICATE_KINDS, ids=lambda cls: cls.__name__)
+    def test_certificate_holds_only_round_block_and_voter_mask(self, cls, vote_cls):
+        cert = cls.from_votes([vote_cls(round=1, block_id="b", voter=0)])
+        assert [field.name for field in dataclasses.fields(cert)] == \
+            ["round", "block_id", "mask"]
+
+    @pytest.mark.parametrize("cls, vote_cls", CERTIFICATE_KINDS, ids=lambda cls: cls.__name__)
+    def test_repeated_votes_count_once(self, cls, vote_cls):
+        votes = [vote_cls(round=2, block_id="b", voter=v) for v in (0, 1, 1, 2, 0, 2)]
+        cert = cls.from_votes(votes)
+        assert cert.voters == {0, 1, 2} and len(cert) == 3
+        assert cert.verify(3)
+        assert not cert.verify(4)
+
+    @pytest.mark.parametrize("cls, vote_cls", CERTIFICATE_KINDS, ids=lambda cls: cls.__name__)
+    def test_empty_certificate_meets_only_a_zero_threshold(self, cls, vote_cls):
+        cert = cls(round=1, block_id="b", voters=())
+        assert len(cert) == 0 and cert.voters == frozenset()
+        assert cert.verify(0)
+        assert not cert.verify(1)
+
+    @pytest.mark.parametrize("cls, vote_cls", CERTIFICATE_KINDS, ids=lambda cls: cls.__name__)
+    def test_vote_order_does_not_change_the_certificate(self, cls, vote_cls):
+        votes = [vote_cls(round=4, block_id="b", voter=v) for v in (5, 0, 3, 9)]
+        certs = {cls.from_votes(order) for order in itertools.permutations(votes)}
+        assert len(certs) == 1
+        cert, = certs
+        assert cert == cls(round=4, block_id="b", voters=[0, 3, 5, 9])
+        assert {encode_payload(cls.from_votes(order))
+                for order in itertools.permutations(votes)} == {encode_payload(cert)}
+
+    @pytest.mark.parametrize("n, f, p", [(4, 1, 1), (7, 2, 1), (16, 5, 0),
+                                         (64, 21, 0), (256, 63, 21)])
+    def test_verify_is_exact_at_each_protocol_quorum(self, n, f, p):
+        params = ProtocolParams(n=n, f=f, p=p)
+        for quorum in (params.icc_quorum, params.banyan_quorum,
+                       params.fast_quorum, params.bft_quorum):
+            top = range(n - quorum, n)  # the highest ids: the widest masks
+            assert Notarization(round=1, block_id="b", voters=top).verify(quorum)
+            assert not Notarization(round=1, block_id="b", voters=top[1:]).verify(quorum)
 
 
 class TestUnlockProof:

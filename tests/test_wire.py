@@ -37,8 +37,6 @@ from repro.cluster.wire import (
     encode_frame,
     encode_payload,
 )
-from repro.crypto.aggregate import AggregateSignature
-from repro.crypto.signatures import Signature
 from repro.types.blocks import Block
 from repro.types.certificates import (
     Certificate,
@@ -59,21 +57,6 @@ def _rand_block_id(rng):
     return "".join(rng.choice("0123456789abcdef") for _ in range(16))
 
 
-def _rand_signature(rng):
-    return Signature(
-        signer=rng.randrange(-4, 64),
-        tag=rng.randbytes(rng.randrange(0, 40)),
-        message_digest=rng.randbytes(rng.randrange(0, 40)),
-    )
-
-
-def _rand_aggregate(rng):
-    return AggregateSignature(shares=tuple(
-        (rng.randrange(0, 64), _rand_signature(rng))
-        for _ in range(rng.randrange(0, 5))
-    ))
-
-
 def _rand_block(rng):
     return Block(
         round=rng.randrange(0, 1 << 40),
@@ -91,7 +74,6 @@ def _rand_vote(rng):
         rng.randrange(0, 1 << 20),
         _rand_block_id(rng),
         rng.randrange(-4, 64),
-        None if rng.random() < 0.5 else _rand_signature(rng),
     )
 
 
@@ -101,7 +83,6 @@ def _rand_certificate(rng):
         round=rng.randrange(0, 1 << 20),
         block_id=_rand_block_id(rng),
         voters=frozenset(rng.sample(range(64), rng.randrange(0, 8))),
-        aggregate=None if rng.random() < 0.5 else _rand_aggregate(rng),
     )
 
 
@@ -122,7 +103,6 @@ def _rand_notarization(rng):
         round=rng.randrange(0, 1 << 20),
         block_id=_rand_block_id(rng),
         voters=frozenset(rng.sample(range(64), rng.randrange(0, 8))),
-        aggregate=None if rng.random() < 0.5 else _rand_aggregate(rng),
     )
 
 
@@ -166,8 +146,6 @@ def _rand_client_submit(rng):
 GENERATORS = [
     _rand_block,
     _rand_vote,
-    _rand_signature,
-    _rand_aggregate,
     _rand_certificate,
     _rand_unlock_proof,
     _rand_proposal,
@@ -224,7 +202,7 @@ def test_roundtrip_vote_subclasses():
     # make_vote yields distinct subclasses per kind; decode must restore
     # the exact subclass, not the base Vote.
     for kind in VoteKind:
-        vote = make_vote(kind, 3, "abcd", 2, None)
+        vote = make_vote(kind, 3, "abcd", 2)
         decoded = decode_payload(encode_payload(vote))
         assert type(decoded) is type(vote)
         assert decoded == vote
@@ -361,39 +339,30 @@ def test_random_garbage_never_escapes_wire_error():
 
 
 # --------------------------------------------------------------------- #
-# The v2 layout, byte for byte
+# The v3 layout, byte for byte
 # --------------------------------------------------------------------- #
 
-_SIGNATURE = Signature(signer=2, tag=b"T", message_digest=b"DD")
-
-#: ``(sender, message, frame hex)``: frame header ``b7 02 | length u32``,
+#: ``(sender, message, frame hex)``: frame header ``b7 03 | length u32``,
 #: envelope ``sender i32 | tag | header slots | variable parts in field order``.
 PINNED_FRAMES = [
     (1, Hello(sender=1),
-     "b70200000012" "00000001" "20" "00000001" "0007" + b"replica".hex()),
+     "b70300000012" "00000001" "20" "00000001" "0007" + b"replica".hex()),
     (-3, ClientSubmit(transaction=b"tx", client_id=2),
-     "b7020000000f" "fffffffd" "21" "00000002" "00000002" + b"tx".hex()),
+     "b7030000000f" "fffffffd" "21" "00000002" "00000002" + b"tx".hex()),
     (2, VoteMessage(votes=(NotarizationVote(round=5, block_id="ab", voter=2),
-                           FastVote(round=5, block_id="ab", voter=2,
-                                    signature=_SIGNATURE)), sender=2),
-     "b70200000040" "00000002" "11" "0002" "00000002"
-     # vote: tag, kind, round, id length, voter, id, signature (none)
-     "02" "00" "0000000000000005" "0002" "00000002" "6162" "00"
-     "02" "01" "0000000000000005" "0002" "00000002" "6162"
-     # signature: tag, signer, tag length, digest length, tag, digest
-     "03" "00000002" "00000001" "00000002" "54" "4444"),
+                           FastVote(round=5, block_id="ab", voter=2)), sender=2),
+     "b7030000002f" "00000002" "11" "0002" "00000002"
+     # vote: tag, kind, round, id length, voter, id
+     "02" "00" "0000000000000005" "0002" "00000002" "6162"
+     "02" "01" "0000000000000005" "0002" "00000002" "6162"),
     (0, CertificateMessage(
-        certificate=Finalization(
-            round=5, block_id="ab", voters=[0, 1, 9],
-            aggregate=AggregateSignature(shares=((2, _SIGNATURE),))),
+        certificate=Finalization(round=5, block_id="ab", voters=[0, 1, 9]),
         unlock_proof=UnlockProof(round=5, block_id="ab",
                                  votes_by_block=(("ab", [0, 3]),)),
         sender=0),
-     "b70200000047" "00000000" "12" "00000000"
+     "b70300000030" "00000000" "12" "00000000"
      # finalization: round, id length, mask length, id, mask 0b10_0000_0011
      "06" "0000000000000005" "0002" "0002" "6162" "0203"
-     # aggregate: share count, then (signer, tagged signature) records
-     "04" "0001" "00000002" "03" "00000002" "00000001" "00000002" "54" "4444"
      # unlock proof: round, id length, entry count, id, (id, mask) records
      "08" "0000000000000005" "0002" "0001" "6162" "0002" "0001" "6162" "09"),
     (3, BlockProposal(
@@ -401,21 +370,62 @@ PINNED_FRAMES = [
                     payload_size=1000),
         parent_notarization=Notarization(round=5, block_id="ab", voters=[0, 1, 2]),
         relayed_by=1),
-     "b70200000040" "00000003" "10" "00000001"
+     "b7030000003f" "00000003" "10" "00000001"
      # block: round, proposer, rank, parent length, payload length, size
      "01" "0000000000000006" "00000003" "00000001" "0002" "00000003"
      "00000000000003e8" "6162" "78797a"
-     # notarization (no aggregate), no unlock proof, no fast vote
-     "05" "0000000000000005" "0002" "0001" "6162" "07" "00" "00" "00"),
+     # notarization, no unlock proof, no fast vote
+     "05" "0000000000000005" "0002" "0001" "6162" "07" "00" "00"),
 ]
 
 
 @pytest.mark.parametrize("sender, message, frame_hex", PINNED_FRAMES,
                          ids=lambda value: type(value).__name__)
-def test_v2_frame_bytes_are_pinned(sender, message, frame_hex):
+def test_v3_frame_bytes_are_pinned(sender, message, frame_hex):
     frame = bytes.fromhex(frame_hex)
     assert encode_frame(sender, message) == frame
     assert list(FrameDecoder().feed(frame)) == [(sender, message)]
+
+
+#: Wire code of each vote kind, in the order of ``_VOTE_KINDS``.
+_VOTE_KIND_CODES = [(VoteKind.NOTARIZATION, "00"), (VoteKind.FAST, "01"),
+                    (VoteKind.FINALIZATION, "02")]
+
+
+@pytest.mark.parametrize("kind, code", _VOTE_KIND_CODES,
+                         ids=lambda value: getattr(value, "value", value))
+def test_vote_layout_ends_at_its_block_id(kind, code):
+    """A v3 vote is tag, kind, round, id length, voter, id: nothing follows
+    the id (v2 appended a signature slot)."""
+    vote = make_vote(kind, 7, "abc", 5)
+    assert encode_payload(vote) == bytes.fromhex(
+        "02" + code + "0000000000000007" "0003" "00000005" + b"abc".hex())
+
+
+@pytest.mark.parametrize("cls, tag", [(Notarization, "05"), (Finalization, "06"),
+                                      (FastFinalization, "07")],
+                         ids=lambda value: getattr(value, "__name__", value))
+def test_certificate_layout_ends_at_its_voter_mask(cls, tag):
+    """A v3 certificate is tag, round, id length, mask length, id, mask:
+    nothing follows the mask (v2 appended an aggregate slot)."""
+    cert = cls(round=7, block_id="abc", voters=[1, 8])
+    assert encode_payload(cert) == bytes.fromhex(
+        tag + "0000000000000007" "0003" "0002" + b"abc".hex() + "0102")
+
+
+@pytest.mark.parametrize("obj", [
+    NotarizationVote(round=1, block_id="b", voter=0),
+    FastVote(round=1, block_id="b", voter=0),
+    Notarization(round=1, block_id="b", voters=[0, 1, 2]),
+    Finalization(round=1, block_id="b", voters=[0, 1, 2]),
+    FastFinalization(round=1, block_id="b", voters=[0, 1, 2]),
+], ids=lambda obj: type(obj).__name__)
+def test_v2_payload_with_an_absent_signature_slot_is_refused(obj):
+    """The v2 encoding of an unsigned vote or certificate is its v3 encoding
+    plus the absent-signature marker; a v3 decoder refuses the extra byte
+    rather than reading it as something else."""
+    with pytest.raises(WireError, match="1 trailing byte"):
+        decode_payload(encode_payload(obj) + b"\x00")
 
 
 def test_absent_optionals_use_their_markers():
@@ -429,16 +439,16 @@ def test_absent_optionals_use_their_markers():
 
 def test_voter_mask_is_one_big_endian_integer():
     many = encode_payload(Notarization(round=1, block_id="b", voters=[9, 0, 5]))
-    assert many == bytes.fromhex("05" "0000000000000001" "0001" "0002" "62" "0221" "00")
+    assert many == bytes.fromhex("05" "0000000000000001" "0001" "0002" "62" "0221")
     none = encode_payload(Notarization(round=1, block_id="b", voters=[]))
-    assert none == bytes.fromhex("05" "0000000000000001" "0001" "0000" "62" "00")
+    assert none == bytes.fromhex("05" "0000000000000001" "0001" "0000" "62")
     assert decode_payload(none).mask == 0
 
 
 def _certificate_payload(mask_length, mask_bytes=b""):
     """A notarization of block "b" whose mask claims ``mask_length`` bytes."""
     return (bytes.fromhex("05" "0000000000000001" "0001")
-            + mask_length.to_bytes(2, "big") + b"b" + mask_bytes + b"\x00")
+            + mask_length.to_bytes(2, "big") + b"b" + mask_bytes)
 
 
 def test_over_long_mask_is_refused_before_it_is_built():
@@ -477,11 +487,15 @@ def test_length_beyond_the_frame_is_refused_before_allocation():
 
 def test_tag_is_checked_against_its_field_before_it_is_decoded():
     """A field's tag is judged before the object behind it is decoded, so
-    hostile nesting (a vote whose signature is a vote whose …) costs one
-    frame, not the interpreter's stack."""
-    vote = bytes.fromhex("02" "00" "0000000000000001" "0001" "00000000" "62")
-    with pytest.raises(WireError, match="unexpected wire tag 0x2"):
-        decode_payload(vote * 100_000 + b"\x00")
+    hostile nesting (a proposal whose fast vote is a proposal whose …)
+    costs one frame, not the interpreter's stack."""
+    block = bytes.fromhex("01" "0000000000000001" "ffffffff" "00000000" "ffff"
+                          "00000000" "ffffffffffffffff")
+    # tag, relayed_by (absent), block, no notarization, no unlock proof,
+    # then the fast-vote slot: the next proposal's tag
+    proposal = bytes.fromhex("10" "80000000") + block + bytes.fromhex("00" "00")
+    with pytest.raises(WireError, match="unexpected wire tag 0x10"):
+        decode_payload(proposal * 100_000 + b"\x00")
     proposal_without_block = bytes.fromhex("10" "80000000" "00" "00" "00" "00")
     with pytest.raises(WireError, match="unexpected wire tag 0x0"):
         decode_payload(proposal_without_block)
@@ -490,7 +504,7 @@ def test_tag_is_checked_against_its_field_before_it_is_decoded():
 
 
 def test_unknown_vote_kind_rejected():
-    vote = bytes.fromhex("02" "03" "0000000000000001" "0001" "00000000" "62" "00")
+    vote = bytes.fromhex("02" "03" "0000000000000001" "0001" "00000000" "62")
     with pytest.raises(WireError, match="vote kind"):
         decode_payload(vote)
 
@@ -540,9 +554,19 @@ def test_frame_decoder_bad_magic():
 
 def test_frame_decoder_bad_version():
     frame = bytearray(encode_frame(0, Hello(sender=0)))
-    assert frame[1] == WIRE_VERSION
-    frame[1] = WIRE_VERSION + 1
-    with pytest.raises(WireError):
+    assert frame[1] == WIRE_VERSION == 3
+    for version in (WIRE_VERSION - 1, WIRE_VERSION + 1):  # v2 carried signatures
+        frame[1] = version
+        with pytest.raises(WireError, match="unsupported wire version"):
+            list(FrameDecoder().feed(bytes(frame)))
+
+
+@pytest.mark.parametrize("version", [0x00, 0x01, 0x05, 0x7F, 0xFF])
+def test_frame_of_any_other_version_is_refused(version):
+    frame = bytearray(encode_frame(0, VoteMessage(
+        votes=(NotarizationVote(round=1, block_id="b", voter=0),), sender=0)))
+    frame[1] = version
+    with pytest.raises(WireError, match="unsupported wire version"):
         list(FrameDecoder().feed(bytes(frame)))
 
 
