@@ -3,9 +3,10 @@
 
 Three acts:
 
-1. a **healthy cluster** — four real replica processes running Banyan over
-   localhost TCP with open-loop workload clients, commit logs harvested
-   into the standard metrics, and the committed sequences cross-validated
+1. a **healthy cluster** — the simulator's run description (an
+   ``ExperimentConfig`` with an open-loop ``WorkloadSpec``) run by four real
+   replica processes over localhost TCP: the result is the simulator's
+   ``ExperimentResult``, and the committed sequences are cross-validated
    against the simulator's invariant checker;
 2. a **kill and restart** — one replica is SIGKILLed mid-run (a real
    process death, not a simulated one) and later restarted; the surviving
@@ -28,32 +29,35 @@ from pathlib import Path
 
 from repro.chaos.schedule import ChaosSchedule, Fault
 from repro.cluster.harness import LocalCluster, cross_validate, run_local_cluster
+from repro.eval.experiment import ExperimentConfig
+from repro.protocols.base import ProtocolParams
+from repro.workload.spec import WorkloadSpec
 
 RANK_DELAY = 0.05
 ROUND_TIMEOUT = 0.5
+PARAMS = ProtocolParams(n=4, f=1, p=1, rank_delay=RANK_DELAY,
+                        round_timeout=ROUND_TIMEOUT)
 
 
 def act_one_healthy_cluster(workdir: Path) -> None:
     print("=" * 72)
     print("Act 1: 4 real replica processes, banyan over TCP, 40 tx/s clients")
     print("=" * 72)
-    result = run_local_cluster(
-        "banyan", 4, duration=5.0, rank_delay=RANK_DELAY,
-        round_timeout=ROUND_TIMEOUT, rate=40.0, tx_size=128,
-        check_invariants=True, log_dir=workdir / "healthy",
-    )
-    metrics = result.metrics
-    latencies = sorted(result.workload.latencies)
+    config = ExperimentConfig(
+        protocol="banyan", params=PARAMS, duration=5.0, warmup=0.0,
+        workload=WorkloadSpec(rate=40.0, tx_size=128, num_clients=2))
+    result = run_local_cluster(config, log_dir=workdir / "healthy")
+    metrics, workload = result.experiment.metrics, result.experiment.workload
     print(f"  replica exit codes: {result.exit_codes}")
     print(f"  committed blocks (observer): {metrics.committed_blocks} "
           f"({metrics.fast_finalized} fast / {metrics.slow_finalized} slow)")
-    print(f"  workload: {len(result.workload.committed)}/"
-          f"{len(result.workload.submitted)} transactions committed")
-    if latencies:
-        median = latencies[len(latencies) // 2]
-        print(f"  median submit->commit latency: {1000 * median:.1f} ms")
+    print(f"  workload: {workload.committed}/{workload.submitted} "
+          f"transactions committed")
+    if workload.committed:
+        print(f"  median submit->first commit: {1000 * workload.p50_latency:.1f} ms")
     print(f"  invariant violations: {len(result.violations)}")
-    assert result.ok, "a healthy cluster must commit cleanly"
+    assert result.committed_blocks > 0 and not result.violations, \
+        "a healthy cluster must commit cleanly"
     print("  -> real TCP execution satisfies the simulator's invariants.\n")
 
 
@@ -100,11 +104,10 @@ def act_three_chaos_replay(workdir: Path) -> None:
     ))
     for line in schedule.describe():
         print(f"  - {line}")
-    result = run_local_cluster(
-        "banyan", 4, duration=5.0, rank_delay=RANK_DELAY,
-        round_timeout=ROUND_TIMEOUT, schedule=schedule,
-        check_invariants=True, log_dir=workdir / "replay",
-    )
+    config = ExperimentConfig(protocol="banyan", params=PARAMS, duration=5.0,
+                              warmup=0.0)
+    result = run_local_cluster(config, schedule=schedule,
+                               log_dir=workdir / "replay")
     print(f"  committed blocks: {result.committed_blocks}")
     for violation in result.violations:
         print(f"  [{violation.invariant}] r{violation.replica}: "

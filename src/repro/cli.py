@@ -249,9 +249,9 @@ def _build_parser() -> argparse.ArgumentParser:
                                 help="fault bound (default: largest sound f)")
     cluster_parser.add_argument("--p", type=int, default=None,
                                 help="fast-path parameter (default: max(1, f))")
-    cluster_parser.add_argument("--duration", type=_positive_float, default=10.0,
+    cluster_parser.add_argument("--duration", type=_positive_float, default=None,
                                 help="wall-clock seconds of protocol time "
-                                     "(default: 10)")
+                                     "(default: 10, or the --replay file's)")
     cluster_parser.add_argument("--rank-delay", type=float, default=0.05,
                                 help="per-rank delay 2Δ in seconds "
                                      "(default: 0.05 — localhost is fast)")
@@ -264,11 +264,9 @@ def _build_parser() -> argparse.ArgumentParser:
                                 help="aggregate open-loop client rate in tx/s "
                                      "(default: 0, no workload clients)")
     cluster_parser.add_argument("--tx-size", type=_positive_int, default=128,
-                                help="workload transaction size in bytes "
-                                     "(default: 128)")
+                                help="workload transaction size in bytes (default: 128)")
     cluster_parser.add_argument("--clients", type=_positive_int, default=2,
-                                help="number of workload client tasks "
-                                     "(default: 2)")
+                                help="workload client labels (default: 2)")
     cluster_parser.add_argument("--seed", type=int, default=0,
                                 help="base seed for fault/workload RNGs")
     cluster_parser.add_argument("--base-port", type=int, default=None,
@@ -572,19 +570,13 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
+    from repro.byzantine import ensure_protocol_registered
     from repro.chaos.engine import DEFAULT_PROTOCOLS, ChaosTrialSpec
     from repro.chaos.schedule import ChaosSchedule
-    from repro.cluster.harness import fault_bounds, local_peers, run_local_cluster
-    from repro.cluster.node import NodeConfig
+    from repro.cluster.harness import check_cluster_config, fault_bounds, run_local_cluster
+    from repro.workload.spec import WorkloadSpec
 
-    common = dict(
-        n=args.n, f=args.f, p=args.p, duration=args.duration,
-        rank_delay=args.rank_delay, round_timeout=args.round_timeout,
-        payload_size=args.payload, seed=args.seed, rate=args.rate,
-        tx_size=args.tx_size, clients=args.clients,
-        base_port=args.base_port,
-    )
-
+    schedule = liveness = None
     if args.replay is not None:
         # Kept, as for chaos: "cannot replay" names the file.
         try:
@@ -596,86 +588,58 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             print(f"banyan-repro cluster: error: cannot replay "
                   f"{args.replay!r}: {exc}", file=sys.stderr)
             return 2
-        # The repro's spec defines the trial; CLI flags override only the
-        # cluster-execution knobs (ports, log dir, workload).
-        common.update(n=spec.n, f=spec.f, p=spec.p,
-                      rank_delay=spec.rank_delay,
-                      round_timeout=spec.round_timeout,
-                      payload_size=spec.payload_size,
-                      duration=args.duration if args.duration != 10.0
-                      else spec.duration)
+        # The repro gives the protocol, the parameters and, unless
+        # --duration is given, the duration.
+        ensure_protocol_registered(spec.protocol)
+        protocols, params, liveness = (spec.protocol,), spec.params(), spec.liveness_bound()
+        duration = spec.duration if args.duration is None else args.duration
         print(f"replaying {spec.protocol} seed={spec.seed} "
               f"trial={spec.trial} against a real {spec.n}-replica cluster, "
               f"{len(schedule)} fault(s):", file=sys.stderr)
         for line in schedule.describe():
             print(f"  - {line}", file=sys.stderr)
-        result = run_local_cluster(
-            spec.protocol, schedule=schedule,
-            liveness_bound=spec.liveness_bound(), check_invariants=True,
-            log_dir=Path(args.log_dir) if args.log_dir else None,
-            **{k: v for k, v in common.items() if k != "n"},
-            n=common["n"],
-        )
-        print(f"replica exit codes: {result.exit_codes}")
-        print(f"committed blocks (observer): {result.committed_blocks}")
-        if result.violations:
-            print(f"{len(result.violations)} violation(s):")
-            for violation in result.violations:
-                print(f"  [{violation.invariant}] t={violation.time:.3f}s "
-                      f"r{violation.replica}: {violation.detail}")
-            print(f"commit logs: {result.log_dir}")
-            return 1
-        print("no violations on the real cluster")
-        return 0
+    else:
+        protocols = DEFAULT_PROTOCOLS if args.protocol == "all" else (args.protocol,)
+        f, p = fault_bounds(args.n, args.f, args.p)
+        params = ProtocolParams(n=args.n, f=f, p=p, rank_delay=args.rank_delay,
+                                round_timeout=args.round_timeout,
+                                payload_size=args.payload)
+        duration = 10.0 if args.duration is None else args.duration
+    workload = WorkloadSpec(rate=args.rate, tx_size=args.tx_size, num_clients=args.clients,
+                            seed=args.seed) if args.rate > 0 else None
+    # The cluster measures the whole run: no warm-up.
+    configs = [ExperimentConfig(protocol=protocol, params=params, duration=duration,
+                                warmup=0.0, seed=args.seed, workload=workload)
+               for protocol in protocols]
+    for config in configs:
+        # Nothing is spawned unless every protocol's config can run.
+        check_cluster_config(config, args.base_port)
 
-    protocols = DEFAULT_PROTOCOLS if args.protocol == "all" else (args.protocol,)
-    f, p = fault_bounds(args.n, args.f, args.p)
-    peers = local_peers(args.n, args.base_port)
-    for protocol in protocols:
-        # Nothing is spawned unless every protocol's node config is valid.
-        NodeConfig(replica_id=0, protocol=protocol, n=args.n, f=f, p=p, peers=peers,
-                   rank_delay=args.rank_delay, round_timeout=args.round_timeout,
-                   payload_size=args.payload)
-
-    headers = ["protocol", "blocks", "fast", "slow", "mean_interval_ms",
-               "mean_latency_ms", "tx_committed", "violations"]
-    rows = []
-    failed = False
-    for protocol in protocols:
-        print(f"cluster: {protocol} n={args.n} duration={args.duration:g}s",
-              file=sys.stderr)
+    rows, failed = [], []
+    for config in configs:
         result = run_local_cluster(
-            protocol, check_invariants=args.check_invariants,
-            log_dir=(Path(args.log_dir) / protocol if args.log_dir else None),
-            **common,
-        )
-        metrics = result.metrics
-        intervals = metrics.block_intervals
-        latencies = [sample.latency for sample in metrics.latency_samples]
-        tx = (f"{len(result.workload.committed)}/"
-              f"{len(result.workload.submitted)}"
-              if result.workload.submitted else "-")
-        rows.append([
-            protocol, metrics.committed_blocks, metrics.fast_finalized,
-            metrics.slow_finalized,
-            f"{1000 * sum(intervals) / len(intervals):.1f}" if intervals else "-",
-            f"{1000 * sum(latencies) / len(latencies):.1f}" if latencies else "-",
-            tx, len(result.violations),
-        ])
+            config, schedule=schedule, liveness_bound=liveness,
+            check_invariants=args.check_invariants or args.replay is not None,
+            log_dir=(Path(args.log_dir) / config.protocol if args.log_dir else None),
+            base_port=args.base_port)
+        rows.append(dict(result.experiment.row(), violations=len(result.violations)))
         bad_exit = any(code not in (0, -15) for code in result.exit_codes.values())
         if result.committed_blocks == 0 or result.violations or bad_exit:
-            failed = True
-            print(f"cluster: {protocol} FAILED "
-                  f"(blocks={result.committed_blocks}, "
-                  f"violations={len(result.violations)}, "
-                  f"exit_codes={result.exit_codes}); "
-                  f"commit logs: {result.log_dir}", file=sys.stderr)
-            for violation in result.violations[:5]:
-                print(f"  [{violation.invariant}] t={violation.time:.3f}s "
-                      f"r{violation.replica}: {violation.detail}",
-                      file=sys.stderr)
-    print(format_table(headers, rows))
-    return 1 if failed else 0
+            failed.append(result)
+            print(f"banyan-repro cluster: {config.protocol} failed (exit codes "
+                  f"{result.exit_codes}); commit logs: {result.log_dir}", file=sys.stderr)
+    headers = sorted(rows[0])
+    print(format_table(headers, [[row[key] for key in headers] for row in rows]))
+    for result in failed:
+        for violation in result.violations:
+            print(f"  {result.experiment.label} [{violation.invariant}] "
+                  f"t={violation.time:.3f}s r{violation.replica}: {violation.detail}")
+    # As for workload: a run in which no client transaction committed failed.
+    dead = [row["protocol"] for row in rows if row.get("committed_tx") == 0]
+    if dead:
+        print(f"banyan-repro cluster: error: no transaction committed in "
+              f"{len(dead)} run(s) ({dead[0]}); raise --duration", file=sys.stderr)
+    return 1 if failed or dead else 0
 
 
 def _cmd_list(_: argparse.Namespace) -> int:

@@ -17,10 +17,10 @@ real TCP sockets*:
 * :mod:`repro.cluster.node` — one replica process serving the standard
   :class:`repro.runtime.context.ReplicaContext` seam over the transport,
   with monotonic-clock timers and a JSONL commit log;
-* :mod:`repro.cluster.harness` — spawns an n-replica local cluster plus
-  open-loop workload clients, harvests the commit logs into
-  :class:`repro.smr.metrics.RunMetrics`, and cross-validates the committed
-  sequences against the chaos :class:`repro.chaos.invariants.InvariantChecker`.
+* :mod:`repro.cluster.harness` — runs an ``ExperimentConfig`` (and its
+  open-loop ``WorkloadSpec``) on an n-replica local cluster, harvests the
+  commit logs into the simulator's ``ExperimentResult``, and cross-validates
+  the committed sequences against :class:`repro.chaos.invariants.InvariantChecker`.
 """
 
 from repro.cluster.wire import (

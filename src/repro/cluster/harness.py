@@ -1,31 +1,35 @@
-"""Local cluster harness: spawn real replica processes, load them, judge them.
+"""Local cluster harness: run the simulator's run description on real
+processes, load them, judge them.
 
 This is the orchestration layer behind ``banyan-repro cluster``:
 
 * :class:`LocalCluster` spawns one ``python -m repro.cluster.node`` process
   per replica on localhost, each with its own config file, commit log and
   summary file, and can SIGKILL / restart individual replicas mid-run.
-* :func:`run_workload` drives open-loop Poisson clients over the same wire
-  protocol the replicas speak (``ClientSubmit`` frames), assigning each
-  transaction to one replica round-robin so blocks carry real client bytes.
+* One asyncio client sends the open-loop schedule :func:`send_schedule`
+  draws from a :class:`repro.workload.spec.WorkloadSpec` — the stamps, tx
+  ids, client labels and replicas the simulator's
+  :class:`repro.workload.clients.ClientPool` submits — as ``ClientSubmit``
+  frames, sleeping until each stamp on the nodes' epoch clock.
 * :func:`cross_validate` replays the harvested commit logs through the
-  *simulator's* :class:`repro.chaos.invariants.InvariantChecker` — the real
-  cluster's committed sequences must satisfy the exact agreement /
-  certified-ancestry / fast-path-soundness checks the chaos engine applies
-  to simulated runs, plus the same healed-network liveness rule.  Commit
-  logs store every content-addressed block field, so the reconstructed
-  blocks hash to the ids the replicas actually certified; the checker is
-  judging the real chains, not copies of a summary.
-* :func:`run_local_cluster` ties it together and produces a
-  :class:`ClusterResult` with :class:`repro.smr.metrics.RunMetrics`
-  harvested from the observer replica's log — the same report machinery
-  the simulator feeds.
+  *simulator's* :class:`repro.chaos.invariants.InvariantChecker`: agreement,
+  certified ancestry, fast-path soundness and the healed-network liveness
+  rule.  Commit logs store every content-addressed block field, so the
+  rebuilt blocks hash to the ids the replicas actually certified.
+* :func:`run_local_cluster` runs an
+  :class:`repro.eval.experiment.ExperimentConfig` and returns the
+  simulator's :class:`repro.eval.experiment.ExperimentResult`: run metrics
+  from the observer's log, and client metrics in which a transaction
+  commits at its first commit at any replica.  The experiment layer loads
+  numpy and the simulator, so only that call imports it.
 """
 
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
+import math
 import os
 import random
 import signal
@@ -34,19 +38,26 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.chaos.invariants import (
     InvariantChecker, Violation, liveness_bound as default_liveness_bound)
 from repro.chaos.schedule import ChaosSchedule
 from repro.cluster.node import NodeConfig
 from repro.cluster.wire import ClientSubmit, Hello, encode_frame
-from repro.smr.metrics import MetricsCollector, RunMetrics
+from repro.net.faults import FaultPlan
+from repro.protocols.base import ProtocolParams
+from repro.smr.metrics import MetricsCollector, RunMetrics, WorkloadMetrics
 from repro.types.blocks import Block
 from repro.types.commits import CommitRecord
 from repro.workload.transactions import encode_transaction, split_transactions
+
+if TYPE_CHECKING:
+    from repro.eval.experiment import ExperimentConfig, ExperimentResult
+    from repro.workload.spec import WorkloadSpec
 
 #: Wall-clock lead the harness gives nodes to import, bind sockets and
 #: connect before the coordinated protocol start.  Four interpreters on two
@@ -108,16 +119,19 @@ class LocalCluster:
 
     Args:
         protocol: registered protocol name.
-        n / f / p: replica count, fault bound, fast-path parameter.
+        n: replica count.
         duration: protocol-time horizon each node runs for.
         log_dir: directory for configs, commit logs, summaries, stdio.
-        rank_delay / round_timeout / payload_size: protocol parameters.
         seed: base seed (fault RNGs).
         schedule: optional chaos schedule replayed at the socket layer.
         start_delay: wall-clock lead before the coordinated start.
-        max_block_bytes: per-proposal mempool drain budget.
         base_port: first port of a contiguous range; ``None`` asks the OS
             for free ports.
+        workload: the client workload whose ``max_block_bytes`` and
+            ``mempool_capacity`` size the nodes' mempools; ``None`` keeps
+            :class:`NodeConfig`'s defaults.
+        params: the other :class:`ProtocolParams` fields; ``f`` and ``p``
+            default as :func:`fault_bounds` says.
     """
 
     def __init__(
@@ -127,20 +141,18 @@ class LocalCluster:
         *,
         duration: float,
         log_dir: Path,
-        f: Optional[int] = None,
-        p: Optional[int] = None,
-        rank_delay: float = 0.05,
-        round_timeout: float = 1.0,
-        payload_size: int = 0,
         seed: int = 0,
         schedule: Optional[ChaosSchedule] = None,
         start_delay: float = DEFAULT_START_DELAY_S,
-        max_block_bytes: int = 65_536,
         base_port: Optional[int] = None,
+        workload: Optional[WorkloadSpec] = None,
+        **params: object,
     ) -> None:
-        self.protocol = protocol
-        self.n = n
-        self.f, self.p = fault_bounds(n, f, p)
+        f, p = fault_bounds(n, params.pop("f", None), params.pop("p", None))
+        protocol_params = ProtocolParams(n=n, f=f, p=p, seed=seed, **params)
+        mempool = {} if workload is None else {
+            "max_block_bytes": workload.max_block_bytes,
+            "mempool_capacity": workload.mempool_capacity}
         self.duration = duration
         self.log_dir = Path(log_dir)
         self.schedule = schedule or ChaosSchedule()
@@ -156,17 +168,13 @@ class LocalCluster:
             config = NodeConfig(
                 replica_id=rid,
                 protocol=protocol,
-                n=n, f=self.f, p=self.p,
+                params=protocol_params,
                 peers=self.peers,
-                seed=seed,
-                rank_delay=rank_delay,
-                round_timeout=round_timeout,
-                payload_size=payload_size,
                 duration=duration,
                 commit_log=str(commit_log),
                 summary_path=str(summary),
                 schedule=self.schedule.to_dict() if len(self.schedule) else None,
-                max_block_bytes=max_block_bytes,
+                **mempool,
             )
             self.replicas[rid] = ReplicaHandle(
                 replica_id=rid, config=config,
@@ -309,119 +317,91 @@ class LocalCluster:
 
 
 # ---------------------------------------------------------------------- #
-# Workload clients
+# Workload client
 # ---------------------------------------------------------------------- #
 
 
-@dataclass
-class WorkloadResult:
-    """What the open-loop clients did and what happened to it.
+def send_schedule(spec: WorkloadSpec, n: int,
+                  horizon: float) -> List[Tuple[float, int, int, int]]:
+    """The open-loop client's sends: ``(stamp, tx id, client, replica)``.
 
-    Attributes:
-        submitted: transactions sent (tx id → epoch-time of submission).
-        committed: tx id → epoch-time of first commit (observer replica).
-        latencies: submit→commit seconds for every committed transaction.
+    The same list a :class:`repro.workload.clients.ClientPool` of ``spec``
+    submits into an n-replica simulation that runs until ``horizon``: the
+    arrivals drawn from ``random.Random(spec.seed)`` from time 0, tx ``i``
+    labelled client ``i mod num_clients`` and sent to replica ``i mod n``.
     """
-
-    submitted: Dict[int, float] = field(default_factory=dict)
-    committed: Dict[int, float] = field(default_factory=dict)
-    latencies: List[float] = field(default_factory=list)
-
-    @property
-    def commit_ratio(self) -> float:
-        if not self.submitted:
-            return 0.0
-        return len(self.committed) / len(self.submitted)
+    rng = random.Random(spec.seed)
+    arrivals = spec.build_arrivals()
+    stamps, _ = arrivals.arrivals_until(arrivals.next_interarrival(0.0, rng),
+                                        horizon, rng)
+    return [(stamp, tx_id, tx_id % spec.num_clients, tx_id % n)
+            for tx_id, stamp in enumerate(stamps)]
 
 
-async def _client_task(client_id: int, peers: Sequence[Tuple[str, int]],
-                       rate: float, tx_size: float, start_at: float,
-                       end_at: float, submitted: Dict[int, float],
-                       seed: int) -> None:
-    """One open-loop Poisson client: exponential gaps, round-robin targets.
+async def _send(sends: List[Tuple[float, int, int, int]],
+                peers: Dict[int, Tuple[str, int]], tx_size: int,
+                start_at: float) -> List[int]:
+    """Send each transaction of ``sends`` at its stamp; returns the ids that
+    no connection took.
 
-    Open-loop means arrivals do not wait for commits — the schedule is
-    fixed by the rate, so a slow cluster builds queueing delay instead of
-    silently throttling the workload (the honest way to measure latency).
+    Stamps are on the nodes' epoch clock: monotonic seconds since
+    ``start_at``, translated once, as each node does.  The client sleeps
+    until a stamp, never for a gap, so time spent sending (or waiting on a
+    full socket buffer) is not added to the schedule.
     """
-    rng = random.Random((seed << 8) ^ client_id)
+    loop = asyncio.get_running_loop()
+    epoch = loop.time() + (start_at - time.time())
     writers: Dict[int, asyncio.StreamWriter] = {}
-    tx_counter = 0
-    target = 0
-    delay = start_at - time.time()
-    if delay > 0:
-        await asyncio.sleep(delay)
+    failed: List[int] = []
     try:
-        while time.time() < end_at:
-            tx_id = client_id * 1_000_000 + tx_counter
-            tx_counter += 1
-            tx = encode_transaction(tx_id, client_id, int(tx_size))
-            frame = encode_frame(-1 - client_id,
-                                 ClientSubmit(transaction=tx,
-                                              client_id=client_id))
-            replica = target % len(peers)
-            target += 1
-            writer = writers.get(replica)
+        for stamp, tx_id, client, replica in sends:
+            delay = epoch + stamp - loop.time()
+            if delay > 0:
+                await asyncio.sleep(delay)
+            frame = encode_frame(-1 - client, ClientSubmit(
+                encode_transaction(tx_id, client, tx_size), client_id=client))
             try:
+                writer = writers.get(replica)
                 if writer is None:
-                    host, port = peers[replica]
-                    _, writer = await asyncio.open_connection(host, port)
-                    writer.write(encode_frame(-1 - client_id,
-                                              Hello(sender=-1 - client_id,
-                                                    role="client")))
+                    _, writer = await asyncio.open_connection(*peers[replica])
+                    writer.write(encode_frame(-1, Hello(sender=-1, role="client")))
                     writers[replica] = writer
                 writer.write(frame)
                 await writer.drain()
-                submitted[tx_id] = time.time() - start_at
             except (ConnectionError, OSError):
-                # Replica down (crash window / SIGKILL): drop the tx and
-                # retry the connection on this client's next visit.
-                stale = writers.pop(replica, None)
-                if stale is not None:
-                    try:
-                        stale.close()
-                    except Exception:
-                        pass
-            await asyncio.sleep(rng.expovariate(rate))
+                # Replica down (crash window / SIGKILL): the transaction is
+                # dropped, and the replica's next one reconnects.
+                failed.append(tx_id)
+                if replica in writers:
+                    writers.pop(replica).close()
     finally:
         for writer in writers.values():
-            try:
-                writer.close()
-            except Exception:
-                pass
+            writer.close()
+    return failed
 
 
-def _check_tx_size(tx_size: int) -> None:
-    if tx_size <= 0:
-        raise ValueError(f"tx_size must be positive, got {tx_size}")
+def _client_metrics(config: ExperimentConfig, sends: List[Tuple[float, int, int, int]],
+                    failed: List[int], records: List[CommitRecord]) -> WorkloadMetrics:
+    """The clients' :class:`WorkloadMetrics`, from the same columns a
+    :class:`repro.workload.clients.ClientPool` keeps.
 
-
-def run_workload(peers: Dict[int, Tuple[str, int]], *, rate: float,
-                 tx_size: int, start_at: float, duration: float,
-                 clients: int = 2, seed: int = 0) -> Dict[int, float]:
-    """Run the open-loop clients until the horizon; returns submit times.
-
-    ``rate`` is the aggregate transactions/second, split evenly over
-    ``clients`` independent Poisson processes.
-
-    Raises:
-        ValueError: if ``tx_size`` is not positive.
+    A transaction's commit time is its first commit at any replica
+    (``records`` are sorted by commit time); a failed send that no block
+    carries is a dropped transaction.  The cluster samples no mempool
+    occupancy.
     """
-    _check_tx_size(tx_size)
-    submitted: Dict[int, float] = {}
-    ordered = [peers[rid] for rid in sorted(peers)]
-    per_client = max(rate / max(1, clients), 1e-9)
-    end_at = start_at + duration
-
-    async def _main() -> None:
-        await asyncio.gather(*(
-            _client_task(cid, ordered, per_client, tx_size, start_at,
-                         end_at, submitted, seed)
-            for cid in range(clients)
-        ))
-
-    asyncio.run(_main())
-    return submitted
+    count, tx_size = len(sends), config.workload.tx_size
+    commit_times = array("d", [math.nan]) * count
+    for record in records:
+        for tx_id, _ in split_transactions(record.block.payload):
+            if 0 <= tx_id < count and math.isnan(commit_times[tx_id]):
+                commit_times[tx_id] = record.commit_time
+    return WorkloadMetrics.from_columns(
+        array("d", [stamp for stamp, *_ in sends]), commit_times,
+        array("I", [len(encode_transaction(tx_id, client, tx_size))
+                    for _, tx_id, client, _ in sends]),
+        [tx_id for tx_id in failed if math.isnan(commit_times[tx_id])],
+        [], config.duration - config.warmup, config.warmup)
 
 
 # ---------------------------------------------------------------------- #
@@ -487,11 +467,12 @@ def cross_validate(
     return violations
 
 
-def harvest_metrics(protocol: str, records: Iterable[CommitRecord],
-                    summaries: Dict[int, Dict[str, object]], *,
-                    duration: float, observer: int = 0) -> RunMetrics:
-    """Feed real commit logs through the simulator's metrics pipeline."""
-    collector = MetricsCollector(protocol, observer=observer)
+def _run_metrics(config: ExperimentConfig, records: List[CommitRecord],
+                 summaries: Dict[int, Dict[str, object]]) -> RunMetrics:
+    """Feed real commit logs through the simulator's metrics pipeline; the
+    observer is ``config.observer``, else replica 0."""
+    collector = MetricsCollector(config.resolved_label(), warmup=config.warmup,
+                                 observer=config.observer or 0)
     for record in records:
         collector.on_commit(record)
     proposal_times = {
@@ -499,24 +480,7 @@ def harvest_metrics(protocol: str, records: Iterable[CommitRecord],
               for block_id, t in summary.get("proposal_times", {}).items()}
         for rid, summary in summaries.items()
     }
-    return collector.finalize(duration, proposal_times)
-
-
-def workload_outcome(submitted: Dict[int, float],
-                     records: Iterable[CommitRecord],
-                     observer: int = 0) -> WorkloadResult:
-    """Match submitted transactions against one replica's committed blocks."""
-    result = WorkloadResult(submitted=dict(submitted))
-    for record in records:
-        if record.replica_id != observer:
-            continue
-        for tx_id, _client in split_transactions(record.block.payload):
-            if tx_id in result.committed or tx_id not in result.submitted:
-                continue
-            result.committed[tx_id] = record.commit_time
-            result.latencies.append(record.commit_time
-                                    - result.submitted[tx_id])
-    return result
+    return collector.finalize(max(config.duration - config.warmup, 1e-9), proposal_times)
 
 
 # ---------------------------------------------------------------------- #
@@ -524,43 +488,62 @@ def workload_outcome(submitted: Dict[int, float],
 # ---------------------------------------------------------------------- #
 
 
+#: :class:`ExperimentConfig` fields only the simulator can honour; the
+#: cluster refuses any of them away from its default.
+_SIMULATOR_ONLY = ("topology", "latency", "latency_model", "transport",
+                   "uplink_mbps", "relays", "compute", "compute_scale",
+                   "scheduler", "stragglers", "straggler_delay")
+
+
+def check_cluster_config(config: ExperimentConfig,
+                         base_port: Optional[int] = None) -> None:
+    """Raise a one-line ``ValueError`` unless the cluster can run ``config``
+    as the simulator would: no simulator-only setting, no fault plan (the
+    cluster's fault input is a chaos schedule), an open-loop workload
+    without a mempool byte limit, and node configs that check out."""
+    defaults = {field.name: field.default for field in dataclasses.fields(config)}
+    for name in _SIMULATOR_ONLY:
+        if getattr(config, name) != defaults[name]:
+            raise ValueError(f"the cluster cannot run {name}="
+                             f"{getattr(config, name)!r}: only the simulator can")
+    if config.faults.to_dict() != FaultPlan.none().to_dict():
+        raise ValueError("the cluster takes its faults as a chaos schedule, "
+                         "not as a fault plan")
+    workload = config.workload
+    if workload is not None and workload.mode != "open":
+        raise ValueError(f"the cluster cannot run {workload.mode}-loop clients: "
+                         "its client is open-loop")
+    if workload is not None and workload.mempool_max_bytes is not None:
+        raise ValueError("the cluster cannot run mempool_max_bytes: its "
+                         "mempools limit transactions only")
+    NodeConfig(replica_id=0, protocol=config.protocol, params=config.params,
+               peers=local_peers(config.params.n, base_port))
+
+
 @dataclass
 class ClusterResult:
-    """Everything one real-cluster run produced."""
+    """Everything one real-cluster run produced.
 
-    protocol: str
+    ``experiment`` is the run as the simulator reports it; its message and
+    byte counts are the nodes' transport counters (``sent_frames``,
+    ``sent_bytes``).
+    """
+
+    experiment: ExperimentResult
     exit_codes: Dict[int, int]
     records: List[CommitRecord]
     violations: List[Violation]
-    metrics: RunMetrics
-    workload: WorkloadResult
     summaries: Dict[int, Dict[str, object]]
     log_dir: Path
 
     @property
     def committed_blocks(self) -> int:
-        return self.metrics.committed_blocks
-
-    @property
-    def ok(self) -> bool:
-        """Healthy run: at least one commit and no invariant violations."""
-        return self.committed_blocks > 0 and not self.violations
+        return self.experiment.metrics.committed_blocks
 
 
 def run_local_cluster(
-    protocol: str,
-    n: int = 4,
+    config: ExperimentConfig,
     *,
-    duration: float = 10.0,
-    f: Optional[int] = None,
-    p: Optional[int] = None,
-    rank_delay: float = 0.05,
-    round_timeout: float = 1.0,
-    payload_size: int = 0,
-    seed: int = 0,
-    rate: float = 0.0,
-    tx_size: int = 128,
-    clients: int = 2,
     schedule: Optional[ChaosSchedule] = None,
     liveness_bound: Optional[float] = None,
     check_invariants: bool = True,
@@ -568,39 +551,40 @@ def run_local_cluster(
     base_port: Optional[int] = None,
     exclude: Iterable[int] = (),
 ) -> ClusterResult:
-    """Run one full real-cluster experiment and judge it.
+    """Run ``config`` on a real local cluster and judge it.
 
-    Spawns the cluster, optionally drives an open-loop workload, waits for
-    the horizon, then harvests commit logs into metrics, matches workload
-    latencies, and (when ``check_invariants``) cross-validates the real
-    committed sequences against the simulator's invariant checker.
+    Spawns the cluster, drives ``config.workload`` (if any) with the
+    open-loop client, waits for the horizon, then harvests the commit logs
+    into an :class:`ExperimentResult` and (when ``check_invariants``)
+    cross-validates the real committed sequences against the simulator's
+    invariant checker.  ``config.seed`` seeds the nodes.
 
     Raises:
-        ValueError: if ``rate > 0`` and ``tx_size`` is not positive,
-            before any node is spawned.
+        ValueError: from :func:`check_cluster_config`, before any node is
+            spawned.
     """
-    if rate > 0:
-        _check_tx_size(tx_size)
+    # Imported here: the experiment layer loads numpy and the simulator.
+    from repro.eval.experiment import ExperimentResult
+
+    check_cluster_config(config, base_port)
+    params = dataclasses.asdict(config.params)
+    n, workload = params.pop("n"), config.workload
+    del params["seed"]
     schedule = schedule or ChaosSchedule()
     if log_dir is None:
-        log_dir = Path(tempfile.mkdtemp(prefix=f"banyan-cluster-{protocol}-"))
+        log_dir = Path(tempfile.mkdtemp(prefix=f"banyan-cluster-{config.protocol}-"))
     if liveness_bound is None:
-        liveness_bound = default_liveness_bound(n, rank_delay, round_timeout)
+        liveness_bound = default_liveness_bound(
+            n, config.params.rank_delay, config.params.round_timeout)
     cluster = LocalCluster(
-        protocol, n, duration=duration, log_dir=log_dir, f=f, p=p,
-        rank_delay=rank_delay, round_timeout=round_timeout,
-        payload_size=payload_size, seed=seed, schedule=schedule,
-        base_port=base_port,
-    )
+        config.protocol, n, duration=config.duration, log_dir=log_dir,
+        seed=config.seed, schedule=schedule, base_port=base_port,
+        workload=workload, **params)
+    sends = [] if workload is None else send_schedule(workload, n, config.duration)
     cluster.start()
-    submitted: Dict[int, float] = {}
     try:
-        if rate > 0:
-            submitted = run_workload(
-                cluster.peers, rate=rate, tx_size=tx_size,
-                start_at=cluster.start_at, duration=duration,
-                clients=clients, seed=seed,
-            )
+        failed = asyncio.run(_send(sends, cluster.peers, workload.tx_size,
+                                   cluster.start_at)) if sends else []
         exit_codes = cluster.wait()
     finally:
         cluster.stop()
@@ -609,15 +593,18 @@ def run_local_cluster(
     violations: List[Violation] = []
     if check_invariants:
         violations = cross_validate(
-            records, n=n, schedule=schedule, duration=duration,
+            records, n=n, schedule=schedule, duration=config.duration,
             liveness_bound=liveness_bound, errors=errors, exclude=exclude,
             summaries=summaries,
         )
-    metrics = harvest_metrics(protocol, records, summaries,
-                              duration=duration)
-    workload = workload_outcome(submitted, records)
+    sent = [summary.get("transport", {}) for summary in summaries.values()]
+    experiment = ExperimentResult(
+        config, _run_metrics(config, records, summaries),
+        messages_sent=sum(stats.get("sent_frames", 0) for stats in sent),
+        bytes_sent=sum(stats.get("sent_bytes", 0) for stats in sent),
+        workload=(None if workload is None
+                  else _client_metrics(config, sends, failed, records)))
     return ClusterResult(
-        protocol=protocol, exit_codes=exit_codes, records=records,
-        violations=violations, metrics=metrics, workload=workload,
-        summaries=summaries, log_dir=log_dir,
+        experiment=experiment, exit_codes=exit_codes, records=records,
+        violations=violations, summaries=summaries, log_dir=log_dir,
     )

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import dataclasses
 import json
 import sys
 import time
@@ -61,14 +62,16 @@ EXIT_PROTOCOL_ERROR = 3
 class NodeConfig:
     """Everything one replica process needs, JSON-serialisable.
 
+    Its JSON form is flat: the :class:`ProtocolParams` fields sit beside
+    the node's own keys.
+
     Attributes:
         replica_id: this node's replica id.
         protocol: registered protocol name.
-        n / f / p: replica count, fault bound, fast-path parameter.
-        rank_delay / round_timeout / payload_size: protocol parameters.
+        params: protocol parameters; ``params.seed`` also seeds the node's
+            fault-injection RNG.
         peers: replica id → ``(host, port)`` for every replica (self
             included; the node binds its own entry).
-        seed: base seed (fault-injection RNG, synthetic payload tags).
         duration: seconds of protocol time to run after the epoch.
         start_at: unix time of the coordinated cluster start; every node
             begins its protocol at this instant.
@@ -77,32 +80,30 @@ class NodeConfig:
         schedule: optional chaos schedule to replay at the socket layer
             (:meth:`repro.chaos.schedule.ChaosSchedule.to_dict` form).
         max_block_bytes: per-proposal byte budget drained from the mempool.
+        mempool_capacity: the client mempool's transaction-count limit.
     """
 
     replica_id: int
     protocol: str
-    n: int
-    f: int
-    p: int
+    params: ProtocolParams
     peers: Dict[int, Tuple[str, int]]
-    seed: int = 0
-    rank_delay: float = 0.1
-    round_timeout: float = 1.5
-    payload_size: int = 0
     duration: float = 10.0
     start_at: float = 0.0
     commit_log: str = "commit.log"
     summary_path: str = ""
     schedule: Optional[Dict[str, object]] = None
     max_block_bytes: int = 65_536
+    mempool_capacity: int = 100_000
 
     def __post_init__(self) -> None:
         """Raise a one-line ``ValueError`` unless the node can run: valid
         protocol parameters for a registered protocol, this replica among
-        ``peers``, every port one ``bind()`` accepts, and a decodable
-        schedule."""
+        ``peers``, every port one ``bind()`` accepts, a mempool that holds
+        a transaction, and a decodable schedule."""
         ensure_protocol_registered(self.protocol)
-        check_protocol(self.protocol, self.params())
+        check_protocol(self.protocol, self.params)
+        if self.mempool_capacity <= 0:
+            raise ValueError(f"mempool_capacity must be positive, got {self.mempool_capacity}")
         if self.replica_id not in self.peers:
             raise ValueError(f"replica {self.replica_id} is not in peers")
         for rid, (_, port) in sorted(self.peers.items()):
@@ -111,52 +112,40 @@ class NodeConfig:
         if self.schedule:
             ChaosSchedule.from_dict(self.schedule)
 
-    def params(self) -> ProtocolParams:
-        """The protocol parameters of this node."""
-        return ProtocolParams(
-            n=self.n, f=self.f, p=self.p, rank_delay=self.rank_delay,
-            round_timeout=self.round_timeout, payload_size=self.payload_size,
-            seed=self.seed,
-        )
-
     def to_dict(self) -> Dict[str, object]:
         """A JSON-ready dictionary (inverse of :meth:`from_dict`)."""
         return {
             "replica_id": self.replica_id,
             "protocol": self.protocol,
-            "n": self.n, "f": self.f, "p": self.p,
+            **dataclasses.asdict(self.params),
             "peers": {str(rid): list(addr) for rid, addr in self.peers.items()},
-            "seed": self.seed,
-            "rank_delay": self.rank_delay,
-            "round_timeout": self.round_timeout,
-            "payload_size": self.payload_size,
             "duration": self.duration,
             "start_at": self.start_at,
             "commit_log": self.commit_log,
             "summary_path": self.summary_path,
             "schedule": self.schedule,
             "max_block_bytes": self.max_block_bytes,
+            "mempool_capacity": self.mempool_capacity,
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "NodeConfig":
-        """Rebuild a config from :meth:`to_dict` output."""
+        """Rebuild a config from :meth:`to_dict` output; a protocol
+        parameter left out takes :class:`ProtocolParams`' default."""
         return cls(
             replica_id=int(data["replica_id"]),
             protocol=str(data["protocol"]),
-            n=int(data["n"]), f=int(data["f"]), p=int(data["p"]),
+            params=ProtocolParams.from_dict(
+                {**data, "n": int(data["n"]), "f": int(data["f"]), "p": int(data["p"])}),
             peers={int(rid): (str(addr[0]), int(addr[1]))
                    for rid, addr in data["peers"].items()},
-            seed=int(data.get("seed", 0)),
-            rank_delay=float(data.get("rank_delay", 0.1)),
-            round_timeout=float(data.get("round_timeout", 1.5)),
-            payload_size=int(data.get("payload_size", 0)),
             duration=float(data.get("duration", 10.0)),
             start_at=float(data.get("start_at", 0.0)),
             commit_log=str(data.get("commit_log", "commit.log")),
             summary_path=str(data.get("summary_path", "")),
             schedule=data.get("schedule"),
             max_block_bytes=int(data.get("max_block_bytes", 65_536)),
+            mempool_capacity=int(data.get("mempool_capacity", 100_000)),
         )
 
 
@@ -193,12 +182,12 @@ class ClusterNode:
         self.schedule = (ChaosSchedule.from_dict(config.schedule)
                          if config.schedule else ChaosSchedule())
         self.injector = SocketFaultInjector(self.schedule, config.replica_id,
-                                            seed=config.seed)
+                                            seed=config.params.seed)
         #: Whether a crash window may mute this replica (never, on an idle plan).
         self._crashes = not self.injector.idle
-        self.mempool = Mempool(max_size=100_000)
+        self.mempool = Mempool(max_size=config.mempool_capacity)
         self._source = MempoolSource(self.mempool, config.max_block_bytes,
-                                     config.payload_size)
+                                     config.params.payload_size)
         self.protocol = self._build_protocol()
         self.transport = TcpTransport(
             replica_id=config.replica_id,
@@ -208,7 +197,7 @@ class ClusterNode:
             injector=self.injector,
             on_client_submit=self._on_client_submit,
         )
-        ids = tuple(range(config.n))
+        ids = tuple(range(config.params.n))
         self._context = ReplicaContext(
             config.replica_id, ids, now=self.now, send=self.transport.send,
             broadcast=partial(self.transport.broadcast, replica_ids=ids),
@@ -240,8 +229,8 @@ class ClusterNode:
                 self.config.protocol, behavior)
         replicas = create_replicas(
             self.config.protocol,
-            self.config.params(),
-            beacon=RoundRobinBeacon(list(range(self.config.n))),
+            self.config.params,
+            beacon=RoundRobinBeacon(list(range(self.config.params.n))),
             payload_source=self._source,
             replica_ids=[self.config.replica_id],
             overrides=overrides,

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -440,6 +441,54 @@ class WorkloadMetrics:
             latencies=array("d", data.get("latencies", ())),
             occupancy=[OccupancySample.from_dict(sample)
                        for sample in data.get("occupancy", [])],
+        )
+
+    @classmethod
+    def from_columns(cls, submit_times: array, commit_times: array, sizes: array,
+                     dropped_ids: Sequence[int], occupancy: List[OccupancySample],
+                     duration: float, warmup: float = 0.0) -> "WorkloadMetrics":
+        """The metrics of transaction columns indexed by tx id.
+
+        The simulator's client pool and the TCP cluster's client both end
+        here.  The latencies leave as one ``array('d')`` column, in
+        submission order: the committed commit times are copied into it and
+        the committed submit times taken off in place, each through one
+        masked copy, so at most one transient column lives beside the
+        result (a boolean mask picks without an index array, where
+        ``np.compress`` would add one).  numpy is imported here, so a
+        cluster node importing this module starts without it.
+
+        Args:
+            submit_times: ``array('d')`` of submit stamps, ascending.
+            commit_times: ``array('d')`` of first-commit stamps, NaN while
+                pending.
+            sizes: ``array('I')`` of encoded transaction sizes in bytes.
+            dropped_ids: the ids refused at submission, ascending.
+            occupancy: mempool occupancy samples over the full run.
+            duration: measured duration in seconds (excluding warm-up), the
+                denominator of the goodput figures.
+            warmup: transactions *submitted* before this time are excluded
+                from all counts and latency percentiles, mirroring the
+                warm-up handling of :class:`RunMetrics`.
+        """
+        import numpy as np
+
+        first = bisect_left(submit_times, warmup)
+        # Masked numpy views of the columns, ending with the call.
+        commit_times = np.frombuffer(commit_times, "d")[first:]
+        committed = ~np.isnan(commit_times)
+        latencies = array("d", (0.0,)) * int(np.count_nonzero(committed))
+        column = np.frombuffer(latencies, "d")
+        column[:] = commit_times[committed]
+        column -= np.frombuffer(submit_times, "d")[first:][committed]
+        return cls(
+            duration=max(duration, 1e-9),
+            submitted=len(commit_times),
+            committed=len(latencies),
+            dropped=len(dropped_ids) - bisect_left(dropped_ids, first),
+            committed_tx_bytes=int(np.frombuffer(sizes, "I")[first:][committed].sum()),
+            latencies=latencies,
+            occupancy=list(occupancy),
         )
 
 

@@ -34,9 +34,11 @@ array work over numpy views of the columns: one gather fetches a batch's
 client ids, one NaN mask finds its still-pending ids (for a commit or a
 reclaim) and one masked store stamps their commit times, and
 :meth:`ClientPool.metrics` builds the latency column and committed bytes
-with masks.  The views end with each call, since an ``array`` that exports a
-buffer refuses to grow, and numpy is imported inside those calls, so the
-TCP cluster (which imports this package) starts without it.
+with masks (:meth:`repro.smr.metrics.WorkloadMetrics.from_columns`, where
+the TCP cluster's client ends too).  The views end with each call, since an
+``array`` that exports a buffer refuses to grow, and numpy is imported
+inside those calls, so the TCP cluster (which imports this package) starts
+without it.
 
 Two client models are supported:
 
@@ -62,7 +64,6 @@ from __future__ import annotations
 import math
 import random
 from array import array
-from bisect import bisect_left
 from itertools import chain, cycle, islice
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -566,42 +567,18 @@ class ClientPool:
             self._sizes, self._submit_times, commit_times, dropped)))
 
     def metrics(self, duration: float, warmup: float = 0.0) -> WorkloadMetrics:
-        """Build the :class:`WorkloadMetrics` summary of the run so far.
-
-        The latencies leave as one ``array('d')`` column, in submission
-        order: the committed commit times are copied into it and the
-        committed submit times taken off in place, each through one
-        masked copy, so at most one transient column lives beside the
-        result (a boolean mask picks without an index array, where
-        ``np.compress`` would add one).
+        """Build the :class:`WorkloadMetrics` summary of the run so far
+        (:meth:`WorkloadMetrics.from_columns` of the pool's columns).
 
         Args:
             duration: measured duration in seconds (excluding warm-up), the
                 denominator of the goodput figures.
             warmup: transactions *submitted* before this time are excluded
-                from all counts and latency percentiles, mirroring the
-                warm-up handling of :class:`repro.smr.metrics.RunMetrics`.
-                Occupancy samples always cover the full run (the warm-up
-                transient is part of the occupancy story).
+                from all counts and latency percentiles.  Occupancy samples
+                always cover the full run (the warm-up transient is part of
+                the occupancy story).
         """
-        import numpy as np
-
         self._admit()
-        first = bisect_left(self._submit_times, warmup)
-        # Masked numpy views of the columns, ending with the call.
-        commit_times = np.frombuffer(self._commit_times, "d")[first:]
-        committed = ~np.isnan(commit_times)
-        latencies = array("d", (0.0,)) * int(np.count_nonzero(committed))
-        column = np.frombuffer(latencies, "d")
-        column[:] = commit_times[committed]
-        column -= np.frombuffer(self._submit_times, "d")[first:][committed]
-        return WorkloadMetrics(
-            duration=max(duration, 1e-9),
-            submitted=len(commit_times),
-            committed=len(latencies),
-            dropped=len(self._dropped_ids) - bisect_left(self._dropped_ids, first),
-            committed_tx_bytes=int(
-                np.frombuffer(self._sizes, "I")[first:][committed].sum()),
-            latencies=latencies,
-            occupancy=list(self._occupancy),
-        )
+        return WorkloadMetrics.from_columns(
+            self._submit_times, self._commit_times, self._sizes,
+            self._dropped_ids, self._occupancy, duration, warmup)

@@ -24,11 +24,16 @@ from repro.cluster.harness import (
     cross_validate,
     encode_transaction,
     run_local_cluster,
+    send_schedule,
     split_transactions,
 )
-from repro.cluster.node import MempoolSource, NodeConfig, main
+from repro.cluster.node import ClusterNode, MempoolSource, NodeConfig, load_config, main
+from repro.eval.experiment import ExperimentConfig
+from repro.net.faults import FaultPlan
+from repro.protocols.base import ProtocolParams, innermost
 from repro.protocols.icc import ROUND_WINDOW
 from repro.smr.mempool import Mempool
+from repro.workload.spec import WorkloadSpec
 
 # Cluster-wide timing used by every test: fast ranks (localhost), a short
 # recovery timeout, and a horizon that leaves a checkable liveness tail
@@ -36,6 +41,14 @@ from repro.smr.mempool import Mempool
 RANK_DELAY = 0.05
 ROUND_TIMEOUT = 0.5
 N = 4
+PARAMS = ProtocolParams(n=N, f=1, p=1, rank_delay=RANK_DELAY,
+                        round_timeout=ROUND_TIMEOUT)
+
+
+def cluster_config(protocol="banyan", duration=4.0, **fields):
+    """A cluster run of ``protocol`` on the tests' timing, measured whole."""
+    return ExperimentConfig(protocol=protocol, params=PARAMS, duration=duration,
+                            warmup=0.0, **fields)
 
 
 # --------------------------------------------------------------------- #
@@ -114,11 +127,49 @@ def test_transport_counters_are_part_of_the_verdict():
     ]
 
 
-def test_cluster_refuses_a_bad_tx_size_before_spawning(tmp_path):
-    with pytest.raises(ValueError, match="tx_size must be positive, got 0"):
-        run_local_cluster("banyan", N, duration=1.0, rate=10.0, tx_size=0,
-                          log_dir=tmp_path)
+@pytest.mark.parametrize("fields, message", [
+    ({"topology": "global4"}, "cannot run topology='global4'"),
+    ({"latency_model": "wan-matrix"}, "cannot run latency_model='wan-matrix'"),
+    ({"transport": "contended"}, "cannot run transport='contended'"),
+    ({"compute": "crypto"}, "cannot run compute='crypto'"),
+    ({"scheduler": "heap"}, "cannot run scheduler='heap'"),
+    ({"stragglers": 1}, "cannot run stragglers=1"),
+    ({"faults": FaultPlan.with_crashed([3])}, "faults as a chaos schedule"),
+    ({"workload": WorkloadSpec(mode="closed")}, "cannot run closed-loop clients"),
+    ({"workload": WorkloadSpec(mempool_max_bytes=4096)}, "cannot run mempool_max_bytes"),
+], ids=lambda value: next(iter(value)) if isinstance(value, dict) else None)
+def test_cluster_refuses_what_only_the_simulator_runs_before_spawning(
+        fields, message, tmp_path):
+    with pytest.raises(ValueError, match=message) as refusal:
+        run_local_cluster(cluster_config(duration=1.0, **fields), log_dir=tmp_path)
+    assert "\n" not in str(refusal.value)
     assert not list(tmp_path.glob("replica-*.stdio.log"))
+
+
+@pytest.mark.parametrize("spec", [
+    WorkloadSpec(rate=300.0, num_clients=3, seed=5),
+    WorkloadSpec(arrival="flash-crowd", rate=40.0, burst_rate=600.0,
+                 burst_start=0.5, burst_duration=0.5, num_clients=5, seed=2),
+], ids=["poisson", "flash-crowd"])
+def test_cluster_client_sends_what_the_simulator_pool_submits(spec):
+    """The cluster's ``(stamp, tx id, client, replica)`` schedule is the
+    one a ``ClientPool`` of the same spec submits in a simulation run to
+    the same horizon."""
+    from repro.net.latency import ConstantLatency
+    from repro.protocols.registry import create_replicas
+    from repro.runtime.simulator import NetworkConfig, Simulation
+
+    horizon = 2.0
+    pool = spec.build_pool()
+    replicas = create_replicas("banyan", PARAMS, payload_source=pool.payload_source(
+        max_block_bytes=spec.max_block_bytes))
+    simulation = Simulation(replicas, NetworkConfig(latency=ConstantLatency(0.01)))
+    pool.attach(simulation, stop_time=horizon)
+    simulation.run(until=horizon)
+    submitted = [(record.submit_time, record.tx_id, record.client_id, record.replica_id)
+                 for record in pool.records()]
+    assert len(submitted) > 100
+    assert send_schedule(spec, N, horizon) == submitted
 
 
 def test_transaction_header_roundtrip():
@@ -154,7 +205,7 @@ def test_commit_log_is_written_once_per_loop_turn_and_at_once_on_error(tmp_path)
     from repro.types.blocks import Block
 
     log = tmp_path / "commit.log"
-    node = ClusterNode(NodeConfig(replica_id=0, protocol="banyan", n=N, f=1, p=1,
+    node = ClusterNode(NodeConfig(replica_id=0, protocol="banyan", params=PARAMS,
                                   peers={0: ("127.0.0.1", 0)}, commit_log=str(log)))
     blocks = [Block(round=r, proposer=r % N, rank=0, parent_id="g", payload=b"tx")
               for r in (1, 2)]
@@ -189,7 +240,7 @@ def test_node_refuses_a_timer_delay_the_simulator_refuses(delay):
 
     from repro.cluster.node import ClusterNode
 
-    node = ClusterNode(NodeConfig(replica_id=0, protocol="banyan", n=N, f=1, p=1,
+    node = ClusterNode(NodeConfig(replica_id=0, protocol="banyan", params=PARAMS,
                                   peers={0: ("127.0.0.1", 0)}))
 
     async def scenario():
@@ -210,12 +261,12 @@ def test_streamlet_boots_on_a_node_just_before_an_epoch_boundary():
     from repro.cluster.node import ClusterNode
     from repro.protocols.base import innermost
 
-    node = ClusterNode(NodeConfig(replica_id=0, protocol="streamlet", n=N, f=1, p=1,
+    node = ClusterNode(NodeConfig(replica_id=0, protocol="streamlet", params=PARAMS,
                                   peers={0: ("127.0.0.1", 0)}))
     streamlet = innermost(node.protocol)
     if streamlet.beacon.leader(1) == 0:  # a leader would broadcast to no peers
-        node = ClusterNode(NodeConfig(replica_id=1, protocol="streamlet", n=N, f=1,
-                                      p=1, peers={1: ("127.0.0.1", 0)}))
+        node = ClusterNode(NodeConfig(replica_id=1, protocol="streamlet", params=PARAMS,
+                                      peers={1: ("127.0.0.1", 0)}))
         streamlet = innermost(node.protocol)
     boundary = streamlet.epoch_duration
 
@@ -244,7 +295,7 @@ def test_streamlet_boots_on_a_node_just_before_an_epoch_boundary():
 
 def test_node_config_roundtrip():
     config = NodeConfig(
-        replica_id=2, protocol="banyan", n=4, f=1, p=1,
+        replica_id=2, protocol="banyan", params=PARAMS,
         peers={0: ("127.0.0.1", 9000), 1: ("127.0.0.1", 9001),
                2: ("127.0.0.1", 9002), 3: ("127.0.0.1", 9003)},
         schedule=ChaosSchedule(faults=(
@@ -259,11 +310,38 @@ def test_node_config_roundtrip():
 def test_node_config_written_with_the_retired_signing_key_loads(signed):
     """A node config saved with ``"sign_messages"`` loads as the same node:
     votes are unsigned either way."""
-    config = NodeConfig(replica_id=0, protocol="icc", n=N, f=1, p=1,
+    config = NodeConfig(replica_id=0, protocol="icc", params=PARAMS,
                         peers={0: ("127.0.0.1", 9000)})
     saved = dict(config.to_dict(), sign_messages=signed)
     assert "sign_messages" not in config.to_dict()
     assert NodeConfig.from_dict(json.loads(json.dumps(saved))) == config
+
+
+def test_every_protocol_parameter_reaches_the_node(tmp_path):
+    """A node runs the ``ProtocolParams`` it was given, through its JSON
+    file, and a flat config in the earlier format still loads."""
+    params = ProtocolParams(n=N, f=1, p=1, rank_delay=RANK_DELAY, seed=7,
+                            relay_proposals=False, adaptive_delays=True)
+    config = NodeConfig(replica_id=1, protocol="banyan", params=params,
+                        peers={1: ("127.0.0.1", 0)}, mempool_capacity=50)
+    path = tmp_path / "node.json"
+    path.write_text(json.dumps(config.to_dict()), encoding="utf-8")
+    loaded = load_config(str(path))
+    assert loaded == config
+    node = ClusterNode(loaded)
+    assert innermost(node.protocol).params == params
+    assert node.mempool.capacity == 50
+
+    earlier = {"replica_id": 1, "protocol": "banyan", "n": 4, "f": 1, "p": 1,
+               "peers": {"1": ["127.0.0.1", 0]}, "seed": 7, "rank_delay": 0.05,
+               "round_timeout": 1.0, "payload_size": 0, "duration": 3.0,
+               "start_at": 0.0, "commit_log": "c.jsonl", "summary_path": "",
+               "schedule": None, "max_block_bytes": 65536}
+    assert NodeConfig.from_dict(earlier) == NodeConfig(
+        replica_id=1, protocol="banyan", peers={1: ("127.0.0.1", 0)},
+        params=ProtocolParams(n=4, f=1, p=1, rank_delay=0.05, round_timeout=1.0,
+                              seed=7),
+        duration=3.0, commit_log="c.jsonl")
 
 
 #: Modules a cluster process never runs: numpy, the simulator and its event
@@ -348,6 +426,8 @@ _VALID_CONFIG = {"replica_id": 0, "protocol": "banyan", "n": 4, "f": 1, "p": 1,
     pytest.param(json.dumps({**_VALID_CONFIG, "peers": {
         str(r): ["127.0.0.1", 70000 + r] for r in range(4)}}),
                  "port 70000 of replica 0 is outside 0-65535", id="port-out-of-range"),
+    pytest.param(json.dumps({**_VALID_CONFIG, "mempool_capacity": 0}),
+                 "mempool_capacity must be positive, got 0", id="empty-mempool"),
 ])
 def test_node_refuses_a_bad_config_with_one_line(content, expected, tmp_path, capsys):
     """``python -m repro.cluster.node`` on a config it cannot use exits 2
@@ -370,11 +450,7 @@ def test_node_refuses_a_bad_config_with_one_line(content, expected, tmp_path, ca
 def test_cluster_commits_within_deadline(protocol, tmp_path):
     """An n=4 cluster of real processes commits blocks for every protocol,
     and the committed sequences satisfy the simulator's invariants."""
-    result = run_local_cluster(
-        protocol, N, duration=4.0, rank_delay=RANK_DELAY,
-        round_timeout=ROUND_TIMEOUT, check_invariants=True,
-        log_dir=tmp_path / protocol,
-    )
+    result = run_local_cluster(cluster_config(protocol), log_dir=tmp_path / protocol)
     assert result.exit_codes == {rid: 0 for rid in range(N)}, \
         f"node failures: {result.exit_codes}"
     assert result.committed_blocks >= 1, \
@@ -392,19 +468,21 @@ def test_cluster_commits_within_deadline(protocol, tmp_path):
 
 
 def test_cluster_workload_latency(tmp_path):
-    """Open-loop clients get their transactions committed end-to-end and
-    latency samples are harvested into the metrics pipeline."""
-    result = run_local_cluster(
-        "banyan", N, duration=4.0, rank_delay=RANK_DELAY,
-        round_timeout=ROUND_TIMEOUT, rate=40.0, tx_size=64,
-        check_invariants=True, log_dir=tmp_path,
-    )
+    """Open-loop clients get their transactions committed end-to-end, and
+    the run reports as the simulator's does."""
+    spec = WorkloadSpec(rate=40.0, tx_size=64, num_clients=2)
+    config = cluster_config(workload=spec)
+    result = run_local_cluster(config, log_dir=tmp_path)
     assert result.violations == []
-    assert len(result.workload.submitted) > 0
-    assert result.workload.commit_ratio > 0.5
-    assert result.workload.latencies
-    assert all(latency > 0 for latency in result.workload.latencies)
-    assert result.metrics.latency_samples  # simulator-shaped RunMetrics
+    workload = result.experiment.workload
+    assert workload.submitted == len(send_schedule(spec, N, config.duration)) > 0
+    assert workload.committed > 0.5 * workload.submitted
+    assert workload.dropped == 0
+    assert workload.latencies and min(workload.latencies) > 0
+    assert workload.committed_tx_bytes == 64 * workload.committed
+    assert result.experiment.metrics.latency_samples  # simulator-shaped RunMetrics
+    assert result.experiment.messages_sent > 0 and result.experiment.bytes_sent > 0
+    assert {"tx_p50_ms", "tx_p99_ms", "committed_blocks"} <= set(result.experiment.row())
 
 
 def test_cluster_survives_sigkill_and_restart(tmp_path):
@@ -450,11 +528,8 @@ def test_cluster_replays_chaos_schedule_to_expected_verdict(tmp_path):
     benign = ChaosSchedule(faults=(
         Fault(kind="crash", replica=3, start=1.0, end=2.0),
     ))
-    result = run_local_cluster(
-        "banyan", N, duration=6.0, rank_delay=RANK_DELAY,
-        round_timeout=ROUND_TIMEOUT, schedule=benign,
-        check_invariants=True, log_dir=tmp_path / "benign",
-    )
+    result = run_local_cluster(cluster_config(duration=6.0), schedule=benign,
+                               log_dir=tmp_path / "benign")
     assert result.committed_blocks >= 1
     assert result.violations == [], result.violations
 
@@ -465,11 +540,8 @@ def test_cluster_replays_chaos_schedule_to_expected_verdict(tmp_path):
         Fault(kind="crash", replica=2, start=0.0),
         Fault(kind="crash", replica=3, start=0.0),
     ))
-    result = run_local_cluster(
-        "banyan", N, duration=6.0, rank_delay=RANK_DELAY,
-        round_timeout=ROUND_TIMEOUT, schedule=quorum_loss,
-        check_invariants=True, log_dir=tmp_path / "quorum-loss",
-    )
+    result = run_local_cluster(cluster_config(duration=6.0), schedule=quorum_loss,
+                               log_dir=tmp_path / "quorum-loss")
     assert result.violations, "quorum loss must trip the liveness check"
     assert {v.invariant for v in result.violations} == {"liveness"}
     assert result.committed_blocks == 0

@@ -354,6 +354,76 @@ class TestCLI:
         assert "n=4 violates the resilience bound n >= 7" in captured.err
         assert "the nearest valid n is" in captured.err
 
+    @staticmethod
+    def _capture_clusters(monkeypatch, committed_tx=None):
+        """Replace the cluster run by one that records each config and
+        returns a clean run: 5 blocks, and ``committed_tx`` client
+        transactions of 10 when the config has a workload."""
+        from pathlib import Path
+
+        import repro.cluster.harness as harness
+        from repro.eval.experiment import ExperimentResult
+        from repro.smr.metrics import RunMetrics, WorkloadMetrics
+
+        configs = []
+
+        def run(config, **_):
+            configs.append(config)
+            workload = None if config.workload is None else WorkloadMetrics(
+                duration=config.duration, submitted=10, committed=committed_tx,
+                latencies=[0.1] * committed_tx)
+            experiment = ExperimentResult(
+                config, RunMetrics(config.protocol, config.duration, committed_blocks=5),
+                messages_sent=0, bytes_sent=0, workload=workload)
+            return harness.ClusterResult(experiment, {0: 0}, [], [], {}, Path("."))
+
+        monkeypatch.setattr(harness, "run_local_cluster", run)
+        return configs
+
+    @pytest.mark.parametrize("flags, duration", [([], 6.0), (["--duration", "10"], 10.0)])
+    def test_cluster_replay_runs_the_repro_unless_duration_is_given(
+            self, tmp_path, monkeypatch, capsys, flags, duration):
+        import json
+
+        from repro.chaos.engine import ChaosTrialSpec
+        from repro.chaos.schedule import ChaosSchedule
+
+        spec = ChaosTrialSpec(protocol="icc", n=4, f=1, p=1, rank_delay=0.05,
+                              round_timeout=0.5, payload_size=7, duration=6.0)
+        repro = tmp_path / "repro.json"
+        repro.write_text(json.dumps({"spec": spec.to_dict(),
+                                     "schedule": ChaosSchedule().to_dict()}))
+        configs = self._capture_clusters(monkeypatch)
+        assert main(["cluster", "--replay", str(repro), "--seed", "3"] + flags) == 0
+        (config,) = configs
+        assert (config.protocol, config.params, config.duration) == (
+            "icc", spec.params(), duration)
+        assert (config.seed, config.warmup, config.workload) == (3, 0.0, None)
+        assert "committed_blocks" in capsys.readouterr().out
+
+    def test_cluster_runs_one_config_per_protocol(self, monkeypatch, capsys):
+        from repro.workload.spec import WorkloadSpec
+
+        configs = self._capture_clusters(monkeypatch, committed_tx=10)
+        assert main(["cluster", "--protocol", "all", "--rate", "200", "--tx-size", "64",
+                     "--clients", "3", "--seed", "4", "--duration", "2"]) == 0
+        assert [config.protocol for config in configs] == [
+            "banyan", "icc", "hotstuff", "streamlet"]
+        assert {config.params.rank_delay for config in configs} == {0.05}
+        assert configs[0].workload == WorkloadSpec(rate=200.0, tx_size=64,
+                                                   num_clients=3, seed=4)
+        out = capsys.readouterr().out
+        assert "tx_p50_ms" in out and "tx_p99_ms" in out and "violations" in out
+
+    def test_cluster_fails_a_run_in_which_no_transaction_committed(
+            self, monkeypatch, capsys):
+        self._capture_clusters(monkeypatch, committed_tx=0)
+        assert main(["cluster", "--rate", "50", "--duration", "2"]) == 1
+        captured = capsys.readouterr()
+        assert "committed_tx" in captured.out
+        assert captured.err == ("banyan-repro cluster: error: no transaction "
+                                "committed in 1 run(s) (banyan); raise --duration\n")
+
     def test_workload_command_accepts_runner_flags(self, capsys):
         assert main([
             "workload", "saturation", "--rates", "20", "--duration", "5",
