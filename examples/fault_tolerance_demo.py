@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fault-tolerance demo: crashes, stragglers, and an equivocating leader.
+"""Fault-tolerance demo: crashes, stragglers, and an equivocating replica.
 
 Three scenarios on a 7-replica Banyan deployment (f=2, p=1):
 
@@ -9,9 +9,10 @@ Three scenarios on a 7-replica Banyan deployment (f=2, p=1):
 2. **Stragglers** — two honest replicas are slow.  With more than ``p``
    stragglers the fast path stops firing and finalization falls back to the
    concurrent ICC slow path.
-3. **Equivocating leader** — a Byzantine replica proposes two conflicting
-   blocks to disjoint halves of the network whenever it leads.  Safety holds:
-   no two honest replicas ever finalize different blocks for the same round.
+3. **Equivocating replica (Twins)** — a Byzantine replica runs as two honest
+   twins, each talking to one half of the network, so it proposes, votes and
+   certifies twice whenever it can.  Safety holds: no two honest replicas
+   ever finalize different blocks for the same round.
 
 Run with::
 
@@ -23,10 +24,10 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro import NetworkConfig, ProtocolParams, Simulation
-from repro.byzantine.behaviors import DelayedReplica, make_equivocating_banyan
+from repro.byzantine.behaviors import DelayedReplica, TwinReplica
 from repro.net.faults import FaultPlan
 from repro.net.latency import ConstantLatency
-from repro.protocols.registry import create_replicas
+from repro.protocols.registry import create_replicas, protocol_factory
 
 PARAMS = ProtocolParams(n=7, f=2, p=1, rank_delay=0.4, payload_size=10_000)
 
@@ -69,10 +70,12 @@ def straggler_scenario() -> None:
 
 
 def equivocation_scenario() -> None:
-    replicas = create_replicas("banyan", PARAMS, overrides={0: make_equivocating_banyan()})
+    replicas = create_replicas("banyan", PARAMS)
+    replicas[0] = TwinReplica(0, PARAMS, factory=protocol_factory("banyan"),
+                              split=((1, 2, 3), (4, 5, 6)))
     simulation = Simulation(replicas, NetworkConfig(latency=ConstantLatency(0.05), seed=3))
     simulation.run(until=30.0)
-    summarize("equivocating leader (replica 0)", simulation, exclude=[0])
+    summarize("equivocating replica 0 (twins split 1,2,3 | 4,5,6)", simulation, exclude=[0])
 
 
 def main() -> None:

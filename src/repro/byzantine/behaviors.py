@@ -1,47 +1,35 @@
-"""Misbehaving replica implementations.
+"""Misbehaving replicas planted into honest replica sets: silence (crash),
+Twins (one identity run as two honest replicas; the equivocating adversary
+of every protocol), and stragglers.
 
-These replicas are planted into otherwise-honest replica sets in tests and
-ablation benchmarks.  They are intentionally *not* exhaustive adversaries —
-they exercise the specific failure modes the paper's analysis discusses:
-silence (crash), leader equivocation, and stragglers.
-
-Detection is generic: honest replicas tally every vote through the shared
-quorum engine (:mod:`repro.smr.quorum`), which records any signer observed
-supporting two different blocks — no per-protocol detection code.  Such an
-observation is only *proof* of misbehaviour for vote kinds where honest
-replicas vote at most once per round; :func:`fast_vote_equivocators`
-surfaces the sound Banyan fast-path flavour (honest replicas fast-vote at
-most once per round, so any flagged signer has provably misbehaved).
+Detection is generic: the shared quorum engine (:mod:`repro.smr.quorum`)
+records any signer seen supporting two blocks, which is *proof* only for
+vote kinds honest replicas cast once per round — Banyan's fast votes, see
+:func:`fast_vote_equivocators`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
 from functools import partial
-from typing import Any, Dict, FrozenSet, List, Optional, Type
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Any, Callable, FrozenSet, Iterable, Optional, Tuple
 
-from repro.core.banyan import BanyanReplica
 from repro.protocols.base import Protocol, ProtocolParams
-from repro.protocols.icc import ICCReplica
-from repro.protocols.registry import available_protocols
+from repro.protocols.registry import available_protocols, protocol_factory
 from repro.runtime.context import ReplicaContext, Timer, check_delay
-from repro.types.blocks import Block
+from repro.smr.mempool import PayloadSource
 from repro.types.messages import Message
+
+if TYPE_CHECKING:  # the chaos package is not loaded for a plain simulation
+    from repro.chaos.schedule import Fault
 
 
 def fast_vote_equivocators(protocol: Protocol) -> FrozenSet[int]:
-    """Signers ``protocol`` caught fast-vote equivocating, across rounds.
-
-    A correct Banyan replica broadcasts at most one fast vote per round
-    (Addition 3), so a signer whose fast votes support two different blocks
-    of one round has produced self-incriminating evidence.  The per-round
-    :class:`repro.core.fastpath.FastPathState` tallies support through the
-    shared quorum engine, which records exactly this; Banyan's
-    ``fast_path_verdicts`` collects it over every round the replica has
-    seen, released rounds included.
-
-    Returns an empty set for protocols without a fast path.
-    """
+    """Signers ``protocol`` caught fast-vote equivocating in any round it
+    has seen, released rounds included (Banyan's ``fast_path_verdicts``): a
+    correct replica fast-votes at most once per round (Addition 3), so such
+    a signer has misbehaved.  Empty for protocols without a fast path."""
     verdicts = getattr(protocol, "fast_path_verdicts", None)
     return verdicts()[0] if verdicts is not None else frozenset()
 
@@ -64,89 +52,105 @@ class SilentReplica(Protocol):
         """Ignore timers."""
 
 
-class _EquivocationMixin:
-    """Override proposing to send two conflicting blocks to disjoint halves.
+class TwinReplica(Protocol):
+    """Twins (Bano et al., "Twins: BFT Systems Made Robust", OPODIS 2021):
+    two honest instances of ``factory``'s protocol under one replica id,
+    twin ``i`` talking only to side ``i`` of ``split`` (the other replicas).
 
-    When the replica is the round leader it creates two different blocks
-    extending the same parent and sends one to the first half of the replicas
-    and the other to the second half — the classic equivocation attack that
-    the notarization/fast-vote quorum intersection must defuse.
+    So the replica equivocates in proposals, votes and certificates with no
+    protocol-specific code.  A delivery goes to the twin whose side holds
+    the sender; twin timers carry ``(index, data)``; a twin's copy to itself
+    is a zero-delay timer of its own (the runtime's self-delivery cannot
+    tell the twins apart).  The second twin's payloads are salted, so its
+    blocks get other ids; twin commits, which conflict, are dropped.
     """
 
-    def _propose(self, ctx: ReplicaContext, round_k: int) -> None:  # type: ignore[override]
-        state = self._round(round_k)
-        if state.proposed or state.advanced:
-            return
-        rank = self.beacon.rank(round_k, self.replica_id)
-        if rank != 0:
-            # Behave honestly when not the leader; equivocation only pays as
-            # the rank-0 proposer.
-            super()._propose(ctx, round_k)
-            return
-        candidates = self._parent_candidates(round_k)
-        if not candidates:
-            return
-        parent = min(candidates, key=lambda b: (b.rank, b.id))
-        state.proposed = True
-        replica_ids = ctx.replica_ids
-        half = len(replica_ids) // 2
-        groups = [replica_ids[:half], replica_ids[half:]]
-        for index, group in enumerate(groups):
-            payload = f"equivocation:{round_k}:{index}".encode("utf-8")
-            block = Block(
-                round=round_k,
-                proposer=self.replica_id,
-                rank=0,
-                parent_id=parent.id,
-                payload=payload,
-                payload_size=self.params.payload_size,
-            )
-            proposal = self._make_proposal(round_k, block, parent)
-            for receiver in group:
-                ctx.send(receiver, proposal)
-            self._after_propose(ctx, round_k, block)
+    name = "twins"
+
+    #: Timer name of a twin's message to itself.
+    _SELF_TIMER = "__twin_self__"
+
+    def __init__(self, replica_id: int, params: ProtocolParams, *,
+                 factory: Callable[..., Protocol], split: Tuple[Iterable[int], ...],
+                 payload_source: Optional[PayloadSource] = None, **kwargs: Any) -> None:
+        super().__init__(replica_id, params)
+        self.sides = sides = tuple(frozenset(side) for side in split)
+        others = frozenset(range(params.n)) - {replica_id}
+        if len(sides) != 2 or not all(sides) or sides[0] & sides[1] or sides[0] | sides[1] != others:
+            raise ValueError(
+                f"a twins split of replica {replica_id} must be two disjoint, non-empty "
+                f"sides holding every other replica id {sorted(others)}, got "
+                f"{[sorted(side) for side in sides]}")
+        source = payload_source or PayloadSource(params.payload_size)
+
+        def salted(round: int, proposer: int) -> Tuple[bytes, int]:
+            payload, logical_size = source.payload_for(round, proposer)
+            return b"twin:" + bytes(payload), logical_size
+
+        self.twins = tuple(factory(replica_id=replica_id, params=params,
+                                   payload_source=twin_source, **kwargs)
+                           for twin_source in (source, SimpleNamespace(payload_for=salted)))
+        self.proposal_times = self.twins[0].proposal_times
+        self._outer: Optional[ReplicaContext] = None
+        self._contexts: Tuple[ReplicaContext, ...] = ()
+
+    def _twin_contexts(self, ctx: ReplicaContext) -> Tuple[ReplicaContext, ...]:
+        """Each twin's context over ``ctx``, built once per runtime context."""
+        if ctx is not self._outer:
+            self._outer = ctx
+            self._contexts = tuple(self._confined(ctx, index) for index in range(2))
+        return self._contexts
+
+    def _confined(self, ctx: ReplicaContext, index: int) -> ReplicaContext:
+        side, replica_id = self.sides[index], ctx.replica_id
+
+        def send(receiver: int, message: Message) -> None:
+            if receiver == replica_id:
+                ctx.set_timer(0.0, self._SELF_TIMER, (index, message))
+            elif receiver in side:
+                ctx.send(receiver, message)
+
+        def broadcast(message: Message) -> None:
+            for receiver in ctx.replica_ids:
+                send(receiver, message)
+
+        return ReplicaContext(
+            replica_id, ctx.replica_ids, now=ctx.now, send=send, broadcast=broadcast,
+            set_timer=lambda delay, name, data=None: ctx.set_timer(delay, name, (index, data)),
+            cancel_timer=ctx.cancel_timer, commit=lambda *_, **__: None)
+
+    def on_start(self, ctx: ReplicaContext) -> None:
+        """Start both twins."""
+        for twin, twin_ctx in zip(self.twins, self._twin_contexts(ctx)):
+            twin.on_start(twin_ctx)
+
+    def on_message(self, ctx: ReplicaContext, sender: int, message: Message) -> None:
+        """Deliver to the twin whose side holds ``sender``."""
+        index = 0 if sender in self.sides[0] else 1
+        self.twins[index].on_message(self._twin_contexts(ctx)[index], sender, message)
+
+    def on_timer(self, ctx: ReplicaContext, timer: Timer) -> None:
+        """Hand a twin its own timer, or its message to itself."""
+        index, data = timer.data
+        twin, twin_ctx = self.twins[index], self._twin_contexts(ctx)[index]
+        if timer.name == self._SELF_TIMER:
+            twin.on_message(twin_ctx, self.replica_id, data)
+        else:
+            twin.on_timer(twin_ctx, dataclasses.replace(timer, data=data))
 
 
-class EquivocatingICCReplica(_EquivocationMixin, ICCReplica):
-    """An ICC replica that equivocates whenever it is the leader."""
-
-    name = "icc-equivocator"
-
-
-class EquivocatingBanyanReplica(_EquivocationMixin, BanyanReplica):
-    """A Banyan replica that equivocates whenever it is the leader."""
-
-    name = "banyan-equivocator"
-
-
-class EquivocatingLeaderReplica(EquivocatingBanyanReplica):
-    """Default equivocator (Banyan flavour); kept for a stable public name."""
-
-
-def make_equivocating_icc() -> Type[Protocol]:
-    """Factory for planting an equivocating ICC leader via ``overrides``."""
-    return EquivocatingICCReplica
-
-
-def make_equivocating_banyan() -> Type[Protocol]:
-    """Factory for planting an equivocating Banyan leader via ``overrides``."""
-    return EquivocatingBanyanReplica
-
-
-def byzantine_factory(protocol: str, behavior: str) -> Type[Protocol]:
-    """The replica factory planted for a byzantine fault of a chaos schedule.
-
-    ``"equivocate"`` on a Banyan or ICC replica (or its ``-broken`` variant)
-    plants an equivocating leader; every other behaviour plants a
-    :class:`SilentReplica`.
-    """
-    if behavior == "equivocate":
-        base = protocol[:-len("-broken")] if protocol.endswith("-broken") else protocol
-        if base == "banyan":
-            return make_equivocating_banyan()
-        if base == "icc":
-            return make_equivocating_icc()
-    return SilentReplica
+def byzantine_factory(protocol: str, fault: Fault) -> Callable[..., Protocol]:
+    """The replica factory planted for a chaos schedule's byzantine fault:
+    ``"silent"``, or ``"twins"`` of ``protocol`` split as ``fault.group_a``
+    | ``fault.group_b``.  Any other behaviour is refused."""
+    if fault.behavior == "silent":
+        return SilentReplica
+    if fault.behavior == "twins":
+        return partial(TwinReplica, factory=protocol_factory(protocol),
+                       split=(fault.group_a, fault.group_b))
+    raise ValueError(f"unknown byzantine behaviour {fault.behavior!r} of replica "
+                     f"{fault.replica}: plant 'silent' or 'twins' ('twins' replaced "
+                     f"'equivocate')")
 
 
 def ensure_protocol_registered(protocol: str) -> None:

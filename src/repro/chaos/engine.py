@@ -50,7 +50,7 @@ from repro.runtime.trace import TraceLog, attach_commit_trace
 
 #: Version tag mixed into every chaos content hash; bump when execution
 #: semantics change so stale cached trial results are not reused.
-CHAOS_FORMAT = 1
+CHAOS_FORMAT = 2
 
 #: The protocols a default chaos run rotates through.
 DEFAULT_PROTOCOLS = ("banyan", "icc", "hotstuff", "streamlet")
@@ -237,8 +237,8 @@ def run_chaos_schedule(spec: ChaosTrialSpec,
     ensure_protocol_registered(spec.protocol)
     byzantine = schedule.byzantine()
     overrides = {
-        replica: byzantine_factory(spec.protocol, behavior)
-        for replica, behavior in byzantine.items()
+        replica: byzantine_factory(spec.protocol, fault)
+        for replica, fault in byzantine.items()
     }
     replicas = create_replicas(spec.protocol, spec.params(), overrides=overrides)
     for fault in schedule.stragglers():

@@ -33,10 +33,18 @@ from repro.net.faults import (
     PartitionWindow,
 )
 
-#: Byzantine behaviours the generator can plant.  ``"equivocate"`` is only
-#: available for protocols with an equivocating variant (banyan, icc);
-#: ``"silent"`` works everywhere.
-BYZANTINE_BEHAVIORS = ("equivocate", "silent")
+#: Byzantine behaviours a schedule can plant: ``"silent"``, and ``"twins"``
+#: (:class:`repro.byzantine.TwinReplica`, split as the fault's ``group_a`` |
+#: ``group_b``).  The generator draws ``"twins"`` for ICC and Banyan only
+#: (and their ``-broken`` variants).  HotStuff and Streamlet neither relay
+#: proposals nor retrieve missing blocks (ROADMAP item 20), so an honest
+#: replica alone on one side of a split never receives the blocks the
+#: other side certified.  Measured at n=4, f=1, ``rank_delay`` 0.4,
+#: ``round_timeout`` 1.5, 50 ms constant latency, 15 sim-s, seed 1, every
+#: twinned replica and split: in 12 of 24 cells per protocol that replica
+#: commits nothing after 5 s, and the liveness check fails.  ICC and
+#: Banyan relay proposals and never stall.
+BYZANTINE_BEHAVIORS = ("silent", "twins")
 
 
 def trial_stream_index(trial: int) -> int:
@@ -65,7 +73,8 @@ class Fault:
             end for partitions/bursts/stragglers, ``None`` for permanent
             faults (unrecovered crash, byzantine plant).
         replica: the affected replica (crash, straggler, byzantine).
-        group_a / group_b: the two sides of a partition.
+        group_a / group_b: the two sides of a partition, or of a
+            ``"twins"`` plant's split of the other replicas.
         probability: loss probability of a burst.
         delay: extra outbound delay of a straggler phase, in seconds.
         behavior: byzantine behaviour name (see :data:`BYZANTINE_BEHAVIORS`).
@@ -95,6 +104,9 @@ class Fault:
         if self.kind == "straggler":
             return (f"straggler r{self.replica} +{self.delay:g}s "
                     f"during [{self.start:g}s, {self.end:g}s)")
+        if self.kind == "byzantine" and self.behavior == "twins":
+            return (f"byzantine r{self.replica} (twins {list(self.group_a)} | "
+                    f"{list(self.group_b)})")
         if self.kind == "byzantine":
             return f"byzantine r{self.replica} ({self.behavior})"
         return f"unknown fault {self.kind!r}"
@@ -168,10 +180,10 @@ class ChaosSchedule:
         """When the last timed disturbance is over (0 for no faults)."""
         return max((fault.heal_time() for fault in self.faults), default=0.0)
 
-    def byzantine(self) -> Dict[int, str]:
-        """Planted byzantine replicas: replica id → behaviour name."""
+    def byzantine(self) -> Dict[int, Fault]:
+        """Planted byzantine replicas: replica id → its byzantine fault."""
         return {
-            fault.replica: fault.behavior
+            fault.replica: fault
             for fault in self.faults
             if fault.kind == "byzantine"
         }
@@ -301,7 +313,8 @@ class ScheduleGenerator:
             liveness on).
         config: generator knobs.
         protocol: protocol name, used to pick an available byzantine
-            behaviour (equivocation needs a banyan/icc variant).
+            behaviour (``"twins"`` is drawn for banyan/icc only; see
+            :data:`BYZANTINE_BEHAVIORS`).
     """
 
     def __init__(self, n: int, f: int, duration: float, horizon: float,
@@ -341,13 +354,18 @@ class ScheduleGenerator:
         byzantine: List[int] = []
         if faulty_budget > 0 and byz_rng.random() < cfg.byzantine_probability:
             replica = byz_rng.choice(replica_ids)
-            if self.protocol in ("banyan", "icc") or \
-                    self.protocol.endswith("-broken"):
-                behavior = byz_rng.choice(BYZANTINE_BEHAVIORS)
-            else:
-                behavior = "silent"
-            faults.append(Fault(kind="byzantine", replica=replica,
-                                behavior=behavior))
+            relays = self.protocol in ("banyan", "icc") or \
+                self.protocol.endswith("-broken")
+            behavior = byz_rng.choice(BYZANTINE_BEHAVIORS) if relays else "silent"
+            group_a: Tuple[int, ...] = ()
+            group_b: Tuple[int, ...] = ()
+            if behavior == "twins":
+                others = [r for r in replica_ids if r != replica]
+                byz_rng.shuffle(others)
+                cut = byz_rng.randint(1, len(others) - 1)
+                group_a, group_b = tuple(sorted(others[:cut])), tuple(sorted(others[cut:]))
+            faults.append(Fault(kind="byzantine", replica=replica, behavior=behavior,
+                                group_a=group_a, group_b=group_b))
             byzantine.append(replica)
             faulty_budget -= 1
 

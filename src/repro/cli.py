@@ -593,11 +593,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         ensure_protocol_registered(spec.protocol)
         protocols, params, liveness = (spec.protocol,), spec.params(), spec.liveness_bound()
         duration = spec.duration if args.duration is None else args.duration
-        print(f"replaying {spec.protocol} seed={spec.seed} "
-              f"trial={spec.trial} against a real {spec.n}-replica cluster, "
-              f"{len(schedule)} fault(s):", file=sys.stderr)
-        for line in schedule.describe():
-            print(f"  - {line}", file=sys.stderr)
     else:
         protocols = DEFAULT_PROTOCOLS if args.protocol == "all" else (args.protocol,)
         f, p = fault_bounds(args.n, args.f, args.p)
@@ -613,7 +608,13 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                for protocol in protocols]
     for config in configs:
         # Nothing is spawned unless every protocol's config can run.
-        check_cluster_config(config, args.base_port)
+        check_cluster_config(config, args.base_port, schedule)
+    if args.replay is not None:
+        print(f"replaying {spec.protocol} seed={spec.seed} "
+              f"trial={spec.trial} against a real {spec.n}-replica cluster, "
+              f"{len(schedule)} fault(s):", file=sys.stderr)
+        for line in schedule.describe():
+            print(f"  - {line}", file=sys.stderr)
 
     rows, failed = [], []
     for config in configs:

@@ -50,7 +50,7 @@ from repro.cluster.node import NodeConfig
 from repro.cluster.wire import ClientSubmit, Hello, encode_frame
 from repro.net.faults import FaultPlan
 from repro.protocols.base import ProtocolParams
-from repro.smr.metrics import MetricsCollector, RunMetrics, WorkloadMetrics
+from repro.smr.metrics import MetricsCollector, OccupancySample, RunMetrics, WorkloadMetrics
 from repro.types.blocks import Block
 from repro.types.commits import CommitRecord
 from repro.workload.transactions import encode_transaction, split_transactions
@@ -128,8 +128,9 @@ class LocalCluster:
         base_port: first port of a contiguous range; ``None`` asks the OS
             for free ports.
         workload: the client workload whose ``max_block_bytes`` and
-            ``mempool_capacity`` size the nodes' mempools; ``None`` keeps
-            :class:`NodeConfig`'s defaults.
+            ``mempool_capacity`` size the nodes' mempools and whose
+            ``sample_interval`` paces their occupancy samples; ``None``
+            keeps :class:`NodeConfig`'s defaults (no samples).
         params: the other :class:`ProtocolParams` fields; ``f`` and ``p``
             default as :func:`fault_bounds` says.
     """
@@ -152,7 +153,8 @@ class LocalCluster:
         protocol_params = ProtocolParams(n=n, f=f, p=p, seed=seed, **params)
         mempool = {} if workload is None else {
             "max_block_bytes": workload.max_block_bytes,
-            "mempool_capacity": workload.mempool_capacity}
+            "mempool_capacity": workload.mempool_capacity,
+            "sample_interval": workload.sample_interval}
         self.duration = duration
         self.log_dir = Path(log_dir)
         self.schedule = schedule or ChaosSchedule()
@@ -381,14 +383,16 @@ async def _send(sends: List[Tuple[float, int, int, int]],
 
 
 def _client_metrics(config: ExperimentConfig, sends: List[Tuple[float, int, int, int]],
-                    failed: List[int], records: List[CommitRecord]) -> WorkloadMetrics:
+                    failed: List[int], records: List[CommitRecord],
+                    summaries: Dict[int, Dict[str, object]]) -> WorkloadMetrics:
     """The clients' :class:`WorkloadMetrics`, from the same columns a
     :class:`repro.workload.clients.ClientPool` keeps.
 
     A transaction's commit time is its first commit at any replica
     (``records`` are sorted by commit time); a failed send that no block
-    carries is a dropped transaction.  The cluster samples no mempool
-    occupancy.
+    carries is a dropped transaction.  The nodes' mempool samples, taken
+    on one epoch clock, merge by tick into one :class:`OccupancySample`
+    each.
     """
     count, tx_size = len(sends), config.workload.tx_size
     commit_times = array("d", [math.nan]) * count
@@ -401,7 +405,23 @@ def _client_metrics(config: ExperimentConfig, sends: List[Tuple[float, int, int,
         array("I", [len(encode_transaction(tx_id, client, tx_size))
                     for _, tx_id, client, _ in sends]),
         [tx_id for tx_id in failed if math.isnan(commit_times[tx_id])],
-        [], config.duration - config.warmup, config.warmup)
+        _occupancy(config.workload.sample_interval, summaries),
+        config.duration - config.warmup, config.warmup)
+
+
+def _occupancy(interval: float,
+               summaries: Dict[int, Dict[str, object]]) -> List[OccupancySample]:
+    """The nodes' ``(tick, transactions, bytes)`` samples, one
+    :class:`OccupancySample` per tick, at ``tick * interval``."""
+    ticks: Dict[int, Dict[int, Tuple[int, int]]] = {}
+    for rid, summary in sorted(summaries.items()):
+        for tick, transactions, size in summary.get("occupancy", ()):
+            ticks.setdefault(tick, {})[rid] = (transactions, size)
+    return [OccupancySample(time=tick * interval,
+                            transactions=sum(count for count, _ in by_replica.values()),
+                            total_bytes=sum(size for _, size in by_replica.values()),
+                            per_replica={rid: count for rid, (count, _) in by_replica.items()})
+            for tick, by_replica in sorted(ticks.items())]
 
 
 # ---------------------------------------------------------------------- #
@@ -496,11 +516,13 @@ _SIMULATOR_ONLY = ("topology", "latency", "latency_model", "transport",
 
 
 def check_cluster_config(config: ExperimentConfig,
-                         base_port: Optional[int] = None) -> None:
+                         base_port: Optional[int] = None,
+                         schedule: Optional[ChaosSchedule] = None) -> None:
     """Raise a one-line ``ValueError`` unless the cluster can run ``config``
     as the simulator would: no simulator-only setting, no fault plan (the
-    cluster's fault input is a chaos schedule), an open-loop workload
-    without a mempool byte limit, and node configs that check out."""
+    cluster's fault input is a chaos ``schedule``), an open-loop workload
+    without a mempool byte limit, and node configs that check out, the
+    schedule's Byzantine plants included."""
     defaults = {field.name: field.default for field in dataclasses.fields(config)}
     for name in _SIMULATOR_ONLY:
         if getattr(config, name) != defaults[name]:
@@ -517,7 +539,8 @@ def check_cluster_config(config: ExperimentConfig,
         raise ValueError("the cluster cannot run mempool_max_bytes: its "
                          "mempools limit transactions only")
     NodeConfig(replica_id=0, protocol=config.protocol, params=config.params,
-               peers=local_peers(config.params.n, base_port))
+               peers=local_peers(config.params.n, base_port),
+               schedule=schedule.to_dict() if schedule else None)
 
 
 @dataclass
@@ -566,7 +589,7 @@ def run_local_cluster(
     # Imported here: the experiment layer loads numpy and the simulator.
     from repro.eval.experiment import ExperimentResult
 
-    check_cluster_config(config, base_port)
+    check_cluster_config(config, base_port, schedule)
     params = dataclasses.asdict(config.params)
     n, workload = params.pop("n"), config.workload
     del params["seed"]
@@ -603,7 +626,7 @@ def run_local_cluster(
         messages_sent=sum(stats.get("sent_frames", 0) for stats in sent),
         bytes_sent=sum(stats.get("sent_bytes", 0) for stats in sent),
         workload=(None if workload is None
-                  else _client_metrics(config, sends, failed, records)))
+                  else _client_metrics(config, sends, failed, records, summaries)))
     return ClusterResult(
         experiment=experiment, exit_codes=exit_codes, records=records,
         violations=violations, summaries=summaries, log_dir=log_dir,

@@ -81,6 +81,8 @@ class NodeConfig:
             (:meth:`repro.chaos.schedule.ChaosSchedule.to_dict` form).
         max_block_bytes: per-proposal byte budget drained from the mempool.
         mempool_capacity: the client mempool's transaction-count limit.
+        sample_interval: period in seconds of the mempool occupancy samples
+            taken from the epoch on; 0 takes none.
     """
 
     replica_id: int
@@ -94,23 +96,28 @@ class NodeConfig:
     schedule: Optional[Dict[str, object]] = None
     max_block_bytes: int = 65_536
     mempool_capacity: int = 100_000
+    sample_interval: float = 0.0
 
     def __post_init__(self) -> None:
         """Raise a one-line ``ValueError`` unless the node can run: valid
         protocol parameters for a registered protocol, this replica among
         ``peers``, every port one ``bind()`` accepts, a mempool that holds
-        a transaction, and a decodable schedule."""
+        a transaction, a finite non-negative sample interval, and a
+        decodable schedule whose Byzantine plants can be built."""
         ensure_protocol_registered(self.protocol)
         check_protocol(self.protocol, self.params)
         if self.mempool_capacity <= 0:
             raise ValueError(f"mempool_capacity must be positive, got {self.mempool_capacity}")
+        check_delay(self.sample_interval, "sample_interval")
         if self.replica_id not in self.peers:
             raise ValueError(f"replica {self.replica_id} is not in peers")
         for rid, (_, port) in sorted(self.peers.items()):
             if not 0 <= port <= 65535:
                 raise ValueError(f"port {port} of replica {rid} is outside 0-65535")
         if self.schedule:
-            ChaosSchedule.from_dict(self.schedule)
+            # Building a plant runs its checks (behaviour, twins split).
+            for replica, fault in ChaosSchedule.from_dict(self.schedule).byzantine().items():
+                byzantine_factory(self.protocol, fault)(replica_id=replica, params=self.params)
 
     def to_dict(self) -> Dict[str, object]:
         """A JSON-ready dictionary (inverse of :meth:`from_dict`)."""
@@ -126,6 +133,7 @@ class NodeConfig:
             "schedule": self.schedule,
             "max_block_bytes": self.max_block_bytes,
             "mempool_capacity": self.mempool_capacity,
+            "sample_interval": self.sample_interval,
         }
 
     @classmethod
@@ -146,6 +154,7 @@ class NodeConfig:
             schedule=data.get("schedule"),
             max_block_bytes=int(data.get("max_block_bytes", 65_536)),
             mempool_capacity=int(data.get("mempool_capacity", 100_000)),
+            sample_interval=float(data.get("sample_interval", 0.0)),
         )
 
 
@@ -213,6 +222,10 @@ class ClusterNode:
         self._commits = 0
         self._client_submissions = 0
         self._client_rejections = 0
+        #: ``(tick, transactions, bytes)`` of the mempool at each
+        #: ``tick * sample_interval`` on the epoch clock.
+        self._occupancy: List[Tuple[int, int, int]] = []
+        self._sampler: Optional[asyncio.TimerHandle] = None
         self._error: Optional[str] = None
 
     # ------------------------------------------------------------------ #
@@ -223,10 +236,10 @@ class ClusterNode:
         """Build this node's replica (honest, or a planted byzantine one)."""
         ensure_protocol_registered(self.config.protocol)
         overrides = {}
-        behavior = self.schedule.byzantine().get(self.config.replica_id)
-        if behavior:
+        fault = self.schedule.byzantine().get(self.config.replica_id)
+        if fault is not None:
             overrides[self.config.replica_id] = byzantine_factory(
-                self.config.protocol, behavior)
+                self.config.protocol, fault)
         replicas = create_replicas(
             self.config.protocol,
             self.config.params,
@@ -365,10 +378,14 @@ class ClusterNode:
                 self._loop.call_later(recover, self._boot)
         else:
             self._boot()
+        if config.sample_interval > 0:
+            self._schedule_sample(1)
 
         remaining = config.duration - self.now()
         if remaining > 0:
             await asyncio.sleep(remaining)
+        if self._sampler is not None:
+            self._sampler.cancel()
         await self.transport.stop()
         for handle in self._timer_handles.values():
             handle.cancel()
@@ -382,6 +399,19 @@ class ClusterNode:
 
     def _boot(self) -> None:
         self._guarded(self.protocol.on_start, self._context)
+
+    def _schedule_sample(self, tick: int) -> None:
+        """Arm the occupancy sample at ``tick * sample_interval`` on the
+        epoch clock, unless that is past the run's end (as the simulator's
+        client pool samples)."""
+        at = tick * self.config.sample_interval
+        if at <= self.config.duration:
+            self._sampler = self._loop.call_at(
+                self._epoch_monotonic + at, self._sample_mempool, tick)
+
+    def _sample_mempool(self, tick: int) -> None:
+        self._occupancy.append((tick, len(self.mempool), self.mempool.total_bytes))
+        self._schedule_sample(tick + 1)
 
     def _write_summary(self) -> None:
         if not self.config.summary_path:
@@ -398,6 +428,7 @@ class ClusterNode:
             "held_rounds": getattr(protocol, "held_rounds", None),
             "client_submissions": self._client_submissions,
             "client_rejections": self._client_rejections,
+            "occupancy": self._occupancy,
             "proposal_times": {
                 str(block_id): t
                 for block_id, t in getattr(protocol, "proposal_times", {}).items()

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from functools import partial
+from typing import Dict, Iterable, List, Optional
 
 import pytest
 
+from repro.byzantine import TwinReplica
 from repro.net.faults import FaultPlan
 from repro.net.latency import ConstantLatency, LatencyModel
 from repro.protocols.base import Protocol, ProtocolParams
-from repro.protocols.registry import create_replicas
+from repro.protocols.registry import create_replicas, protocol_factory
 from repro.runtime.simulator import NetworkConfig, Simulation
 
 
@@ -36,6 +38,13 @@ def build_simulation(
         seed=seed,
     )
     return Simulation(replicas, network)
+
+
+def twins(protocol: str, side_a: Iterable[int], side_b: Iterable[int]):
+    """The ``overrides`` factory of a Twins replica of ``protocol`` whose
+    twins talk to ``side_a`` and ``side_b``."""
+    return partial(TwinReplica, factory=protocol_factory(protocol),
+                   split=(tuple(side_a), tuple(side_b)))
 
 
 class PerCopySimulation(Simulation):

@@ -2,20 +2,26 @@
 
 These exercise the dual-mode behaviour end to end: fast-path finalization in
 good rounds, graceful fallback to the ICC slow path under crashes and
-stragglers, and safety under message loss and an equivocating leader.
+stragglers, and safety under message loss and an equivocating (Twins)
+replica.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.byzantine.behaviors import DelayedReplica, make_equivocating_banyan
+from repro.byzantine.behaviors import DelayedReplica
 from repro.net.faults import FaultPlan
 from repro.net.latency import ConstantLatency, UniformLatency
 from repro.protocols.base import ProtocolParams
 from repro.protocols.registry import create_replicas
 from repro.runtime.simulator import NetworkConfig, Simulation
-from tests.conftest import assert_consistent_chains, assert_no_conflicting_rounds, build_simulation
+from tests.conftest import (
+    assert_consistent_chains,
+    assert_no_conflicting_rounds,
+    build_simulation,
+    twins,
+)
 
 
 class TestBanyanFaultFree:
@@ -190,7 +196,7 @@ class TestBanyanByzantine:
     def test_equivocating_leader_does_not_violate_safety(self):
         params = ProtocolParams(n=4, f=1, p=1, rank_delay=0.4, payload_size=1_000)
         replicas = create_replicas(
-            "banyan", params, overrides={2: make_equivocating_banyan()}
+            "banyan", params, overrides={2: twins("banyan", (0,), (1, 3))}
         )
         sim = Simulation(replicas, NetworkConfig(latency=ConstantLatency(0.05), seed=3))
         sim.run(until=20.0)
@@ -205,7 +211,7 @@ class TestBanyanByzantine:
     def test_equivocating_leader_blocks_may_skip_its_rounds(self):
         params = ProtocolParams(n=7, f=2, p=1, rank_delay=0.4, payload_size=1_000)
         replicas = create_replicas(
-            "banyan", params, overrides={0: make_equivocating_banyan()}
+            "banyan", params, overrides={0: twins("banyan", (1, 2, 3), (4, 5, 6))}
         )
         sim = Simulation(replicas, NetworkConfig(latency=ConstantLatency(0.05), seed=4))
         sim.run(until=20.0)
@@ -217,10 +223,8 @@ class TestBanyanByzantine:
             assert chain == reference[: len(chain)]
 
     def test_equivocating_icc_leader_safe_too(self):
-        from repro.byzantine.behaviors import make_equivocating_icc
-
         params = ProtocolParams(n=4, f=1, p=1, rank_delay=0.4, payload_size=1_000)
-        replicas = create_replicas("icc", params, overrides={1: make_equivocating_icc()})
+        replicas = create_replicas("icc", params, overrides={1: twins("icc", (0,), (2, 3))})
         sim = Simulation(replicas, NetworkConfig(latency=ConstantLatency(0.05), seed=6))
         sim.run(until=20.0)
         assert_no_conflicting_rounds(sim)

@@ -1,7 +1,7 @@
 """Tests for the Byzantine behaviour modules and partial-synchrony recovery.
 
 Covers the misbehaving replica implementations directly (silent replica,
-equivocating leaders, delayed stragglers) and the deadlock-freeness property
+Twins, delayed stragglers) and the deadlock-freeness property
 under temporary network partitions: chain growth resumes once the partition
 heals (the paper's distinction between deadlock freeness and liveness,
 Remark 5.1).
@@ -16,19 +16,19 @@ import pytest
 
 from repro.byzantine.behaviors import (
     DelayedReplica,
-    EquivocatingBanyanReplica,
-    EquivocatingICCReplica,
     SilentReplica,
+    TwinReplica,
+    byzantine_factory,
+    ensure_protocol_registered,
     fast_vote_equivocators,
-    make_equivocating_banyan,
-    make_equivocating_icc,
 )
+from repro.chaos.schedule import Fault
 from repro.net.faults import FaultPlan, PartitionPlan
 from repro.net.latency import ConstantLatency, UniformLatency
 from repro.protocols.base import Protocol, ProtocolParams
 from repro.protocols.registry import create_replicas
 from repro.runtime.simulator import NetworkConfig, Simulation
-from tests.conftest import assert_consistent_chains, assert_no_conflicting_rounds
+from tests.conftest import assert_consistent_chains, assert_no_conflicting_rounds, twins
 
 
 @dataclass(frozen=True)
@@ -109,55 +109,57 @@ class TestSilentReplica:
         assert abs(len(sim_silent.commits_for(0)) - len(sim_crashed.commits_for(0))) <= 2
 
 
-class TestEquivocators:
-    def test_factories_return_protocol_classes(self):
-        assert make_equivocating_banyan() is EquivocatingBanyanReplica
-        assert make_equivocating_icc() is EquivocatingICCReplica
-        assert issubclass(EquivocatingBanyanReplica, object)
+class TestTwins:
+    def test_byzantine_factory_plants_twins_of_the_wrapped_protocol(self):
+        from repro.chaos.broken import BrokenQuorumICC
+        from repro.core.banyan import BanyanReplica
+        from repro.protocols.hotstuff import HotStuffReplica
 
-    def test_equivocator_sends_two_conflicting_blocks(self):
-        """Inspect the raw messages an equivocating leader produces."""
-        params = ProtocolParams(n=4, f=1, p=1, rank_delay=0.4, payload_size=100)
+        ensure_protocol_registered("icc-broken")
+        params = ProtocolParams(n=4, f=1, p=1, rank_delay=0.4)
+        fault = Fault(kind="byzantine", replica=0, behavior="twins",
+                      group_a=(1,), group_b=(2, 3))
+        for protocol, inner in (("banyan", BanyanReplica), ("icc-broken", BrokenQuorumICC),
+                                ("hotstuff", HotStuffReplica)):
+            replica = byzantine_factory(protocol, fault)(replica_id=0, params=params)
+            assert isinstance(replica, TwinReplica)
+            assert [type(twin) for twin in replica.twins] == [inner, inner]
+            assert replica.proposal_times is replica.twins[0].proposal_times
+        silent = Fault(kind="byzantine", replica=0, behavior="silent")
+        assert byzantine_factory("banyan", silent) is SilentReplica
 
-        sent = []
+    def test_twins_send_each_side_its_own_block(self):
+        """Each side receives its own twin's proposal for a round the twinned
+        replica leads: two distinct blocks, the second twin's salted."""
+        from repro.core.banyan import BanyanReplica
+        from repro.types.messages import BlockProposal
 
-        class Recorder(SilentReplica):
+        direct = {}  # round -> receiver -> block sent to it by replica 0
+
+        class Recorder(BanyanReplica):
             def on_message(self, ctx, sender, message):
-                sent.append((sender, message))
+                if (sender == 0 and isinstance(message, BlockProposal)
+                        and message.block.proposer == 0):
+                    direct.setdefault(message.block.round, {})[self.replica_id] = message.block
+                super().on_message(ctx, sender, message)
 
-        replicas = create_replicas(
-            "banyan", params,
-            overrides={0: make_equivocating_banyan(), 1: Recorder, 2: Recorder, 3: Recorder},
-        )
+        params = ProtocolParams(n=4, f=1, p=1, rank_delay=0.4, payload_size=100)
+        replicas = create_replicas("banyan", params, overrides={
+            0: twins("banyan", (1,), (2, 3)), 1: Recorder, 2: Recorder, 3: Recorder})
         sim = Simulation(replicas, NetworkConfig(latency=ConstantLatency(0.05), seed=1))
-        # Round 1's leader is replica 1 (a recorder), so nothing happens until
-        # round 0 % 4... run long enough for replica 0's leader round: with
-        # round-robin, replica 0 leads round 4 — but recorders never advance,
-        # so instead check the equivocator's behaviour in round 1 is honest
-        # (it is not the leader) and drive its leader round directly.
-        equivocator = sim.protocol(0)
-        sim.start()
-        equivocator.current_round = 4
-        equivocator.tree.mark_notarized(equivocator.tree.genesis_id)
-        # Force a proposal for a round it leads (round 4 with 4 replicas).
-        state = equivocator._round(4)
-        state.entered = True
-        # Give it a notarized+unlocked parent at round 3.
-        from repro.types.blocks import Block, genesis_block
-
-        parent = Block(round=3, proposer=1, rank=0, parent_id=genesis_block().id)
-        equivocator.tree.add_block(parent)
-        equivocator.tree.mark_notarized(parent.id)
-        equivocator.tree.mark_unlocked(parent.id)
-        equivocator._propose(sim._contexts[0], 4)
-        sim.run(until=1.0)
-        proposals = [m for _, m in sent if hasattr(m, "block") and m.block.round == 4]
-        block_ids = {m.block.id for m in proposals}
-        assert len(block_ids) == 2, "the equivocator must produce two distinct round-4 blocks"
+        sim.run(until=5.0)
+        led = [blocks for blocks in direct.values() if len(blocks) == 3]
+        assert len(led) >= 2
+        for blocks in led:
+            assert blocks[2].id == blocks[3].id != blocks[1].id
+            assert not blocks[1].payload.startswith(b"twin:")
+            assert blocks[2].payload.startswith(b"twin:")
+        assert_no_conflicting_rounds(sim)
 
     def test_honest_majority_withstands_equivocation_with_p_equals_f(self):
         params = ProtocolParams(n=9, f=2, p=2, rank_delay=0.4, payload_size=1_000)
-        replicas = create_replicas("banyan", params, overrides={1: make_equivocating_banyan()})
+        replicas = create_replicas("banyan", params, overrides={
+            1: twins("banyan", (0, 2, 3, 4), (5, 6, 7, 8))})
         sim = Simulation(replicas, NetworkConfig(latency=ConstantLatency(0.05), seed=5))
         sim.run(until=20.0)
         assert_no_conflicting_rounds(sim)
@@ -175,9 +177,10 @@ class TestBanyanFastPathUnderAdversaries:
     """
 
     def test_equivocating_leader_never_fast_finalizes_its_rounds(self):
+        # Twin + side holds 4 < n - p = 6 replicas on either side.
         params = ProtocolParams(n=7, f=2, p=1, rank_delay=0.4, payload_size=1_000)
         replicas = create_replicas(
-            "banyan", params, overrides={1: make_equivocating_banyan()}
+            "banyan", params, overrides={1: twins("banyan", (0, 2, 3), (4, 5, 6))}
         )
         sim = Simulation(replicas, NetworkConfig(latency=ConstantLatency(0.05), seed=3))
         sim.run(until=25.0)
@@ -189,26 +192,26 @@ class TestBanyanFastPathUnderAdversaries:
         for replica_id in honest:
             protocol = sim.protocol(replica_id)
             # No round led by the equivocator ever reaches the n - p fast
-            # quorum on either of its two blocks: the split fast votes make
-            # FP-finalization impossible, at every honest replica.
+            # quorum on either of its twins' blocks: the split fast votes
+            # make FP-finalization impossible, at every honest replica.
             for round_k, state in protocol._rounds.items():
                 if protocol.beacon.leader(round_k) == 1:
                     assert state.fast.fast_finalizable_blocks() == []
-            # The quorum engine catches the leader's conflicting fast votes.
+            # The quorum engine catches the twins' conflicting fast votes
+            # (relayed proposals carry the other twin's).
             assert fast_vote_equivocators(protocol) == frozenset({1})
 
     def test_equivocator_led_rounds_still_finalize_eventually(self):
         params = ProtocolParams(n=7, f=2, p=1, rank_delay=0.4, payload_size=1_000)
         replicas = create_replicas(
-            "banyan", params, overrides={1: make_equivocating_banyan()}
+            "banyan", params, overrides={1: twins("banyan", (0, 2, 3), (4, 5, 6))}
         )
         sim = Simulation(replicas, NetworkConfig(latency=ConstantLatency(0.05), seed=3))
         sim.run(until=25.0)
         committed_rounds = {record.block.round for record in sim.commits_for(0)}
         led = [round_k for round_k in committed_rounds
                if sim.protocol(0).beacon.leader(round_k) == 1]
-        # One of the two equivocation blocks wins per led round — finalized
-        # by the surrounding machinery, not by its own fast path.
+        # One of the twins' blocks wins per led round.
         assert led, "equivocator-led rounds must still enter the chain"
 
     def test_stragglers_degrade_fast_path_to_slow_without_fork(self):

@@ -172,6 +172,24 @@ def test_cluster_client_sends_what_the_simulator_pool_submits(spec):
     assert send_schedule(spec, N, horizon) == submitted
 
 
+def test_node_mempool_samples_merge_by_tick():
+    """Each node's ``(tick, transactions, bytes)`` samples become one
+    occupancy sample per tick; a node without samples (``sample_interval``
+    0, or no summary) adds nothing."""
+    from repro.cluster.harness import _occupancy
+    from repro.smr.metrics import OccupancySample
+
+    summaries = {0: {"occupancy": [[1, 2, 128], [2, 0, 0]]},
+                 1: {"occupancy": [[1, 1, 64], [2, 3, 192], [3, 1, 64]]},
+                 2: {"occupancy": []}, 3: {}}
+    assert _occupancy(0.5, summaries) == [
+        OccupancySample(time=0.5, transactions=3, total_bytes=192, per_replica={0: 2, 1: 1}),
+        OccupancySample(time=1.0, transactions=3, total_bytes=192, per_replica={0: 0, 1: 3}),
+        OccupancySample(time=1.5, transactions=1, total_bytes=64, per_replica={1: 1}),
+    ]
+    assert _occupancy(0.5, {0: {"occupancy": []}}) == []
+
+
 def test_transaction_header_roundtrip():
     tx = encode_transaction(421, 7, 128)
     assert len(tx) == 128
@@ -428,6 +446,15 @@ _VALID_CONFIG = {"replica_id": 0, "protocol": "banyan", "n": 4, "f": 1, "p": 1,
                  "port 70000 of replica 0 is outside 0-65535", id="port-out-of-range"),
     pytest.param(json.dumps({**_VALID_CONFIG, "mempool_capacity": 0}),
                  "mempool_capacity must be positive, got 0", id="empty-mempool"),
+    pytest.param(json.dumps({**_VALID_CONFIG, "sample_interval": -1}),
+                 "sample_interval must be finite and non-negative", id="negative-sample-interval"),
+    pytest.param(json.dumps({**_VALID_CONFIG, "schedule": {"faults": [
+        {"kind": "byzantine", "replica": 1, "behavior": "equivocate"}]}}),
+                 "'twins' replaced 'equivocate'", id="retired-equivocate"),
+    pytest.param(json.dumps({**_VALID_CONFIG, "schedule": {"faults": [
+        {"kind": "byzantine", "replica": 1, "behavior": "twins",
+         "group_a": [0], "group_b": [2]}]}}),
+                 "twins split of replica 1", id="twins-split-missing-a-replica"),
 ])
 def test_node_refuses_a_bad_config_with_one_line(content, expected, tmp_path, capsys):
     """``python -m repro.cluster.node`` on a config it cannot use exits 2
@@ -469,8 +496,8 @@ def test_cluster_commits_within_deadline(protocol, tmp_path):
 
 def test_cluster_workload_latency(tmp_path):
     """Open-loop clients get their transactions committed end-to-end, and
-    the run reports as the simulator's does."""
-    spec = WorkloadSpec(rate=40.0, tx_size=64, num_clients=2)
+    the run reports as the simulator's does, mempool occupancy included."""
+    spec = WorkloadSpec(rate=40.0, tx_size=64, num_clients=2, sample_interval=0.05)
     config = cluster_config(workload=spec)
     result = run_local_cluster(config, log_dir=tmp_path)
     assert result.violations == []
@@ -483,6 +510,12 @@ def test_cluster_workload_latency(tmp_path):
     assert result.experiment.metrics.latency_samples  # simulator-shaped RunMetrics
     assert result.experiment.messages_sent > 0 and result.experiment.bytes_sent > 0
     assert {"tx_p50_ms", "tx_p99_ms", "committed_blocks"} <= set(result.experiment.row())
+    # Every node samples its mempool at each tick of the shared epoch clock
+    # (a proposal drains it within milliseconds on loopback, so a sample
+    # is mostly 0: 50 ms ticks catch a pending transaction).
+    ticks = [sample.time / spec.sample_interval for sample in workload.occupancy]
+    assert ticks == pytest.approx(list(range(1, len(ticks) + 1))) and len(ticks) >= 70
+    assert workload.peak_mempool_depth > 0
 
 
 def test_cluster_survives_sigkill_and_restart(tmp_path):

@@ -30,6 +30,7 @@ from repro.types.certificates import (
 )
 from repro.types.messages import BlockProposal, CertificateMessage, VoteMessage
 from repro.types.votes import VoteKind, make_vote
+from tests.conftest import twins
 from tests.test_protocol_units import FakeContext
 
 N = 4
@@ -150,14 +151,16 @@ def test_messages_naming_a_released_round_allocate_and_send_nothing(protocol):
     assert tally.count(live_id + "'") == 1
 
 
-def test_a_released_round_leaves_its_fast_path_verdicts_behind():
+@pytest.mark.parametrize("split", [((0, 2, 3), (4, 5, 6)), ((0,), (2, 3, 4, 5, 6))])
+def test_a_released_round_leaves_its_fast_path_verdicts_behind(split):
     """Equivocation evidence and fast-path soundness are judged after the
-    run; a released round's share of both must survive it."""
-    from repro.byzantine.behaviors import fast_vote_equivocators, make_equivocating_banyan
+    run; a released round's share of both must survive it.  Relayed
+    proposals carry the other twin's fast vote, so even the replica alone
+    on one side catches replica 1."""
+    from repro.byzantine.behaviors import fast_vote_equivocators
 
     params = ProtocolParams(n=7, f=2, p=1, rank_delay=0.1, payload_size=500)
-    replicas = create_replicas("banyan", params,
-                               overrides={1: make_equivocating_banyan()})
+    replicas = create_replicas("banyan", params, overrides={1: twins("banyan", *split)})
     sim = Simulation(replicas, NetworkConfig(latency=ConstantLatency(0.01), seed=3))
     sim.run(until=8.0)
     for replica in (r for r in sim.replica_ids if r != 1):
