@@ -14,8 +14,9 @@ Status flags tracked per block:
 
 A replica that never revisits a round releases its blocks
 (:meth:`BlockTree.release_round`), so the tree holds a window of rounds, not
-the chain.  A released finalized block leaves only its id in the notarized
-and finalized sets, so status queries about the committed output stay true.
+the chain: a released block leaves no trace, committed or not.  The output
+is the commit stream, and whatever judges it reads the tree while the block
+is still held (at commit time).
 """
 
 from __future__ import annotations
@@ -108,15 +109,14 @@ class BlockTree:
 
     def release_round(self, round: int) -> None:
         """Forget the blocks of ``round``: each block, its round index entry,
-        its children entry and its unlocked flag.  A finalized block keeps
-        its id in the notarized and finalized sets (one string per committed
-        block, not the block); any other block leaves no trace."""
+        its children entry and its status flags.  A released block leaves no
+        trace, finalized or not: status queries about it answer ``False``."""
         for block_id in self._by_round.pop(round, ()):
             del self._blocks[block_id]
             self._children.pop(block_id, None)
+            self._notarized.discard(block_id)
             self._unlocked.discard(block_id)
-            if block_id not in self._finalized:
-                self._notarized.discard(block_id)
+            self._finalized.discard(block_id)
 
     # ------------------------------------------------------------------ #
     # Status flags

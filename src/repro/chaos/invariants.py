@@ -8,8 +8,10 @@ judges the execution online, then once more post-run:
   position ``i`` of every honest replica is the same block (prefix
   consistency), and no round finalizes two different blocks anywhere;
 * **certified ancestry** — each honest commit extends the replica's
-  previous commit (``parent_id`` linkage back to genesis) and, post-run,
-  every committed block is notarized in the committer's block tree;
+  previous commit (``parent_id`` linkage back to genesis) and, when the
+  checker is attached to a simulation, the committed block is notarized in
+  the committer's block tree at commit time (the tree releases it with its
+  round afterwards);
 * **fast-path soundness** — no round ever has two fast-finalizable blocks
   at any honest replica, fast-finalized rounds never conflict, and
   fast-vote equivocation evidence (Banyan's ``fast_path_verdicts``) only
@@ -98,10 +100,12 @@ class InvariantChecker:
     """Online + post-run invariant checking for one simulation.
 
     Attach with :meth:`attach` before running; read :attr:`violations`
-    after.  Byzantine replicas are excluded from every honesty-scoped check
-    (their commits are unconstrained — a Byzantine replica may claim
-    anything), but evidence checks still reference them: honest replicas
-    must never be *flagged* as equivocators.
+    after.  A checker fed commit records by hand, without :meth:`attach`,
+    judges the commit stream alone: it has no tree to look blocks up in.
+    Byzantine replicas are excluded from every honesty-scoped check (their
+    commits are unconstrained — a Byzantine replica may claim anything),
+    but evidence checks still reference them: honest replicas must never
+    be *flagged* as equivocators.
 
     Args:
         replica_ids: all replica ids of the simulation.
@@ -131,6 +135,9 @@ class InvariantChecker:
         #: Rounds somebody fast-finalized (for fast-path conflict labelling).
         self._fast_rounds: Dict[int, object] = {}
         self._last_commit_time: Dict[int, float] = {}
+        #: The simulation :meth:`attach` registered on, whose replicas'
+        #: trees :meth:`on_commit` reads (``None`` when fed by hand).
+        self._simulation: Optional[Simulation] = None
 
     # ------------------------------------------------------------------ #
     # Online checks
@@ -138,6 +145,7 @@ class InvariantChecker:
 
     def attach(self, simulation: Simulation) -> "InvariantChecker":
         """Register the commit listener on ``simulation``; returns self."""
+        self._simulation = simulation
         simulation.add_commit_listener(self.on_commit)
         return self
 
@@ -193,6 +201,19 @@ class InvariantChecker:
         if record.finalization_kind == "fast":
             self._fast_rounds.setdefault(block.round, block.id)
 
+        # Certified ancestry, part two: the committed block is notarized in
+        # the committer's own tree (the certificate chain exists).  Judged
+        # now, while the tree still holds the block; unwrapped, or a wrapper
+        # (straggler, tracer) would be probed instead of the replica.
+        if self._simulation is not None:
+            tree = innermost(self._simulation.protocol(replica)).tree
+            if not tree.is_notarized(block.id):
+                self._record(
+                    "notarized-commit", record.commit_time, replica,
+                    f"committed block {short} has no notarization in the "
+                    f"committer's tree",
+                )
+
         chain.append(block.id)
         self._last_commit_time[replica] = record.commit_time
 
@@ -220,7 +241,7 @@ class InvariantChecker:
         eligible -= self.byzantine
 
         for replica in self.honest:
-            # Unwrap, or the state-level checks below would silently probe
+            # Unwrap, or the state-level check below would silently probe
             # a wrapper (straggler, tracer) and find nothing.
             protocol = innermost(simulation.protocol(replica))
 
@@ -242,19 +263,6 @@ class InvariantChecker:
                         "fast-path-soundness", duration, replica,
                         f"round {round_k} has several fast-finalizable blocks",
                     )
-
-            # Certified ancestry, part two: committed blocks are notarized
-            # in the committer's own tree (the certificate chain exists).
-            tree = getattr(protocol, "tree", None)
-            if tree is not None:
-                for block_id in self._chains[replica]:
-                    if not tree.is_notarized(block_id):
-                        self._record(
-                            "notarized-commit", duration, replica,
-                            f"committed block {str(block_id)[:8]} has no "
-                            f"notarization in the committer's tree",
-                        )
-                        break
 
         self.check_liveness(heal_time, liveness_bound, duration, eligible)
         return self.violations

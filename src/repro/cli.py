@@ -616,7 +616,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         for line in schedule.describe():
             print(f"  - {line}", file=sys.stderr)
 
-    rows, failed = [], []
+    rows, failed, unmeasured = [], [], []
     for config in configs:
         result = run_local_cluster(
             config, schedule=schedule, liveness_bound=liveness,
@@ -624,6 +624,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             log_dir=(Path(args.log_dir) / config.protocol if args.log_dir else None),
             base_port=args.base_port)
         rows.append(dict(result.experiment.row(), violations=len(result.violations)))
+        if result.committed_blocks and not result.experiment.metrics.latency_samples:
+            unmeasured.append(config.protocol)
         bad_exit = any(code not in (0, -15) for code in result.exit_codes.values())
         if result.committed_blocks == 0 or result.violations or bad_exit:
             failed.append(result)
@@ -640,7 +642,13 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     if dead:
         print(f"banyan-repro cluster: error: no transaction committed in "
               f"{len(dead)} run(s) ({dead[0]}); raise --duration", file=sys.stderr)
-    return 1 if failed or dead else 0
+    # Committed blocks without one latency sample: the commit logs lost the
+    # proposal times, and the latency columns read zero for no reason.
+    if unmeasured:
+        print(f"banyan-repro cluster: error: {len(unmeasured)} run(s) "
+              f"({unmeasured[0]}) committed blocks but measured no "
+              f"finalization latency", file=sys.stderr)
+    return 1 if failed or dead or unmeasured else 0
 
 
 def _cmd_list(_: argparse.Namespace) -> int:

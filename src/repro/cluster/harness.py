@@ -275,8 +275,17 @@ class LocalCluster:
         Blocks are rebuilt from their logged fields; ids are recomputed
         from content, so invariant checks operate on the real chains.
         """
+        records, errors, _ = self.read_commit_logs()
+        return records, errors
+
+    def read_commit_logs(self) -> Tuple[List[CommitRecord], List[Dict[str, object]],
+                                        Dict[int, Dict[str, float]]]:
+        """:meth:`commit_records` plus the proposal times the logs carry:
+        replica id → block id → ``proposed_at`` of each own block the
+        replica committed (the metrics pipeline's latency input)."""
         records: List[CommitRecord] = []
         errors: List[Dict[str, object]] = []
+        proposal_times: Dict[int, Dict[str, float]] = {}
         for handle in self.replicas.values():
             if not handle.commit_log.exists():
                 continue
@@ -299,14 +308,18 @@ class LocalCluster:
                         payload=bytes.fromhex(entry["payload"]),
                         payload_size=int(entry["payload_size"]),
                     )
+                    replica = int(entry["replica"])
                     records.append(CommitRecord(
-                        replica_id=int(entry["replica"]),
+                        replica_id=replica,
                         block=block,
                         commit_time=float(entry["t"]),
                         finalization_kind=str(entry["kind"]),
                     ))
+                    if "proposed_at" in entry:
+                        proposal_times.setdefault(replica, {})[block.id] = float(
+                            entry["proposed_at"])
         records.sort(key=lambda record: (record.commit_time, record.replica_id))
-        return records, errors
+        return records, errors, proposal_times
 
     def summaries(self) -> Dict[int, Dict[str, object]]:
         """Load every replica's end-of-run summary (missing files skipped)."""
@@ -488,18 +501,13 @@ def cross_validate(
 
 
 def _run_metrics(config: ExperimentConfig, records: List[CommitRecord],
-                 summaries: Dict[int, Dict[str, object]]) -> RunMetrics:
+                 proposal_times: Dict[int, Dict[str, float]]) -> RunMetrics:
     """Feed real commit logs through the simulator's metrics pipeline; the
     observer is ``config.observer``, else replica 0."""
     collector = MetricsCollector(config.resolved_label(), warmup=config.warmup,
                                  observer=config.observer or 0)
     for record in records:
         collector.on_commit(record)
-    proposal_times = {
-        rid: {block_id: float(t)
-              for block_id, t in summary.get("proposal_times", {}).items()}
-        for rid, summary in summaries.items()
-    }
     return collector.finalize(max(config.duration - config.warmup, 1e-9), proposal_times)
 
 
@@ -611,7 +619,7 @@ def run_local_cluster(
         exit_codes = cluster.wait()
     finally:
         cluster.stop()
-    records, errors = cluster.commit_records()
+    records, errors, proposal_times = cluster.read_commit_logs()
     summaries = cluster.summaries()
     violations: List[Violation] = []
     if check_invariants:
@@ -622,7 +630,7 @@ def run_local_cluster(
         )
     sent = [summary.get("transport", {}) for summary in summaries.values()]
     experiment = ExperimentResult(
-        config, _run_metrics(config, records, summaries),
+        config, _run_metrics(config, records, proposal_times),
         messages_sent=sum(stats.get("sent_frames", 0) for stats in sent),
         bytes_sent=sum(stats.get("sent_bytes", 0) for stats in sent),
         workload=(None if workload is None

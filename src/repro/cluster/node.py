@@ -318,13 +318,17 @@ class ClusterNode:
     # ------------------------------------------------------------------ #
 
     def record_commit(self, blocks, finalization_kind: str = "slow") -> None:
+        """Log each committed block; the node's own block takes its proposal
+        time with it (``proposed_at``), so the node keeps none."""
         now = round(self.now(), 6)
+        replica_id = self.config.replica_id
+        proposal_times = self.protocol.proposal_times
         for block in blocks:
             self._commits += 1
-            self._log_line({
+            line = {
                 "type": "commit",
                 "t": now,
-                "replica": self.config.replica_id,
+                "replica": replica_id,
                 "kind": finalization_kind,
                 "round": block.round,
                 "proposer": block.proposer,
@@ -332,7 +336,12 @@ class ClusterNode:
                 "parent_id": block.parent_id,
                 "payload": block.payload.hex(),
                 "payload_size": block.payload_size,
-            })
+            }
+            if block.proposer == replica_id:
+                proposed_at = proposal_times.pop(block.id, None)
+                if proposed_at is not None:
+                    line["proposed_at"] = proposed_at
+            self._log_line(line)
 
     def _log_line(self, record: Dict[str, object]) -> None:
         if self._log_handle is None:
@@ -429,10 +438,6 @@ class ClusterNode:
             "client_submissions": self._client_submissions,
             "client_rejections": self._client_rejections,
             "occupancy": self._occupancy,
-            "proposal_times": {
-                str(block_id): t
-                for block_id, t in getattr(protocol, "proposal_times", {}).items()
-            },
             "transport": dict(self.transport.stats),
             "error": self._error,
         }

@@ -35,7 +35,7 @@ from typing import FrozenSet, List, Optional, Set, Tuple
 from repro.beacon import Beacon
 from repro.core.fastpath import FastPathState
 from repro.protocols.base import ProtocolParams
-from repro.protocols.icc import ICCReplica, _RoundState
+from repro.protocols.icc import FAST, NOTARIZATION, ICCReplica, _RoundState
 from repro.runtime.context import ReplicaContext
 from repro.smr.mempool import PayloadSource
 from repro.types.blocks import Block, BlockId
@@ -160,7 +160,7 @@ class BanyanReplica(ICCReplica):
         return FastVote(round=round_k, block_id=block_id, voter=self.replica_id)
 
     def _make_vote(self, kind: VoteKind, round_k: int, block_id: BlockId) -> Vote:
-        if kind is VoteKind.FAST:
+        if kind is FAST:
             return self._make_fast_vote(round_k, block_id)
         return super()._make_vote(kind, round_k, block_id)
 
@@ -169,28 +169,47 @@ class BanyanReplica(ICCReplica):
     # ------------------------------------------------------------------ #
 
     def _handle_proposal(self, ctx: ReplicaContext, sender: int, proposal: BlockProposal) -> None:
+        """Absorb the proposer's fast vote and the parent's unlock proof
+        around the base handler, fetching each round's state once.
+
+        A proposal names its own round and its parent's, and the parent's
+        is the one its certificates share (:attr:`_recent`, which the base
+        handler reads for the notarization).  So the proposal's own round
+        is looked up in place and leaves :attr:`_recent` on the parent's,
+        where the next relay of the wave finds it again.
+        """
         block = proposal.block
+        floor = self._floor
         fast_vote = proposal.fast_vote
-        if fast_vote is not None and (fast_vote.kind is not VoteKind.FAST
+        if fast_vote is not None and (fast_vote.kind is not FAST
                                       or not 0 <= fast_vote.voter < self._n):
             fast_vote = None
+        state = None
         if (fast_vote is not None and fast_vote.block_id == block.id
-                and fast_vote.voter == block.proposer and block.round >= self._floor):
-            self._round(block.round).proposer_fast_votes.add(block.id)
+                and fast_vote.voter == block.proposer and block.round >= floor):
+            state = self._rounds.get(block.round) or self._round(block.round)
+            state.proposer_fast_votes.add(block.id)
         proof = proposal.parent_unlock_proof
-        if proof is not None and proof.round >= self._floor:
-            self._absorb_unlock_proof(ctx, proof, self._round(proof.round))
+        if proof is not None and proof.round >= floor:
+            parent_state = self._recent
+            if parent_state is None or parent_state.round != proof.round:
+                parent_state = self._round(proof.round)
+            self._absorb_unlock_proof(ctx, proof, parent_state)
         # The base handler directly: no ``super()`` object per message.
         ICCReplica._handle_proposal(self, ctx, sender, proposal)
+        # The floor may have risen while the block was ingested.
         if fast_vote is not None and fast_vote.round >= self._floor:
-            self._handle_fast_vote(ctx, fast_vote, self._round(fast_vote.round))
+            if state is None or state.round != fast_vote.round:
+                state = (self._rounds.get(fast_vote.round)
+                         or self._round(fast_vote.round))
+            self._handle_fast_vote(ctx, fast_vote, state)
 
     # ------------------------------------------------------------------ #
     # Addition 3: the first notarization vote carries a fast vote
     # ------------------------------------------------------------------ #
 
     def _votes_for_block(self, round_k: int, block: Block) -> List[Vote]:
-        votes: List[Vote] = [self._make_vote(VoteKind.NOTARIZATION, round_k, block.id)]
+        votes: List[Vote] = [self._make_vote(NOTARIZATION, round_k, block.id)]
         state = self._round(round_k)
         if not state.fast_vote_sent:
             state.fast_vote_sent = True
@@ -203,7 +222,8 @@ class BanyanReplica(ICCReplica):
 
     def _handle_fast_vote(self, ctx: ReplicaContext, vote: Vote, state: _RoundState) -> None:
         fast = state.fast
-        if fast.record_fast_vote(vote.block_id, vote.voter) or fast.stale:
+        changed = fast.record_fast_vote(vote.block_id, vote.voter)
+        if fast.stale or (changed and fast.fast_quorum_blocks):
             self._update_fast_path(ctx, state)
 
     def _absorb_unlock_proof(self, ctx: ReplicaContext, proof: UnlockProof,
@@ -213,7 +233,8 @@ class BanyanReplica(ICCReplica):
         if proof.total_mask >> self._n:
             return
         fast = state.fast
-        if fast.merge_unlock_proof(proof) or fast.stale:
+        changed = fast.merge_unlock_proof(proof)
+        if fast.stale or (changed and fast.fast_quorum_blocks):
             self._update_fast_path(ctx, state)
 
     def _after_block_added(self, ctx: ReplicaContext, block: Block) -> None:
@@ -226,12 +247,15 @@ class BanyanReplica(ICCReplica):
         """React to a change in the fast-path state of ``state``'s round.
 
         Change-driven: the handlers above call this only when the event
-        added a block or new support (a duplicate vote, or an unlock proof
-        that adds nothing, changes no outcome) or an earlier change still
-        awaits evaluation (a fast finalization's votes are merged without
-        one).  Definition 7.6 is re-evaluated only if the change could
+        added a block, or an evaluation is due (the state is stale: this
+        event's support could alter Definition 7.6's decision, or an earlier
+        change still awaits evaluation — a fast finalization's votes are
+        merged without one), or new support arrived while some block holds
+        the fast quorum.  Any other support — a duplicate vote, or a vote in
+        a settled round where nothing holds the quorum — changes no
+        outcome.  Definition 7.6 is re-evaluated only if the change could
         alter its decision, FP-finalization tried only in an unfinalized
-        round.
+        round where some block holds the fast quorum.
         """
         fast = state.fast
         round_k = state.round
@@ -242,7 +266,7 @@ class BanyanReplica(ICCReplica):
                 if not tree.is_unlocked(block_id):
                     tree.mark_unlocked(block_id)
                     newly_unlocked = True
-        if round_k > self.k_max:
+        if round_k > self.k_max and fast.fast_quorum_blocks:
             for block_id in fast.fast_finalizable_blocks():
                 if round_k > self.k_max and block_id in self.tree:
                     self._finalize(ctx, round_k, block_id, kind="fast")

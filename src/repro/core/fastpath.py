@@ -60,6 +60,9 @@ class FastPathState:
         #: and a signer fast-voting for two blocks is recorded as
         #: equivocation evidence.
         self._support = QuorumTracker(fast_quorum)
+        #: Blocks whose support reached the fast quorum, any rank (the
+        #: tally's ``fired`` set, shared; read-only outside this class).
+        self.fast_quorum_blocks = self._support.fired
         #: Rank of each *received* block (only received blocks participate in
         #: the unlock conditions, since their rank must be known).
         self._block_ranks: Dict[BlockId, int] = {}
@@ -243,7 +246,7 @@ class FastPathState:
 
     def fast_finalizable_blocks(self) -> List[BlockId]:
         """Rank-0 blocks whose support reaches the fast quorum ``n - p``."""
-        if not self._support.fired:
+        if not self.fast_quorum_blocks:
             # No block has reached the fast quorum yet — skip the scan.
             return []
         return [

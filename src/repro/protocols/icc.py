@@ -45,6 +45,12 @@ _MESSAGE_SHAPES = (VoteMessage, CertificateMessage, BlockProposal)
 #: The certificate classes ICC's certificate handler dispatches on.
 _CERTIFICATE_SHAPES = (Notarization, Finalization)
 
+#: Vote kinds as module constants: the vote handlers compare every vote's
+#: kind, and a global is cheaper to load than an enum member.
+NOTARIZATION = VoteKind.NOTARIZATION
+FINALIZATION = VoteKind.FINALIZATION
+FAST = VoteKind.FAST
+
 #: Rounds of state kept below ``min(k_max, current_round)``.  Nothing a
 #: replica sends reads a round below that minimum (proposals and relays
 #: cite the previous round, certificates the current or a not yet finalized
@@ -95,11 +101,11 @@ class _RoundState:
     #: Pending notarization-delay timer target times already armed.
     armed_vote_timers: Set[float] = field(default_factory=set)
     #: ``len(notarization.fired)`` when ``_try_notarizations`` last scanned;
-    #: it re-scans only once this moved or a reached block is deferred, so
-    #: a vote that changes neither costs the tally and one check.
+    #: callers re-scan only once this moved or a reached block is deferred,
+    #: so a vote that changes neither costs the tally and one check.
     notarization_fired_seen: int = 0
     #: Whether a quorum-reached block was skipped because it has not been
-    #: received yet (forces a re-scan on the next call).
+    #: received yet (forces a re-scan on the next vote or certificate).
     notarization_deferred: bool = False
 
 
@@ -436,12 +442,12 @@ class ICCReplica(Protocol):
         ICC sends only the notarization vote; Banyan overrides this to attach
         a fast vote the first time in a round (Addition 3).
         """
-        return [self._make_vote(VoteKind.NOTARIZATION, round_k, block.id)]
+        return [self._make_vote(NOTARIZATION, round_k, block.id)]
 
     def _make_vote(self, kind: VoteKind, round_k: int, block_id: BlockId) -> Vote:
-        if kind is VoteKind.NOTARIZATION:
+        if kind is NOTARIZATION:
             return NotarizationVote(round=round_k, block_id=block_id, voter=self.replica_id)
-        if kind is VoteKind.FINALIZATION:
+        if kind is FINALIZATION:
             return FinalizationVote(round=round_k, block_id=block_id, voter=self.replica_id)
         raise ValueError(f"unsupported vote kind for ICC: {kind}")
 
@@ -468,15 +474,18 @@ class ICCReplica(Protocol):
                 if state is None or state.round != round_k:
                     state = self._round(round_k)
             kind = vote.kind
-            if kind is VoteKind.NOTARIZATION:
-                state.notarization.add_vote(vote.block_id, voter)
-                self._try_notarizations(ctx, state)
-            elif kind is VoteKind.FINALIZATION:
+            if kind is NOTARIZATION:
+                tracker = state.notarization
+                tracker.add_vote(vote.block_id, voter)
+                if (state.notarization_deferred
+                        or len(tracker.fired) != state.notarization_fired_seen):
+                    self._try_notarizations(ctx, state)
+            elif kind is FINALIZATION:
                 tracker = state.finalization
                 tracker.add_vote(vote.block_id, voter)
                 if round_k > self.k_max and vote.block_id in tracker.fired:
                     self._finalize(ctx, round_k, vote.block_id, kind="slow")
-            elif kind is VoteKind.FAST:
+            elif kind is FAST:
                 self._handle_fast_vote(ctx, vote, state)
 
     def _handle_fast_vote(self, ctx: ReplicaContext, vote: Vote, state: _RoundState) -> None:
@@ -489,14 +498,15 @@ class ICCReplica(Protocol):
     def _try_notarizations(self, ctx: ReplicaContext, state: _RoundState) -> None:
         """Notarize every received block of ``state``'s round holding a quorum.
 
-        Change-driven: a no-op unless a block reached the quorum since the
-        last scan or a reached block still awaits its proposal — the one
-        check every caller (vote, vote run, certificate, block arrival)
-        relies on.
+        Idempotent: a scan that finds no block newly holding the quorum
+        changes nothing.  The per-message callers (a vote, a certificate)
+        therefore call it only if a block reached the quorum since the last
+        scan (``len(fired)`` moved past ``notarization_fired_seen``) or a
+        reached block still awaits its proposal (``notarization_deferred``),
+        so a message that changes neither costs no call; a block arrival or
+        a round entry scans unconditionally.
         """
         tracker = state.notarization
-        if not state.notarization_deferred and len(tracker.fired) == state.notarization_fired_seen:
-            return
         round_k = state.round
         deferred = False
         for block_id in tracker.reached_blocks():
@@ -517,8 +527,10 @@ class ICCReplica(Protocol):
 
     def _register_notarization(self, ctx: ReplicaContext, notarization: Notarization,
                                state: _RoundState) -> None:
-        state.notarization.add_voters(notarization.block_id, notarization.mask)
-        self._try_notarizations(ctx, state)
+        tracker = state.notarization
+        tracker.add_voters(notarization.block_id, notarization.mask)
+        if state.notarization_deferred or len(tracker.fired) != state.notarization_fired_seen:
+            self._try_notarizations(ctx, state)
 
     # ------------------------------------------------------------------ #
     # Round advancement
@@ -550,7 +562,7 @@ class ICCReplica(Protocol):
         self._broadcast_round_certificates(ctx, round_k, block)
         if not state.finalization_vote_sent and state.notarization_voted <= {block.id}:
             state.finalization_vote_sent = True
-            vote = self._make_vote(VoteKind.FINALIZATION, round_k, block.id)
+            vote = self._make_vote(FINALIZATION, round_k, block.id)
             ctx.broadcast(VoteMessage(votes=(vote,), sender=self.replica_id))
         self.current_round = round_k + 1
         self._enter_round(ctx, round_k + 1)

@@ -204,7 +204,7 @@ class TestBlockTree:
             tree.add_block(block)
         assert len(tree) == 4  # genesis + 3
 
-    def test_released_round_keeps_only_finalized_ids(self):
+    def test_released_round_keeps_nothing(self):
         tree = BlockTree()
         kept, dropped = _block(1, parent=genesis_block()), _block(1, 1, 1, genesis_block())
         child = _block(2, parent=kept)
@@ -216,9 +216,13 @@ class TestBlockTree:
         tree.release_round(1)
         assert kept.id not in tree and dropped.id not in tree
         assert tree.blocks_at_round(1) == [] and tree.children(kept.id) == []
-        assert tree.is_notarized(kept.id) and tree.is_finalized(kept.id)
-        assert not tree.is_unlocked(kept.id)
-        assert not tree.is_notarized(dropped.id) and not tree.is_unlocked(dropped.id)
+        # Finalized or not, a released block leaves no status behind.
+        for block in (kept, dropped):
+            assert not tree.is_notarized(block.id)
+            assert not tree.is_unlocked(block.id)
+            assert not tree.is_finalized(block.id)
+        assert {genesis_block().id, child.id} == tree._notarized == tree._unlocked
+        assert tree._finalized == {genesis_block().id}
         # The next round still stands; its walk stops at the released parent.
         assert child.id in tree and tree.parent(child.id) is None
         assert tree.chain_to(child.id, {kept.id}) == [child]

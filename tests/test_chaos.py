@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 
 import pytest
@@ -380,12 +381,12 @@ class TestChaosEngine:
             assert os.path.exists(path)
             assert replay_repro(path).failed
 
-    def test_finalize_unwraps_straggler_wrappers(self):
-        """Post-run checks must probe the *inner* protocol of a wrapper.
+    def test_commit_check_unwraps_straggler_wrappers(self):
+        """The notarized-commit check must probe the *inner* protocol.
 
-        A DelayedReplica holds the real tree/fast-path state on ``.inner``;
-        before unwrapping, the notarized-commit and fast-path checks
-        silently skipped every straggler-wrapped replica.
+        A DelayedReplica holds the real tree on ``.inner``; the check runs
+        at commit time, while the committer's tree still holds the block
+        (its round is released afterwards, and the block with it).
         """
         from repro.byzantine.behaviors import DelayedReplica
         from repro.net.latency import ConstantLatency
@@ -398,23 +399,53 @@ class TestChaosEngine:
         replicas[0] = DelayedReplica(replicas[0], extra_delay=0.0)
         simulation = Simulation(replicas, NetworkConfig(
             latency=ConstantLatency(0.05), seed=1))
+        planted = []
+
+        def unnotarize_first_commit(record):
+            # Registered before the checker, so it runs first: the wrapped
+            # replica's first committed block loses its notarization just
+            # before the checker looks it up.
+            if record.replica_id == 0 and not planted:
+                inner = simulation.protocol(0).inner
+                assert inner.tree.is_notarized(record.block.id)
+                inner.tree._notarized.discard(record.block.id)
+                planted.append(record.block.id)
+
+        simulation.add_commit_listener(unnotarize_first_commit)
         checker = InvariantChecker(simulation.replica_ids).attach(simulation)
         simulation.run(until=8.0)
-        commits = simulation.commits_for(0)
-        assert commits
-        # Tamper with the wrapped replica's inner tree: un-notarize one of
-        # its committed blocks, one whose round was released (the tree
-        # keeps only its id).  The checker must see through the wrapper
-        # and flag it.
-        inner = simulation.protocol(0).inner
-        planted = commits[0].block
-        assert planted.round < inner._floor and planted.id not in inner.tree
-        assert inner.tree.is_notarized(planted.id)
-        inner.tree._notarized.discard(planted.id)
+        assert planted and len(simulation.commits_for(0)) > 1
+        flagged = [v for v in checker.violations if v.invariant == "notarized-commit"]
+        assert [v.replica for v in flagged] == [0]
+        assert str(planted[0])[:8] in flagged[0].detail
+        # The post-run checks add no second verdict on it.
         violations = checker.finalize(simulation, heal_time=0.0,
                                       liveness_bound=5.0, duration=8.0)
-        assert any(v.invariant == "notarized-commit" and v.replica == 0
-                   for v in violations)
+        assert [v for v in violations if v.invariant == "notarized-commit"] == flagged
+
+    def test_checker_fed_by_hand_looks_up_no_block(self):
+        """Without :meth:`attach` the checker judges the stream alone (as a
+        benchmark replaying a finished run's commits does): the blocks have
+        left every tree by then, and no notarized-commit verdict follows."""
+        from repro.net.latency import ConstantLatency
+        from repro.protocols.base import ProtocolParams
+        from repro.protocols.registry import create_replicas
+        from repro.runtime.simulator import NetworkConfig, Simulation
+
+        params = ProtocolParams(n=4, f=1, p=1, rank_delay=0.05, payload_size=100)
+        simulation = Simulation(create_replicas("banyan", params), NetworkConfig(
+            latency=ConstantLatency(0.01), seed=1))
+        simulation.run(until=4.0)
+        records = sorted((record for commits in simulation.all_commits().values()
+                          for record in commits),
+                         key=lambda record: (record.commit_time, record.replica_id))
+        first = records[0].block
+        assert first.id not in simulation.protocol(first.proposer).tree
+        checker = InvariantChecker(simulation.replica_ids)
+        for record in records:
+            checker.on_commit(record)
+        assert checker.finalize(simulation, heal_time=0.0, liveness_bound=math.inf,
+                                duration=4.0) == []
 
     def test_oversized_f_is_a_clean_error(self, capsys):
         """--f beyond the resilience bound must not crash schedule sampling."""

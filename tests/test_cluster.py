@@ -487,6 +487,10 @@ def test_cluster_commits_within_deadline(protocol, tmp_path):
     # Every replica committed (liveness at each node, not just the observer).
     committed_by = {record.replica_id for record in result.records}
     assert committed_by == set(range(N))
+    # Proposal times leave a node with its commits (``proposed_at`` in the
+    # commit log), not in its summary, and still yield latency samples.
+    assert result.experiment.metrics.latency_samples
+    assert not any("proposal_times" in summary for summary in result.summaries.values())
     if protocol in ("banyan", "icc"):
         # Blocks leave with their round: a node holds a window, not its chain.
         for summary in result.summaries.values():

@@ -355,15 +355,16 @@ class TestCLI:
         assert "the nearest valid n is" in captured.err
 
     @staticmethod
-    def _capture_clusters(monkeypatch, committed_tx=None):
+    def _capture_clusters(monkeypatch, committed_tx=None, measured=True):
         """Replace the cluster run by one that records each config and
-        returns a clean run: 5 blocks, and ``committed_tx`` client
-        transactions of 10 when the config has a workload."""
+        returns a clean run: 5 blocks (with one finalization-latency sample
+        unless not ``measured``), and ``committed_tx`` client transactions
+        of 10 when the config has a workload."""
         from pathlib import Path
 
         import repro.cluster.harness as harness
         from repro.eval.experiment import ExperimentResult
-        from repro.smr.metrics import RunMetrics, WorkloadMetrics
+        from repro.smr.metrics import LatencySample, RunMetrics, WorkloadMetrics
 
         configs = []
 
@@ -372,8 +373,11 @@ class TestCLI:
             workload = None if config.workload is None else WorkloadMetrics(
                 duration=config.duration, submitted=10, committed=committed_tx,
                 latencies=[0.1] * committed_tx)
+            samples = [LatencySample(proposer=0, round=1, latency=0.2,
+                                     finalization_kind="slow")] if measured else []
             experiment = ExperimentResult(
-                config, RunMetrics(config.protocol, config.duration, committed_blocks=5),
+                config, RunMetrics(config.protocol, config.duration, committed_blocks=5,
+                                   latency_samples=samples),
                 messages_sent=0, bytes_sent=0, workload=workload)
             return harness.ClusterResult(experiment, {0: 0}, [], [], {}, Path("."))
 
@@ -423,6 +427,19 @@ class TestCLI:
         assert "committed_tx" in captured.out
         assert captured.err == ("banyan-repro cluster: error: no transaction "
                                 "committed in 1 run(s) (banyan); raise --duration\n")
+
+    def test_cluster_fails_a_run_that_measured_no_finalization_latency(
+            self, monkeypatch, capsys):
+        """Commits without one latency sample mean the proposal times got
+        lost on their way out of the nodes: a table of zero latencies is
+        not a result."""
+        self._capture_clusters(monkeypatch, measured=False)
+        assert main(["cluster", "--duration", "2"]) == 1
+        captured = capsys.readouterr()
+        assert "committed_blocks" in captured.out
+        assert captured.err == ("banyan-repro cluster: error: 1 run(s) (banyan) "
+                                "committed blocks but measured no finalization "
+                                "latency\n")
 
     def test_workload_command_accepts_runner_flags(self, capsys):
         assert main([

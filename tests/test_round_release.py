@@ -88,9 +88,12 @@ def test_round_state_is_bounded_after_500_rounds(protocol):
         assert sizes.pop("proposal_times") > 0
         assert max(sizes.values()) <= HELD, sizes
         # Blocks leave with their round: the tree and the chain hold a
-        # window, genesis included while it is in it ...
+        # window, genesis included while it is in it, and so do the tree's
+        # status sets, committed ids included ...
         assert len(state.tree) <= HELD + 1
         assert len(state.chain) <= HELD + 1
+        tree = _container_sizes(state.tree)
+        assert max(tree.values()) <= HELD + 1, tree
         # ... and the output still streamed every finalized block.
         assert len(sim.commits_for(replica)) == state.k_max
 
